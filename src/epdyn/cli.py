@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import analysis, serialize
 from .errors import (
-    AmbiguousTrackingError,
     ConfigError,
     EpdynError,
     EPOnContourError,
@@ -27,7 +28,6 @@ from .errors import (
     NoFiniteEPError,
     NonFiniteError,
     StepSizeUnderflowError,
-    UndersampledError,
     ZeroNormError,
 )
 from .loops import Direction, LoopSpec, rho, winding_number
@@ -63,16 +63,16 @@ _SECTION_FIELDS = {
 }
 
 
+@dataclass
 class RunConfig:
     """Validated run configuration assembled from the JSON document."""
 
-    def __init__(self, params, loop, integrator, initial, out_path, out_format):
-        self.params: SystemParams = params
-        self.loop: Optional[LoopSpec] = loop
-        self.integrator: IntegratorConfig = integrator
-        self.initial: StateVector = initial
-        self.out_path: Optional[str] = out_path
-        self.out_format: str = out_format
+    params: SystemParams
+    loop: Optional[LoopSpec]
+    integrator: IntegratorConfig
+    initial: StateVector
+    out_path: Optional[str]
+    out_format: str
 
 
 def _require_number(section: str, data: dict, key: str, default=None) -> float:
@@ -83,10 +83,18 @@ def _require_number(section: str, data: dict, key: str, default=None) -> float:
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{section}.{key}' must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"field '{section}.{key}' must be finite")
+    return number
 
 
-def _check_keys(section: str, data: dict) -> None:
+def _check_keys(section: str, data) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"config section '{section}' must be a JSON object")
     allowed = _SECTION_FIELDS[section]
     for key in data:
         if key not in allowed:
@@ -211,8 +219,6 @@ def _exit_code_for(exc: EpdynError) -> int:
         return EXIT_NO_EP
     if isinstance(exc, (EPOnContourError, StepSizeUnderflowError, NonFiniteError, ZeroNormError)):
         return EXIT_PROPAGATION
-    if isinstance(exc, (UndersampledError, AmbiguousTrackingError)):
-        return EXIT_PRECONDITION
     return EXIT_PRECONDITION
 
 
@@ -396,8 +402,6 @@ def main(argv=None) -> int:
         if args.format:
             config.out_format = args.format
         if args.command == "simulate" and args.direction:
-            from dataclasses import replace
-
             config.loop = replace(config.loop, direction=Direction(args.direction))
 
         if args.command == "locate-ep":

@@ -16,6 +16,17 @@ is maintained by c-product overlap tracking, which is exactly where the
 state-exchange around an exceptional point shows up. The two routes share
 no stepper code, so their agreement is a genuine cross-check.
 
+The couplings are in closed form. Writing the traceless H as
+[[a, g], [g, -a]], the c-normalized eigenvectors are (cos th, sin th) and
+(-sin th, cos th) with tan 2th = g/a, so both turn at the same complex rate
+
+    th' = (a g' - g a') / (2 (a^2 + g^2)),
+
+with a' and g' exact from the loop velocity. For a tracked pair (v0, v1)
+with det = v0[0] v1[1] - v0[1] v1[0] = +/-1 the couplings are
+V_{0/1} = -det th' and V_{1/0} = +det th'. ``na_coupling`` keeps the
+two-frame finite difference as an independent reference.
+
 Recorded amplitudes are kept inside the representable range: if the true
 squared norm leaves [1e-150, 1e+150] the stored state is renormalized and
 the log of the discarded factor accumulates in ``log_scale`` (true norm^2 =
@@ -39,11 +50,10 @@ from .errors import (
     NonFiniteError,
     StepSizeUnderflowError,
 )
-from .loops import LoopSpec, StaticDrive
+from .loops import LoopSpec, StaticDrive, _discriminant_on_loop
 from .model import (
     EigenFrame,
     FieldPoint,
-    HamiltonianMatrix,
     SystemParams,
     _eigensystem,
     _root_plus,
@@ -74,8 +84,6 @@ _LOG_RECORD_HI = math.log(1e150)
 # tighter internal window so intermediate RK stages stay far from overflow
 _LOG_WORK_LO = math.log(1e-100)
 _LOG_WORK_HI = math.log(1e100)
-
-_FD_REL_STEP = 1e-6  # central-difference step scale for eigenvector derivatives
 
 
 @dataclass(frozen=True)
@@ -414,7 +422,8 @@ class _Dopri5:
         t, y = t0, y0
         k1 = self.rhs(t, y)
         while t < t1:
-            h = min(self.h, self.max_step, t1 - t)
+            h_free = min(self.h, self.max_step)
+            h = min(h_free, t1 - t)
             rejected = 0
             while True:
                 if h < self.min_step:
@@ -437,12 +446,15 @@ class _Dopri5:
                     break
                 rejected += 1
                 h *= max(self._MIN_FACTOR, self._SAFETY * err ** (-0.2))
-            # PI update from the accepted error
-            err = max(err, 1e-10)
-            factor = self._SAFETY * err ** (-self._ALPHA) * self.err_prev**self._BETA
-            factor = min(self._MAX_FACTOR if rejected == 0 else 1.0, max(self._MIN_FACTOR, factor))
-            self.h = h * factor
-            self.err_prev = err
+            # PI update from the accepted error; a step shortened only to land
+            # on t1 says nothing about the free step size, so it leaves the
+            # controller state alone
+            if rejected or h == h_free:
+                err = max(err, 1e-10)
+                factor = self._SAFETY * err ** (-self._ALPHA) * self.err_prev**self._BETA
+                factor = min(self._MAX_FACTOR if rejected == 0 else 1.0, max(self._MIN_FACTOR, factor))
+                self.h = h * factor
+                self.err_prev = err
             t, y, k1 = t + h, y5, k7
             if on_accept is not None:
                 on_accept(t, y)
@@ -454,13 +466,15 @@ class _Dopri5:
 # ---------------------------------------------------------------------------
 
 
-def _aligned_next(ref_vs, h: HamiltonianMatrix, ep_tol: float, ambiguity: float = 0.9):
-    """Eigen-solve h and align branches/signs to the reference vector pair.
+def _aligned_next(ref_vs, e_p, e_m, v_p, v_m, ambiguity: float = 0.9):
+    """Pair the '+'/'-' eigenpairs with the reference vector pair.
 
     Returns ((e0, e1), (v0, v1), (lab0, lab1)) where slot i continues
-    ref_vs[i]. Labels are the instantaneous '+'/'-' identity of each slot.
+    ref_vs[i], its sign chosen so that c_product(ref_vs[i], v_i) has a
+    non-negative real part. Labels are the instantaneous '+'/'-' identity of
+    each slot. Raises AmbiguousTrackingError when a slot's two overlaps are
+    too close to call or both slots pick the same branch.
     """
-    e_p, e_m, v_p, v_m, _, _ = _eigensystem(h, ep_tol)
     inst = ((e_p, v_p, "+"), (e_m, v_m, "-"))
     out_e = [None, None]
     out_v = [None, None]
@@ -485,6 +499,12 @@ def _aligned_next(ref_vs, h: HamiltonianMatrix, ep_tol: float, ambiguity: float 
     return tuple(out_e), tuple(out_v), tuple(out_l)
 
 
+def _initial_frame(params: SystemParams, drive: Drive, ep_tol: float):
+    """The t = 0 frame ((e0, e1), (v0, v1), labels), slot 0 on the '+' branch."""
+    e_p, e_m, v_p, v_m, _, _ = _eigensystem(build_hamiltonian(params, drive.field_at(0.0)), ep_tol)
+    return (e_p, e_m), (v_p, v_m), ("+", "-")
+
+
 class _FrameTracker:
     """Continuity-tracked eigenframe along a drive, for the adiabatic RHS.
 
@@ -494,47 +514,33 @@ class _FrameTracker:
 
     def __init__(self, params: SystemParams, drive: Drive, ep_tol: float) -> None:
         self.params = params
-        self.drive = drive
         self.ep_tol = ep_tol
-        h0 = build_hamiltonian(params, drive.field_at(0.0))
-        e_p, e_m, v_p, v_m, _, _ = _eigensystem(h0, ep_tol)
-        self.ref_vs = (v_p, v_m)
-        self.labels = ("+", "-")
+        _, self.ref_vs, self.labels = _initial_frame(params, drive, ep_tol)
 
-    def frame_at(self, t: float):
-        h = build_hamiltonian(self.params, _clamped_field(self.drive, t))
-        return _aligned_next(self.ref_vs, h, self.ep_tol)
+    def frame_at(self, fp: FieldPoint):
+        eig = _eigensystem(build_hamiltonian(self.params, fp), self.ep_tol)
+        return _aligned_next(self.ref_vs, *eig[:4])
 
-    def commit(self, t: float, _y=None) -> None:
-        _, vs, labels = self.frame_at(t)
-        self.ref_vs = vs
-        self.labels = labels
+    def commit(self, fp: FieldPoint) -> None:
+        _, self.ref_vs, self.labels = self.frame_at(fp)
 
 
-def _fd_step(fp: FieldPoint) -> float:
-    return _FD_REL_STEP * max(abs(fp.omega), abs(fp.eps0), 1.0)
+def _coupling(params: SystemParams, fp: FieldPoint, velocity, vs) -> tuple[complex, complex]:
+    """Closed-form (V_{0/1}, V_{1/0}) for the c-normalized eigenvector pair vs at fp.
 
-
-def _derivative_frames(params: SystemParams, fp: FieldPoint, velocity, ep_tol: float):
-    """Frames at fp -/+ h*u_hat along the velocity direction, plus the dt span."""
-    speed = math.hypot(velocity[0], velocity[1])
-    if speed == 0.0:
-        return None
-    h = _fd_step(fp)
-    ux, uy = velocity[0] / speed, velocity[1] / speed
-    f_a = FieldPoint(fp.omega - h * ux, max(fp.eps0 - h * uy, 0.0))
-    f_b = FieldPoint(fp.omega + h * ux, fp.eps0 + h * uy)
-    dt = (2.0 * h) / speed
-    return f_a, f_b, dt
-
-
-def _coupling_from_pairs(vs_a, vs_b, dt: float) -> tuple[complex, complex]:
-    """V_{0/1} and V_{1/0} from two branch/sign-aligned vector pairs."""
-    mid0 = (0.5 * (vs_a[0][0] + vs_b[0][0]), 0.5 * (vs_a[0][1] + vs_b[0][1]))
-    mid1 = (0.5 * (vs_a[1][0] + vs_b[1][0]), 0.5 * (vs_a[1][1] + vs_b[1][1]))
-    dv0 = ((vs_b[0][0] - vs_a[0][0]) / dt, (vs_b[0][1] - vs_a[0][1]) / dt)
-    dv1 = ((vs_b[1][0] - vs_a[1][0]) / dt, (vs_b[1][1] - vs_a[1][1]) / dt)
-    return c_product(mid0, dv1), c_product(mid1, dv0)
+    Both eigenvectors of [[a, g], [g, -a]] turn at th' = (a g' - g a') /
+    (2 (a^2 + g^2)), so v_i' = th' (-v_i[1], v_i[0]) and the couplings are
+    -det th' and +det th' with det = v0[0] v1[1] - v0[1] v1[0] = +/-1.
+    """
+    d12 = complex(params.d12)
+    a = 0.5 * complex(params.e1 - params.e2 + fp.omega, params.delta_gamma)
+    g = 0.5 * fp.eps0 * d12
+    a_dot = 0.5 * velocity[0]
+    g_dot = 0.5 * velocity[1] * d12
+    theta_dot = 0.5 * (a * g_dot - g * a_dot) / (a * a + g * g)
+    v0, v1 = vs
+    det = 1.0 if (v0[0] * v1[1] - v0[1] * v1[0]).real > 0.0 else -1.0
+    return -det * theta_dot, det * theta_dot
 
 
 def na_coupling(
@@ -550,7 +556,8 @@ def na_coupling(
     direction, separated by ``velocity * dt``; the central difference
     (v_b - v_a)/dt is then the velocity-weighted parameter derivative of
     each eigenvector, and the couplings are its c-products with the opposite
-    branch. Zero velocity returns (0, 0) exactly.
+    branch. Zero velocity returns (0, 0) exactly. This finite difference is
+    the independent reference for the closed form of :func:`na_coupling_at`.
 
     The gauge convention fixes signs only piecewise, so frame_b is re-aligned
     (branch pairing and sign) to frame_a before differencing; too-ambiguous
@@ -561,21 +568,17 @@ def na_coupling(
         return 0j, 0j
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    ref = (tuple(frame_a.v_plus), tuple(frame_a.v_minus))
-    cand = ((frame_b.e_plus, tuple(frame_b.v_plus), "+"), (frame_b.e_minus, tuple(frame_b.v_minus), "-"))
-    vs_b = [None, None]
-    taken = [False, False]
-    for slot in (0, 1):
-        ov = [c_product(ref[slot], c[1]) for c in cand]
-        mags = [abs(o) for o in ov]
-        best = 0 if mags[0] >= mags[1] else 1
-        if mags[1 - best] > 0.9 * mags[best] or taken[best]:
-            raise EPProximityError("frames too close to the EP to pair branches")
-        taken[best] = True
-        sign = 1.0 if ov[best].real >= 0.0 else -1.0
-        vb = cand[best][1]
-        vs_b[slot] = (sign * vb[0], sign * vb[1])
-    return _coupling_from_pairs(ref, tuple(vs_b), dt)
+    vs_a = (frame_a.v_plus, frame_a.v_minus)
+    try:
+        _, vs_b, _ = _aligned_next(
+            vs_a, frame_b.e_plus, frame_b.e_minus, frame_b.v_plus, frame_b.v_minus
+        )
+    except AmbiguousTrackingError as exc:
+        raise EPProximityError("frames too close to the EP to pair branches") from exc
+    va, vb = np.array(vs_a), np.array(vs_b)  # [slot, component]
+    mid = 0.5 * (va + vb)
+    dv = (vb - va) / dt
+    return complex(c_product(mid[0], dv[1])), complex(c_product(mid[1], dv[0]))
 
 
 def na_coupling_at(
@@ -584,19 +587,17 @@ def na_coupling_at(
     t: float,
     ep_tol: float = 1e-8,
 ) -> tuple[complex, complex]:
-    """Couplings at time t on a loop, with the standard derivative step."""
+    """Couplings (V_{+/-}, V_{-/+}) at time t on a loop, in closed form.
+
+    With the traceless H = [[a, g], [g, -a]] and
+    th' = (a g' - g a') / (2 (a^2 + g^2)) taken from the loop velocity,
+    V_{+/-} = -det th' and V_{-/+} = +det th', where det = +/-1 is the
+    determinant of the frame's (v_plus, v_minus). Raises EPProximityError
+    inside the eigenframe guard.
+    """
     fp = loop.field_at(t)
-    velocity = loop.velocity_at(t)
-    placed = _derivative_frames(params, fp, velocity, ep_tol)
-    if placed is None:
-        return 0j, 0j
-    f_a, f_b, dt = placed
-    # anchor branch pairing and signs on the frame at fp itself
     _, _, v_p, v_m, _, _ = _eigensystem(build_hamiltonian(params, fp), ep_tol)
-    ref_v = (v_p, v_m)
-    _, vs_a, _ = _aligned_next(ref_v, build_hamiltonian(params, f_a), ep_tol)
-    _, vs_b, _ = _aligned_next(ref_v, build_hamiltonian(params, f_b), ep_tol)
-    return _coupling_from_pairs(vs_a, vs_b, dt)
+    return _coupling(params, fp, loop.velocity_at(t), (v_p, v_m))
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +607,17 @@ def na_coupling_at(
 
 def _scan_contour(params: SystemParams, drive: Drive, ep_tol: float, n: int = 1024) -> None:
     guard = ep_tol * ep_tol
-    for k in range(n + 1):
-        fp = drive.field_at(drive.duration_T * k / n)
-        if abs(discriminant(build_hamiltonian(params, fp))) <= guard:
-            raise EPOnContourError(
-                f"contour reaches |discriminant| <= {guard:.1e} near t = {drive.duration_T * k / n:.6g}"
-            )
+    if isinstance(drive, StaticDrive):
+        times = np.zeros(1)
+        mags = np.array([abs(discriminant(build_hamiltonian(params, drive.field)))])
+    else:
+        times = np.linspace(0.0, drive.duration_T, n + 1)
+        mags = np.abs(_discriminant_on_loop(drive, params, times))
+    hits = np.flatnonzero(mags <= guard)
+    if hits.size:
+        raise EPOnContourError(
+            f"contour reaches |discriminant| <= {guard:.1e} near t = {times[hits[0]]:.6g}"
+        )
 
 
 def propagate_adiabatic(
@@ -629,8 +635,10 @@ def propagate_adiabatic(
     coefficient equations carry the branch energies on the diagonal and the
     velocity-weighted derivative couplings off it (the couplings' relative
     exponential weight exp(+/- Im int dE dt) is what breaks the slow-drive
-    limit for decaying systems). Bare-basis amplitudes are reconstructed at
-    the output times.
+    limit for decaying systems). The couplings are closed form: -det th'
+    and +det th' with th' = (a g' - g a') / (2 (a^2 + g^2)) for the traceless
+    H = [[a, g], [g, -a]], so each RHS call needs one eigen-solve.
+    Bare-basis amplitudes are reconstructed at the output times.
 
     Raises EPOnContourError if the contour comes within the eigenframe guard
     of the EP.
@@ -645,31 +653,20 @@ def propagate_adiabatic(
     dg = params.delta_gamma
     tracker = _FrameTracker(params, loop, ep_tol)
 
-    def traceless_energies(t: float, labels) -> tuple[complex, complex]:
-        fp = _clamped_field(loop, t)
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        # RK stages can poke epsilon outside [0, T]; see _clamped_field
+        tc = min(max(t, 0.0), T)
+        fp = loop.field_at(tc)
+        _, vs, labels = tracker.frame_at(fp)
         half_dh = 0.5 * complex(de + fp.omega, dg)
         g = 0.5 * fp.eps0 * d12
         w = _root_plus(4.0 * (half_dh * half_dh + g * g))  # = root of discriminant
         e0 = 0.5 * w if labels[0] == "+" else -0.5 * w
-        return e0, -e0
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        _, vs, labels = tracker.frame_at(t)
-        e0, e1 = traceless_energies(t, labels)
-        fp = _clamped_field(loop, t)
-        velocity = loop.velocity_at(min(max(t, 0.0), T))
-        placed = _derivative_frames(params, fp, velocity, ep_tol)
-        if placed is None:
-            v01 = v10 = 0j
-        else:
-            f_a, f_b, dt = placed
-            _, vs_a, _ = _aligned_next(vs, build_hamiltonian(params, f_a), ep_tol)
-            _, vs_b, _ = _aligned_next(vs, build_hamiltonian(params, f_b), ep_tol)
-            v01, v10 = _coupling_from_pairs(vs_a, vs_b, dt)
+        v01, v10 = _coupling(params, fp, loop.velocity_at(tc), vs)
         return np.array(
             [
                 -1j * e0 * y[0] - v01 * y[1],
-                -1j * e1 * y[1] - v10 * y[0],
+                1j * e0 * y[1] - v10 * y[0],
             ],
             dtype=complex,
         )
@@ -685,12 +682,12 @@ def propagate_adiabatic(
     stepper = _Dopri5(rhs, config, t_scale=T)
     stepper.max_step = min(stepper.max_step, T / 64.0)
     grid = np.linspace(0.0, T, n_output + 1)
-    pending: list[tuple[float, np.ndarray]] = []
+    pending: list[tuple] = []
 
     def on_accept(t: float, y: np.ndarray) -> None:
-        tracker.commit(t)
+        tracker.commit(_clamped_field(loop, t))
         if record_internal:
-            pending.append((t, y.copy()))
+            pending.append((t, (y.copy(), tracker.ref_vs, tracker.labels)))
 
     for gi in range(1, n_output + 1):
         pending.clear()
@@ -698,17 +695,15 @@ def propagate_adiabatic(
             b = stepper.advance(grid[gi - 1], b, grid[gi], on_accept=on_accept)
         except EPProximityError as exc:
             raise EPOnContourError(str(exc)) from exc
-        if record_internal:
-            for t_in, y_in in pending:
-                if t_in < grid[gi]:
-                    _, vs_in, labels_in = tracker.frame_at(t_in)
-                    rec.add(t_in, (y_in, vs_in, labels_in), log_b)
+        for t_in, payload in pending:
+            if t_in < grid[gi]:
+                rec.add(t_in, payload, log_b)
         n2 = float(abs(b[0]) ** 2 + abs(b[1]) ** 2)
         if n2 > 0 and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
             b = b / math.sqrt(n2)
             log_b += math.log(n2)
-        _, vs_g, labels_g = tracker.frame_at(grid[gi])
-        rec.add(grid[gi], (b.copy(), vs_g, labels_g), log_b)
+        # the last accepted step landed on grid[gi] and committed its frame
+        rec.add(grid[gi], (b.copy(), tracker.ref_vs, tracker.labels), log_b)
 
     labels_out = []
 
@@ -765,46 +760,24 @@ def track_branches(
     energies = np.empty((n_samples + 1, 2), dtype=complex)
     vectors = np.empty((n_samples + 1, 2, 2), dtype=complex)
     labels = np.empty((n_samples + 1, 2), dtype="<U1")
-    try:
-        h0 = build_hamiltonian(params, loop.field_at(0.0))
-        e_p, e_m, v_p, v_m, _, _ = _eigensystem(h0, ep_tol)
-        energies[0] = (e_p, e_m)
-        vectors[0, 0] = v_p
-        vectors[0, 1] = v_m
-        labels[0] = ("+", "-")
-        ref = (v_p, v_m)
-        for k in range(1, n_samples + 1):
-            h = build_hamiltonian(params, loop.field_at(float(times[k])))
-            es, vs, labs = _aligned_next(ref, h, ep_tol)
-            energies[k] = es
-            vectors[k, 0] = vs[0]
-            vectors[k, 1] = vs[1]
-            labels[k] = labs
-            ref = vs
-    except EPProximityError as exc:
-        raise EPOnContourError(str(exc)) from exc
+    for k, (es, vs, labs) in enumerate(_tracked_frames(params, loop, times, ep_tol)):
+        energies[k] = es
+        vectors[k] = vs
+        labels[k] = labs
     return AdiabaticFrame(times=times, energies=energies, vectors=vectors, labels=labels)
 
 
-def _tracked_energy_gap(
-    params: SystemParams, loop: LoopSpec, t_final: float, n_samples: int, ep_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tracked E_slot0 - E_slot1 on a uniform grid of [0, t_final]."""
-    times = np.linspace(0.0, t_final, n_samples + 1)
-    gap = np.empty(n_samples + 1, dtype=complex)
+def _tracked_frames(params: SystemParams, drive: Drive, times: np.ndarray, ep_tol: float):
+    """Yield the tracked frame ((e0, e1), (v0, v1), labels) at each of ``times`` (from 0)."""
     try:
-        h0 = build_hamiltonian(params, loop.field_at(0.0))
-        e_p, e_m, v_p, v_m, _, _ = _eigensystem(h0, ep_tol)
-        gap[0] = e_p - e_m
-        ref = (v_p, v_m)
-        for k in range(1, n_samples + 1):
-            h = build_hamiltonian(params, loop.field_at(float(times[k])))
-            es, vs, _ = _aligned_next(ref, h, ep_tol)
-            gap[k] = es[0] - es[1]
-            ref = vs
+        frame = _initial_frame(params, drive, ep_tol)
+        yield frame
+        for t in times[1:]:
+            eig = _eigensystem(build_hamiltonian(params, drive.field_at(float(t))), ep_tol)
+            frame = _aligned_next(frame[1], *eig[:4])
+            yield frame
     except EPProximityError as exc:
         raise EPOnContourError(str(exc)) from exc
-    return times, gap
 
 
 def accumulated_phase(
@@ -828,7 +801,9 @@ def accumulated_phase(
         raise ValueError(f"t = {t} outside [0, {loop.duration_T}]")
     if t == 0.0:
         return 0j
-    times, gap = _tracked_energy_gap(params, loop, t, n_samples, ep_tol=1e-8)
+    times = np.linspace(0.0, t, n_samples + 1)
+    frames = _tracked_frames(params, loop, times, ep_tol=1e-8)
+    gap = np.fromiter((es[0] - es[1] for es, _, _ in frames), dtype=complex, count=len(times))
     result = complex(simpson(gap, x=times))
     return -result if branch_pairing == "minus-plus" else result
 

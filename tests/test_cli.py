@@ -74,6 +74,36 @@ class TestConfigValidation:
         assert main(["--config", write_config(tmp_path, doc), "winding"]) == 1
         assert "loop" in capsys.readouterr().err
 
+    # validation runs before any propagation, so a non-finite value cannot
+    # reach a solver loop, where an infinite duration_T never terminates
+    @pytest.mark.parametrize(
+        "section, key, value, command",
+        [
+            ("loop", "duration_T", math.nan, "winding"),
+            ("system", "gamma1", math.nan, "locate-ep"),
+            ("integrator", "rel_tol", math.nan, "simulate"),
+            ("loop", "duration_T", math.inf, "simulate"),
+            ("loop", "center_omega", math.inf, "winding"),
+            ("loop", "center_omega", 10**400, "winding"),
+        ],
+        ids=["nan-duration", "nan-gamma1", "nan-rel_tol", "inf-duration", "inf-center", "huge-int"],
+    )
+    def test_non_finite_number_names_field(self, tmp_path, capsys, section, key, value, command):
+        doc = patched({section: {key: value}})
+        out = tmp_path / "traj.csv"
+        code = main(["--config", write_config(tmp_path, doc), "--output", str(out), command])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err and "finite" in err
+        assert not out.exists()
+
+    def test_section_not_an_object_named(self, tmp_path, capsys):
+        doc = patched({})
+        doc["system"] = [1, 2]
+        assert main(["--config", write_config(tmp_path, doc), "locate-ep"]) == 1
+        err = capsys.readouterr().err
+        assert "'system'" in err and "JSON object" in err
+
 
 class TestLocateEP:
     def test_prints_closed_form(self, tmp_path, capsys):

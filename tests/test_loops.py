@@ -20,6 +20,8 @@ from epdyn import (
     rho,
     winding_number,
 )
+from epdyn.loops import _discriminant_on_loop
+from epdyn.model import build_hamiltonian, discriminant
 
 REF = DEFAULT_PARAMS
 
@@ -202,6 +204,16 @@ class TestWindingNumber:
         loop = make_loop(ec=0.2499, a=0.3, b=0.05)
         with pytest.raises(UndersampledError):
             winding_number(loop, REF, n_samples=64)
+
+    def test_vectorized_discriminant_matches_scalar_path(self):
+        # the adiabatic route's EP scan relies on the vectorized formula
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            loop = random_loop(rng)
+            times = np.linspace(0.0, loop.duration_T, 257)
+            fast = _discriminant_on_loop(loop, REF, times)
+            slow = [discriminant(build_hamiltonian(REF, loop.field_at(float(t)))) for t in times]
+            np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-15)
 
     def test_rejects_tiny_sample_count(self):
         with pytest.raises(ValueError):

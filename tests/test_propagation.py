@@ -23,6 +23,7 @@ from epdyn import (
     average_decay_rate,
     build_hamiltonian,
     c_product,
+    diode_loop,
     eigenframe,
     eigenvalues,
     encircling_loop,
@@ -34,6 +35,7 @@ from epdyn import (
     track_branches,
     winding_number,
 )
+from epdyn.propagation import _Dopri5
 
 REF = DEFAULT_PARAMS
 TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14)
@@ -212,6 +214,48 @@ class TestNaCoupling:
             v_pm, _ = na_coupling_at(REF, loop_for(float(d) + 0.01), 0.0)
             mags.append(abs(v_pm))
         assert all(b > a for a, b in zip(mags, mags[1:]))
+
+    @pytest.mark.parametrize(
+        "loop", [encircling_loop(10.0), diode_loop(Direction.CW)], ids=["encircling", "diode"]
+    )
+    def test_closed_form_matches_finite_difference(self, loop):
+        # na_coupling_at is closed form; na_coupling differences the frames
+        # at -/+ h along the velocity direction around the same point
+        h = 1e-6
+        for t in loop.duration_T * (np.arange(9) + 0.5) / 9:
+            fp = loop.field_at(t)
+            velocity = loop.velocity_at(t)
+            speed = math.hypot(*velocity)
+            ux, uy = velocity[0] / speed, velocity[1] / speed
+            frame_a = eigenframe(build_hamiltonian(REF, FieldPoint(fp.omega - h * ux, fp.eps0 - h * uy)))
+            frame_b = eigenframe(build_hamiltonian(REF, FieldPoint(fp.omega + h * ux, fp.eps0 + h * uy)))
+            fd = na_coupling(frame_a, frame_b, dt=2 * h / speed, velocity=velocity)
+            closed = na_coupling_at(REF, loop, t)
+            for c, f in zip(closed, fd):
+                assert abs(c - f) <= 1e-8 * abs(f), (t, closed, fd)
+
+
+class TestDopri5:
+    def test_output_times_do_not_steer_the_controller(self):
+        # y' = -i y: the free step size is the same everywhere, so a step cut
+        # short to land on an output time must not change the next proposal.
+        # The free step (0.0313) fits the 128-interval width about five
+        # times, so on this grid the clipped remainders add almost no steps
+        # and the counts must agree too
+        config = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14)
+        counts, proposals = [], []
+        for n in (16, 128):
+            stepper = _Dopri5(lambda t, y: -1j * y, config, t_scale=20.0)
+            accepted = []
+            y = np.array([1.0, 0.0], dtype=complex)
+            grid = np.linspace(0.0, 20.0, n + 1)
+            for t0, t1 in zip(grid[:-1], grid[1:]):
+                y = stepper.advance(t0, y, t1, on_accept=lambda t, _y: accepted.append(t))
+            np.testing.assert_allclose(y, [np.exp(-20j), 0.0], atol=1e-8)
+            counts.append(len(accepted))
+            proposals.append(stepper.h)
+        assert proposals[1] == pytest.approx(proposals[0], rel=1e-6)
+        assert abs(counts[1] - counts[0]) <= 0.02 * counts[0], counts
 
 
 class TestAccumulatedPhase:
@@ -395,6 +439,8 @@ class TestAdiabaticPropagation:
         )
         with pytest.raises(EPOnContourError):
             propagate_adiabatic(REF, loop, StateVector.basis(1), TIGHT)
+        with pytest.raises(EPOnContourError):
+            propagate_adiabatic(REF, StaticDrive(FieldPoint(1.0, 0.2), 5.0), StateVector.basis(1))
 
     def test_hermitian_adiabatic_theorem_trend(self):
         # starting in one adiabatic state, the leakage into the other
