@@ -9,14 +9,15 @@ the true (un-renormalized) squared norms.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import EpdynError, ZeroNormError
-from .loops import Direction, LoopSpec, contains_ep
-from .model import FieldPoint, SystemParams
+from .loops import Direction, LoopSpec, contains_ep, rho
+from .model import FieldPoint, SystemParams, locate_ep
 from .propagation import (
     IntegratorConfig,
     StateVector,
@@ -312,35 +313,19 @@ def sweep(
     """Run the grid; cells are independent and may run in parallel.
 
     Per-cell errors are recorded in the cell (the sweep always completes).
-    ``progress`` is an optional callable invoked with each finished cell.
+    ``progress`` is an optional callable invoked with each finished cell, in
+    grid order (row-major over durations, then amplitudes) for any ``jobs``.
     """
-    from .loops import rho as rho_of
-    from .model import locate_ep
-
     ep = locate_ep(params)
-    tasks = []
-    for i in range(len(spec.durations)):
-        for j in range(len(spec.amp_scales)):
-            rho_value = rho_of(spec.cell_loop(i, j), ep)
-            tasks.append((spec, params, config, i, j, rho_value))
-    done: dict[tuple[int, int], SweepCell] = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_cell, t) for t in tasks]
-            for fut in futures:
-                cell = fut.result()
-                done[(cell.i, cell.j)] = cell
-                if progress is not None:
-                    progress(cell)
-    else:
-        for t in tasks:
-            cell = _run_cell(t)
-            done[(cell.i, cell.j)] = cell
-            if progress is not None:
-                progress(cell)
-    ordered = tuple(
-        done[(i, j)]
+    tasks = [
+        (spec, params, config, i, j, rho(spec.cell_loop(i, j), ep))
         for i in range(len(spec.durations))
         for j in range(len(spec.amp_scales))
-    )
-    return SweepResult(spec=spec, cells=ordered)
+    ]
+    cells = []
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for cell in (map if pool is None else pool.map)(_run_cell, tasks):
+            cells.append(cell)
+            if progress is not None:
+                progress(cell)
+    return SweepResult(spec=spec, cells=tuple(cells))

@@ -298,51 +298,38 @@ def cmd_sweep(config: RunConfig, args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    def report(cell: analysis.SweepCell) -> None:
+        print(f"cell ({cell.i},{cell.j}) done", file=sys.stderr)
+
     if config.out_format == "json":
-        result = analysis.sweep(
-            spec,
-            config.params,
-            config.integrator,
-            jobs=args.jobs,
-            progress=lambda c: print(f"cell ({c.i},{c.j}) done", file=sys.stderr),
-        )
+        result = analysis.sweep(spec, config.params, config.integrator, args.jobs, report)
         _write_text(config.out_path, serialize.sweep_to_json(result))
         return EXIT_SWEEP_FAILED if result.all_failed else EXIT_OK
 
-    # CSV: flush rows as cells finish so an interrupted run leaves valid output
+    # CSV: write each row as its cell arrives (cells arrive in grid order),
+    # so an interrupted run leaves valid output
     with open(config.out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(serialize.sweep_header_csv() + "\n")
         fh.flush()
 
-        rows: dict[tuple[int, int], analysis.SweepCell] = {}
-        next_flush = [0]
+        def write_row(cell: analysis.SweepCell) -> None:
+            report(cell)
+            fh.write(serialize.sweep_row_csv(cell) + "\n")
+            fh.flush()
 
-        def progress(cell: analysis.SweepCell) -> None:
-            print(f"cell ({cell.i},{cell.j}) done", file=sys.stderr)
-            rows[(cell.i, cell.j)] = cell
-            # flush contiguous finished rows in grid order
-            total = len(spec.durations) * len(spec.amp_scales)
-            while next_flush[0] < total:
-                i, j = divmod(next_flush[0], len(spec.amp_scales))
-                if (i, j) not in rows:
-                    break
-                fh.write(serialize.sweep_row_csv(rows[(i, j)]) + "\n")
-                fh.flush()
-                next_flush[0] += 1
-
-        result = analysis.sweep(
-            spec, config.params, config.integrator, jobs=args.jobs, progress=progress
-        )
+        result = analysis.sweep(spec, config.params, config.integrator, args.jobs, write_row)
     return EXIT_SWEEP_FAILED if result.all_failed else EXIT_OK
 
 
 def _parse_grid(lo: float, hi: float, n: int, spacing: str, what: str):
     if n < 1:
         raise ConfigError(f"{what} grid size must be >= 1")
+    if not 0 < lo < math.inf:
+        raise ConfigError(f"{what} grid minimum must be finite and > 0, got {lo}")
     if n == 1:
         return (float(lo),)
-    if lo <= 0 or hi <= lo:
-        raise ConfigError(f"{what} grid bounds must satisfy 0 < min < max")
+    if not lo < hi < math.inf:
+        raise ConfigError(f"{what} grid bounds must satisfy 0 < min < max < inf")
     if spacing == "geometric":
         ratio = (hi / lo) ** (1.0 / (n - 1))
         return tuple(lo * ratio**k for k in range(n))

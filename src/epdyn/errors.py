@@ -14,7 +14,7 @@ class EPProximityError(EpdynError):
 
 
 class NoFiniteEPError(EpdynError):
-    """No finite-amplitude exceptional point exists (Re[d12] = 0)."""
+    """No finite-amplitude EP exists (Re[d12] = 0), or float64 cannot resolve it."""
 
 
 class NegativeAmplitudeError(EpdynError):

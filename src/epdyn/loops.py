@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EPOnContourError, UndersampledError
-from .model import EPLocation, FieldPoint, SystemParams, locate_ep
+from .errors import EPOnContourError, NonFiniteError, UndersampledError
+from .model import EPLocation, FieldPoint, SystemParams, _require_finite, _traceless, locate_ep
 
 __all__ = [
     "Direction",
@@ -61,6 +61,8 @@ class LoopSpec:
     start_phase: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "center.omega", "center.eps0", "semi_axis_omega",
+                        "semi_axis_eps", "duration_T", "start_phase")
         if self.semi_axis_omega <= 0:
             raise ValueError("semi_axis_omega must be > 0")
         if self.semi_axis_eps <= 0:
@@ -81,11 +83,6 @@ class LoopSpec:
         )
 
     # -- drive protocol ----------------------------------------------------
-
-    def _theta(self, t: float) -> float:
-        # t/T reduced mod 1 so that t = T reproduces t = 0 bit-for-bit
-        frac = math.fmod(t / self.duration_T, 1.0)
-        return self.start_phase + self.direction.sign * 2.0 * math.pi * frac
 
     def field_at(self, t: float) -> FieldPoint:
         return field_at(self, t)
@@ -115,6 +112,7 @@ class StaticDrive:
     duration_T: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "field.omega", "field.eps0", "duration_T")
         if self.duration_T <= 0:
             raise ValueError("duration_T must be > 0")
 
@@ -136,20 +134,33 @@ def _check_time(drive, t: float) -> None:
         raise ValueError(f"t = {t} outside [0, {drive.duration_T}]")
 
 
+def _angle(loop: LoopSpec, t, xp=math):
+    """Angle start_phase + sign*2*pi*(t/T mod 1); ``xp`` is math for scalars, numpy for arrays.
+
+    Reducing t/T mod 1 makes t = T reproduce t = 0 bit for bit.
+    """
+    frac = xp.fmod(t / loop.duration_T, 1.0)
+    return loop.start_phase + loop.direction.sign * 2.0 * xp.pi * frac
+
+
+def _ellipse(loop: LoopSpec, th, xp=math):
+    """Contour point (omega, eps0) at angle th, scalars or arrays as for ``_angle``."""
+    return (
+        loop.center.omega + loop.semi_axis_omega * xp.cos(th),
+        loop.center.eps0 + loop.semi_axis_eps * xp.sin(th),
+    )
+
+
 def field_at(loop: LoopSpec, t: float) -> FieldPoint:
     """Contour point at time t: theta(t) = start_phase + sign*2*pi*t/T."""
     _check_time(loop, t)
-    th = loop._theta(t)
-    return FieldPoint(
-        omega=loop.center.omega + loop.semi_axis_omega * math.cos(th),
-        eps0=loop.center.eps0 + loop.semi_axis_eps * math.sin(th),
-    )
+    return FieldPoint(*_ellipse(loop, _angle(loop, t)))
 
 
 def field_velocity(loop: LoopSpec, t: float) -> tuple[float, float]:
     """Analytic time derivative of field_at; scales as 1/T for fixed geometry."""
     _check_time(loop, t)
-    th = loop._theta(t)
+    th = _angle(loop, t)
     rate = loop.direction.sign * 2.0 * math.pi / loop.duration_T
     return (
         -loop.semi_axis_omega * math.sin(th) * rate,
@@ -157,15 +168,14 @@ def field_velocity(loop: LoopSpec, t: float) -> tuple[float, float]:
     )
 
 
-def _discriminant_on_loop(loop: LoopSpec, params: SystemParams, times: np.ndarray) -> np.ndarray:
-    """Vectorized discriminant along the contour (keeps winding sweeps fast)."""
-    frac = np.mod(times / loop.duration_T, 1.0)
-    th = loop.start_phase + loop.direction.sign * 2.0 * np.pi * frac
-    omega = loop.center.omega + loop.semi_axis_omega * np.cos(th)
-    eps0 = loop.center.eps0 + loop.semi_axis_eps * np.sin(th)
-    dh = (params.e1 + omega - params.e2) + 1j * params.delta_gamma
-    h12 = 0.5 * eps0 * complex(params.d12)
-    return dh * dh + 4.0 * h12 * h12
+def _discriminant_on_loop(drive, params: SystemParams, times: np.ndarray) -> np.ndarray:
+    """Vectorized discriminant 4 (a^2 + g^2) along a loop or static drive (keeps scans fast)."""
+    if isinstance(drive, StaticDrive):
+        omega, eps0 = (np.full_like(times, x) for x in (drive.field.omega, drive.field.eps0))
+    else:
+        omega, eps0 = _ellipse(drive, _angle(drive, times, np), np)
+    a, g = _traceless(params, omega, eps0)
+    return 4.0 * (a * a + g * g)
 
 
 def winding_number(
@@ -185,13 +195,18 @@ def winding_number(
     ------
     EPOnContourError
         If |Delta| < tol at any sample (contour touches the degeneracy).
+    NonFiniteError
+        If Delta overflows float64 at any sample.
     UndersampledError
         If any adjacent-sample argument jump exceeds pi/2.
     """
     if n_samples < 64:
         raise ValueError("n_samples must be >= 64")
     times = np.linspace(0.0, loop.duration_T, n_samples + 1)
-    delta = _discriminant_on_loop(loop, params, times)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        delta = _discriminant_on_loop(loop, params, times)
+    if not np.all(np.isfinite(delta)):
+        raise NonFiniteError("discriminant is not finite in float64 along the contour")
     mags = np.abs(delta)
     if np.any(mags < tol):
         k = int(np.argmin(mags))

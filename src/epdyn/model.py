@@ -8,6 +8,14 @@ bi-orthogonal eigenvectors are their own left partners under the c-product
 coalesce, together with their eigenvectors, at an exceptional point (EP) in
 the (omega, eps0) plane; this module locates it in closed form and provides
 the instantaneous eigenframes everywhere else.
+
+The physics lives in the traceless part H - tr(H)/2 I = [[a, g], [g, -a]],
+with a = (e1 - e2 + omega)/2 + i delta_gamma/2 and g = eps0 d12/2; the trace
+only adds a common phase and decay. The EP is where a^2 + g^2 = 0, and the
+eigenvectors turn with th, tan 2th = g/a. ``_traceless`` is the one
+definition of (a, g). It is plain arithmetic, so omega and eps0 may be floats
+or numpy arrays; the propagators' right-hand sides, their closed-form
+couplings and the vectorized contour scans in ``loops`` all use it.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 from scipy import optimize
@@ -56,15 +65,38 @@ class SystemParams:
     d12: complex
 
     def __post_init__(self) -> None:
+        _require_finite(self, "e1", "e2", "gamma1", "gamma2", "d12")
         if self.gamma1 < 0:
             raise ValueError("gamma1 must be >= 0")
         if self.gamma2 < 0:
             raise ValueError("gamma2 must be >= 0")
+        # the drive-independent factors of ``_traceless`` (a at omega = 0, g per
+        # unit eps0), stored because the right-hand sides call it at every stage
+        object.__setattr__(self, "_a_static", 0.5 * complex(self.e1 - self.e2, self.delta_gamma))
+        object.__setattr__(self, "_half_d12", 0.5 * complex(self.d12))
 
     @property
     def delta_gamma(self) -> float:
         """Gain/loss imbalance gamma2 - gamma1 (always derived, never stored)."""
         return self.gamma2 - self.gamma1
+
+
+def _require_finite(obj, *names: str) -> None:
+    """Raise ValueError naming the first attribute (dotted path) that is NaN or infinite."""
+    for name in names:
+        if not cmath.isfinite(attrgetter(name)(obj)):
+            raise ValueError(f"{name} must be finite")
+
+
+def _traceless(params: SystemParams, omega, eps0):
+    """(a, g) of the traceless part [[a, g], [g, -a]] at (omega, eps0), scalars or arrays."""
+    a_drive, g = _traceless_drive(params, omega, eps0)
+    return params._a_static + a_drive, g
+
+
+def _traceless_drive(params: SystemParams, omega, eps0):
+    """The part of (a, g) linear in the drive; at the field velocity it is (a', g')."""
+    return 0.5 * omega, params._half_d12 * eps0
 
 
 @dataclass(frozen=True)
@@ -170,7 +202,12 @@ def eigenvalues(h: HamiltonianMatrix) -> tuple[complex, complex]:
     (tie: non-negative imaginary part). Only relative statements about the
     two branches are physical; the convention just makes results reproducible.
     """
-    w = _root_plus(discriminant(h))
+    return _split(h, discriminant(h))
+
+
+def _split(h: HamiltonianMatrix, delta: complex) -> tuple[complex, complex]:
+    """Eigenvalues tr(H)/2 +/- root(delta)/2 from an already computed discriminant."""
+    w = _root_plus(delta)
     half_trace = 0.5 * h.trace
     return half_trace + 0.5 * w, half_trace - 0.5 * w
 
@@ -221,7 +258,7 @@ def _eigensystem(h: HamiltonianMatrix, tol: float):
             f"|discriminant| = {abs(delta):.3e} <= tol^2 = {tol * tol:.3e}: "
             "eigenvectors are (nearly) self-orthogonal"
         )
-    e_p, e_m = eigenvalues(h)
+    e_p, e_m = _split(h, delta)
     out = []
     for e in (e_p, e_m):
         raw = _eigvec_raw(h, e)
@@ -274,7 +311,9 @@ def locate_ep(params: SystemParams) -> EPLocation:
     Raises
     ------
     NoFiniteEPError
-        If Re[d12] = 0 (no finite drive amplitude degenerates the spectrum).
+        If Re[d12] = 0 (no finite drive amplitude degenerates the spectrum),
+        or if float64 cannot resolve the closed form: it overflows, or its
+        |discriminant| residual is >= 1e-10 (e.g. for level energies near 1e20).
     NegativeAmplitudeError
         If the closed form gives eps0_ep < 0 (unreachable amplitude).
     """
@@ -287,11 +326,14 @@ def locate_ep(params: SystemParams) -> EPLocation:
             f"delta_gamma / Re[d12] = {eps0_ep:.6g} < 0: EP amplitude not physical"
         )
     omega_ep = params.e2 - params.e1 - d12.imag * eps0_ep
+    if not (math.isfinite(omega_ep) and math.isfinite(eps0_ep)):
+        raise NoFiniteEPError(f"closed-form EP ({omega_ep:.6g}, {eps0_ep:.6g}) overflows float64")
     field = FieldPoint(omega=omega_ep, eps0=eps0_ep)
     residual = abs(discriminant(build_hamiltonian(params, field)))
-    if residual >= 1e-10:
-        raise AssertionError(
-            f"closed-form EP residual {residual:.3e} >= 1e-10; parameters are pathological"
+    if not residual < 1e-10:  # NaN too
+        raise NoFiniteEPError(
+            f"closed-form EP residual {residual:.3e} >= 1e-10: float64 cannot resolve the EP "
+            "for these parameters"
         )
     return EPLocation(field=field, residual=residual)
 

@@ -16,16 +16,17 @@ is maintained by c-product overlap tracking, which is exactly where the
 state-exchange around an exceptional point shows up. The two routes share
 no stepper code, so their agreement is a genuine cross-check.
 
-The couplings are in closed form. Writing the traceless H as
-[[a, g], [g, -a]], the c-normalized eigenvectors are (cos th, sin th) and
-(-sin th, cos th) with tan 2th = g/a, so both turn at the same complex rate
+Both right-hand sides take the traceless H = [[a, g], [g, -a]] from
+``model._traceless`` (see the ``model`` docstring). The couplings are in
+closed form: the c-normalized eigenvectors (cos th, sin th) and
+(-sin th, cos th), tan 2th = g/a, both turn at the complex rate
 
     th' = (a g' - g a') / (2 (a^2 + g^2)),
 
-with a' and g' exact from the loop velocity. For a tracked pair (v0, v1)
-with det = v0[0] v1[1] - v0[1] v1[0] = +/-1 the couplings are
-V_{0/1} = -det th' and V_{1/0} = +det th'. ``na_coupling`` keeps the
-two-frame finite difference as an independent reference.
+with a' and g' exact from the loop velocity, and a tracked pair (v0, v1)
+with det = v0[0] v1[1] - v0[1] v1[0] = +/-1 has V_{0/1} = -det th' and
+V_{1/0} = +det th'. ``na_coupling`` keeps the two-frame finite difference
+as an independent reference.
 
 Recorded amplitudes are kept inside the representable range: if the true
 squared norm leaves [1e-150, 1e+150] the stored state is renormalized and
@@ -38,7 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.integrate import DOP853, simpson
@@ -56,10 +57,12 @@ from .model import (
     FieldPoint,
     SystemParams,
     _eigensystem,
+    _require_finite,
     _root_plus,
+    _traceless,
+    _traceless_drive,
     build_hamiltonian,
     c_product,
-    discriminant,
 )
 
 __all__ = [
@@ -94,6 +97,7 @@ class StateVector:
     c2: complex
 
     def __post_init__(self) -> None:
+        _require_finite(self, "c1", "c2")
         if self.c1 == 0 and self.c2 == 0:
             raise ValueError("state vector must not be identically zero")
 
@@ -129,8 +133,10 @@ class IntegratorConfig:
     initial_step: float = 1e-2
 
     def __post_init__(self) -> None:
+        # max_step = +inf means no cap
+        _require_finite(self, "rel_tol", "abs_tol", "initial_step")
         for name in ("rel_tol", "abs_tol", "max_step", "initial_step"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
         if self.rel_tol < 100.0 * np.finfo(float).eps:
             raise ValueError("rel_tol must be >= 100 * machine epsilon")
@@ -201,20 +207,15 @@ class AdiabaticFrame:
 # ---------------------------------------------------------------------------
 
 
-def _mean_decay(params: SystemParams) -> float:
-    return 0.5 * (params.gamma1 + params.gamma2)
-
-
 def _trace_phase(params: SystemParams, drive: Drive, t: float) -> float:
     """Re int_0^t tr H / 2 dt' (the removed common phase), in closed form."""
     return 0.5 * ((params.e1 + params.e2) * t + drive.omega_integral(t))
 
 
-def _clamped_field(drive: Drive, t: float) -> FieldPoint:
+def _clamped(drive: Drive, t: float) -> float:
     # RK stages can poke epsilon outside [0, T]; the contour formula is
     # periodic and smooth, so clamping is exact at the boundaries
-    tt = min(max(t, 0.0), drive.duration_T)
-    return drive.field_at(tt)
+    return min(max(t, 0.0), drive.duration_T)
 
 
 # ---------------------------------------------------------------------------
@@ -228,31 +229,30 @@ class _Recorder:
     def __init__(self, params: SystemParams, drive: Drive) -> None:
         self._params = params
         self._drive = drive
-        self._gbar = _mean_decay(params)
-        self.rows: list[tuple] = []  # (t, payload, log_internal)
+        self._gbar = 0.5 * (params.gamma1 + params.gamma2)
+        self.rows: list[tuple] = []  # (t, state, coeffs, label, log_internal)
         self._offset = 0.0
         self._last_t: float | None = None
 
-    def add(self, t: float, payload, log_internal: float) -> None:
+    def add(self, t: float, state, log_internal: float, coeffs=None, label=None) -> None:
+        """Record the working-frame bare state (true state = state * exp(phase + scale)).
+
+        Adiabatic runs also pass their coefficients and the slot-0 branch label.
+        """
         if self._last_t is not None and t <= self._last_t:
             return
         self._last_t = t
-        self.rows.append((t, payload, log_internal))
+        self.rows.append((t, state, coeffs, label, log_internal))
 
-    def finalize(self, reconstruct: Callable) -> tuple:
-        """reconstruct(t, payload) -> (raw_state, raw_coeffs or None).
-
-        raw_state is in the working frame: true state = raw * exp(phase+scale).
-        """
+    def finalize(self) -> tuple:
+        """(times, states, norms_sq, log_scale, coeffs, labels); coeffs and labels may be None."""
         m = len(self.rows)
         times = np.empty(m)
         states = np.empty((m, 2), dtype=complex)
         coeffs = np.empty((m, 2), dtype=complex)
         norms = np.empty(m)
         logs = np.empty(m)
-        have_coeffs = False
-        for k, (t, payload, log_internal) in enumerate(self.rows):
-            raw_state, raw_coeffs = reconstruct(t, payload)
+        for k, (t, raw_state, raw_coeffs, _, log_internal) in enumerate(self.rows):
             phase = -_trace_phase(self._params, self._drive, t)
             log_total = -2.0 * self._gbar * t + log_internal
             raw_n2 = abs(raw_state[0]) ** 2 + abs(raw_state[1]) ** 2
@@ -263,12 +263,13 @@ class _Recorder:
             factor = cmath.exp(1j * phase) * math.exp(0.5 * (log_total - self._offset))
             states[k] = (raw_state[0] * factor, raw_state[1] * factor)
             if raw_coeffs is not None:
-                have_coeffs = True
                 coeffs[k] = (raw_coeffs[0] * factor, raw_coeffs[1] * factor)
             times[k] = t
             norms[k] = abs(states[k, 0]) ** 2 + abs(states[k, 1]) ** 2
             logs[k] = self._offset
-        return times, states, norms, logs, (coeffs if have_coeffs else None)
+        if self.rows[0][2] is None:
+            return times, states, norms, logs, None, None
+        return times, states, norms, logs, coeffs, np.array([row[3] for row in self.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -300,23 +301,17 @@ def propagate_direct(
     if n_output < 2:
         raise ValueError("n_output must be >= 2")
     T = drive.duration_T
-    d12 = complex(params.d12)
-    de = params.e1 - params.e2
-    dg = params.delta_gamma
 
     def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        fp = _clamped_field(drive, t)
-        half_dh = 0.5 * complex(de + fp.omega, dg)
-        g = 0.5 * fp.eps0 * d12
-        return -1j * np.array(
-            [half_dh * u[0] + g * u[1], g * u[0] - half_dh * u[1]], dtype=complex
-        )
+        fp = drive.field_at(_clamped(drive, t))
+        a, g = _traceless(params, fp.omega, fp.eps0)
+        return -1j * np.array([a * u[0] + g * u[1], g * u[0] - a * u[1]], dtype=complex)
 
     grid = np.linspace(0.0, T, n_output + 1)
     rec = _Recorder(params, drive)
     u = initial.as_array()
     log_u = 0.0
-    rec.add(0.0, (u.copy(),), log_u)
+    rec.add(0.0, u.copy(), log_u)
     t_now = 0.0
     gi = 1
     while t_now < T:
@@ -340,10 +335,10 @@ def propagate_direct(
                 raise NonFiniteError("amplitudes became non-finite during integration")
             dense = solver.dense_output()
             while gi <= n_output and grid[gi] <= solver.t:
-                rec.add(grid[gi], (np.asarray(dense(grid[gi]), dtype=complex),), log_u)
+                rec.add(grid[gi], np.asarray(dense(grid[gi]), dtype=complex), log_u)
                 gi += 1
             if record_internal and solver.t < T:
-                rec.add(solver.t, (solver.y.copy(),), log_u)
+                rec.add(solver.t, solver.y.copy(), log_u)
             n2 = float(abs(solver.y[0]) ** 2 + abs(solver.y[1]) ** 2)
             if n2 > 0 and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
                 u = solver.y / math.sqrt(n2)
@@ -355,10 +350,7 @@ def propagate_direct(
             u = solver.y
             t_now = solver.t
 
-    def reconstruct(t: float, payload):
-        return payload[0], None
-
-    times, states, norms, logs, _ = rec.finalize(reconstruct)
+    times, states, norms, logs, _, _ = rec.finalize()
     meta = {
         "method": "direct",
         "params": params,
@@ -509,34 +501,32 @@ class _FrameTracker:
     """Continuity-tracked eigenframe along a drive, for the adiabatic RHS.
 
     The reference frame advances only on accepted steps, so rejected trials
-    and internal RK stages all match against the same anchor.
+    and internal RK stages all match against the same anchor. ``_Dopri5``
+    evaluates its last stage at the accepted time, so ``commit`` adopts the
+    frame that stage already solved and aligned.
     """
 
     def __init__(self, params: SystemParams, drive: Drive, ep_tol: float) -> None:
         self.params = params
         self.ep_tol = ep_tol
         _, self.ref_vs, self.labels = _initial_frame(params, drive, ep_tol)
+        self._last = None
 
     def frame_at(self, fp: FieldPoint):
         eig = _eigensystem(build_hamiltonian(self.params, fp), self.ep_tol)
-        return _aligned_next(self.ref_vs, *eig[:4])
+        self._last = _aligned_next(self.ref_vs, *eig[:4])
+        return self._last
 
-    def commit(self, fp: FieldPoint) -> None:
-        _, self.ref_vs, self.labels = self.frame_at(fp)
+    def commit(self) -> None:
+        _, self.ref_vs, self.labels = self._last
 
 
-def _coupling(params: SystemParams, fp: FieldPoint, velocity, vs) -> tuple[complex, complex]:
-    """Closed-form (V_{0/1}, V_{1/0}) for the c-normalized eigenvector pair vs at fp.
+def _coupling(params: SystemParams, a: complex, g: complex, velocity, vs):
+    """Closed-form (V_{0/1}, V_{1/0}) = (-det th', +det th') for the pair vs at (a, g).
 
-    Both eigenvectors of [[a, g], [g, -a]] turn at th' = (a g' - g a') /
-    (2 (a^2 + g^2)), so v_i' = th' (-v_i[1], v_i[0]) and the couplings are
-    -det th' and +det th' with det = v0[0] v1[1] - v0[1] v1[0] = +/-1.
+    Both eigenvectors turn as v_i' = th' (-v_i[1], v_i[0]); see the module docstring.
     """
-    d12 = complex(params.d12)
-    a = 0.5 * complex(params.e1 - params.e2 + fp.omega, params.delta_gamma)
-    g = 0.5 * fp.eps0 * d12
-    a_dot = 0.5 * velocity[0]
-    g_dot = 0.5 * velocity[1] * d12
+    a_dot, g_dot = _traceless_drive(params, *velocity)
     theta_dot = 0.5 * (a * g_dot - g * a_dot) / (a * a + g * g)
     v0, v1 = vs
     det = 1.0 if (v0[0] * v1[1] - v0[1] * v1[0]).real > 0.0 else -1.0
@@ -597,7 +587,8 @@ def na_coupling_at(
     """
     fp = loop.field_at(t)
     _, _, v_p, v_m, _, _ = _eigensystem(build_hamiltonian(params, fp), ep_tol)
-    return _coupling(params, fp, loop.velocity_at(t), (v_p, v_m))
+    a, g = _traceless(params, fp.omega, fp.eps0)
+    return _coupling(params, a, g, loop.velocity_at(t), (v_p, v_m))
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +598,8 @@ def na_coupling_at(
 
 def _scan_contour(params: SystemParams, drive: Drive, ep_tol: float, n: int = 1024) -> None:
     guard = ep_tol * ep_tol
-    if isinstance(drive, StaticDrive):
-        times = np.zeros(1)
-        mags = np.array([abs(discriminant(build_hamiltonian(params, drive.field)))])
-    else:
-        times = np.linspace(0.0, drive.duration_T, n + 1)
-        mags = np.abs(_discriminant_on_loop(drive, params, times))
+    times = np.linspace(0.0, drive.duration_T, n + 1)
+    mags = np.abs(_discriminant_on_loop(drive, params, times))
     hits = np.flatnonzero(mags <= guard)
     if hits.size:
         raise EPOnContourError(
@@ -635,10 +622,10 @@ def propagate_adiabatic(
     coefficient equations carry the branch energies on the diagonal and the
     velocity-weighted derivative couplings off it (the couplings' relative
     exponential weight exp(+/- Im int dE dt) is what breaks the slow-drive
-    limit for decaying systems). The couplings are closed form: -det th'
-    and +det th' with th' = (a g' - g a') / (2 (a^2 + g^2)) for the traceless
-    H = [[a, g], [g, -a]], so each RHS call needs one eigen-solve.
-    Bare-basis amplitudes are reconstructed at the output times.
+    limit for decaying systems). The couplings are closed form (see the
+    module docstring), so each RHS call needs one eigen-solve, and each
+    accepted step adopts the frame of its last stage. Bare-basis amplitudes
+    are recorded at the output times.
 
     Raises EPOnContourError if the contour comes within the eigenframe guard
     of the EP.
@@ -648,21 +635,16 @@ def propagate_adiabatic(
         raise ValueError("n_output must be >= 2")
     _scan_contour(params, loop, ep_tol, n=max(1024, 2 * n_output))
     T = loop.duration_T
-    d12 = complex(params.d12)
-    de = params.e1 - params.e2
-    dg = params.delta_gamma
     tracker = _FrameTracker(params, loop, ep_tol)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        # RK stages can poke epsilon outside [0, T]; see _clamped_field
-        tc = min(max(t, 0.0), T)
+        tc = _clamped(loop, t)
         fp = loop.field_at(tc)
         _, vs, labels = tracker.frame_at(fp)
-        half_dh = 0.5 * complex(de + fp.omega, dg)
-        g = 0.5 * fp.eps0 * d12
-        w = _root_plus(4.0 * (half_dh * half_dh + g * g))  # = root of discriminant
+        a, g = _traceless(params, fp.omega, fp.eps0)
+        w = _root_plus(4.0 * (a * a + g * g))  # = root of the discriminant
         e0 = 0.5 * w if labels[0] == "+" else -0.5 * w
-        v01, v10 = _coupling(params, fp, loop.velocity_at(tc), vs)
+        v01, v10 = _coupling(params, a, g, loop.velocity_at(tc), vs)
         return np.array(
             [
                 -1j * e0 * y[0] - v01 * y[1],
@@ -671,52 +653,42 @@ def propagate_adiabatic(
             dtype=complex,
         )
 
+    def record(t: float, b: np.ndarray, log_b: float) -> None:
+        # bare state from the coefficients on the committed frame
+        vs = tracker.ref_vs
+        state = (b[0] * vs[0][0] + b[1] * vs[1][0], b[0] * vs[0][1] + b[1] * vs[1][1])
+        rec.add(t, state, log_b, coeffs=(b[0], b[1]), label=tracker.labels[0])
+
     # initial coefficients on the t = 0 frame (slot 0 = instantaneous '+')
     c0 = initial.as_array()
     vs0 = tracker.ref_vs
     b = np.array([c_product(vs0[0], c0), c_product(vs0[1], c0)], dtype=complex)
     log_b = 0.0
     rec = _Recorder(params, loop)
-    rec.add(0.0, (b.copy(), vs0, tracker.labels), log_b)
+    record(0.0, b, log_b)
 
     stepper = _Dopri5(rhs, config, t_scale=T)
     stepper.max_step = min(stepper.max_step, T / 64.0)
     grid = np.linspace(0.0, T, n_output + 1)
-    pending: list[tuple] = []
 
     def on_accept(t: float, y: np.ndarray) -> None:
-        tracker.commit(_clamped_field(loop, t))
-        if record_internal:
-            pending.append((t, (y.copy(), tracker.ref_vs, tracker.labels)))
+        tracker.commit()
+        if record_internal and t < grid[gi]:
+            record(t, y, log_b)
 
     for gi in range(1, n_output + 1):
-        pending.clear()
         try:
             b = stepper.advance(grid[gi - 1], b, grid[gi], on_accept=on_accept)
         except EPProximityError as exc:
             raise EPOnContourError(str(exc)) from exc
-        for t_in, payload in pending:
-            if t_in < grid[gi]:
-                rec.add(t_in, payload, log_b)
         n2 = float(abs(b[0]) ** 2 + abs(b[1]) ** 2)
         if n2 > 0 and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
             b = b / math.sqrt(n2)
             log_b += math.log(n2)
         # the last accepted step landed on grid[gi] and committed its frame
-        rec.add(grid[gi], (b.copy(), tracker.ref_vs, tracker.labels), log_b)
+        record(grid[gi], b, log_b)
 
-    labels_out = []
-
-    def reconstruct(t: float, payload):
-        bb, vs, labels = payload
-        labels_out.append(labels[0])
-        state = (
-            bb[0] * vs[0][0] + bb[1] * vs[1][0],
-            bb[0] * vs[0][1] + bb[1] * vs[1][1],
-        )
-        return state, (bb[0], bb[1])
-
-    times, states, norms, logs, coeffs = rec.finalize(reconstruct)
+    times, states, norms, logs, coeffs, labels = rec.finalize()
     meta = {
         "method": "adiabatic",
         "params": params,
@@ -725,9 +697,7 @@ def propagate_adiabatic(
         "n_output": n_output,
         "ep_tol": ep_tol,
     }
-    return TrajectoryRecord(
-        times, states, norms, logs, coeffs, np.array(labels_out), meta
-    )
+    return TrajectoryRecord(times, states, norms, logs, coeffs, labels, meta)
 
 
 # ---------------------------------------------------------------------------

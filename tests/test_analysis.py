@@ -260,3 +260,18 @@ class TestSweep:
         )
         sweep(spec, REF, FAST, progress=lambda c: seen.append((c.i, c.j)))
         assert sorted(seen) == [(0, 0), (0, 1)]
+
+    def test_progress_arrives_in_grid_order_from_the_pool(self):
+        # the first cell is the slowest, so with two workers the later cells
+        # finish first; progress must still report them in grid order
+        seen = []
+        spec = SweepSpec(
+            template=hermitian_loop(4.0, Direction.CW),
+            durations=(400.0, 4.0, 4.0),
+            amp_scales=(1.0,),
+            direction=Direction.CW,
+            dominant_target=None,
+        )
+        result = sweep(spec, REF, FAST, jobs=2, progress=lambda c: seen.append((c.i, c.j)))
+        assert seen == [(0, 0), (1, 0), (2, 0)]
+        assert [(c.i, c.j) for c in result.cells] == seen

@@ -1,9 +1,14 @@
 """Command-line interface: config validation, subcommands, exit codes."""
 
+import contextlib
 import json
 import math
+import signal
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epdyn.cli import main
 
@@ -123,6 +128,14 @@ class TestLocateEP:
         doc = patched({"loop": None})
         assert main(["--config", write_config(tmp_path, doc), "locate-ep"]) == 0
 
+    @pytest.mark.parametrize("command", ["locate-ep", "winding"])
+    def test_unresolvable_ep_exit_2(self, tmp_path, capsys, command):
+        # at e1 = 1e20 the closed-form EP leaves a discriminant residual of ~1
+        doc = patched({"system": {"e1": 1e20}})
+        assert main(["--config", write_config(tmp_path, doc), command]) == 2
+        err = capsys.readouterr().err
+        assert "NoFiniteEP" in err and "residual" in err
+
 
 class TestSimulate:
     def test_writes_trajectory_and_summary(self, tmp_path, capsys):
@@ -237,7 +250,45 @@ class TestWinding:
         assert "EPOnContour" in capsys.readouterr().err
 
 
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail instead of hanging: raise TimeoutError after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no exit within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestSweep:
+    # a one-point grid is bound-checked like a longer one; unchecked, a
+    # non-positive value raises inside the sweep, inf never ends, nan fails late
+    @pytest.mark.parametrize(
+        "flags, what",
+        [
+            (["--t-min", "-5", "--nt", "1"], "duration"),
+            (["--t-min", "0", "--nt", "1"], "duration"),
+            (["--t-min", "inf", "--nt", "1"], "duration"),
+            (["--t-min", "nan", "--nt", "1"], "duration"),
+            (["--t-min", "10", "--amp-min", "0", "--namp", "1"], "amplitude"),
+        ],
+        ids=["negative-t", "zero-t", "inf-t", "nan-t", "zero-amp"],
+    )
+    def test_one_point_grid_bounds_checked(self, tmp_path, capsys, flags, what):
+        out = tmp_path / "sweep.csv"
+        argv = ["--config", write_config(tmp_path), "--output", str(out), "--jobs", "1", "sweep"]
+        with time_limit(20):
+            code = main(argv + flags)
+        assert code == 1
+        assert f"{what} grid" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_cell_matches_simulate_summary(self, tmp_path, capsys):
         doc = patched({"loop": {"center_eps0": 0.35}, "initial": {"c1_re": 1.0, "c2_re": 1.0}})
         cfg = write_config(tmp_path, doc)
@@ -354,3 +405,82 @@ class TestSweep:
         assert len(lines) == 5
         assert lines[1].split(",")[:2] == ["0", "0"]
         assert lines[4].split(",")[:2] == ["1", "1"]
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+#: the diode configuration from the README
+DIODE_CONFIG = {
+    "system": {"e1": 0.0, "e2": 1.0, "gamma1": 0.1, "gamma2": 0.3, "d12_re": 1.0, "d12_im": 0.0},
+    "loop": {
+        "center_omega": 0.92005,
+        "center_eps0": 0.64976,
+        "semi_axis_omega": 2.02446,
+        "semi_axis_eps": 0.64973,
+        "direction": "cw",
+        "duration_T": 348.75,
+        "start_phase": 4.35017,
+    },
+    "integrator": {"rel_tol": 1e-10, "abs_tol": 1e-14, "max_step": 10.0, "initial_step": 0.01},
+    "initial": {"c1_re": 0.0, "c1_im": 0.0, "c2_re": 1.0, "c2_im": 0.0},
+    "output": {"path": "trajectory.csv", "format": "csv"},
+}
+
+FIELD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, 0, -1, -0.5, 5e-324, 1e308, -1e308]),
+    st.floats(),
+)
+
+FIELDS = [(section, key) for section, fields in DIODE_CONFIG.items() for key in fields]
+
+
+@st.composite
+def mutated_configs(draw):
+    doc = json.loads(json.dumps(DIODE_CONFIG))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["replace", "drop", "add", "section"]))
+        section, key = draw(st.sampled_from(FIELDS))
+        if op == "section":
+            doc[section] = draw(st.one_of(st.just(None), FIELD_VALUES))
+            if doc[section] is None and draw(st.booleans()):
+                del doc[section]
+        elif op == "add":
+            target = doc if draw(st.booleans()) else doc.get(section)
+            if isinstance(target, dict):
+                target[draw(st.text(min_size=1, max_size=6))] = draw(FIELD_VALUES)
+        elif isinstance(doc.get(section), dict):
+            if op == "drop":
+                doc[section].pop(key, None)
+            else:
+                doc[section][key] = draw(FIELD_VALUES)
+    return doc
+
+
+def with_field(section, key, value):
+    doc = json.loads(json.dumps(DIODE_CONFIG))
+    doc[section][key] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_configs(), command=st.sampled_from(["locate-ep", "winding"]))
+@example(doc=with_field("system", "e1", 1e20), command="locate-ep")
+@example(doc=with_field("system", "e1", 1e20), command="winding")
+@example(doc=with_field("loop", "duration_T", math.nan), command="winding")
+@example(doc=with_field("system", "d12_re", 5e-324), command="locate-ep")  # EP amplitude inf
+@example(doc=with_field("system", "e1", 1e200), command="winding")  # discriminant overflows
+def test_main_exits_cleanly_on_mutated_config(doc, command):
+    # locate-ep and winding do bounded work, so every config must end in an
+    # exit code of the CLI contract, never in a traceback or a hang
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with time_limit(20):
+            code = main(["--config", path, command])
+    assert code in range(6)

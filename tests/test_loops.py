@@ -14,6 +14,7 @@ from epdyn import (
     StaticDrive,
     UndersampledError,
     contains_ep,
+    diode_loop,
     field_at,
     field_velocity,
     locate_ep,
@@ -61,6 +62,22 @@ class TestLoopSpec:
         base.update({{"a": "a", "b": "b", "T": "T"}.get(k, k): v for k, v in kwargs.items()})
         with pytest.raises(ValueError):
             make_loop(**base)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(cw=math.inf), "center.omega"),
+            (dict(ec=math.nan), "center.eps0"),
+            (dict(a=math.nan), "semi_axis_omega"),
+            (dict(b=math.inf), "semi_axis_eps"),
+            (dict(T=math.inf), "duration_T"),
+            (dict(T=math.nan), "duration_T"),
+            (dict(sp=-math.inf), "start_phase"),
+        ],
+    )
+    def test_rejects_non_finite(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make_loop(**kwargs)
 
     def test_reversed(self):
         loop = make_loop(direction=Direction.CCW)
@@ -145,6 +162,19 @@ class TestStaticDrive:
         drive = StaticDrive(FieldPoint(1.5, 0.0), 5.0)
         assert drive.omega_integral(4.0) == pytest.approx(6.0)
 
+    @pytest.mark.parametrize(
+        "field, duration, name",
+        [
+            (FieldPoint(math.nan, 0.3), 5.0, "field.omega"),
+            (FieldPoint(1.0, math.inf), 5.0, "field.eps0"),
+            (FieldPoint(1.0, 0.3), math.inf, "duration_T"),
+            (FieldPoint(1.0, 0.3), math.nan, "duration_T"),
+        ],
+    )
+    def test_rejects_non_finite(self, field, duration, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            StaticDrive(field, duration)
+
 
 class TestOmegaIntegral:
     def test_matches_quadrature(self):
@@ -208,8 +238,7 @@ class TestWindingNumber:
     def test_vectorized_discriminant_matches_scalar_path(self):
         # the adiabatic route's EP scan relies on the vectorized formula
         rng = np.random.default_rng(5)
-        for _ in range(10):
-            loop = random_loop(rng)
+        for loop in [random_loop(rng) for _ in range(10)] + [diode_loop(Direction.CW)]:
             times = np.linspace(0.0, loop.duration_T, 257)
             fast = _discriminant_on_loop(loop, REF, times)
             slow = [discriminant(build_hamiltonian(REF, loop.field_at(float(t)))) for t in times]

@@ -41,6 +41,25 @@ def random_field(rng) -> FieldPoint:
     return FieldPoint(omega=rng.uniform(0, 2), eps0=rng.uniform(0, 1))
 
 
+class TestSystemParams:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("e1", math.inf),
+            ("e2", -math.inf),
+            ("gamma1", math.nan),
+            ("gamma2", math.inf),
+            ("d12", complex(math.nan, 0.0)),
+            ("d12", complex(1.0, math.inf)),
+        ],
+    )
+    def test_rejects_non_finite(self, name, value):
+        fields = dict(e1=0.0, e2=1.0, gamma1=0.1, gamma2=0.3, d12=1.0 + 0j)
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SystemParams(**fields)
+
+
 class TestBuildHamiltonian:
     def test_reference_point(self):
         h = build_hamiltonian(REF, FieldPoint(1.0, 0.2))

@@ -55,6 +55,14 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(0, 0)
 
+    @pytest.mark.parametrize(
+        "c1, c2, name",
+        [(math.nan, 0.0, "c1"), (1.0, complex(0.0, math.inf), "c2"), (math.inf, 1.0, "c1")],
+    )
+    def test_rejects_non_finite(self, c1, c2, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            StateVector(c1, c2)
+
     def test_equal_superposition(self):
         sv = StateVector.equal_superposition(math.pi / 2)
         assert abs(sv.c1) == pytest.approx(abs(sv.c2))
@@ -69,6 +77,23 @@ class TestIntegratorConfig:
     def test_rejects_unattainable_rel_tol(self):
         with pytest.raises(ValueError):
             IntegratorConfig(rel_tol=1e-15)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("rel_tol", math.nan, "rel_tol must be finite"),
+            ("rel_tol", math.inf, "rel_tol must be finite"),
+            ("abs_tol", math.nan, "abs_tol must be finite"),
+            ("initial_step", math.inf, "initial_step must be finite"),
+            ("max_step", math.nan, "max_step must be > 0"),
+        ],
+    )
+    def test_rejects_non_finite(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            IntegratorConfig(**{name: value})
+
+    def test_infinite_max_step_means_no_cap(self):
+        assert IntegratorConfig(max_step=math.inf).max_step == math.inf
 
 
 class TestDirectPropagation:
@@ -456,6 +481,32 @@ class TestAdiabaticPropagation:
             v_other = frame_T.v_minus / np.linalg.norm(frame_T.v_minus)
             leakage.append(fidelity(final, v_other))
         assert leakage[1] < leakage[0]
+
+    def test_one_eigensolve_per_rhs_call(self, monkeypatch):
+        # an accepted step adopts the frame its last stage (at the accepted
+        # time) already solved, so only the t = 0 frame adds a solve
+        import epdyn.propagation as prop
+
+        calls = {"eig": 0, "rhs": 0}
+        real_eigensystem = prop._eigensystem
+
+        def counted_eigensystem(*args):
+            calls["eig"] += 1
+            return real_eigensystem(*args)
+
+        class CountingDopri5(prop._Dopri5):
+            def __init__(self, rhs, *args, **kwargs):
+                def counted_rhs(t, y):
+                    calls["rhs"] += 1
+                    return rhs(t, y)
+
+                super().__init__(counted_rhs, *args, **kwargs)
+
+        monkeypatch.setattr(prop, "_eigensystem", counted_eigensystem)
+        monkeypatch.setattr(prop, "_Dopri5", CountingDopri5)
+        propagate_adiabatic(REF, encircling_loop(50.0, Direction.CW), StateVector.basis(2), TIGHT)
+        assert calls["rhs"] > 0
+        assert calls["eig"] == calls["rhs"] + 1
 
     def test_branch_labels_recorded(self):
         loop = LoopSpec(
