@@ -243,6 +243,8 @@ def cmd_locate_ep(config: RunConfig) -> int:
 def cmd_simulate(config: RunConfig, method: str, n_output: int) -> int:
     if config.out_path is None:
         raise ConfigError("missing required field 'output.path' (or --output)")
+    if n_output < 2:
+        raise ConfigError(f"--n-output must be >= 2, got {n_output}")
     propagate = propagate_direct if method == "direct" else propagate_adiabatic
     traj = propagate(config.params, config.loop, config.initial, config.integrator, n_output=n_output)
     if config.out_format == "csv":
@@ -271,6 +273,8 @@ def cmd_table1(config: RunConfig) -> int:
 
 
 def cmd_winding(config: RunConfig, n_samples: int) -> int:
+    if n_samples < 64:
+        raise ConfigError(f"--n-samples must be >= 64, got {n_samples}")
     w = winding_number(config.loop, config.params, n_samples=n_samples)
     r = rho(config.loop, locate_ep(config.params))
     print(f"winding={w} rho={serialize.fmt(r)}")

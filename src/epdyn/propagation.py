@@ -8,8 +8,13 @@ only has to resolve the traceless dynamics, whose rates are set by the small
 eigenvalue splitting. This keeps norm drift at machine precision for
 Hermitian parameters and postpones overflow for strongly decaying runs.
 
-``propagate_direct`` integrates the bare-basis amplitudes with an adaptive
-8th-order Runge-Kutta (DOP853). ``propagate_adiabatic`` expands the state in
+``propagate_direct`` integrates the bare-basis amplitudes with ``_Dop853``,
+an adaptive 8th-order Runge-Kutta stepper on the two amplitudes as Python
+complex scalars. It uses the tableau, error norm and step controller of
+``scipy.integrate.DOP853`` (which the tests keep as its oracle), builds the
+dense-output interpolant only on steps that hold an output time, and
+rescales the working state in place, keeping the step size, when its norm
+leaves the working window. ``propagate_adiabatic`` expands the state in
 the instantaneous eigenbasis, integrating coefficients whose off-diagonal
 couplings are the velocity-weighted eigenvector derivatives; branch identity
 is maintained by c-product overlap tracking, which is exactly where the
@@ -42,7 +47,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import DOP853, simpson
+from scipy.integrate import simpson
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from .errors import (
     AmbiguousTrackingError,
@@ -277,6 +283,165 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 
 
+def _nonzero(row) -> tuple:
+    """((j, coefficient), ...) over the nonzero entries of one tableau row."""
+    return tuple((int(j), float(row[j])) for j in np.flatnonzero(row))
+
+
+def _stages(first: int, last: int) -> tuple:
+    """((c_s, a_s), ...) for the stages first .. last - 1."""
+    return tuple((float(_dop853.C[s]), _nonzero(_dop853.A[s])) for s in range(first, last))
+
+
+# scipy's DOP853 tableau: stages 1..11, the FSAL derivative K[12] at t + h,
+# and the extra stages 13..15 that only the dense output needs
+_N_STAGES = _dop853.N_STAGES
+_DOP_STAGES = _stages(1, _N_STAGES)
+_DOP_EXTRA = _stages(_N_STAGES + 1, _dop853.N_STAGES_EXTENDED)
+_DOP_B = _nonzero(_dop853.B)
+_DOP_E5 = _nonzero(_dop853.E5)
+_DOP_E3 = _nonzero(_dop853.E3)
+_DOP_D = tuple(_nonzero(row) for row in _dop853.D)
+
+
+def _combine(coeffs, k0: list, k1: list) -> tuple:
+    """sum_j c_j K[j] for both components."""
+    d0 = d1 = 0j
+    for j, c in coeffs:
+        d0 += c * k0[j]
+        d1 += c * k1[j]
+    return d0, d1
+
+
+def _abs2(z: complex) -> float:
+    return z.real * z.real + z.imag * z.imag
+
+
+class _Dop853:
+    """DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) on two complex scalars.
+
+    The tableau, the error norm (scipy's blend of the 5th- and 3rd-order
+    estimates), the step controller and the floor min_step = 10 ulp(t) are
+    those of ``scipy.integrate.DOP853``, which stays in the tests as the
+    oracle; only the driver differs. ``rhs(t, y0, y1)`` returns the
+    derivative pair. The stages of the last accepted step are kept, so the
+    dense-output interpolant is built only when ``dense()`` asks for it.
+    """
+
+    SAFETY = 0.9
+    MIN_FACTOR = 0.2
+    MAX_FACTOR = 10.0
+    EXPONENT = -1.0 / 8.0  # -1 / (error estimator order 7 + 1)
+
+    def __init__(self, rhs, y: tuple, t_bound: float, config: IntegratorConfig) -> None:
+        self.rhs = rhs
+        self.t_bound = t_bound
+        self.rtol, self.atol, self.max_step = config.rel_tol, config.abs_tol, config.max_step
+        self.t, self.y = 0.0, y
+        self.f = rhs(0.0, *y)
+        self.h_abs = min(config.initial_step, config.max_step, 0.5 * t_bound)
+        self.k0 = [0j] * _dop853.N_STAGES_EXTENDED
+        self.k1 = [0j] * _dop853.N_STAGES_EXTENDED
+        self.rhs_calls = 1
+        self.accepted = 0
+        self.rejected = 0
+        self.renormalizations = 0
+
+    def step(self) -> None:
+        """Take one accepted step, shrinking the trial step on rejection."""
+        t, (y0, y1), k0, k1, rhs = self.t, self.y, self.k0, self.k1, self.rhs
+        min_step = 10.0 * math.ulp(t)
+        h = self.h_abs
+        if h > self.max_step:
+            h = self.max_step
+        elif h < min_step:
+            h = min_step
+        rejected = False
+        while True:
+            if h < min_step:
+                raise StepSizeUnderflowError(
+                    f"step size {h:.3e} below 10 ulp(t) = {min_step:.3e} at t = {t:.6g}"
+                )
+            t_new = min(t + h, self.t_bound)
+            h = t_new - t
+            k0[0], k1[0] = self.f
+            for s, (c, a) in enumerate(_DOP_STAGES, 1):
+                d0, d1 = _combine(a, k0, k1)
+                k0[s], k1[s] = rhs(t + c * h, y0 + d0 * h, y1 + d1 * h)
+            d0, d1 = _combine(_DOP_B, k0, k1)
+            n0, n1 = y0 + h * d0, y1 + h * d1
+            f = k0[_N_STAGES], k1[_N_STAGES] = rhs(t + h, n0, n1)
+            self.rhs_calls += _N_STAGES
+            s0 = self.atol + max(abs(y0), abs(n0)) * self.rtol
+            s1 = self.atol + max(abs(y1), abs(n1)) * self.rtol
+            e0, e1 = _combine(_DOP_E5, k0, k1)
+            err5 = _abs2(e0 / s0) + _abs2(e1 / s1)
+            e0, e1 = _combine(_DOP_E3, k0, k1)
+            err3 = _abs2(e0 / s0) + _abs2(e1 / s1)
+            if err5 == 0.0 and err3 == 0.0:
+                err = 0.0
+            else:
+                err = h * err5 / math.sqrt(2.0 * (err5 + 0.01 * err3))
+            if err < 1.0:
+                factor = self.MAX_FACTOR
+                if err > 0.0:
+                    factor = min(factor, self.SAFETY * err**self.EXPONENT)
+                self.h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h *= max(self.MIN_FACTOR, self.SAFETY * err**self.EXPONENT)
+            rejected = True
+            self.rejected += 1
+        self.accepted += 1
+        self.t_old, self.y_old, self.h = t, self.y, h
+        self.t, self.y, self.f = t_new, (n0, n1), f
+
+    def dense(self):
+        """Interpolant t -> (y0, y1) over the last accepted step (3 more RHS calls).
+
+        Call it before ``rescale``: it reads the step's end state.
+        """
+        k0, k1, h, t_old = self.k0, self.k1, self.h, self.t_old
+        y_old = self.y_old
+        for s, (c, a) in enumerate(_DOP_EXTRA, _N_STAGES + 1):
+            d0, d1 = _combine(a, k0, k1)
+            k0[s], k1[s] = self.rhs(t_old + c * h, y_old[0] + d0 * h, y_old[1] + d1 * h)
+        self.rhs_calls += len(_DOP_EXTRA)
+        high = [_combine(d, k0, k1) for d in _DOP_D]
+        polys = []
+        for i, k in enumerate((k0, k1)):
+            dy = self.y[i] - y_old[i]
+            f_old, f_new = k[0], k[_N_STAGES]
+            coeffs = [dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)]
+            coeffs += [h * pair[i] for pair in high]
+            polys.append(coeffs[::-1])
+
+        def interp(t: float) -> tuple:
+            x = (t - t_old) / h
+            out = []
+            for coeffs, y in zip(polys, y_old):
+                acc = 0j
+                for i, c in enumerate(coeffs):
+                    acc = (acc + c) * (x if i % 2 == 0 else 1.0 - x)
+                out.append(acc + y)
+            return tuple(out)
+
+        return interp
+
+    def rescale(self, norm: float) -> None:
+        """Divide the state and its FSAL derivative by ``norm``; the step size is kept."""
+        self.y = (self.y[0] / norm, self.y[1] / norm)
+        self.f = (self.f[0] / norm, self.f[1] / norm)
+        self.renormalizations += 1
+
+    def counts(self) -> dict:
+        return {
+            "accepted": self.accepted,
+            "rejected": self.rejected,
+            "rhs_calls": self.rhs_calls,
+            "renormalizations": self.renormalizations,
+        }
+
+
 def propagate_direct(
     params: SystemParams,
     drive: Drive,
@@ -287,8 +452,13 @@ def propagate_direct(
 ) -> TrajectoryRecord:
     """Integrate i dc/dt = H(t) c along the drive in the bare basis.
 
-    Records at ``n_output + 1`` uniformly spaced times (>= 512 by default);
-    ``record_internal`` additionally keeps every accepted solver step.
+    The stepper is ``_Dop853`` on the traceless-frame amplitudes. Records at
+    ``n_output + 1`` uniformly spaced times (>= 512 by default) from the
+    dense-output interpolant, built only on steps that hold a grid time;
+    ``record_internal`` additionally keeps every accepted step. When the
+    squared norm leaves [1e-100, 1e+100] the state is rescaled in place and
+    the step size kept. ``meta["solver"]`` counts accepted and rejected
+    steps, RHS calls and renormalizations.
 
     Raises
     ------
@@ -302,61 +472,46 @@ def propagate_direct(
         raise ValueError("n_output must be >= 2")
     T = drive.duration_T
 
-    def rhs(t: float, u: np.ndarray) -> np.ndarray:
+    def rhs(t: float, u0: complex, u1: complex) -> tuple:
         fp = drive.field_at(_clamped(drive, t))
         a, g = _traceless(params, fp.omega, fp.eps0)
-        return -1j * np.array([a * u[0] + g * u[1], g * u[0] - a * u[1]], dtype=complex)
+        return -1j * (a * u0 + g * u1), -1j * (g * u0 - a * u1)
 
-    grid = np.linspace(0.0, T, n_output + 1)
+    grid = np.linspace(0.0, T, n_output + 1).tolist()
     rec = _Recorder(params, drive)
-    u = initial.as_array()
+    y = (complex(initial.c1), complex(initial.c2))
+    rec.add(0.0, y, 0.0)
+    stepper = _Dop853(rhs, y, T, config)
     log_u = 0.0
-    rec.add(0.0, u.copy(), log_u)
-    t_now = 0.0
     gi = 1
-    while t_now < T:
-        first = min(config.initial_step, config.max_step, 0.5 * (T - t_now))
-        solver = DOP853(
-            rhs,
-            t_now,
-            u,
-            t_bound=T,
-            rtol=config.rel_tol,
-            atol=config.abs_tol,
-            max_step=config.max_step,
-            first_step=first,
-        )
-        restart = False
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise StepSizeUnderflowError(str(message))
-            if not np.all(np.isfinite(solver.y.view(float))):
+    try:
+        while stepper.t < T:
+            stepper.step()
+            t, (y0, y1) = stepper.t, stepper.y
+            if not (cmath.isfinite(y0) and cmath.isfinite(y1)):
                 raise NonFiniteError("amplitudes became non-finite during integration")
-            dense = solver.dense_output()
-            while gi <= n_output and grid[gi] <= solver.t:
-                rec.add(grid[gi], np.asarray(dense(grid[gi]), dtype=complex), log_u)
-                gi += 1
-            if record_internal and solver.t < T:
-                rec.add(solver.t, solver.y.copy(), log_u)
-            n2 = float(abs(solver.y[0]) ** 2 + abs(solver.y[1]) ** 2)
+            if gi <= n_output and grid[gi] <= t:
+                interp = stepper.dense()
+                while gi <= n_output and grid[gi] <= t:
+                    rec.add(grid[gi], interp(grid[gi]), log_u)
+                    gi += 1
+            if record_internal and t < T:
+                rec.add(t, stepper.y, log_u)
+            n2 = _abs2(y0) + _abs2(y1)
             if n2 > 0 and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
-                u = solver.y / math.sqrt(n2)
+                stepper.rescale(math.sqrt(n2))
                 log_u += math.log(n2)
-                t_now = solver.t
-                restart = True
-                break
-        if not restart:
-            u = solver.y
-            t_now = solver.t
-
-    times, states, norms, logs, _, _ = rec.finalize()
+        times, states, norms, logs, _, _ = rec.finalize()
+    except OverflowError as exc:
+        # abs() and ** on Python scalars raise OverflowError instead of returning inf
+        raise NonFiniteError("amplitudes overflowed float64") from exc
     meta = {
         "method": "direct",
         "params": params,
         "drive": drive,
         "config": config,
         "n_output": n_output,
+        "solver": stepper.counts(),
     }
     return TrajectoryRecord(times, states, norms, logs, None, None, meta)
 
@@ -389,9 +544,9 @@ _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 class _Dopri5:
     """Minimal embedded RK5(4) stepper with a PI controller.
 
-    Kept independent of scipy's solvers on purpose: the adiabatic route must
-    not share integration machinery with the direct route it is checked
-    against.
+    Kept independent of the direct route's ``_Dop853`` on purpose: the
+    adiabatic route must not share integration machinery with the direct
+    route it is checked against.
     """
 
     _SAFETY = 0.9

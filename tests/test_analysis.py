@@ -14,6 +14,7 @@ from epdyn import (
     LoopSpec,
     StateVector,
     StaticDrive,
+    diode_loop,
     hermitian_loop,
     propagate_direct,
 )
@@ -170,6 +171,33 @@ class TestTable1:
         assert len(table.rows) == 4
         directions = [r.direction for r in table.rows]
         assert directions == [Direction.CW, Direction.CW, Direction.CCW, Direction.CCW]
+
+
+class TestFloat64Floor:
+    # The state-1 rows of the diode table amplify rounding through a transient
+    # of |u|^2 up to e^25.6, so their ratios move by a third when the initial
+    # state moves by one ulp (notes/decisions.md). The decision must not move.
+    SELECTED = {Direction.CW: 1, Direction.CCW: 2}
+
+    @staticmethod
+    def perturbed_basis(state: int, ulps: int) -> StateVector:
+        x = 1.0
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+        return StateVector(x, 0.0) if state == 1 else StateVector(0.0, x)
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-11, 1e-12])
+    def test_table1_decisions_hold_within_4_ulp(self, rel_tol):
+        config = IntegratorConfig(rel_tol=rel_tol, abs_tol=1e-14)
+        for direction, selected in self.SELECTED.items():
+            loop = diode_loop(direction)
+            for state in (1, 2):
+                for ulps in (0, -4, -3, -2, -1, 1, 2, 3, 4):
+                    init = self.perturbed_basis(state, ulps)
+                    traj = propagate_direct(REF, loop, init, config, n_output=8)
+                    report = final_state_report(traj, direction)
+                    assert report.dominant_state == selected, (direction, state, ulps)
+                    assert report.ratio >= 1e3, (direction, state, ulps, report.ratio)
 
 
 class TestSweep:

@@ -208,6 +208,13 @@ class TestSimulate:
         assert main(["--config", write_config(tmp_path), "simulate"]) == 1
         assert "output.path" in capsys.readouterr().err
 
+    def test_too_few_output_intervals_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        argv = ["--config", write_config(tmp_path), "--output", str(out), "simulate", "--n-output", "1"]
+        assert main(argv) == 1
+        assert "--n-output" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTable1:
     def test_non_encircling_exit_4(self, tmp_path, capsys):
@@ -248,6 +255,10 @@ class TestWinding:
         doc = patched({"loop": {"center_eps0": 0.25}})
         assert main(["--config", write_config(tmp_path, doc), "winding"]) == 3
         assert "EPOnContour" in capsys.readouterr().err
+
+    def test_too_few_samples_exit_1(self, tmp_path, capsys):
+        assert main(["--config", write_config(tmp_path), "winding", "--n-samples", "10"]) == 1
+        assert "--n-samples" in capsys.readouterr().err
 
 
 @contextlib.contextmanager

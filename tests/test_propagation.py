@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 from scipy.linalg import expm
 
 from epdyn import (
@@ -16,6 +17,7 @@ from epdyn import (
     HamiltonianMatrix,
     IntegratorConfig,
     LoopSpec,
+    NonFiniteError,
     StateVector,
     StaticDrive,
     SystemParams,
@@ -23,6 +25,7 @@ from epdyn import (
     average_decay_rate,
     build_hamiltonian,
     c_product,
+    diode_control_loop,
     diode_loop,
     eigenframe,
     eigenvalues,
@@ -35,7 +38,16 @@ from epdyn import (
     track_branches,
     winding_number,
 )
-from epdyn.propagation import _Dopri5
+from epdyn import loops
+from epdyn.propagation import (
+    _LOG_WORK_HI,
+    _LOG_WORK_LO,
+    TrajectoryRecord,
+    _clamped,
+    _Dopri5,
+    _Recorder,
+    _traceless,
+)
 
 REF = DEFAULT_PARAMS
 TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14)
@@ -179,13 +191,23 @@ class TestDirectPropagation:
 
     def test_rescaling_bookkeeping_extreme_decay(self):
         # long strongly decaying run crosses the representable window; the
-        # stored norms stay finite and the log-scale carries the decay
+        # stored norms stay finite and the log-scale carries the decay. The
+        # traceless |u|^2 falls as exp(-0.2 t), about e^-500 over the run, so
+        # the working state is rescaled twice
         drive = StaticDrive(FieldPoint(1.0, 0.0), 2500.0)
         traj = propagate_direct(REF, drive, StateVector.basis(2), TIGHT, n_output=64)
+        assert traj.meta["solver"]["renormalizations"] == 2
         assert np.all(np.isfinite(traj.states.view(float)))
         log_survival = traj.log_scale[-1] + math.log(traj.norms_sq[-1])
         assert log_survival == pytest.approx(-2 * REF.gamma2 * 2500.0, rel=1e-6)
         assert traj.log_scale[-1] != 0.0
+
+    @pytest.mark.parametrize("c1, c2", [(1e300, 1e300), (complex(1.5e308, 1.5e308), 0.0)])
+    def test_overflowing_initial_state_is_non_finite(self, c1, c2):
+        # finite amplitudes whose squared norm or modulus overflows float64
+        drive = StaticDrive(FieldPoint(1.0, 0.2), 1.0)
+        with pytest.raises(NonFiniteError):
+            propagate_direct(REF, drive, StateVector(c1, c2), n_output=8)
 
     def test_tolerance_controls_error(self):
         loop = encircling_loop(30.0)
@@ -196,6 +218,90 @@ class TestDirectPropagation:
         err_loose = np.linalg.norm(normalized_final(loose) - ref_state)
         err_tight = np.linalg.norm(normalized_final(tight) - ref_state)
         assert err_tight < err_loose
+
+
+def scipy_direct(params, drive, initial, config, n_output):
+    """Oracle: scipy's DOP853 class driven as propagate_direct once drove it.
+
+    Dense output on every step, and a fresh solver from ``initial_step``
+    after each renormalization. Returns the record and the accepted steps.
+    """
+    T = drive.duration_T
+
+    def rhs(t, u):
+        fp = drive.field_at(_clamped(drive, t))
+        a, g = _traceless(params, fp.omega, fp.eps0)
+        return -1j * np.array([a * u[0] + g * u[1], g * u[0] - a * u[1]], dtype=complex)
+
+    grid = np.linspace(0.0, T, n_output + 1)
+    rec = _Recorder(params, drive)
+    u = initial.as_array()
+    log_u = 0.0
+    rec.add(0.0, u.copy(), log_u)
+    t_now, gi, accepted = 0.0, 1, 0
+    while t_now < T:
+        first = min(config.initial_step, config.max_step, 0.5 * (T - t_now))
+        solver = DOP853(rhs, t_now, u, t_bound=T, rtol=config.rel_tol, atol=config.abs_tol,
+                        max_step=config.max_step, first_step=first)
+        restart = False
+        while solver.status == "running":
+            solver.step()
+            assert solver.status != "failed"
+            accepted += 1
+            dense = solver.dense_output()
+            while gi <= n_output and grid[gi] <= solver.t:
+                rec.add(grid[gi], dense(grid[gi]), log_u)
+                gi += 1
+            n2 = float(abs(solver.y[0]) ** 2 + abs(solver.y[1]) ** 2)
+            if n2 > 0 and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
+                u, t_now, restart = solver.y / math.sqrt(n2), solver.t, True
+                log_u += math.log(n2)
+                break
+        if not restart:
+            u, t_now = solver.y, solver.t
+    times, states, norms, logs, _, _ = rec.finalize()
+    return TrajectoryRecord(times, states, norms, logs, None, None), accepted
+
+
+ORACLE_CASES = {
+    f"{name}-{d.value}-state{s}": (params, make_loop(d), s)
+    for d in (Direction.CW, Direction.CCW)
+    for name, params, make_loop, states in (
+        ("encircling50", REF, lambda d: encircling_loop(50.0, d), (1, 2)),
+        ("hermitian50", HERMITIAN_PARAMS, lambda d: hermitian_loop(50.0, d), (1, 2)),
+        ("diode_control", REF, diode_control_loop, (1, 2)),
+        ("diode", REF, diode_loop, (2,)),
+    )
+    for s in states
+}
+
+
+class TestDirectStepperAgainstScipy:
+    @pytest.mark.parametrize("params, loop, state", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+    def test_same_steps_and_grid_rows(self, params, loop, state):
+        traj = propagate_direct(params, loop, StateVector.basis(state), TIGHT, n_output=64)
+        oracle, accepted = scipy_direct(params, loop, StateVector.basis(state), TIGHT, n_output=64)
+        assert traj.meta["solver"]["accepted"] == accepted
+        np.testing.assert_array_equal(traj.times, oracle.times)
+        np.testing.assert_array_equal(traj.log_scale, oracle.log_scale)
+        rel = np.linalg.norm(traj.states - oracle.states, axis=1) / np.linalg.norm(oracle.states, axis=1)
+        assert rel.max() <= 1e-12, rel.max()
+
+    def test_dense_output_only_on_steps_holding_a_grid_time(self, monkeypatch):
+        # every RHS call goes through loops.field_at: 12 per step, 3 more on
+        # each of the 8 steps that hold a grid time, 1 at t = 0; scipy's
+        # driver builds the interpolant on every step
+        calls = []
+        field_at = loops.field_at
+        monkeypatch.setattr(loops, "field_at", lambda loop, t: calls.append(t) or field_at(loop, t))
+        loop, init = diode_loop(Direction.CCW), StateVector.basis(2)
+        solver = propagate_direct(REF, loop, init, TIGHT, n_output=8).meta["solver"]
+        assert solver["rhs_calls"] == len(calls)
+        assert solver["rhs_calls"] == 12 * solver["accepted"] + 3 * 8 + 1
+        calls.clear()
+        _, accepted = scipy_direct(REF, loop, init, TIGHT, n_output=8)
+        assert accepted == solver["accepted"]
+        assert len(calls) == 15 * accepted + 1
 
 
 class TestNaCoupling:
