@@ -16,10 +16,14 @@ dense-output interpolant only on steps that hold an output time, and
 rescales the working state in place, keeping the step size, when its norm
 leaves the working window. ``propagate_adiabatic`` expands the state in
 the instantaneous eigenbasis, integrating coefficients whose off-diagonal
-couplings are the velocity-weighted eigenvector derivatives; branch identity
-is maintained by c-product overlap tracking, which is exactly where the
-state-exchange around an exceptional point shows up. The two routes share
-no stepper code, so their agreement is a genuine cross-check.
+couplings are the velocity-weighted eigenvector derivatives, with
+``_Dopri5``, a Dormand-Prince 5(4) stepper on two complex scalars that runs
+free to T and interpolates the output rows with its 4th-order dense output.
+Its RHS carries no eigenvectors: it continues the slot-0 energy to the
+nearer eigenvalue. Branch identity is maintained by c-product overlap
+tracking once per accepted step, which is exactly where the state-exchange
+around an exceptional point shows up. The two routes share no stepper code,
+so their agreement is a genuine cross-check.
 
 Both right-hand sides take the traceless H = [[a, g], [g, -a]] from
 ``model._traceless`` (see the ``model`` docstring). The couplings are in
@@ -517,9 +521,11 @@ def propagate_direct(
 
 
 # ---------------------------------------------------------------------------
-# embedded Dormand-Prince 5(4) with PI step control (adiabatic route)
+# Dormand-Prince 5(4) with PI step control and dense output (adiabatic route)
 # ---------------------------------------------------------------------------
 
+# stages 2..6 at t + c h; the 7th stage is the FSAL derivative at t + h of
+# the 5th-order solution, whose weights are _DP_B5
 _DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
 _DP_A = (
     (0.2,),
@@ -539,73 +545,134 @@ _DP_B4 = (
     1.0 / 40.0,
 )
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+# 4th-order continuous extension (Shampine, Math. Comp. 46, 135 (1986)):
+# y(t + x h) = y + h sum_s k_s sum_j P[s][j] x^(j+1), from the step's own stages
+_DP_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
 
 
 class _Dopri5:
-    """Minimal embedded RK5(4) stepper with a PI controller.
+    """Dormand-Prince 5(4) with a PI controller and dense output, on two complex scalars.
 
     Kept independent of the direct route's ``_Dop853`` on purpose: the
     adiabatic route must not share integration machinery with the direct
-    route it is checked against.
+    route it is checked against. The stepper runs free towards ``t_bound``
+    (only its last step is clipped), with an RMS error norm, a step cap of
+    min(max_step, t_bound / 64) and a floor of 1e-14 t_bound. ``rhs(t, y0,
+    y1)`` returns the derivative pair; the stages of the last accepted step
+    are kept, so ``dense()`` interpolates it without further RHS calls.
     """
 
-    _SAFETY = 0.9
-    _MIN_FACTOR = 0.2
-    _MAX_FACTOR = 5.0
-    _ALPHA = 0.7 / 5.0
-    _BETA = 0.4 / 5.0
+    SAFETY = 0.9
+    MIN_FACTOR = 0.2
+    MAX_FACTOR = 5.0
+    ALPHA = 0.7 / 5.0
+    BETA = 0.4 / 5.0
 
-    def __init__(self, rhs, config: IntegratorConfig, t_scale: float) -> None:
+    def __init__(self, rhs, y: tuple, t_bound: float, config: IntegratorConfig) -> None:
         self.rhs = rhs
-        self.rtol = config.rel_tol
-        self.atol = config.abs_tol
-        self.max_step = config.max_step
-        self.h = min(config.initial_step, config.max_step)
+        self.t_bound = t_bound
+        self.rtol, self.atol = config.rel_tol, config.abs_tol
+        self.max_step = min(config.max_step, t_bound / 64.0)
+        self.min_step = 1e-14 * t_bound
+        self.h_abs = min(config.initial_step, self.max_step)
         self.err_prev = 1.0
-        self.min_step = 1e-14 * t_scale
+        self.t, self.y = 0.0, y
+        self.f = rhs(0.0, *y)
+        self.k0 = [0j] * 7
+        self.k1 = [0j] * 7
+        self.rhs_calls = 1
+        self.accepted = 0
+        self.rejected = 0
+        self.renormalizations = 0
 
-    def advance(self, t0: float, y0: np.ndarray, t1: float, on_accept=None) -> np.ndarray:
-        """Integrate from t0 to exactly t1 (t1 > t0)."""
-        t, y = t0, y0
-        k1 = self.rhs(t, y)
-        while t < t1:
-            h_free = min(self.h, self.max_step)
-            h = min(h_free, t1 - t)
-            rejected = 0
-            while True:
-                if h < self.min_step:
-                    raise StepSizeUnderflowError(
-                        f"step size {h:.3e} below floor {self.min_step:.3e} at t = {t:.6g}"
-                    )
-                ks = [k1]
-                for ci, ai in zip(_DP_C, _DP_A):
-                    ys = y + h * sum(a * k for a, k in zip(ai, ks))
-                    ks.append(self.rhs(t + ci * h, ys))
-                y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0)
-                k7 = self.rhs(t + h, y5)
-                ks.append(k7)
-                err_vec = h * sum(e * k for e, k in zip(_DP_E, ks) if e != 0.0)
-                scale = self.atol + self.rtol * np.maximum(np.abs(y), np.abs(y5))
-                err = math.sqrt(float(np.mean(np.abs(err_vec / scale) ** 2)))
-                if not math.isfinite(err):
-                    raise NonFiniteError("non-finite error estimate; amplitudes overflowed")
-                if err <= 1.0:
-                    break
-                rejected += 1
-                h *= max(self._MIN_FACTOR, self._SAFETY * err ** (-0.2))
-            # PI update from the accepted error; a step shortened only to land
-            # on t1 says nothing about the free step size, so it leaves the
-            # controller state alone
-            if rejected or h == h_free:
-                err = max(err, 1e-10)
-                factor = self._SAFETY * err ** (-self._ALPHA) * self.err_prev**self._BETA
-                factor = min(self._MAX_FACTOR if rejected == 0 else 1.0, max(self._MIN_FACTOR, factor))
-                self.h = h * factor
-                self.err_prev = err
-            t, y, k1 = t + h, y5, k7
-            if on_accept is not None:
-                on_accept(t, y)
-        return y
+    def step(self) -> None:
+        """Take one accepted step, shrinking the trial step on rejection."""
+        t, (y0, y1), k0, k1, rhs = self.t, self.y, self.k0, self.k1, self.rhs
+        h = self.h_abs
+        rejected = False
+        while True:
+            if h < self.min_step:
+                raise StepSizeUnderflowError(
+                    f"step size {h:.3e} below floor {self.min_step:.3e} at t = {t:.6g}"
+                )
+            t_new = min(t + h, self.t_bound)
+            h = t_new - t
+            k0[0], k1[0] = self.f
+            for s, (c, row) in enumerate(zip(_DP_C, _DP_A), 1):
+                d0 = d1 = 0j
+                for j, a in enumerate(row):
+                    d0 += a * k0[j]
+                    d1 += a * k1[j]
+                k0[s], k1[s] = rhs(t + c * h, y0 + h * d0, y1 + h * d1)
+            d0 = d1 = e0 = e1 = 0j
+            for j in range(6):
+                d0 += _DP_B5[j] * k0[j]
+                d1 += _DP_B5[j] * k1[j]
+            n0, n1 = y0 + h * d0, y1 + h * d1
+            k0[6], k1[6] = rhs(t_new, n0, n1)
+            self.rhs_calls += 6
+            for j, e in enumerate(_DP_E):
+                e0 += e * k0[j]
+                e1 += e * k1[j]
+            q0 = h * e0 / (self.atol + self.rtol * max(abs(y0), abs(n0)))
+            q1 = h * e1 / (self.atol + self.rtol * max(abs(y1), abs(n1)))
+            err = math.sqrt(0.5 * (q0.real**2 + q0.imag**2 + q1.real**2 + q1.imag**2))
+            if not math.isfinite(err):
+                raise NonFiniteError("non-finite error estimate; amplitudes overflowed")
+            if err <= 1.0:
+                break
+            rejected = True
+            self.rejected += 1
+            h *= max(self.MIN_FACTOR, self.SAFETY * err ** (-0.2))
+        err = max(err, 1e-10)
+        factor = self.SAFETY * err ** (-self.ALPHA) * self.err_prev**self.BETA
+        factor = min(1.0 if rejected else self.MAX_FACTOR, max(self.MIN_FACTOR, factor))
+        self.h_abs = min(h * factor, self.max_step)
+        self.err_prev = err
+        self.accepted += 1
+        self.t_old, self.y_old, self.h = t, self.y, h
+        self.t, self.y, self.f = t_new, (n0, n1), (k0[6], k1[6])
+
+    def dense(self):
+        """Interpolant t -> (y0, y1) over the last accepted step (no RHS call)."""
+        k0, k1, h, t_old, (y0, y1) = self.k0, self.k1, self.h, self.t_old, self.y_old
+        q0, q1 = [0j] * 4, [0j] * 4
+        for row, k0_s, k1_s in zip(_DP_P, k0, k1):
+            for j, p in enumerate(row):
+                q0[j] += p * k0_s
+                q1[j] += p * k1_s
+
+        def interp(t: float) -> tuple:
+            x = (t - t_old) / h
+            hx = h * x
+            return (
+                y0 + hx * (q0[0] + x * (q0[1] + x * (q0[2] + x * q0[3]))),
+                y1 + hx * (q1[0] + x * (q1[1] + x * (q1[2] + x * q1[3]))),
+            )
+
+        return interp
+
+    def rescale(self, norm: float) -> None:
+        """Divide the state and its FSAL derivative by ``norm``; the step size is kept."""
+        self.y = (self.y[0] / norm, self.y[1] / norm)
+        self.f = (self.f[0] / norm, self.f[1] / norm)
+        self.renormalizations += 1
+
+    def counts(self) -> dict:
+        return {
+            "accepted": self.accepted,
+            "rejected": self.rejected,
+            "rhs_calls": self.rhs_calls,
+            "renormalizations": self.renormalizations,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -652,40 +719,73 @@ def _initial_frame(params: SystemParams, drive: Drive, ep_tol: float):
     return (e_p, e_m), (v_p, v_m), ("+", "-")
 
 
-class _FrameTracker:
-    """Continuity-tracked eigenframe along a drive, for the adiabatic RHS.
+def _nearest_root(disc: complex, ref: complex) -> complex:
+    """The eigenvalue +/- sqrt(disc) / 2 of the traceless H nearer to ``ref``."""
+    e = 0.5 * cmath.sqrt(disc)
+    return -e if e.real * ref.real + e.imag * ref.imag < 0.0 else e
 
-    The reference frame advances only on accepted steps, so rejected trials
-    and internal RK stages all match against the same anchor. ``_Dopri5``
-    evaluates its last stage at the accepted time, so ``commit`` adopts the
-    frame that stage already solved and aligned.
+
+class _FrameTracker:
+    """The committed eigenframe of the adiabatic route, advanced once per accepted step.
+
+    ``energy`` is the committed slot-0 eigenvalue of the traceless H; the
+    RHS continues it to the nearer root, so it needs no eigenvectors.
+    ``commit`` solves the frame at the accepted time, pairs it with the
+    committed one by c-product overlap, and checks that the overlap tracking
+    and the continued energy name the same branch. A continuously tracked
+    c-orthonormal pair keeps its determinant, so ``det`` is fixed at t = 0.
     """
 
     def __init__(self, params: SystemParams, drive: Drive, ep_tol: float) -> None:
         self.params = params
+        self.drive = drive
         self.ep_tol = ep_tol
-        _, self.ref_vs, self.labels = _initial_frame(params, drive, ep_tol)
-        self._last = None
+        _, self.vs, self.labels = _initial_frame(params, drive, ep_tol)
+        fp = drive.field_at(0.0)
+        a, g = _traceless(params, fp.omega, fp.eps0)
+        self.energy = 0.5 * _root_plus(4.0 * (a * a + g * g))  # slot 0 starts on '+'
+        self.det = _det_sign(self.vs)
 
-    def frame_at(self, fp: FieldPoint):
-        eig = _eigensystem(build_hamiltonian(self.params, fp), self.ep_tol)
-        self._last = _aligned_next(self.ref_vs, *eig[:4])
-        return self._last
+    def _solve(self, fp: FieldPoint):
+        """(slot-0 traceless energy, vs, labels) at fp, paired with the committed frame."""
+        h = build_hamiltonian(self.params, fp)
+        es, vs, labels = _aligned_next(self.vs, *_eigensystem(h, self.ep_tol)[:4])
+        return es[0] - 0.5 * h.trace, vs, labels
 
-    def commit(self) -> None:
-        _, self.ref_vs, self.labels = self._last
+    def frame_at(self, t: float):
+        """(vs, labels) at t, paired with the committed frame (one eigensolve)."""
+        return self._solve(self.drive.field_at(t))[1:]
+
+    def commit(self, t: float) -> None:
+        """Adopt the frame at the accepted time t.
+
+        Raises AmbiguousTrackingError if the energy continued from the last
+        commit is not the eigenvalue of the branch that overlap tracking
+        puts in slot 0.
+        """
+        fp = self.drive.field_at(t)
+        tracked, vs, labels = self._solve(fp)
+        a, g = _traceless(self.params, fp.omega, fp.eps0)
+        disc = 4.0 * (a * a + g * g)
+        energy = _nearest_root(disc, self.energy)
+        if energy != _nearest_root(disc, tracked):
+            raise AmbiguousTrackingError(
+                f"energy continued to {energy:.6g} but overlap tracking puts slot 0 on "
+                f"branch '{labels[0]}' ({tracked:.6g}) at t = {t:.6g}"
+            )
+        self.vs, self.labels, self.energy = vs, labels, energy
 
 
-def _coupling(params: SystemParams, a: complex, g: complex, velocity, vs):
-    """Closed-form (V_{0/1}, V_{1/0}) = (-det th', +det th') for the pair vs at (a, g).
-
-    Both eigenvectors turn as v_i' = th' (-v_i[1], v_i[0]); see the module docstring.
-    """
-    a_dot, g_dot = _traceless_drive(params, *velocity)
-    theta_dot = 0.5 * (a * g_dot - g * a_dot) / (a * a + g * g)
+def _det_sign(vs) -> float:
+    """det(v0, v1) = +/-1 of a c-orthonormal pair, as a sign."""
     v0, v1 = vs
-    det = 1.0 if (v0[0] * v1[1] - v0[1] * v1[0]).real > 0.0 else -1.0
-    return -det * theta_dot, det * theta_dot
+    return 1.0 if (v0[0] * v1[1] - v0[1] * v1[0]).real > 0.0 else -1.0
+
+
+def _theta_dot(params: SystemParams, a: complex, g: complex, velocity) -> complex:
+    """th' = (a g' - g a') / (2 (a^2 + g^2)); see the module docstring."""
+    a_dot, g_dot = _traceless_drive(params, *velocity)
+    return 0.5 * (a * g_dot - g * a_dot) / (a * a + g * g)
 
 
 def na_coupling(
@@ -742,8 +842,9 @@ def na_coupling_at(
     """
     fp = loop.field_at(t)
     _, _, v_p, v_m, _, _ = _eigensystem(build_hamiltonian(params, fp), ep_tol)
-    a, g = _traceless(params, fp.omega, fp.eps0)
-    return _coupling(params, a, g, loop.velocity_at(t), (v_p, v_m))
+    theta_dot = _theta_dot(params, *_traceless(params, fp.omega, fp.eps0), loop.velocity_at(t))
+    det = _det_sign((v_p, v_m))
+    return -det * theta_dot, det * theta_dot
 
 
 # ---------------------------------------------------------------------------
@@ -777,73 +878,89 @@ def propagate_adiabatic(
     coefficient equations carry the branch energies on the diagonal and the
     velocity-weighted derivative couplings off it (the couplings' relative
     exponential weight exp(+/- Im int dE dt) is what breaks the slow-drive
-    limit for decaying systems). The couplings are closed form (see the
-    module docstring), so each RHS call needs one eigen-solve, and each
-    accepted step adopts the frame of its last stage. Bare-basis amplitudes
-    are recorded at the output times.
+    limit for decaying systems). ``_Dopri5`` steps the two coefficients
+    freely to T. Its RHS needs no eigenvectors: the couplings are closed
+    form (see the module docstring) and the slot-0 energy is the eigenvalue
+    of the traceless H nearer the one committed at the last accepted step.
+    Each accepted step solves the frame at its end once and pairs it with
+    the last by c-product overlap; output rows inside a step come from the
+    dense-output interpolant, each on its own frame solve. Bare-basis
+    amplitudes are recorded at ``n_output + 1`` uniform times
+    (``record_internal`` adds every accepted step). When the squared norm
+    leaves [1e-100, 1e+100] the coefficients are rescaled after the step's
+    rows are recorded. ``meta["solver"]`` counts accepted and rejected
+    steps, RHS calls and renormalizations.
 
-    Raises EPOnContourError if the contour comes within the eigenframe guard
-    of the EP.
+    Raises
+    ------
+    EPOnContourError
+        If the contour comes within the eigenframe guard of the EP.
+    AmbiguousTrackingError
+        If a step's overlap tracking and its continued energy disagree.
+    StepSizeUnderflowError
+        If the adaptive controller cannot meet the tolerances.
+    NonFiniteError
+        If the coefficients leave the representable range.
     """
     initial = StateVector.coerce(initial)
     if n_output < 2:
         raise ValueError("n_output must be >= 2")
     _scan_contour(params, loop, ep_tol, n=max(1024, 2 * n_output))
     T = loop.duration_T
+    guard = ep_tol * ep_tol
     tracker = _FrameTracker(params, loop, ep_tol)
+    det = tracker.det
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, b0: complex, b1: complex) -> tuple:
         tc = _clamped(loop, t)
         fp = loop.field_at(tc)
-        _, vs, labels = tracker.frame_at(fp)
         a, g = _traceless(params, fp.omega, fp.eps0)
-        w = _root_plus(4.0 * (a * a + g * g))  # = root of the discriminant
-        e0 = 0.5 * w if labels[0] == "+" else -0.5 * w
-        v01, v10 = _coupling(params, a, g, loop.velocity_at(tc), vs)
-        return np.array(
-            [
-                -1j * e0 * y[0] - v01 * y[1],
-                1j * e0 * y[1] - v10 * y[0],
-            ],
-            dtype=complex,
-        )
+        disc = 4.0 * (a * a + g * g)
+        if abs(disc) <= guard:
+            raise EPProximityError(f"|discriminant| = {abs(disc):.3e} <= tol^2 = {guard:.3e}")
+        e0 = _nearest_root(disc, tracker.energy)
+        v = det * _theta_dot(params, a, g, loop.velocity_at(tc))
+        return -1j * e0 * b0 + v * b1, 1j * e0 * b1 - v * b0
 
-    def record(t: float, b: np.ndarray, log_b: float) -> None:
-        # bare state from the coefficients on the committed frame
-        vs = tracker.ref_vs
+    def record(t: float, b: tuple, vs, label: str) -> None:
         state = (b[0] * vs[0][0] + b[1] * vs[1][0], b[0] * vs[0][1] + b[1] * vs[1][1])
-        rec.add(t, state, log_b, coeffs=(b[0], b[1]), label=tracker.labels[0])
+        rec.add(t, state, log_b, coeffs=b, label=label)
 
-    # initial coefficients on the t = 0 frame (slot 0 = instantaneous '+')
-    c0 = initial.as_array()
-    vs0 = tracker.ref_vs
-    b = np.array([c_product(vs0[0], c0), c_product(vs0[1], c0)], dtype=complex)
-    log_b = 0.0
     rec = _Recorder(params, loop)
-    record(0.0, b, log_b)
-
-    stepper = _Dopri5(rhs, config, t_scale=T)
-    stepper.max_step = min(stepper.max_step, T / 64.0)
-    grid = np.linspace(0.0, T, n_output + 1)
-
-    def on_accept(t: float, y: np.ndarray) -> None:
-        tracker.commit()
-        if record_internal and t < grid[gi]:
-            record(t, y, log_b)
-
-    for gi in range(1, n_output + 1):
-        try:
-            b = stepper.advance(grid[gi - 1], b, grid[gi], on_accept=on_accept)
-        except EPProximityError as exc:
-            raise EPOnContourError(str(exc)) from exc
-        n2 = float(abs(b[0]) ** 2 + abs(b[1]) ** 2)
-        if n2 > 0 and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
-            b = b / math.sqrt(n2)
-            log_b += math.log(n2)
-        # the last accepted step landed on grid[gi] and committed its frame
-        record(grid[gi], b, log_b)
-
-    times, states, norms, logs, coeffs, labels = rec.finalize()
+    log_b = 0.0
+    grid = np.linspace(0.0, T, n_output + 1).tolist()
+    gi = 1
+    try:
+        # initial coefficients on the t = 0 frame (slot 0 = instantaneous '+')
+        vs0, c0 = tracker.vs, (initial.c1, initial.c2)
+        b = (c_product(vs0[0], c0), c_product(vs0[1], c0))
+        record(0.0, b, vs0, tracker.labels[0])
+        stepper = _Dopri5(rhs, b, T, config)
+        while stepper.t < T:
+            stepper.step()
+            t, b = stepper.t, stepper.y
+            if grid[gi] < t:
+                interp = stepper.dense()
+                while grid[gi] < t:
+                    vs, labels = tracker.frame_at(grid[gi])
+                    record(grid[gi], interp(grid[gi]), vs, labels[0])
+                    gi += 1
+            tracker.commit(t)
+            if grid[gi] == t:
+                record(t, b, tracker.vs, tracker.labels[0])
+                gi += 1
+            elif record_internal:
+                record(t, b, tracker.vs, tracker.labels[0])
+            n2 = abs(b[0]) ** 2 + abs(b[1]) ** 2
+            if n2 > 0 and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
+                stepper.rescale(math.sqrt(n2))
+                log_b += math.log(n2)
+        times, states, norms, logs, coeffs, labels = rec.finalize()
+    except EPProximityError as exc:
+        raise EPOnContourError(str(exc)) from exc
+    except OverflowError as exc:
+        # abs() and ** on Python scalars raise OverflowError instead of returning inf
+        raise NonFiniteError("coefficients overflowed float64") from exc
     meta = {
         "method": "adiabatic",
         "params": params,
@@ -851,6 +968,7 @@ def propagate_adiabatic(
         "config": config,
         "n_output": n_output,
         "ep_tol": ep_tol,
+        "solver": stepper.counts(),
     }
     return TrajectoryRecord(times, states, norms, logs, coeffs, labels, meta)
 

@@ -39,12 +39,13 @@ from epdyn import (
     winding_number,
 )
 from epdyn import loops
+from epdyn import propagation as prop
+from epdyn.errors import AmbiguousTrackingError
 from epdyn.propagation import (
     _LOG_WORK_HI,
     _LOG_WORK_LO,
     TrajectoryRecord,
     _clamped,
-    _Dopri5,
     _Recorder,
     _traceless,
 )
@@ -368,25 +369,48 @@ class TestNaCoupling:
 
 class TestDopri5:
     def test_output_times_do_not_steer_the_controller(self):
-        # y' = -i y: the free step size is the same everywhere, so a step cut
-        # short to land on an output time must not change the next proposal.
-        # The free step (0.0313) fits the 128-interval width about five
-        # times, so on this grid the clipped remainders add almost no steps
-        # and the counts must agree too
-        config = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14)
-        counts, proposals = [], []
-        for n in (16, 128):
-            stepper = _Dopri5(lambda t, y: -1j * y, config, t_scale=20.0)
-            accepted = []
-            y = np.array([1.0, 0.0], dtype=complex)
-            grid = np.linspace(0.0, 20.0, n + 1)
-            for t0, t1 in zip(grid[:-1], grid[1:]):
-                y = stepper.advance(t0, y, t1, on_accept=lambda t, _y: accepted.append(t))
-            np.testing.assert_allclose(y, [np.exp(-20j), 0.0], atol=1e-8)
-            counts.append(len(accepted))
-            proposals.append(stepper.h)
-        assert proposals[1] == pytest.approx(proposals[0], rel=1e-6)
-        assert abs(counts[1] - counts[0]) <= 0.02 * counts[0], counts
+        # the stepper runs free to T and interpolates the output rows, so the
+        # output grid changes neither the steps nor the final row
+        loop = encircling_loop(50.0, Direction.CW)
+        coarse = propagate_adiabatic(REF, loop, StateVector.basis(2), TIGHT, n_output=8)
+        fine = propagate_adiabatic(REF, loop, StateVector.basis(2), TIGHT, n_output=512)
+        for key in ("accepted", "rejected"):
+            assert coarse.meta["solver"][key] == fine.meta["solver"][key]
+        assert coarse.meta["solver"]["accepted"] > 100
+        assert np.array_equal(coarse.final_state, fine.final_state)
+        assert coarse.log_scale[-1] == fine.log_scale[-1]
+
+    def test_dense_output_coefficients_are_scipys(self):
+        from scipy.integrate._ivp.rk import RK45
+
+        np.testing.assert_array_equal(np.array(prop._DP_P), RK45.P)
+        np.testing.assert_array_equal(prop._DP_C, RK45.C[1:])
+        for s, row in enumerate(prop._DP_A, 1):
+            np.testing.assert_array_equal(row, RK45.A[s, :s])
+        np.testing.assert_array_equal(prop._DP_B5[:6], RK45.B)
+        # scipy's E is the 4th- minus the 5th-order weights
+        np.testing.assert_allclose(prop._DP_E, -RK45.E, rtol=1e-14, atol=1e-17)
+
+    @pytest.mark.parametrize("direction", [Direction.CW, Direction.CCW])
+    def test_every_row_agrees_with_direct(self, direction):
+        # interior rows come from the dense output, the direct route's from
+        # its own DOP853 interpolant. 1 - F is quadratic in the error, so the
+        # rows are also compared as vectors: both routes record the same
+        # physical state (measured <= 1.3e-10 relative; an interpolant
+        # without its x^4 term gives 1e-7 with 1 - F still below 3e-14)
+        loop = encircling_loop(50.0, direction)
+        for initial in (StateVector.basis(1), StateVector.basis(2), StateVector.equal_superposition(0.3)):
+            adiab = propagate_adiabatic(REF, loop, initial, n_output=512)
+            direct = propagate_direct(REF, loop, initial, n_output=512)
+            assert np.array_equal(adiab.times, direct.times)
+            u = adiab.states / np.linalg.norm(adiab.states, axis=1, keepdims=True)
+            v = direct.states / np.linalg.norm(direct.states, axis=1, keepdims=True)
+            infidelity = 1.0 - np.abs(np.sum(u.conj() * v, axis=1)) ** 2
+            assert infidelity.max() < 1e-9, (initial, infidelity.max())
+            x = adiab.states * np.exp(0.5 * adiab.log_scale)[:, None]
+            y = direct.states * np.exp(0.5 * direct.log_scale)[:, None]
+            rel = np.linalg.norm(x - y, axis=1) / np.linalg.norm(y, axis=1)
+            assert rel.max() < 1e-8, (initial, rel.max())
 
 
 class TestAccumulatedPhase:
@@ -498,8 +522,6 @@ class TestTrackBranches:
             direction=Direction.CCW,
             duration_T=10.0,
         )
-        from epdyn.errors import AmbiguousTrackingError
-
         with pytest.raises(AmbiguousTrackingError):
             track_branches(REF, loop, n_samples=32)
         assert track_branches(REF, loop, n_samples=4096).swapped is True
@@ -588,31 +610,71 @@ class TestAdiabaticPropagation:
             leakage.append(fidelity(final, v_other))
         assert leakage[1] < leakage[0]
 
-    def test_one_eigensolve_per_rhs_call(self, monkeypatch):
-        # an accepted step adopts the frame its last stage (at the accepted
-        # time) already solved, so only the t = 0 frame adds a solve
-        import epdyn.propagation as prop
+    @staticmethod
+    def counting_stepper(monkeypatch, calls: dict) -> list:
+        """Count RHS calls of the adiabatic stepper; returns the accepted step ends."""
+        ends = []
 
-        calls = {"eig": 0, "rhs": 0}
+        class CountingDopri5(prop._Dopri5):
+            def __init__(self, rhs, *args):
+                def counted_rhs(*a):
+                    calls["rhs"] += 1
+                    calls["inside"] = True
+                    try:
+                        return rhs(*a)
+                    finally:
+                        calls["inside"] = False
+
+                super().__init__(counted_rhs, *args)
+
+            def step(self):
+                super().step()
+                ends.append(self.t)
+
+        monkeypatch.setattr(prop, "_Dopri5", CountingDopri5)
+        return ends
+
+    def test_solver_counts(self, monkeypatch):
+        calls = {"rhs": 0}
+        self.counting_stepper(monkeypatch, calls)
+        traj = propagate_adiabatic(REF, encircling_loop(50.0, Direction.CW), StateVector.basis(2), TIGHT)
+        solver = traj.meta["solver"]
+        assert set(solver) == {"accepted", "rejected", "rhs_calls", "renormalizations"}
+        assert solver["rhs_calls"] == calls["rhs"]
+        assert solver["rhs_calls"] == 1 + 6 * (solver["accepted"] + solver["rejected"])
+
+    def test_one_eigensolve_per_step_and_interior_grid_time(self, monkeypatch):
+        # the RHS continues the energy without an eigensolve; each accepted
+        # step solves its end frame, and each grid time strictly inside a
+        # step its own frame for the interpolated row
+        calls = {"eig": 0, "rhs": 0, "inside": False}
         real_eigensystem = prop._eigensystem
 
         def counted_eigensystem(*args):
+            assert not calls["inside"], "eigensolve inside the RHS"
             calls["eig"] += 1
             return real_eigensystem(*args)
 
-        class CountingDopri5(prop._Dopri5):
-            def __init__(self, rhs, *args, **kwargs):
-                def counted_rhs(t, y):
-                    calls["rhs"] += 1
-                    return rhs(t, y)
-
-                super().__init__(counted_rhs, *args, **kwargs)
-
+        ends = self.counting_stepper(monkeypatch, calls)
         monkeypatch.setattr(prop, "_eigensystem", counted_eigensystem)
-        monkeypatch.setattr(prop, "_Dopri5", CountingDopri5)
-        propagate_adiabatic(REF, encircling_loop(50.0, Direction.CW), StateVector.basis(2), TIGHT)
+        n_output = 512
+        traj = propagate_adiabatic(
+            REF, encircling_loop(50.0, Direction.CW), StateVector.basis(2), TIGHT, n_output=n_output
+        )
+        grid = np.linspace(0.0, 50.0, n_output + 1)
+        interior = len(set(grid[1:].tolist()) - set(ends))
         assert calls["rhs"] > 0
-        assert calls["eig"] == calls["rhs"] + 1
+        assert len(ends) == traj.meta["solver"]["accepted"]
+        assert 0 < interior < n_output
+        assert calls["eig"] == 1 + len(ends) + interior
+
+    def test_commit_rejects_energy_on_the_other_branch(self):
+        loop = encircling_loop(50.0, Direction.CW)
+        tracker = prop._FrameTracker(REF, loop, 1e-8)
+        tracker.commit(0.1)
+        tracker.energy = -tracker.energy
+        with pytest.raises(AmbiguousTrackingError, match="overlap tracking"):
+            tracker.commit(0.2)
 
     def test_branch_labels_recorded(self):
         loop = LoopSpec(
