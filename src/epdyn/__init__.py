@@ -37,7 +37,6 @@ from .model import (
     eigenframe,
     eigenvalues,
     locate_ep,
-    refine_ep,
     verify_ep,
 )
 from .presets import (

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
-from scipy import optimize
 
 from .errors import EPProximityError, NegativeAmplitudeError, NoFiniteEPError
 
@@ -42,7 +41,6 @@ __all__ = [
     "c_product",
     "eigenframe",
     "locate_ep",
-    "refine_ep",
     "verify_ep",
 ]
 
@@ -336,25 +334,6 @@ def locate_ep(params: SystemParams) -> EPLocation:
             "for these parameters"
         )
     return EPLocation(field=field, residual=residual)
-
-
-def refine_ep(params: SystemParams, seed: FieldPoint, tol: float = 1e-12) -> FieldPoint:
-    """Numerically solve discriminant = 0 from a seed field point.
-
-    Independent of the closed form: a 2-D root find on
-    (Re[Delta], Im[Delta]) over (omega, eps0). Used to cross-check
-    :func:`locate_ep`.
-    """
-
-    def residual(x):
-        fp = FieldPoint(omega=float(x[0]), eps0=float(max(x[1], 0.0)))
-        delta = discriminant(build_hamiltonian(params, fp))
-        return [delta.real, delta.imag]
-
-    sol = optimize.root(residual, x0=[seed.omega, seed.eps0], method="hybr", tol=tol)
-    if not sol.success:
-        raise RuntimeError(f"EP root-find failed: {sol.message}")
-    return FieldPoint(omega=float(sol.x[0]), eps0=float(sol.x[1]))
 
 
 def verify_ep(params: SystemParams, field: FieldPoint) -> float:

@@ -10,8 +10,9 @@ Hermitian parameters and postpones overflow for strongly decaying runs.
 
 ``propagate_direct`` integrates the bare-basis amplitudes with ``_Dop853``,
 an adaptive 8th-order Runge-Kutta stepper on the two amplitudes as Python
-complex scalars. It uses the tableau, error norm and step controller of
-``scipy.integrate.DOP853`` (which the tests keep as its oracle), builds the
+complex scalars. It uses the published DOP853 tableau (tested equal to
+scipy's) and the error norm and step controller of
+``scipy.integrate.DOP853``, which the tests keep as its oracle. It builds the
 dense-output interpolant only on steps that hold an output time, and
 rescales the working state in place, keeping the step size, when its norm
 leaves the working window. ``propagate_adiabatic`` expands the state in
@@ -51,8 +52,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from .errors import (
     AmbiguousTrackingError,
@@ -287,25 +286,206 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 
 
-def _nonzero(row) -> tuple:
-    """((j, coefficient), ...) over the nonzero entries of one tableau row."""
-    return tuple((int(j), float(row[j])) for j in np.flatnonzero(row))
-
-
-def _stages(first: int, last: int) -> tuple:
-    """((c_s, a_s), ...) for the stages first .. last - 1."""
-    return tuple((float(_dop853.C[s]), _nonzero(_dop853.A[s])) for s in range(first, last))
-
-
-# scipy's DOP853 tableau: stages 1..11, the FSAL derivative K[12] at t + h,
-# and the extra stages 13..15 that only the dense output needs
-_N_STAGES = _dop853.N_STAGES
-_DOP_STAGES = _stages(1, _N_STAGES)
-_DOP_EXTRA = _stages(_N_STAGES + 1, _dop853.N_STAGES_EXTENDED)
-_DOP_B = _nonzero(_dop853.B)
-_DOP_E5 = _nonzero(_dop853.E5)
-_DOP_E3 = _nonzero(_dop853.E3)
-_DOP_D = tuple(_nonzero(row) for row in _dop853.D)
+# The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10),
+# with the decimal literals of Hairer's dop853.f, kept as its nonzero entries
+# ((j, coefficient), ...) in ascending j. _DOP_STAGES holds (c_s, a_s) for the
+# stages 1..11; the FSAL derivative K[12] is taken at t + h from the 8th-order
+# solution (weights _DOP_B), and _DOP_EXTRA holds the stages 13..15 that only
+# the dense output needs. _DOP_E5 and _DOP_E3 weight the 5th- and 3rd-order
+# error estimates; E3 is B minus the 3rd-order weights _BHH.
+_N_STAGES = 12
+_N_STAGES_EXTENDED = 16
+_DOP_STAGES = (
+    (0.526001519587677318785587544488e-01, (
+        (0, 5.26001519587677318785587544488e-2),
+    )),
+    (0.789002279381515978178381316732e-01, (
+        (0, 1.97250569845378994544595329183e-2),
+        (1, 5.91751709536136983633785987549e-2),
+    )),
+    (0.118350341907227396726757197510, (
+        (0, 2.95875854768068491816892993775e-2),
+        (2, 8.87627564304205475450678981324e-2),
+    )),
+    (0.281649658092772603273242802490, (
+        (0, 2.41365134159266685502369798665e-1),
+        (2, -8.84549479328286085344864962717e-1),
+        (3, 9.24834003261792003115737966543e-1),
+    )),
+    (0.333333333333333333333333333333, (
+        (0, 3.7037037037037037037037037037e-2),
+        (3, 1.70828608729473871279604482173e-1),
+        (4, 1.25467687566822425016691814123e-1),
+    )),
+    (0.25, (
+        (0, 3.7109375e-2),
+        (3, 1.70252211019544039314978060272e-1),
+        (4, 6.02165389804559606850219397283e-2),
+        (5, -1.7578125e-2),
+    )),
+    (0.307692307692307692307692307692, (
+        (0, 3.70920001185047927108779319836e-2),
+        (3, 1.70383925712239993810214054705e-1),
+        (4, 1.07262030446373284651809199168e-1),
+        (5, -1.53194377486244017527936158236e-2),
+        (6, 8.27378916381402288758473766002e-3),
+    )),
+    (0.651282051282051282051282051282, (
+        (0, 6.24110958716075717114429577812e-1),
+        (3, -3.36089262944694129406857109825),
+        (4, -8.68219346841726006818189891453e-1),
+        (5, 2.75920996994467083049415600797e1),
+        (6, 2.01540675504778934086186788979e1),
+        (7, -4.34898841810699588477366255144e1),
+    )),
+    (0.6, (
+        (0, 4.77662536438264365890433908527e-1),
+        (3, -2.48811461997166764192642586468),
+        (4, -5.90290826836842996371446475743e-1),
+        (5, 2.12300514481811942347288949897e1),
+        (6, 1.52792336328824235832596922938e1),
+        (7, -3.32882109689848629194453265587e1),
+        (8, -2.03312017085086261358222928593e-2),
+    )),
+    (0.857142857142857142857142857142, (
+        (0, -9.3714243008598732571704021658e-1),
+        (3, 5.18637242884406370830023853209),
+        (4, 1.09143734899672957818500254654),
+        (5, -8.14978701074692612513997267357),
+        (6, -1.85200656599969598641566180701e1),
+        (7, 2.27394870993505042818970056734e1),
+        (8, 2.49360555267965238987089396762),
+        (9, -3.0467644718982195003823669022),
+    )),
+    (1.0, (
+        (0, 2.27331014751653820792359768449),
+        (3, -1.05344954667372501984066689879e1),
+        (4, -2.00087205822486249909675718444),
+        (5, -1.79589318631187989172765950534e1),
+        (6, 2.79488845294199600508499808837e1),
+        (7, -2.85899827713502369474065508674),
+        (8, -8.87285693353062954433549289258),
+        (9, 1.23605671757943030647266201528e1),
+        (10, 6.43392746015763530355970484046e-1),
+    )),
+)
+_DOP_EXTRA = (
+    (0.1, (
+        (0, 5.61675022830479523392909219681e-2),
+        (6, 2.53500210216624811088794765333e-1),
+        (7, -2.46239037470802489917441475441e-1),
+        (8, -1.24191423263816360469010140626e-1),
+        (9, 1.5329179827876569731206322685e-1),
+        (10, 8.20105229563468988491666602057e-3),
+        (11, 7.56789766054569976138603589584e-3),
+        (12, -8.298e-3),
+    )),
+    (0.2, (
+        (0, 3.18346481635021405060768473261e-2),
+        (5, 2.83009096723667755288322961402e-2),
+        (6, 5.35419883074385676223797384372e-2),
+        (7, -5.49237485713909884646569340306e-2),
+        (10, -1.08347328697249322858509316994e-4),
+        (11, 3.82571090835658412954920192323e-4),
+        (12, -3.40465008687404560802977114492e-4),
+        (13, 1.41312443674632500278074618366e-1),
+    )),
+    (0.777777777777777777777777777778, (
+        (0, -4.28896301583791923408573538692e-1),
+        (5, -4.69762141536116384314449447206),
+        (6, 7.68342119606259904184240953878),
+        (7, 4.06898981839711007970213554331),
+        (8, 3.56727187455281109270669543021e-1),
+        (12, -1.39902416515901462129418009734e-3),
+        (13, 2.9475147891527723389556272149),
+        (14, -9.15095847217987001081870187138),
+    )),
+)
+_DOP_B = (
+    (0, 5.42937341165687622380535766363e-2),
+    (5, 4.45031289275240888144113950566),
+    (6, 1.89151789931450038304281599044),
+    (7, -5.8012039600105847814672114227),
+    (8, 3.1116436695781989440891606237e-1),
+    (9, -1.52160949662516078556178806805e-1),
+    (10, 2.01365400804030348374776537501e-1),
+    (11, 4.47106157277725905176885569043e-2),
+)
+_DOP_E5 = (
+    (0, 0.1312004499419488073250102996e-1),
+    (5, -0.1225156446376204440720569753e+1),
+    (6, -0.4957589496572501915214079952),
+    (7, 0.1664377182454986536961530415e+1),
+    (8, -0.3503288487499736816886487290),
+    (9, 0.3341791187130174790297318841),
+    (10, 0.8192320648511571246570742613e-1),
+    (11, -0.2235530786388629525884427845e-1),
+)
+_BHH = {
+    0: 0.244094488188976377952755905512,
+    8: 0.733846688281611857341361741547,
+    11: 0.220588235294117647058823529412e-1,
+}
+_DOP_E3 = tuple((j, b - _BHH.get(j, 0.0)) for j, b in _DOP_B)
+# the dense output's 4th..7th coefficients; the first three come from the step's ends
+_DOP_D = (
+    (
+        (0, -0.84289382761090128651353491142e+1),
+        (5, 0.56671495351937776962531783590),
+        (6, -0.30689499459498916912797304727e+1),
+        (7, 0.23846676565120698287728149680e+1),
+        (8, 0.21170345824450282767155149946e+1),
+        (9, -0.87139158377797299206789907490),
+        (10, 0.22404374302607882758541771650e+1),
+        (11, 0.63157877876946881815570249290),
+        (12, -0.88990336451333310820698117400e-1),
+        (13, 0.18148505520854727256656404962e+2),
+        (14, -0.91946323924783554000451984436e+1),
+        (15, -0.44360363875948939664310572000e+1),
+    ),
+    (
+        (0, 0.10427508642579134603413151009e+2),
+        (5, 0.24228349177525818288430175319e+3),
+        (6, 0.16520045171727028198505394887e+3),
+        (7, -0.37454675472269020279518312152e+3),
+        (8, -0.22113666853125306036270938578e+2),
+        (9, 0.77334326684722638389603898808e+1),
+        (10, -0.30674084731089398182061213626e+2),
+        (11, -0.93321305264302278729567221706e+1),
+        (12, 0.15697238121770843886131091075e+2),
+        (13, -0.31139403219565177677282850411e+2),
+        (14, -0.93529243588444783865713862664e+1),
+        (15, 0.35816841486394083752465898540e+2),
+    ),
+    (
+        (0, 0.19985053242002433820987653617e+2),
+        (5, -0.38703730874935176555105901742e+3),
+        (6, -0.18917813819516756882830838328e+3),
+        (7, 0.52780815920542364900561016686e+3),
+        (8, -0.11573902539959630126141871134e+2),
+        (9, 0.68812326946963000169666922661e+1),
+        (10, -0.10006050966910838403183860980e+1),
+        (11, 0.77771377980534432092869265740),
+        (12, -0.27782057523535084065932004339e+1),
+        (13, -0.60196695231264120758267380846e+2),
+        (14, 0.84320405506677161018159903784e+2),
+        (15, 0.11992291136182789328035130030e+2),
+    ),
+    (
+        (0, -0.25693933462703749003312586129e+2),
+        (5, -0.15418974869023643374053993627e+3),
+        (6, -0.23152937917604549567536039109e+3),
+        (7, 0.35763911791061412378285349910e+3),
+        (8, 0.93405324183624310003907691704e+2),
+        (9, -0.37458323136451633156875139351e+2),
+        (10, 0.10409964950896230045147246184e+3),
+        (11, 0.29840293426660503123344363579e+2),
+        (12, -0.43533456590011143754432175058e+2),
+        (13, 0.96324553959188282948394950600e+2),
+        (14, -0.39177261675615439165231486172e+2),
+        (15, -0.14972683625798562581422125276e+3),
+    ),
+)
 
 
 def _combine(coeffs, k0: list, k1: list) -> tuple:
@@ -324,7 +504,8 @@ def _abs2(z: complex) -> float:
 class _Dop853:
     """DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) on two complex scalars.
 
-    The tableau, the error norm (scipy's blend of the 5th- and 3rd-order
+    The tableau is the published one, written out above; the tests check it
+    equal to scipy's. The error norm (scipy's blend of the 5th- and 3rd-order
     estimates), the step controller and the floor min_step = 10 ulp(t) are
     those of ``scipy.integrate.DOP853``, which stays in the tests as the
     oracle; only the driver differs. ``rhs(t, y0, y1)`` returns the
@@ -344,8 +525,8 @@ class _Dop853:
         self.t, self.y = 0.0, y
         self.f = rhs(0.0, *y)
         self.h_abs = min(config.initial_step, config.max_step, 0.5 * t_bound)
-        self.k0 = [0j] * _dop853.N_STAGES_EXTENDED
-        self.k1 = [0j] * _dop853.N_STAGES_EXTENDED
+        self.k0 = [0j] * _N_STAGES_EXTENDED
+        self.k1 = [0j] * _N_STAGES_EXTENDED
         self.rhs_calls = 1
         self.accepted = 0
         self.rejected = 0
@@ -1023,6 +1204,34 @@ def _tracked_frames(params: SystemParams, drive: Drive, times: np.ndarray, ep_to
         raise EPOnContourError(str(exc)) from exc
 
 
+def _simpson(y: np.ndarray, x: np.ndarray):
+    """Composite Simpson's rule over samples y at strictly increasing x (at least 3).
+
+    Operation for operation ``scipy.integrate.simpson(y, x=x)``, so the result
+    is the same bits: a parabola through each pair of intervals with their own
+    spacings and, for an even sample count, Cartwright's correction for the
+    last interval (K. V. Cartwright, J. Math. Sci. Math. Educ. 12(2), 1-9).
+    """
+    n = len(y)
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    w0, w1, w2 = 2.0 - 1.0 / h0divh1, hsum * (hsum / hprod), 2.0 - h0divh1
+    y0, y1, y2 = y[0:stop:2], y[1 : stop + 1 : 2], y[2 : stop + 2 : 2]
+    result = np.sum(hsum / 6.0 * (y0 * w0 + y1 * w1 + y2 * w2))
+    if n % 2 == 0:
+        # 0-d arrays as in scipy: numpy's array power can differ from its scalar power by an ulp
+        h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])
+        alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+        eta = h1**3 / (6 * h0 * (h0 + h1))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
+
+
 def accumulated_phase(
     params: SystemParams,
     loop: LoopSpec,
@@ -1042,12 +1251,14 @@ def accumulated_phase(
         raise ValueError("branch_pairing must be 'plus-minus' or 'minus-plus'")
     if not 0.0 <= t <= loop.duration_T:
         raise ValueError(f"t = {t} outside [0, {loop.duration_T}]")
+    if n_samples < 16:
+        raise ValueError("n_samples must be >= 16")
     if t == 0.0:
         return 0j
     times = np.linspace(0.0, t, n_samples + 1)
     frames = _tracked_frames(params, loop, times, ep_tol=1e-8)
     gap = np.fromiter((es[0] - es[1] for es, _, _ in frames), dtype=complex, count=len(times))
-    result = complex(simpson(gap, x=times))
+    result = complex(_simpson(gap, times))
     return -result if branch_pairing == "minus-plus" else result
 
 
@@ -1074,7 +1285,7 @@ def average_decay_rate(
     t = frame.times
     if frame.swapped:
         # closed circuit = two traversals covering both slots
-        total = simpson(rates[:, 0], x=t) + simpson(rates[:, 1], x=t)
+        total = _simpson(rates[:, 0], t) + _simpson(rates[:, 1], t)
         return float(total / (2.0 * loop.duration_T))
     slot = 0 if branch == "plus" else 1
-    return float(simpson(rates[:, slot], x=t) / loop.duration_T)
+    return float(_simpson(rates[:, slot], t) / loop.duration_T)

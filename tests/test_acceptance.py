@@ -41,13 +41,13 @@ from epdyn import (
     locate_ep,
     propagate_adiabatic,
     propagate_direct,
-    refine_ep,
     rho,
     track_branches,
     winding_number,
 )
 from epdyn.analysis import SweepSpec, final_state_report, project_normalized, sweep, table1
 from epdyn.errors import EpdynError
+from ep_reference import refine_ep
 
 REF = DEFAULT_PARAMS
 ACCEPT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14)

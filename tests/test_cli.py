@@ -3,13 +3,18 @@
 import contextlib
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import epdyn
 from epdyn.cli import main
 
 BASE_CONFIG = {
@@ -495,3 +500,39 @@ def test_main_exits_cleanly_on_mutated_config(doc, command):
         with time_limit(20):
             code = main(["--config", path, command])
     assert code in range(6)
+
+
+# -- runtime dependencies -------------------------------------------------------
+
+SRC = str(Path(epdyn.__file__).resolve().parents[1])
+
+
+def run_python(code, *args, cwd=None):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: the CLI must not pay its import
+    code = "import sys, epdyn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["table1"]], ids=["simulate", "table1"])
+def test_main_runs_with_scipy_blocked(tmp_path, capsys, monkeypatch, argv):
+    # the same call with scipy unimportable writes the same bytes as in this process
+    config = write_config(tmp_path, DIODE_CONFIG)
+    blocked, own = tmp_path / "blocked", tmp_path / "own"
+    blocked.mkdir()
+    own.mkdir()
+    code = 'import sys; sys.modules["scipy"] = None; from epdyn.cli import main; sys.exit(main(sys.argv[1:]))'
+    result = run_python(code, "--config", config, *argv, cwd=blocked)
+    assert result.returncode == 0, result.stderr
+    monkeypatch.chdir(own)
+    assert main(["--config", config, *argv]) == 0
+    assert result.stdout == capsys.readouterr().out
+    assert (blocked / "trajectory.csv").read_bytes() == (own / "trajectory.csv").read_bytes()

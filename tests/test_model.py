@@ -20,9 +20,9 @@ from epdyn import (
     eigenframe,
     eigenvalues,
     locate_ep,
-    refine_ep,
     verify_ep,
 )
+from ep_reference import refine_ep
 
 REF = DEFAULT_PARAMS
 

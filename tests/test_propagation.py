@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853
+from scipy.integrate import DOP853, simpson
 from scipy.linalg import expm
 
 from epdyn import (
     DEFAULT_PARAMS,
+    DIODE_DURATION,
     HERMITIAN_PARAMS,
     Direction,
     EPOnContourError,
@@ -305,6 +306,40 @@ class TestDirectStepperAgainstScipy:
         assert len(calls) == 15 * accepted + 1
 
 
+def dense(entries, n):
+    """The row of length n whose nonzero entries are ((j, coefficient), ...)."""
+    row = np.zeros(n)
+    for j, c in entries:
+        row[j] = c
+    return row
+
+
+class TestDop853Tableau:
+    def test_literals_are_scipys(self):
+        from scipy.integrate._ivp import dop853_coefficients as scipy_dop
+
+        n = prop._N_STAGES_EXTENDED
+        assert (prop._N_STAGES, n) == (scipy_dop.N_STAGES, scipy_dop.N_STAGES_EXTENDED)
+        stages = [(0.0, ())] + list(prop._DOP_STAGES) + [(1.0, prop._DOP_B)] + list(prop._DOP_EXTRA)
+        assert len(stages) == n
+        np.testing.assert_array_equal([c for c, _ in stages], scipy_dop.C)
+        np.testing.assert_array_equal([dense(a, n) for _, a in stages], scipy_dop.A)
+        m = prop._N_STAGES + 1
+        np.testing.assert_array_equal(dense(prop._DOP_B, prop._N_STAGES), scipy_dop.B)
+        np.testing.assert_array_equal(dense(prop._DOP_E3, m), scipy_dop.E3)
+        np.testing.assert_array_equal(dense(prop._DOP_E5, m), scipy_dop.E5)
+        np.testing.assert_array_equal([dense(d, n) for d in prop._DOP_D], scipy_dop.D)
+
+    def test_entries_are_nonzero_and_ascending(self):
+        # _combine sums in tuple order, so the order is part of the arithmetic
+        rows = [a for _, a in prop._DOP_STAGES + prop._DOP_EXTRA]
+        rows += [prop._DOP_B, prop._DOP_E3, prop._DOP_E5, *prop._DOP_D]
+        for row in rows:
+            js = [j for j, _ in row]
+            assert js == sorted(set(js))
+            assert all(c != 0.0 for _, c in row)
+
+
 class TestNaCoupling:
     def test_rotation_rate_half(self):
         # real symmetric family [[q, 1], [1, -q]]: eigenvector rotation rate
@@ -447,6 +482,36 @@ class TestAccumulatedPhase:
         phi_cw = accumulated_phase(REF, encircling_loop(T, Direction.CW), T, n_samples=4096)
         product = cmath.exp(1j * phi_ccw) * cmath.exp(1j * phi_cw)
         assert abs(product - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("n_samples", [-1, 0, 1, 2, 3, 15])
+    def test_rejects_too_few_samples(self, n_samples):
+        loop = encircling_loop(50.0)
+        with pytest.raises(ValueError, match="n_samples must be >= 16"):
+            accumulated_phase(REF, loop, 50.0, n_samples=n_samples)
+
+    def test_diode_phase_integrals_unchanged(self):
+        # the values scipy.integrate.simpson gave on these samples, to the bit
+        cw = accumulated_phase(REF, diode_loop(Direction.CW), DIODE_DURATION, n_samples=8192)
+        ccw = accumulated_phase(REF, diode_loop(Direction.CCW), DIODE_DURATION, n_samples=8192)
+        assert cw == complex(518.8764293351911, 7.164493477684154)
+        assert ccw == complex(-518.876429335191, -7.164493477684161)
+
+
+class TestSimpson:
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 17, 64, 513, 1024])
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_scipy(self, n, uniform, dtype):
+        # odd n: the parabola on each interval pair; even n adds Cartwright's
+        # correction for the last interval
+        rng = np.random.default_rng(n)
+        x = np.linspace(0.0, 7.5, n) if uniform else np.cumsum(rng.uniform(0.01, 1.0, n))
+        y = rng.normal(size=n)
+        if dtype is complex:
+            y = y + 1j * rng.normal(size=n)
+        ours, theirs = complex(prop._simpson(y, x)), complex(simpson(y, x=x))
+        np.testing.assert_array_max_ulp(ours.real, theirs.real, maxulp=1)
+        np.testing.assert_array_max_ulp(ours.imag, theirs.imag, maxulp=1)
 
 
 class TestTrackBranches:
