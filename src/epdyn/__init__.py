@@ -11,6 +11,7 @@ from .errors import (
     NegativeAmplitudeError,
     NoFiniteEPError,
     NonFiniteError,
+    StepBudgetError,
     StepSizeUnderflowError,
     UndersampledError,
     ZeroNormError,

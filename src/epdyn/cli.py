@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
@@ -27,6 +28,7 @@ from .errors import (
     NegativeAmplitudeError,
     NoFiniteEPError,
     NonFiniteError,
+    StepBudgetError,
     StepSizeUnderflowError,
     ZeroNormError,
 )
@@ -38,6 +40,9 @@ from .propagation import (
     propagate_adiabatic,
     propagate_direct,
 )
+
+# progress lines; ``main`` prints them to stderr for the duration of a call
+log = logging.getLogger("epdyn.cli")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -217,7 +222,8 @@ def _exit_code_for(exc: EpdynError) -> int:
         return EXIT_CONFIG
     if isinstance(exc, (NoFiniteEPError, NegativeAmplitudeError)):
         return EXIT_NO_EP
-    if isinstance(exc, (EPOnContourError, StepSizeUnderflowError, NonFiniteError, ZeroNormError)):
+    propagation = (EPOnContourError, StepSizeUnderflowError, StepBudgetError, NonFiniteError)
+    if isinstance(exc, (*propagation, ZeroNormError)):
         return EXIT_PROPAGATION
     return EXIT_PRECONDITION
 
@@ -303,7 +309,7 @@ def cmd_sweep(config: RunConfig, args) -> int:
         raise ConfigError(str(exc)) from exc
 
     def report(cell: analysis.SweepCell) -> None:
-        print(f"cell ({cell.i},{cell.j}) done", file=sys.stderr)
+        log.info("cell (%d,%d) done", cell.i, cell.j)
 
     if config.out_format == "json":
         result = analysis.sweep(spec, config.params, config.integrator, args.jobs, report)
@@ -386,6 +392,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # progress goes through logging; a handler of this call's own prints it,
+    # so a second call in the same process prints each line once
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+def _run(args) -> int:
     try:
         config = load_config(args.config, require_loop=args.command != "locate-ep")
         if args.output:

@@ -37,6 +37,10 @@ class StepSizeUnderflowError(EpdynError):
     """Adaptive integrator drove the step size below the representable floor."""
 
 
+class StepBudgetError(EpdynError):
+    """A propagation would take more steps than the fixed step budget allows."""
+
+
 class NonFiniteError(EpdynError):
     """State amplitudes left the representable floating-point range."""
 

@@ -168,13 +168,16 @@ def field_velocity(loop: LoopSpec, t: float) -> tuple[float, float]:
     )
 
 
+def _fields_at(drive, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, eps0) arrays at ``times`` along a loop or static drive, the bits of ``field_at``."""
+    if isinstance(drive, StaticDrive):
+        return tuple(np.full_like(times, x) for x in (drive.field.omega, drive.field.eps0))
+    return _ellipse(drive, _angle(drive, times, np), np)
+
+
 def _discriminant_on_loop(drive, params: SystemParams, times: np.ndarray) -> np.ndarray:
     """Vectorized discriminant 4 (a^2 + g^2) along a loop or static drive (keeps scans fast)."""
-    if isinstance(drive, StaticDrive):
-        omega, eps0 = (np.full_like(times, x) for x in (drive.field.omega, drive.field.eps0))
-    else:
-        omega, eps0 = _ellipse(drive, _angle(drive, times, np), np)
-    a, g = _traceless(params, omega, eps0)
+    a, g = _traceless(params, *_fields_at(drive, times))
     return 4.0 * (a * a + g * g)
 
 

@@ -16,6 +16,13 @@ eigenvectors turn with th, tan 2th = g/a. ``_traceless`` is the one
 definition of (a, g). It is plain arithmetic, so omega and eps0 may be floats
 or numpy arrays; the propagators' right-hand sides, their closed-form
 couplings and the vectorized contour scans in ``loops`` all use it.
+
+Eigenframes have one code path, on arrays: ``_eigensystems`` solves any
+number of matrices elementwise, and ``eigenframe`` is its one-matrix case.
+It spells out CPython's complex arithmetic on real and imaginary parts, so
+each frame is the same bits as the scalar recipe (kept in the tests as the
+oracle). Bit identity, not just closeness, is what keeps every printed
+digit and every branch decision of the propagators the same.
 """
 
 from __future__ import annotations
@@ -24,10 +31,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import EPProximityError, NegativeAmplitudeError, NoFiniteEPError
+from .errors import EPProximityError, NegativeAmplitudeError, NoFiniteEPError, NonFiniteError
 
 __all__ = [
     "SystemParams",
@@ -169,10 +177,8 @@ def build_hamiltonian(params: SystemParams, field: FieldPoint) -> HamiltonianMat
     h11 = e1 + omega - i*gamma1, h22 = e2 - i*gamma2, and the drive couples
     the levels through h12 = h21 = eps0*d12/2.
     """
-    h11 = complex(params.e1 + field.omega, -params.gamma1)
-    h22 = complex(params.e2, -params.gamma2)
-    h12 = 0.5 * field.eps0 * complex(params.d12)
-    return HamiltonianMatrix(h11, h12, h12, h22)
+    h11, h12, h22 = _hamiltonians(params, field.omega, field.eps0)
+    return HamiltonianMatrix.symmetric(complex(h11), complex(h12), h22)
 
 
 def discriminant(h: HamiltonianMatrix) -> complex:
@@ -219,57 +225,165 @@ def c_product(u, v) -> complex:
     return u[0] * v[0] + u[1] * v[1]
 
 
-def _eigvec_raw(h: HamiltonianMatrix, e: complex) -> tuple[complex, complex]:
-    """Unnormalized right eigenvector for eigenvalue e.
-
-    (h12, e - h11) and (e - h22, h21) are parallel null vectors of (H - e);
-    pick whichever is better conditioned.
-    """
-    cand_a = (h.h12, e - h.h11)
-    cand_b = (e - h.h22, h.h21)
-    na = abs(cand_a[0]) + abs(cand_a[1])
-    nb = abs(cand_b[0]) + abs(cand_b[1])
-    if na == 0.0 and nb == 0.0:
-        # diagonal matrix: eigenvectors are the basis vectors
-        return (1.0 + 0j, 0j) if e == h.h11 else (0j, 1.0 + 0j)
-    return cand_a if na >= nb else cand_b
-
-
-def _gauge_sign(v: tuple[complex, complex]) -> float:
-    """Sign that puts the largest-magnitude component's real part > 0."""
-    lead = v[0] if abs(v[0]) >= abs(v[1]) else v[1]
-    if lead.real != 0.0:
-        return 1.0 if lead.real > 0.0 else -1.0
-    return 1.0 if lead.imag >= 0.0 else -1.0
+# ---------------------------------------------------------------------------
+# eigenframes on arrays, in CPython's scalar arithmetic
+# ---------------------------------------------------------------------------
+#
+# The helpers below spell out CPython's complex arithmetic on pairs of real
+# arrays (re, im), operation for operation, so an array of eigenframes is the
+# same bits as the scalar formulas evaluated one sample at a time. numpy's own
+# complex multiply and divide round differently in the last bit, and a float
+# times a complex in CPython (up to 3.13) first widens the float to
+# complex(x, 0.0), which decides the sign of zero components. Moduli are the C
+# library's hypot, which abs() on a Python complex calls too, and numpy's
+# complex square root gives the bits of cmath.sqrt (the same algorithm, up to
+# exact scalings by powers of two).
 
 
-def _eigensystem(h: HamiltonianMatrix, tol: float):
-    """Scalar-arithmetic eigen-solve shared by eigenframe and the propagators.
+def _mul(ar, ai, br, bi):
+    """The complex product a * b as CPython computes it."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
-    Returns (e_plus, e_minus, v_plus, v_minus, cnorm_plus, cnorm_minus) with
-    vectors as plain complex 2-tuples. Raises EPProximityError inside the
-    |Delta| <= tol^2 guard, where c-normalization becomes singular.
-    """
-    delta = discriminant(h)
-    if abs(delta) <= tol * tol:
-        raise EPProximityError(
-            f"|discriminant| = {abs(delta):.3e} <= tol^2 = {tol * tol:.3e}: "
-            "eigenvectors are (nearly) self-orthogonal"
-        )
-    e_p, e_m = _split(h, delta)
+
+def _fmul(x, br, bi):
+    """float * complex as CPython computes it: x is widened to complex(x, 0.0) first."""
+    return x * br - 0.0 * bi, x * bi + 0.0 * br
+
+
+def _quotients(br, bi, *numerators):
+    """Each complex numerator (re, im) divided by b, by Smith's algorithm as CPython does it."""
+    wide = np.abs(br) >= np.abs(bi)
+    big, small = np.where(wide, br, bi), np.where(wide, bi, br)
+    ratio = small / big
+    denom = big + small * ratio
     out = []
-    for e in (e_p, e_m):
-        raw = _eigvec_raw(h, e)
-        cnrm = c_product(raw, raw)
-        # cnorm diagnostic: c-norm of the Euclidean-normalized vector
-        eunit = abs(raw[0]) ** 2 + abs(raw[1]) ** 2
-        diag = cnrm / eunit
-        scale = cmath.sqrt(cnrm)
-        v = (raw[0] / scale, raw[1] / scale)
-        s = _gauge_sign(v)
-        out.append(((s * v[0], s * v[1]), diag))
-    (v_p, c_p), (v_m, c_m) = out
-    return e_p, e_m, v_p, v_m, c_p, c_m
+    for ar, ai in numerators:
+        p, q = np.where(wide, ar, ai), np.where(wide, ai, ar)
+        pr = p * ratio
+        out.append(((p + q * ratio) / denom, np.where(wide, q - pr, pr - q) / denom))
+    return out
+
+
+def _complex(re, im) -> np.ndarray:
+    """Complex array from its parts; unlike re + 1j * im it keeps every signed zero."""
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real = re
+    z.imag = im
+    return z
+
+
+def _hamiltonians(params: SystemParams, omega, eps0):
+    """(h11, h12, h22) at field points, floats or arrays (then h11, h12 are arrays, h22 a scalar).
+
+    The one definition of the matrix: h12 = (0.5 eps0) * d12 is taken as
+    CPython multiplies a float by a complex.
+    """
+    d12 = complex(params.d12)
+    h11 = _complex(params.e1 + omega, -params.gamma1)
+    h12 = _complex(*_fmul(0.5 * eps0, d12.real, d12.imag))
+    return h11, h12, complex(params.e2, -params.gamma2)
+
+
+class _Eigensystems(NamedTuple):
+    """Eigenframes of n matrices, one per row: what ``eigenframe`` returns for each.
+
+    ``abs_delta`` is |discriminant|, for the EP guard, and ``half_trace`` is
+    tr(H)/2. ``finite`` is False where the scalar recipe overflows float64
+    (there Python raises OverflowError). ``cnorm`` ((n, 2), '+' then '-') is
+    computed on request only.
+    """
+
+    e_plus: np.ndarray  # (n,)
+    e_minus: np.ndarray  # (n,)
+    v_plus: np.ndarray  # (n, 2)
+    v_minus: np.ndarray  # (n, 2)
+    half_trace: np.ndarray  # (n,)
+    abs_delta: np.ndarray  # (n,)
+    finite: np.ndarray  # (n,) bool
+    cnorm: Optional[np.ndarray] = None  # (n, 2)
+
+
+def _eigensystems(h11, h12, h21, h22, with_cnorm: bool = False) -> _Eigensystems:
+    """Eigenframes of the matrices [[h11, h12], [h21, h22]], elementwise over arrays.
+
+    Bit for bit the scalar recipe: the '+' eigenvalue takes the discriminant
+    root with Re >= 0 (tie: Im >= 0); each eigenvector is the better
+    conditioned of the null vectors (h12, e - h11) and (e - h22, h21) (the
+    basis vectors for a diagonal matrix), divided by the square root of its
+    c-norm, with the sign that gives its largest-magnitude component a
+    positive real part (tie: non-negative imaginary part). The EP guard is
+    left to the caller, through ``abs_delta``.
+    """
+    h11, h12, h21, h22 = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(h, dtype=complex)) for h in (h11, h12, h21, h22))
+    )
+    with np.errstate(all="ignore"):  # overflow and the EP are reported through the result
+        dr, di = h11.real - h22.real, h11.imag - h22.imag
+        dd_r, dd_i = _mul(dr, di, dr, di)
+        q_r, q_i = _mul(*_fmul(4.0, h12.real, h12.imag), h21.real, h21.imag)
+        delta = _complex(dd_r + q_r, dd_i + q_i)
+        del dr, di, dd_r, dd_i, q_r, q_i
+        abs_delta = np.hypot(delta.real, delta.imag)
+        w = np.sqrt(delta)
+        w = np.where((w.real < 0.0) | ((w.real == 0.0) & (w.imag < 0.0)), -w, w)
+        half_w = _fmul(0.5, w.real, w.imag)
+        half_trace = _complex(*_fmul(0.5, h11.real + h22.real, h11.imag + h22.imag))
+        del delta, w
+        e_plus = _complex(half_trace.real + half_w[0], half_trace.imag + half_w[1])
+        e_minus = _complex(half_trace.real - half_w[0], half_trace.imag - half_w[1])
+        del half_w
+        m12, m21 = np.hypot(h12.real, h12.imag), np.hypot(h21.real, h21.imag)
+        v_plus, ok_plus, c_plus = _eigvec(h11, h12, h21, h22, m12, m21, e_plus, with_cnorm)
+        v_minus, ok_minus, c_minus = _eigvec(h11, h12, h21, h22, m12, m21, e_minus, with_cnorm)
+    finite = np.isfinite(abs_delta) & ok_plus & ok_minus
+    cnorm = np.stack([c_plus, c_minus], axis=1) if with_cnorm else None
+    return _Eigensystems(e_plus, e_minus, v_plus, v_minus, half_trace, abs_delta, finite, cnorm)
+
+
+def _eigvec(h11, h12, h21, h22, m12, m21, e, with_cnorm: bool):
+    """(gauged c-normalized eigenvectors (n, 2), finite mask, cnorm or None) for eigenvalues e.
+
+    ``m12`` and ``m21`` are |h12| and |h21|.
+    """
+    a1 = e - h11  # candidate a is (h12, e - h11), candidate b is (e - h22, h21)
+    b0 = e - h22
+    m_a1, m_b0 = np.hypot(a1.real, a1.imag), np.hypot(b0.real, b0.imag)
+    na, nb = m12 + m_a1, m_b0 + m21
+    use_a = na >= nb
+    r0, r1 = np.where(use_a, h12, b0), np.where(use_a, a1, h21)
+    m0, m1 = np.where(use_a, m12, m_b0), np.where(use_a, m_a1, m21)
+    diagonal = (na == 0.0) & (nb == 0.0)
+    del a1, b0, m_a1, m_b0, na, nb
+    if diagonal.any():  # the basis vectors, (1, 0) for the eigenvalue h11
+        first = e == h11
+        r0 = np.where(diagonal, np.where(first, 1.0, 0.0), r0)
+        r1 = np.where(diagonal, np.where(first, 0.0, 1.0), r1)
+        m0, m1 = np.where(diagonal, r0.real, m0), np.where(diagonal, r1.real, m1)
+    c_r, c_i = _mul(r0.real, r0.imag, r0.real, r0.imag)
+    d_r, d_i = _mul(r1.real, r1.imag, r1.real, r1.imag)
+    cnrm = _complex(c_r + d_r, c_i + d_i)
+    del c_r, c_i, d_r, d_i
+    scale = np.sqrt(cnrm)
+    (v0_r, v0_i), (v1_r, v1_i) = _quotients(
+        scale.real, scale.imag, (r0.real, r0.imag), (r1.real, r1.imag)
+    )
+    lead_first = np.hypot(v0_r, v0_i) >= np.hypot(v1_r, v1_i)
+    lead_r, lead_i = np.where(lead_first, v0_r, v1_r), np.where(lead_first, v0_i, v1_i)
+    sign = np.where(
+        lead_r != 0.0, np.where(lead_r > 0.0, 1.0, -1.0), np.where(lead_i >= 0.0, 1.0, -1.0)
+    )
+    v = np.empty(v0_r.shape + (2,), dtype=complex)
+    v.real[:, 0], v.imag[:, 0] = _fmul(sign, v0_r, v0_i)
+    v.real[:, 1], v.imag[:, 1] = _fmul(sign, v1_r, v1_i)
+    # abs(raw) ** 2 (the cnorm diagnostic) overflows in the scalar recipe first
+    finite = np.isfinite(m0 * m0) & np.isfinite(m1 * m1) & np.isfinite(v.view(float)).all(axis=1)
+    cnorm = None
+    if with_cnorm:
+        # c-norm of the Euclidean-normalized vector; x ** 2 on a Python float is C pow
+        unit = np.float_power(m0, 2.0) + np.float_power(m1, 2.0)
+        ((n_r, n_i),) = _quotients(unit, np.zeros_like(unit), (cnrm.real, cnrm.imag))
+        cnorm = _complex(n_r, n_i)
+    return v, finite, cnorm
 
 
 def eigenframe(h: HamiltonianMatrix, tol: float = 1e-8) -> EigenFrame:
@@ -288,16 +402,31 @@ def eigenframe(h: HamiltonianMatrix, tol: float = 1e-8) -> EigenFrame:
     ------
     EPProximityError
         Within the guard region around the EP.
+    NonFiniteError
+        If the frame overflows float64.
     """
-    e_p, e_m, v_p, v_m, c_p, c_m = _eigensystem(h, tol)
+    eig = _eigensystems(h.h11, h.h12, h.h21, h.h22, with_cnorm=True)
+    _check_frame(eig, 0, tol)
     return EigenFrame(
-        e_plus=e_p,
-        e_minus=e_m,
-        v_plus=np.array(v_p, dtype=complex),
-        v_minus=np.array(v_m, dtype=complex),
-        cnorm_plus=c_p,
-        cnorm_minus=c_m,
+        e_plus=complex(eig.e_plus[0]),
+        e_minus=complex(eig.e_minus[0]),
+        v_plus=eig.v_plus[0],
+        v_minus=eig.v_minus[0],
+        cnorm_plus=complex(eig.cnorm[0, 0]),
+        cnorm_minus=complex(eig.cnorm[0, 1]),
     )
+
+
+def _check_frame(eig: _Eigensystems, k: int, tol: float) -> None:
+    """Raise for sample k what the scalar eigen-solve raises there, if anything."""
+    abs_delta = float(eig.abs_delta[k])
+    if abs_delta <= tol * tol:
+        raise EPProximityError(
+            f"|discriminant| = {abs_delta:.3e} <= tol^2 = {tol * tol:.3e}: "
+            "eigenvectors are (nearly) self-orthogonal"
+        )
+    if not eig.finite[k]:
+        raise NonFiniteError("eigenframe overflows float64")
 
 
 def locate_ep(params: SystemParams) -> EPLocation:

@@ -22,9 +22,18 @@ couplings are the velocity-weighted eigenvector derivatives, with
 free to T and interpolates the output rows with its 4th-order dense output.
 Its RHS carries no eigenvectors: it continues the slot-0 energy to the
 nearer eigenvalue. Branch identity is maintained by c-product overlap
-tracking once per accepted step, which is exactly where the state-exchange
-around an exceptional point shows up. The two routes share no stepper code,
-so their agreement is a genuine cross-check.
+tracking from one accepted step to the next, which is exactly where the
+state-exchange around an exceptional point shows up. The two routes share
+no stepper code, so their agreement is a genuine cross-check.
+
+Eigenframes are solved and paired on arrays, never one sample at a time
+(``frames``): ``track_branches`` and ``accumulated_phase`` scan a loop in
+blocks, and the adiabatic route keeps only the scalar energy continuation
+in its stepping loop and solves, pairs and checks the frames of every step
+end and output row in one batch after it. Every frame is the bits the
+scalar recipe gives, so no output depends on the array path. Each route's
+loop also enforces a step budget (``_STEP_BUDGET``), so no input makes a
+run go on without end.
 
 Both right-hand sides take the traceless H = [[a, g], [g, -a]] from
 ``model._traceless`` (see the ``model`` docstring). The couplings are in
@@ -55,23 +64,25 @@ import numpy as np
 
 from .errors import (
     AmbiguousTrackingError,
+    EpdynError,
     EPOnContourError,
     EPProximityError,
     NonFiniteError,
+    StepBudgetError,
     StepSizeUnderflowError,
 )
+from . import frames
 from .loops import LoopSpec, StaticDrive, _discriminant_on_loop
 from .model import (
     EigenFrame,
-    FieldPoint,
     SystemParams,
-    _eigensystem,
     _require_finite,
     _root_plus,
     _traceless,
     _traceless_drive,
     build_hamiltonian,
     c_product,
+    eigenframe,
 )
 
 __all__ = [
@@ -96,6 +107,18 @@ _LOG_RECORD_HI = math.log(1e150)
 # tighter internal window so intermediate RK stages stay far from overflow
 _LOG_WORK_LO = math.log(1e-100)
 _LOG_WORK_HI = math.log(1e100)
+# the step budget of both routes: past _STEP_BUDGET accepted steps a run
+# stops once (T - t) / h predicts more than _STEP_BUDGET_REMAINING to come
+_STEP_BUDGET = 10_000
+_STEP_BUDGET_REMAINING = 1e7
+
+
+def _budget_message(steps: int, T: float, t: float, h: float) -> str:
+    return (
+        f"{steps} steps taken and (T - t)/h = {(T - t) / h:.3g} more predicted at t = {t:.6g} "
+        f"(step {h:.3g}, T = {T:.6g}): over the budget of {_STEP_BUDGET} steps and "
+        f"{_STEP_BUDGET_REMAINING:.0e} predicted"
+    )
 
 
 @dataclass(frozen=True)
@@ -649,6 +672,8 @@ def propagate_direct(
     ------
     StepSizeUnderflowError
         If the adaptive controller cannot meet the tolerances.
+    StepBudgetError
+        If the run exceeds the step budget (see ``_STEP_BUDGET``).
     NonFiniteError
         If amplitudes leave the representable range despite rescaling.
     """
@@ -682,6 +707,8 @@ def propagate_direct(
                     gi += 1
             if record_internal and t < T:
                 rec.add(t, stepper.y, log_u)
+            if stepper.accepted > _STEP_BUDGET and T - t > _STEP_BUDGET_REMAINING * stepper.h:
+                raise StepBudgetError(_budget_message(stepper.accepted, T, t, stepper.h))
             n2 = _abs2(y0) + _abs2(y1)
             if n2 > 0 and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
                 stepper.rescale(math.sqrt(n2))
@@ -763,7 +790,8 @@ class _Dopri5:
         self.rtol, self.atol = config.rel_tol, config.abs_tol
         self.max_step = min(config.max_step, t_bound / 64.0)
         self.min_step = 1e-14 * t_bound
-        self.h_abs = min(config.initial_step, self.max_step)
+        # the first trial step within [floor, cap]; a smaller initial_step would fail at once
+        self.h_abs = min(max(config.initial_step, self.min_step), self.max_step)
         self.err_prev = 1.0
         self.t, self.y = 0.0, y
         self.f = rhs(0.0, *y)
@@ -856,105 +884,14 @@ class _Dopri5:
         }
 
 
-# ---------------------------------------------------------------------------
-# eigenframe continuity machinery
-# ---------------------------------------------------------------------------
-
-
-def _aligned_next(ref_vs, e_p, e_m, v_p, v_m, ambiguity: float = 0.9):
-    """Pair the '+'/'-' eigenpairs with the reference vector pair.
-
-    Returns ((e0, e1), (v0, v1), (lab0, lab1)) where slot i continues
-    ref_vs[i], its sign chosen so that c_product(ref_vs[i], v_i) has a
-    non-negative real part. Labels are the instantaneous '+'/'-' identity of
-    each slot. Raises AmbiguousTrackingError when a slot's two overlaps are
-    too close to call or both slots pick the same branch.
-    """
-    inst = ((e_p, v_p, "+"), (e_m, v_m, "-"))
-    out_e = [None, None]
-    out_v = [None, None]
-    out_l = [None, None]
-    taken = [False, False]
-    for slot in (0, 1):
-        ov = [c_product(ref_vs[slot], cand[1]) for cand in inst]
-        mags = [abs(o) for o in ov]
-        best = 0 if mags[0] >= mags[1] else 1
-        if mags[1 - best] > ambiguity * mags[best]:
-            raise AmbiguousTrackingError(
-                f"branch overlaps too close to call: {mags[best]:.3f} vs {mags[1 - best]:.3f}"
-            )
-        if taken[best]:
-            raise AmbiguousTrackingError("both tracked slots matched the same branch")
-        taken[best] = True
-        e_b, v_b, lab = inst[best]
-        sign = 1.0 if ov[best].real >= 0.0 else -1.0
-        out_e[slot] = e_b
-        out_v[slot] = (sign * v_b[0], sign * v_b[1])
-        out_l[slot] = lab
-    return tuple(out_e), tuple(out_v), tuple(out_l)
-
-
-def _initial_frame(params: SystemParams, drive: Drive, ep_tol: float):
-    """The t = 0 frame ((e0, e1), (v0, v1), labels), slot 0 on the '+' branch."""
-    e_p, e_m, v_p, v_m, _, _ = _eigensystem(build_hamiltonian(params, drive.field_at(0.0)), ep_tol)
-    return (e_p, e_m), (v_p, v_m), ("+", "-")
+def _nearer(e: complex, ref: complex) -> complex:
+    """Whichever of +/- e is nearer to ``ref``."""
+    return -e if e.real * ref.real + e.imag * ref.imag < 0.0 else e
 
 
 def _nearest_root(disc: complex, ref: complex) -> complex:
     """The eigenvalue +/- sqrt(disc) / 2 of the traceless H nearer to ``ref``."""
-    e = 0.5 * cmath.sqrt(disc)
-    return -e if e.real * ref.real + e.imag * ref.imag < 0.0 else e
-
-
-class _FrameTracker:
-    """The committed eigenframe of the adiabatic route, advanced once per accepted step.
-
-    ``energy`` is the committed slot-0 eigenvalue of the traceless H; the
-    RHS continues it to the nearer root, so it needs no eigenvectors.
-    ``commit`` solves the frame at the accepted time, pairs it with the
-    committed one by c-product overlap, and checks that the overlap tracking
-    and the continued energy name the same branch. A continuously tracked
-    c-orthonormal pair keeps its determinant, so ``det`` is fixed at t = 0.
-    """
-
-    def __init__(self, params: SystemParams, drive: Drive, ep_tol: float) -> None:
-        self.params = params
-        self.drive = drive
-        self.ep_tol = ep_tol
-        _, self.vs, self.labels = _initial_frame(params, drive, ep_tol)
-        fp = drive.field_at(0.0)
-        a, g = _traceless(params, fp.omega, fp.eps0)
-        self.energy = 0.5 * _root_plus(4.0 * (a * a + g * g))  # slot 0 starts on '+'
-        self.det = _det_sign(self.vs)
-
-    def _solve(self, fp: FieldPoint):
-        """(slot-0 traceless energy, vs, labels) at fp, paired with the committed frame."""
-        h = build_hamiltonian(self.params, fp)
-        es, vs, labels = _aligned_next(self.vs, *_eigensystem(h, self.ep_tol)[:4])
-        return es[0] - 0.5 * h.trace, vs, labels
-
-    def frame_at(self, t: float):
-        """(vs, labels) at t, paired with the committed frame (one eigensolve)."""
-        return self._solve(self.drive.field_at(t))[1:]
-
-    def commit(self, t: float) -> None:
-        """Adopt the frame at the accepted time t.
-
-        Raises AmbiguousTrackingError if the energy continued from the last
-        commit is not the eigenvalue of the branch that overlap tracking
-        puts in slot 0.
-        """
-        fp = self.drive.field_at(t)
-        tracked, vs, labels = self._solve(fp)
-        a, g = _traceless(self.params, fp.omega, fp.eps0)
-        disc = 4.0 * (a * a + g * g)
-        energy = _nearest_root(disc, self.energy)
-        if energy != _nearest_root(disc, tracked):
-            raise AmbiguousTrackingError(
-                f"energy continued to {energy:.6g} but overlap tracking puts slot 0 on "
-                f"branch '{labels[0]}' ({tracked:.6g}) at t = {t:.6g}"
-            )
-        self.vs, self.labels, self.energy = vs, labels, energy
+    return _nearer(0.5 * cmath.sqrt(disc), ref)
 
 
 def _det_sign(vs) -> float:
@@ -994,14 +931,16 @@ def na_coupling(
         return 0j, 0j
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    vs_a = (frame_a.v_plus, frame_a.v_minus)
-    try:
-        _, vs_b, _ = _aligned_next(
-            vs_a, frame_b.e_plus, frame_b.e_minus, frame_b.v_plus, frame_b.v_minus
-        )
-    except AmbiguousTrackingError as exc:
-        raise EPProximityError("frames too close to the EP to pair branches") from exc
-    va, vb = np.array(vs_a), np.array(vs_b)  # [slot, component]
+    va = np.array([frame_a.v_plus, frame_a.v_minus])  # [slot, component]
+    cands = np.array([frame_b.v_plus, frame_b.v_minus])
+    pairing = frames._pair(va[:1], va[1:], cands[:1], cands[1:])
+    if not pairing.ok[0]:
+        try:
+            frames._raise_pairing(pairing.mags[0], plus0=True)
+        except AmbiguousTrackingError as exc:
+            raise EPProximityError("frames too close to the EP to pair branches") from exc
+    picks = [1, 0] if pairing.cross[0] else [0, 1]
+    vb = np.where(pairing.chain[0] >= 0.0, 1.0, -1.0)[:, None] * cands[picks]
     mid = 0.5 * (va + vb)
     dv = (vb - va) / dt
     return complex(c_product(mid[0], dv[1])), complex(c_product(mid[1], dv[0]))
@@ -1022,9 +961,9 @@ def na_coupling_at(
     inside the eigenframe guard.
     """
     fp = loop.field_at(t)
-    _, _, v_p, v_m, _, _ = _eigensystem(build_hamiltonian(params, fp), ep_tol)
+    frame = eigenframe(build_hamiltonian(params, fp), ep_tol)
     theta_dot = _theta_dot(params, *_traceless(params, fp.omega, fp.eps0), loop.velocity_at(t))
-    det = _det_sign((v_p, v_m))
+    det = _det_sign((frame.v_plus.tolist(), frame.v_minus.tolist()))
     return -det * theta_dot, det * theta_dot
 
 
@@ -1062,11 +1001,15 @@ def propagate_adiabatic(
     limit for decaying systems). ``_Dopri5`` steps the two coefficients
     freely to T. Its RHS needs no eigenvectors: the couplings are closed
     form (see the module docstring) and the slot-0 energy is the eigenvalue
-    of the traceless H nearer the one committed at the last accepted step.
-    Each accepted step solves the frame at its end once and pairs it with
-    the last by c-product overlap; output rows inside a step come from the
-    dense-output interpolant, each on its own frame solve. Bare-basis
-    amplitudes are recorded at ``n_output + 1`` uniform times
+    of the traceless H nearer the one continued to the last accepted step.
+    The stepping loop only continues that energy; output rows inside a step
+    come from the dense-output interpolant. After the stepper, one array
+    pass (``frames._settle``) solves the frame at every step end, pairs
+    each with the one before, checks that the continued energy is the
+    eigenvalue of the branch overlap tracking puts in slot 0, and pairs the
+    frame of each row inside a step with the frame at the step's start. The
+    frames are the bits the one-at-a-time solve gives, so the rows are too.
+    Bare-basis amplitudes are recorded at ``n_output + 1`` uniform times
     (``record_internal`` adds every accepted step). When the squared norm
     leaves [1e-100, 1e+100] the coefficients are rescaled after the step's
     rows are recorded. ``meta["solver"]`` counts accepted and rejected
@@ -1080,8 +1023,13 @@ def propagate_adiabatic(
         If a step's overlap tracking and its continued energy disagree.
     StepSizeUnderflowError
         If the adaptive controller cannot meet the tolerances.
+    StepBudgetError
+        If the run exceeds the step budget (see ``_STEP_BUDGET``).
     NonFiniteError
         If the coefficients leave the representable range.
+
+    The error raised is the one a step-by-step walk meets first: when the
+    stepper fails, the frames of the steps it accepted are checked first.
     """
     initial = StateVector.coerce(initial)
     if n_output < 2:
@@ -1089,8 +1037,6 @@ def propagate_adiabatic(
     _scan_contour(params, loop, ep_tol, n=max(1024, 2 * n_output))
     T = loop.duration_T
     guard = ep_tol * ep_tol
-    tracker = _FrameTracker(params, loop, ep_tol)
-    det = tracker.det
 
     def rhs(t: float, b0: complex, b1: complex) -> tuple:
         tc = _clamped(loop, t)
@@ -1099,43 +1045,65 @@ def propagate_adiabatic(
         disc = 4.0 * (a * a + g * g)
         if abs(disc) <= guard:
             raise EPProximityError(f"|discriminant| = {abs(disc):.3e} <= tol^2 = {guard:.3e}")
-        e0 = _nearest_root(disc, tracker.energy)
+        e0 = _nearest_root(disc, energy)
         v = det * _theta_dot(params, a, g, loop.velocity_at(tc))
         return -1j * e0 * b0 + v * b1, 1j * e0 * b1 - v * b0
 
-    def record(t: float, b: tuple, vs, label: str) -> None:
-        state = (b[0] * vs[0][0] + b[1] * vs[1][0], b[0] * vs[0][1] + b[1] * vs[1][1])
-        rec.add(t, state, log_b, coeffs=b, label=label)
-
     rec = _Recorder(params, loop)
-    log_b = 0.0
     grid = np.linspace(0.0, T, n_output + 1).tolist()
-    gi = 1
     try:
-        # initial coefficients on the t = 0 frame (slot 0 = instantaneous '+')
-        vs0, c0 = tracker.vs, (initial.c1, initial.c2)
+        # the t = 0 frame, slot 0 on the instantaneous '+' branch; a continuously
+        # tracked c-orthonormal pair keeps its determinant, so det is fixed here
+        first = frames._initial(params, loop, ep_tol)
+        vs0 = first.eig.v_plus[0].tolist(), first.eig.v_minus[0].tolist()
+        det = _det_sign(vs0)
+        fp = loop.field_at(0.0)
+        a, g = _traceless(params, fp.omega, fp.eps0)
+        energy = 0.5 * _root_plus(4.0 * (a * a + g * g))
+        c0 = (initial.c1, initial.c2)
         b = (c_product(vs0[0], c0), c_product(vs0[1], c0))
-        record(0.0, b, vs0, tracker.labels[0])
+        steps = frames._Steps()
+        rows = [(0.0, b, 0.0, 0)]  # (t, coefficients, log scale, frame): see frames._Steps
+        log_b = 0.0
+        gi = 1
         stepper = _Dopri5(rhs, b, T, config)
-        while stepper.t < T:
-            stepper.step()
-            t, b = stepper.t, stepper.y
-            if grid[gi] < t:
-                interp = stepper.dense()
-                while grid[gi] < t:
-                    vs, labels = tracker.frame_at(grid[gi])
-                    record(grid[gi], interp(grid[gi]), vs, labels[0])
+        try:
+            while stepper.t < T:
+                stepper.step()
+                t, b = stepper.t, stepper.y
+                if grid[gi] < t:
+                    interp = stepper.dense()
+                    while grid[gi] < t:
+                        rows.append((grid[gi], interp(grid[gi]), log_b, steps.inside(grid[gi])))
+                        gi += 1
+                fp = loop.field_at(t)
+                a, g = _traceless(params, fp.omega, fp.eps0)
+                root = 0.5 * cmath.sqrt(4.0 * (a * a + g * g))
+                energy = _nearer(root, energy)
+                frame = steps.end(t, root, energy)
+                if grid[gi] == t:
+                    rows.append((t, b, log_b, frame))
                     gi += 1
-            tracker.commit(t)
-            if grid[gi] == t:
-                record(t, b, tracker.vs, tracker.labels[0])
-                gi += 1
-            elif record_internal:
-                record(t, b, tracker.vs, tracker.labels[0])
-            n2 = abs(b[0]) ** 2 + abs(b[1]) ** 2
-            if n2 > 0 and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
-                stepper.rescale(math.sqrt(n2))
-                log_b += math.log(n2)
+                elif record_internal:
+                    rows.append((t, b, log_b, frame))
+                if stepper.accepted > _STEP_BUDGET and T - t > _STEP_BUDGET_REMAINING * stepper.h:
+                    raise StepBudgetError(_budget_message(stepper.accepted, T, t, stepper.h))
+                n2 = abs(b[0]) ** 2 + abs(b[1]) ** 2
+                if n2 > 0 and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
+                    stepper.rescale(math.sqrt(n2))
+                    log_b += math.log(n2)
+        except (EpdynError, OverflowError) as exc:  # raised once the accepted steps are checked
+            failure = exc
+        else:
+            failure = None
+        vectors, plus0 = frames._settle(params, loop, ep_tol, first, steps)
+        if failure is not None:
+            raise failure
+        picked = [f if f >= 0 else len(steps.ends) - f for _, _, _, f in rows]
+        for row, vs, on_plus in zip(rows, vectors[picked].tolist(), plus0[picked].tolist()):
+            t, b, log_b, _ = row
+            state = (b[0] * vs[0][0] + b[1] * vs[1][0], b[0] * vs[0][1] + b[1] * vs[1][1])
+            rec.add(t, state, log_b, coeffs=b, label="+" if on_plus else "-")
         times, states, norms, logs, coeffs, labels = rec.finalize()
     except EPProximityError as exc:
         raise EPOnContourError(str(exc)) from exc
@@ -1169,7 +1137,11 @@ def track_branches(
 
     Slot assignments follow maximal |c-product| overlap between adjacent
     samples; the ``swapped`` property reports whether one traversal exchanged
-    the instantaneous branches (the EP-encircling signature).
+    the instantaneous branches (the EP-encircling signature). The frames are
+    solved and paired in array blocks (``frames._scan``): each sample's pick
+    of branch depends only on it and the sample before, so slots follow from
+    a cumulative parity and signs from a cumulative product, and the result
+    is the bits of pairing one sample at a time.
 
     Raises
     ------
@@ -1177,6 +1149,8 @@ def track_branches(
         If adjacent overlaps are within 10% of each other (undersampled).
     EPOnContourError
         If any sample falls inside the eigenframe's EP guard.
+    NonFiniteError
+        If a frame overflows float64.
     """
     if n_samples < 16:
         raise ValueError("n_samples must be >= 16")
@@ -1184,24 +1158,11 @@ def track_branches(
     energies = np.empty((n_samples + 1, 2), dtype=complex)
     vectors = np.empty((n_samples + 1, 2, 2), dtype=complex)
     labels = np.empty((n_samples + 1, 2), dtype="<U1")
-    for k, (es, vs, labs) in enumerate(_tracked_frames(params, loop, times, ep_tol)):
-        energies[k] = es
-        vectors[k] = vs
-        labels[k] = labs
+    for rows, tracked in frames._scan(params, loop, times, ep_tol):
+        energies[rows] = tracked.energies()
+        vectors[rows] = tracked.vectors()
+        labels[rows] = tracked.labels()
     return AdiabaticFrame(times=times, energies=energies, vectors=vectors, labels=labels)
-
-
-def _tracked_frames(params: SystemParams, drive: Drive, times: np.ndarray, ep_tol: float):
-    """Yield the tracked frame ((e0, e1), (v0, v1), labels) at each of ``times`` (from 0)."""
-    try:
-        frame = _initial_frame(params, drive, ep_tol)
-        yield frame
-        for t in times[1:]:
-            eig = _eigensystem(build_hamiltonian(params, drive.field_at(float(t))), ep_tol)
-            frame = _aligned_next(frame[1], *eig[:4])
-            yield frame
-    except EPProximityError as exc:
-        raise EPOnContourError(str(exc)) from exc
 
 
 def _simpson(y: np.ndarray, x: np.ndarray):
@@ -1256,8 +1217,10 @@ def accumulated_phase(
     if t == 0.0:
         return 0j
     times = np.linspace(0.0, t, n_samples + 1)
-    frames = _tracked_frames(params, loop, times, ep_tol=1e-8)
-    gap = np.fromiter((es[0] - es[1] for es, _, _ in frames), dtype=complex, count=len(times))
+    gap = np.empty(len(times), dtype=complex)
+    for rows, tracked in frames._scan(params, loop, times, ep_tol=1e-8):
+        energies = tracked.energies()
+        gap[rows] = energies[:, 0] - energies[:, 1]
     result = complex(_simpson(gap, times))
     return -result if branch_pairing == "minus-plus" else result
 

@@ -2,12 +2,14 @@
 
 import contextlib
 import json
+import logging
 import math
 import os
 import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -282,6 +284,27 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+class TestStepBudget:
+    @pytest.mark.parametrize("method", ["direct", "adiabatic"])
+    def test_huge_duration_exits_3(self, tmp_path, capsys, method):
+        # duration_T = 1e300 used to run until killed
+        doc = with_field("loop", "duration_T", 1e300)
+        doc["output"]["path"] = str(tmp_path / "out.csv")
+        start = time.perf_counter()
+        with time_limit(20):
+            code = main(["--config", write_config(tmp_path, doc), "simulate", "--method", method])
+        assert code == 3
+        assert time.perf_counter() - start < 5.0
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["direct", "adiabatic"])
+    def test_tiny_initial_step_completes(self, tmp_path, method):
+        # a short first step is no runaway: the budget must not stop the README run
+        doc = with_field("integrator", "initial_step", 1e-12)
+        doc["output"]["path"] = str(tmp_path / "out.csv")
+        assert main(["--config", write_config(tmp_path, doc), "simulate", "--method", method]) == 0
+
+
 class TestSweep:
     # a one-point grid is bound-checked like a longer one; unchecked, a
     # non-positive value raises inside the sweep, inf never ends, nan fails late
@@ -417,10 +440,25 @@ class TestSweep:
         assert code == 0
         err = capsys.readouterr().err
         assert err.count("done") == 4
+        assert err.splitlines()[0] == "cell (0,0) done"
         lines = out.read_text().splitlines()
         assert len(lines) == 5
         assert lines[1].split(",")[:2] == ["0", "0"]
         assert lines[4].split(",")[:2] == ["1", "1"]
+
+    def test_progress_is_logged_once_per_call(self, tmp_path, capsys, caplog):
+        # the lines go through the "epdyn.cli" logger; main's own handler
+        # prints them and leaves with the call, so a second call prints once
+        cfg = write_config(tmp_path, patched({"loop": {"center_eps0": 0.35}}))
+        argv = ["--config", cfg, "--output", str(tmp_path / "sweep.csv"), "--jobs", "1", "sweep"]
+        argv += ["--t-min", "5.0", "--t-max", "10.0", "--nt", "2", "--dominant-target", "any"]
+        with caplog.at_level(logging.INFO, logger="epdyn.cli"):
+            for _ in range(2):
+                assert main(argv) == 0
+                assert capsys.readouterr().err == "cell (0,0) done\ncell (1,0) done\n"
+        logged = [r.getMessage() for r in caplog.records if r.name == "epdyn.cli"]
+        assert logged == ["cell (0,0) done", "cell (1,0) done"] * 2
+        assert logging.getLogger("epdyn.cli").handlers == []
 
 
 # -- fuzzing ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -39,9 +40,9 @@ from epdyn import (
     track_branches,
     winding_number,
 )
-from epdyn import loops
+from epdyn import frames, loops
 from epdyn import propagation as prop
-from epdyn.errors import AmbiguousTrackingError
+from epdyn.errors import AmbiguousTrackingError, StepBudgetError
 from epdyn.propagation import (
     _LOG_WORK_HI,
     _LOG_WORK_LO,
@@ -210,6 +211,15 @@ class TestDirectPropagation:
         drive = StaticDrive(FieldPoint(1.0, 0.2), 1.0)
         with pytest.raises(NonFiniteError):
             propagate_direct(REF, drive, StateVector(c1, c2), n_output=8)
+
+    def test_huge_rates_end_in_the_step_budget(self):
+        # e1 = 1e100 drives the step to about 1e-100; the run stops once
+        # (T - t)/h predicts more than 1e7 steps past the 1e4 taken
+        params = SystemParams(e1=1e100, e2=1.0, gamma1=0.1, gamma2=0.3, d12=1.0)
+        start = time.perf_counter()
+        with pytest.raises(StepBudgetError, match="10001 steps"):
+            propagate_direct(params, StaticDrive(FieldPoint(1.0, 0.4), 10.0), StateVector.basis(1))
+        assert time.perf_counter() - start < 5.0
 
     def test_tolerance_controls_error(self):
         loop = encircling_loop(30.0)
@@ -414,6 +424,13 @@ class TestDopri5:
         assert coarse.meta["solver"]["accepted"] > 100
         assert np.array_equal(coarse.final_state, fine.final_state)
         assert coarse.log_scale[-1] == fine.log_scale[-1]
+
+    def test_initial_step_below_the_floor_starts_at_the_floor(self):
+        # the floor is 1e-14 T; an initial_step under it used to fail at once
+        loop = encircling_loop(50.0, Direction.CW)
+        tiny = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14, initial_step=1e-15)
+        traj = propagate_adiabatic(REF, loop, StateVector.basis(2), tiny, n_output=8)
+        assert traj.times[-1] == 50.0
 
     def test_dense_output_coefficients_are_scipys(self):
         from scipy.integrate._ivp.rk import RK45
@@ -709,19 +726,21 @@ class TestAdiabaticPropagation:
         assert solver["rhs_calls"] == 1 + 6 * (solver["accepted"] + solver["rejected"])
 
     def test_one_eigensolve_per_step_and_interior_grid_time(self, monkeypatch):
-        # the RHS continues the energy without an eigensolve; each accepted
-        # step solves its end frame, and each grid time strictly inside a
-        # step its own frame for the interpolated row
-        calls = {"eig": 0, "rhs": 0, "inside": False}
-        real_eigensystem = prop._eigensystem
+        # the RHS continues the energy without an eigensolve; after the
+        # stepper, one batch solves the frame at each step end and at each
+        # grid time strictly inside a step, in a number of array calls that
+        # does not grow with the step count
+        calls = {"solve": 0, "frames": 0, "rhs": 0, "inside": False}
+        real_solve = frames._solve
 
-        def counted_eigensystem(*args):
+        def counted_solve(params, drive, times):
             assert not calls["inside"], "eigensolve inside the RHS"
-            calls["eig"] += 1
-            return real_eigensystem(*args)
+            calls["solve"] += 1
+            calls["frames"] += len(times)
+            return real_solve(params, drive, times)
 
         ends = self.counting_stepper(monkeypatch, calls)
-        monkeypatch.setattr(prop, "_eigensystem", counted_eigensystem)
+        monkeypatch.setattr(frames, "_solve", counted_solve)
         n_output = 512
         traj = propagate_adiabatic(
             REF, encircling_loop(50.0, Direction.CW), StateVector.basis(2), TIGHT, n_output=n_output
@@ -731,15 +750,28 @@ class TestAdiabaticPropagation:
         assert calls["rhs"] > 0
         assert len(ends) == traj.meta["solver"]["accepted"]
         assert 0 < interior < n_output
-        assert calls["eig"] == 1 + len(ends) + interior
+        assert calls["frames"] == 1 + len(ends) + interior
+        batches = math.ceil(len(ends) / frames._BLOCK) + math.ceil(interior / frames._BLOCK)
+        assert calls["solve"] == 1 + batches
+        assert calls["solve"] <= 3 < len(ends)
 
-    def test_commit_rejects_energy_on_the_other_branch(self):
+    def test_commit_rejects_energy_on_the_other_branch(self, monkeypatch):
+        # corrupt the energy continued to one step end: the batch check finds
+        # that overlap tracking puts the other branch in slot 0 there
+        real_settle = frames._settle
+        corrupted = []
+
+        def corrupting_settle(params, loop, ep_tol, first, steps):
+            k = len(steps.energies) // 2
+            steps.energies[k] = -steps.energies[k]
+            corrupted.append(steps.ends[k])
+            return real_settle(params, loop, ep_tol, first, steps)
+
+        monkeypatch.setattr(frames, "_settle", corrupting_settle)
         loop = encircling_loop(50.0, Direction.CW)
-        tracker = prop._FrameTracker(REF, loop, 1e-8)
-        tracker.commit(0.1)
-        tracker.energy = -tracker.energy
-        with pytest.raises(AmbiguousTrackingError, match="overlap tracking"):
-            tracker.commit(0.2)
+        with pytest.raises(AmbiguousTrackingError, match="overlap tracking") as info:
+            propagate_adiabatic(REF, loop, StateVector.basis(2), TIGHT)
+        assert f"at t = {corrupted[0]:.6g}" in str(info.value)
 
     def test_branch_labels_recorded(self):
         loop = LoopSpec(
