@@ -14,8 +14,10 @@ with a = (e1 - e2 + omega)/2 + i delta_gamma/2 and g = eps0 d12/2; the trace
 only adds a common phase and decay. The EP is where a^2 + g^2 = 0, and the
 eigenvectors turn with th, tan 2th = g/a. ``_traceless`` is the one
 definition of (a, g). It is plain arithmetic, so omega and eps0 may be floats
-or numpy arrays; the propagators' right-hand sides, their closed-form
-couplings and the vectorized contour scans in ``loops`` all use it.
+or numpy arrays; the closed-form couplings and the vectorized contour
+scans in ``loops`` use it, and the propagators' right-hand sides get the
+same bits from ``loops._traceless_kernel``, which spells its operations
+out on constants read once per run.
 
 Eigenframes have one code path, on arrays: ``_eigensystems`` solves any
 number of matrices elementwise, and ``eigenframe`` is its one-matrix case.
@@ -77,7 +79,7 @@ class SystemParams:
         if self.gamma2 < 0:
             raise ValueError("gamma2 must be >= 0")
         # the drive-independent factors of ``_traceless`` (a at omega = 0, g per
-        # unit eps0), stored because the right-hand sides call it at every stage
+        # unit eps0), stored because every scan and drive kernel reads them
         object.__setattr__(self, "_a_static", 0.5 * complex(self.e1 - self.e2, self.delta_gamma))
         object.__setattr__(self, "_half_d12", 0.5 * complex(self.d12))
 

@@ -35,8 +35,11 @@ scalar recipe gives, so no output depends on the array path. Each route's
 loop also enforces a step budget (``_STEP_BUDGET``), so no input makes a
 run go on without end.
 
-Both right-hand sides take the traceless H = [[a, g], [g, -a]] from
-``model._traceless`` (see the ``model`` docstring). The couplings are in
+Both right-hand sides take the traceless H = [[a, g], [g, -a]] and its
+rate (a', g') from one closure per run, ``loops._traceless_kernel``: it
+reads the drive's and the model's constants once and gives at every stage
+the bits of ``model._traceless`` at ``field_at`` (see the ``model``
+docstring), without a call or an object per step. The couplings are in
 closed form: the c-normalized eigenvectors (cos th, sin th) and
 (-sin th, cos th), tan 2th = g/a, both turn at the complex rate
 
@@ -72,7 +75,7 @@ from .errors import (
     StepSizeUnderflowError,
 )
 from . import frames
-from .loops import LoopSpec, StaticDrive, _discriminant_on_loop
+from .loops import LoopSpec, StaticDrive, _discriminant_on_loop, _traceless_kernel
 from .model import (
     EigenFrame,
     SystemParams,
@@ -242,12 +245,6 @@ class AdiabaticFrame:
 def _trace_phase(params: SystemParams, drive: Drive, t: float) -> float:
     """Re int_0^t tr H / 2 dt' (the removed common phase), in closed form."""
     return 0.5 * ((params.e1 + params.e2) * t + drive.omega_integral(t))
-
-
-def _clamped(drive: Drive, t: float) -> float:
-    # RK stages can poke epsilon outside [0, T]; the contour formula is
-    # periodic and smooth, so clamping is exact at the boundaries
-    return min(max(t, 0.0), drive.duration_T)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +551,7 @@ class _Dop853:
         self.accepted = 0
         self.rejected = 0
         self.renormalizations = 0
+        self.h_min, self.h_max = math.inf, 0.0
 
     def step(self) -> None:
         """Take one accepted step, shrinking the trial step on rejection."""
@@ -574,7 +572,10 @@ class _Dop853:
             h = t_new - t
             k0[0], k1[0] = self.f
             for s, (c, a) in enumerate(_DOP_STAGES, 1):
-                d0, d1 = _combine(a, k0, k1)
+                d0 = d1 = 0j
+                for j, a_j in a:
+                    d0 += a_j * k0[j]
+                    d1 += a_j * k1[j]
                 k0[s], k1[s] = rhs(t + c * h, y0 + d0 * h, y1 + d1 * h)
             d0, d1 = _combine(_DOP_B, k0, k1)
             n0, n1 = y0 + h * d0, y1 + h * d1
@@ -600,6 +601,7 @@ class _Dop853:
             rejected = True
             self.rejected += 1
         self.accepted += 1
+        self.h_min, self.h_max = min(self.h_min, h), max(self.h_max, h)
         self.t_old, self.y_old, self.h = t, self.y, h
         self.t, self.y, self.f = t_new, (n0, n1), f
 
@@ -647,6 +649,8 @@ class _Dop853:
             "rejected": self.rejected,
             "rhs_calls": self.rhs_calls,
             "renormalizations": self.renormalizations,
+            "min_step": self.h_min,
+            "max_step": self.h_max,
         }
 
 
@@ -666,7 +670,9 @@ def propagate_direct(
     ``record_internal`` additionally keeps every accepted step. When the
     squared norm leaves [1e-100, 1e+100] the state is rescaled in place and
     the step size kept. ``meta["solver"]`` counts accepted and rejected
-    steps, RHS calls and renormalizations.
+    steps, RHS calls and renormalizations, and holds the smallest and
+    largest accepted step (``min_step``, ``max_step``; the last step,
+    clipped to T, included).
 
     Raises
     ------
@@ -682,9 +688,10 @@ def propagate_direct(
         raise ValueError("n_output must be >= 2")
     T = drive.duration_T
 
+    kernel = _traceless_kernel(drive, params)
+
     def rhs(t: float, u0: complex, u1: complex) -> tuple:
-        fp = drive.field_at(_clamped(drive, t))
-        a, g = _traceless(params, fp.omega, fp.eps0)
+        a, g, _, _ = kernel(t)
         return -1j * (a * u0 + g * u1), -1j * (g * u0 - a * u1)
 
     grid = np.linspace(0.0, T, n_output + 1).tolist()
@@ -790,6 +797,11 @@ class _Dopri5:
         self.rtol, self.atol = config.rel_tol, config.abs_tol
         self.max_step = min(config.max_step, t_bound / 64.0)
         self.min_step = 1e-14 * t_bound
+        if self.min_step > self.max_step:
+            raise StepBudgetError(
+                f"step floor 1e-14 T = {self.min_step:.3e} above the step cap "
+                f"min(max_step, T/64) = {self.max_step:.3e} at T = {t_bound:.6g}: no step fits"
+            )
         # the first trial step within [floor, cap]; a smaller initial_step would fail at once
         self.h_abs = min(max(config.initial_step, self.min_step), self.max_step)
         self.err_prev = 1.0
@@ -801,6 +813,7 @@ class _Dopri5:
         self.accepted = 0
         self.rejected = 0
         self.renormalizations = 0
+        self.h_min, self.h_max = math.inf, 0.0
 
     def step(self) -> None:
         """Take one accepted step, shrinking the trial step on rejection."""
@@ -847,6 +860,7 @@ class _Dopri5:
         self.h_abs = min(h * factor, self.max_step)
         self.err_prev = err
         self.accepted += 1
+        self.h_min, self.h_max = min(self.h_min, h), max(self.h_max, h)
         self.t_old, self.y_old, self.h = t, self.y, h
         self.t, self.y, self.f = t_new, (n0, n1), (k0[6], k1[6])
 
@@ -881,6 +895,8 @@ class _Dopri5:
             "rejected": self.rejected,
             "rhs_calls": self.rhs_calls,
             "renormalizations": self.renormalizations,
+            "min_step": self.h_min,
+            "max_step": self.h_max,
         }
 
 
@@ -1013,7 +1029,9 @@ def propagate_adiabatic(
     (``record_internal`` adds every accepted step). When the squared norm
     leaves [1e-100, 1e+100] the coefficients are rescaled after the step's
     rows are recorded. ``meta["solver"]`` counts accepted and rejected
-    steps, RHS calls and renormalizations.
+    steps, RHS calls and renormalizations, and holds the smallest and
+    largest accepted step (``min_step``, ``max_step``; the last step,
+    clipped to T, included).
 
     Raises
     ------
@@ -1038,15 +1056,16 @@ def propagate_adiabatic(
     T = loop.duration_T
     guard = ep_tol * ep_tol
 
+    kernel = _traceless_kernel(loop, params)
+
     def rhs(t: float, b0: complex, b1: complex) -> tuple:
-        tc = _clamped(loop, t)
-        fp = loop.field_at(tc)
-        a, g = _traceless(params, fp.omega, fp.eps0)
-        disc = 4.0 * (a * a + g * g)
+        a, g, a_dot, g_dot = kernel(t)
+        w2 = a * a + g * g
+        disc = 4.0 * w2
         if abs(disc) <= guard:
             raise EPProximityError(f"|discriminant| = {abs(disc):.3e} <= tol^2 = {guard:.3e}")
         e0 = _nearest_root(disc, energy)
-        v = det * _theta_dot(params, a, g, loop.velocity_at(tc))
+        v = det * (0.5 * (a * g_dot - g * a_dot) / w2)  # _theta_dot
         return -1j * e0 * b0 + v * b1, 1j * e0 * b1 - v * b0
 
     rec = _Recorder(params, loop)
@@ -1057,8 +1076,7 @@ def propagate_adiabatic(
         first = frames._initial(params, loop, ep_tol)
         vs0 = first.eig.v_plus[0].tolist(), first.eig.v_minus[0].tolist()
         det = _det_sign(vs0)
-        fp = loop.field_at(0.0)
-        a, g = _traceless(params, fp.omega, fp.eps0)
+        a, g, _, _ = kernel(0.0)
         energy = 0.5 * _root_plus(4.0 * (a * a + g * g))
         c0 = (initial.c1, initial.c2)
         b = (c_product(vs0[0], c0), c_product(vs0[1], c0))
@@ -1076,8 +1094,7 @@ def propagate_adiabatic(
                     while grid[gi] < t:
                         rows.append((grid[gi], interp(grid[gi]), log_b, steps.inside(grid[gi])))
                         gi += 1
-                fp = loop.field_at(t)
-                a, g = _traceless(params, fp.omega, fp.eps0)
+                a, g, _, _ = kernel(t)
                 root = 0.5 * cmath.sqrt(4.0 * (a * a + g * g))
                 energy = _nearer(root, energy)
                 frame = steps.end(t, root, energy)

@@ -287,7 +287,9 @@ def time_limit(seconds):
 class TestStepBudget:
     @pytest.mark.parametrize("method", ["direct", "adiabatic"])
     def test_huge_duration_exits_3(self, tmp_path, capsys, method):
-        # duration_T = 1e300 used to run until killed
+        # duration_T = 1e300 used to run until killed. The direct route stops
+        # at the step budget; the adiabatic route's step floor 1e-14 T lies
+        # above its cap max_step, so it stops before its first step
         doc = with_field("loop", "duration_T", 1e300)
         doc["output"]["path"] = str(tmp_path / "out.csv")
         start = time.perf_counter()
@@ -295,7 +297,9 @@ class TestStepBudget:
             code = main(["--config", write_config(tmp_path, doc), "simulate", "--method", method])
         assert code == 3
         assert time.perf_counter() - start < 5.0
-        assert "error: " in capsys.readouterr().err
+        reason = {"direct": "over the budget", "adiabatic": "no step fits"}[method]
+        err = capsys.readouterr().err
+        assert "error: StepBudgetError: " in err and reason in err
 
     @pytest.mark.parametrize("method", ["direct", "adiabatic"])
     def test_tiny_initial_step_completes(self, tmp_path, method):
@@ -537,6 +541,31 @@ def test_main_exits_cleanly_on_mutated_config(doc, command):
             json.dump(doc, fh)
         with time_limit(20):
             code = main(["--config", path, command])
+    assert code in range(6)
+
+
+PROPAGATING_COMMANDS = [
+    ["simulate", "--method", "direct", "--n-output", "8"],
+    ["simulate", "--method", "adiabatic", "--n-output", "8"],
+    ["table1"],
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_configs(), argv=st.sampled_from(PROPAGATING_COMMANDS))
+@example(doc=with_field("loop", "duration_T", 1e300), argv=PROPAGATING_COMMANDS[1])  # floor above cap
+@example(doc=with_field("integrator", "max_step", 5e-324), argv=PROPAGATING_COMMANDS[0])
+@example(doc=with_field("initial", "c2_re", 1e308), argv=PROPAGATING_COMMANDS[0])  # |c|^2 overflows
+@example(doc=with_field("loop", "center_omega", 5.0), argv=PROPAGATING_COMMANDS[2])  # EP outside
+def test_propagating_commands_exit_cleanly_on_mutated_config(doc, argv):
+    # simulate and table1 propagate, and the step budget bounds their work,
+    # so every config must end in an exit code of the CLI contract too
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with time_limit(20):
+            code = main(["--config", path, "--output", f"{tmp}/out", *argv])
     assert code in range(6)
 
 

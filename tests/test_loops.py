@@ -12,6 +12,7 @@ from epdyn import (
     FieldPoint,
     LoopSpec,
     StaticDrive,
+    SystemParams,
     UndersampledError,
     contains_ep,
     diode_loop,
@@ -21,8 +22,8 @@ from epdyn import (
     rho,
     winding_number,
 )
-from epdyn.loops import _discriminant_on_loop
-from epdyn.model import build_hamiltonian, discriminant
+from epdyn.loops import _discriminant_on_loop, _traceless_kernel
+from epdyn.model import _traceless, _traceless_drive, build_hamiltonian, discriminant
 
 REF = DEFAULT_PARAMS
 
@@ -174,6 +175,53 @@ class TestStaticDrive:
     def test_rejects_non_finite(self, field, duration, name):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             StaticDrive(field, duration)
+
+
+def bits(values):
+    """Types and IEEE bits of a tuple of floats and complex numbers (-0.0 differs from 0.0)."""
+    return [(type(x), x.real.hex(), x.imag.hex()) for x in values]
+
+
+def reference_kernel(drive, params, t):
+    """(a, g, a', g') through field_at -> _traceless, as the kernel's contract states."""
+    tc = min(max(t, 0.0), drive.duration_T)
+    fp = drive.field_at(tc)
+    return (*_traceless(params, fp.omega, fp.eps0), *_traceless_drive(params, *drive.velocity_at(tc)))
+
+
+KERNEL_DRIVES = {
+    "cw": make_loop(direction=Direction.CW, T=13.0, sp=0.4),
+    "ccw": make_loop(direction=Direction.CCW, T=13.0),
+    "diode-cw": diode_loop(Direction.CW),
+    "diode-ccw": diode_loop(Direction.CCW),
+    "static": StaticDrive(FieldPoint(1.0, 0.3), 5.0),
+}
+
+
+class TestTracelessKernel:
+    @pytest.mark.parametrize("drive", KERNEL_DRIVES.values(), ids=KERNEL_DRIVES.keys())
+    def test_bits_of_field_at_and_traceless(self, drive):
+        # uniform and random times, both ends, and stage times just outside
+        # [0, T], which the kernel clamps to its ends
+        T = drive.duration_T
+        rng = np.random.default_rng(7)
+        times = [0.0, T, -0.0, -5e-324, -1e-15 * T, math.nextafter(T, math.inf), T * (1.0 + 1e-15)]
+        times += np.linspace(0.0, T, 1024).tolist() + rng.uniform(0.0, T, 1024).tolist()
+        kernel = _traceless_kernel(drive, REF)
+        for t in times:
+            assert bits(kernel(t)) == bits(reference_kernel(drive, REF, t)), t
+
+    def test_bits_on_random_loops_and_params(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            loop = random_loop(rng)
+            params = SystemParams(e1=rng.normal(), e2=rng.normal(), gamma1=rng.uniform(0.0, 0.5),
+                                  gamma2=rng.uniform(0.0, 0.5), d12=complex(*rng.normal(size=2)))
+            static = StaticDrive(loop.center, loop.duration_T)
+            for drive in (loop, static):
+                kernel = _traceless_kernel(drive, params)
+                for t in rng.uniform(-0.01, 1.01, 64) * drive.duration_T:
+                    assert bits(kernel(t)) == bits(reference_kernel(drive, params, t)), (drive, params, t)
 
 
 class TestOmegaIntegral:

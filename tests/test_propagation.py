@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import time
 
 import numpy as np
@@ -47,7 +48,6 @@ from epdyn.propagation import (
     _LOG_WORK_HI,
     _LOG_WORK_LO,
     TrajectoryRecord,
-    _clamped,
     _Recorder,
     _traceless,
 )
@@ -241,7 +241,7 @@ def scipy_direct(params, drive, initial, config, n_output):
     T = drive.duration_T
 
     def rhs(t, u):
-        fp = drive.field_at(_clamped(drive, t))
+        fp = drive.field_at(min(max(t, 0.0), T))
         a, g = _traceless(params, fp.omega, fp.eps0)
         return -1j * np.array([a * u[0] + g * u[1], g * u[0] - a * u[1]], dtype=complex)
 
@@ -300,20 +300,43 @@ class TestDirectStepperAgainstScipy:
         assert rel.max() <= 1e-12, rel.max()
 
     def test_dense_output_only_on_steps_holding_a_grid_time(self, monkeypatch):
-        # every RHS call goes through loops.field_at: 12 per step, 3 more on
-        # each of the 8 steps that hold a grid time, 1 at t = 0; scipy's
-        # driver builds the interpolant on every step
+        # every RHS call evaluates the drive kernel once: 12 per step, 3 more
+        # on each of the 8 steps that hold a grid time, 1 at t = 0; the scipy
+        # oracle, whose RHS goes through loops.field_at, builds the
+        # interpolant on every step
         calls = []
-        field_at = loops.field_at
-        monkeypatch.setattr(loops, "field_at", lambda loop, t: calls.append(t) or field_at(loop, t))
+        make_kernel = loops._traceless_kernel
+
+        def counting_kernel(drive, params):
+            kernel = make_kernel(drive, params)
+            return lambda t: calls.append(t) or kernel(t)
+
+        monkeypatch.setattr(prop, "_traceless_kernel", counting_kernel)
         loop, init = diode_loop(Direction.CCW), StateVector.basis(2)
         solver = propagate_direct(REF, loop, init, TIGHT, n_output=8).meta["solver"]
         assert solver["rhs_calls"] == len(calls)
         assert solver["rhs_calls"] == 12 * solver["accepted"] + 3 * 8 + 1
         calls.clear()
+        field_at = loops.field_at
+        monkeypatch.setattr(loops, "field_at", lambda loop, t: calls.append(t) or field_at(loop, t))
         _, accepted = scipy_direct(REF, loop, init, TIGHT, n_output=8)
         assert accepted == solver["accepted"]
         assert len(calls) == 15 * accepted + 1
+
+
+@pytest.mark.parametrize("propagate", [propagate_direct, propagate_adiabatic], ids=["direct", "adiabatic"])
+def test_solver_reports_the_accepted_step_sizes(propagate):
+    # min_step and max_step are the extremes of the accepted steps, the last
+    # one (clipped to T) included: the differences of the step ends that
+    # record_internal keeps, with the grid rows inside steps taken out
+    loop = encircling_loop(50.0, Direction.CW)
+    traj = propagate(REF, loop, StateVector.basis(2), TIGHT, n_output=2, record_internal=True)
+    solver = traj.meta["solver"]
+    ends = np.union1d([0.0, 50.0], np.setdiff1d(traj.times, [25.0]))
+    assert ends.size == solver["accepted"] + 1
+    steps = np.diff(ends)
+    assert (solver["min_step"], solver["max_step"]) == (steps.min(), steps.max())
+    assert TIGHT.initial_step >= solver["min_step"] and solver["max_step"] > 10 * solver["min_step"]
 
 
 def dense(entries, n):
@@ -431,6 +454,16 @@ class TestDopri5:
         tiny = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14, initial_step=1e-15)
         traj = propagate_adiabatic(REF, loop, StateVector.basis(2), tiny, n_output=8)
         assert traj.times[-1] == 50.0
+
+    @pytest.mark.parametrize("T", [2e16, 1e300])
+    def test_floor_above_the_cap_is_a_step_budget_error(self, T):
+        # past T ~ 1e15 max_step the floor 1e-14 T lies above the cap
+        # min(max_step, T/64), so no step fits; this used to read as a step
+        # size underflow at t = 0
+        loop = LoopSpec(FieldPoint(1.0, 0.2), 0.05, 0.05, Direction.CW, T)
+        floor, cap, at_T = (re.escape(text) for text in (f"{1e-14 * T:.3e}", f"{10.0:.3e}", f"{T:.6g}"))
+        with pytest.raises(StepBudgetError, match=f"floor .*{floor} above the step cap .*{cap} at T = {at_T}"):
+            propagate_adiabatic(REF, loop, StateVector.basis(2), n_output=8)
 
     def test_dense_output_coefficients_are_scipys(self):
         from scipy.integrate._ivp.rk import RK45
@@ -721,7 +754,7 @@ class TestAdiabaticPropagation:
         self.counting_stepper(monkeypatch, calls)
         traj = propagate_adiabatic(REF, encircling_loop(50.0, Direction.CW), StateVector.basis(2), TIGHT)
         solver = traj.meta["solver"]
-        assert set(solver) == {"accepted", "rejected", "rhs_calls", "renormalizations"}
+        assert set(solver) == {"accepted", "rejected", "rhs_calls", "renormalizations", "min_step", "max_step"}
         assert solver["rhs_calls"] == calls["rhs"]
         assert solver["rhs_calls"] == 1 + 6 * (solver["accepted"] + solver["rejected"])
 
