@@ -77,6 +77,8 @@ class LoopSpec:
             raise ValueError("semi_axis_eps must be > 0")
         if self.duration_T <= 0:
             raise ValueError("duration_T must be > 0")
+        if math.isinf(2.0 * math.pi / self.duration_T):
+            raise ValueError("duration_T is too small: the angular rate 2*pi/duration_T overflows")
         if self.center.eps0 < self.semi_axis_eps:
             raise ValueError("center.eps0 must be >= semi_axis_eps (eps0 >= 0 on contour)")
 
@@ -98,13 +100,16 @@ class LoopSpec:
     def velocity_at(self, t: float) -> tuple[float, float]:
         return field_velocity(self, t)
 
-    def omega_integral(self, t: float) -> float:
-        """Closed form of int_0^t omega(t') dt' (used to factor the mean phase)."""
-        _check_time(self, t)
+    def omega_integral(self, t, xp=math):
+        """Closed form of int_0^t omega(t') dt' (used to factor the mean phase).
+
+        ``xp`` is math for a time, numpy for an array of times, as for ``_angle``.
+        """
+        _check_time(self, t, xp)
         th0 = self.start_phase
         rate = self.direction.sign * 2.0 * math.pi / self.duration_T
         return self.center.omega * t + self.semi_axis_omega * (
-            (math.sin(th0 + rate * t) - math.sin(th0)) / rate
+            (xp.sin(th0 + rate * t) - math.sin(th0)) / rate
         )
 
 
@@ -132,13 +137,15 @@ class StaticDrive:
         _check_time(self, t)
         return (0.0, 0.0)
 
-    def omega_integral(self, t: float) -> float:
-        _check_time(self, t)
+    def omega_integral(self, t, xp=math):
+        _check_time(self, t, xp)
         return self.field.omega * t
 
 
-def _check_time(drive, t: float) -> None:
-    if not 0.0 <= t <= drive.duration_T:
+def _check_time(drive, t, xp=math) -> None:
+    """Raise ValueError unless t (every time of an array, for ``xp`` numpy) lies in [0, T]."""
+    lo, hi = (t, t) if xp is math else (t.min(), t.max())
+    if not (0.0 <= lo and hi <= drive.duration_T):
         raise ValueError(f"t = {t} outside [0, {drive.duration_T}]")
 
 

@@ -54,12 +54,19 @@ Recorded amplitudes are kept inside the representable range: if the true
 squared norm leaves [1e-150, 1e+150] the stored state is renormalized and
 the log of the discarded factor accumulates in ``log_scale`` (true norm^2 =
 ``norms_sq * exp(log_scale)``). All normalized projections are unaffected.
+The stepping loops only collect the working-frame rows as columns (time,
+state, log of the rescalings); ``_finalize`` then restores the trace phase
+and the scale factors, and scans for renormalizations, in array passes
+spelled so that every value is the bits of the old row-by-row loop in
+Python scalars (``tests/row_reference.py`` keeps that loop as the oracle).
+Both routes time the two phases into ``meta["phase_s"]``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -79,6 +86,8 @@ from .loops import LoopSpec, StaticDrive, _discriminant_on_loop, _traceless_kern
 from .model import (
     EigenFrame,
     SystemParams,
+    _fmul,
+    _mul,
     _require_finite,
     _root_plus,
     _traceless,
@@ -114,6 +123,16 @@ _LOG_WORK_HI = math.log(1e100)
 # stops once (T - t) / h predicts more than _STEP_BUDGET_REMAINING to come
 _STEP_BUDGET = 10_000
 _STEP_BUDGET_REMAINING = 1e7
+
+
+def _output_grid(T: float, n_output: int) -> list:
+    """The n_output + 1 uniform output times over [0, T], each one later than all before it.
+
+    On a subnormal T, linspace repeats a time or steps back; such a time
+    would repeat a recorded row or go back in time, so it is dropped.
+    """
+    grid = np.linspace(0.0, T, n_output + 1)
+    return grid[grid > np.maximum.accumulate(np.r_[-math.inf, grid[:-1]])].tolist()
 
 
 def _budget_message(steps: int, T: float, t: float, h: float) -> str:
@@ -238,67 +257,85 @@ class AdiabaticFrame:
 
 
 # ---------------------------------------------------------------------------
-# trace-phase bookkeeping
+# recorded rows, shared by both propagators
 # ---------------------------------------------------------------------------
 
 
-def _trace_phase(params: SystemParams, drive: Drive, t: float) -> float:
-    """Re int_0^t tr H / 2 dt' (the removed common phase), in closed form."""
-    return 0.5 * ((params.e1 + params.e2) * t + drive.omega_integral(t))
+def _trace_phase(params: SystemParams, drive: Drive, t: np.ndarray) -> np.ndarray:
+    """Re int_0^t tr H / 2 dt' (the removed common phase) at an array of times, in closed form."""
+    return 0.5 * ((params.e1 + params.e2) * t + drive.omega_integral(t, np))
 
 
-# ---------------------------------------------------------------------------
-# recording shared by both propagators
-# ---------------------------------------------------------------------------
+def _norms_sq(z: np.ndarray) -> np.ndarray:
+    """abs(z[k, 0]) ** 2 + abs(z[k, 1]) ** 2 per row, as Python scalars compute it.
+
+    ``abs`` is libm ``hypot``, and a float's ``** 2`` is C ``pow``, which is
+    not always x * x.
+    """
+    squares = np.float_power(np.hypot(z.real, z.imag), 2.0)
+    return squares[:, 0] + squares[:, 1]
 
 
-class _Recorder:
-    """Accumulates rows and converts scale factors to the recorded convention."""
+def _finalize(
+    params: SystemParams,
+    drive: Drive,
+    times: np.ndarray,
+    raw,
+    log_internal: np.ndarray,
+    coeffs: Optional[np.ndarray] = None,
+) -> tuple:
+    """(states, norms_sq, log_scale, coeffs) of working-frame rows, on whole columns.
 
-    def __init__(self, params: SystemParams, drive: Drive) -> None:
-        self._params = params
-        self._drive = drive
-        self._gbar = 0.5 * (params.gamma1 + params.gamma2)
-        self.rows: list[tuple] = []  # (t, state, coeffs, label, log_internal)
-        self._offset = 0.0
-        self._last_t: float | None = None
+    Row k holds the working-frame bare state ``raw[k]`` at ``times[k]``: the
+    true state is raw * exp(-i trace phase) * exp((log_internal - 2 gbar t) / 2).
+    The stored state takes that factor relative to an offset, and the offset
+    moves to the row's log true norm^2 whenever the row's would leave
+    [1e-150, 1e+150] relative to it. ``coeffs`` (adiabatic runs) take the
+    stored state's factor.
 
-    def add(self, t: float, state, log_internal: float, coeffs=None, label=None) -> None:
-        """Record the working-frame bare state (true state = state * exp(phase + scale)).
+    Every value is the bits the row-by-row loop in Python floats and complex
+    numbers gives (``tests/row_reference.py``; ``notes/decisions.md`` lists
+    the traps): moduli and squares as in ``_norms_sq``, ``math.log`` and
+    ``math.exp`` mapped over the column because numpy's differ in the last
+    bit, numpy's ``cos`` and ``sin`` (libm's), and complex products spelled
+    out as CPython computes them (``model._mul``, ``_fmul``). The offset scan
+    costs one array pass per renormalization. A squared norm that overflows
+    raises OverflowError, as ``abs()`` and ``**`` do on Python floats, and so
+    does ``math.exp``.
+    """
+    raw = np.asarray(raw, dtype=complex)
+    log_total = -2.0 * (0.5 * (params.gamma1 + params.gamma2)) * times + log_internal
+    with np.errstate(over="ignore"):
+        raw_n2 = _norms_sq(raw)
+    if np.isinf(raw_n2).any():
+        raise OverflowError("squared norm overflowed float64")
+    log_true = np.full(len(times), -math.inf)
+    positive = raw_n2 > 0
+    log_true[positive] = np.fromiter(map(math.log, raw_n2[positive].tolist()), float) + log_total[positive]
+    offsets = np.empty(len(times))
+    start, offset = 0, 0.0
+    while start < len(times):
+        shift = log_true[start:] - offset
+        leaves = np.flatnonzero(~((_LOG_RECORD_LO < shift) & (shift < _LOG_RECORD_HI)))
+        stop = start + leaves[0] if leaves.size else len(times)
+        offsets[start:stop] = offset
+        if stop < len(times):
+            # renormalize the stored state, push the factor into log_scale
+            offset = offsets[stop] = log_true[stop]
+        start = stop + 1
+    scale = np.fromiter(map(math.exp, (0.5 * (log_total - offsets)).tolist()), float)
+    # cmath.exp(1j * phase) * scale; 1j * phase has real part +-0.0, so exp takes cos and sin
+    phase = -_trace_phase(params, drive, times)
+    factor = _fmul(scale, np.cos(phase), np.sin(phase))
 
-        Adiabatic runs also pass their coefficients and the slot-0 branch label.
-        """
-        if self._last_t is not None and t <= self._last_t:
-            return
-        self._last_t = t
-        self.rows.append((t, state, coeffs, label, log_internal))
+    def scaled(z):
+        out = np.empty_like(z)
+        for j in (0, 1):
+            out.real[:, j], out.imag[:, j] = _mul(z.real[:, j], z.imag[:, j], *factor)
+        return out
 
-    def finalize(self) -> tuple:
-        """(times, states, norms_sq, log_scale, coeffs, labels); coeffs and labels may be None."""
-        m = len(self.rows)
-        times = np.empty(m)
-        states = np.empty((m, 2), dtype=complex)
-        coeffs = np.empty((m, 2), dtype=complex)
-        norms = np.empty(m)
-        logs = np.empty(m)
-        for k, (t, raw_state, raw_coeffs, _, log_internal) in enumerate(self.rows):
-            phase = -_trace_phase(self._params, self._drive, t)
-            log_total = -2.0 * self._gbar * t + log_internal
-            raw_n2 = abs(raw_state[0]) ** 2 + abs(raw_state[1]) ** 2
-            log_true = math.log(raw_n2) + log_total if raw_n2 > 0 else -math.inf
-            if not (_LOG_RECORD_LO < log_true - self._offset < _LOG_RECORD_HI):
-                # renormalize the stored state, push the factor into log_scale
-                self._offset = log_true
-            factor = cmath.exp(1j * phase) * math.exp(0.5 * (log_total - self._offset))
-            states[k] = (raw_state[0] * factor, raw_state[1] * factor)
-            if raw_coeffs is not None:
-                coeffs[k] = (raw_coeffs[0] * factor, raw_coeffs[1] * factor)
-            times[k] = t
-            norms[k] = abs(states[k, 0]) ** 2 + abs(states[k, 1]) ** 2
-            logs[k] = self._offset
-        if self.rows[0][2] is None:
-            return times, states, norms, logs, None, None
-        return times, states, norms, logs, coeffs, np.array([row[3] for row in self.rows])
+    states = scaled(raw)
+    return states, _norms_sq(states), offsets, None if coeffs is None else scaled(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -621,19 +658,21 @@ class _Dop853:
         for i, k in enumerate((k0, k1)):
             dy = self.y[i] - y_old[i]
             f_old, f_new = k[0], k[_N_STAGES]
-            coeffs = [dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)]
-            coeffs += [h * pair[i] for pair in high]
-            polys.append(coeffs[::-1])
+            d3, d4, d5, d6 = (h * pair[i] for pair in high)
+            # scipy's loop first adds the top coefficient to a zero accumulator,
+            # which turns a -0.0 part into 0.0
+            polys.append((dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old), d3, d4, d5, 0j + d6))
+        (p0, p1, p2, p3, p4, p5, p6), (q0, q1, q2, q3, q4, q5, q6) = polys
+        y0, y1 = y_old
 
         def interp(t: float) -> tuple:
+            # scipy's Horner scheme in x and 1 - x, alternating from the top coefficient
             x = (t - t_old) / h
-            out = []
-            for coeffs, y in zip(polys, y_old):
-                acc = 0j
-                for i, c in enumerate(coeffs):
-                    acc = (acc + c) * (x if i % 2 == 0 else 1.0 - x)
-                out.append(acc + y)
-            return tuple(out)
+            u = 1.0 - x
+            return (
+                ((((((p6 * x + p5) * u + p4) * x + p3) * u + p2) * x + p1) * u + p0) * x + y0,
+                ((((((q6 * x + q5) * u + q4) * x + q3) * u + q2) * x + q1) * u + q0) * x + y1,
+            )
 
         return interp
 
@@ -672,7 +711,9 @@ def propagate_direct(
     the step size kept. ``meta["solver"]`` counts accepted and rejected
     steps, RHS calls and renormalizations, and holds the smallest and
     largest accepted step (``min_step``, ``max_step``; the last step,
-    clipped to T, included).
+    clipped to T, included). ``meta["phase_s"]`` holds the wall seconds of
+    the stepping loop, rows interpolated on the way (``stepping``), and of
+    finishing the rows (``rows``).
 
     Raises
     ------
@@ -694,10 +735,11 @@ def propagate_direct(
         a, g, _, _ = kernel(t)
         return -1j * (a * u0 + g * u1), -1j * (g * u0 - a * u1)
 
-    grid = np.linspace(0.0, T, n_output + 1).tolist()
-    rec = _Recorder(params, drive)
+    grid = _output_grid(T, n_output)
     y = (complex(initial.c1), complex(initial.c2))
-    rec.add(0.0, y, 0.0)
+    # the rows as columns: time, working-frame state, log of the rescalings so far
+    times, raw, logs = [0.0], [y], [0.0]
+    started = time.perf_counter()
     stepper = _Dop853(rhs, y, T, config)
     log_u = 0.0
     gi = 1
@@ -707,20 +749,26 @@ def propagate_direct(
             t, (y0, y1) = stepper.t, stepper.y
             if not (cmath.isfinite(y0) and cmath.isfinite(y1)):
                 raise NonFiniteError("amplitudes became non-finite during integration")
-            if gi <= n_output and grid[gi] <= t:
+            if gi < len(grid) and grid[gi] <= t:
                 interp = stepper.dense()
-                while gi <= n_output and grid[gi] <= t:
-                    rec.add(grid[gi], interp(grid[gi]), log_u)
+                while gi < len(grid) and grid[gi] <= t:
+                    times.append(grid[gi])
+                    raw.append(interp(grid[gi]))
+                    logs.append(log_u)
                     gi += 1
-            if record_internal and t < T:
-                rec.add(t, stepper.y, log_u)
+            if record_internal and times[-1] < t < T:
+                times.append(t)
+                raw.append(stepper.y)
+                logs.append(log_u)
             if stepper.accepted > _STEP_BUDGET and T - t > _STEP_BUDGET_REMAINING * stepper.h:
                 raise StepBudgetError(_budget_message(stepper.accepted, T, t, stepper.h))
             n2 = _abs2(y0) + _abs2(y1)
             if n2 > 0 and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
                 stepper.rescale(math.sqrt(n2))
                 log_u += math.log(n2)
-        times, states, norms, logs, _, _ = rec.finalize()
+        stepped = time.perf_counter()
+        times = np.array(times)
+        states, norms, logs, _ = _finalize(params, drive, times, raw, np.array(logs))
     except OverflowError as exc:
         # abs() and ** on Python scalars raise OverflowError instead of returning inf
         raise NonFiniteError("amplitudes overflowed float64") from exc
@@ -731,6 +779,7 @@ def propagate_direct(
         "config": config,
         "n_output": n_output,
         "solver": stepper.counts(),
+        "phase_s": {"stepping": stepped - started, "rows": time.perf_counter() - stepped},
     }
     return TrajectoryRecord(times, states, norms, logs, None, None, meta)
 
@@ -1031,7 +1080,9 @@ def propagate_adiabatic(
     rows are recorded. ``meta["solver"]`` counts accepted and rejected
     steps, RHS calls and renormalizations, and holds the smallest and
     largest accepted step (``min_step``, ``max_step``; the last step,
-    clipped to T, included).
+    clipped to T, included). ``meta["phase_s"]`` holds the wall seconds of
+    the stepping loop (``stepping``) and of the frames and rows after it
+    (``rows``).
 
     Raises
     ------
@@ -1068,8 +1119,8 @@ def propagate_adiabatic(
         v = det * (0.5 * (a * g_dot - g * a_dot) / w2)  # _theta_dot
         return -1j * e0 * b0 + v * b1, 1j * e0 * b1 - v * b0
 
-    rec = _Recorder(params, loop)
-    grid = np.linspace(0.0, T, n_output + 1).tolist()
+    grid = _output_grid(T, n_output)
+    started = time.perf_counter()
     try:
         # the t = 0 frame, slot 0 on the instantaneous '+' branch; a continuously
         # tracked c-orthonormal pair keeps its determinant, so det is fixed here
@@ -1113,15 +1164,21 @@ def propagate_adiabatic(
             failure = exc
         else:
             failure = None
+        stepped = time.perf_counter()
         vectors, plus0 = frames._settle(params, loop, ep_tol, first, steps)
         if failure is not None:
             raise failure
-        picked = [f if f >= 0 else len(steps.ends) - f for _, _, _, f in rows]
-        for row, vs, on_plus in zip(rows, vectors[picked].tolist(), plus0[picked].tolist()):
-            t, b, log_b, _ = row
-            state = (b[0] * vs[0][0] + b[1] * vs[1][0], b[0] * vs[0][1] + b[1] * vs[1][1])
-            rec.add(t, state, log_b, coeffs=b, label="+" if on_plus else "-")
-        times, states, norms, logs, coeffs, labels = rec.finalize()
+        times, coeffs, logs, picked = (np.array(column) for column in zip(*rows))
+        picked[picked < 0] = len(steps.ends) - picked[picked < 0]
+        vs = vectors[picked]  # [row, slot, component]
+        raw = np.empty_like(coeffs)
+        for j in (0, 1):
+            # b[0] * vs[0][j] + b[1] * vs[1][j] in Python complex arithmetic
+            re0, im0 = _mul(coeffs.real[:, 0], coeffs.imag[:, 0], vs.real[:, 0, j], vs.imag[:, 0, j])
+            re1, im1 = _mul(coeffs.real[:, 1], coeffs.imag[:, 1], vs.real[:, 1, j], vs.imag[:, 1, j])
+            raw.real[:, j], raw.imag[:, j] = re0 + re1, im0 + im1
+        labels = np.where(plus0[picked], "+", "-")
+        states, norms, logs, coeffs = _finalize(params, loop, times, raw, logs, coeffs)
     except EPProximityError as exc:
         raise EPOnContourError(str(exc)) from exc
     except OverflowError as exc:
@@ -1135,6 +1192,7 @@ def propagate_adiabatic(
         "n_output": n_output,
         "ep_tol": ep_tol,
         "solver": stepper.counts(),
+        "phase_s": {"stepping": stepped - started, "rows": time.perf_counter() - stepped},
     }
     return TrajectoryRecord(times, states, norms, logs, coeffs, labels, meta)
 

@@ -4,6 +4,13 @@ CSV uses comma separators, '.' decimals, a header row, LF line endings, and
 17 significant digits for reals, so identical inputs always serialize to
 byte-identical files. JSON output is emitted with sorted keys for the same
 reason.
+
+The trajectory writers format whole rows: each column becomes a list of
+Python floats once, and one template per row formats its nine values
+(``"%.17g"`` for CSV, ``"%r"`` in the ``indent=1`` layout for JSON, whose
+head ``json.dumps`` still writes). The bytes are those of formatting one
+value at a time with ``fmt`` and ``json.dumps``; ``tests/row_reference.py``
+keeps those writers as the oracle.
 """
 
 from __future__ import annotations
@@ -93,29 +100,21 @@ def config_to_dict(config: IntegratorConfig) -> dict:
     }
 
 
-def _trajectory_rows(traj: TrajectoryRecord):
-    pop1 = np.abs(traj.states[:, 0]) ** 2
-    w1 = pop1 / traj.norms_sq
-    for k in range(len(traj.times)):
-        c1, c2 = traj.states[k]
-        yield (
-            traj.times[k],
-            c1.real,
-            c1.imag,
-            c2.real,
-            c2.imag,
-            traj.norms_sq[k],
-            traj.log_scale[k],
-            w1[k],
-            1.0 - w1[k],
-        )
+def _trajectory_columns(traj: TrajectoryRecord) -> list:
+    """The trajectory columns as lists of Python floats, in ``TRAJECTORY_COLUMNS`` order."""
+    w1 = np.abs(traj.states[:, 0]) ** 2 / traj.norms_sq
+    c1, c2 = traj.states[:, 0], traj.states[:, 1]
+    columns = (traj.times, c1.real, c1.imag, c2.real, c2.imag, traj.norms_sq, traj.log_scale, w1, 1.0 - w1)
+    return [np.asarray(column, dtype=float).tolist() for column in columns]
+
+
+#: one CSV row: "%.17g" is ``fmt``'s format(x, ".17g")
+_CSV_ROW = ",".join(["%.17g"] * len(TRAJECTORY_COLUMNS))
 
 
 def trajectory_to_csv(traj: TrajectoryRecord) -> str:
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    for row in _trajectory_rows(traj):
-        lines.append(",".join(fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    rows = map(_CSV_ROW.__mod__, zip(*_trajectory_columns(traj)))
+    return ",".join(TRAJECTORY_COLUMNS) + "\n" + "\n".join(rows) + "\n"
 
 
 def _meta_dict(traj: TrajectoryRecord) -> dict:
@@ -130,13 +129,18 @@ def _meta_dict(traj: TrajectoryRecord) -> dict:
     return out
 
 
+#: one row of the "rows" list as json.dumps(..., indent=1) lays it out; "%r" is
+#: float.__repr__, which json uses for finite floats
+_JSON_ROW = "  [\n" + ",\n".join(["   %r"] * len(TRAJECTORY_COLUMNS)) + "\n  ]"
+
+
 def trajectory_to_json(traj: TrajectoryRecord) -> str:
-    doc = {
-        "meta": _meta_dict(traj),
-        "columns": list(TRAJECTORY_COLUMNS),
-        "rows": [[float(fmt(x)) for x in row] for row in _trajectory_rows(traj)],
-    }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    # json.dumps writes the head; "rows" sorts last, so its list goes in before the closing brace
+    head = json.dumps({"meta": _meta_dict(traj), "columns": list(TRAJECTORY_COLUMNS)}, sort_keys=True, indent=1)
+    rows = ",\n".join(map(_JSON_ROW.__mod__, zip(*_trajectory_columns(traj))))
+    # json's tokens for the non-finite floats; no finite repr holds "nan" or "inf"
+    rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+    return head[:-2] + ',\n "rows": [\n' + rows + "\n ]\n}\n"
 
 
 def _sweep_row(cell) -> list[str]:

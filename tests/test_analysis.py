@@ -18,6 +18,7 @@ from epdyn import (
     hermitian_loop,
     propagate_direct,
 )
+from epdyn import analysis
 from epdyn.analysis import (
     RATIO_CAP,
     AsymmetryReport,
@@ -303,3 +304,30 @@ class TestSweep:
         result = sweep(spec, REF, FAST, jobs=2, progress=lambda c: seen.append((c.i, c.j)))
         assert seen == [(0, 0), (1, 0), (2, 0)]
         assert [(c.i, c.j) for c in result.cells] == seen
+
+
+class TestFinalOnlyGrid:
+    """table1 and sweep cells record 2 output intervals; their reports equal those on 512, bit for bit."""
+
+    ACCEPT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14)
+
+    def test_table1_rows(self, monkeypatch):
+        loop = diode_loop(Direction.CW)
+        coarse = table1(REF, loop, self.ACCEPT, n_track=1024)
+        monkeypatch.setattr(analysis, "_FINAL_ONLY", 512)
+        fine = table1(REF, loop, self.ACCEPT, n_track=1024)
+        assert repr(coarse) == repr(fine)  # repr tells every float apart, signed zeros too
+
+    def test_sweep_cells(self, monkeypatch):
+        spec = SweepSpec(
+            template=diode_loop(Direction.CW),
+            durations=(300.0, 337.5, 375.0),
+            amp_scales=(0.05, 0.675, 1.3),
+            direction=Direction.CCW,
+            initial_phase=1.0,
+        )
+        coarse = sweep(spec, REF, self.ACCEPT)
+        monkeypatch.setattr(analysis, "_FINAL_ONLY", 512)
+        fine = sweep(spec, REF, self.ACCEPT)
+        assert repr(coarse.cells) == repr(fine.cells)
+        assert all(cell.error is None for cell in coarse.cells)

@@ -1,6 +1,7 @@
 """Command-line interface: config validation, subcommands, exit codes."""
 
 import contextlib
+import io
 import json
 import logging
 import math
@@ -309,6 +310,24 @@ class TestStepBudget:
         assert main(["--config", write_config(tmp_path, doc), "simulate", "--method", method]) == 0
 
 
+@pytest.mark.parametrize(
+    "duration, argv",
+    [
+        (1e-320, ["simulate"]),
+        (1e-320, ["simulate", "--method", "adiabatic"]),
+        (348.75, ["--jobs", "1", "sweep", "--t-min", "1e-320"]),
+    ],
+    ids=["direct", "adiabatic", "sweep"],
+)
+def test_subnormal_duration_names_field(tmp_path, capsys, duration, argv):
+    # 2*pi/T overflows below T = 3.5e-308: the loop is rejected up front
+    # (simulate ended in a traceback from math.sin(inf), a sweep cell in an error)
+    doc = with_field("loop", "duration_T", duration)
+    doc["output"]["path"] = str(tmp_path / "out.csv")
+    assert main(["--config", write_config(tmp_path, doc), *argv]) == 1
+    assert "duration_T is too small" in capsys.readouterr().err
+
+
 class TestSweep:
     # a one-point grid is bound-checked like a longer one; unchecked, a
     # non-positive value raises inside the sweep, inf never ends, nan fails late
@@ -556,6 +575,7 @@ PROPAGATING_COMMANDS = [
 @example(doc=with_field("loop", "duration_T", 1e300), argv=PROPAGATING_COMMANDS[1])  # floor above cap
 @example(doc=with_field("integrator", "max_step", 5e-324), argv=PROPAGATING_COMMANDS[0])
 @example(doc=with_field("initial", "c2_re", 1e308), argv=PROPAGATING_COMMANDS[0])  # |c|^2 overflows
+@example(doc=with_field("loop", "duration_T", 5e-324), argv=PROPAGATING_COMMANDS[0])  # 2*pi/T overflows
 @example(doc=with_field("loop", "center_omega", 5.0), argv=PROPAGATING_COMMANDS[2])  # EP outside
 def test_propagating_commands_exit_cleanly_on_mutated_config(doc, argv):
     # simulate and table1 propagate, and the step budget bounds their work,
@@ -567,6 +587,28 @@ def test_propagating_commands_exit_cleanly_on_mutated_config(doc, argv):
         with time_limit(20):
             code = main(["--config", path, "--output", f"{tmp}/out", *argv])
     assert code in range(6)
+
+
+SWEEP_GRID = ["sweep", "--t-min", "300", "--t-max", "375", "--nt", "2", "--amp-min", "1", "--namp", "1"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_configs(), fmt=st.sampled_from(["csv", "json"]))
+@example(doc=with_field("loop", "duration_T", 1e300), fmt="csv")  # the grid sets T
+@example(doc=with_field("loop", "center_omega", 5.0), fmt="json")  # EP outside: every cell fails
+@example(doc=with_field("integrator", "max_step", 5e-324), fmt="csv")
+def test_sweep_exits_cleanly_on_mutated_config(doc, fmt):
+    # a 2x1 sweep in one process: every config ends in an exit code of the
+    # CLI contract, and failing cells end in their error column, not a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        stderr = io.StringIO()
+        with time_limit(20), contextlib.redirect_stderr(stderr):
+            code = main(["--config", path, "--output", f"{tmp}/out", "--format", fmt, "--jobs", "1", *SWEEP_GRID])
+    assert code in range(6)
+    assert "Traceback" not in stderr.getvalue()
 
 
 # -- runtime dependencies -------------------------------------------------------

@@ -237,6 +237,23 @@ class TestOmegaIntegral:
             numeric, err = quad(lambda t: field_at(loop, t).omega, 0.0, t_end, limit=200)
             assert loop.omega_integral(t_end) == pytest.approx(numeric, abs=max(1e-9, 10 * err))
 
+    @pytest.mark.parametrize("static", [False, True], ids=["loop", "static"])
+    def test_array_times_give_the_scalar_bits(self, static):
+        # the recorder takes the trace phase of all its rows in one call
+        rng = np.random.default_rng(7)
+        loop = random_loop(rng)
+        drive = StaticDrive(FieldPoint(1.5, 0.2), loop.duration_T) if static else loop
+        times = np.concatenate([[0.0, loop.duration_T], rng.uniform(0.0, loop.duration_T, 256)])
+        scalar = [drive.omega_integral(t) for t in times.tolist()]
+        assert drive.omega_integral(times, np).tobytes() == np.array(scalar).tobytes()
+        with pytest.raises(ValueError, match="outside"):
+            drive.omega_integral(np.array([0.0, loop.duration_T * 1.5]), np)
+
+    def test_subnormal_duration_rejected(self):
+        # 2*pi/T would overflow, and the phase would be nan or raise in math.sin
+        with pytest.raises(ValueError, match="duration_T is too small"):
+            make_loop(T=1e-320)
+
 
 class TestWindingNumber:
     def test_encircling_ccw_is_minus_one(self):

@@ -48,9 +48,10 @@ from epdyn.propagation import (
     _LOG_WORK_HI,
     _LOG_WORK_LO,
     TrajectoryRecord,
-    _Recorder,
     _traceless,
 )
+from epdyn.serialize import trajectory_to_csv, trajectory_to_json
+from row_reference import dop853_interp, finalize
 
 REF = DEFAULT_PARAMS
 TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14)
@@ -246,10 +247,9 @@ def scipy_direct(params, drive, initial, config, n_output):
         return -1j * np.array([a * u[0] + g * u[1], g * u[0] - a * u[1]], dtype=complex)
 
     grid = np.linspace(0.0, T, n_output + 1)
-    rec = _Recorder(params, drive)
     u = initial.as_array()
     log_u = 0.0
-    rec.add(0.0, u.copy(), log_u)
+    times, raw, logs = [0.0], [u.copy()], [log_u]
     t_now, gi, accepted = 0.0, 1, 0
     while t_now < T:
         first = min(config.initial_step, config.max_step, 0.5 * (T - t_now))
@@ -262,7 +262,9 @@ def scipy_direct(params, drive, initial, config, n_output):
             accepted += 1
             dense = solver.dense_output()
             while gi <= n_output and grid[gi] <= solver.t:
-                rec.add(grid[gi], dense(grid[gi]), log_u)
+                times.append(grid[gi])
+                raw.append(dense(grid[gi]))
+                logs.append(log_u)
                 gi += 1
             n2 = float(abs(solver.y[0]) ** 2 + abs(solver.y[1]) ** 2)
             if n2 > 0 and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
@@ -271,8 +273,8 @@ def scipy_direct(params, drive, initial, config, n_output):
                 break
         if not restart:
             u, t_now = solver.y, solver.t
-    times, states, norms, logs, _, _ = rec.finalize()
-    return TrajectoryRecord(times, states, norms, logs, None, None), accepted
+    states, norms, logs, _ = finalize(params, drive, times, raw, logs)
+    return TrajectoryRecord(np.array(times), states, norms, logs, None, None), accepted
 
 
 ORACLE_CASES = {
@@ -337,6 +339,102 @@ def test_solver_reports_the_accepted_step_sizes(propagate):
     steps = np.diff(ends)
     assert (solver["min_step"], solver["max_step"]) == (steps.min(), steps.max())
     assert TIGHT.initial_step >= solver["min_step"] and solver["max_step"] > 10 * solver["min_step"]
+
+
+def bits(a) -> bytes:
+    """The raw bytes of an array: equal only if every value, signed zeros too, is equal."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+#: decays by e^-8 per unit time: the record renormalizes about every 43 time units
+DECAYING = SystemParams(e1=0.0, e2=1.0, gamma1=3.0, gamma2=5.0, d12=1.0)
+
+ROW_CASES = {
+    "direct-diode": (propagate_direct, REF, diode_loop(Direction.CW), 1, {}),
+    "direct-internal": (propagate_direct, REF, encircling_loop(50.0, Direction.CCW), 2, {"record_internal": True}),
+    "direct-static": (propagate_direct, REF, StaticDrive(FieldPoint(1.07, 0.31), 7.0), 1, {"n_output": 64}),
+    "direct-renormalizing": (propagate_direct, DECAYING, StaticDrive(FieldPoint(0.5, 0.3), 400.0), 1, {}),
+    "adiabatic-encircling": (propagate_adiabatic, REF, encircling_loop(50.0, Direction.CW), 2, {}),
+    "adiabatic-internal": (
+        propagate_adiabatic, REF, encircling_loop(50.0, Direction.CCW), 1, {"record_internal": True}
+    ),
+    "adiabatic-static": (propagate_adiabatic, REF, StaticDrive(FieldPoint(1.07, 0.31), 7.0), 2, {"n_output": 64}),
+    "adiabatic-renormalizing": (
+        propagate_adiabatic, DECAYING, StaticDrive(FieldPoint(0.5, 0.3), 400.0), 1, {"n_output": 300}
+    ),
+}
+
+
+class TestRowsAgainstReference:
+    """``_finalize`` on whole columns against the recorder's scalar loop in ``row_reference``."""
+
+    @pytest.mark.parametrize("propagate, params, drive, state, kwargs", ROW_CASES.values(), ids=ROW_CASES.keys())
+    def test_bits_equal_the_scalar_loop(self, monkeypatch, propagate, params, drive, state, kwargs):
+        calls = []
+        array_finalize = prop._finalize
+        monkeypatch.setattr(prop, "_finalize", lambda *args: calls.append(args) or array_finalize(*args))
+        traj = propagate(params, drive, StateVector.basis(state), TIGHT, **kwargs)
+        (args,) = calls
+        states, norms, logs, coeffs = finalize(*args)
+        assert bits(traj.states) == bits(states)
+        assert bits(traj.norms_sq) == bits(norms)
+        assert bits(traj.log_scale) == bits(logs)
+        assert (coeffs is None) == (traj.adiabatic_coeffs is None)
+        if coeffs is not None:
+            assert bits(traj.adiabatic_coeffs) == bits(coeffs)
+        if params is DECAYING:
+            assert len(set(traj.log_scale.tolist())) > 5  # the record renormalized
+
+    @pytest.mark.parametrize("drive", [encircling_loop(1.0), StaticDrive(FieldPoint(1.07, 0.31), 1.0)],
+                             ids=["loop", "static"])
+    def test_synthetic_rows(self, drive):
+        # every row renormalizes: odd rows have |state| near 1 and no rescaling, so
+        # log_scale holds the bits of their log |state|^2; even rows reach 10^+-100
+        # and e^+-300, so the exp, the moduli and the squares cover the range
+        rng = np.random.default_rng(11)
+        m = 16384
+        times = np.sort(rng.uniform(0.0, drive.duration_T, m))
+        times[0] = 0.0
+        odd = np.arange(m) % 2 == 1
+        sign = rng.choice([-1.0, 1.0], m)
+        magnitude = np.where(odd, rng.uniform(0.3, 3.0, m), 10.0 ** (100.0 * sign))
+        raw = (rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))) * magnitude[:, None]
+        log_internal = np.where(odd, 0.0, sign * rng.uniform(0.0, 300.0, m))
+        coeffs = raw[::-1].copy()
+        # no decay (gamma1 = gamma2 = 0), so an odd row's log is not rounded into a larger sum
+        got = prop._finalize(HERMITIAN_PARAMS, drive, times, raw, log_internal, coeffs)
+        want = finalize(HERMITIAN_PARAMS, drive, times, raw, log_internal, coeffs)
+        assert [bits(a) for a in got] == [bits(a) for a in want]
+        assert len(set(got[2].tolist())) == m
+
+    def test_dense_output_is_scipys_loop(self):
+        # the Horner chain of _Dop853.dense gives the bits of scipy's loop
+        kernel = loops._traceless_kernel(diode_loop(Direction.CCW), REF)
+
+        def rhs(t, u0, u1):
+            a, g, _, _ = kernel(t)
+            return -1j * (a * u0 + g * u1), -1j * (g * u0 - a * u1)
+
+        stepper = prop._Dop853(rhs, (0.6 + 0j, 0.8j), DIODE_DURATION, TIGHT)
+        for _ in range(60):
+            stepper.step()
+            interp = stepper.dense()
+            reference = dop853_interp(stepper)
+            for t in np.linspace(stepper.t_old, stepper.t, 7).tolist():
+                assert bits(np.array(interp(t))) == bits(np.array(reference(t)))
+
+
+@pytest.mark.parametrize("propagate", [propagate_direct, propagate_adiabatic], ids=["direct", "adiabatic"])
+def test_meta_times_each_phase(propagate):
+    # wall times per phase sit outside meta["solver"], whose counts stay deterministic,
+    # and outside the files, which stay byte-identical from run to run
+    runs = [propagate(REF, encircling_loop(50.0), StateVector.basis(2), TIGHT) for _ in range(2)]
+    for traj in runs:
+        assert sorted(traj.meta["phase_s"]) == ["rows", "stepping"]
+        assert all(seconds >= 0.0 for seconds in traj.meta["phase_s"].values())
+    assert runs[0].meta["solver"] == runs[1].meta["solver"]
+    assert trajectory_to_csv(runs[0]) == trajectory_to_csv(runs[1])
+    assert trajectory_to_json(runs[0]) == trajectory_to_json(runs[1])
 
 
 def dense(entries, n):
