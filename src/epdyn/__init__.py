@@ -56,8 +56,6 @@ from .propagation import (
     TrajectoryRecord,
     accumulated_phase,
     average_decay_rate,
-    na_coupling,
-    na_coupling_at,
     propagate_adiabatic,
     propagate_direct,
     track_branches,

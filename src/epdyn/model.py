@@ -15,9 +15,9 @@ only adds a common phase and decay. The EP is where a^2 + g^2 = 0, and the
 eigenvectors turn with th, tan 2th = g/a. ``_traceless`` is the one
 definition of (a, g). It is plain arithmetic, so omega and eps0 may be floats
 or numpy arrays; the closed-form couplings and the vectorized contour
-scans in ``loops`` use it, and the propagators' right-hand sides get the
-same bits from ``loops._traceless_kernel``, which spells its operations
-out on constants read once per run.
+scans in ``loops`` use it, and the propagators get the same bits from
+constants read once per run: the adiabatic RHS from
+``loops._traceless_kernel``, the direct step with its operations inlined.
 
 Eigenframes have one code path, on arrays: ``_eigensystems`` solves any
 number of matrices elementwise, and ``eigenframe`` is its one-matrix case.

@@ -12,8 +12,12 @@ Hermitian parameters and postpones overflow for strongly decaying runs.
 an adaptive 8th-order Runge-Kutta stepper on the two amplitudes as Python
 complex scalars. It uses the published DOP853 tableau (tested equal to
 scipy's) and the error norm and step controller of
-``scipy.integrate.DOP853``, which the tests keep as its oracle. It builds the
-dense-output interpolant only on steps that hold an output time, and
+``scipy.integrate.DOP853``, which the tests keep as its oracle. Its step is
+straight-line code compiled once per process, by the first direct run,
+from the tableau (``_dop853_source``), with the drive inlined into every
+stage. The stepping loop keeps the stages of each step that holds an
+output time; after it, one array pass (``_dense_rows``) builds those
+steps' dense-output interpolants and evaluates every output row. The loop
 rescales the working state in place, keeping the step size, when its norm
 leaves the working window. ``propagate_adiabatic`` expands the state in
 the instantaneous eigenbasis, integrating coefficients whose off-diagonal
@@ -35,20 +39,22 @@ scalar recipe gives, so no output depends on the array path. Each route's
 loop also enforces a step budget (``_STEP_BUDGET``), so no input makes a
 run go on without end.
 
-Both right-hand sides take the traceless H = [[a, g], [g, -a]] and its
-rate (a', g') from one closure per run, ``loops._traceless_kernel``: it
-reads the drive's and the model's constants once and gives at every stage
-the bits of ``model._traceless`` at ``field_at`` (see the ``model``
-docstring), without a call or an object per step. The couplings are in
-closed form: the c-normalized eigenvectors (cos th, sin th) and
-(-sin th, cos th), tan 2th = g/a, both turn at the complex rate
+The direct step and the adiabatic RHS take the traceless
+H = [[a, g], [g, -a]] from the drive's and the model's constants, read once
+per run, and give at every stage the bits of ``model._traceless`` at
+``field_at`` (see the ``model`` docstring), without a call or an object per
+step: the adiabatic RHS through the closure ``loops._traceless_kernel``,
+which also gives the rate (a', g'), the direct step with the kernel's
+operations written into it. The couplings are in closed form: the
+c-normalized eigenvectors (cos th, sin th) and (-sin th, cos th),
+tan 2th = g/a, both turn at the complex rate
 
     th' = (a g' - g a') / (2 (a^2 + g^2)),
 
 with a' and g' exact from the loop velocity, and a tracked pair (v0, v1)
 with det = v0[0] v1[1] - v0[1] v1[0] = +/-1 has V_{0/1} = -det th' and
-V_{1/0} = +det th'. ``na_coupling`` keeps the two-frame finite difference
-as an independent reference.
+V_{1/0} = +det th'. The tests keep the two-frame finite difference as an
+independent reference (``tests/coupling_reference.py``).
 
 Recorded amplitudes are kept inside the representable range: if the true
 squared norm leaves [1e-150, 1e+150] the stored state is renormalized and
@@ -58,22 +64,27 @@ The stepping loops only collect the working-frame rows as columns (time,
 state, log of the rescalings); ``_finalize`` then restores the trace phase
 and the scale factors, and scans for renormalizations, in array passes
 spelled so that every value is the bits of the old row-by-row loop in
-Python scalars (``tests/row_reference.py`` keeps that loop as the oracle).
-Both routes time the two phases into ``meta["phase_s"]``.
+Python scalars (``tests/row_reference.py`` keeps that loop as the oracle,
+and ``tests/dop853_reference.py`` the loop-based DOP853 with its scalar
+dense output). Both routes time the two phases into ``meta["phase_s"]``:
+``stepping`` is the stepping loop, ``rows`` the interpolated and finished
+rows after it.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import functools
 import math
 import time
+import types
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import (
-    AmbiguousTrackingError,
     EpdynError,
     EPOnContourError,
     EPProximityError,
@@ -82,20 +93,9 @@ from .errors import (
     StepSizeUnderflowError,
 )
 from . import frames
-from .loops import LoopSpec, StaticDrive, _discriminant_on_loop, _traceless_kernel
-from .model import (
-    EigenFrame,
-    SystemParams,
-    _fmul,
-    _mul,
-    _require_finite,
-    _root_plus,
-    _traceless,
-    _traceless_drive,
-    build_hamiltonian,
-    c_product,
-    eigenframe,
-)
+from .loops import LoopSpec, StaticDrive, _discriminant_on_loop, _fields_at, _traceless_kernel
+# build_hamiltonian is not called here; perfbench's tracer wraps propagation.build_hamiltonian
+from .model import SystemParams, _complex, _fmul, _mul, _require_finite, _root_plus, build_hamiltonian, c_product
 
 __all__ = [
     "StateVector",
@@ -104,8 +104,6 @@ __all__ = [
     "AdiabaticFrame",
     "propagate_direct",
     "propagate_adiabatic",
-    "na_coupling",
-    "na_coupling_at",
     "track_branches",
     "accumulated_phase",
     "average_decay_rate",
@@ -545,17 +543,159 @@ _DOP_D = (
 )
 
 
-def _combine(coeffs, k0: list, k1: list) -> tuple:
-    """sum_j c_j K[j] for both components."""
-    d0 = d1 = 0j
-    for j, c in coeffs:
-        d0 += c * k0[j]
-        d1 += c * k1[j]
-    return d0, d1
-
-
 def _abs2(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
+
+
+def _drive_constants(drive: Drive, params: SystemParams) -> tuple:
+    """(T, th0, turn, cx, ax, cy, ay, a_static, half_d12): what the direct step reads of a run.
+
+    A loop's are what ``loops._traceless_kernel`` reads. A static drive is the
+    loop with both axes -0.0 at the fixed angle 0 (turn 0.0): cos 0 = 1.0 and
+    sin 0 = 0.0 make each axis term -0.0, and x + -0.0 is x for every x,
+    signed zeros included, so the step gets the bits of the constant field.
+    """
+    if isinstance(drive, StaticDrive):
+        fp = drive.field
+        return (drive.duration_T, 0.0, 0.0, fp.omega, -0.0, fp.eps0, -0.0,
+                params._a_static, params._half_d12)
+    return (
+        drive.duration_T,
+        drive.start_phase,
+        drive.direction.sign * 2.0 * math.pi,
+        drive.center.omega,
+        drive.semi_axis_omega,
+        drive.center.eps0,
+        drive.semi_axis_eps,
+        params._a_static,
+        params._half_d12,
+    )
+
+
+def _sum_lines(name: str, coeffs, k: str) -> list:
+    """Statements ``name = sum_j c_j k<j>`` in the tableau's order, from a 0j accumulator."""
+    (j, c), *rest = coeffs
+    return [f"{name} = 0j + ({c!r}) * {k}{j}"] + [f"{name} = {name} + ({c!r}) * {k}{j}" for j, c in rest]
+
+
+def _rhs_lines(t: str, u0: str, u1: str, f0: str, f1: str) -> list:
+    """Statements of one RHS call at time ``t``: (a, g) in ``_traceless_kernel``'s operations, then -i H u."""
+    return [
+        f"ts = {t}",
+        "if ts < 0.0:",  # min(max(ts, 0.0), T), as the kernel clamps
+        "    ts = 0.0",
+        "elif ts > T:",
+        "    ts = T",
+        "th = th0 + turn * fmod(ts / T, 1.0)",
+        "a = a_static + 0.5 * (cx + ax * cos(th))",
+        "g = half_d12 * (cy + ay * sin(th))",
+        f"{f0} = -1j * (a * {u0} + g * {u1})",
+        f"{f1} = -1j * (g * {u0} - a * {u1})",
+    ]
+
+
+_DOP853_TEMPLATE = '''
+def derivative(drive, t, u0, u1):
+    T, th0, turn, cx, ax, cy, ay, a_static, half_d12 = drive
+{rhs}
+    return f0, f1
+
+
+def step(self):
+    T, th0, turn, cx, ax, cy, ay, a_static, half_d12 = self.drive
+    t, (y0, y1), (k0_0, k1_0) = self.t, self.y, self.f
+    min_step = 10.0 * ulp(t)
+    h = self.h_abs
+    if h > self.max_step:
+        h = self.max_step
+    elif h < min_step:
+        h = min_step
+    rejected = False
+    while True:
+        if h < min_step:
+            raise StepSizeUnderflowError(
+                f"step size {{h:.3e}} below 10 ulp(t) = {{min_step:.3e}} at t = {{t:.6g}}"
+            )
+        t_new = min(t + h, self.t_bound)
+        h = t_new - t
+{stages}
+        self.rhs_calls += {n_stages}
+        s0 = self.atol + max(abs(y0), abs(n0)) * self.rtol
+        s1 = self.atol + max(abs(y1), abs(n1)) * self.rtol
+{errors}
+        if err5 == 0.0 and err3 == 0.0:
+            err = 0.0
+        else:
+            err = h * err5 / sqrt(2.0 * (err5 + 0.01 * err3))
+        if err < 1.0:
+            factor = {max_factor!r}
+            if err > 0.0:
+                factor = min(factor, {safety!r} * err ** ({exponent!r}))
+            self.h_abs = h * (min(1.0, factor) if rejected else factor)
+            break
+        h *= max({min_factor!r}, {safety!r} * err ** ({exponent!r}))
+        rejected = True
+        self.rejected += 1
+    self.accepted += 1
+    self.h_min, self.h_max = min(self.h_min, h), max(self.h_max, h)
+    self.t_old, self.y_old, self.h = t, self.y, h
+    self.t, self.y, self.f = t_new, (n0, n1), (k0_{n_stages}, k1_{n_stages})
+    self.k = ({stage_pairs})
+'''
+
+
+def _dop853_source() -> str:
+    """Python source of the direct route's RHS ``derivative`` and DOP853 ``step``, from the tableau.
+
+    The stages, the 8th-order solution and both error estimates are flat
+    statements: each sum runs in the tableau's order from a 0j accumulator,
+    with the coefficients as ``repr`` literals, and each RHS call is written
+    out with its drive inlined (``_rhs_lines``). The controller is
+    ``_Dop853``'s. ``tests/dop853_reference.py`` keeps the loop that does the
+    same arithmetic.
+    """
+    stages = []
+    for s, (c, a) in enumerate(_DOP_STAGES, 1):
+        stages += _sum_lines("d0", a, "k0_") + _sum_lines("d1", a, "k1_")
+        stages += ["u0 = y0 + d0 * h", "u1 = y1 + d1 * h"]
+        stages += _rhs_lines(f"t + ({c!r}) * h", "u0", "u1", f"k0_{s}", f"k1_{s}")
+    stages += _sum_lines("d0", _DOP_B, "k0_") + _sum_lines("d1", _DOP_B, "k1_")
+    stages += ["n0 = y0 + h * d0", "n1 = y1 + h * d1"]
+    stages += _rhs_lines("t + h", "n0", "n1", f"k0_{_N_STAGES}", f"k1_{_N_STAGES}")
+    errors = []
+    for name, weights in (("err5", _DOP_E5), ("err3", _DOP_E3)):
+        errors += _sum_lines("e0", weights, "k0_") + _sum_lines("e1", weights, "k1_")
+        errors += [
+            "q0 = e0 / s0",
+            "q1 = e1 / s1",
+            f"{name} = (q0.real * q0.real + q0.imag * q0.imag) + (q1.real * q1.real + q1.imag * q1.imag)",
+        ]
+    return _DOP853_TEMPLATE.format(
+        rhs="\n".join("    " + line for line in _rhs_lines("t", "u0", "u1", "f0", "f1")),
+        stages="\n".join("        " + line for line in stages),
+        errors="\n".join("        " + line for line in errors),
+        n_stages=_N_STAGES,
+        stage_pairs=", ".join(f"k0_{s}, k1_{s}" for s in range(_N_STAGES + 1)),
+        safety=_Dop853.SAFETY,
+        min_factor=_Dop853.MIN_FACTOR,
+        max_factor=_Dop853.MAX_FACTOR,
+        exponent=_Dop853.EXPONENT,
+    )
+
+
+@functools.cache
+def _dop853_functions() -> tuple:
+    """(derivative, step), compiled from ``_dop853_source()`` by the first direct run of a process."""
+    namespace = {
+        "cos": math.cos,
+        "sin": math.sin,
+        "fmod": math.fmod,
+        "sqrt": math.sqrt,
+        "ulp": math.ulp,
+        "StepSizeUnderflowError": StepSizeUnderflowError,
+    }
+    exec(compile(_dop853_source(), "<dop853>", "exec"), namespace)
+    return namespace["derivative"], namespace["step"]
 
 
 class _Dop853:
@@ -565,9 +705,11 @@ class _Dop853:
     equal to scipy's. The error norm (scipy's blend of the 5th- and 3rd-order
     estimates), the step controller and the floor min_step = 10 ulp(t) are
     those of ``scipy.integrate.DOP853``, which stays in the tests as the
-    oracle; only the driver differs. ``rhs(t, y0, y1)`` returns the
-    derivative pair. The stages of the last accepted step are kept, so the
-    dense-output interpolant is built only when ``dense()`` asks for it.
+    oracle; only the stepping loop differs. ``step`` is straight-line code compiled
+    from the tableau (``_dop853_source``) with the drive ``_drive_constants``
+    inlined into every stage. After each accepted step ``k`` holds its 13
+    stage pairs (K_0 at the step's start, K_12 at its end, both components),
+    from which ``_dense_rows`` builds the interpolant.
     """
 
     SAFETY = 0.9
@@ -575,106 +717,20 @@ class _Dop853:
     MAX_FACTOR = 10.0
     EXPONENT = -1.0 / 8.0  # -1 / (error estimator order 7 + 1)
 
-    def __init__(self, rhs, y: tuple, t_bound: float, config: IntegratorConfig) -> None:
-        self.rhs = rhs
+    def __init__(self, drive: tuple, y: tuple, t_bound: float, config: IntegratorConfig) -> None:
+        derivative, step = _dop853_functions()
+        self.step = types.MethodType(step, self)
+        self.drive = drive
         self.t_bound = t_bound
         self.rtol, self.atol, self.max_step = config.rel_tol, config.abs_tol, config.max_step
         self.t, self.y = 0.0, y
-        self.f = rhs(0.0, *y)
+        self.f = derivative(drive, 0.0, *y)
         self.h_abs = min(config.initial_step, config.max_step, 0.5 * t_bound)
-        self.k0 = [0j] * _N_STAGES_EXTENDED
-        self.k1 = [0j] * _N_STAGES_EXTENDED
         self.rhs_calls = 1
         self.accepted = 0
         self.rejected = 0
         self.renormalizations = 0
         self.h_min, self.h_max = math.inf, 0.0
-
-    def step(self) -> None:
-        """Take one accepted step, shrinking the trial step on rejection."""
-        t, (y0, y1), k0, k1, rhs = self.t, self.y, self.k0, self.k1, self.rhs
-        min_step = 10.0 * math.ulp(t)
-        h = self.h_abs
-        if h > self.max_step:
-            h = self.max_step
-        elif h < min_step:
-            h = min_step
-        rejected = False
-        while True:
-            if h < min_step:
-                raise StepSizeUnderflowError(
-                    f"step size {h:.3e} below 10 ulp(t) = {min_step:.3e} at t = {t:.6g}"
-                )
-            t_new = min(t + h, self.t_bound)
-            h = t_new - t
-            k0[0], k1[0] = self.f
-            for s, (c, a) in enumerate(_DOP_STAGES, 1):
-                d0 = d1 = 0j
-                for j, a_j in a:
-                    d0 += a_j * k0[j]
-                    d1 += a_j * k1[j]
-                k0[s], k1[s] = rhs(t + c * h, y0 + d0 * h, y1 + d1 * h)
-            d0, d1 = _combine(_DOP_B, k0, k1)
-            n0, n1 = y0 + h * d0, y1 + h * d1
-            f = k0[_N_STAGES], k1[_N_STAGES] = rhs(t + h, n0, n1)
-            self.rhs_calls += _N_STAGES
-            s0 = self.atol + max(abs(y0), abs(n0)) * self.rtol
-            s1 = self.atol + max(abs(y1), abs(n1)) * self.rtol
-            e0, e1 = _combine(_DOP_E5, k0, k1)
-            err5 = _abs2(e0 / s0) + _abs2(e1 / s1)
-            e0, e1 = _combine(_DOP_E3, k0, k1)
-            err3 = _abs2(e0 / s0) + _abs2(e1 / s1)
-            if err5 == 0.0 and err3 == 0.0:
-                err = 0.0
-            else:
-                err = h * err5 / math.sqrt(2.0 * (err5 + 0.01 * err3))
-            if err < 1.0:
-                factor = self.MAX_FACTOR
-                if err > 0.0:
-                    factor = min(factor, self.SAFETY * err**self.EXPONENT)
-                self.h_abs = h * (min(1.0, factor) if rejected else factor)
-                break
-            h *= max(self.MIN_FACTOR, self.SAFETY * err**self.EXPONENT)
-            rejected = True
-            self.rejected += 1
-        self.accepted += 1
-        self.h_min, self.h_max = min(self.h_min, h), max(self.h_max, h)
-        self.t_old, self.y_old, self.h = t, self.y, h
-        self.t, self.y, self.f = t_new, (n0, n1), f
-
-    def dense(self):
-        """Interpolant t -> (y0, y1) over the last accepted step (3 more RHS calls).
-
-        Call it before ``rescale``: it reads the step's end state.
-        """
-        k0, k1, h, t_old = self.k0, self.k1, self.h, self.t_old
-        y_old = self.y_old
-        for s, (c, a) in enumerate(_DOP_EXTRA, _N_STAGES + 1):
-            d0, d1 = _combine(a, k0, k1)
-            k0[s], k1[s] = self.rhs(t_old + c * h, y_old[0] + d0 * h, y_old[1] + d1 * h)
-        self.rhs_calls += len(_DOP_EXTRA)
-        high = [_combine(d, k0, k1) for d in _DOP_D]
-        polys = []
-        for i, k in enumerate((k0, k1)):
-            dy = self.y[i] - y_old[i]
-            f_old, f_new = k[0], k[_N_STAGES]
-            d3, d4, d5, d6 = (h * pair[i] for pair in high)
-            # scipy's loop first adds the top coefficient to a zero accumulator,
-            # which turns a -0.0 part into 0.0
-            polys.append((dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old), d3, d4, d5, 0j + d6))
-        (p0, p1, p2, p3, p4, p5, p6), (q0, q1, q2, q3, q4, q5, q6) = polys
-        y0, y1 = y_old
-
-        def interp(t: float) -> tuple:
-            # scipy's Horner scheme in x and 1 - x, alternating from the top coefficient
-            x = (t - t_old) / h
-            u = 1.0 - x
-            return (
-                ((((((p6 * x + p5) * u + p4) * x + p3) * u + p2) * x + p1) * u + p0) * x + y0,
-                ((((((q6 * x + q5) * u + q4) * x + q3) * u + q2) * x + q1) * u + q0) * x + y1,
-            )
-
-        return interp
 
     def rescale(self, norm: float) -> None:
         """Divide the state and its FSAL derivative by ``norm``; the step size is kept."""
@@ -693,6 +749,84 @@ class _Dop853:
         }
 
 
+def _stage_sums(rows, kr: np.ndarray, ki: np.ndarray) -> tuple:
+    """(re, im) of sum_j c_j K_j for each coefficient row, a leading axis over the rows.
+
+    Each sum runs in the tableau's order from a 0j accumulator, as the
+    scalar sums do. The rows share their stage indices j (as ``_DOP_D``'s
+    do), so one array operation serves every row.
+    """
+    coeffs = np.array([[c for _, c in row] for row in rows])[:, :, None, None]  # [row, term, step, component]
+    sr = si = 0.0
+    for n, (j, _) in enumerate(rows[0]):
+        tr, ti = _fmul(coeffs[:, n], kr[j], ki[j])
+        sr, si = sr + tr, si + ti
+    return sr, si
+
+
+def _dense_rows(params: SystemParams, drive: Drive, times: np.ndarray, held: list, values: list) -> np.ndarray:
+    """The working-frame states at ``times``, the rows inside the steps that hold a grid time.
+
+    ``held`` has each such step's (t_old, h, number of rows), in the order
+    of the rows, and ``values`` its (y_old, y_new, K_0, ..., K_12) as
+    complex pairs. One array pass takes the three extra stages (the drive
+    through ``loops._fields_at``, whose bits are the kernel's), the
+    ``_DOP_D`` sums, the seven coefficients of scipy's interpolant and every
+    row's Horner chain in x and 1 - x. Every value is the bits the scalar
+    ``dense()`` and its interpolant give (``tests/dop853_reference.py``):
+    the arithmetic runs on real and imaginary parts, float * complex as
+    ``_fmul`` and complex products as ``_mul``, each sum from a 0j
+    accumulator. The extra stages lie inside their step, so their times
+    need no clamp to [0, T].
+    """
+    t_old, h, count = (np.array(column) for column in zip(*held))
+    pairs = np.array(values, dtype=complex).reshape(len(held), -1, 2)  # [step, (y_old, y_new, K_j), component]
+    # [stage, step, component]; the extra stages 13..15 are filled below
+    kr = np.empty((_N_STAGES_EXTENDED, len(held), 2))
+    ki = np.empty_like(kr)
+    kr[: _N_STAGES + 1] = pairs.real[:, 2:].transpose(1, 0, 2)
+    ki[: _N_STAGES + 1] = pairs.imag[:, 2:].transpose(1, 0, 2)
+    y_old = pairs.real[:, 0], pairs.imag[:, 0]
+    y_new = pairs.real[:, 1], pairs.imag[:, 1]
+    hc = h[:, None]
+    a_static, half_d12 = params._a_static, params._half_d12
+    with np.errstate(over="ignore", invalid="ignore"):  # Python complex arithmetic overflows silently
+        for s, (c, coeffs) in enumerate(_DOP_EXTRA, _N_STAGES + 1):
+            (dr,), (di,) = _stage_sums((coeffs,), kr, ki)
+            dr, di = _fmul(hc, dr, di)  # d * h
+            u0 = y_old[0][:, 0] + dr[:, 0], y_old[1][:, 0] + di[:, 0]
+            u1 = y_old[0][:, 1] + dr[:, 1], y_old[1][:, 1] + di[:, 1]
+            omega, eps0 = _fields_at(drive, t_old + c * h)
+            # a_static + 0.5 * omega and half_d12 * eps0, the float widened to complex(x, 0.0)
+            a = a_static.real + 0.5 * omega, a_static.imag + 0.0
+            g = _fmul(eps0, half_d12.real, half_d12.imag)
+            # -1j * (a * u0 + g * u1) and -1j * (g * u0 - a * u1)
+            (vr, vi), (wr, wi) = _mul(*a, *u0), _mul(*g, *u1)
+            kr[s, :, 0], ki[s, :, 0] = _mul(-0.0, -1.0, vr + wr, vi + wi)
+            (vr, vi), (wr, wi) = _mul(*g, *u0), _mul(*a, *u1)
+            kr[s, :, 1], ki[s, :, 1] = _mul(-0.0, -1.0, vr - wr, vi - wi)
+        dy = y_new[0] - y_old[0], y_new[1] - y_old[1]
+        f_old, f_new = (kr[0], ki[0]), (kr[_N_STAGES], ki[_N_STAGES])
+        hf_old = _fmul(hc, *f_old)
+        hf_sum = _fmul(hc, f_new[0] + f_old[0], f_new[1] + f_old[1])
+        two_dy = _fmul(2.0, *dy)
+        poly = [dy, (hf_old[0] - dy[0], hf_old[1] - dy[1]), (two_dy[0] - hf_sum[0], two_dy[1] - hf_sum[1])]
+        high = _fmul(hc, *_stage_sums(_DOP_D, kr, ki))
+        poly += [(high[0][i], high[1][i]) for i in range(len(_DOP_D))]
+        # scipy's loop first adds the top coefficient to a zero accumulator,
+        # which turns a -0.0 part into 0.0
+        poly[-1] = 0.0 + poly[-1][0], 0.0 + poly[-1][1]
+        step_of = np.repeat(np.arange(len(held)), count)
+        x = ((times - t_old[step_of]) / h[step_of])[:, None]
+        u = 1.0 - x
+        # scipy's Horner scheme in x and 1 - x, alternating from the top coefficient
+        ar, ai = poly[6][0][step_of], poly[6][1][step_of]
+        for (cr, ci), w in zip(poly[5::-1] + [y_old], (x, u, x, u, x, u, x)):
+            ar, ai = _fmul(w, ar, ai)
+            ar, ai = ar + cr[step_of], ai + ci[step_of]
+    return _complex(ar, ai)
+
+
 def propagate_direct(
     params: SystemParams,
     drive: Drive,
@@ -705,15 +839,17 @@ def propagate_direct(
 
     The stepper is ``_Dop853`` on the traceless-frame amplitudes. Records at
     ``n_output + 1`` uniformly spaced times (>= 512 by default) from the
-    dense-output interpolant, built only on steps that hold a grid time;
-    ``record_internal`` additionally keeps every accepted step. When the
+    dense-output interpolant of the steps that hold a grid time, which the
+    stepping loop keeps and ``_dense_rows`` evaluates in one array pass after
+    it; ``record_internal`` additionally keeps every accepted step. When the
     squared norm leaves [1e-100, 1e+100] the state is rescaled in place and
     the step size kept. ``meta["solver"]`` counts accepted and rejected
-    steps, RHS calls and renormalizations, and holds the smallest and
-    largest accepted step (``min_step``, ``max_step``; the last step,
-    clipped to T, included). ``meta["phase_s"]`` holds the wall seconds of
-    the stepping loop, rows interpolated on the way (``stepping``), and of
-    finishing the rows (``rows``).
+    steps, RHS calls (3 more for each step that holds a grid time) and
+    renormalizations, and holds the smallest and largest accepted step
+    (``min_step``, ``max_step``; the last step, clipped to T, included).
+    ``meta["phase_s"]`` holds the wall seconds of the stepping loop
+    (``stepping``) and of the interpolated and finished rows after it
+    (``rows``).
 
     Raises
     ------
@@ -728,37 +864,33 @@ def propagate_direct(
     if n_output < 2:
         raise ValueError("n_output must be >= 2")
     T = drive.duration_T
-
-    kernel = _traceless_kernel(drive, params)
-
-    def rhs(t: float, u0: complex, u1: complex) -> tuple:
-        a, g, _, _ = kernel(t)
-        return -1j * (a * u0 + g * u1), -1j * (g * u0 - a * u1)
-
     grid = _output_grid(T, n_output)
     y = (complex(initial.c1), complex(initial.c2))
-    # the rows as columns: time, working-frame state, log of the rescalings so far
-    times, raw, logs = [0.0], [y], [0.0]
+    # the rows as columns: time and log of the rescalings so far; the rows at a
+    # step end keep their state, the rest are interpolated after the loop
+    times, logs, ends = [0.0], [0.0], [(0, y)]
+    held, values = [], []  # the steps that hold a grid time, as _dense_rows takes them
     started = time.perf_counter()
-    stepper = _Dop853(rhs, y, T, config)
+    stepper = _Dop853(_drive_constants(drive, params), y, T, config)
+    step = stepper.step
     log_u = 0.0
     gi = 1
     try:
         while stepper.t < T:
-            stepper.step()
+            step()
             t, (y0, y1) = stepper.t, stepper.y
             if not (cmath.isfinite(y0) and cmath.isfinite(y1)):
                 raise NonFiniteError("amplitudes became non-finite during integration")
             if gi < len(grid) and grid[gi] <= t:
-                interp = stepper.dense()
-                while gi < len(grid) and grid[gi] <= t:
-                    times.append(grid[gi])
-                    raw.append(interp(grid[gi]))
-                    logs.append(log_u)
-                    gi += 1
+                stop = bisect.bisect_right(grid, t, gi)
+                held.append((stepper.t_old, stepper.h, stop - gi))
+                values.append((*stepper.y_old, y0, y1, *stepper.k))
+                times += grid[gi:stop]
+                logs += [log_u] * (stop - gi)
+                gi = stop
             if record_internal and times[-1] < t < T:
+                ends.append((len(times), stepper.y))
                 times.append(t)
-                raw.append(stepper.y)
                 logs.append(log_u)
             if stepper.accepted > _STEP_BUDGET and T - t > _STEP_BUDGET_REMAINING * stepper.h:
                 raise StepBudgetError(_budget_message(stepper.accepted, T, t, stepper.h))
@@ -768,6 +900,13 @@ def propagate_direct(
                 log_u += math.log(n2)
         stepped = time.perf_counter()
         times = np.array(times)
+        raw = np.empty((len(times), 2), dtype=complex)
+        at_end = np.zeros(len(times), dtype=bool)
+        rows, kept = zip(*ends)
+        at_end[list(rows)] = True
+        raw[at_end] = kept
+        raw[~at_end] = _dense_rows(params, drive, times[~at_end], held, values)
+        stepper.rhs_calls += len(_DOP_EXTRA) * len(held)
         states, norms, logs, _ = _finalize(params, drive, times, raw, np.array(logs))
     except OverflowError as exc:
         # abs() and ** on Python scalars raise OverflowError instead of returning inf
@@ -829,7 +968,8 @@ class _Dopri5:
     adiabatic route must not share integration machinery with the direct
     route it is checked against. The stepper runs free towards ``t_bound``
     (only its last step is clipped), with an RMS error norm, a step cap of
-    min(max_step, t_bound / 64) and a floor of 1e-14 t_bound. ``rhs(t, y0,
+    min(max_step, t_bound / 64), which must not underflow to 0, and a floor
+    of 1e-14 t_bound. ``rhs(t, y0,
     y1)`` returns the derivative pair; the stages of the last accepted step
     are kept, so ``dense()`` interpolates it without further RHS calls.
     """
@@ -846,6 +986,8 @@ class _Dopri5:
         self.rtol, self.atol = config.rel_tol, config.abs_tol
         self.max_step = min(config.max_step, t_bound / 64.0)
         self.min_step = 1e-14 * t_bound
+        if self.max_step == 0.0:
+            raise ValueError(f"duration_T = {t_bound:.3g} is too small: the step cap T/64 underflows to 0")
         if self.min_step > self.max_step:
             raise StepBudgetError(
                 f"step floor 1e-14 T = {self.min_step:.3e} above the step cap "
@@ -965,73 +1107,6 @@ def _det_sign(vs) -> float:
     return 1.0 if (v0[0] * v1[1] - v0[1] * v1[0]).real > 0.0 else -1.0
 
 
-def _theta_dot(params: SystemParams, a: complex, g: complex, velocity) -> complex:
-    """th' = (a g' - g a') / (2 (a^2 + g^2)); see the module docstring."""
-    a_dot, g_dot = _traceless_drive(params, *velocity)
-    return 0.5 * (a * g_dot - g * a_dot) / (a * a + g * g)
-
-
-def na_coupling(
-    frame_a: EigenFrame,
-    frame_b: EigenFrame,
-    dt: float,
-    velocity: tuple[float, float],
-) -> tuple[complex, complex]:
-    """Non-adiabatic couplings (V_{+/-}, V_{-/+}) from two nearby frames.
-
-    ``frame_a`` and ``frame_b`` must be eigenframes at parameter points
-    placed symmetrically around the evaluation point along the velocity
-    direction, separated by ``velocity * dt``; the central difference
-    (v_b - v_a)/dt is then the velocity-weighted parameter derivative of
-    each eigenvector, and the couplings are its c-products with the opposite
-    branch. Zero velocity returns (0, 0) exactly. This finite difference is
-    the independent reference for the closed form of :func:`na_coupling_at`.
-
-    The gauge convention fixes signs only piecewise, so frame_b is re-aligned
-    (branch pairing and sign) to frame_a before differencing; too-ambiguous
-    overlaps raise EPProximityError because that is the divergent-derivative
-    signature near the EP.
-    """
-    if velocity[0] == 0.0 and velocity[1] == 0.0:
-        return 0j, 0j
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    va = np.array([frame_a.v_plus, frame_a.v_minus])  # [slot, component]
-    cands = np.array([frame_b.v_plus, frame_b.v_minus])
-    pairing = frames._pair(va[:1], va[1:], cands[:1], cands[1:])
-    if not pairing.ok[0]:
-        try:
-            frames._raise_pairing(pairing.mags[0], plus0=True)
-        except AmbiguousTrackingError as exc:
-            raise EPProximityError("frames too close to the EP to pair branches") from exc
-    picks = [1, 0] if pairing.cross[0] else [0, 1]
-    vb = np.where(pairing.chain[0] >= 0.0, 1.0, -1.0)[:, None] * cands[picks]
-    mid = 0.5 * (va + vb)
-    dv = (vb - va) / dt
-    return complex(c_product(mid[0], dv[1])), complex(c_product(mid[1], dv[0]))
-
-
-def na_coupling_at(
-    params: SystemParams,
-    loop: LoopSpec,
-    t: float,
-    ep_tol: float = 1e-8,
-) -> tuple[complex, complex]:
-    """Couplings (V_{+/-}, V_{-/+}) at time t on a loop, in closed form.
-
-    With the traceless H = [[a, g], [g, -a]] and
-    th' = (a g' - g a') / (2 (a^2 + g^2)) taken from the loop velocity,
-    V_{+/-} = -det th' and V_{-/+} = +det th', where det = +/-1 is the
-    determinant of the frame's (v_plus, v_minus). Raises EPProximityError
-    inside the eigenframe guard.
-    """
-    fp = loop.field_at(t)
-    frame = eigenframe(build_hamiltonian(params, fp), ep_tol)
-    theta_dot = _theta_dot(params, *_traceless(params, fp.omega, fp.eps0), loop.velocity_at(t))
-    det = _det_sign((frame.v_plus.tolist(), frame.v_minus.tolist()))
-    return -det * theta_dot, det * theta_dot
-
-
 # ---------------------------------------------------------------------------
 # adiabatic-frame propagation
 # ---------------------------------------------------------------------------
@@ -1086,6 +1161,8 @@ def propagate_adiabatic(
 
     Raises
     ------
+    ValueError
+        If ``duration_T`` is so small that the step cap T/64 underflows to 0.
     EPOnContourError
         If the contour comes within the eigenframe guard of the EP.
     AmbiguousTrackingError
@@ -1116,7 +1193,7 @@ def propagate_adiabatic(
         if abs(disc) <= guard:
             raise EPProximityError(f"|discriminant| = {abs(disc):.3e} <= tol^2 = {guard:.3e}")
         e0 = _nearest_root(disc, energy)
-        v = det * (0.5 * (a * g_dot - g * a_dot) / w2)  # _theta_dot
+        v = det * (0.5 * (a * g_dot - g * a_dot) / w2)  # det th', see the module docstring
         return -1j * e0 * b0 + v * b1, 1j * e0 * b1 - v * b0
 
     grid = _output_grid(T, n_output)

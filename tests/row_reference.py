@@ -8,7 +8,8 @@ writers that format one value at a time. The package does both on whole
 columns instead (``propagation._finalize``, ``serialize``); the tests check
 that its rows are the same bits and its files the same bytes.
 ``dop853_interp`` is scipy's loop for the DOP853 interpolant, which the
-package's ``_Dop853.dense`` writes as one Horner chain.
+reference stepper's ``dense()`` (``dop853_reference``) and the package's
+array pass ``propagation._dense_rows`` write as one Horner chain.
 """
 
 import cmath
@@ -17,7 +18,8 @@ import math
 
 import numpy as np
 
-from epdyn.propagation import _DOP_D, _LOG_RECORD_HI, _LOG_RECORD_LO, _N_STAGES, _combine
+from dop853_reference import _combine
+from epdyn.propagation import _DOP_D, _LOG_RECORD_HI, _LOG_RECORD_LO, _N_STAGES
 from epdyn.serialize import TRAJECTORY_COLUMNS, _meta_dict, fmt
 
 

@@ -631,6 +631,18 @@ def test_import_loads_no_scipy():
     assert result.stdout == "[]\n"
 
 
+def test_import_builds_no_direct_step():
+    # the direct route's step is compiled by the first direct run of a process, not by an import
+    code = (
+        "import epdyn, epdyn.cli, epdyn.propagation as p; print(p._dop853_functions.cache_info().currsize); "
+        "p.propagate_direct(epdyn.DEFAULT_PARAMS, epdyn.encircling_loop(5.0), (1, 0), n_output=2); "
+        "print(p._dop853_functions.cache_info().currsize)"
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n1\n"
+
+
 @pytest.mark.parametrize("argv", [["simulate"], ["table1"]], ids=["simulate", "table1"])
 def test_main_runs_with_scipy_blocked(tmp_path, capsys, monkeypatch, argv):
     # the same call with scipy unimportable writes the same bytes as in this process

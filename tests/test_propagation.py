@@ -34,8 +34,6 @@ from epdyn import (
     eigenvalues,
     encircling_loop,
     hermitian_loop,
-    na_coupling,
-    na_coupling_at,
     propagate_adiabatic,
     propagate_direct,
     track_branches,
@@ -44,13 +42,11 @@ from epdyn import (
 from epdyn import frames, loops
 from epdyn import propagation as prop
 from epdyn.errors import AmbiguousTrackingError, StepBudgetError
-from epdyn.propagation import (
-    _LOG_WORK_HI,
-    _LOG_WORK_LO,
-    TrajectoryRecord,
-    _traceless,
-)
+from epdyn.model import _traceless
+from epdyn.propagation import _LOG_WORK_HI, _LOG_WORK_LO, TrajectoryRecord
 from epdyn.serialize import trajectory_to_csv, trajectory_to_json
+from coupling_reference import na_coupling, na_coupling_at
+import dop853_reference
 from row_reference import dop853_interp, finalize
 
 REF = DEFAULT_PARAMS
@@ -302,22 +298,28 @@ class TestDirectStepperAgainstScipy:
         assert rel.max() <= 1e-12, rel.max()
 
     def test_dense_output_only_on_steps_holding_a_grid_time(self, monkeypatch):
-        # every RHS call evaluates the drive kernel once: 12 per step, 3 more
-        # on each of the 8 steps that hold a grid time, 1 at t = 0; the scipy
-        # oracle, whose RHS goes through loops.field_at, builds the
-        # interpolant on every step
-        calls = []
+        # 12 RHS calls per step, 3 more on each of the 8 steps that hold a
+        # grid time, 1 at t = 0. The loop-based reference stepper evaluates
+        # the drive kernel once per call, and the array pass takes the drive
+        # at the 3 extra stages of those 8 steps only; the scipy oracle,
+        # whose RHS goes through loops.field_at, builds the interpolant on
+        # every step
+        calls, stage_times = [], []
         make_kernel = loops._traceless_kernel
 
         def counting_kernel(drive, params):
             kernel = make_kernel(drive, params)
             return lambda t: calls.append(t) or kernel(t)
 
-        monkeypatch.setattr(prop, "_traceless_kernel", counting_kernel)
+        fields_at = loops._fields_at
+        monkeypatch.setattr(dop853_reference, "_traceless_kernel", counting_kernel)
+        monkeypatch.setattr(prop, "_fields_at", lambda drive, t: stage_times.extend(t) or fields_at(drive, t))
         loop, init = diode_loop(Direction.CCW), StateVector.basis(2)
         solver = propagate_direct(REF, loop, init, TIGHT, n_output=8).meta["solver"]
+        assert solver == dop853_reference.propagate_direct(REF, loop, init, TIGHT, n_output=8).meta["solver"]
         assert solver["rhs_calls"] == len(calls)
         assert solver["rhs_calls"] == 12 * solver["accepted"] + 3 * 8 + 1
+        assert len(stage_times) == 3 * 8
         calls.clear()
         field_at = loops.field_at
         monkeypatch.setattr(loops, "field_at", lambda loop, t: calls.append(t) or field_at(loop, t))
@@ -408,20 +410,54 @@ class TestRowsAgainstReference:
         assert len(set(got[2].tolist())) == m
 
     def test_dense_output_is_scipys_loop(self):
-        # the Horner chain of _Dop853.dense gives the bits of scipy's loop
-        kernel = loops._traceless_kernel(diode_loop(Direction.CCW), REF)
-
-        def rhs(t, u0, u1):
-            a, g, _, _ = kernel(t)
-            return -1j * (a * u0 + g * u1), -1j * (g * u0 - a * u1)
-
-        stepper = prop._Dop853(rhs, (0.6 + 0j, 0.8j), DIODE_DURATION, TIGHT)
+        # the array pass's Horner chains give the bits of scipy's loop, on 60
+        # steps of the loop-based reference stepper at 7 times each
+        rhs = dop853_reference.kernel_rhs(diode_loop(Direction.CCW), REF)
+        stepper = dop853_reference._Dop853(rhs, (0.6 + 0j, 0.8j), DIODE_DURATION, TIGHT)
+        held, values, times, reference = [], [], [], []
         for _ in range(60):
             stepper.step()
-            interp = stepper.dense()
-            reference = dop853_interp(stepper)
+            stepper.dense()
+            interp = dop853_interp(stepper)
+            held.append((stepper.t_old, stepper.h, 7))
+            values.append((*stepper.y_old, *stepper.y, *dop853_reference.stage_pairs(stepper)))
             for t in np.linspace(stepper.t_old, stepper.t, 7).tolist():
-                assert bits(np.array(interp(t))) == bits(np.array(reference(t)))
+                times.append(t)
+                reference.append(interp(t))
+        rows = prop._dense_rows(REF, diode_loop(Direction.CCW), np.array(times), held, values)
+        assert bits(rows) == bits(np.array(reference))
+
+    @pytest.mark.parametrize("drive", [diode_loop(Direction.CW), StaticDrive(FieldPoint(-0.0, -0.0), 5.0)],
+                             ids=["loop", "static"])
+    def test_dense_pass_keeps_signed_zeros(self, drive):
+        # synthetic steps whose stages and states are mostly signed zeros, with
+        # a_static.imag = -0.0: each widened product, each 0j accumulator and
+        # the drive's (a, g) decide signs the rows keep
+        params = SystemParams(e1=0.0, e2=1.0, gamma1=0.0, gamma2=-0.0, d12=1.0)
+        assert math.copysign(1.0, params._a_static.imag) == -1.0
+        rng = np.random.default_rng(7)
+
+        def value():
+            re, im = (rng.choice([0.0, -0.0, rng.normal()], p=[0.45, 0.45, 0.1]) for _ in range(2))
+            return complex(re, im)
+
+        rhs = dop853_reference.kernel_rhs(drive, params)
+        stepper = dop853_reference._Dop853(rhs, (1.0 + 0j, 0j), drive.duration_T, TIGHT)
+        held, values, times, reference = [], [], [], []
+        for t_old in np.linspace(0.0, 0.9 * drive.duration_T, 200).tolist():
+            stepper.t_old, stepper.h = t_old, 0.05 * drive.duration_T
+            stepper.y_old, stepper.y = (value(), value()), (value(), value())
+            for j in range(prop._N_STAGES + 1):
+                stepper.k0[j], stepper.k1[j] = value(), value()
+            stepper.dense()
+            interp = dop853_interp(stepper)
+            held.append((stepper.t_old, stepper.h, 3))
+            values.append((*stepper.y_old, *stepper.y, *dop853_reference.stage_pairs(stepper)))
+            for x in (0.0, 0.5, 1.0):
+                times.append(t_old + x * stepper.h)
+                reference.append(interp(times[-1]))
+        rows = prop._dense_rows(params, drive, np.array(times), held, values)
+        assert bits(rows) == bits(np.array(reference))
 
 
 @pytest.mark.parametrize("propagate", [propagate_direct, propagate_adiabatic], ids=["direct", "adiabatic"])
@@ -445,6 +481,126 @@ def dense(entries, n):
     return row
 
 
+def random_loop(rng, direction):
+    """A seeded ellipse around the diode's region of the drive plane, with eps0 >= 0 on it."""
+    ay = rng.uniform(0.02, 0.2)
+    return LoopSpec(
+        center=FieldPoint(rng.uniform(0.7, 1.3), ay + rng.uniform(0.0, 0.3)),
+        semi_axis_omega=rng.uniform(0.02, 0.3),
+        semi_axis_eps=ay,
+        direction=direction,
+        duration_T=rng.uniform(10.0, 80.0),
+        start_phase=rng.uniform(0.0, 2.0 * math.pi),
+    )
+
+
+def random_state(rng):
+    c = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return StateVector(complex(c[0]), complex(c[1]))
+
+
+#: a = (-0.0, 0.0) at omega = -0.0: the signed zeros the static drive's constants must keep
+SIGNED_ZEROS = SystemParams(e1=-0.0, e2=0.0, gamma1=0.1, gamma2=0.1, d12=1.0)
+#: each step is max_step = 0.25, so every grid time of n_output 8 over T = 2 is a step end
+ON_STEP_ENDS = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, max_step=0.25, initial_step=0.25)
+
+ORACLE_STEP_CASES = {
+    **{
+        name: (params, drive, StateVector.basis(state), TIGHT, kwargs)
+        for name, (propagate, params, drive, state, kwargs) in ROW_CASES.items()
+        if propagate is propagate_direct
+    },
+    **{
+        f"random{seed}-{d.value}": (
+            REF, random_loop(np.random.default_rng(seed), d), random_state(np.random.default_rng(seed + 100)),
+            TIGHT, {},
+        )
+        for seed in (1, 2, 3)
+        for d in (Direction.CW, Direction.CCW)
+    },
+    **{
+        f"diode-ccw-n{n}": (
+            REF, diode_loop(Direction.CCW), StateVector.basis(2), IntegratorConfig(), {"n_output": n}
+        )
+        for n in (2, 8, 4096)
+    },
+    "static-signed-zeros": (
+        SIGNED_ZEROS, StaticDrive(FieldPoint(-0.0, 0.3), 5.0), StateVector.basis(1), TIGHT, {"n_output": 16}
+    ),
+    "static-zero-field": (
+        SIGNED_ZEROS, StaticDrive(FieldPoint(-0.0, -0.0), 5.0), StateVector(1.0, -0.0), TIGHT, {"n_output": 16}
+    ),
+    "rejections": (
+        REF, encircling_loop(50.0, Direction.CW), StateVector.equal_superposition(0.7),
+        IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14, initial_step=5.0), {"n_output": 64},
+    ),
+    "grid-on-step-ends": (
+        REF, StaticDrive(FieldPoint(1.07, 0.31), 2.0), StateVector.basis(1), ON_STEP_ENDS, {"n_output": 8}
+    ),
+    "grid-on-step-ends-internal": (
+        REF, StaticDrive(FieldPoint(1.07, 0.31), 2.0), StateVector.basis(2), ON_STEP_ENDS,
+        {"n_output": 8, "record_internal": True},
+    ),
+}
+
+
+class TestGeneratedStepAgainstLoop:
+    """The generated straight-line step and the dense array pass against the loop-based stepper."""
+
+    @pytest.mark.parametrize("params, drive, initial, config, kwargs", ORACLE_STEP_CASES.values(),
+                             ids=ORACLE_STEP_CASES.keys())
+    def test_same_bits_and_counts(self, params, drive, initial, config, kwargs):
+        traj = propagate_direct(params, drive, initial, config, **kwargs)
+        oracle = dop853_reference.propagate_direct(params, drive, initial, config, **kwargs)
+        for name in ("times", "states", "norms_sq", "log_scale"):
+            assert bits(getattr(traj, name)) == bits(getattr(oracle, name)), name
+        assert traj.meta["solver"] == oracle.meta["solver"]
+
+    def test_cases_cover_what_they_name(self):
+        def solver(name):
+            params, drive, initial, config, kwargs = ORACLE_STEP_CASES[name]
+            return propagate_direct(params, drive, initial, config, **kwargs).meta["solver"]
+
+        assert solver("rejections")["rejected"] > 0
+        assert solver("direct-renormalizing")["renormalizations"] > 0
+        on_ends = solver("grid-on-step-ends")
+        assert on_ends["min_step"] == on_ends["max_step"] == 0.25
+        assert on_ends["rhs_calls"] == 12 * 8 + 3 * 8 + 1
+
+    @pytest.mark.parametrize("params, drive, y", [
+        (REF, diode_loop(Direction.CW), (0.6 + 0j, 0.8j)),
+        (SIGNED_ZEROS, StaticDrive(FieldPoint(-0.0, -0.0), 5.0), (1.0 - 0j, complex(-0.0, 0.0))),
+        (SIGNED_ZEROS, StaticDrive(FieldPoint(-0.0, 0.3), 5.0), (complex(-0.0, -0.0), 1.0 + 0j)),
+    ], ids=["diode", "static-zero-field", "static-signed-zeros"])
+    def test_each_step_is_the_loops_bits(self, params, drive, y):
+        # state, FSAL derivative, next trial step and the 13 stage pairs after
+        # every step, signed zeros included: a zero field keeps every stage a
+        # signed zero, whose sign only the exact operation order reproduces
+        T = drive.duration_T
+        reference = dop853_reference._Dop853(dop853_reference.kernel_rhs(drive, params), y, T, TIGHT)
+        stepper = prop._Dop853(prop._drive_constants(drive, params), y, T, TIGHT)
+        assert bits(np.array(stepper.f)) == bits(np.array(reference.f))
+        for _ in range(40):
+            if reference.t >= T:
+                break
+            reference.step()
+            stepper.step()
+            stages = dop853_reference.stage_pairs(reference)
+            for got, want in ((stepper.y, reference.y), (stepper.f, reference.f), (stepper.k, stages),
+                              ((stepper.t, stepper.h_abs), (reference.t, reference.h_abs))):
+                assert bits(np.array(got)) == bits(np.array(want))
+        assert stepper.counts() == reference.counts()
+
+    def test_source_is_flat_and_from_the_tableau(self):
+        source = prop._dop853_source()
+        compile(source, "<dop853>", "exec")
+        assert source.count("for ") == 0
+        for c, a in prop._DOP_STAGES:
+            assert f"t + ({c!r}) * h" in source
+            for _, coeff in a:
+                assert f"({coeff!r}) * k0_" in source
+
+
 class TestDop853Tableau:
     def test_literals_are_scipys(self):
         from scipy.integrate._ivp import dop853_coefficients as scipy_dop
@@ -462,13 +618,15 @@ class TestDop853Tableau:
         np.testing.assert_array_equal([dense(d, n) for d in prop._DOP_D], scipy_dop.D)
 
     def test_entries_are_nonzero_and_ascending(self):
-        # _combine sums in tuple order, so the order is part of the arithmetic
+        # the generated step and the dense pass sum in tuple order, so the order is part of the arithmetic
         rows = [a for _, a in prop._DOP_STAGES + prop._DOP_EXTRA]
         rows += [prop._DOP_B, prop._DOP_E3, prop._DOP_E5, *prop._DOP_D]
         for row in rows:
             js = [j for j, _ in row]
             assert js == sorted(set(js))
             assert all(c != 0.0 for _, c in row)
+        # the dense pass sums the four _DOP_D rows in one array operation per stage
+        assert len({tuple(j for j, _ in row) for row in prop._DOP_D}) == 1
 
 
 class TestNaCoupling:
@@ -562,6 +720,16 @@ class TestDopri5:
         floor, cap, at_T = (re.escape(text) for text in (f"{1e-14 * T:.3e}", f"{10.0:.3e}", f"{T:.6g}"))
         with pytest.raises(StepBudgetError, match=f"floor .*{floor} above the step cap .*{cap} at T = {at_T}"):
             propagate_adiabatic(REF, loop, StateVector.basis(2), n_output=8)
+
+    @pytest.mark.parametrize("T", [5e-324, 32 * 5e-324])
+    def test_cap_underflowing_to_zero_is_a_value_error(self, T):
+        # below 64 * 5e-324 the cap T/64 and the floor 1e-14 T are both 0.0:
+        # this used to take 10^4 zero-length steps and end in ZeroDivisionError;
+        # the direct route, whose floor is 10 ulp(t), takes one step
+        drive = StaticDrive(FieldPoint(1.0, 0.3), T)
+        with pytest.raises(ValueError, match="duration_T = .* is too small"):
+            propagate_adiabatic(REF, drive, StateVector.basis(2), n_output=8)
+        assert propagate_direct(REF, drive, StateVector.basis(2), n_output=8).times[-1] == T
 
     def test_dense_output_coefficients_are_scipys(self):
         from scipy.integrate._ivp.rk import RK45
