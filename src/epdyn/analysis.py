@@ -1,15 +1,16 @@
-"""Observables of propagated trajectories: projections, dominance, sweeps.
+"""Observables of propagated trajectories and traversal maps: projections, dominance, sweeps.
 
-Everything here is a pure function of trajectory records (plus fresh
-propagations for the table and sweep drivers). Projections are computed on
-the normalized state so the rescaling factors cancel; survival fractions use
-the true (un-renormalized) squared norms.
+Projections of a trajectory record are computed on the normalized state so
+the rescaling factors cancel; survival fractions use the true
+(un-renormalized) squared norms. The table and the sweep read their final
+states off one traversal map per loop (``traversal``): U c0 from any initial
+state c0, so a loop serves every initial state, and the sweep evaluates one
+grid row of loops in one batch.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import EpdynError, ZeroNormError
 from .loops import Direction, LoopSpec, contains_ep, rho
 from .model import FieldPoint, SystemParams, locate_ep
+# propagate_direct is not called here; perfbench's tracer wraps analysis.propagate_direct
 from .propagation import (
     IntegratorConfig,
     StateVector,
@@ -25,6 +27,7 @@ from .propagation import (
     propagate_direct,
     track_branches,
 )
+from .traversal import TraversalMap, _maps, traversal_maps
 
 __all__ = [
     "ProjectionSeries",
@@ -46,15 +49,6 @@ __all__ = [
 #: Ratios beyond this are reported as the cap (quotients near total purity
 #: carry no information).
 RATIO_CAP = 1e12
-
-#: The output grid of runs that read only their first and last rows
-#: (``table1``, sweep cells). The stepper runs free of the grid, and the last
-#: row is the last step's dense output at T on any grid, so both rows are the
-#: bits a denser grid records, unless one of its rows in between renormalizes
-#: the record (true squared norm outside [1e-150, 1e+150] of the last one);
-#: then they agree to rounding.
-_FINAL_ONLY = 2
-
 
 @dataclass(frozen=True)
 class ProjectionSeries:
@@ -150,6 +144,40 @@ def survival_fraction(traj: TrajectoryRecord) -> float:
     return traj.true_norm_sq(-1) / traj.true_norm_sq(0)
 
 
+def _map_report(
+    params: SystemParams,
+    loop: LoopSpec,
+    tmap: TraversalMap,
+    initial,
+    initial_label: str = "",
+) -> AsymmetryReport:
+    """Dominance, capped ratio and survival of the state U c0 that a traversal map gives.
+
+    The survival restores the trace factor the map leaves out:
+    |U c0|^2 e^(2 log_scale) e^(-(gamma1 + gamma2) T) / |c0|^2.
+    """
+    c0 = StateVector.coerce(initial).as_array()
+    # scaled by a power of two to a largest amplitude in [0.5, 1), so that
+    # |U c0|^2 of a tiny state cannot underflow
+    _, shift = np.frexp(np.max(np.abs(c0)))
+    c0 = np.ldexp(c0.real, -shift) + 1j * np.ldexp(c0.imag, -shift)
+    final = tmap.U[:, 0] * c0[0] + tmap.U[:, 1] * c0[1]
+    pops = np.abs(final) ** 2
+    dominant, ratio = _dominance(float(pops[0] / (pops[0] + pops[1])))
+    gamma = params.gamma1 + params.gamma2
+    log_survival = (
+        math.log(float(pops.sum())) + 2.0 * tmap.log_scale - gamma * loop.duration_T
+        - math.log(float(np.sum(np.abs(c0) ** 2)))
+    )
+    return AsymmetryReport(
+        dominant_state=dominant,
+        ratio=ratio,
+        survival=math.exp(log_survival),
+        direction=loop.direction,
+        initial_label=initial_label,
+    )
+
+
 def _bare_label(vector: np.ndarray) -> int:
     return 1 if abs(vector[0]) >= abs(vector[1]) else 2
 
@@ -164,31 +192,32 @@ def table1(
 
     The adiabatic column follows the initial state's dominant eigenbranch
     through the tracked (possibly swapped) frame and reads off the bare
-    label of that branch's final eigenvector; the exact column comes from
-    full propagation. The loop must encircle the EP for the table to carry
-    its meaning.
+    label of that branch's final eigenvector. The exact column reads the
+    final states off the traversal map of each direction, each computed
+    from its own loop (``traversal_maps`` with ``config.rel_tol``; no other
+    field of ``config`` is read): the map's two columns are the two basis
+    rows. The loop must encircle the EP for the table to carry its meaning.
     """
     if not contains_ep(loop, params):
         raise ValueError("table requires an EP-encircling loop (rho > 0)")
     frame = track_branches(params, loop, n_samples=n_track)
+    oriented = [replace(loop, direction=d) for d in (Direction.CW, Direction.CCW)]
     rows = []
-    for direction in (Direction.CW, Direction.CCW):
-        oriented = replace(loop, direction=direction)
+    for direction_loop, tmap in zip(oriented, traversal_maps(params, oriented, config.rel_tol)):
         # branch tracking is traversal-symmetric in what it pairs at t=0/T,
         # so the flip prediction is shared by both directions
         for initial_state in (1, 2):
-            init = StateVector.basis(initial_state)
             slot = 0 if abs(frame.vectors[0, 0, initial_state - 1]) >= abs(
                 frame.vectors[0, 1, initial_state - 1]
             ) else 1
-            adiabatic_final = _bare_label(frame.vectors[-1, slot])
-            traj = propagate_direct(params, oriented, init, config, n_output=_FINAL_ONLY)
-            report = final_state_report(traj, direction, initial_label=f"state{initial_state}")
+            report = _map_report(
+                params, direction_loop, tmap, StateVector.basis(initial_state), f"state{initial_state}"
+            )
             rows.append(
                 Table1Row(
-                    direction=direction,
+                    direction=direction_loop.direction,
                     initial_state=initial_state,
-                    adiabatic_final=adiabatic_final,
+                    adiabatic_final=_bare_label(frame.vectors[-1, slot]),
                     exact_final=report.dominant_state,
                     report=report,
                 )
@@ -277,42 +306,33 @@ class SweepResult:
         return all(c.error is not None for c in self.cells)
 
 
-def _run_cell(args) -> SweepCell:
-    spec, params, config, i, j, rho_value = args
-    try:
-        loop = spec.cell_loop(i, j)
-        traj = propagate_direct(params, loop, spec.initial_state(), config, n_output=_FINAL_ONLY)
-        report = final_state_report(traj, spec.direction, initial_label="sweep")
+def _run_row(spec: SweepSpec, params: SystemParams, rel_tol: float, i: int, ep) -> list:
+    """The cells of grid row i (one duration), from one batch of traversal maps.
+
+    A cell whose map fails records the error.
+    """
+    loops = [spec.cell_loop(i, j) for j in range(len(spec.amp_scales))]
+    cells = []
+    for j, (loop, tmap) in enumerate(zip(loops, _maps(params, loops, rel_tol))):
+        common = dict(i=i, j=j, duration_T=spec.durations[i], amp_scale=spec.amp_scales[j], rho=rho(loop, ep))
+        try:
+            if isinstance(tmap, Exception):
+                raise tmap
+            report = _map_report(params, loop, tmap, spec.initial_state(), "sweep")
+        except (EpdynError, ValueError) as exc:
+            cells.append(SweepCell(
+                **common, ratio=None, dominant_state=None, survival=None,
+                pass_ratio=None, pass_survival=None, error=f"{type(exc).__name__}: {exc}",
+            ))
+            continue
         ok_ratio = report.ratio >= spec.ratio_min and (
             spec.dominant_target is None or report.dominant_state == spec.dominant_target
         )
-        ok_survival = report.survival >= min(spec.survival_levels)
-        return SweepCell(
-            i=i,
-            j=j,
-            duration_T=spec.durations[i],
-            amp_scale=spec.amp_scales[j],
-            rho=rho_value,
-            ratio=report.ratio,
-            dominant_state=report.dominant_state,
-            survival=report.survival,
-            pass_ratio=ok_ratio,
-            pass_survival=ok_survival,
-        )
-    except (EpdynError, ValueError) as exc:
-        return SweepCell(
-            i=i,
-            j=j,
-            duration_T=spec.durations[i],
-            amp_scale=spec.amp_scales[j],
-            rho=rho_value,
-            ratio=None,
-            dominant_state=None,
-            survival=None,
-            pass_ratio=None,
-            pass_survival=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        cells.append(SweepCell(
+            **common, ratio=report.ratio, dominant_state=report.dominant_state, survival=report.survival,
+            pass_ratio=ok_ratio, pass_survival=report.survival >= min(spec.survival_levels),
+        ))
+    return cells
 
 
 def sweep(
@@ -322,21 +342,19 @@ def sweep(
     jobs: int = 1,
     progress=None,
 ) -> SweepResult:
-    """Run the grid; cells are independent and may run in parallel.
+    """Run the grid, one batch of traversal maps per grid row.
 
-    Per-cell errors are recorded in the cell (the sweep always completes).
-    ``progress`` is an optional callable invoked with each finished cell, in
-    grid order (row-major over durations, then amplitudes) for any ``jobs``.
+    Each cell's final state is U c0 on its loop's map (``traversal_maps``
+    with ``config.rel_tol``; no other field of ``config`` is read). Per-cell
+    errors are recorded in the cell (the sweep always completes).
+    ``progress`` is an optional callable invoked with each finished cell,
+    row by row in grid order (row-major over durations, then amplitudes).
+    ``jobs`` is accepted for compatibility and has no effect.
     """
     ep = locate_ep(params)
-    tasks = [
-        (spec, params, config, i, j, rho(spec.cell_loop(i, j), ep))
-        for i in range(len(spec.durations))
-        for j in range(len(spec.amp_scales))
-    ]
     cells = []
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for cell in (map if pool is None else pool.map)(_run_cell, tasks):
+    for i in range(len(spec.durations)):
+        for cell in _run_row(spec, params, config.rel_tol, i, ep):
             cells.append(cell)
             if progress is not None:
                 progress(cell)

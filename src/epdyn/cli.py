@@ -15,7 +15,6 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -316,8 +315,8 @@ def cmd_sweep(config: RunConfig, args) -> int:
         _write_text(config.out_path, serialize.sweep_to_json(result))
         return EXIT_SWEEP_FAILED if result.all_failed else EXIT_OK
 
-    # CSV: write each row as its cell arrives (cells arrive in grid order),
-    # so an interrupted run leaves valid output
+    # CSV: write each row as its cell arrives (cells arrive in grid order,
+    # one grid row at a time), so an interrupted run leaves valid output
     with open(config.out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(serialize.sweep_header_csv() + "\n")
         fh.flush()
@@ -356,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="output file path (overrides output.path)")
     parser.add_argument("--format", choices=("csv", "json"), help="output format override")
     parser.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1, help="parallel workers for sweep"
+        "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

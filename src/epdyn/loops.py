@@ -158,29 +158,35 @@ def _angle(loop: LoopSpec, t, xp=math):
     return loop.start_phase + loop.direction.sign * 2.0 * xp.pi * frac
 
 
-def _ellipse(loop: LoopSpec, th, xp=math):
-    """Contour point (omega, eps0) at angle th, scalars or arrays as for ``_angle``."""
+def _ellipse(loop: LoopSpec, c, s):
+    """Contour point (omega, eps0) at the angle with cosine c and sine s, floats or arrays."""
     return (
-        loop.center.omega + loop.semi_axis_omega * xp.cos(th),
-        loop.center.eps0 + loop.semi_axis_eps * xp.sin(th),
+        loop.center.omega + loop.semi_axis_omega * c,
+        loop.center.eps0 + loop.semi_axis_eps * s,
+    )
+
+
+def _velocity(loop: LoopSpec, c, s):
+    """Contour velocity (omega', eps0') at the angle with cosine c and sine s, floats or arrays."""
+    rate = loop.direction.sign * 2.0 * math.pi / loop.duration_T
+    return (
+        -loop.semi_axis_omega * s * rate,
+        loop.semi_axis_eps * c * rate,
     )
 
 
 def field_at(loop: LoopSpec, t: float) -> FieldPoint:
     """Contour point at time t: theta(t) = start_phase + sign*2*pi*t/T."""
     _check_time(loop, t)
-    return FieldPoint(*_ellipse(loop, _angle(loop, t)))
+    th = _angle(loop, t)
+    return FieldPoint(*_ellipse(loop, math.cos(th), math.sin(th)))
 
 
 def field_velocity(loop: LoopSpec, t: float) -> tuple[float, float]:
     """Analytic time derivative of field_at; scales as 1/T for fixed geometry."""
     _check_time(loop, t)
     th = _angle(loop, t)
-    rate = loop.direction.sign * 2.0 * math.pi / loop.duration_T
-    return (
-        -loop.semi_axis_omega * math.sin(th) * rate,
-        loop.semi_axis_eps * math.cos(th) * rate,
-    )
+    return _velocity(loop, math.cos(th), math.sin(th))
 
 
 def _traceless_kernel(drive, params: SystemParams):
@@ -229,7 +235,18 @@ def _fields_at(drive, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(omega, eps0) arrays at ``times`` along a loop or static drive, the bits of ``field_at``."""
     if isinstance(drive, StaticDrive):
         return tuple(np.full_like(times, x) for x in (drive.field.omega, drive.field.eps0))
-    return _ellipse(drive, _angle(drive, times, np), np)
+    th = _angle(drive, times, np)
+    return _ellipse(drive, np.cos(th), np.sin(th))
+
+
+def _motion_at(loop: LoopSpec, times: np.ndarray) -> tuple:
+    """(omega, eps0, omega', eps0') arrays at ``times`` along a loop, from one angle.
+
+    The bits of ``_fields_at`` and of ``field_velocity`` at each time.
+    """
+    th = _angle(loop, times, np)
+    c, s = np.cos(th), np.sin(th)
+    return (*_ellipse(loop, c, s), *_velocity(loop, c, s))
 
 
 def _discriminant_on_loop(drive, params: SystemParams, times: np.ndarray) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Projections, dominance reports, table pattern, and sweep machinery."""
 
+import contextlib
+import dataclasses
+import io
+import json
 import math
 
 import numpy as np
@@ -14,6 +18,7 @@ from epdyn import (
     LoopSpec,
     StateVector,
     StaticDrive,
+    StepBudgetError,
     diode_loop,
     hermitian_loop,
     propagate_direct,
@@ -30,6 +35,9 @@ from epdyn.analysis import (
     sweep,
     table1,
 )
+from epdyn.cli import _parse_grid, main
+from epdyn.serialize import sweep_to_csv, table_to_json
+from epdyn.traversal import traversal_maps
 
 REF = DEFAULT_PARAMS
 FAST = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-12)
@@ -202,6 +210,18 @@ class TestFloat64Floor:
 
 
 class TestSweep:
+    @staticmethod
+    def direct_within_floor(spec, cell, loop):
+        """The cell against a direct run at rel_tol 1e-12, within the map's floor plus 1e-12."""
+        (tmap,) = traversal_maps(REF, [loop], FAST.rel_tol)
+        traj = propagate_direct(REF, loop, spec.initial_state(), IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15))
+        report = final_state_report(traj, loop.direction)
+        bound = tmap.floor + 1e-12
+        assert cell.dominant_state == report.dominant_state
+        assert cell.ratio == pytest.approx(report.ratio, rel=bound)
+        assert cell.survival == pytest.approx(report.survival, rel=bound)
+        return tmap
+
     def test_single_cell_matches_direct_report(self):
         template = hermitian_loop(10.0, Direction.CW)
         spec = SweepSpec(
@@ -215,33 +235,55 @@ class TestSweep:
         result = sweep(spec, REF, FAST)
         assert len(result.cells) == 1
         cell = result.cells[0]
-        traj = propagate_direct(REF, template, StateVector.equal_superposition(), FAST)
-        report = final_state_report(traj, Direction.CW)
-        assert cell.ratio == pytest.approx(report.ratio, rel=1e-9)
-        assert cell.survival == pytest.approx(report.survival, rel=1e-9)
-        assert cell.dominant_state == report.dominant_state
         assert cell.error is None
+        self.direct_within_floor(spec, cell, template)
 
-    def test_cell_error_recorded_and_sweep_continues(self):
-        # amplitude scale that drags the contour through the EP produces a
-        # recorded error, not a crash
-        template = LoopSpec(
-            center=FieldPoint(1.0, 0.5),
-            semi_axis_omega=1e-4,
-            semi_axis_eps=0.25,
-            direction=Direction.CW,
-            duration_T=5.0,
-        )
-        bad = SweepSpec(
-            template=template,
+    THIN = LoopSpec(
+        center=FieldPoint(1.0, 0.5),
+        semi_axis_omega=1e-4,
+        semi_axis_eps=0.25,
+        direction=Direction.CW,
+        duration_T=5.0,
+    )
+
+    def test_cell_error_recorded_and_sweep_continues(self, monkeypatch):
+        # the engine fails for one cell: that cell records the error, the
+        # other cell of its grid row still has its result
+        spec = SweepSpec(
+            template=hermitian_loop(5.0, Direction.CW),
             durations=(5.0,),
-            amp_scales=(0.4, 1.0),  # scale 0.4 puts the EP exactly on the contour
+            amp_scales=(1.0, 1.2),
             direction=Direction.CW,
             dominant_target=None,
         )
-        result = sweep(bad, REF, FAST)
-        assert len(result.cells) == 2
+        engine = analysis._maps
+
+        def failing(params, loops, rel_tol):
+            maps = engine(params, loops, rel_tol)
+            return [StepBudgetError("injected")] + maps[1:]
+
+        monkeypatch.setattr(analysis, "_maps", failing)
+        result = sweep(spec, REF, FAST)
+        assert result.cell(0, 0).error == "StepBudgetError: injected"
+        assert result.cell(0, 0).ratio is None and result.cell(0, 0).pass_ratio is None
+        assert result.cell(0, 1).error is None and result.cell(0, 1).ratio > 1.0
         assert not result.all_failed
+
+    def test_thin_ellipse_cell_takes_the_bare_frame(self):
+        # scale 0.4 centers the ellipse on the EP (1.0, 0.2): its contour
+        # passes 1e-4 from it, where the eigenframe turns faster than the
+        # steps resolve, so the cell's map is taken in the bare frame
+        spec = SweepSpec(
+            template=self.THIN,
+            durations=(5.0,),
+            amp_scales=(0.4, 1.0),
+            direction=Direction.CW,
+            dominant_target=None,
+        )
+        result = sweep(spec, REF, FAST)
+        assert all(c.error is None for c in result.cells)
+        tmap = self.direct_within_floor(spec, result.cell(0, 0), spec.cell_loop(0, 0))
+        assert tmap.frame == "bare"
 
     def test_grid_ordering_and_rho_sign(self):
         template = LoopSpec(
@@ -306,28 +348,60 @@ class TestSweep:
         assert [(c.i, c.j) for c in result.cells] == seen
 
 
-class TestFinalOnlyGrid:
-    """table1 and sweep cells record 2 output intervals; their reports equal those on 512, bit for bit."""
+class TestMapBits:
+    """A report's bits do not depend on the loops that share its batch, and the CLI writes the library's."""
 
     ACCEPT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14)
+    DIODE = {
+        "system": {"e1": 0.0, "e2": 1.0, "gamma1": 0.1, "gamma2": 0.3, "d12_re": 1.0, "d12_im": 0.0},
+        "loop": {
+            "center_omega": 0.92005,
+            "center_eps0": 0.64976,
+            "semi_axis_omega": 2.02446,
+            "semi_axis_eps": 0.64973,
+            "direction": "cw",
+            "duration_T": 348.75,
+            "start_phase": 4.35017,
+        },
+        "integrator": {"rel_tol": 1e-10, "abs_tol": 1e-14},
+    }
 
-    def test_table1_rows(self, monkeypatch):
+    def config(self, tmp_path):
+        path = tmp_path / "diode.json"
+        path.write_text(json.dumps(self.DIODE), encoding="utf-8")
+        return str(path)
+
+    def test_table1_rows(self, tmp_path, capsys):
         loop = diode_loop(Direction.CW)
-        coarse = table1(REF, loop, self.ACCEPT, n_track=1024)
-        monkeypatch.setattr(analysis, "_FINAL_ONLY", 512)
-        fine = table1(REF, loop, self.ACCEPT, n_track=1024)
-        assert repr(coarse) == repr(fine)  # repr tells every float apart, signed zeros too
+        table = table1(REF, loop, self.ACCEPT)
+        for row in table.rows:  # both directions share a batch; each alone gives the same bits
+            oriented = dataclasses.replace(loop, direction=row.direction)
+            (tmap,) = traversal_maps(REF, [oriented], self.ACCEPT.rel_tol)
+            init = StateVector.basis(row.initial_state)
+            alone = analysis._map_report(REF, oriented, tmap, init, f"state{row.initial_state}")
+            assert repr(alone) == repr(row.report)  # repr tells every float apart
+        assert main(["--config", self.config(tmp_path), "--format", "json", "table1"]) == 0
+        assert capsys.readouterr().out == table_to_json(table)
 
-    def test_sweep_cells(self, monkeypatch):
+    def test_sweep_cells(self, tmp_path):
+        flags = ["--t-min", "300", "--t-max", "375", "--nt", "3", "--t-spacing", "linear"]
+        flags += ["--amp-min", "0.05", "--amp-max", "1.3", "--namp", "3", "--initial-phase", "1.0"]
+        flags += ["--direction", "ccw"]
         spec = SweepSpec(
             template=diode_loop(Direction.CW),
-            durations=(300.0, 337.5, 375.0),
-            amp_scales=(0.05, 0.675, 1.3),
+            durations=_parse_grid(300.0, 375.0, 3, "linear", "duration"),
+            amp_scales=_parse_grid(0.05, 1.3, 3, "linear", "amplitude"),
             direction=Direction.CCW,
             initial_phase=1.0,
         )
-        coarse = sweep(spec, REF, self.ACCEPT)
-        monkeypatch.setattr(analysis, "_FINAL_ONLY", 512)
-        fine = sweep(spec, REF, self.ACCEPT)
-        assert repr(coarse.cells) == repr(fine.cells)
-        assert all(cell.error is None for cell in coarse.cells)
+        result = sweep(spec, REF, self.ACCEPT)
+        assert all(cell.error is None for cell in result.cells)
+        for cell in result.cells:  # a grid row shares a batch; each cell alone gives the same bits
+            loop = spec.cell_loop(cell.i, cell.j)
+            (tmap,) = traversal_maps(REF, [loop], self.ACCEPT.rel_tol)
+            alone = analysis._map_report(REF, loop, tmap, spec.initial_state(), "sweep")
+            assert (repr(alone.ratio), repr(alone.survival)) == (repr(cell.ratio), repr(cell.survival))
+        out = tmp_path / "sweep.csv"
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["--config", self.config(tmp_path), "--output", str(out), "sweep", *flags]) == 0
+        assert out.read_text() == sweep_to_csv(result)

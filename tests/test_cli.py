@@ -302,6 +302,25 @@ class TestStepBudget:
         err = capsys.readouterr().err
         assert "error: StepBudgetError: " in err and reason in err
 
+    @pytest.mark.parametrize("argv", [["table1"], ["sweep", "--t-min", "600"]], ids=["table1", "sweep"])
+    def test_map_past_the_float64_floor_exits_3(self, tmp_path, capsys, argv):
+        # at T = 600 no step count settles the diode map (rounding moves it by
+        # more than 1e-3): the doubling stops at its step cap, naming the loop
+        doc = with_field("loop", "duration_T", 600.0)
+        doc["output"]["path"] = str(tmp_path / "out.csv")
+        start = time.perf_counter()
+        with time_limit(20):
+            code = main(["--config", write_config(tmp_path, doc), *argv])
+        assert time.perf_counter() - start < 10.0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if argv[0] == "table1":
+            assert code == 3
+            assert "error: StepBudgetError: the traversal map of LoopSpec(" in err and "duration_T=600.0" in err
+        else:  # the sweep records it in the cell; every cell failed
+            assert code == 5
+            assert "StepBudgetError: the traversal map of LoopSpec(" in (tmp_path / "out.csv").read_text()
+
     @pytest.mark.parametrize("method", ["direct", "adiabatic"])
     def test_tiny_initial_step_completes(self, tmp_path, method):
         # a short first step is no runaway: the budget must not stop the README run
@@ -352,10 +371,16 @@ class TestSweep:
         assert not out.exists()
 
     def test_single_cell_matches_simulate_summary(self, tmp_path, capsys):
+        # the cell's map against a direct run at rel_tol 1e-12, within the
+        # map's floor plus that tolerance
+        from epdyn.traversal import traversal_maps
+
         doc = patched({"loop": {"center_eps0": 0.35}, "initial": {"c1_re": 1.0, "c2_re": 1.0}})
         cfg = write_config(tmp_path, doc)
+        fine = patched({"loop": {"center_eps0": 0.35}, "initial": {"c1_re": 1.0, "c2_re": 1.0},
+                        "integrator": {"rel_tol": 1e-12, "abs_tol": 1e-15}})
         traj_out = tmp_path / "traj.csv"
-        main(["--config", cfg, "--output", str(traj_out), "simulate"])
+        main(["--config", write_config(tmp_path, fine, "fine.json"), "--output", str(traj_out), "simulate"])
         summary = capsys.readouterr().out
         ratio_sim = float(dict(kv.split("=") for kv in summary.split())["ratio"])
 
@@ -385,23 +410,25 @@ class TestSweep:
         lines = sweep_out.read_text().splitlines()
         assert len(lines) == 2
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
-        assert float(row["ratio"]) == pytest.approx(ratio_sim, rel=1e-9)
+        loop = epdyn.cli.load_config(cfg).loop
+        (tmap,) = traversal_maps(epdyn.DEFAULT_PARAMS, [loop], BASE_CONFIG["integrator"]["rel_tol"])
+        assert float(row["ratio"]) == pytest.approx(ratio_sim, rel=tmap.floor + 1e-12)
         # the equal superposition comes from the config's initial section
         assert row["error"] == ""
 
     def test_interrupted_run_leaves_valid_partial_csv(self, tmp_path, monkeypatch):
         import epdyn.analysis as analysis_mod
 
-        real_run_cell = analysis_mod._run_cell
+        real_run_row = analysis_mod._run_row
         calls = []
 
-        def exploding_run_cell(args):
+        def exploding_run_row(*args):
             if len(calls) >= 1:
                 raise KeyboardInterrupt
             calls.append(1)
-            return real_run_cell(args)
+            return real_run_row(*args)
 
-        monkeypatch.setattr(analysis_mod, "_run_cell", exploding_run_cell)
+        monkeypatch.setattr(analysis_mod, "_run_row", exploding_run_row)
         doc = patched({"loop": {"center_eps0": 0.35}})
         out = tmp_path / "partial.csv"
         with pytest.raises(KeyboardInterrupt):
@@ -420,16 +447,20 @@ class TestSweep:
                     "10.0",
                     "--nt",
                     "2",
+                    "--amp-min",
+                    "0.8",
+                    "--amp-max",
+                    "1.2",
                     "--namp",
-                    "1",
+                    "2",
                     "--dominant-target",
                     "any",
                 ]
             )
         lines = out.read_text().splitlines()
-        assert len(lines) == 2  # header plus the one finished row
+        assert len(lines) == 3  # header plus the finished grid row's two cells
         assert lines[0].startswith("i,j,")
-        assert lines[1].split(",")[:2] == ["0", "0"]
+        assert [line.split(",")[:2] for line in lines[1:]] == [["0", "0"], ["0", "1"]]
 
     def test_grid_csv_layout_and_progress(self, tmp_path, capsys):
         doc = patched({"loop": {"center_eps0": 0.35}})
@@ -626,6 +657,14 @@ def run_python(code, *args, cwd=None):
 def test_import_loads_no_scipy():
     # scipy is a test-only dependency: the CLI must not pay its import
     code = "import sys, epdyn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_import_loads_no_process_pool():
+    # the sweep runs in one process; the CLI must not pay for the pool's import
+    code = "import sys, epdyn.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
     result = run_python(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
