@@ -11,12 +11,9 @@ cumulative parity of "crossed" decisions and the signs from a cumulative
 product, carried from block to block. Blocks hold at most ``_BLOCK``
 frames, which bounds the memory the temporaries take.
 
-The adiabatic route keeps only a scalar energy continuation in its stepping
-loop and leaves its frames to ``_settle``: the frame at every step end,
-paired with the one before, the check that the continued energy belongs to
-the branch in slot 0, and the frame of each output row inside a step,
-paired with the step's start. Failures are reported in the order a
-step-by-step walk meets them.
+The adiabatic route takes only its t = 0 frame from here (``_initial``):
+its rows come from the eigenframe step products of ``traversal``, whose
+continued root and closed-form angle need no eigenvectors.
 
 Every frame is the bits the scalar recipe gives (the arithmetic is spelled
 out in CPython's order, see ``model``), so outputs do not depend on the
@@ -25,7 +22,6 @@ array path; the tests keep the scalar recipe as the oracle.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -233,106 +229,3 @@ def _scan(params: SystemParams, drive, times: np.ndarray, ep_tol: float):
             yield slice(start, start + len(eig.abs_delta)), last
     except EPProximityError as exc:
         raise EPOnContourError(str(exc)) from exc
-
-
-class _Steps:
-    """What the adiabatic stepping loop leaves for ``_settle``.
-
-    Frame 0 is the t = 0 frame and frame k the end of accepted step k, at
-    ``ends[k - 1]``; ``roots`` and ``energies`` hold 0.5 sqrt(disc) there
-    and the slot-0 energy continued to it. A row inside a step is frame
-    -1 - i: the i-th of ``inside_at``, paired with frame ``inside_ref[i]``,
-    the step's start.
-    """
-
-    def __init__(self) -> None:
-        self.ends: list[float] = []
-        self.roots: list[complex] = []
-        self.energies: list[complex] = []
-        self.inside_at: list[float] = []
-        self.inside_ref: list[int] = []
-
-    def end(self, t: float, root: complex, energy: complex) -> int:
-        self.ends.append(t)
-        self.roots.append(root)
-        self.energies.append(energy)
-        return len(self.ends)
-
-    def inside(self, t: float) -> int:
-        self.inside_at.append(t)
-        self.inside_ref.append(len(self.ends))
-        return -len(self.inside_at)
-
-
-def _settle(params: SystemParams, loop, ep_tol: float, first: _Tracked, steps: _Steps):
-    """Solve, pair and check every frame of an adiabatic run, in blocks, after its stepper.
-
-    Returns (vectors, plus0): the slot vectors (n, 2, 2) and whether slot 0
-    is on '+' (n,), for the frames 0..N at the step ends followed by the
-    rows inside steps, so ``_Steps`` frame -1 - i is at N + 1 + i.
-    A failure raises what a step-by-step walk meets first: in step k, the
-    rows inside it, then the frame at its end, then its energy check.
-    """
-    ends = [first]
-    failures = []  # (step, order within the step, raise)
-    last = first
-    for start in range(0, len(steps.ends), _BLOCK):
-        eig = _solve(params, loop, np.array(steps.ends[start : start + _BLOCK]))
-        last, failure = _follow(eig, last, ep_tol)
-        ends.append(last)
-        if failure is not None:
-            failures.append((start + failure[0] + 1, 1, partial(_raise_at, eig, failure, ep_tol)))
-            break
-    e_plus, e_minus, v_plus, v_minus, half_trace = (
-        np.concatenate([getattr(f.eig, name) for f in ends])
-        for name in ("e_plus", "e_minus", "v_plus", "v_minus", "half_trace")
-    )
-    plus0 = np.concatenate([f.plus0 for f in ends])
-    signs = np.concatenate([f.signs for f in ends])
-    good = len(steps.ends) if not failures else failures[0][0] - 1  # frames 0..good are sound
-
-    # the continued energy must be the eigenvalue of the branch tracked into slot 0
-    tracked = np.where(plus0, e_plus, e_minus)[1 : good + 1] - half_trace[1 : good + 1]
-    root = np.array(steps.roots[:good], dtype=complex)
-    continued = np.array(steps.energies[:good], dtype=complex)
-    dot = root.real * tracked.real + root.imag * tracked.imag
-    wrong = np.flatnonzero(np.where(dot < 0.0, -root, root) != continued)
-    if wrong.size:
-        k = int(wrong[0])
-        fail = partial(_raise_energy, continued[k], tracked[k], plus0[k + 1], steps.ends[k])
-        failures.append((k + 1, 2, fail))
-
-    # each row inside a step pairs with the frame at the step's start
-    inside = []
-    n_ok = int(np.searchsorted(steps.inside_ref, good, side="right"))
-    for start in range(0, n_ok, _BLOCK):
-        rows = slice(start, min(start + _BLOCK, n_ok))
-        ref = np.array(steps.inside_ref[rows])
-        eig = _solve(params, loop, np.array(steps.inside_at[rows]))
-        pairing = _pair(v_plus[ref], v_minus[ref], eig.v_plus, eig.v_minus)
-        row_plus0 = pairing.cross != plus0[ref]
-        row_signs = np.empty((len(ref), 2))
-        for s, u in enumerate(_slot_overlaps(plus0[ref], pairing.chain)):
-            row_signs[:, s] = np.where(signs[ref, s] * u >= 0.0, 1.0, -1.0)
-        inside.append(_Tracked(eig, row_plus0, row_signs))
-        bad = np.flatnonzero(_failures(eig, ep_tol) | ~pairing.ok)
-        if bad.size:
-            i = int(bad[0])
-            failure = (i, pairing.mags[i], bool(plus0[ref[i]]))
-            failures.append((int(ref[i]) + 1, 0, partial(_raise_at, eig, failure, ep_tol)))
-            break
-    if failures:
-        min(failures, key=lambda f: f[:2])[2]()
-    frames = ends + inside
-    return (
-        np.concatenate([f.vectors() for f in frames]),
-        np.concatenate([f.plus0 for f in frames]),
-    )
-
-
-def _raise_energy(energy: complex, tracked: complex, plus0: bool, t: float) -> None:
-    label = "+" if plus0 else "-"
-    raise AmbiguousTrackingError(
-        f"energy continued to {complex(energy):.6g} but overlap tracking puts slot 0 on "
-        f"branch '{label}' ({complex(tracked):.6g}) at t = {t:.6g}"
-    )

@@ -192,9 +192,9 @@ def field_velocity(loop: LoopSpec, t: float) -> tuple[float, float]:
 def _traceless_kernel(drive, params: SystemParams):
     """The closure t -> (a, g, a', g') along a loop or static drive, read once per run.
 
-    The adiabatic route's right-hand side calls it at every stage, and the
-    direct route's generated step writes the same operations out
-    (``propagation._dop853_source``). It clamps t to
+    The direct route's generated step writes these operations out
+    (``propagation._dop853_source``); the tests call the closure as the
+    step's reference. It clamps t to
     [0, T] as min(max(t, 0.0), T) does: RK stages can poke epsilon outside,
     and the contour is periodic and smooth, so clamping is exact there. Then
     it does the operations of ``_traceless(params, *field_at(drive, t))`` and

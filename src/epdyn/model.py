@@ -14,10 +14,11 @@ with a = (e1 - e2 + omega)/2 + i delta_gamma/2 and g = eps0 d12/2; the trace
 only adds a common phase and decay. The EP is where a^2 + g^2 = 0, and the
 eigenvectors turn with th, tan 2th = g/a. ``_traceless`` is the one
 definition of (a, g). It is plain arithmetic, so omega and eps0 may be floats
-or numpy arrays; the closed-form couplings and the vectorized contour
-scans in ``loops`` use it, and the propagators get the same bits from
-constants read once per run: the adiabatic RHS from
-``loops._traceless_kernel``, the direct step with its operations inlined.
+or numpy arrays; the closed-form couplings, the step products of
+``traversal`` and the vectorized contour scans in ``loops`` use it, and the
+direct step gets the same bits from constants read once per run, with its
+operations inlined (``loops._traceless_kernel`` is the scalar statement of
+them).
 
 Eigenframes have one code path, on arrays: ``_eigensystems`` solves any
 number of matrices elementwise, and ``eigenframe`` is its one-matrix case.

@@ -3,9 +3,9 @@
 Both propagators integrate i dc/dt = H(t) c for the driven two-level model.
 The mean (trace) part of H is removed analytically before integration: the
 trace's imaginary part is constant in time, so the common phase and mean
-decay factor exp(-i int tr(H)/2 dt) is known in closed form and the stepper
-only has to resolve the traceless dynamics, whose rates are set by the small
-eigenvalue splitting. This keeps norm drift at machine precision for
+decay factor exp(-i int tr(H)/2 dt) is known in closed form and the steps
+only have to resolve the traceless dynamics, whose rates are set by the
+small eigenvalue splitting. This keeps norm drift at machine precision for
 Hermitian parameters and postpones overflow for strongly decaying runs.
 
 ``propagate_direct`` integrates the bare-basis amplitudes with ``_Dop853``,
@@ -15,60 +15,51 @@ scipy's) and the error norm and step controller of
 ``scipy.integrate.DOP853``, which the tests keep as its oracle. Its step is
 straight-line code compiled once per process, by the first direct run,
 from the tableau (``_dop853_source``), with the drive inlined into every
-stage. The stepping loop keeps the stages of each step that holds an
-output time; after it, one array pass (``_dense_rows``) builds those
-steps' dense-output interpolants and evaluates every output row. The loop
-rescales the working state in place, keeping the step size, when its norm
-leaves the working window. ``propagate_adiabatic`` expands the state in
-the instantaneous eigenbasis, integrating coefficients whose off-diagonal
-couplings are the velocity-weighted eigenvector derivatives, with
-``_Dopri5``, a Dormand-Prince 5(4) stepper on two complex scalars that runs
-free to T and interpolates the output rows with its 4th-order dense output.
-Its RHS carries no eigenvectors: it continues the slot-0 energy to the
-nearer eigenvalue. Branch identity is maintained by c-product overlap
-tracking from one accepted step to the next, which is exactly where the
-state-exchange around an exceptional point shows up. The two routes share
-no stepper code, so their agreement is a genuine cross-check.
+stage: the operations of ``model._traceless`` at ``field_at``, on the
+drive's and the model's constants read once per run, so every stage has
+those bits without a call or an object per step. The stepping loop keeps
+the stages of each step that holds an output time; after it, one array
+pass (``_dense_rows``) builds those steps' dense-output interpolants and
+evaluates every output row. The loop rescales the working state in place,
+keeping the step size, when its norm leaves the working window, and
+enforces a step budget (``_STEP_BUDGET``), so no input makes a run go on
+without end.
 
-Eigenframes are solved and paired on arrays, never one sample at a time
-(``frames``): ``track_branches`` and ``accumulated_phase`` scan a loop in
-blocks, and the adiabatic route keeps only the scalar energy continuation
-in its stepping loop and solves, pairs and checks the frames of every step
-end and output row in one batch after it. Every frame is the bits the
-scalar recipe gives, so no output depends on the array path. Each route's
-loop also enforces a step budget (``_STEP_BUDGET``), so no input makes a
-run go on without end.
-
-The direct step and the adiabatic RHS take the traceless
-H = [[a, g], [g, -a]] from the drive's and the model's constants, read once
-per run, and give at every stage the bits of ``model._traceless`` at
-``field_at`` (see the ``model`` docstring), without a call or an object per
-step: the adiabatic RHS through the closure ``loops._traceless_kernel``,
-which also gives the rate (a', g'), the direct step with the kernel's
-operations written into it. The couplings are in closed form: the
-c-normalized eigenvectors (cos th, sin th) and (-sin th, cos th),
-tan 2th = g/a, both turn at the complex rate
+``propagate_adiabatic`` expands the state in the instantaneous eigenbasis:
+the c-normalized eigenvectors (cos th, sin th) and (-sin th, cos th),
+tan 2th = g/a, which turn at the complex rate
 
     th' = (a g' - g a') / (2 (a^2 + g^2)),
 
-with a' and g' exact from the loop velocity, and a tracked pair (v0, v1)
-with det = v0[0] v1[1] - v0[1] v1[0] = +/-1 has V_{0/1} = -det th' and
-V_{1/0} = +det th'. The tests keep the two-frame finite difference as an
+with a' and g' exact from the loop velocity. Its coefficients carry the
+branch energies on the diagonal and the couplings -th', +th' off it. It
+takes no stepper of its own: ``traversal.eigen_rows`` multiplies uniform
+closed-form 4th-order Magnus steps in that eigenframe, doubling their count
+until the full-loop map settles, and gives the map from t = 0 to every
+row as a prefix product. The branch is continued by the root
++/-sqrt(a^2 + g^2) nearer the one before, sample by sample, which is where
+the state exchange around an exceptional point shows up. The two routes
+share no stepper code, so their agreement is a genuine cross-check. The
+tests keep the two-frame finite difference of the couplings as an
 independent reference (``tests/coupling_reference.py``).
+
+Eigenframes are solved and paired on arrays, never one sample at a time
+(``frames``): ``track_branches`` and ``accumulated_phase`` scan a loop in
+blocks. Every frame is the bits the scalar recipe gives, so no output
+depends on the array path.
 
 Recorded amplitudes are kept inside the representable range: if the true
 squared norm leaves [1e-150, 1e+150] the stored state is renormalized and
 the log of the discarded factor accumulates in ``log_scale`` (true norm^2 =
 ``norms_sq * exp(log_scale)``). All normalized projections are unaffected.
-The stepping loops only collect the working-frame rows as columns (time,
-state, log of the rescalings); ``_finalize`` then restores the trace phase
-and the scale factors, and scans for renormalizations, in array passes
-spelled so that every value is the bits of the old row-by-row loop in
-Python scalars (``tests/row_reference.py`` keeps that loop as the oracle,
-and ``tests/dop853_reference.py`` the loop-based DOP853 with its scalar
-dense output). Both routes time the two phases into ``meta["phase_s"]``:
-``stepping`` is the stepping loop, ``rows`` the interpolated and finished
-rows after it.
+Both routes only collect the working-frame rows as columns (time, state,
+log of the rescalings); ``_finalize`` then restores the trace phase and the
+scale factors, and scans for renormalizations, in array passes spelled so
+that every value is the bits of the old row-by-row loop in Python scalars
+(``tests/row_reference.py`` keeps that loop as the oracle, and
+``tests/dop853_reference.py`` the loop-based DOP853 with its scalar dense
+output). Both routes time two phases into ``meta["phase_s"]``: ``stepping``
+(the stepping loop, or the step products) and ``rows`` (the rows after it).
 """
 
 from __future__ import annotations
@@ -85,17 +76,16 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import (
-    EpdynError,
     EPOnContourError,
     EPProximityError,
     NonFiniteError,
     StepBudgetError,
     StepSizeUnderflowError,
 )
-from . import frames
-from .loops import LoopSpec, StaticDrive, _discriminant_on_loop, _fields_at, _traceless_kernel
+from . import frames, traversal
+from .loops import LoopSpec, StaticDrive, _discriminant_on_loop, _fields_at
 # build_hamiltonian is not called here; perfbench's tracer wraps propagation.build_hamiltonian
-from .model import SystemParams, _complex, _fmul, _mul, _require_finite, _root_plus, build_hamiltonian, c_product
+from .model import SystemParams, _complex, _fmul, _mul, _require_finite, build_hamiltonian, c_product
 
 __all__ = [
     "StateVector",
@@ -749,19 +739,44 @@ class _Dop853:
         }
 
 
-def _stage_sums(rows, kr: np.ndarray, ki: np.ndarray) -> tuple:
-    """(re, im) of sum_j c_j K_j for each coefficient row, a leading axis over the rows.
+# the parts of a complex array stacked on a leading axis: value[0] is the real
+# part, value[1] the imaginary one, and value[::-1] swaps them
+_SIGNED_ZERO = np.array([-0.0, 0.0])
+_MINUS_I = np.array([-0.0, -1.0])
 
-    Each sum runs in the tableau's order from a 0j accumulator, as the
-    scalar sums do. The rows share their stage indices j (as ``_DOP_D``'s
-    do), so one array operation serves every row.
+
+def _lead(v: np.ndarray, ndim: int) -> np.ndarray:
+    """The pair ``v`` (2,) shaped to broadcast along the leading axis of an ndim array."""
+    return v.reshape((2,) + (1,) * (ndim - 1))
+
+
+def _sfmul(x, b: np.ndarray) -> np.ndarray:
+    """``model._fmul`` on stacked parts: (x b.re - 0.0 b.im, x b.im + 0.0 b.re), with x - y as x + -y."""
+    return x * b + _lead(_SIGNED_ZERO, b.ndim) * b[::-1]
+
+
+def _smul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``model._mul`` on stacked parts: (a.re b.re - a.im b.im, a.re b.im + a.im b.re)."""
+    p, q = a[0] * b, a[1] * b[::-1]
+    np.subtract(p[0], q[0], out=p[0])
+    np.add(p[1], q[1], out=p[1])
+    return p
+
+
+def _stage_sums(rows, k: np.ndarray, zk: np.ndarray) -> np.ndarray:
+    """sum_j c_j K_j for each coefficient row, as stacked parts [row, part, component, step].
+
+    ``zk`` holds the stages' signed-zero terms ``_SIGNED_ZERO * k[::-1]``, so
+    every c_j K_j is ``_sfmul``'s bits. Each sum runs in the tableau's order
+    from a 0j accumulator, as the scalar sums do. The rows share their
+    stage indices j (as ``_DOP_D``'s do), so one array operation serves
+    every row.
     """
-    coeffs = np.array([[c for _, c in row] for row in rows])[:, :, None, None]  # [row, term, step, component]
-    sr = si = 0.0
-    for n, (j, _) in enumerate(rows[0]):
-        tr, ti = _fmul(coeffs[:, n], kr[j], ki[j])
-        sr, si = sr + tr, si + ti
-    return sr, si
+    coeffs = np.array([[c for _, c in row] for row in rows]).T[:, :, None, None, None]  # [term, row, part, comp, step]
+    total = 0.0
+    for c, (j, _) in zip(coeffs, rows[0]):
+        total = total + (c * k[j] + zk[j])
+    return total
 
 
 def _dense_rows(params: SystemParams, drive: Drive, times: np.ndarray, held: list, values: list) -> np.ndarray:
@@ -774,57 +789,48 @@ def _dense_rows(params: SystemParams, drive: Drive, times: np.ndarray, held: lis
     ``_DOP_D`` sums, the seven coefficients of scipy's interpolant and every
     row's Horner chain in x and 1 - x. Every value is the bits the scalar
     ``dense()`` and its interpolant give (``tests/dop853_reference.py``):
-    the arithmetic runs on real and imaginary parts, float * complex as
-    ``_fmul`` and complex products as ``_mul``, each sum from a 0j
-    accumulator. The extra stages lie inside their step, so their times
-    need no clamp to [0, T].
+    the arithmetic runs on the real and imaginary parts, stacked in one
+    array per step quantity (float * complex as ``_sfmul``, complex
+    products as ``_smul``) and apart in the rows' chains (``_fmul``), each
+    sum from a 0j accumulator. The extra stages lie inside their step, so
+    their times need no clamp to [0, T].
     """
     t_old, h, count = (np.array(column) for column in zip(*held))
-    pairs = np.array(values, dtype=complex).reshape(len(held), -1, 2)  # [step, (y_old, y_new, K_j), component]
-    # [stage, step, component]; the extra stages 13..15 are filled below
-    kr = np.empty((_N_STAGES_EXTENDED, len(held), 2))
-    ki = np.empty_like(kr)
-    kr[: _N_STAGES + 1] = pairs.real[:, 2:].transpose(1, 0, 2)
-    ki[: _N_STAGES + 1] = pairs.imag[:, 2:].transpose(1, 0, 2)
-    y_old = pairs.real[:, 0], pairs.imag[:, 0]
-    y_new = pairs.real[:, 1], pairs.imag[:, 1]
-    hc = h[:, None]
+    # [(y_old, y_new, K_j), part, component, step]
+    parts = np.array(values, dtype=complex).view(float).reshape(len(held), -1, 2, 2).transpose(1, 3, 2, 0)
+    # [stage, part, component, step]; the extra stages 13..15 are filled below
+    k = np.empty((_N_STAGES_EXTENDED, 2, 2, len(held)))
+    k[: _N_STAGES + 1] = parts[2:]
+    y_old, y_new = parts[0], parts[1]
     a_static, half_d12 = params._a_static, params._half_d12
     with np.errstate(over="ignore", invalid="ignore"):  # Python complex arithmetic overflows silently
+        zk = _lead(_SIGNED_ZERO, 3) * k[:, ::-1]  # stages 13..15 are filled in with k
         for s, (c, coeffs) in enumerate(_DOP_EXTRA, _N_STAGES + 1):
-            (dr,), (di,) = _stage_sums((coeffs,), kr, ki)
-            dr, di = _fmul(hc, dr, di)  # d * h
-            u0 = y_old[0][:, 0] + dr[:, 0], y_old[1][:, 0] + di[:, 0]
-            u1 = y_old[0][:, 1] + dr[:, 1], y_old[1][:, 1] + di[:, 1]
+            u = y_old + _sfmul(h, _stage_sums((coeffs,), k, zk)[0])  # y_old + d * h
             omega, eps0 = _fields_at(drive, t_old + c * h)
             # a_static + 0.5 * omega and half_d12 * eps0, the float widened to complex(x, 0.0)
-            a = a_static.real + 0.5 * omega, a_static.imag + 0.0
-            g = _fmul(eps0, half_d12.real, half_d12.imag)
+            a = np.stack([a_static.real + 0.5 * omega, np.full_like(omega, a_static.imag + 0.0)])
+            g = _sfmul(eps0, np.array([[half_d12.real], [half_d12.imag]]))
             # -1j * (a * u0 + g * u1) and -1j * (g * u0 - a * u1)
-            (vr, vi), (wr, wi) = _mul(*a, *u0), _mul(*g, *u1)
-            kr[s, :, 0], ki[s, :, 0] = _mul(-0.0, -1.0, vr + wr, vi + wi)
-            (vr, vi), (wr, wi) = _mul(*g, *u0), _mul(*a, *u1)
-            kr[s, :, 1], ki[s, :, 1] = _mul(-0.0, -1.0, vr - wr, vi - wi)
-        dy = y_new[0] - y_old[0], y_new[1] - y_old[1]
-        f_old, f_new = (kr[0], ki[0]), (kr[_N_STAGES], ki[_N_STAGES])
-        hf_old = _fmul(hc, *f_old)
-        hf_sum = _fmul(hc, f_new[0] + f_old[0], f_new[1] + f_old[1])
-        two_dy = _fmul(2.0, *dy)
-        poly = [dy, (hf_old[0] - dy[0], hf_old[1] - dy[1]), (two_dy[0] - hf_sum[0], two_dy[1] - hf_sum[1])]
-        high = _fmul(hc, *_stage_sums(_DOP_D, kr, ki))
-        poly += [(high[0][i], high[1][i]) for i in range(len(_DOP_D))]
+            k[s, :, 0] = _smul(_MINUS_I, _smul(a, u[:, 0]) + _smul(g, u[:, 1]))
+            k[s, :, 1] = _smul(_MINUS_I, _smul(g, u[:, 0]) - _smul(a, u[:, 1]))
+            zk[s] = _lead(_SIGNED_ZERO, 3) * k[s, ::-1]
+        dy = y_new - y_old
+        f_old, f_new = k[0], k[_N_STAGES]
+        poly = [dy, _sfmul(h, f_old) - dy, _sfmul(2.0, dy) - _sfmul(h, f_new + f_old)]
+        poly += [_sfmul(h, d) for d in _stage_sums(_DOP_D, k, zk)]
         # scipy's loop first adds the top coefficient to a zero accumulator,
         # which turns a -0.0 part into 0.0
-        poly[-1] = 0.0 + poly[-1][0], 0.0 + poly[-1][1]
+        poly[-1] = 0.0 + poly[-1]
         step_of = np.repeat(np.arange(len(held)), count)
-        x = ((times - t_old[step_of]) / h[step_of])[:, None]
+        x = (times - t_old[step_of]) / h[step_of]
         u = 1.0 - x
         # scipy's Horner scheme in x and 1 - x, alternating from the top coefficient
-        ar, ai = poly[6][0][step_of], poly[6][1][step_of]
+        ar, ai = poly[6][0][:, step_of], poly[6][1][:, step_of]
         for (cr, ci), w in zip(poly[5::-1] + [y_old], (x, u, x, u, x, u, x)):
             ar, ai = _fmul(w, ar, ai)
-            ar, ai = ar + cr[step_of], ai + ci[step_of]
-    return _complex(ar, ai)
+            ar, ai = ar + cr[:, step_of], ai + ci[:, step_of]
+    return _complex(ar.T, ai.T)
 
 
 def propagate_direct(
@@ -924,190 +930,6 @@ def propagate_direct(
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) with PI step control and dense output (adiabatic route)
-# ---------------------------------------------------------------------------
-
-# stages 2..6 at t + c h; the 7th stage is the FSAL derivative at t + h of
-# the 5th-order solution, whose weights are _DP_B5
-_DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
-_DP_A = (
-    (0.2,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-)
-_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
-_DP_B4 = (
-    5179.0 / 57600.0,
-    0.0,
-    7571.0 / 16695.0,
-    393.0 / 640.0,
-    -92097.0 / 339200.0,
-    187.0 / 2100.0,
-    1.0 / 40.0,
-)
-_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
-# 4th-order continuous extension (Shampine, Math. Comp. 46, 135 (1986)):
-# y(t + x h) = y + h sum_s k_s sum_j P[s][j] x^(j+1), from the step's own stages
-_DP_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
-
-
-class _Dopri5:
-    """Dormand-Prince 5(4) with a PI controller and dense output, on two complex scalars.
-
-    Kept independent of the direct route's ``_Dop853`` on purpose: the
-    adiabatic route must not share integration machinery with the direct
-    route it is checked against. The stepper runs free towards ``t_bound``
-    (only its last step is clipped), with an RMS error norm, a step cap of
-    min(max_step, t_bound / 64), which must not underflow to 0, and a floor
-    of 1e-14 t_bound. ``rhs(t, y0,
-    y1)`` returns the derivative pair; the stages of the last accepted step
-    are kept, so ``dense()`` interpolates it without further RHS calls.
-    """
-
-    SAFETY = 0.9
-    MIN_FACTOR = 0.2
-    MAX_FACTOR = 5.0
-    ALPHA = 0.7 / 5.0
-    BETA = 0.4 / 5.0
-
-    def __init__(self, rhs, y: tuple, t_bound: float, config: IntegratorConfig) -> None:
-        self.rhs = rhs
-        self.t_bound = t_bound
-        self.rtol, self.atol = config.rel_tol, config.abs_tol
-        self.max_step = min(config.max_step, t_bound / 64.0)
-        self.min_step = 1e-14 * t_bound
-        if self.max_step == 0.0:
-            raise ValueError(f"duration_T = {t_bound:.3g} is too small: the step cap T/64 underflows to 0")
-        if self.min_step > self.max_step:
-            raise StepBudgetError(
-                f"step floor 1e-14 T = {self.min_step:.3e} above the step cap "
-                f"min(max_step, T/64) = {self.max_step:.3e} at T = {t_bound:.6g}: no step fits"
-            )
-        # the first trial step within [floor, cap]; a smaller initial_step would fail at once
-        self.h_abs = min(max(config.initial_step, self.min_step), self.max_step)
-        self.err_prev = 1.0
-        self.t, self.y = 0.0, y
-        self.f = rhs(0.0, *y)
-        self.k0 = [0j] * 7
-        self.k1 = [0j] * 7
-        self.rhs_calls = 1
-        self.accepted = 0
-        self.rejected = 0
-        self.renormalizations = 0
-        self.h_min, self.h_max = math.inf, 0.0
-
-    def step(self) -> None:
-        """Take one accepted step, shrinking the trial step on rejection."""
-        t, (y0, y1), k0, k1, rhs = self.t, self.y, self.k0, self.k1, self.rhs
-        h = self.h_abs
-        rejected = False
-        while True:
-            if h < self.min_step:
-                raise StepSizeUnderflowError(
-                    f"step size {h:.3e} below floor {self.min_step:.3e} at t = {t:.6g}"
-                )
-            t_new = min(t + h, self.t_bound)
-            h = t_new - t
-            k0[0], k1[0] = self.f
-            for s, (c, row) in enumerate(zip(_DP_C, _DP_A), 1):
-                d0 = d1 = 0j
-                for j, a in enumerate(row):
-                    d0 += a * k0[j]
-                    d1 += a * k1[j]
-                k0[s], k1[s] = rhs(t + c * h, y0 + h * d0, y1 + h * d1)
-            d0 = d1 = e0 = e1 = 0j
-            for j in range(6):
-                d0 += _DP_B5[j] * k0[j]
-                d1 += _DP_B5[j] * k1[j]
-            n0, n1 = y0 + h * d0, y1 + h * d1
-            k0[6], k1[6] = rhs(t_new, n0, n1)
-            self.rhs_calls += 6
-            for j, e in enumerate(_DP_E):
-                e0 += e * k0[j]
-                e1 += e * k1[j]
-            q0 = h * e0 / (self.atol + self.rtol * max(abs(y0), abs(n0)))
-            q1 = h * e1 / (self.atol + self.rtol * max(abs(y1), abs(n1)))
-            err = math.sqrt(0.5 * (q0.real**2 + q0.imag**2 + q1.real**2 + q1.imag**2))
-            if not math.isfinite(err):
-                raise NonFiniteError("non-finite error estimate; amplitudes overflowed")
-            if err <= 1.0:
-                break
-            rejected = True
-            self.rejected += 1
-            h *= max(self.MIN_FACTOR, self.SAFETY * err ** (-0.2))
-        err = max(err, 1e-10)
-        factor = self.SAFETY * err ** (-self.ALPHA) * self.err_prev**self.BETA
-        factor = min(1.0 if rejected else self.MAX_FACTOR, max(self.MIN_FACTOR, factor))
-        self.h_abs = min(h * factor, self.max_step)
-        self.err_prev = err
-        self.accepted += 1
-        self.h_min, self.h_max = min(self.h_min, h), max(self.h_max, h)
-        self.t_old, self.y_old, self.h = t, self.y, h
-        self.t, self.y, self.f = t_new, (n0, n1), (k0[6], k1[6])
-
-    def dense(self):
-        """Interpolant t -> (y0, y1) over the last accepted step (no RHS call)."""
-        k0, k1, h, t_old, (y0, y1) = self.k0, self.k1, self.h, self.t_old, self.y_old
-        q0, q1 = [0j] * 4, [0j] * 4
-        for row, k0_s, k1_s in zip(_DP_P, k0, k1):
-            for j, p in enumerate(row):
-                q0[j] += p * k0_s
-                q1[j] += p * k1_s
-
-        def interp(t: float) -> tuple:
-            x = (t - t_old) / h
-            hx = h * x
-            return (
-                y0 + hx * (q0[0] + x * (q0[1] + x * (q0[2] + x * q0[3]))),
-                y1 + hx * (q1[0] + x * (q1[1] + x * (q1[2] + x * q1[3]))),
-            )
-
-        return interp
-
-    def rescale(self, norm: float) -> None:
-        """Divide the state and its FSAL derivative by ``norm``; the step size is kept."""
-        self.y = (self.y[0] / norm, self.y[1] / norm)
-        self.f = (self.f[0] / norm, self.f[1] / norm)
-        self.renormalizations += 1
-
-    def counts(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "rhs_calls": self.rhs_calls,
-            "renormalizations": self.renormalizations,
-            "min_step": self.h_min,
-            "max_step": self.h_max,
-        }
-
-
-def _nearer(e: complex, ref: complex) -> complex:
-    """Whichever of +/- e is nearer to ``ref``."""
-    return -e if e.real * ref.real + e.imag * ref.imag < 0.0 else e
-
-
-def _nearest_root(disc: complex, ref: complex) -> complex:
-    """The eigenvalue +/- sqrt(disc) / 2 of the traceless H nearer to ``ref``."""
-    return _nearer(0.5 * cmath.sqrt(disc), ref)
-
-
-def _det_sign(vs) -> float:
-    """det(v0, v1) = +/-1 of a c-orthonormal pair, as a sign."""
-    v0, v1 = vs
-    return 1.0 if (v0[0] * v1[1] - v0[1] * v1[0]).real > 0.0 else -1.0
-
-
-# ---------------------------------------------------------------------------
 # adiabatic-frame propagation
 # ---------------------------------------------------------------------------
 
@@ -1132,134 +954,83 @@ def propagate_adiabatic(
     ep_tol: float = 1e-8,
     record_internal: bool = False,
 ) -> TrajectoryRecord:
-    """Integrate in the instantaneous eigenbasis with explicit couplings.
+    """Propagate in the instantaneous eigenbasis, as a prefix product of eigenframe step maps.
 
     The state is expanded on the continuity-tracked eigenvectors; the
     coefficient equations carry the branch energies on the diagonal and the
     velocity-weighted derivative couplings off it (the couplings' relative
     exponential weight exp(+/- Im int dE dt) is what breaks the slow-drive
-    limit for decaying systems). ``_Dopri5`` steps the two coefficients
-    freely to T. Its RHS needs no eigenvectors: the couplings are closed
-    form (see the module docstring) and the slot-0 energy is the eigenvalue
-    of the traceless H nearer the one continued to the last accepted step.
-    The stepping loop only continues that energy; output rows inside a step
-    come from the dense-output interpolant. After the stepper, one array
-    pass (``frames._settle``) solves the frame at every step end, pairs
-    each with the one before, checks that the continued energy is the
-    eigenvalue of the branch overlap tracking puts in slot 0, and pairs the
-    frame of each row inside a step with the frame at the step's start. The
-    frames are the bits the one-at-a-time solve gives, so the rows are too.
-    Bare-basis amplitudes are recorded at ``n_output + 1`` uniform times
-    (``record_internal`` adds every accepted step). When the squared norm
-    leaves [1e-100, 1e+100] the coefficients are rescaled after the step's
-    rows are recorded. ``meta["solver"]`` counts accepted and rejected
-    steps, RHS calls and renormalizations, and holds the smallest and
-    largest accepted step (``min_step``, ``max_step``; the last step,
-    clipped to T, included). ``meta["phase_s"]`` holds the wall seconds of
-    the stepping loop (``stepping``) and of the frames and rows after it
-    (``rows``).
+    limit for decaying systems). ``traversal.eigen_rows`` integrates them:
+    n uniform 4th-order commutator-free Magnus steps in closed form, n
+    doubled from 256 until the full-loop map settles to ``config.rel_tol``
+    (the traversal map's rule; ``abs_tol``, ``max_step`` and
+    ``initial_step`` play no part), then the smallest n_output * 2^k steps
+    at or above that count, with the map from t = 0 to every row end as a
+    prefix product. Row j is R(th_j) P_j R(th_0)^T c0 in the traceless
+    frame, where R(th) holds the c-normalized eigenvectors (cos th, sin th)
+    and (-sin th, cos th) (see the module docstring); ``_finalize`` restores
+    the trace factor. Rows are recorded at ``n_output + 1`` uniform times;
+    ``record_internal`` records every step end instead.
+
+    The coefficients are those on the tracked eigenvectors: slot 0 starts on
+    the '+' branch, and the slot signs are those of the t = 0 frame
+    (``frames._initial``). The label of slot 0 at a row is '+' where the
+    continued root is the '+' root there. ``meta["solver"]`` holds the
+    row step count (``steps``), the frame ("eigen"), the full-loop map's
+    change at the last doubling (``floor``) and the number of doublings
+    from 256 steps to the settled count (``doublings``). ``meta["phase_s"]``
+    holds the wall seconds of the step products (``stepping``) and of the
+    rows after them (``rows``).
 
     Raises
     ------
     ValueError
-        If ``duration_T`` is so small that the step cap T/64 underflows to 0.
+        If ``duration_T`` is so small that the steps T/n are subnormal.
     EPOnContourError
         If the contour comes within the eigenframe guard of the EP.
     AmbiguousTrackingError
-        If a step's overlap tracking and its continued energy disagree.
-    StepSizeUnderflowError
-        If the adaptive controller cannot meet the tolerances.
+        If the eigenframe is unresolved at every step count (it turns by
+        more than half a radian in a step, or the continued root and the
+        frame's turn disagree on the branch).
     StepBudgetError
-        If the run exceeds the step budget (see ``_STEP_BUDGET``).
+        If the map stalls above the float64 floor, or does not settle (or
+        overflows at every step) up to 2^17 steps.
     NonFiniteError
-        If the coefficients leave the representable range.
-
-    The error raised is the one a step-by-step walk meets first: when the
-    stepper fails, the frames of the steps it accepted are checked first.
+        If the state leaves the representable range.
     """
     initial = StateVector.coerce(initial)
     if n_output < 2:
         raise ValueError("n_output must be >= 2")
-    _scan_contour(params, loop, ep_tol, n=max(1024, 2 * n_output))
     T = loop.duration_T
-    guard = ep_tol * ep_tol
-
-    kernel = _traceless_kernel(loop, params)
-
-    def rhs(t: float, b0: complex, b1: complex) -> tuple:
-        a, g, a_dot, g_dot = kernel(t)
-        w2 = a * a + g * g
-        disc = 4.0 * w2
-        if abs(disc) <= guard:
-            raise EPProximityError(f"|discriminant| = {abs(disc):.3e} <= tol^2 = {guard:.3e}")
-        e0 = _nearest_root(disc, energy)
-        v = det * (0.5 * (a * g_dot - g * a_dot) / w2)  # det th', see the module docstring
-        return -1j * e0 * b0 + v * b1, 1j * e0 * b1 - v * b0
-
-    grid = _output_grid(T, n_output)
+    if not T / traversal._STEP_CAP >= np.finfo(float).tiny:
+        raise ValueError(f"duration_T = {T:.3g} is too small: its steps T/n are subnormal")
+    _scan_contour(params, loop, ep_tol, n=max(1024, 2 * n_output))
     started = time.perf_counter()
     try:
-        # the t = 0 frame, slot 0 on the instantaneous '+' branch; a continuously
-        # tracked c-orthonormal pair keeps its determinant, so det is fixed here
         first = frames._initial(params, loop, ep_tol)
-        vs0 = first.eig.v_plus[0].tolist(), first.eig.v_minus[0].tolist()
-        det = _det_sign(vs0)
-        a, g, _, _ = kernel(0.0)
-        energy = 0.5 * _root_plus(4.0 * (a * a + g * g))
-        c0 = (initial.c1, initial.c2)
-        b = (c_product(vs0[0], c0), c_product(vs0[1], c0))
-        steps = frames._Steps()
-        rows = [(0.0, b, 0.0, 0)]  # (t, coefficients, log scale, frame): see frames._Steps
-        log_b = 0.0
-        gi = 1
-        stepper = _Dopri5(rhs, b, T, config)
-        try:
-            while stepper.t < T:
-                stepper.step()
-                t, b = stepper.t, stepper.y
-                if grid[gi] < t:
-                    interp = stepper.dense()
-                    while grid[gi] < t:
-                        rows.append((grid[gi], interp(grid[gi]), log_b, steps.inside(grid[gi])))
-                        gi += 1
-                a, g, _, _ = kernel(t)
-                root = 0.5 * cmath.sqrt(4.0 * (a * a + g * g))
-                energy = _nearer(root, energy)
-                frame = steps.end(t, root, energy)
-                if grid[gi] == t:
-                    rows.append((t, b, log_b, frame))
-                    gi += 1
-                elif record_internal:
-                    rows.append((t, b, log_b, frame))
-                if stepper.accepted > _STEP_BUDGET and T - t > _STEP_BUDGET_REMAINING * stepper.h:
-                    raise StepBudgetError(_budget_message(stepper.accepted, T, t, stepper.h))
-                n2 = abs(b[0]) ** 2 + abs(b[1]) ** 2
-                if n2 > 0 and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
-                    stepper.rescale(math.sqrt(n2))
-                    log_b += math.log(n2)
-        except (EpdynError, OverflowError) as exc:  # raised once the accepted steps are checked
-            failure = exc
-        else:
-            failure = None
+        tmap, steps, rows = traversal.eigen_rows(params, loop, config.rel_tol, n_output, record_internal, ep_tol**2)
         stepped = time.perf_counter()
-        vectors, plus0 = frames._settle(params, loop, ep_tol, first, steps)
-        if failure is not None:
-            raise failure
-        times, coeffs, logs, picked = (np.array(column) for column in zip(*rows))
-        picked[picked < 0] = len(steps.ends) - picked[picked < 0]
-        vs = vectors[picked]  # [row, slot, component]
-        raw = np.empty_like(coeffs)
-        for j in (0, 1):
-            # b[0] * vs[0][j] + b[1] * vs[1][j] in Python complex arithmetic
-            re0, im0 = _mul(coeffs.real[:, 0], coeffs.imag[:, 0], vs.real[:, 0, j], vs.imag[:, 0, j])
-            re1, im1 = _mul(coeffs.real[:, 1], coeffs.imag[:, 1], vs.real[:, 1, j], vs.imag[:, 1, j])
-            raw.real[:, j], raw.imag[:, j] = re0 + re1, im0 + im1
-        labels = np.where(plus0[picked], "+", "-")
-        states, norms, logs, coeffs = _finalize(params, loop, times, raw, logs, coeffs)
+        # the coefficients at t = 0 on the '+' and '-' vectors, and the signs of
+        # those vectors against (cos th_0, sin th_0) and (-sin th_0, cos th_0)
+        vs = first.eig.v_plus[0], first.eig.v_minus[0]
+        c0 = (initial.c1, initial.c2)
+        b = np.array([c_product(v, c0) for v in vs])
+        axes = np.array([[rows.cos[0], rows.sin[0]], [-rows.sin[0], rows.cos[0]]])
+        signs = np.where([(axis @ v).real > 0.0 for axis, v in zip(axes, vs)], 1.0, -1.0)
+        _, shift = np.frexp(np.maximum(np.abs(b.real), np.abs(b.imag)).max())
+        with np.errstate(all="ignore"):  # overflow is caught below
+            y = rows.prefix @ (signs * b * np.ldexp(1.0, -shift))
+        coeffs = signs * y
+        raw = np.stack([rows.cos * y[:, 0] - rows.sin * y[:, 1], rows.sin * y[:, 0] + rows.cos * y[:, 1]], axis=1)
+        if not np.isfinite(raw).all():
+            raise OverflowError("a row overflowed float64")
+        plus = (rows.lam.real > 0.0) | ((rows.lam.real == 0.0) & (rows.lam.imag >= 0.0))
+        labels = np.where(plus, "+", "-")
+        log_internal = 2.0 * math.log(2.0) * (rows.exponent + shift)
+        states, norms, logs, coeffs = _finalize(params, loop, rows.times, raw, log_internal, coeffs)
     except EPProximityError as exc:
         raise EPOnContourError(str(exc)) from exc
     except OverflowError as exc:
-        # abs() and ** on Python scalars raise OverflowError instead of returning inf
         raise NonFiniteError("coefficients overflowed float64") from exc
     meta = {
         "method": "adiabatic",
@@ -1268,10 +1039,15 @@ def propagate_adiabatic(
         "config": config,
         "n_output": n_output,
         "ep_tol": ep_tol,
-        "solver": stepper.counts(),
+        "solver": {
+            "steps": steps,
+            "frame": tmap.frame,
+            "floor": tmap.floor,
+            "doublings": (tmap.steps // traversal._FIRST_STEPS).bit_length() - 1,
+        },
         "phase_s": {"stepping": stepped - started, "rows": time.perf_counter() - stepped},
     }
-    return TrajectoryRecord(times, states, norms, logs, coeffs, labels, meta)
+    return TrajectoryRecord(rows.times, states, norms, logs, coeffs, labels, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""One traversal map per loop: the 2x2 map U of a whole traversal, as a closed-form step product.
+"""Closed-form step products: the traversal map of a loop and the prefix maps of its rows.
 
 i dc/dt = H(t) c is linear, so one traversal of a loop is one matrix: from
 any initial state c0 the final state is U c0 times the trace factor
@@ -6,7 +6,9 @@ exp(-i int_0^T tr H / 2 dt), which the propagators also remove and restore
 in closed form (``propagation``). U belongs to the traceless
 H0 = [[a, g], [g, -a]] (``model._traceless``). It is nearly rank 1 on an
 EP-encircling loop, which is the paper's "any initial state" ends in the
-selected one. ``traversal_maps`` computes U for a batch of loops.
+selected one. ``traversal_maps`` computes U for a batch of loops;
+``eigen_rows`` gives the adiabatic route (``propagation``) the map from
+t = 0 to each of its rows.
 
 Step. n uniform steps of length h = T/n, each the 4th-order
 commutator-free Magnus step with two exponentials at the Gauss points
@@ -19,20 +21,25 @@ sigma^2 = p^2 + q r, so each exponential is closed form:
 
 Frames. The eigenframe b = R(th)^T c, R(th) = [[cos th, -sin th],
 [sin th, cos th]], has the generator K = [[-i lam, th'], [-th', i lam]],
-where lam = +/-sqrt(a^2 + g^2) is continued along the samples by the nearer
-sign and th' = (a g' - g a')/(2 (a^2 + g^2)) is the closed form the
-adiabatic route uses. At both ends e^{2 i th} = (a + i g)/lam; th_T takes
-the multiple of pi nearest th_0 plus the quadrature of th' over the steps.
-The e^29 growth of the diode loop (criterion 04b) sits on K's diagonal
-there, so each coefficient keeps its own relative precision, and
+where lam = +/-sqrt(a^2 + g^2) starts on the '+' root (Re >= 0, tie
+Im >= 0) and is continued along the samples by the nearer sign, and
+th' = (a g' - g a')/(2 (a^2 + g^2)). At t = 0 and at each interval end
+e^{2 i th} = (a + i g)/lam, with lam continued from the sample before; th
+takes the multiple of pi nearest th_0 plus the Gauss quadrature of th' up
+to there. The e^29 growth of the diode loop (criterion 04b) sits on K's
+diagonal there, so each coefficient keeps its own relative precision, and
 U = R(th_T) U_b R(th_0)^T.
-A loop takes the bare frame, K = -i H0, with the same closed form, when
-the eigenframe fails it at some step count: a sample meets the EP guard
-(|discriminant| <= 1e-16, as ``propagate_adiabatic``), or the frame turns
-by more than half a radian in one step (|th'| h > 1/2: an EP on or near
-the contour that the steps do not resolve; through an EP the eigenframe
-product converges to a wrong map); or when the eigenframe does not settle
-(below). That depends on the loop alone.
+The eigenframe is unresolved at a step count where the frame turns by
+more than half a radian in one step (|th'| h > 1/2: an EP on or near the
+contour that the steps do not resolve; through an EP the eigenframe
+product converges to a wrong map), or where the quadrature of th' lands
+more than a quarter turn (pi/4) from a multiple of pi at an interval end,
+so that lam and the frame disagree on the branch. A sample inside the EP
+guard (|discriminant| <= 1e-16, ep_tol^2 for the adiabatic route) rules
+the eigenframe out. ``traversal_maps`` then takes the bare frame,
+K = -i H0, with the same closed form; so it does when the eigenframe does
+not settle (below). That depends on the loop alone. The adiabatic route
+has no bare frame: it raises instead.
 
 Steps and floor. Each frame doubles n from 256 and compares U with the one
 before: the change is max |U_n - U_{n/2}| / max |U_n| on the common scale.
@@ -41,8 +48,13 @@ so the doubling stops when change / 15 is at most ``rel_tol``; or, at a
 change of at most ``_FLOOR_MAX``, when the change shrank less than 8-fold
 over the last doubling where a 4th-order step shrinks it 16-fold: rounding,
 not the step, sets it there. Either way the last change is reported with U
-as the loop's floor. Past ``_STEP_CAP`` steps the frame has not settled; in
-the bare frame that raises ``StepBudgetError``.
+as the loop's floor. A change that stalls above ``_FLOOR_MAX`` will not
+settle: the frame stops there. Each of these stops only at a step count
+where every step is resolved (|sigma^2| <= 1 for both exponentials): an
+unresolved step's change can be small by chance (the README diode config
+with e1 = 18 changes by 1.3e-9 from 256 to 512 steps and by 4.1e-7 from
+512 to 1024). Past ``_STEP_CAP`` steps the frame has not settled either. In
+the bare frame either raises ``StepBudgetError``.
 
 Bits. Every operation is elementwise over (loops, steps) arrays or runs
 along one loop's steps, so a loop's U is the same bits alone and in any
@@ -51,7 +63,10 @@ step 2k, level by level), each node rescaled by a power of two to a largest
 component in [0.5, 1); the exponents add up exactly into ``log_scale``.
 Steps are evaluated in blocks of a power-of-two length, so memory stays
 bounded, and a block is a subtree of the same tree, so the block length
-changes no bit.
+changes no bit. The rows' prefix maps take the tree over each row interval
+and an inclusive Hillis-Steele scan (Commun. ACM 29, 1170 (1986)) over the
+intervals, rescaled the same way; for a power-of-two number of intervals
+its last element is the tree over all steps, so the final row is U's bits.
 """
 
 from __future__ import annotations
@@ -62,8 +77,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EpdynError, NonFiniteError, StepBudgetError
-from .loops import LoopSpec, _motion_at
+from .errors import AmbiguousTrackingError, EPOnContourError, EpdynError, NonFiniteError, StepBudgetError
+from .loops import LoopSpec, StaticDrive, _motion_at
 from .model import SystemParams, _traceless, _traceless_drive
 
 __all__ = ["TraversalMap", "traversal_maps"]
@@ -88,6 +103,9 @@ _FLOOR_MAX = 1e-3
 #: The largest turn |th'| h of the eigenframe in one step: an EP on or near
 #: the contour that the steps do not resolve turns it by more.
 _MAX_TURN = 0.5
+#: The largest distance, in turns of pi, of th_0 plus the quadrature of th'
+#: from the multiple of pi that the closed form at an interval end allows.
+_MAX_MISMATCH = 0.25
 #: The eigenframe's EP guard on |discriminant| = 4 |a^2 + g^2| (ep_tol 1e-8 squared).
 _EP_GUARD = 1e-16
 #: Steps evaluated at once over all loops of a batch (bounds the memory).
@@ -122,7 +140,8 @@ def traversal_maps(
     NonFiniteError
         If the drive overflows float64 along a loop.
     StepBudgetError
-        If a loop's bare frame has not settled at ``_STEP_CAP`` steps.
+        If a loop's bare frame has not settled at ``_STEP_CAP`` steps, or
+        stalled above ``_FLOOR_MAX``.
     """
     maps = _maps(params, loops, rel_tol)
     for m in maps:
@@ -135,53 +154,167 @@ def _maps(params: SystemParams, loops: Sequence[LoopSpec], rel_tol: float) -> li
     """``traversal_maps``, with each loop's error in its place instead of raised."""
     out, _ = _settle(params, loops, rel_tol, eigen=True)
     bare = [k for k, m in enumerate(out) if m is None]
-    maps, smallest = _settle(params, [loops[k] for k in bare], rel_tol, eigen=False)
-    for k, m, change in zip(bare, maps, smallest):
-        out[k] = m if m is not None else StepBudgetError(
-            f"the traversal map of {loops[k]} has not settled at {_STEP_CAP} steps "
-            f"(smallest change {change:.1e})"
-        )
+    maps, why = _settle(params, [loops[k] for k in bare], rel_tol, eigen=False)
+    for k, m, reason in zip(bare, maps, why):
+        out[k] = m if m is not None else StepBudgetError(f"the traversal map of {loops[k]} {reason}")
     return out
+
+
+def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int, every_step: bool, guard: float):
+    """The eigenframe maps from t = 0 to each row of the adiabatic route (see the module docstring).
+
+    The full-loop map settles first, doubling from 256 steps under the
+    rule of ``_settle``; the rows are then the step ends of the smallest
+    n_output * 2^k steps at or above that count: every (2^k)-th step end,
+    or every one if ``every_step``. Where the rows take the last step count
+    tried with a power-of-two number of intervals, its interval products
+    serve both. Returns (the settled ``TraversalMap``, the row step count,
+    ``_Rows``).
+
+    Raises
+    ------
+    EPOnContourError
+        If a sample comes within ``guard`` of the EP.
+    AmbiguousTrackingError
+        If the frame is unresolved at every step count up to the cap.
+    StepBudgetError
+        If the map stalls above ``_FLOOR_MAX``, or does not settle (or
+        overflows float64 at every step) up to the cap.
+    NonFiniteError
+        If the drive overflows float64.
+    """
+    def intervals(n: int) -> int:
+        return n if every_step else n_output
+
+    def run_at(n: int, every: int) -> _Run:
+        times = np.linspace(0.0, drive.duration_T, n // every + 1)
+        run = _intervals(params, [drive], n, every, True, guard, times[None, 1:])
+        if not run.finite[0]:
+            raise NonFiniteError(f"the drive (a, g) overflows float64 on {drive}")
+        if not run.clear[0]:
+            raise EPOnContourError(f"a sample of {drive} at {n} steps comes within |discriminant| <= {guard:.1e}")
+        return run
+
+    before, tmap, n = None, None, _FIRST_STEPS
+    while tmap is None:
+        if n > _STEP_CAP:
+            raise (StepBudgetError if smooth else AmbiguousTrackingError)(f"the eigenframe map of {drive} {why}")
+        k = intervals(n)
+        every = n // k if n % k == 0 and k & (k - 1) == 0 else n
+        run = run_at(n, every)
+        u, e = _rotate(run, *_tree(run.x, run.e))
+        u, e = u[:, :, 0], int(e[0])
+        smooth = bool(run.smooth[0])
+        if not (smooth and np.isfinite(u).all()):
+            before = None
+            why = (f"is unresolved at every step count up to {_STEP_CAP}" if not smooth
+                   else f"overflows float64 at every step count up to {_STEP_CAP}: no step fits")
+        elif before is not None:
+            change = _change(u, e, *before[:2])
+            verdict = _verdict(change, before[2], run.resolved[0], rel_tol)
+            if verdict == "stalled":
+                raise StepBudgetError(f"the eigenframe map of {drive} does not settle in float64: "
+                                      f"its change stalled at {change:.1e} at {n} steps")
+            if verdict == "settled":
+                tmap = TraversalMap(u, e * math.log(2.0), n, "eigen", change)
+            before = (u, e, change if run.resolved[0] else math.inf)
+        else:
+            before = (u, e, math.inf)
+            why = f"has not settled at {_STEP_CAP} steps"
+        n *= 2
+    n = n_output
+    while n < tmap.steps:
+        n *= 2
+    if n != tmap.steps or every != n // intervals(n):
+        run = run_at(n, n // intervals(n))
+        if not run.smooth[0]:
+            raise AmbiguousTrackingError(f"the eigenframe of {drive} is unresolved at {n} steps")
+    with np.errstate(all="ignore"):
+        x, e = _scan(run.x, run.e)
+    x = np.concatenate([np.eye(2, dtype=complex)[:, :, None, None], x], axis=-1)[:, :, 0].transpose(2, 0, 1)
+    if not np.isfinite(x).all():
+        raise StepBudgetError(f"the eigenframe map of {drive} overflows float64 at {n} steps")
+    (c0, s0), (c, s) = run.rotations
+    return tmap, n, _Rows(
+        np.linspace(0.0, drive.duration_T, intervals(n) + 1),
+        x,
+        np.concatenate([[0], e[0]]),
+        np.concatenate([c0, c[0]]),
+        np.concatenate([s0, s[0]]),
+        np.concatenate([run.lam0, run.lam[0]]),
+    )
+
+
+class _Rows(NamedTuple):
+    """The maps to the rows of one loop: row j at ``times[j]`` is R(th_j) P_j R(th_0)^T 2^exponent_j.
+
+    ``prefix`` (N + 1, 2, 2) holds P_j (the identity at row 0) and ``cos``,
+    ``sin`` the rotation of th_j; ``lam`` is the continued root at each row.
+    """
+
+    times: np.ndarray
+    prefix: np.ndarray
+    exponent: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    lam: np.ndarray
+
+
+def _verdict(change: float, before: float, resolved: bool, rel_tol: float):
+    """'settled', 'stalled' (above ``_FLOOR_MAX``) or None (double on); only a resolved step count stops."""
+    if not resolved:
+        return None
+    stalled = change > _STALL * before
+    if change <= _RICHARDSON * rel_tol or (stalled and change <= _FLOOR_MAX):
+        return "settled"
+    return "stalled" if stalled else None
 
 
 def _settle(params: SystemParams, loops: Sequence[LoopSpec], rel_tol: float, eigen: bool) -> tuple:
     """Double each loop's steps in one frame until it settles.
 
-    Returns each loop's map, error or None (not settled), and the smallest
-    change each loop showed.
+    Returns each loop's map, error or None (not settled), and for each None
+    of the bare frame why, as the end of a sentence. An eigenframe that a
+    step count rules out is left (None) for the bare frame.
     """
     out: list = [None] * len(loops)
+    why = [""] * len(loops)
     smallest = [math.inf] * len(loops)
     last = {}  # loop index -> (U, exponent, change) at the step count before
     active = list(range(len(loops)))
     n = _FIRST_STEPS
     while active and n <= _STEP_CAP:
-        us, exps, ok, drive_ok = _product(params, [loops[k] for k in active], n, eigen)
+        us, exps, ok, drive_ok, resolved = _product(params, [loops[k] for k in active], n, eigen)
         still = []
-        for k, u, e, good, finite in zip(active, us, exps, ok, drive_ok):
+        for k, u, e, good, finite, res in zip(active, us, exps, ok, drive_ok, resolved):
             if not finite:  # the same at every step count
                 out[k] = NonFiniteError(f"the drive (a, g) overflows float64 on {loops[k]}")
                 continue
             if not good:
                 if not eigen:
                     last.pop(k, None)
+                    why[k] = f"has not settled at {_STEP_CAP} steps (no finite map)"
                     still.append(k)
-                continue  # the guard or the turn rules the eigenframe out
+                continue  # the guard or an unresolved frame rules the eigenframe out
             before = last.get(k)
             last[k] = (u, e, math.inf)
             if before is not None:
                 change = _change(u, e, before[0], before[1])
-                last[k] = (u, e, change)
+                last[k] = (u, e, change if res else math.inf)  # an unresolved change shows no stall
                 smallest[k] = min(smallest[k], change)
-                stalled = change > _STALL * before[2] and change <= _FLOOR_MAX
-                if change <= _RICHARDSON * rel_tol or stalled:
+                verdict = _verdict(change, before[2], res, rel_tol)
+                if verdict == "settled":
                     frame = "eigen" if eigen else "bare"
                     out[k] = TraversalMap(u, float(e) * math.log(2.0), n, frame, change)
                     continue
+                if verdict == "stalled":
+                    why[k] = f"does not settle in float64: its change stalled at {change:.1e} at {n} steps"
+                    continue
+            why[k] = f"has not settled at {_STEP_CAP} steps (smallest change {smallest[k]:.1e})"
             still.append(k)
         active = still
         n *= 2
-    return out, smallest
+    return out, why
 
 
 def _change(u: np.ndarray, e: int, v: np.ndarray, f: int) -> float:
@@ -191,24 +324,32 @@ def _change(u: np.ndarray, e: int, v: np.ndarray, f: int) -> float:
     return float(d) if np.isfinite(d) else math.inf
 
 
-def _columns(loops: Sequence[LoopSpec]) -> SimpleNamespace:
-    """The loops' constants as (m, 1) columns under ``LoopSpec``'s attribute names.
+def _columns(drives: Sequence) -> SimpleNamespace:
+    """The drives' constants as (m, 1) columns under ``LoopSpec``'s attribute names.
 
-    ``loops._motion_at`` then evaluates every loop at once, each element by
-    the operations it does for one loop, so with that loop's bits.
+    ``loops._motion_at`` then evaluates every drive at once, each element by
+    the operations it does for one loop, so with that loop's bits. A
+    ``StaticDrive`` is the loop with both axes -0.0 at the fixed angle 0
+    (direction sign 0.0): x + -0.0 is x, so it gives the constant field
+    and a zero velocity.
     """
     def column(values):
         return np.array(values, dtype=float)[:, None]
 
+    def constants(x):
+        if isinstance(x, StaticDrive):
+            return (x.field.omega, x.field.eps0, -0.0, -0.0, 0.0, x.duration_T, 0.0)
+        return (x.center.omega, x.center.eps0, x.semi_axis_omega, x.semi_axis_eps,
+                x.direction.sign, x.duration_T, x.start_phase)
+
+    cx, cy, ax, ay, sign, T, th0 = (column(c) for c in zip(*map(constants, drives)))
     return SimpleNamespace(
-        center=SimpleNamespace(
-            omega=column([x.center.omega for x in loops]), eps0=column([x.center.eps0 for x in loops])
-        ),
-        semi_axis_omega=column([x.semi_axis_omega for x in loops]),
-        semi_axis_eps=column([x.semi_axis_eps for x in loops]),
-        direction=SimpleNamespace(sign=column([x.direction.sign for x in loops])),
-        duration_T=column([x.duration_T for x in loops]),
-        start_phase=column([x.start_phase for x in loops]),
+        center=SimpleNamespace(omega=cx, eps0=cy),
+        semi_axis_omega=ax,
+        semi_axis_eps=ay,
+        direction=SimpleNamespace(sign=sign),
+        duration_T=T,
+        start_phase=th0,
     )
 
 
@@ -229,106 +370,171 @@ class _Phase:
     """The eigenframe's continuation along a loop's samples, block after block.
 
     lam is the root of a^2 + g^2 nearer the one before (a cumulative parity
-    on the principal roots). th is closed form at both ends, e^{2 i th} =
-    (a + i g)/lam, which fixes it up to a multiple of pi; th_T takes the
-    multiple nearest th_0 plus the Gauss quadrature of th' over the steps
-    (an integer, so the quadrature's rounding cannot reach U's bits).
-    ``ok`` turns False where a sample meets the EP guard.
+    on the principal roots), the '+' root at t = 0. th is closed form at
+    t = 0 and at the interval ends (every ``every`` steps), e^{2 i th} =
+    (a + i g)/lam, which fixes it up to a multiple of pi; the multiple is
+    the one nearest th_0 plus the Gauss quadrature of th' up to there (an
+    integer, so the quadrature's rounding cannot reach a map's bits).
+    ``clear`` turns False where a sample meets the guard, ``smooth`` where
+    the frame turns by more than ``_MAX_TURN`` in a step or the quadrature
+    misses the closed form by more than ``_MAX_MISMATCH`` turns.
     """
 
-    def __init__(self, a: np.ndarray, g: np.ndarray) -> None:
+    def __init__(self, a: np.ndarray, g: np.ndarray, guard: float, every: int) -> None:
         w2 = a * a + g * g
-        self.ok = 4.0 * np.abs(w2) > _EP_GUARD
+        self.guard, self.every = guard, every
+        self.clear = 4.0 * np.abs(w2) > guard
+        self.smooth = np.ones(len(a), dtype=bool)
         self.root = np.sqrt(w2)
-        self.parity = np.zeros(len(a), dtype=np.int64)
-        self.z = self.z0 = (a + 1j * g) / self.root
+        # numpy's root of a negative real with a -0.0 imaginary part is the '-' root
+        self.parity = (self.root.real == 0.0) & (self.root.imag < 0.0)
+        self.lam0 = np.where(self.parity, -self.root, self.root)
+        self.z0 = (a + 1j * g) / self.lam0
         self.turned = np.zeros(len(a))  # Re of the integral of th' so far
+        self.marks = []  # (lam at the sample before, turned) at the interval ends of each block
 
     def follow(self, a: np.ndarray, g: np.ndarray) -> tuple:
         """(lam, a^2 + g^2) at the next block of samples (m, s)."""
         w2 = a * a + g * g
-        self.ok &= (4.0 * np.abs(w2) > _EP_GUARD).all(axis=1)
+        self.clear &= (4.0 * np.abs(w2) > self.guard).all(axis=1)
         root = np.sqrt(w2)
         before = np.concatenate([self.root[:, None], root[:, :-1]], axis=1)
         flips = root.real * before.real + root.imag * before.imag < 0.0
         parity = (self.parity[:, None] + np.cumsum(flips, axis=1)) & 1
         lam = root * (1.0 - 2.0 * parity)
         self.root, self.parity = root[:, -1], parity[:, -1]
-        self.z = (a[:, -1] + 1j * g[:, -1]) / lam[:, -1]
         return lam, w2
 
-    def turn(self, th_dot: np.ndarray, h: np.ndarray) -> None:
-        """Add the block's Gauss quadrature of Re th' (two samples per step, weights h/2)."""
-        self.turned += 0.5 * h[:, 0] * th_dot.real.sum(axis=1)
+    def turn(self, th_dot: np.ndarray, h: np.ndarray, lam: np.ndarray, start: int) -> None:
+        """Check the block's turns and add its Gauss quadrature of Re th' (weights h/2 per sample).
 
-    def rotations(self) -> tuple:
-        """R(th_0) and R(th_T) as (cos, sin) pairs."""
+        The block's first step is step ``start`` of the loop.
+        """
+        self.smooth &= (np.abs(th_dot) * h <= _MAX_TURN).all(axis=1)
+        turned = self.turned[:, None] + np.cumsum(0.5 * h * (th_dot.real[:, 0::2] + th_dot.real[:, 1::2]), axis=1)
+        self.turned = turned[:, -1]
+        ends = np.flatnonzero((start + 1 + np.arange(turned.shape[1])) % self.every == 0)
+        if ends.size:
+            self.marks.append((lam[:, 2 * ends + 1], turned[:, ends]))
+
+    def rotations(self, a: np.ndarray, g: np.ndarray) -> tuple:
+        """R(th_0) and R(th) at the interval ends, where the drive is (a, g) (m, N), as (cos, sin) pairs.
+
+        Also keeps the continued root at the ends as ``lam``.
+        """
+        w2 = a * a + g * g
+        self.clear &= (4.0 * np.abs(w2) > self.guard).all(axis=1)
+        before, turned = (np.concatenate(column, axis=1) for column in zip(*self.marks))
+        root = np.sqrt(w2)
+        self.lam = np.where(root.real * before.real + root.imag * before.imag < 0.0, -root, root)
+        z = (a + 1j * g) / self.lam
         th0 = 0.5 * np.angle(self.z0) - 0.5j * np.log(np.abs(self.z0))
-        base = 0.5 * np.angle(self.z)
-        turns = np.rint((th0.real + self.turned - base) / math.pi)
-        th_t = base + math.pi * turns - 0.5j * np.log(np.abs(self.z))
-        return [(np.cos(th), np.sin(th)) for th in (th0, th_t)]
+        base = 0.5 * np.angle(z)
+        k = (th0.real[:, None] + turned - base) / math.pi
+        turns = np.rint(k)
+        self.smooth &= (np.abs(k - turns) <= _MAX_MISMATCH).all(axis=1)
+        th = base + math.pi * turns - 0.5j * np.log(np.abs(z))
+        return (np.cos(th0), np.sin(th0)), (np.cos(th), np.sin(th))
 
 
-def _product(params: SystemParams, loops: Sequence[LoopSpec], n: int, eigen: bool):
-    """(U (m, 2, 2), exponent (m,), ok (m,), finite drive (m,)) of n steps on each loop, in one frame.
+class _Run(NamedTuple):
+    """What ``_intervals`` gives: interval products, checks and the eigenframe's rotations."""
 
-    ok is False where U is not finite, and in the eigenframe where a sample
-    meets the EP guard or the frame turns by more than ``_MAX_TURN`` in a
-    step.
+    x: np.ndarray  # (2, 2, m, N) product of each interval's steps
+    e: np.ndarray  # (m, N) its power-of-two exponent
+    finite: np.ndarray  # (m,) the drive stays finite
+    resolved: np.ndarray  # (m,) |sigma^2| <= 1 in every exponential
+    clear: np.ndarray  # (m,) no sample in the guard (eigenframe)
+    smooth: np.ndarray  # (m,) the frame is resolved (eigenframe)
+    rotations: tuple  # ((cos th_0, sin th_0) (m,), (cos th, sin th) (m, N)) (eigenframe)
+    lam0: np.ndarray  # (m,) the '+' root at t = 0 (eigenframe)
+    lam: np.ndarray  # (m, N) the continued root at the interval ends (eigenframe)
+
+
+def _intervals(
+    params: SystemParams, drives: Sequence, n: int, every: int, eigen: bool, guard: float, ends: np.ndarray
+) -> _Run:
+    """The products of each run of ``every`` steps of n steps on each drive, in one frame.
+
+    ``every`` is a power of two that divides n; ``ends`` (m, n / every) are
+    the times of the interval ends, where the eigenframe's rotations are
+    taken.
     """
-    m = len(loops)
-    columns = _columns(loops)
+    m = len(drives)
+    columns = _columns(drives)
     h = columns.duration_T / n
     block = min(n, max(1, _BLOCK_STEPS // m))
     block = 1 << (block.bit_length() - 1)  # a power of two, so a block is a subtree
-    ok = np.ones(m, dtype=bool)
-    with np.errstate(all="ignore"):  # overflow and the guard are reported through ok
+    per = min(every, block)  # divides the block, n and every block start
+    resolved = np.ones(m, dtype=bool)
+    with np.errstate(all="ignore"):  # overflow and the guard are reported in the result
         a, g, _, _, finite = _drive(params, columns, np.zeros((m, 1)))
-        phase = _Phase(a[:, 0], g[:, 0]) if eigen else None
+        phase = _Phase(a[:, 0], g[:, 0], guard, every) if eigen else None
         nodes, exps = [], []
         for start in range(0, n, block):
-            steps = np.arange(start, start + block)[:, None] + np.array(_GAUSS)
+            size = min(block, n - start)
+            steps = np.arange(start, start + size)[:, None] + np.array(_GAUSS)
             a, g, a_dot, g_dot, good = _drive(params, columns, steps.ravel() * h)
             finite &= good
             if eigen:  # K = [[-i lam, th'], [-th', i lam]]
                 lam, w2 = phase.follow(a, g)
                 th_dot = 0.5 * (a * g_dot - g * a_dot) / w2
-                ok &= (np.abs(th_dot) * h <= _MAX_TURN).all(axis=1)
-                phase.turn(th_dot, h)
-                maps = _steps(-1j * lam, th_dot, -1.0, h)
+                phase.turn(th_dot, h, lam, start)
+                maps, zeta = _steps(-1j * lam, th_dot, -1.0, h)
             else:  # K = -i H0
-                maps = _steps(-1j * a, -1j * g, 1.0, h)
-            node, e = _tree(maps, np.zeros((m, block), dtype=np.int64))
+                maps, zeta = _steps(-1j * a, -1j * g, 1.0, h)
+            resolved &= (np.abs(zeta) <= 1.0).all(axis=(0, 2))
+            shape = (m, size // per, per)
+            node, e = _tree(maps.reshape(2, 2, *shape), np.zeros(shape, dtype=np.int64))
             nodes.append(node)
             exps.append(e)
-        u, e = _tree(np.stack(nodes, axis=-1), np.stack(exps, axis=-1))
-        if eigen:
-            a, g, _, _, good = _drive(params, columns, columns.duration_T)
-            finite &= good
-            phase.follow(a, g)
-            (c0, s0), (c1, s1) = phase.rotations()
-            r0, r1 = (np.array([[c, -s], [s, c]]) for c, s in ((c0, s0), (c1, s1)))
-            u, e = _rescale(_mat(_mat(r1, u), r0.transpose(1, 0, 2)), e)
-            ok &= phase.ok
-        u = np.moveaxis(u, -1, 0)
-        ok &= np.isfinite(u).all(axis=(1, 2))
-    return u, e, ok, finite
+        shape = (m, n // every, every // per)
+        x, e = _tree(np.concatenate(nodes, axis=-1).reshape(2, 2, *shape), np.concatenate(exps, axis=-1).reshape(shape))
+        if not eigen:
+            return _Run(x, e, finite, resolved, np.ones(m, dtype=bool), np.ones(m, dtype=bool), (), None, None)
+        a, g, _, _, good = _drive(params, columns, ends)
+        rotations = phase.rotations(a, g)
+    return _Run(x, e, finite & good, resolved, phase.clear, phase.smooth, rotations, phase.lam0, phase.lam)
 
 
-def _steps(p: np.ndarray, q: np.ndarray, sign: float, h: np.ndarray) -> np.ndarray:
+def _rotate(run: _Run, u: np.ndarray, e: np.ndarray) -> tuple:
+    """R(th_T) u R(th_0)^T of the maps u (2, 2, m), rescaled, th_T at the last interval end."""
+    (c0, s0), (c1, s1) = run.rotations
+    r0, r1 = (np.array([[c, -s], [s, c]]) for c, s in ((c0, s0), (c1[:, -1], s1[:, -1])))
+    with np.errstate(all="ignore"):
+        return _rescale(_mat(_mat(r1, u), r0.transpose(1, 0, 2)), e)
+
+
+def _product(params: SystemParams, loops: Sequence[LoopSpec], n: int, eigen: bool):
+    """(U (m, 2, 2), exponent (m,), ok (m,), finite drive (m,), resolved (m,)) of n steps on each loop, in one frame.
+
+    ok is False where U is not finite, and in the eigenframe where a sample
+    meets the EP guard or the frame is unresolved.
+    """
+    run = _intervals(params, loops, n, n, eigen, _EP_GUARD, _columns(loops).duration_T)
+    u, e = run.x[..., 0], run.e[..., 0]
+    if eigen:
+        u, e = _rotate(run, u, e)
+    u = np.moveaxis(u, -1, 0)
+    ok = run.clear & run.smooth & np.isfinite(u).all(axis=(1, 2))
+    return u, e, ok, run.finite, run.resolved
+
+
+def _steps(p: np.ndarray, q: np.ndarray, sign: float, h: np.ndarray) -> tuple:
     """The step maps (2, 2, m, b) of the generators [[p, q], [sign q, -p]] at the Gauss points (m, 2 b).
 
     Both exponentials of every step are evaluated together, along an axis
     of length 2: the weights of the first applied, then of the second.
+    Also returns their sigma^2 (2, m, b).
     """
     w = np.array([_W, _W[::-1]])[:, :, None, None]
     hp = h * (w[:, 0] * p[:, 0::2] + w[:, 1] * p[:, 1::2])
     hq = h * (w[:, 0] * q[:, 0::2] + w[:, 1] * q[:, 1::2])
-    c, s = _cosh_sinhc(hp * hp + sign * (hq * hq))
+    zeta = hp * hp + sign * (hq * hq)
+    c, s = _cosh_sinhc(zeta)
     sp, sq = s * hp, s * hq
     factors = np.array([[c + sp, sq], [sign * sq, c - sp]])
-    return _mat(factors[:, :, 1], factors[:, :, 0])
+    return _mat(factors[:, :, 1], factors[:, :, 0]), zeta
 
 
 def _cosh_sinhc(zeta: np.ndarray) -> tuple:
@@ -374,3 +580,14 @@ def _tree(x: np.ndarray, e: np.ndarray) -> tuple:
     while x.shape[-1] > 1:
         x, e = _rescale(_mat(x[..., 1::2], x[..., 0::2]), e[..., 1::2] + e[..., 0::2])
     return x[..., 0], e[..., 0]
+
+
+def _scan(x: np.ndarray, e: np.ndarray) -> tuple:
+    """The inclusive time-ordered prefix products over the last axis (Hillis-Steele), each rescaled."""
+    d = 1
+    while d < x.shape[-1]:
+        y, f = _rescale(_mat(x[..., d:], x[..., :-d]), e[..., d:] + e[..., :-d])
+        x = np.concatenate([x[..., :d], y], axis=-1)
+        e = np.concatenate([e[..., :d], f], axis=-1)
+        d *= 2
+    return x, e

@@ -2,7 +2,7 @@
 
 ``na_coupling`` differences two nearby eigenframes; ``na_coupling_at`` takes
 the closed form th' = (a g' - g a') / (2 (a^2 + g^2)) that the adiabatic
-route's RHS inlines (see the ``propagation`` docstring). Nothing in the
+route's eigenframe steps take (see the ``traversal`` docstring). Nothing in the
 package calls them: the tests check the closed form against the finite
 difference and its growth towards the EP.
 """
@@ -23,7 +23,12 @@ from epdyn.model import (
     c_product,
     eigenframe,
 )
-from epdyn.propagation import _det_sign
+
+
+def _det_sign(vs) -> float:
+    """det(v0, v1) = +/-1 of a c-orthonormal pair, as a sign."""
+    v0, v1 = vs
+    return 1.0 if (v0[0] * v1[1] - v0[1] * v1[0]).real > 0.0 else -1.0
 
 
 def _theta_dot(params: SystemParams, a: complex, g: complex, velocity) -> complex:

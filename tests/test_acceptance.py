@@ -45,8 +45,9 @@ from epdyn import (
     track_branches,
     winding_number,
 )
-from epdyn.analysis import SweepSpec, final_state_report, project_normalized, sweep, table1
+from epdyn.analysis import SweepSpec, _dominance, final_state_report, project_normalized, sweep, table1
 from epdyn.errors import EpdynError
+from epdyn.traversal import traversal_maps
 from ep_reference import refine_ep
 
 REF = DEFAULT_PARAMS
@@ -67,6 +68,20 @@ def criterion(num: str, name: str):
 def dominant_and_ratio(traj):
     report = final_state_report(traj, traj.meta["drive"].direction)
     return report.dominant_state, report.ratio
+
+
+def traversal_columns(preset):
+    """The traversal map U of the preset loop in each direction: its two columns are the basis states' images."""
+    directions = (Direction.CW, Direction.CCW)
+    maps = traversal_maps(REF, [preset(d) for d in directions], ACCEPT.rel_tol)
+    return {d: m.U for d, m in zip(directions, maps)}
+
+
+def map_dominant(U, init):
+    """The dominant bare state of U c0: one matrix product per initial state."""
+    c = U @ init.as_array()
+    pops = np.abs(c) ** 2
+    return _dominance(pops[0] / pops.sum())[0]
 
 
 def random_superpositions(n=8, seed=20240207):
@@ -138,6 +153,7 @@ def test_criterion_04a_diode_state_selectivity():
     with criterion("04a", "direction-selected pure final states at ratio >= 1e3"):
         t0 = time.perf_counter()
         initials = [StateVector.basis(1), StateVector.basis(2)] + random_superpositions()
+        maps = traversal_columns(diode_loop)
         dominants = {}
         for direction in (Direction.CW, Direction.CCW):
             loop = diode_loop(direction)
@@ -146,6 +162,7 @@ def test_criterion_04a_diode_state_selectivity():
                 traj = propagate_direct(REF, loop, init, ACCEPT, n_output=8)
                 dom, ratio = dominant_and_ratio(traj)
                 assert ratio >= 1e3, f"{direction.value} ratio {ratio:.1f} < 1e3"
+                assert map_dominant(maps[direction], init) == dom, (direction, init)
                 doms.add(dom)
             assert len(doms) == 1, f"{direction.value} selected states vary: {doms}"
             dominants[direction] = doms.pop()
@@ -261,11 +278,13 @@ def test_criterion_07_non_encircling_control():
         ep = locate_ep(REF)
         assert rho(diode_control_loop(), ep) < 0
         initials = [StateVector.basis(1), StateVector.basis(2)] + random_superpositions()
+        maps = traversal_columns(diode_control_loop)
         for init in initials:
             doms = set()
             for direction in (Direction.CW, Direction.CCW):
                 traj = propagate_direct(REF, diode_control_loop(direction), init, ACCEPT, n_output=8)
                 dom, _ = dominant_and_ratio(traj)
+                assert map_dominant(maps[direction], init) == dom, (direction, init)
                 doms.add(dom)
             assert len(doms) == 1, f"control loop became direction-selective: {doms}"
 

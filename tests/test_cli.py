@@ -289,8 +289,8 @@ class TestStepBudget:
     @pytest.mark.parametrize("method", ["direct", "adiabatic"])
     def test_huge_duration_exits_3(self, tmp_path, capsys, method):
         # duration_T = 1e300 used to run until killed. The direct route stops
-        # at the step budget; the adiabatic route's step floor 1e-14 T lies
-        # above its cap max_step, so it stops before its first step
+        # at the step budget; the adiabatic route's step maps overflow float64
+        # at every step count up to its cap: no step fits
         doc = with_field("loop", "duration_T", 1e300)
         doc["output"]["path"] = str(tmp_path / "out.csv")
         start = time.perf_counter()
@@ -305,7 +305,7 @@ class TestStepBudget:
     @pytest.mark.parametrize("argv", [["table1"], ["sweep", "--t-min", "600"]], ids=["table1", "sweep"])
     def test_map_past_the_float64_floor_exits_3(self, tmp_path, capsys, argv):
         # at T = 600 no step count settles the diode map (rounding moves it by
-        # more than 1e-3): the doubling stops at its step cap, naming the loop
+        # more than 1e-3): the doubling stops where the change stalls, naming the loop
         doc = with_field("loop", "duration_T", 600.0)
         doc["output"]["path"] = str(tmp_path / "out.csv")
         start = time.perf_counter()
@@ -320,6 +320,46 @@ class TestStepBudget:
         else:  # the sweep records it in the cell; every cell failed
             assert code == 5
             assert "StepBudgetError: the traversal map of LoopSpec(" in (tmp_path / "out.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(["table1"], "traversal map"), (["simulate", "--method", "adiabatic"], "eigenframe map")],
+        ids=["table1", "adiabatic"],
+    )
+    def test_stalled_map_exits_3_early(self, tmp_path, capsys, monkeypatch, argv, name):
+        # at T = 600 the diode map's change stalls above 1e-3 once every step
+        # is resolved (1024 steps): the doubling stops there, not at 2^17 steps
+        from epdyn import traversal
+
+        spent = []
+        real = traversal._intervals
+
+        def timed(*args):
+            start = time.perf_counter()
+            try:
+                return real(*args)
+            finally:
+                spent.append(time.perf_counter() - start)
+
+        monkeypatch.setattr(traversal, "_intervals", timed)
+        doc = with_field("loop", "duration_T", 600.0)
+        doc["output"]["path"] = str(tmp_path / "out.csv")
+        assert main(["--config", write_config(tmp_path, doc), *argv]) == 3
+        err = capsys.readouterr().err
+        assert f"error: StepBudgetError: the {name} of LoopSpec(" in err
+        assert "does not settle in float64: its change stalled at" in err and "at 1024 steps" in err
+        assert sum(spent) < 0.1, spent
+
+    def test_large_detuning_is_bounded_work(self, tmp_path, capsys):
+        # with e1 = 18 the splitting is about 9: the eigenframe steps resolve
+        # it only from 2048 steps on, and the run still ends in well under 1 s
+        doc = with_field("system", "e1", 18.0)
+        doc["output"]["path"] = str(tmp_path / "out.csv")
+        start = time.perf_counter()
+        code = main(["--config", write_config(tmp_path, doc), "simulate", "--method", "adiabatic"])
+        assert time.perf_counter() - start < 1.0
+        assert code in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["direct", "adiabatic"])
     def test_tiny_initial_step_completes(self, tmp_path, method):

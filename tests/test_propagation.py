@@ -1,6 +1,7 @@
 """Direct and adiabatic propagation, couplings, tracking, loop integrals."""
 
 import cmath
+import dataclasses
 import math
 import re
 import time
@@ -39,7 +40,7 @@ from epdyn import (
     track_branches,
     winding_number,
 )
-from epdyn import frames, loops
+from epdyn import frames, loops, traversal
 from epdyn import propagation as prop
 from epdyn.errors import AmbiguousTrackingError, StepBudgetError
 from epdyn.model import _traceless
@@ -47,6 +48,7 @@ from epdyn.propagation import _LOG_WORK_HI, _LOG_WORK_LO, TrajectoryRecord
 from epdyn.serialize import trajectory_to_csv, trajectory_to_json
 from coupling_reference import na_coupling, na_coupling_at
 import dop853_reference
+import traversal_reference
 from row_reference import dop853_interp, finalize
 
 REF = DEFAULT_PARAMS
@@ -330,12 +332,18 @@ class TestDirectStepperAgainstScipy:
 
 @pytest.mark.parametrize("propagate", [propagate_direct, propagate_adiabatic], ids=["direct", "adiabatic"])
 def test_solver_reports_the_accepted_step_sizes(propagate):
-    # min_step and max_step are the extremes of the accepted steps, the last
-    # one (clipped to T) included: the differences of the step ends that
-    # record_internal keeps, with the grid rows inside steps taken out
+    # the direct route's min_step and max_step are the extremes of the
+    # accepted steps, the last one (clipped to T) included: the differences
+    # of the step ends that record_internal keeps, with the grid rows inside
+    # steps taken out. The adiabatic route takes meta["solver"]["steps"]
+    # uniform steps, and record_internal keeps every step end
     loop = encircling_loop(50.0, Direction.CW)
     traj = propagate(REF, loop, StateVector.basis(2), TIGHT, n_output=2, record_internal=True)
     solver = traj.meta["solver"]
+    if propagate is propagate_adiabatic:
+        assert len(traj.times) == solver["steps"] + 1
+        np.testing.assert_allclose(np.diff(traj.times), 50.0 / solver["steps"], rtol=1e-12)
+        return
     ends = np.union1d([0.0, 50.0], np.setdiff1d(traj.times, [25.0]))
     assert ends.size == solver["accepted"] + 1
     steps = np.diff(ends)
@@ -692,63 +700,62 @@ class TestNaCoupling:
 
 
 class TestDopri5:
+    """The adiabatic route's step product at its limits (the ids are those of its former stepper's cases)."""
+
     def test_output_times_do_not_steer_the_controller(self):
-        # the stepper runs free to T and interpolates the output rows, so the
-        # output grid changes neither the steps nor the final row
+        # the step count settles on the full-loop map, whatever the output
+        # grid; for a power-of-two grid the last prefix map is that map's
+        # tree, so the final row is the same bits
         loop = encircling_loop(50.0, Direction.CW)
         coarse = propagate_adiabatic(REF, loop, StateVector.basis(2), TIGHT, n_output=8)
         fine = propagate_adiabatic(REF, loop, StateVector.basis(2), TIGHT, n_output=512)
-        for key in ("accepted", "rejected"):
-            assert coarse.meta["solver"][key] == fine.meta["solver"][key]
-        assert coarse.meta["solver"]["accepted"] > 100
+        assert coarse.meta["solver"] == fine.meta["solver"]
+        assert coarse.meta["solver"]["steps"] >= 512
         assert np.array_equal(coarse.final_state, fine.final_state)
         assert coarse.log_scale[-1] == fine.log_scale[-1]
 
     def test_initial_step_below_the_floor_starts_at_the_floor(self):
-        # the floor is 1e-14 T; an initial_step under it used to fail at once
+        # the route reads rel_tol only: abs_tol, max_step and initial_step
+        # (a tiny one too) change no byte of the run
         loop = encircling_loop(50.0, Direction.CW)
-        tiny = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14, initial_step=1e-15)
-        traj = propagate_adiabatic(REF, loop, StateVector.basis(2), tiny, n_output=8)
-        assert traj.times[-1] == 50.0
+        tiny = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-7, max_step=0.01, initial_step=1e-15)
+        plain = IntegratorConfig(rel_tol=1e-10)
+        runs = [propagate_adiabatic(REF, loop, StateVector.basis(2), c, n_output=8) for c in (tiny, plain)]
+        assert trajectory_to_csv(runs[0]) == trajectory_to_csv(runs[1])
 
     @pytest.mark.parametrize("T", [2e16, 1e300])
     def test_floor_above_the_cap_is_a_step_budget_error(self, T):
-        # past T ~ 1e15 max_step the floor 1e-14 T lies above the cap
-        # min(max_step, T/64), so no step fits; this used to read as a step
-        # size underflow at t = 0
+        # on so long a loop every step's growth exp(|Im lam| h) overflows
+        # float64 at every step count up to the cap: no step fits
         loop = LoopSpec(FieldPoint(1.0, 0.2), 0.05, 0.05, Direction.CW, T)
-        floor, cap, at_T = (re.escape(text) for text in (f"{1e-14 * T:.3e}", f"{10.0:.3e}", f"{T:.6g}"))
-        with pytest.raises(StepBudgetError, match=f"floor .*{floor} above the step cap .*{cap} at T = {at_T}"):
+        start = time.perf_counter()
+        with pytest.raises(StepBudgetError, match=f"duration_T={re.escape(repr(T))}.* no step fits"):
             propagate_adiabatic(REF, loop, StateVector.basis(2), n_output=8)
+        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("T", [5e-324, 32 * 5e-324])
     def test_cap_underflowing_to_zero_is_a_value_error(self, T):
-        # below 64 * 5e-324 the cap T/64 and the floor 1e-14 T are both 0.0:
-        # this used to take 10^4 zero-length steps and end in ZeroDivisionError;
+        # the steps T/n of so short a drive are subnormal (T/256 is 0.0 here);
         # the direct route, whose floor is 10 ulp(t), takes one step
         drive = StaticDrive(FieldPoint(1.0, 0.3), T)
         with pytest.raises(ValueError, match="duration_T = .* is too small"):
             propagate_adiabatic(REF, drive, StateVector.basis(2), n_output=8)
         assert propagate_direct(REF, drive, StateVector.basis(2), n_output=8).times[-1] == T
 
-    def test_dense_output_coefficients_are_scipys(self):
-        from scipy.integrate._ivp.rk import RK45
-
-        np.testing.assert_array_equal(np.array(prop._DP_P), RK45.P)
-        np.testing.assert_array_equal(prop._DP_C, RK45.C[1:])
-        for s, row in enumerate(prop._DP_A, 1):
-            np.testing.assert_array_equal(row, RK45.A[s, :s])
-        np.testing.assert_array_equal(prop._DP_B5[:6], RK45.B)
-        # scipy's E is the 4th- minus the 5th-order weights
-        np.testing.assert_allclose(prop._DP_E, -RK45.E, rtol=1e-14, atol=1e-17)
+    def test_step_product_is_fourth_order(self):
+        # the Gauss points and the weights of the two exponentials make the
+        # product 4th order: the change over a doubling shrinks 16-fold
+        loop = encircling_loop(10.0, Direction.CW)
+        maps = [traversal._product(REF, [loop], n, True)[:2] for n in (256, 512, 1024)]
+        changes = [traversal._change(*maps[k + 1], *maps[k]) for k in (0, 1)]
+        assert 16.0 / 1.2 < changes[0] / changes[1] < 16.0 * 1.2, changes
 
     @pytest.mark.parametrize("direction", [Direction.CW, Direction.CCW])
     def test_every_row_agrees_with_direct(self, direction):
-        # interior rows come from the dense output, the direct route's from
-        # its own DOP853 interpolant. 1 - F is quadratic in the error, so the
-        # rows are also compared as vectors: both routes record the same
-        # physical state (measured <= 1.3e-10 relative; an interpolant
-        # without its x^4 term gives 1e-7 with 1 - F still below 3e-14)
+        # every row is a step end of the prefix product, the direct route's
+        # from its own DOP853 interpolant. 1 - F is quadratic in the error,
+        # so the rows are also compared as vectors: both routes record the
+        # same physical state (measured <= 1.2e-10 relative)
         loop = encircling_loop(50.0, direction)
         for initial in (StateVector.basis(1), StateVector.basis(2), StateVector.equal_superposition(0.3)):
             adiab = propagate_adiabatic(REF, loop, initial, n_output=512)
@@ -991,86 +998,102 @@ class TestAdiabaticPropagation:
             leakage.append(fidelity(final, v_other))
         assert leakage[1] < leakage[0]
 
-    @staticmethod
-    def counting_stepper(monkeypatch, calls: dict) -> list:
-        """Count RHS calls of the adiabatic stepper; returns the accepted step ends."""
-        ends = []
-
-        class CountingDopri5(prop._Dopri5):
-            def __init__(self, rhs, *args):
-                def counted_rhs(*a):
-                    calls["rhs"] += 1
-                    calls["inside"] = True
-                    try:
-                        return rhs(*a)
-                    finally:
-                        calls["inside"] = False
-
-                super().__init__(counted_rhs, *args)
-
-            def step(self):
-                super().step()
-                ends.append(self.t)
-
-        monkeypatch.setattr(prop, "_Dopri5", CountingDopri5)
-        return ends
-
-    def test_solver_counts(self, monkeypatch):
-        calls = {"rhs": 0}
-        self.counting_stepper(monkeypatch, calls)
+    def test_solver_counts(self):
         traj = propagate_adiabatic(REF, encircling_loop(50.0, Direction.CW), StateVector.basis(2), TIGHT)
         solver = traj.meta["solver"]
-        assert set(solver) == {"accepted", "rejected", "rhs_calls", "renormalizations", "min_step", "max_step"}
-        assert solver["rhs_calls"] == calls["rhs"]
-        assert solver["rhs_calls"] == 1 + 6 * (solver["accepted"] + solver["rejected"])
+        assert set(solver) == {"steps", "frame", "floor", "doublings"}
+        # 256 steps doubled until the map settled; the rows take that count
+        # here, a multiple of the 512 output intervals
+        assert solver["steps"] == 256 * 2 ** solver["doublings"] >= 512
+        assert solver["frame"] == "eigen"
+        assert 0.0 < solver["floor"] <= 15 * TIGHT.rel_tol
+        assert len(traj.times) == 513
 
     def test_one_eigensolve_per_step_and_interior_grid_time(self, monkeypatch):
-        # the RHS continues the energy without an eigensolve; after the
-        # stepper, one batch solves the frame at each step end and at each
-        # grid time strictly inside a step, in a number of array calls that
-        # does not grow with the step count
-        calls = {"solve": 0, "frames": 0, "rhs": 0, "inside": False}
-        real_solve = frames._solve
+        # the route solves one eigenframe, at t = 0; the step products take
+        # the drive in array calls whose number does not grow with the steps
+        calls = {"solve": 0, "frames": 0, "drive": 0, "samples": 0}
+        real_solve, real_drive = frames._solve, traversal._drive
 
         def counted_solve(params, drive, times):
-            assert not calls["inside"], "eigensolve inside the RHS"
             calls["solve"] += 1
             calls["frames"] += len(times)
             return real_solve(params, drive, times)
 
-        ends = self.counting_stepper(monkeypatch, calls)
+        def counted_drive(params, columns, times):
+            calls["drive"] += 1
+            calls["samples"] += np.size(times)
+            return real_drive(params, columns, times)
+
         monkeypatch.setattr(frames, "_solve", counted_solve)
-        n_output = 512
-        traj = propagate_adiabatic(
-            REF, encircling_loop(50.0, Direction.CW), StateVector.basis(2), TIGHT, n_output=n_output
-        )
-        grid = np.linspace(0.0, 50.0, n_output + 1)
-        interior = len(set(grid[1:].tolist()) - set(ends))
-        assert calls["rhs"] > 0
-        assert len(ends) == traj.meta["solver"]["accepted"]
-        assert 0 < interior < n_output
-        assert calls["frames"] == 1 + len(ends) + interior
-        batches = math.ceil(len(ends) / frames._BLOCK) + math.ceil(interior / frames._BLOCK)
-        assert calls["solve"] == 1 + batches
-        assert calls["solve"] <= 3 < len(ends)
+        monkeypatch.setattr(traversal, "_drive", counted_drive)
+        traj = propagate_adiabatic(REF, encircling_loop(50.0, Direction.CW), StateVector.basis(2), TIGHT)
+        assert (calls["solve"], calls["frames"]) == (1, 1)
+        # each step count tried; the rows reuse the settled one's 512 intervals
+        products = traj.meta["solver"]["doublings"] + 1
+        assert calls["drive"] == 3 * products  # t = 0, one block of Gauss points, the interval ends
+        assert calls["samples"] > 2 * traj.meta["solver"]["steps"] > 1000
 
     def test_commit_rejects_energy_on_the_other_branch(self, monkeypatch):
-        # corrupt the energy continued to one step end: the batch check finds
-        # that overlap tracking puts the other branch in slot 0 there
-        real_settle = frames._settle
-        corrupted = []
+        # put the continued root on the other branch just before the end of
+        # each interval: there the closed-form angle sits a quarter turn from
+        # the quadrature of the frame's turn, at every step count, so the
+        # route raises instead of taking the bare frame
+        real_turn = traversal._Phase.turn
 
-        def corrupting_settle(params, loop, ep_tol, first, steps):
-            k = len(steps.energies) // 2
-            steps.energies[k] = -steps.energies[k]
-            corrupted.append(steps.ends[k])
-            return real_settle(params, loop, ep_tol, first, steps)
+        def corrupting_turn(self, *args):
+            real_turn(self, *args)
+            if self.marks:
+                self.marks[-1] = (-self.marks[-1][0], self.marks[-1][1])
 
-        monkeypatch.setattr(frames, "_settle", corrupting_settle)
+        monkeypatch.setattr(traversal._Phase, "turn", corrupting_turn)
         loop = encircling_loop(50.0, Direction.CW)
-        with pytest.raises(AmbiguousTrackingError, match="overlap tracking") as info:
+        with pytest.raises(AmbiguousTrackingError, match="unresolved at every step count up to 131072"):
             propagate_adiabatic(REF, loop, StateVector.basis(2), TIGHT)
-        assert f"at t = {corrupted[0]:.6g}" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "loop, initial, fidelity_tol, norm_tol",
+        [
+            (encircling_loop(50.0, Direction.CW), StateVector(0.6, 0.8j), 1e-13, 1e-11),
+            # the diode map's float64 floor: 1.9e-6 of the long-double map, and
+            # the survival within 6e-5 (tests/test_traversal.py)
+            (diode_loop(Direction.CW), StateVector.basis(1), 1e-9, 1e-4),
+        ],
+        ids=["encircling", "diode"],
+    )
+    def test_rows_agree_with_the_long_double_prefix_maps(self, loop, initial, fidelity_tol, norm_tol):
+        # every row against the same steps' prefix maps in long double: the
+        # state's direction and its true squared norm
+        traj = propagate_adiabatic(REF, loop, initial, TIGHT, n_output=8)
+        oracle = traversal_reference.prefix_maps(REF, loop, traj.meta["solver"]["steps"], 8)
+        for k, (u, log_scale) in enumerate(oracle):
+            want = (u @ initial.as_array().astype(np.clongdouble)).astype(complex)
+            got = traj.states[k]
+            infidelity = 1.0 - abs(np.vdot(want, got)) ** 2 / (np.vdot(want, want) * np.vdot(got, got)).real
+            assert infidelity < fidelity_tol, (k, infidelity)
+            decay = (REF.gamma1 + REF.gamma2) * traj.times[k]
+            want_n2 = np.vdot(want, want).real * math.exp(2.0 * float(log_scale) - decay)
+            assert traj.true_norm_sq(k) == pytest.approx(want_n2, rel=norm_tol), k
+
+    @pytest.mark.parametrize(
+        "loop, error, message",
+        [
+            # through the EP, between the guard's samples: the frame turns by
+            # more than half a radian in a step at every step count
+            (dataclasses.replace(hermitian_loop(10.0, Direction.CW), start_phase=0.1),
+             AmbiguousTrackingError, "unresolved at every step count"),
+            # 1e-4 from the EP: uniform steps resolve the pass only from 2^14
+            # steps on, and the change at 2^17 is still 1.8e-8
+            (LoopSpec(FieldPoint(1.0, 0.2), 1e-4, 0.1, Direction.CW, 5.0), StepBudgetError, "has not settled"),
+        ],
+        ids=["on-contour", "1e-4-from-contour"],
+    )
+    def test_an_unresolved_ep_pass_is_an_error(self, loop, error, message):
+        # the route has no bare frame to fall back on
+        start = time.perf_counter()
+        with pytest.raises(error, match=message):
+            propagate_adiabatic(REF, loop, StateVector.basis(2), TIGHT)
+        assert time.perf_counter() - start < 2.0
 
     def test_branch_labels_recorded(self):
         loop = LoopSpec(

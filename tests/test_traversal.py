@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -148,12 +149,31 @@ class TestFrames:
 
 
 class TestBoundedWork:
-    def test_past_the_float64_floor_the_doubling_stops_at_the_cap(self):
+    def test_past_the_float64_floor_a_stalled_doubling_stops_early(self):
         # at T = 600 rounding moves the diode map by more than 1e-3 at every
-        # step count, in both frames
+        # step count, in both frames; the change stalls once every step is
+        # resolved, and both frames stop there instead of at the cap
         loop = diode_loop(Direction.CW, 600.0)
-        with pytest.raises(StepBudgetError, match=r"duration_T=600\.0.*not settled at 131072 steps"):
+        start = time.perf_counter()
+        with pytest.raises(StepBudgetError, match=r"duration_T=600\.0.*does not settle in float64: its change "
+                           r"stalled at .* at 1024 steps"):
             traversal_maps(REF, [loop], 1e-10)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "change, before, resolved, verdict",
+        [
+            (1.4e-9, 2e-8, True, "settled"),  # change / 15 <= rel_tol
+            (5e-4, 1e-3, True, "settled"),  # stalled at the floor
+            (3e-3, 4e-3, True, "stalled"),  # stalled above the floor
+            (1.4e-9, 2e-8, False, None),  # an unresolved step can agree by chance
+            (3e-3, 4e-3, False, None),  # or still converge
+            (3e-3, 1.0, True, None),  # shrinking 16-fold: not a stall
+            (3e-3, math.inf, True, None),  # the first change
+        ],
+    )
+    def test_stop_rule(self, change, before, resolved, verdict):
+        assert traversal._verdict(change, before, resolved, 1e-10) == verdict
 
     def test_a_failing_loop_leaves_its_batch_mates_alone(self):
         maps = traversal._maps(REF, [diode_loop(Direction.CW, 600.0), encircling_loop(50.0)], 1e-10)

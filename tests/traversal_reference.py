@@ -1,4 +1,4 @@
-"""The traversal map in long double, kept as the oracle of ``epdyn.traversal``.
+"""The traversal map and the rows' prefix maps in long double, kept as the oracle of ``epdyn.traversal``.
 
 The same 4th-order commutator-free Magnus product in the eigenframe, written
 out plainly in ``np.clongdouble`` at a fixed step count: the drive and its
@@ -41,13 +41,29 @@ def _drive(params, loop, t):
 
 def traversal_map(params, loop, n: int):
     """(U with largest entry 1, log of its scale) of the loop's traversal on n steps."""
+    return prefix_maps(params, loop, n, 1)[-1]
+
+
+def prefix_maps(params, loop, n: int, rows: int):
+    """The maps R(th_j) P_j R(th_0)^T from t = 0 to each of rows + 1 uniform times, on n steps.
+
+    Each as (U with largest entry 1, log of its scale); ``rows`` divides n,
+    and the samples at the row times join the continuation of lam and th.
+    """
     require_extended_precision()
     root3 = np.sqrt(L(3))
     gauss = np.array([L(1) / 2 - root3 / 6, L(1) / 2 + root3 / 6])
     weights = (L(1) / 4 + root3 / 6, L(1) / 4 - root3 / 6)
     T = L(loop.duration_T)
     h = T / n
-    t = np.concatenate([[L(0)], ((np.arange(n, dtype=L)[:, None] + gauss) * h).ravel(), [T]])
+    every = n // rows
+    t, ends = [L(0)], [0]  # the samples, and the index of each row time among them
+    for j in range(n):
+        t += list((j + gauss) * h)
+        if (j + 1) % every == 0:
+            t.append(T * ((j + 1) // every) / rows)
+            ends.append(len(t) - 1)
+    t = np.array(t)
     a, g, a_dot, g_dot = _drive(params, loop, t)
     w2 = a * a + g * g
     lam = np.sqrt(w2)
@@ -59,10 +75,21 @@ def traversal_map(params, loop, n: int):
     turn = 8 * np.arctan(L(1))
     for k in range(1, len(t)):  # unwrap
         phase[k] += turn * np.round((phase[k - 1] - phase[k]) / turn)
-    th0, thT = (phase[k] / 2 - 0.5j * np.log(np.abs((a[k] + 1j * g[k]) / lam[k])) for k in (0, -1))
-    lam, th_dot = lam[1:-1].reshape(n, 2), th_dot[1:-1].reshape(n, 2)
+    th = [phase[k] / 2 - 0.5j * np.log(np.abs((a[k] + 1j * g[k]) / lam[k])) for k in ends]
+    inner = np.setdiff1d(np.arange(1, len(t)), ends)
+    lam, th_dot = lam[inner].reshape(n, 2), th_dot[inner].reshape(n, 2)
+
+    def rotation(th):
+        return np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+
+    def rotated(u, log_scale, th_j):
+        u = rotation(th_j) @ u @ rotation(th[0]).T
+        big = np.max(np.abs(u))
+        return u / big, log_scale + np.log(big)
+
     u = np.eye(2, dtype=np.clongdouble)
     log_scale = L(0)
+    out = [rotated(u, log_scale, th[0])]
     for j in range(n):
         for w0, w1 in (weights, weights[::-1]):
             p = -1j * h * (w0 * lam[j, 0] + w1 * lam[j, 1])
@@ -74,13 +101,9 @@ def traversal_map(params, loop, n: int):
         big = np.max(np.abs(u))
         u /= big
         log_scale += np.log(big)
-
-    def rotation(th):
-        return np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-
-    u = rotation(thT) @ u @ rotation(th0).T
-    big = np.max(np.abs(u))
-    return u / big, log_scale + np.log(big)
+        if (j + 1) % every == 0:
+            out.append(rotated(u, log_scale, th[len(out)]))
+    return out
 
 
 def ratio(u, column: int) -> float:
