@@ -140,8 +140,15 @@ def asymmetry_criterion(report: AsymmetryReport, threshold: float = 1000.0) -> b
 
 
 def survival_fraction(traj: TrajectoryRecord) -> float:
-    """True squared-norm ratio between the final and initial records."""
-    return traj.true_norm_sq(-1) / traj.true_norm_sq(0)
+    """True squared-norm ratio between the final and initial records.
+
+    When the initial record carries a scale factor (its true squared norm
+    lies outside [1e-150, 1e+150], and may under- or overflow float64), the
+    ratio is taken on the stored norms and the difference of the logs.
+    """
+    if traj.log_scale[0] == 0.0:
+        return traj.true_norm_sq(-1) / traj.true_norm_sq(0)
+    return float(traj.norms_sq[-1] / traj.norms_sq[0] * math.exp(traj.log_scale[-1] - traj.log_scale[0]))
 
 
 def _map_report(

@@ -22,7 +22,6 @@ from .model import (
     SystemParams,
     _require_finite,
     _traceless,
-    _traceless_drive,
     locate_ep,
 )
 
@@ -187,48 +186,6 @@ def field_velocity(loop: LoopSpec, t: float) -> tuple[float, float]:
     _check_time(loop, t)
     th = _angle(loop, t)
     return _velocity(loop, math.cos(th), math.sin(th))
-
-
-def _traceless_kernel(drive, params: SystemParams):
-    """The closure t -> (a, g, a', g') along a loop or static drive, read once per run.
-
-    The direct route's generated step writes these operations out
-    (``propagation._dop853_source``); the tests call the closure as the
-    step's reference. It clamps t to
-    [0, T] as min(max(t, 0.0), T) does: RK stages can poke epsilon outside,
-    and the contour is periodic and smooth, so clamping is exact there. Then
-    it does the operations of ``_traceless(params, *field_at(drive, t))`` and
-    ``_traceless_drive(params, *field_velocity(drive, t))`` in their order,
-    on constants taken from the drive and ``params`` here, so every value is
-    the bits of that reference path without its calls and objects.
-    """
-    if isinstance(drive, StaticDrive):
-        values = (*_traceless(params, drive.field.omega, drive.field.eps0),
-                  *_traceless_drive(params, 0.0, 0.0))
-        return lambda t: values
-    T, th0 = drive.duration_T, drive.start_phase
-    turn = drive.direction.sign * 2.0 * math.pi
-    rate = turn / T
-    cx, cy = drive.center.omega, drive.center.eps0
-    ax, ay = drive.semi_axis_omega, drive.semi_axis_eps
-    a_static, half_d12 = params._a_static, params._half_d12
-    fmod, cos, sin = math.fmod, math.cos, math.sin
-
-    def kernel(t: float) -> tuple:
-        if t < 0.0:  # min(max(t, 0.0), T) without the two calls
-            t = 0.0
-        elif t > T:
-            t = T
-        th = th0 + turn * fmod(t / T, 1.0)
-        c, s = cos(th), sin(th)
-        return (
-            a_static + 0.5 * (cx + ax * c),
-            half_d12 * (cy + ay * s),
-            0.5 * (-ax * s * rate),
-            half_d12 * (ay * c * rate),
-        )
-
-    return kernel
 
 
 def _fields_at(drive, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

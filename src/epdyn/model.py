@@ -16,9 +16,9 @@ eigenvectors turn with th, tan 2th = g/a. ``_traceless`` is the one
 definition of (a, g). It is plain arithmetic, so omega and eps0 may be floats
 or numpy arrays; the closed-form couplings, the step products of
 ``traversal`` and the vectorized contour scans in ``loops`` use it, and the
-direct step gets the same bits from constants read once per run, with its
-operations inlined (``loops._traceless_kernel`` is the scalar statement of
-them).
+direct route's generated run gets the same bits from constants read once
+per run, with its operations inlined (``propagation._drive_constants``;
+``tests/dop853_reference.py`` keeps the scalar closure as the reference).
 
 Eigenframes have one code path, on arrays: ``_eigensystems`` solves any
 number of matrices elementwise, and ``eigenframe`` is its one-matrix case.

@@ -8,19 +8,20 @@ only have to resolve the traceless dynamics, whose rates are set by the
 small eigenvalue splitting. This keeps norm drift at machine precision for
 Hermitian parameters and postpones overflow for strongly decaying runs.
 
-``propagate_direct`` integrates the bare-basis amplitudes with ``_Dop853``,
-an adaptive 8th-order Runge-Kutta stepper on the two amplitudes as Python
-complex scalars. It uses the published DOP853 tableau (tested equal to
-scipy's) and the error norm and step controller of
-``scipy.integrate.DOP853``, which the tests keep as its oracle. Its step is
-straight-line code compiled once per process, by the first direct run,
-from the tableau (``_dop853_source``), with the drive inlined into every
-stage: the operations of ``model._traceless`` at ``field_at``, on the
-drive's and the model's constants read once per run, so every stage has
-those bits without a call or an object per step. The stepping loop keeps
-the stages of each step that holds an output time; after it, one array
-pass (``_dense_rows``) builds those steps' dense-output interpolants and
-evaluates every output row. The loop rescales the working state in place,
+``propagate_direct`` integrates the bare-basis amplitudes with DOP853, an
+adaptive 8th-order Runge-Kutta method, on the two amplitudes as Python
+complex scalars. It uses the published tableau (tested equal to scipy's)
+and the error norm and step controller of ``scipy.integrate.DOP853``, which
+the tests keep as its oracle. The whole integration is one function,
+``run``, compiled once per process, by the first direct run, from the
+tableau (``_dop853_source``): the stepping loop, the controller and the row
+bookkeeping on local variables, with the drive inlined into every stage
+(the operations of ``model._traceless`` at ``field_at``, on the drive's
+and the model's constants read once per run), so every stage has those
+bits without a call or an object per step. The run keeps the stages of
+each step that holds an output time; after it, one array pass
+(``_dense_rows``) builds those steps' dense-output interpolants and
+evaluates every output row. The run rescales the working state in place,
 keeping the step size, when its norm leaves the working window, and
 enforces a step budget (``_STEP_BUDGET``), so no input makes a run go on
 without end.
@@ -69,7 +70,6 @@ import cmath
 import functools
 import math
 import time
-import types
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -533,17 +533,17 @@ _DOP_D = (
 )
 
 
-def _abs2(z: complex) -> float:
-    return z.real * z.real + z.imag * z.imag
-
-
 def _drive_constants(drive: Drive, params: SystemParams) -> tuple:
-    """(T, th0, turn, cx, ax, cy, ay, a_static, half_d12): what the direct step reads of a run.
+    """(T, th0, turn, cx, ax, cy, ay, a_static, half_d12): what the direct run reads of a drive.
 
-    A loop's are what ``loops._traceless_kernel`` reads. A static drive is the
-    loop with both axes -0.0 at the fixed angle 0 (turn 0.0): cos 0 = 1.0 and
-    sin 0 = 0.0 make each axis term -0.0, and x + -0.0 is x for every x,
-    signed zeros included, so the step gets the bits of the constant field.
+    Each RHS call of the run clamps its time to [0, T] and takes
+    th = th0 + turn * fmod(t / T, 1.0), a = a_static + 0.5 * (cx + ax cos th)
+    and g = half_d12 * (cy + ay sin th): the operations of ``field_at`` and
+    ``model._traceless`` in their order, so every (a, g) is their bits. A
+    static drive is the loop with both axes -0.0 at the fixed angle 0
+    (turn 0.0): cos 0 = 1.0 and sin 0 = 0.0 make each axis term -0.0, and
+    x + -0.0 is x for every x, signed zeros included, so the run gets the
+    bits of the constant field.
     """
     if isinstance(drive, StaticDrive):
         fp = drive.field
@@ -562,181 +562,201 @@ def _drive_constants(drive: Drive, params: SystemParams) -> tuple:
     )
 
 
-def _sum_lines(name: str, coeffs, k: str) -> list:
-    """Statements ``name = sum_j c_j k<j>`` in the tableau's order, from a 0j accumulator."""
-    (j, c), *rest = coeffs
-    return [f"{name} = 0j + ({c!r}) * {k}{j}"] + [f"{name} = {name} + ({c!r}) * {k}{j}" for j, c in rest]
+# the step controller of scipy.integrate.DOP853; the exponent is -1 / (error estimator order 7 + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 
 
-def _rhs_lines(t: str, u0: str, u1: str, f0: str, f1: str) -> list:
-    """Statements of one RHS call at time ``t``: (a, g) in ``_traceless_kernel``'s operations, then -i H u."""
-    return [
+def _sum(coeffs, k: str) -> str:
+    """The expression sum_j c_j k<j> in the tableau's order, from a 0j accumulator, c_j as complex literals."""
+    return " + ".join(["0j"] + [f"{complex(c)!r} * {k}{j}" for j, c in coeffs])
+
+
+def _rhs_lines(t: Optional[str], u0: str, u1: str, f0: str, f1: str) -> list:
+    """Statements of one RHS call at time ``t``: (a, g) of the drive, then -i H u.
+
+    With ``t`` None the call reuses the (a, g) of the statements before it.
+    The time is clamped to [0, T], as RK stages can poke an ulp outside and
+    the contour is periodic and smooth there; then t / T lies in [0, 1], and
+    fmod(x, 1.0) is x below 1, so only x = 1.0 takes the call.
+    """
+    drive = [] if t is None else [
         f"ts = {t}",
-        "if ts < 0.0:",  # min(max(ts, 0.0), T), as the kernel clamps
+        "if ts < 0.0:",
         "    ts = 0.0",
         "elif ts > T:",
         "    ts = T",
-        "th = th0 + turn * fmod(ts / T, 1.0)",
+        "x = ts / T",
+        "if x >= 1.0:",
+        "    x = fmod(x, 1.0)",
+        "th = th0 + turn * x",
         "a = a_static + 0.5 * (cx + ax * cos(th))",
         "g = half_d12 * (cy + ay * sin(th))",
-        f"{f0} = -1j * (a * {u0} + g * {u1})",
-        f"{f1} = -1j * (g * {u0} - a * {u1})",
     ]
+    return drive + [f"{f0} = -1j * (a * {u0} + g * {u1})", f"{f1} = -1j * (g * {u0} - a * {u1})"]
 
 
 _DOP853_TEMPLATE = '''
-def derivative(drive, t, u0, u1):
+def run(drive, y, t_bound, grid, rtol, atol, max_step, h_abs, record_internal):
     T, th0, turn, cx, ax, cy, ay, a_static, half_d12 = drive
-{rhs}
-    return f0, f1
-
-
-def step(self):
-    T, th0, turn, cx, ax, cy, ay, a_static, half_d12 = self.drive
-    t, (y0, y1), (k0_0, k1_0) = self.t, self.y, self.f
-    min_step = 10.0 * ulp(t)
-    h = self.h_abs
-    if h > self.max_step:
-        h = self.max_step
-    elif h < min_step:
-        h = min_step
-    rejected = False
-    while True:
-        if h < min_step:
-            raise StepSizeUnderflowError(
-                f"step size {{h:.3e}} below 10 ulp(t) = {{min_step:.3e}} at t = {{t:.6g}}"
-            )
-        t_new = min(t + h, self.t_bound)
-        h = t_new - t
+    y0, y1 = y
+    t = log_u = 0.0
+    accepted = rejected = renormalizations = 0
+    h_min, h_max, gi, n_grid = inf, 0.0, 1, len(grid)
+    n2 = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
+    if n2 == 0.0:  # every square underflows: divide by the largest part
+        norm = max(abs(y0.real), abs(y0.imag), abs(y1.real), abs(y1.imag))
+        y0, y1 = y0 / norm, y1 / norm
+        log_u = 2.0 * log(norm)
+        renormalizations = 1
+    elif n2 < inf and not ({lo!r} < log(n2) < {hi!r}):  # as the loop rescales
+        norm = sqrt(n2)
+        y0, y1 = y0 / norm, y1 / norm
+        log_u = log(n2)
+        renormalizations = 1
+{first}
+    times, logs, ends, held, values = [0.0], [log_u], [(0, (y0, y1))], [], []
+    while t < t_bound:
+        k0_0, k1_0 = k0_{n}, k1_{n}
+        min_step = 10.0 * ulp(t)
+        h = h_abs
+        if h > max_step:
+            h = max_step
+        elif h < min_step:
+            h = min_step
+        retried = False
+        while True:
+            if h < min_step:
+                raise StepSizeUnderflowError(
+                    f"step size {{h:.3e}} below 10 ulp(t) = {{min_step:.3e}} at t = {{t:.6g}}"
+                )
+            t_new = t + h
+            if t_bound < t_new:
+                t_new = t_bound
+            h = t_new - t
 {stages}
-        self.rhs_calls += {n_stages}
-        s0 = self.atol + max(abs(y0), abs(n0)) * self.rtol
-        s1 = self.atol + max(abs(y1), abs(n1)) * self.rtol
+            s0 = abs(y0)
+            m = abs(n0)
+            if m > s0:
+                s0 = m
+            s0 = atol + s0 * rtol
+            s1 = abs(y1)
+            m = abs(n1)
+            if m > s1:
+                s1 = m
+            s1 = atol + s1 * rtol
 {errors}
-        if err5 == 0.0 and err3 == 0.0:
-            err = 0.0
-        else:
-            err = h * err5 / sqrt(2.0 * (err5 + 0.01 * err3))
-        if err < 1.0:
-            factor = {max_factor!r}
-            if err > 0.0:
-                factor = min(factor, {safety!r} * err ** ({exponent!r}))
-            self.h_abs = h * (min(1.0, factor) if rejected else factor)
-            break
-        h *= max({min_factor!r}, {safety!r} * err ** ({exponent!r}))
-        rejected = True
-        self.rejected += 1
-    self.accepted += 1
-    self.h_min, self.h_max = min(self.h_min, h), max(self.h_max, h)
-    self.t_old, self.y_old, self.h = t, self.y, h
-    self.t, self.y, self.f = t_new, (n0, n1), (k0_{n_stages}, k1_{n_stages})
-    self.k = ({stage_pairs})
+            if err5 == 0.0 and err3 == 0.0:
+                err = 0.0
+            else:
+                err = h * err5 / sqrt(2.0 * (err5 + 0.01 * err3))
+            if err < 1.0:
+                factor = {max_factor!r}
+                if err > 0.0:
+                    m = {safety!r} * err ** ({exponent!r})
+                    if m < factor:
+                        factor = m
+                if retried and not factor < 1.0:
+                    factor = 1.0
+                h_abs = h * factor
+                break
+            factor = {safety!r} * err ** ({exponent!r})
+            h *= factor if factor > {min_factor!r} else {min_factor!r}
+            retried = True
+            rejected += 1
+        accepted += 1
+        if h < h_min:
+            h_min = h
+        if h > h_max:
+            h_max = h
+        if not (isfinite(n0) and isfinite(n1)):
+            raise NonFiniteError("amplitudes became non-finite during integration")
+        if gi < n_grid and grid[gi] <= t_new:
+            stop = bisect_right(grid, t_new, gi)
+            held.append((t, h, stop - gi))
+            values.append((y0, y1, n0, n1, {stage_pairs}))
+            times += grid[gi:stop]
+            logs += [log_u] * (stop - gi)
+            gi = stop
+        if record_internal and times[-1] < t_new < t_bound:
+            ends.append((len(times), (n0, n1)))
+            times.append(t_new)
+            logs.append(log_u)
+        if accepted > {budget!r} and t_bound - t_new > {remaining!r} * h:
+            raise StepBudgetError(budget_message(accepted, t_bound, t_new, h))
+        t, y0, y1 = t_new, n0, n1
+        n2 = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
+        if n2 > 0.0:
+            lg = log(n2)
+            if not ({lo!r} < lg < {hi!r}):
+                norm = sqrt(n2)
+                y0, y1, k0_{n}, k1_{n} = y0 / norm, y1 / norm, k0_{n} / norm, k1_{n} / norm
+                renormalizations += 1
+                log_u += lg
+    counts = {{"accepted": accepted, "rejected": rejected, "rhs_calls": 1 + {n} * (accepted + rejected),
+              "renormalizations": renormalizations, "min_step": h_min, "max_step": h_max}}
+    return times, logs, ends, held, values, counts
 '''
 
 
 def _dop853_source() -> str:
-    """Python source of the direct route's RHS ``derivative`` and DOP853 ``step``, from the tableau.
+    """Python source of ``run``, the direct route's whole DOP853 integration, from the tableau.
 
-    The stages, the 8th-order solution and both error estimates are flat
-    statements: each sum runs in the tableau's order from a 0j accumulator,
-    with the coefficients as ``repr`` literals, and each RHS call is written
-    out with its drive inlined (``_rhs_lines``). The controller is
-    ``_Dop853``'s. ``tests/dop853_reference.py`` keeps the loop that does the
-    same arithmetic.
+    ``run(drive, y, t_bound, grid, rtol, atol, max_step, h_abs,
+    record_internal)`` takes ``_drive_constants`` and the initial state and
+    returns ``(times, logs, ends, held, values, counts)``: the rows as
+    columns (time and log of the rescalings so far), the rows at a step end
+    with their state, each step that holds a grid time as ``_dense_rows``
+    takes it (its t_old, h and row count; its y_old, y_new and 13 stage
+    pairs), and ``meta["solver"]``'s counts before the dense stages. The
+    stepping loop, the controller (scipy's), the grid and ``record_internal``
+    rows, the step budget and the in-place rescale all run on local
+    variables. The stages, the 8th-order solution and both error estimates
+    are flat statements, one expression per sum in the tableau's order from a
+    0j accumulator, with the coefficients as complex literals, and each RHS
+    call is written out with its drive inlined (``_rhs_lines``).
+    ``notes/decisions.md`` gives the argument that every value is the bits
+    of the loop-based stepper that ``tests/dop853_reference.py`` keeps.
     """
+    assert _DOP_STAGES[-1][0] == 1.0  # the FSAL derivative at t + h reuses the last stage's (a, g)
     stages = []
     for s, (c, a) in enumerate(_DOP_STAGES, 1):
-        stages += _sum_lines("d0", a, "k0_") + _sum_lines("d1", a, "k1_")
-        stages += ["u0 = y0 + d0 * h", "u1 = y1 + d1 * h"]
+        stages += [f"u0 = y0 + ({_sum(a, 'k0_')}) * h", f"u1 = y1 + ({_sum(a, 'k1_')}) * h"]
         stages += _rhs_lines(f"t + ({c!r}) * h", "u0", "u1", f"k0_{s}", f"k1_{s}")
-    stages += _sum_lines("d0", _DOP_B, "k0_") + _sum_lines("d1", _DOP_B, "k1_")
-    stages += ["n0 = y0 + h * d0", "n1 = y1 + h * d1"]
-    stages += _rhs_lines("t + h", "n0", "n1", f"k0_{_N_STAGES}", f"k1_{_N_STAGES}")
+    stages += [f"n0 = y0 + h * ({_sum(_DOP_B, 'k0_')})", f"n1 = y1 + h * ({_sum(_DOP_B, 'k1_')})"]
+    stages += _rhs_lines(None, "n0", "n1", f"k0_{_N_STAGES}", f"k1_{_N_STAGES}")
     errors = []
     for name, weights in (("err5", _DOP_E5), ("err3", _DOP_E3)):
-        errors += _sum_lines("e0", weights, "k0_") + _sum_lines("e1", weights, "k1_")
         errors += [
-            "q0 = e0 / s0",
-            "q1 = e1 / s1",
+            f"q0 = ({_sum(weights, 'k0_')}) / s0",
+            f"q1 = ({_sum(weights, 'k1_')}) / s1",
             f"{name} = (q0.real * q0.real + q0.imag * q0.imag) + (q1.real * q1.real + q1.imag * q1.imag)",
         ]
     return _DOP853_TEMPLATE.format(
-        rhs="\n".join("    " + line for line in _rhs_lines("t", "u0", "u1", "f0", "f1")),
-        stages="\n".join("        " + line for line in stages),
-        errors="\n".join("        " + line for line in errors),
-        n_stages=_N_STAGES,
+        first="\n".join("    " + line for line in _rhs_lines("0.0", "y0", "y1", f"k0_{_N_STAGES}", f"k1_{_N_STAGES}")),
+        stages="\n".join("            " + line for line in stages),
+        errors="\n".join("            " + line for line in errors),
+        n=_N_STAGES,
         stage_pairs=", ".join(f"k0_{s}, k1_{s}" for s in range(_N_STAGES + 1)),
-        safety=_Dop853.SAFETY,
-        min_factor=_Dop853.MIN_FACTOR,
-        max_factor=_Dop853.MAX_FACTOR,
-        exponent=_Dop853.EXPONENT,
+        lo=_LOG_WORK_LO,
+        hi=_LOG_WORK_HI,
+        budget=_STEP_BUDGET,
+        remaining=_STEP_BUDGET_REMAINING,
+        safety=_SAFETY,
+        min_factor=_MIN_FACTOR,
+        max_factor=_MAX_FACTOR,
+        exponent=_EXPONENT,
     )
 
 
 @functools.cache
-def _dop853_functions() -> tuple:
-    """(derivative, step), compiled from ``_dop853_source()`` by the first direct run of a process."""
-    namespace = {
-        "cos": math.cos,
-        "sin": math.sin,
-        "fmod": math.fmod,
-        "sqrt": math.sqrt,
-        "ulp": math.ulp,
-        "StepSizeUnderflowError": StepSizeUnderflowError,
-    }
+def _dop853_run():
+    """``run``, compiled from ``_dop853_source()`` by the first direct run of a process."""
+    namespace = {name: getattr(math, name) for name in ("cos", "sin", "fmod", "sqrt", "log", "ulp", "inf")}
+    namespace.update(isfinite=cmath.isfinite, bisect_right=bisect.bisect_right, budget_message=_budget_message,
+                     NonFiniteError=NonFiniteError, StepBudgetError=StepBudgetError,
+                     StepSizeUnderflowError=StepSizeUnderflowError)
     exec(compile(_dop853_source(), "<dop853>", "exec"), namespace)
-    return namespace["derivative"], namespace["step"]
-
-
-class _Dop853:
-    """DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) on two complex scalars.
-
-    The tableau is the published one, written out above; the tests check it
-    equal to scipy's. The error norm (scipy's blend of the 5th- and 3rd-order
-    estimates), the step controller and the floor min_step = 10 ulp(t) are
-    those of ``scipy.integrate.DOP853``, which stays in the tests as the
-    oracle; only the stepping loop differs. ``step`` is straight-line code compiled
-    from the tableau (``_dop853_source``) with the drive ``_drive_constants``
-    inlined into every stage. After each accepted step ``k`` holds its 13
-    stage pairs (K_0 at the step's start, K_12 at its end, both components),
-    from which ``_dense_rows`` builds the interpolant.
-    """
-
-    SAFETY = 0.9
-    MIN_FACTOR = 0.2
-    MAX_FACTOR = 10.0
-    EXPONENT = -1.0 / 8.0  # -1 / (error estimator order 7 + 1)
-
-    def __init__(self, drive: tuple, y: tuple, t_bound: float, config: IntegratorConfig) -> None:
-        derivative, step = _dop853_functions()
-        self.step = types.MethodType(step, self)
-        self.drive = drive
-        self.t_bound = t_bound
-        self.rtol, self.atol, self.max_step = config.rel_tol, config.abs_tol, config.max_step
-        self.t, self.y = 0.0, y
-        self.f = derivative(drive, 0.0, *y)
-        self.h_abs = min(config.initial_step, config.max_step, 0.5 * t_bound)
-        self.rhs_calls = 1
-        self.accepted = 0
-        self.rejected = 0
-        self.renormalizations = 0
-        self.h_min, self.h_max = math.inf, 0.0
-
-    def rescale(self, norm: float) -> None:
-        """Divide the state and its FSAL derivative by ``norm``; the step size is kept."""
-        self.y = (self.y[0] / norm, self.y[1] / norm)
-        self.f = (self.f[0] / norm, self.f[1] / norm)
-        self.renormalizations += 1
-
-    def counts(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "rhs_calls": self.rhs_calls,
-            "renormalizations": self.renormalizations,
-            "min_step": self.h_min,
-            "max_step": self.h_max,
-        }
+    return namespace["run"]
 
 
 # the parts of a complex array stacked on a leading axis: value[0] is the real
@@ -785,7 +805,7 @@ def _dense_rows(params: SystemParams, drive: Drive, times: np.ndarray, held: lis
     ``held`` has each such step's (t_old, h, number of rows), in the order
     of the rows, and ``values`` its (y_old, y_new, K_0, ..., K_12) as
     complex pairs. One array pass takes the three extra stages (the drive
-    through ``loops._fields_at``, whose bits are the kernel's), the
+    through ``loops._fields_at``, whose bits are the run's), the
     ``_DOP_D`` sums, the seven coefficients of scipy's interpolant and every
     row's Horner chain in x and 1 - x. Every value is the bits the scalar
     ``dense()`` and its interpolant give (``tests/dop853_reference.py``):
@@ -843,13 +863,15 @@ def propagate_direct(
 ) -> TrajectoryRecord:
     """Integrate i dc/dt = H(t) c along the drive in the bare basis.
 
-    The stepper is ``_Dop853`` on the traceless-frame amplitudes. Records at
-    ``n_output + 1`` uniformly spaced times (>= 512 by default) from the
-    dense-output interpolant of the steps that hold a grid time, which the
-    stepping loop keeps and ``_dense_rows`` evaluates in one array pass after
-    it; ``record_internal`` additionally keeps every accepted step. When the
-    squared norm leaves [1e-100, 1e+100] the state is rescaled in place and
-    the step size kept. ``meta["solver"]`` counts accepted and rejected
+    One generated DOP853 run (``_dop853_source``) integrates the
+    traceless-frame amplitudes. Records at ``n_output + 1`` uniformly spaced
+    times (>= 512 by default) from the dense-output interpolant of the steps
+    that hold a grid time, which the run keeps and ``_dense_rows`` evaluates
+    in one array pass after it; ``record_internal`` additionally keeps every
+    accepted step. When the squared norm leaves [1e-100, 1e+100] the state is
+    rescaled in place and the step size kept; the initial state is brought
+    into that window before the first step (divided by its largest part
+    first when every square underflows). ``meta["solver"]`` counts accepted and rejected
     steps, RHS calls (3 more for each step that holds a grid time) and
     renormalizations, and holds the smallest and largest accepted step
     (``min_step``, ``max_step``; the last step, clipped to T, included).
@@ -870,40 +892,14 @@ def propagate_direct(
     if n_output < 2:
         raise ValueError("n_output must be >= 2")
     T = drive.duration_T
-    grid = _output_grid(T, n_output)
     y = (complex(initial.c1), complex(initial.c2))
-    # the rows as columns: time and log of the rescalings so far; the rows at a
-    # step end keep their state, the rest are interpolated after the loop
-    times, logs, ends = [0.0], [0.0], [(0, y)]
-    held, values = [], []  # the steps that hold a grid time, as _dense_rows takes them
+    h_abs = min(config.initial_step, config.max_step, 0.5 * T)
     started = time.perf_counter()
-    stepper = _Dop853(_drive_constants(drive, params), y, T, config)
-    step = stepper.step
-    log_u = 0.0
-    gi = 1
     try:
-        while stepper.t < T:
-            step()
-            t, (y0, y1) = stepper.t, stepper.y
-            if not (cmath.isfinite(y0) and cmath.isfinite(y1)):
-                raise NonFiniteError("amplitudes became non-finite during integration")
-            if gi < len(grid) and grid[gi] <= t:
-                stop = bisect.bisect_right(grid, t, gi)
-                held.append((stepper.t_old, stepper.h, stop - gi))
-                values.append((*stepper.y_old, y0, y1, *stepper.k))
-                times += grid[gi:stop]
-                logs += [log_u] * (stop - gi)
-                gi = stop
-            if record_internal and times[-1] < t < T:
-                ends.append((len(times), stepper.y))
-                times.append(t)
-                logs.append(log_u)
-            if stepper.accepted > _STEP_BUDGET and T - t > _STEP_BUDGET_REMAINING * stepper.h:
-                raise StepBudgetError(_budget_message(stepper.accepted, T, t, stepper.h))
-            n2 = _abs2(y0) + _abs2(y1)
-            if n2 > 0 and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
-                stepper.rescale(math.sqrt(n2))
-                log_u += math.log(n2)
+        times, logs, ends, held, values, solver = _dop853_run()(
+            _drive_constants(drive, params), y, T, _output_grid(T, n_output),
+            config.rel_tol, config.abs_tol, config.max_step, h_abs, record_internal,
+        )
         stepped = time.perf_counter()
         times = np.array(times)
         raw = np.empty((len(times), 2), dtype=complex)
@@ -912,7 +908,7 @@ def propagate_direct(
         at_end[list(rows)] = True
         raw[at_end] = kept
         raw[~at_end] = _dense_rows(params, drive, times[~at_end], held, values)
-        stepper.rhs_calls += len(_DOP_EXTRA) * len(held)
+        solver["rhs_calls"] += len(_DOP_EXTRA) * len(held)
         states, norms, logs, _ = _finalize(params, drive, times, raw, np.array(logs))
     except OverflowError as exc:
         # abs() and ** on Python scalars raise OverflowError instead of returning inf
@@ -923,7 +919,7 @@ def propagate_direct(
         "drive": drive,
         "config": config,
         "n_output": n_output,
-        "solver": stepper.counts(),
+        "solver": solver,
         "phase_s": {"stepping": stepped - started, "rows": time.perf_counter() - stepped},
     }
     return TrajectoryRecord(times, states, norms, logs, None, None, meta)

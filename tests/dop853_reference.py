@@ -1,10 +1,11 @@
-"""The direct route's loop-based DOP853, kept as the oracle of the generated step.
+"""The direct route's loop-based DOP853, kept as the oracle of the generated run.
 
-``_Dop853`` is the stepper the package ran before its step became
+``_Dop853`` is the stepper the package ran before its integration became
 straight-line code compiled from the tableau: the stages as loops over the
 tableau's entries (``_combine``), an RHS callable, and ``dense()``, which
 takes the three extra stages and returns the interpolant of the last step.
 ``propagate_direct`` drives it as the package's ``propagate_direct`` once did.
+Its RHS takes (a, g) from ``_traceless_kernel``, the drive read once per run.
 The tests check that the package's records are the same bits and its
 ``meta["solver"]`` the same counts.
 """
@@ -18,7 +19,8 @@ import time
 import numpy as np
 
 from epdyn.errors import NonFiniteError, StepBudgetError, StepSizeUnderflowError
-from epdyn.loops import _traceless_kernel
+from epdyn.loops import StaticDrive
+from epdyn.model import _traceless, _traceless_drive
 from epdyn.propagation import (
     _DOP_B,
     _DOP_D,
@@ -191,8 +193,49 @@ class _Dop853:
         }
 
 
+def _traceless_kernel(drive, params: SystemParams):
+    """The closure t -> (a, g, a', g') along a loop or static drive, read once per run.
+
+    The direct route's generated run writes the (a, g) part out
+    (``propagation._dop853_source``); the reference stepper calls the closure.
+    It clamps t to [0, T] as min(max(t, 0.0), T) does: RK stages can poke epsilon outside,
+    and the contour is periodic and smooth, so clamping is exact there. Then
+    it does the operations of ``_traceless(params, *field_at(drive, t))`` and
+    ``_traceless_drive(params, *field_velocity(drive, t))`` in their order,
+    on constants taken from the drive and ``params`` here, so every value is
+    the bits of that reference path without its calls and objects.
+    """
+    if isinstance(drive, StaticDrive):
+        values = (*_traceless(params, drive.field.omega, drive.field.eps0),
+                  *_traceless_drive(params, 0.0, 0.0))
+        return lambda t: values
+    T, th0 = drive.duration_T, drive.start_phase
+    turn = drive.direction.sign * 2.0 * math.pi
+    rate = turn / T
+    cx, cy = drive.center.omega, drive.center.eps0
+    ax, ay = drive.semi_axis_omega, drive.semi_axis_eps
+    a_static, half_d12 = params._a_static, params._half_d12
+    fmod, cos, sin = math.fmod, math.cos, math.sin
+
+    def kernel(t: float) -> tuple:
+        if t < 0.0:  # min(max(t, 0.0), T) without the two calls
+            t = 0.0
+        elif t > T:
+            t = T
+        th = th0 + turn * fmod(t / T, 1.0)
+        c, s = cos(th), sin(th)
+        return (
+            a_static + 0.5 * (cx + ax * c),
+            half_d12 * (cy + ay * s),
+            0.5 * (-ax * s * rate),
+            half_d12 * (ay * c * rate),
+        )
+
+    return kernel
+
+
 def kernel_rhs(drive, params: SystemParams):
-    """The RHS (t, u0, u1) -> -i H (u0, u1) of the direct route, (a, g) from ``loops._traceless_kernel``."""
+    """The RHS (t, u0, u1) -> -i H (u0, u1) of the direct route, (a, g) from ``_traceless_kernel``."""
     kernel = _traceless_kernel(drive, params)
 
     def rhs(t: float, u0: complex, u1: complex) -> tuple:
@@ -212,9 +255,12 @@ def propagate_direct(
 ) -> TrajectoryRecord:
     """``propagate_direct`` as it stepped before its step was generated: the oracle.
 
-    The loop-based ``_Dop853`` above, its RHS from ``loops._traceless_kernel``,
+    The loop-based ``_Dop853`` above, its RHS from ``_traceless_kernel``,
     and the interpolant built on each step that holds a grid time, one row at
-    a time; the rows are finished by the package's ``_finalize``.
+    a time; the rows are finished by the package's ``_finalize``. Before the
+    first step the initial state is brought into the working window as the
+    loop rescales, divided first by its largest part when every square
+    underflows.
     """
     initial = StateVector.coerce(initial)
     if n_output < 2:
@@ -224,11 +270,21 @@ def propagate_direct(
     rhs = kernel_rhs(drive, params)
     grid = _output_grid(T, n_output)
     y = (complex(initial.c1), complex(initial.c2))
+    log_u, renormalized = 0.0, 0
+    n2 = _abs2(y[0]) + _abs2(y[1])
+    if n2 == 0.0:
+        norm = max(abs(y[0].real), abs(y[0].imag), abs(y[1].real), abs(y[1].imag))
+        y = (y[0] / norm, y[1] / norm)
+        log_u, renormalized = 2.0 * math.log(norm), 1
+    elif n2 < math.inf and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
+        norm = math.sqrt(n2)
+        y = (y[0] / norm, y[1] / norm)
+        log_u, renormalized = math.log(n2), 1
     # the rows as columns: time, working-frame state, log of the rescalings so far
-    times, raw, logs = [0.0], [y], [0.0]
+    times, raw, logs = [0.0], [y], [log_u]
     started = time.perf_counter()
     stepper = _Dop853(rhs, y, T, config)
-    log_u = 0.0
+    stepper.renormalizations = renormalized
     gi = 1
     try:
         while stepper.t < T:
@@ -272,5 +328,5 @@ def propagate_direct(
 
 
 def stage_pairs(stepper: _Dop853) -> list:
-    """K_0..K_12 of the last step, the two components interleaved, as the package's ``_Dop853.k``."""
+    """K_0..K_12 of the last step, the two components interleaved, as the generated run keeps them."""
     return [z for pair in zip(stepper.k0[: _N_STAGES + 1], stepper.k1) for z in pair]

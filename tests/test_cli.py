@@ -368,6 +368,22 @@ class TestStepBudget:
         doc["output"]["path"] = str(tmp_path / "out.csv")
         assert main(["--config", write_config(tmp_path, doc), "simulate", "--method", method]) == 0
 
+    @pytest.mark.parametrize("method", ["direct", "adiabatic"])
+    def test_underflowing_initial_state_completes(self, tmp_path, capsys, method):
+        # |c|^2 of c1 = 1e-200 underflows to 0; the run printed survival=nan
+        # over nan rows (direct) or ended in a ZeroDivisionError (adiabatic)
+        survivals = []
+        for c1 in (1e-200, 1.0):
+            doc = with_field("initial", "c1_re", c1)
+            doc["initial"]["c2_re"] = 0.0
+            doc["output"]["path"] = str(tmp_path / f"{c1}.csv")
+            assert main(["--config", write_config(tmp_path, doc), "simulate", "--method", method]) == 0
+            survivals.append(float(capsys.readouterr().out.split("survival=")[1]))
+            rows = Path(doc["output"]["path"]).read_text().splitlines()[1:]
+            assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+        assert survivals[0] == pytest.approx(survivals[1], rel=1e-12, abs=0.0)
+
+
 
 @pytest.mark.parametrize(
     "duration, argv",
@@ -711,11 +727,11 @@ def test_import_loads_no_process_pool():
 
 
 def test_import_builds_no_direct_step():
-    # the direct route's step is compiled by the first direct run of a process, not by an import
+    # the direct route's run is compiled by the first direct run of a process, not by an import
     code = (
-        "import epdyn, epdyn.cli, epdyn.propagation as p; print(p._dop853_functions.cache_info().currsize); "
+        "import epdyn, epdyn.cli, epdyn.propagation as p; print(p._dop853_run.cache_info().currsize); "
         "p.propagate_direct(epdyn.DEFAULT_PARAMS, epdyn.encircling_loop(5.0), (1, 0), n_output=2); "
-        "print(p._dop853_functions.cache_info().currsize)"
+        "print(p._dop853_run.cache_info().currsize)"
     )
     result = run_python(code)
     assert result.returncode == 0, result.stderr

@@ -22,8 +22,9 @@ from epdyn import (
     rho,
     winding_number,
 )
-from epdyn.loops import _discriminant_on_loop, _traceless_kernel
+from epdyn.loops import _discriminant_on_loop
 from epdyn.model import _traceless, _traceless_drive, build_hamiltonian, discriminant
+from dop853_reference import _traceless_kernel
 
 REF = DEFAULT_PARAMS
 

@@ -1,9 +1,11 @@
 """Direct and adiabatic propagation, couplings, tracking, loop integrals."""
 
 import cmath
+import collections
 import dataclasses
 import math
 import re
+import sys
 import time
 
 import numpy as np
@@ -41,8 +43,9 @@ from epdyn import (
     winding_number,
 )
 from epdyn import frames, loops, traversal
+from epdyn.analysis import survival_fraction
 from epdyn import propagation as prop
-from epdyn.errors import AmbiguousTrackingError, StepBudgetError
+from epdyn.errors import AmbiguousTrackingError, EpdynError, StepBudgetError, StepSizeUnderflowError
 from epdyn.model import _traceless
 from epdyn.propagation import _LOG_WORK_HI, _LOG_WORK_LO, TrajectoryRecord
 from epdyn.serialize import trajectory_to_csv, trajectory_to_json
@@ -211,6 +214,22 @@ class TestDirectPropagation:
         with pytest.raises(NonFiniteError):
             propagate_direct(REF, drive, StateVector(c1, c2), n_output=8)
 
+    @pytest.mark.parametrize("propagate", [propagate_direct, propagate_adiabatic], ids=["direct", "adiabatic"])
+    @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+    def test_underflowing_initial_state(self, propagate, direction):
+        # every square of c1 = 1e-200 underflows, so |c|^2 reads 0: the rows
+        # stay finite and the survival is the unit state's
+        loop = diode_loop(direction)
+        tiny = propagate(REF, loop, StateVector(1e-200, 0.0), TIGHT)
+        unit = propagate(REF, loop, StateVector(1.0, 0.0), TIGHT)
+        assert np.isfinite(tiny.states.view(float)).all() and np.isfinite(tiny.log_scale).all()
+        assert tiny.log_scale[0] == pytest.approx(2.0 * math.log(1e-200))
+        assert survival_fraction(tiny) == pytest.approx(survival_fraction(unit), rel=1e-12, abs=0.0)
+        if propagate is propagate_direct:
+            # the run divides by the largest part, 1e-200, and steps the unit state's steps
+            assert tiny.meta["solver"] == {**unit.meta["solver"], "renormalizations": 1}
+            np.testing.assert_allclose(tiny.states, unit.states, rtol=1e-12)
+
     def test_huge_rates_end_in_the_step_budget(self):
         # e1 = 1e100 drives the step to about 1e-100; the run stops once
         # (T - t)/h predicts more than 1e7 steps past the 1e4 taken
@@ -307,7 +326,7 @@ class TestDirectStepperAgainstScipy:
         # whose RHS goes through loops.field_at, builds the interpolant on
         # every step
         calls, stage_times = [], []
-        make_kernel = loops._traceless_kernel
+        make_kernel = dop853_reference._traceless_kernel
 
         def counting_kernel(drive, params):
             kernel = make_kernel(drive, params)
@@ -581,32 +600,152 @@ class TestGeneratedStepAgainstLoop:
         (SIGNED_ZEROS, StaticDrive(FieldPoint(-0.0, 0.3), 5.0), (complex(-0.0, -0.0), 1.0 + 0j)),
     ], ids=["diode", "static-zero-field", "static-signed-zeros"])
     def test_each_step_is_the_loops_bits(self, params, drive, y):
-        # state, FSAL derivative, next trial step and the 13 stage pairs after
-        # every step, signed zeros included: a zero field keeps every stage a
+        # the run on a grid of the loop's step ends holds every step, so
+        # ``values`` has each step's start and end state and its 13 stage
+        # pairs, signed zeros included: a zero field keeps every stage a
         # signed zero, whose sign only the exact operation order reproduces
         T = drive.duration_T
         reference = dop853_reference._Dop853(dop853_reference.kernel_rhs(drive, params), y, T, TIGHT)
-        stepper = prop._Dop853(prop._drive_constants(drive, params), y, T, TIGHT)
-        assert bits(np.array(stepper.f)) == bits(np.array(reference.f))
-        for _ in range(40):
-            if reference.t >= T:
-                break
+        grid, steps, want = [0.0], [], []
+        while reference.t < T:
             reference.step()
-            stepper.step()
-            stages = dop853_reference.stage_pairs(reference)
-            for got, want in ((stepper.y, reference.y), (stepper.f, reference.f), (stepper.k, stages),
-                              ((stepper.t, stepper.h_abs), (reference.t, reference.h_abs))):
-                assert bits(np.array(got)) == bits(np.array(want))
-        assert stepper.counts() == reference.counts()
+            grid.append(reference.t)
+            steps.append((reference.t_old, reference.h, 1))
+            want.append((*reference.y_old, *reference.y, *dop853_reference.stage_pairs(reference)))
+        h_abs = min(TIGHT.initial_step, TIGHT.max_step, 0.5 * T)
+        run = prop._dop853_run()
+        times, logs, ends, held, values, counts = run(
+            prop._drive_constants(drive, params), y, T, grid, TIGHT.rel_tol, TIGHT.abs_tol, TIGHT.max_step, h_abs, False
+        )
+        assert held == steps
+        assert bits(np.array(values)) == bits(np.array(want))
+        assert (times, logs, ends) == (grid, [0.0] * len(grid), [(0, y)])
+        assert counts == reference.counts()
 
     def test_source_is_flat_and_from_the_tableau(self):
         source = prop._dop853_source()
         compile(source, "<dop853>", "exec")
         assert source.count("for ") == 0
+        assert "min(" not in source and "self" not in source
+        # 11 stages and the derivative at t = 0 take the drive; the FSAL stage reuses the 11th's
+        assert source.count("cos(th)") == prop._N_STAGES
         for c, a in prop._DOP_STAGES:
             assert f"t + ({c!r}) * h" in source
             for _, coeff in a:
-                assert f"({coeff!r}) * k0_" in source
+                assert f"{complex(coeff)!r} * k0_" in source
+
+    def test_complex_literals_take_the_float_products_bits(self):
+        # CPython 3.11 widens a float operand to (c, 0.0) before a complex
+        # product, so a complex literal gives the same bits, signed zeros too
+        rng = np.random.default_rng(3)
+        parts = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan]
+        zs = [complex(rng.choice(parts), rng.choice(parts)) for _ in range(200)]
+        zs += [complex(*rng.normal(size=2)) for _ in range(50)]
+        for row in [a for _, a in prop._DOP_STAGES] + [prop._DOP_B, prop._DOP_E5, prop._DOP_E3]:
+            for _, c in row:
+                for z in zs:
+                    assert bits(np.array(complex(c) * z)) == bits(np.array(c * z)), (c, z)
+
+
+def fuzz_state(rng):
+    """Two amplitudes, not both zero, of signed zeros, subnormals and normal parts, scaled from 1e-200 to 1e150."""
+    scale = float(rng.choice([1.0, 1e150, 1e-150, 1e-200, 1e-60]))
+    while True:
+        parts = [float(rng.choice([0.0, -0.0, 5e-324, -1.5e-323, 1.0, rng.normal()])) * scale for _ in range(4)]
+        if any(parts):
+            return StateVector(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
+
+
+def fuzz_case(rng):
+    """Seeded inputs of ``propagate_direct``: drives, params, states, tolerances and row options."""
+    kind = rng.choice(["loop", "zero-field", "no-coupling"])
+    T = float(rng.uniform(0.5, 12.0))
+    if kind == "loop":
+        drive = dataclasses.replace(random_loop(rng, rng.choice(list(Direction))), duration_T=T)
+        params = REF
+    elif kind == "zero-field":
+        drive = StaticDrive(FieldPoint(float(rng.choice([0.0, -0.0])), float(rng.choice([0.0, -0.0]))), T)
+        params = SIGNED_ZEROS
+    else:
+        drive = StaticDrive(FieldPoint(float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.0, 0.5))), T)
+        params = SystemParams(e1=0.0, e2=1.0, gamma1=float(rng.uniform(0.0, 0.5)), gamma2=0.3, d12=0.0)
+    config = IntegratorConfig(
+        rel_tol=float(rng.choice([1e-6, 1e-8, 1e-10, 1e-12])),
+        abs_tol=float(rng.choice([1e-6, 1e-10, 1e-14, 1e-300])),
+        max_step=float(rng.choice([math.inf, 10.0, 0.5, rng.uniform(0.05, 2.0)])),
+        initial_step=float(rng.choice([1e-3, 1e-2, 0.3, 5.0])),
+    )
+    kwargs = {"n_output": int(rng.integers(2, 65)), "record_internal": bool(rng.integers(2))}
+    return params, drive, fuzz_state(rng), config, kwargs
+
+
+HUGE_RATES = SystemParams(e1=1e100, e2=1.0, gamma1=0.1, gamma2=0.3, d12=1.0)
+#: inputs that end in each of the direct route's errors, with the start of its message
+FAILING_CASES = {
+    "budget": (
+        (HUGE_RATES, StaticDrive(FieldPoint(1.0, 0.4), 10.0), StateVector.basis(1), IntegratorConfig(), {}),
+        StepBudgetError, "10001 steps taken",
+    ),
+    "underflow": (
+        (dataclasses.replace(HUGE_RATES, e1=1e308), StaticDrive(FieldPoint(1.0, 0.4), 10.0), StateVector.basis(1),
+         IntegratorConfig(), {}),
+        StepSizeUnderflowError, "step size",
+    ),
+    # an absolute tolerance of 1e205 accepts any step, until one leaves float64
+    "non-finite": (
+        (SystemParams(e1=-20.0, e2=1.0, gamma1=0.8, gamma2=0.3, d12=0.1 - 0.9j),
+         StaticDrive(FieldPoint(1.0, 0.3), 1e30), StateVector(1.0, 0.5j),
+         IntegratorConfig(rel_tol=1e-8, abs_tol=1e205, max_step=5e27, initial_step=1e50), {"n_output": 4}),
+        NonFiniteError, "amplitudes became non-finite",
+    ),
+    "overflowing-norm": (
+        (REF, StaticDrive(FieldPoint(1.0, 0.2), 1.0), StateVector(1e300, 1e300), IntegratorConfig(), {"n_output": 8}),
+        NonFiniteError, "amplitudes overflowed",
+    ),
+    "overflowing-modulus": (
+        (REF, StaticDrive(FieldPoint(1.0, 0.2), 1.0), StateVector(complex(1.5e308, 1.5e308), 0.0), IntegratorConfig(),
+         {"n_output": 8}),
+        NonFiniteError, "amplitudes overflowed",
+    ),
+}
+
+
+def outcome(propagate, params, drive, initial, config, kwargs):
+    """The run's records and solver counts, or the type and message of the error it ends in."""
+    try:
+        traj = propagate(params, drive, initial, config, **kwargs)
+    except EpdynError as exc:
+        return type(exc), str(exc)
+    return [bits(getattr(traj, name)) for name in ("times", "states", "norms_sq", "log_scale")], traj.meta["solver"]
+
+
+class TestFuzzAgainstLoop:
+    """Seeded adversarial inputs: the generated run against the loop-based stepper, bit for bit."""
+
+    def test_same_bits_and_counts(self):
+        rng = np.random.default_rng(1400)
+        seen = collections.Counter()
+        for _ in range(240):
+            case = fuzz_case(rng)
+            got = outcome(propagate_direct, *case)
+            assert got == outcome(dop853_reference.propagate_direct, *case), case
+            records, solver = got
+            params, drive, initial, config, kwargs = case
+            seen["rejected"] += solver["rejected"] > 0
+            seen["renormalized"] += solver["renormalizations"] > 0
+            seen["underflowing"] += abs(initial.c1) ** 2 + abs(initial.c2) ** 2 == 0.0
+            seen["internal"] += kwargs["record_internal"]
+            seen["signed-zero"] += any(math.copysign(1.0, x) < 0.0 for x in (initial.c1.real, initial.c2.imag) if x == 0.0)
+            seen["subnormal"] += any(0.0 < abs(x) < sys.float_info.min for z in (initial.c1, initial.c2)
+                                     for x in (z.real, z.imag))
+            seen[type(drive).__name__ + str(params.d12 == 0.0)] += 1
+        assert min(seen.values()) >= 5 and len(seen) == 9, seen
+
+    @pytest.mark.parametrize("case, error, message", FAILING_CASES.values(), ids=FAILING_CASES.keys())
+    def test_same_errors(self, case, error, message):
+        got = outcome(propagate_direct, *case)
+        assert got == outcome(dop853_reference.propagate_direct, *case)
+        assert got[0] is error and got[1].startswith(message), got
 
 
 class TestDop853Tableau:
