@@ -39,7 +39,7 @@ from .model import (
 )
 
 # samples per array solve and pairing; bounds the memory the temporaries take
-_BLOCK = 1024
+_BLOCK = 2048
 
 
 def _solve(params: SystemParams, drive, times: np.ndarray) -> _Eigensystems:

@@ -688,10 +688,14 @@ def run(drive, y, t_bound, grid, rtol, atol, max_step, h_abs, record_internal):
         if n2 > 0.0:
             lg = log(n2)
             if not ({lo!r} < lg < {hi!r}):
+                if lg == inf:  # dividing by sqrt(n2) would zero the state
+                    raise NonFiniteError("amplitudes overflowed float64")
                 norm = sqrt(n2)
                 y0, y1, k0_{n}, k1_{n} = y0 / norm, y1 / norm, k0_{n} / norm, k1_{n} / norm
                 renormalizations += 1
                 log_u += lg
+        else:
+            raise NonFiniteError("amplitudes underflowed float64 during integration")
     counts = {{"accepted": accepted, "rejected": rejected, "rhs_calls": 1 + {n} * (accepted + rejected),
               "renormalizations": renormalizations, "min_step": h_min, "max_step": h_max}}
     return times, logs, ends, held, values, counts
@@ -886,7 +890,8 @@ def propagate_direct(
     StepBudgetError
         If the run exceeds the step budget (see ``_STEP_BUDGET``).
     NonFiniteError
-        If amplitudes leave the representable range despite rescaling.
+        If amplitudes leave the representable range despite rescaling: they
+        overflow, or the state's squared norm underflows to 0 within a step.
     """
     initial = StateVector.coerce(initial)
     if n_output < 2:

@@ -54,7 +54,10 @@ where every step is resolved (|sigma^2| <= 1 for both exponentials): an
 unresolved step's change can be small by chance (the README diode config
 with e1 = 18 changes by 1.3e-9 from 256 to 512 steps and by 4.1e-7 from
 512 to 1024). Past ``_STEP_CAP`` steps the frame has not settled either. In
-the bare frame either raises ``StepBudgetError``.
+the bare frame either raises ``StepBudgetError``. A step count whose map
+overflows ends the doubling at once, with the error the cap would give, when
+its largest |Re sigma| scaled to the cap's step still exceeds twice
+float64's exp limit (``_no_step_fits``): no count up to the cap fits a step.
 
 Bits. Every operation is elementwise over (loops, steps) arrays or runs
 along one loop's steps, so a loop's U is the same bits alone and in any
@@ -65,13 +68,22 @@ Steps are evaluated in blocks of a power-of-two length, so memory stays
 bounded, and a block is a subtree of the same tree, so the block length
 changes no bit. The rows' prefix maps take the tree over each row interval
 and an inclusive Hillis-Steele scan (Commun. ACM 29, 1170 (1986)) over the
-intervals, rescaled the same way; for a power-of-two number of intervals
-its last element is the tree over all steps, so the final row is U's bits.
+intervals, rescaled the same way. Level d of the scan multiplies each
+element by the one d before it, so for a power-of-two number of intervals
+its last element takes, level by level, the very products of the tree: it
+is the tree over all steps, with its bits. ``eigen_rows`` therefore reads
+the map off that last element at a step count that may settle, so the
+settled count runs one product pass; a count that cannot settle, and rows
+at every step end (whose scan costs n log n products), take the tree.
+``_mat`` forms the products of every entry at once by broadcasting: each
+element still gets the same two products and the same sum, in the same
+order, so the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
@@ -106,8 +118,13 @@ _MAX_TURN = 0.5
 #: The largest distance, in turns of pi, of th_0 plus the quadrature of th'
 #: from the multiple of pi that the closed form at an interval end allows.
 _MAX_MISMATCH = 0.25
+#: The largest x with a finite exp(x) in float64.
+_EXP_LIMIT = math.log(sys.float_info.max)
 #: The eigenframe's EP guard on |discriminant| = 4 |a^2 + g^2| (ep_tol 1e-8 squared).
 _EP_GUARD = 1e-16
+#: The largest entry array whose second products ``_mat`` forms in one broadcast
+#: product; past it that full-size temporary can cost more than the calls it saves.
+_BROADCAST_ENTRIES = 1024
 #: Steps evaluated at once over all loops of a batch (bounds the memory).
 _BLOCK_STEPS = 2**13
 # the exponentials' power series in zeta = sigma^2, up to zeta^_SERIES_TERMS
@@ -166,10 +183,12 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int, every
     The full-loop map settles first, doubling from 256 steps under the
     rule of ``_settle``; the rows are then the step ends of the smallest
     n_output * 2^k steps at or above that count: every (2^k)-th step end,
-    or every one if ``every_step``. Where the rows take the last step count
-    tried with a power-of-two number of intervals, its interval products
-    serve both. Returns (the settled ``TraversalMap``, the row step count,
-    ``_Rows``).
+    or every one if ``every_step``. At a step count that may settle
+    (resolved, after a finite map) the map is the last element of the
+    prefix scan over the n_output intervals (the tree's bits, see the module
+    docstring), so where the rows take the settled count, its scan serves
+    both. Other counts, and every count with ``every_step``, take the tree.
+    Returns (the settled ``TraversalMap``, the row step count, ``_Rows``).
 
     Raises
     ------
@@ -195,20 +214,28 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int, every
             raise EPOnContourError(f"a sample of {drive} at {n} steps comes within |discriminant| <= {guard:.1e}")
         return run
 
-    before, tmap, n = None, None, _FIRST_STEPS
+    before, tmap, prefix, n = None, None, None, _FIRST_STEPS
     while tmap is None:
         if n > _STEP_CAP:
             raise (StepBudgetError if smooth else AmbiguousTrackingError)(f"the eigenframe map of {drive} {why}")
         k = intervals(n)
         every = n // k if n % k == 0 and k & (k - 1) == 0 else n
         run = run_at(n, every)
-        u, e = _rotate(run, *_tree(run.x, run.e))
+        with np.errstate(all="ignore"):  # overflow shows as a map that is not finite
+            if every_step or before is None or not run.resolved[0]:  # cannot settle, or its scan costs n log n
+                prefix, (u, e) = None, _tree(run.x, run.e)
+            else:  # the scan's last element is the tree over the intervals
+                prefix = _scan(run.x, run.e)
+                u, e = prefix[0][..., -1], prefix[1][..., -1]
+        u, e = _rotate(run, u, e)
         u, e = u[:, :, 0], int(e[0])
         smooth = bool(run.smooth[0])
         if not (smooth and np.isfinite(u).all()):
             before = None
             why = (f"is unresolved at every step count up to {_STEP_CAP}" if not smooth
                    else f"overflows float64 at every step count up to {_STEP_CAP}: no step fits")
+            if smooth and _no_step_fits(run.reach[0], n):
+                raise StepBudgetError(f"the eigenframe map of {drive} {why}")
         elif before is not None:
             change = _change(u, e, *before[:2])
             verdict = _verdict(change, before[2], run.resolved[0], rel_tol)
@@ -226,11 +253,13 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int, every
     while n < tmap.steps:
         n *= 2
     if n != tmap.steps or every != n // intervals(n):
-        run = run_at(n, n // intervals(n))
+        run, prefix = run_at(n, n // intervals(n)), None
         if not run.smooth[0]:
             raise AmbiguousTrackingError(f"the eigenframe of {drive} is unresolved at {n} steps")
-    with np.errstate(all="ignore"):
-        x, e = _scan(run.x, run.e)
+    if prefix is None:
+        with np.errstate(all="ignore"):
+            prefix = _scan(run.x, run.e)
+    x, e = prefix
     x = np.concatenate([np.eye(2, dtype=complex)[:, :, None, None], x], axis=-1)[:, :, 0].transpose(2, 0, 1)
     if not np.isfinite(x).all():
         raise StepBudgetError(f"the eigenframe map of {drive} overflows float64 at {n} steps")
@@ -260,6 +289,17 @@ class _Rows(NamedTuple):
     lam: np.ndarray
 
 
+def _no_step_fits(reach: float, n: int) -> bool:
+    """Whether no step count up to the cap fits a step, from the largest |Re sigma| at n steps.
+
+    sigma grows with the step h = T/n, so at ``_STEP_CAP`` steps the largest
+    |Re sigma| is about reach n / _STEP_CAP; past twice float64's exp limit
+    there, cosh(sigma) overflows at every step count up to the cap. A NaN
+    reach (h p or h q not finite) counts as past it.
+    """
+    return not reach * n / _STEP_CAP <= 2.0 * _EXP_LIMIT
+
+
 def _verdict(change: float, before: float, resolved: bool, rel_tol: float):
     """'settled', 'stalled' (above ``_FLOOR_MAX``) or None (double on); only a resolved step count stops."""
     if not resolved:
@@ -284,9 +324,9 @@ def _settle(params: SystemParams, loops: Sequence[LoopSpec], rel_tol: float, eig
     active = list(range(len(loops)))
     n = _FIRST_STEPS
     while active and n <= _STEP_CAP:
-        us, exps, ok, drive_ok, resolved = _product(params, [loops[k] for k in active], n, eigen)
+        us, exps, ok, drive_ok, resolved, reach = _product(params, [loops[k] for k in active], n, eigen)
         still = []
-        for k, u, e, good, finite, res in zip(active, us, exps, ok, drive_ok, resolved):
+        for k, u, e, good, finite, res, r in zip(active, us, exps, ok, drive_ok, resolved, reach):
             if not finite:  # the same at every step count
                 out[k] = NonFiniteError(f"the drive (a, g) overflows float64 on {loops[k]}")
                 continue
@@ -294,7 +334,8 @@ def _settle(params: SystemParams, loops: Sequence[LoopSpec], rel_tol: float, eig
                 if not eigen:
                     last.pop(k, None)
                     why[k] = f"has not settled at {_STEP_CAP} steps (no finite map)"
-                    still.append(k)
+                    if not _no_step_fits(r, n):
+                        still.append(k)
                 continue  # the guard or an unresolved frame rules the eigenframe out
             before = last.get(k)
             last[k] = (u, e, math.inf)
@@ -354,16 +395,17 @@ def _columns(drives: Sequence) -> SimpleNamespace:
 
 
 def _drive(params: SystemParams, loops: SimpleNamespace, times: np.ndarray):
-    """(a, g, a', g', finite) of each loop at its row of ``times`` (m, s).
+    """(a, g, a', g', w2, finite) of each loop at its row of ``times`` (m, s).
 
     (a, g) is ``model._traceless`` at the contour point and (a', g') is
     ``model._traceless_drive`` at its velocity (``loops._motion_at``).
-    ``finite`` (m,) is False for a loop whose a^2 + g^2 overflows.
+    w2 is a^2 + g^2, and ``finite`` (m,) is False for a loop where it overflows.
     """
     omega, eps0, omega_dot, eps0_dot = _motion_at(loops, times)
     a, g = _traceless(params, omega, eps0)
     a_dot, g_dot = _traceless_drive(params, omega_dot, eps0_dot)
-    return a, g, a_dot, g_dot, np.isfinite(a * a + g * g).all(axis=1)
+    w2 = a * a + g * g
+    return a, g, a_dot, g_dot, w2, np.isfinite(w2).all(axis=1)
 
 
 class _Phase:
@@ -380,8 +422,7 @@ class _Phase:
     misses the closed form by more than ``_MAX_MISMATCH`` turns.
     """
 
-    def __init__(self, a: np.ndarray, g: np.ndarray, guard: float, every: int) -> None:
-        w2 = a * a + g * g
+    def __init__(self, a: np.ndarray, g: np.ndarray, w2: np.ndarray, guard: float, every: int) -> None:
         self.guard, self.every = guard, every
         self.clear = 4.0 * np.abs(w2) > guard
         self.smooth = np.ones(len(a), dtype=bool)
@@ -393,9 +434,8 @@ class _Phase:
         self.turned = np.zeros(len(a))  # Re of the integral of th' so far
         self.marks = []  # (lam at the sample before, turned) at the interval ends of each block
 
-    def follow(self, a: np.ndarray, g: np.ndarray) -> tuple:
-        """(lam, a^2 + g^2) at the next block of samples (m, s)."""
-        w2 = a * a + g * g
+    def follow(self, w2: np.ndarray) -> np.ndarray:
+        """lam at the next block of samples (m, s), where a^2 + g^2 is w2."""
         self.clear &= (4.0 * np.abs(w2) > self.guard).all(axis=1)
         root = np.sqrt(w2)
         before = np.concatenate([self.root[:, None], root[:, :-1]], axis=1)
@@ -403,7 +443,7 @@ class _Phase:
         parity = (self.parity[:, None] + np.cumsum(flips, axis=1)) & 1
         lam = root * (1.0 - 2.0 * parity)
         self.root, self.parity = root[:, -1], parity[:, -1]
-        return lam, w2
+        return lam
 
     def turn(self, th_dot: np.ndarray, h: np.ndarray, lam: np.ndarray, start: int) -> None:
         """Check the block's turns and add its Gauss quadrature of Re th' (weights h/2 per sample).
@@ -417,12 +457,11 @@ class _Phase:
         if ends.size:
             self.marks.append((lam[:, 2 * ends + 1], turned[:, ends]))
 
-    def rotations(self, a: np.ndarray, g: np.ndarray) -> tuple:
+    def rotations(self, a: np.ndarray, g: np.ndarray, w2: np.ndarray) -> tuple:
         """R(th_0) and R(th) at the interval ends, where the drive is (a, g) (m, N), as (cos, sin) pairs.
 
-        Also keeps the continued root at the ends as ``lam``.
+        w2 is a^2 + g^2 there. Also keeps the continued root at the ends as ``lam``.
         """
-        w2 = a * a + g * g
         self.clear &= (4.0 * np.abs(w2) > self.guard).all(axis=1)
         before, turned = (np.concatenate(column, axis=1) for column in zip(*self.marks))
         root = np.sqrt(w2)
@@ -444,6 +483,7 @@ class _Run(NamedTuple):
     e: np.ndarray  # (m, N) its power-of-two exponent
     finite: np.ndarray  # (m,) the drive stays finite
     resolved: np.ndarray  # (m,) |sigma^2| <= 1 in every exponential
+    reach: np.ndarray  # (m,) the largest |Re sigma| over the blocks with a step map that is not finite (else 0)
     clear: np.ndarray  # (m,) no sample in the guard (eigenframe)
     smooth: np.ndarray  # (m,) the frame is resolved (eigenframe)
     rotations: tuple  # ((cos th_0, sin th_0) (m,), (cos th, sin th) (m, N)) (eigenframe)
@@ -467,23 +507,27 @@ def _intervals(
     block = 1 << (block.bit_length() - 1)  # a power of two, so a block is a subtree
     per = min(every, block)  # divides the block, n and every block start
     resolved = np.ones(m, dtype=bool)
+    reach = np.zeros(m)
     with np.errstate(all="ignore"):  # overflow and the guard are reported in the result
-        a, g, _, _, finite = _drive(params, columns, np.zeros((m, 1)))
-        phase = _Phase(a[:, 0], g[:, 0], guard, every) if eigen else None
+        a, g, _, _, w2, finite = _drive(params, columns, np.zeros((m, 1)))
+        phase = _Phase(a[:, 0], g[:, 0], w2[:, 0], guard, every) if eigen else None
         nodes, exps = [], []
         for start in range(0, n, block):
             size = min(block, n - start)
             steps = np.arange(start, start + size)[:, None] + np.array(_GAUSS)
-            a, g, a_dot, g_dot, good = _drive(params, columns, steps.ravel() * h)
+            a, g, a_dot, g_dot, w2, good = _drive(params, columns, steps.ravel() * h)
             finite &= good
             if eigen:  # K = [[-i lam, th'], [-th', i lam]]
-                lam, w2 = phase.follow(a, g)
+                lam = phase.follow(w2)
                 th_dot = 0.5 * (a * g_dot - g * a_dot) / w2
                 phase.turn(th_dot, h, lam, start)
-                maps, zeta = _steps(-1j * lam, th_dot, -1.0, h)
+                hp, hq, sign = *_means(-1j * lam, th_dot, h), -1.0
             else:  # K = -i H0
-                maps, zeta = _steps(-1j * a, -1j * g, 1.0, h)
+                hp, hq, sign = *_means(-1j * a, -1j * g, h), 1.0
+            maps, zeta = _steps(hp, hq, sign)
             resolved &= (np.abs(zeta) <= 1.0).all(axis=(0, 2))
+            if not (resolved.all() or np.isfinite(maps).all()):  # a finite step has |Re sigma| < 711: it fits the cap
+                reach = np.maximum(reach, _reach(hp, hq, sign))
             shape = (m, size // per, per)
             node, e = _tree(maps.reshape(2, 2, *shape), np.zeros(shape, dtype=np.int64))
             nodes.append(node)
@@ -491,10 +535,10 @@ def _intervals(
         shape = (m, n // every, every // per)
         x, e = _tree(np.concatenate(nodes, axis=-1).reshape(2, 2, *shape), np.concatenate(exps, axis=-1).reshape(shape))
         if not eigen:
-            return _Run(x, e, finite, resolved, np.ones(m, dtype=bool), np.ones(m, dtype=bool), (), None, None)
-        a, g, _, _, good = _drive(params, columns, ends)
-        rotations = phase.rotations(a, g)
-    return _Run(x, e, finite & good, resolved, phase.clear, phase.smooth, rotations, phase.lam0, phase.lam)
+            return _Run(x, e, finite, resolved, reach, np.ones(m, dtype=bool), np.ones(m, dtype=bool), (), None, None)
+        a, g, _, _, w2, good = _drive(params, columns, ends)
+        rotations = phase.rotations(a, g, w2)
+    return _Run(x, e, finite & good, resolved, reach, phase.clear, phase.smooth, rotations, phase.lam0, phase.lam)
 
 
 def _rotate(run: _Run, u: np.ndarray, e: np.ndarray) -> tuple:
@@ -506,7 +550,7 @@ def _rotate(run: _Run, u: np.ndarray, e: np.ndarray) -> tuple:
 
 
 def _product(params: SystemParams, loops: Sequence[LoopSpec], n: int, eigen: bool):
-    """(U (m, 2, 2), exponent (m,), ok (m,), finite drive (m,), resolved (m,)) of n steps on each loop, in one frame.
+    """(U (m, 2, 2), exponent (m,), ok (m,), finite drive (m,), resolved (m,), reach (m,)) of n steps on each loop.
 
     ok is False where U is not finite, and in the eigenframe where a sample
     meets the EP guard or the frame is unresolved.
@@ -517,23 +561,46 @@ def _product(params: SystemParams, loops: Sequence[LoopSpec], n: int, eigen: boo
         u, e = _rotate(run, u, e)
     u = np.moveaxis(u, -1, 0)
     ok = run.clear & run.smooth & np.isfinite(u).all(axis=(1, 2))
-    return u, e, ok, run.finite, run.resolved
+    return u, e, ok, run.finite, run.resolved, run.reach
 
 
-def _steps(p: np.ndarray, q: np.ndarray, sign: float, h: np.ndarray) -> tuple:
-    """The step maps (2, 2, m, b) of the generators [[p, q], [sign q, -p]] at the Gauss points (m, 2 b).
+def _means(p: np.ndarray, q: np.ndarray, h: np.ndarray) -> tuple:
+    """(h p, h q) of both exponentials of every step (2, m, b), from p and q at the Gauss points (m, 2 b).
 
-    Both exponentials of every step are evaluated together, along an axis
-    of length 2: the weights of the first applied, then of the second.
-    Also returns their sigma^2 (2, m, b).
+    The exponentials lie along the axis of length 2: the weights of the
+    first applied, then of the second.
     """
     w = np.array([_W, _W[::-1]])[:, :, None, None]
-    hp = h * (w[:, 0] * p[:, 0::2] + w[:, 1] * p[:, 1::2])
-    hq = h * (w[:, 0] * q[:, 0::2] + w[:, 1] * q[:, 1::2])
+    return h * (w[:, 0] * p[:, 0::2] + w[:, 1] * p[:, 1::2]), h * (w[:, 0] * q[:, 0::2] + w[:, 1] * q[:, 1::2])
+
+
+def _reach(hp: np.ndarray, hq: np.ndarray, sign: float) -> np.ndarray:
+    """The largest |Re sigma| of each loop's exponentials (m,), where sigma^2 = hp^2 + sign hq^2.
+
+    hp and hq are scaled by the larger modulus before squaring, so a sigma^2
+    that overflows float64 still gives the real part of its sigma (0 for an
+    imaginary sigma); it is NaN only where hp or hq is not finite.
+    """
+    scale = np.maximum(np.abs(hp), np.abs(hq))
+    scale[scale == 0.0] = 1.0
+    p, q = hp / scale, hq / scale
+    return (scale * np.abs(np.sqrt(p * p + sign * (q * q)).real)).max(axis=(0, 2))
+
+
+def _steps(hp: np.ndarray, hq: np.ndarray, sign: float) -> tuple:
+    """The step maps (2, 2, m, b) of the exponentials of [[hp, hq], [sign hq, -hp]] (2, m, b).
+
+    Both exponentials of every step are evaluated together, and the second
+    is applied after the first. Also returns their sigma^2 (2, m, b).
+    """
     zeta = hp * hp + sign * (hq * hq)
     c, s = _cosh_sinhc(zeta)
-    sp, sq = s * hp, s * hq
-    factors = np.array([[c + sp, sq], [sign * sq, c - sp]])
+    sp = s * hp
+    factors = np.empty((2, 2) + zeta.shape, dtype=complex)  # [i, j, exponential, m, b]
+    np.add(c, sp, out=factors[0, 0])
+    np.multiply(s, hq, out=factors[0, 1])
+    np.multiply(sign, factors[0, 1], out=factors[1, 0])
+    np.subtract(c, sp, out=factors[1, 1])
     return _mat(factors[:, :, 1], factors[:, :, 0]), zeta
 
 
@@ -559,12 +626,19 @@ def _cosh_sinhc(zeta: np.ndarray) -> tuple:
 
 
 def _mat(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The 2x2 products x y of matrices stored entries first: x[i, j] is an array of entries (i, j)."""
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
-    for i in (0, 1):
-        for k in (0, 1):
-            np.multiply(x[i, 0], y[0, k], out=out[i, k])
-            out[i, k] += x[i, 1] * y[1, k]
+    """The 2x2 products x y of matrices stored entries first: x[i, j] is an array of entries (i, j).
+
+    Entry (i, k) is x[i, 0] y[0, k] + x[i, 1] y[1, k]. The first products are
+    broadcast over (i, k) at once, and so are the second up to
+    ``_BROADCAST_ENTRIES`` elements an entry; past that, one entry at a time.
+    """
+    out = x[:, :1] * y[:1]
+    if out[0, 0].size <= _BROADCAST_ENTRIES:
+        out += x[:, 1:] * y[1:]
+    else:
+        for i in (0, 1):
+            for k in (0, 1):
+                out[i, k] += x[i, 1] * y[1, k]
     return out
 
 

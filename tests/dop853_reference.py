@@ -306,7 +306,11 @@ def propagate_direct(
             if stepper.accepted > _STEP_BUDGET and T - t > _STEP_BUDGET_REMAINING * stepper.h:
                 raise StepBudgetError(_budget_message(stepper.accepted, T, t, stepper.h))
             n2 = _abs2(y0) + _abs2(y1)
-            if n2 > 0 and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
+            if not n2 > 0:
+                raise NonFiniteError("amplitudes underflowed float64 during integration")
+            if not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
+                if n2 == math.inf:
+                    raise NonFiniteError("amplitudes overflowed float64")
                 stepper.rescale(math.sqrt(n2))
                 log_u += math.log(n2)
         stepped = time.perf_counter()

@@ -25,6 +25,7 @@ from epdyn import (
     StateVector,
     StaticDrive,
     SystemParams,
+    accumulated_phase,
     build_hamiltonian,
     diode_loop,
     eigenframe,
@@ -34,6 +35,7 @@ from epdyn import (
     track_branches,
     winding_number,
 )
+from epdyn import frames
 from epdyn.frames import _scan
 from frame_reference import _aligned_next, _eigensystem, _tracked_frames
 
@@ -188,3 +190,22 @@ def test_diode_phase_samples_bit_equal_to_oracle():
     gap = np.concatenate([e[:, 0] - e[:, 1] for e in blocks])
     energies, _, _ = oracle_track(REF, loop, 8192)
     assert bits(gap) == bits(energies[:, 0] - energies[:, 1])
+
+
+@pytest.mark.parametrize("block", [64, 8192])
+def test_the_block_length_changes_no_bit(block, monkeypatch):
+    # each block continues the last frame of the one before, so where the
+    # blocks end changes no frame, no phase integral and no error
+    undersampled = LoopSpec(FieldPoint(1.0, 0.2499), 0.3, 0.05, Direction.CCW, 10.0)
+
+    def outputs():
+        frame = track_branches(REF, encircling_loop(10.0), n_samples=4096)
+        diode = diode_loop(Direction.CW)
+        phase = accumulated_phase(REF, diode, diode.duration_T, n_samples=8192)
+        with pytest.raises(AmbiguousTrackingError) as error:
+            track_branches(REF, undersampled, n_samples=150)
+        return bits(frame.energies), bits(frame.vectors), frame.labels.tolist(), bits([phase]), str(error.value)
+
+    want = outputs()
+    monkeypatch.setattr(frames, "_BLOCK", block)
+    assert outputs() == want

@@ -698,6 +698,23 @@ FAILING_CASES = {
          IntegratorConfig(rel_tol=1e-8, abs_tol=1e205, max_step=5e27, initial_step=1e50), {"n_output": 4}),
         NonFiniteError, "amplitudes became non-finite",
     ),
+    # the state grows past 1e154 within one accepted step, so its squared norm overflows;
+    # a rescale by sqrt(inf) would zero it and leave NaN rows after
+    "overflowing-step": (
+        (SystemParams(e1=3.6e5, e2=1.0, gamma1=0.1, gamma2=0.3, d12=-1.7e39 - 1.4e40j),
+         StaticDrive(FieldPoint(1.0, 0.3), 15.5), StateVector.basis(1),
+         IntegratorConfig(abs_tol=5.36e183, initial_step=2.6e-211, rel_tol=1.7e-9, max_step=7.7e92), {"n_output": 4}),
+        NonFiniteError, "amplitudes overflowed",
+    ),
+    # c2' = -c2, and the first step h sits on the real root z = -4.3468... of DOP853's stability
+    # polynomial where y + h sum(b k) rounds to exactly 0, which would leave NaN rows after
+    "underflowing-step": (
+        (SystemParams(e1=0.0, e2=1.0, gamma1=0.0, gamma2=2.0, d12=0.0), StaticDrive(FieldPoint(1.0, 0.0), 10.0),
+         StateVector.basis(2),
+         IntegratorConfig(abs_tol=1e200, rel_tol=1e-6, initial_step=4.346807010632345, max_step=100.0),
+         {"n_output": 4}),
+        NonFiniteError, "amplitudes underflowed",
+    ),
     "overflowing-norm": (
         (REF, StaticDrive(FieldPoint(1.0, 0.2), 1.0), StateVector(1e300, 1e300), IntegratorConfig(), {"n_output": 8}),
         NonFiniteError, "amplitudes overflowed",

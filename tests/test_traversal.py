@@ -12,13 +12,16 @@ from epdyn import (
     DEFAULT_PARAMS,
     Direction,
     FieldPoint,
+    HERMITIAN_PARAMS,
     IntegratorConfig,
     LoopSpec,
     StateVector,
     StepBudgetError,
+    SystemParams,
     diode_loop,
     encircling_loop,
     hermitian_loop,
+    propagate_adiabatic,
     propagate_direct,
 )
 from epdyn import traversal
@@ -123,6 +126,112 @@ class TestBits:
         assert [m[1:] for m in got] == [m[1:] for m in want]
 
 
+def entries(rng, shape) -> np.ndarray:
+    """Complex entries with about a third of their parts ±0.0, subnormal, huge, inf or NaN."""
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, np.inf, -np.inf, np.nan])
+    z = np.empty(shape, dtype=complex)
+    for part in (z.real, z.imag):
+        part[...] = rng.normal(size=shape)
+        mask = rng.random(shape) < 0.35
+        part[mask] = rng.choice(special, size=int(mask.sum()))
+    return z
+
+
+def same_bits(a, b) -> bool:
+    """Equal bits, signed zeros included, where a NaN matches any NaN.
+
+    numpy's vector loops and their scalar tails give NaNs of either sign, so
+    a NaN's sign bit follows where it falls in an array, not the arithmetic.
+    """
+    a, b = (np.ascontiguousarray(x).view(np.float64) for x in (a, b))
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+class TestArrayForms:
+    """The engine's broadcast array forms against their loop forms, bit for bit."""
+
+    def test_the_broadcast_product_is_the_entrywise_product(self):
+        rng = np.random.default_rng(15)
+        x, y = entries(rng, (2, 2, 3, 5, 16)), entries(rng, (2, 2, 3, 5, 16))
+        r, u = entries(rng, (2, 2, 3)), entries(rng, (2, 2, 3))
+        pairs = {
+            "tree halves": (x[..., 1::2], x[..., 0::2]),
+            "scan shifts": (x[..., 4:], x[..., :-4]),
+            "batch (2, 2, m, b)": (x[..., 0], y[..., 0]),
+            "two exponentials": (x[:, :, 1], x[:, :, 0]),  # factors[:, :, 1] times factors[:, :, 0]
+            "rotations": (r, u.transpose(1, 0, 2)),
+        }
+        z = entries(rng, (2, 2, 2, 4, 1024))  # past _BROADCAST_ENTRIES, one entry at a time
+        pairs["two exponentials, full block"] = (z[:, :, 1], z[:, :, 0])
+        pairs["tree halves, full block"] = (z[..., 1::2], z[..., 0::2])
+        with np.errstate(all="ignore"):
+            for name, (a, b) in pairs.items():
+                assert same_bits(traversal._mat(a, b), reference.entrywise_mat(a, b)), name
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 512])
+    def test_the_scans_last_element_is_the_tree(self, n):
+        # level d of the scan multiplies element j by element j - d: at j = n - 1
+        # those are the tree's nodes over the last 2d elements
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(2, 2, 3, n)) + 1j * rng.normal(size=(2, 2, 3, n))
+        e = rng.integers(-50, 50, size=(3, n))
+        tree, tree_e = traversal._tree(x, e)
+        scan, scan_e = traversal._scan(x, e)
+        assert same_bits(scan[..., -1], tree) and np.array_equal(scan_e[..., -1], tree_e)
+
+
+class TestRows:
+    @staticmethod
+    def passes(monkeypatch) -> tuple:
+        """The lengths of the trees and of the scans that ``traversal`` runs, from now on."""
+        trees, scans = [], []
+        real_tree, real_scan = traversal._tree, traversal._scan
+
+        def tree(x, e):
+            trees.append(x.shape[-1])
+            return real_tree(x, e)
+
+        def scan(x, e):
+            scans.append(x.shape[-1])
+            return real_scan(x, e)
+
+        monkeypatch.setattr(traversal, "_tree", tree)
+        monkeypatch.setattr(traversal, "_scan", scan)
+        return trees, scans
+
+    def test_the_settled_count_runs_one_product_pass(self, monkeypatch):
+        # encircling_loop(50) settles at 512 steps, the 512 row intervals; the
+        # map is the last element of their scan, so no tree runs over them.
+        # 256 steps (one interval) cannot settle: the first count takes the tree
+        trees, scans = self.passes(monkeypatch)
+        tmap, n, rows = traversal.eigen_rows(REF, encircling_loop(50.0), 1e-10, 512, False, 1e-16)
+        assert (tmap.steps, n) == (512, 512)
+        assert scans == [512]
+        assert 512 not in trees
+        # the last prefix map, rotated as the map is, is the settled map's bits
+        (c0, c1), (s0, s1) = rows.cos[[0, -1]], rows.sin[[0, -1]]
+        r0, r1 = (np.array([[c, -s], [s, c]])[:, :, None] for c, s in ((c0, s0), (c1, s1)))
+        u, e = traversal._rescale(
+            traversal._mat(traversal._mat(r1, rows.prefix[-1][:, :, None]), r0.transpose(1, 0, 2)),
+            rows.exponent[-1:],
+        )
+        assert u[:, :, 0].tobytes() == tmap.U.tobytes()
+        assert e[0] * math.log(2.0) == tmap.log_scale
+
+    def test_a_count_that_cannot_settle_takes_the_tree(self, monkeypatch):
+        # the README config with e1 = 18 is unresolved up to 1024 steps (no
+        # count there may settle) and settles at 4096; only 2048 and 4096,
+        # resolved after a finite map, scan their 512 intervals
+        params = SystemParams(e1=18.0, e2=1.0, gamma1=0.1, gamma2=0.3, d12=1.0 + 0.0j)
+        loop = LoopSpec(FieldPoint(0.92005, 0.64976), 2.02446, 0.64973, Direction.CW, 348.75, 4.35017)
+        trees, scans = self.passes(monkeypatch)
+        tmap, n, _ = traversal.eigen_rows(params, loop, 1e-10, 512, False, 1e-16)
+        assert (tmap.steps, n) == (4096, 4096)
+        assert trees.count(512) == 2  # 512 and 1024 steps (the blocks' own trees are shorter)
+        assert scans == [512, 512]
+
+
 class TestFrames:
     def test_the_diode_loop_takes_the_eigenframe(self):
         for tmap in traversal_maps(REF, [diode_loop(d) for d in (Direction.CW, Direction.CCW)], 1e-10):
@@ -174,6 +283,55 @@ class TestBoundedWork:
     )
     def test_stop_rule(self, change, before, resolved, verdict):
         assert traversal._verdict(change, before, resolved, 1e-10) == verdict
+
+    @pytest.mark.parametrize("T", [2e16, 1e300])
+    def test_a_map_that_overflows_at_every_step_count_stops_at_the_first(self, T, monkeypatch):
+        # the largest |Re sigma| at 256 steps, scaled to the cap's step, is past
+        # twice float64's exp limit; the errors are those of the cap
+        loop = LoopSpec(FieldPoint(1.0, 0.2), 0.05, 0.05, Direction.CW, T)
+        counts = self.counted(monkeypatch)
+        with pytest.raises(StepBudgetError, match=r"has not settled at 131072 steps \(no finite map\)"):
+            traversal_maps(REF, [loop], 1e-10)
+        assert len(counts) <= 2, counts  # the eigenframe once, the bare frame once
+        counts.clear()
+        with pytest.raises(StepBudgetError, match="overflows float64 at every step count up to 131072: no step fits"):
+            propagate_adiabatic(REF, loop, StateVector.basis(1), ACCEPT)
+        assert len(counts) <= 2, counts
+
+    @pytest.mark.parametrize(
+        "params, loop, finer",
+        [
+            # overflows at 256 to 1024 steps and is finite from 2048 on (it
+            # settles nowhere: no loop that overflows at 256 steps resolves its steps by the cap)
+            (REF, LoopSpec(FieldPoint(1.0, 0.2), 0.05, 0.05, Direction.CW, 1e7), 2048),
+            # an imaginary sigma whose square overflows (sigma^2 = -inf at 256
+            # and 512 steps, bare frame): Re sigma = 0, and 1024 steps fit
+            (HERMITIAN_PARAMS, hermitian_loop(1e158), 1024),
+        ],
+    )
+    def test_a_map_that_fits_a_finer_step_count_keeps_doubling(self, params, loop, finer, monkeypatch):
+        for n, fits in ((256, False), (finer, True)):
+            assert bool(np.isfinite(traversal._product(params, [loop], n, False)[0]).all()) is fits
+        counts = self.counted(monkeypatch)
+        with pytest.raises(StepBudgetError, match=r"has not settled at 131072 steps \(smallest change"):
+            traversal_maps(params, [loop], 1e-10)
+        assert counts[-1] == traversal._STEP_CAP
+        counts.clear()
+        with pytest.raises(StepBudgetError, match="has not settled at 131072 steps$"):
+            propagate_adiabatic(params, loop, StateVector.basis(1), ACCEPT)
+        assert counts[-1] == traversal._STEP_CAP
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        """The step counts ``traversal._intervals`` runs, from now on."""
+        counts, real = [], traversal._intervals
+
+        def intervals(params, drives, n, *args):
+            counts.append(n)
+            return real(params, drives, n, *args)
+
+        monkeypatch.setattr(traversal, "_intervals", intervals)
+        return counts
 
     def test_a_failing_loop_leaves_its_batch_mates_alone(self):
         maps = traversal._maps(REF, [diode_loop(Direction.CW, 600.0), encircling_loop(50.0)], 1e-10)

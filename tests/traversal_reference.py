@@ -10,6 +10,9 @@ unwrapped sample by sample, and U = R(th_T) U_b R(th_0)^T.
 
 Where ``np.longdouble`` is float64 (MSVC, arm64 macOS) this oracle would
 carry float64's floor and prove nothing, so it refuses to run there.
+
+``entrywise_mat`` is a float64 oracle of another kind: the loop form of
+``traversal._mat``, which the package's broadcast form matches bit for bit.
 """
 
 import numpy as np
@@ -110,3 +113,13 @@ def ratio(u, column: int) -> float:
     """max(W1, W2) / min(W1, W2) of the final state from bare state ``column + 1``."""
     pops = np.abs(u[:, column]) ** 2
     return float(max(pops) / min(pops))
+
+
+def entrywise_mat(x, y):
+    """The 2x2 products x y one entry at a time: x[i, 0] y[0, k], then + x[i, 1] y[1, k]."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    for i in (0, 1):
+        for k in (0, 1):
+            np.multiply(x[i, 0], y[0, k], out=out[i, k])
+            out[i, k] += x[i, 1] * y[1, k]
+    return out
