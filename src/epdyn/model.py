@@ -20,12 +20,13 @@ direct route's generated run gets the same bits from constants read once
 per run, with its operations inlined (``propagation._drive_constants``;
 ``tests/dop853_reference.py`` keeps the scalar closure as the reference).
 
-Eigenframes have one code path, on arrays: ``_eigensystems`` solves any
-number of matrices elementwise, and ``eigenframe`` is its one-matrix case.
-It spells out CPython's complex arithmetic on real and imaginary parts, so
-each frame is the same bits as the scalar recipe (kept in the tests as the
-oracle). Bit identity, not just closeness, is what keeps every printed
-digit and every branch decision of the propagators the same.
+Eigenframes have one closed form. The eigenvalues are tr(H)/2 +/- lam with
+lam = +/-sqrt(a^2 + g^2), and the c-normalized eigenvectors are
+(cos th, sin th) and (-sin th, cos th) with e^{2 i th} = (a + i g)/lam.
+``eigenframe`` takes lam on the '+' root at one matrix; along a drive,
+``traversal`` continues lam by the nearer root and th by the nearer
+multiple of pi, for the tracked frames and the adiabatic route alike.
+``_angle`` and the gauge (``_gauge``) are shared by all three.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -180,8 +180,11 @@ def build_hamiltonian(params: SystemParams, field: FieldPoint) -> HamiltonianMat
     h11 = e1 + omega - i*gamma1, h22 = e2 - i*gamma2, and the drive couples
     the levels through h12 = h21 = eps0*d12/2.
     """
-    h11, h12, h22 = _hamiltonians(params, field.omega, field.eps0)
-    return HamiltonianMatrix.symmetric(complex(h11), complex(h12), h22)
+    d12 = complex(params.d12)
+    h12 = complex(*_fmul(0.5 * field.eps0, d12.real, d12.imag))
+    return HamiltonianMatrix.symmetric(
+        complex(params.e1 + field.omega, -params.gamma1), h12, complex(params.e2, -params.gamma2)
+    )
 
 
 def discriminant(h: HamiltonianMatrix) -> complex:
@@ -229,18 +232,15 @@ def c_product(u, v) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# eigenframes on arrays, in CPython's scalar arithmetic
+# CPython's complex arithmetic on arrays
 # ---------------------------------------------------------------------------
 #
 # The helpers below spell out CPython's complex arithmetic on pairs of real
-# arrays (re, im), operation for operation, so an array of eigenframes is the
-# same bits as the scalar formulas evaluated one sample at a time. numpy's own
-# complex multiply and divide round differently in the last bit, and a float
-# times a complex in CPython (up to 3.13) first widens the float to
-# complex(x, 0.0), which decides the sign of zero components. Moduli are the C
-# library's hypot, which abs() on a Python complex calls too, and numpy's
-# complex square root gives the bits of cmath.sqrt (the same algorithm, up to
-# exact scalings by powers of two).
+# arrays (re, im), operation for operation, so an array pass is the same bits
+# as the scalar formulas evaluated one value at a time. numpy's own complex
+# multiply rounds differently in the last bit, and a float times a complex in
+# CPython (up to 3.13) first widens the float to complex(x, 0.0), which
+# decides the sign of zero components.
 
 
 def _mul(ar, ai, br, bi):
@@ -253,20 +253,6 @@ def _fmul(x, br, bi):
     return x * br - 0.0 * bi, x * bi + 0.0 * br
 
 
-def _quotients(br, bi, *numerators):
-    """Each complex numerator (re, im) divided by b, by Smith's algorithm as CPython does it."""
-    wide = np.abs(br) >= np.abs(bi)
-    big, small = np.where(wide, br, bi), np.where(wide, bi, br)
-    ratio = small / big
-    denom = big + small * ratio
-    out = []
-    for ar, ai in numerators:
-        p, q = np.where(wide, ar, ai), np.where(wide, ai, ar)
-        pr = p * ratio
-        out.append(((p + q * ratio) / denom, np.where(wide, q - pr, pr - q) / denom))
-    return out
-
-
 def _complex(re, im) -> np.ndarray:
     """Complex array from its parts; unlike re + 1j * im it keeps every signed zero."""
     z = np.empty(np.broadcast(re, im).shape, dtype=complex)
@@ -275,131 +261,49 @@ def _complex(re, im) -> np.ndarray:
     return z
 
 
-def _hamiltonians(params: SystemParams, omega, eps0):
-    """(h11, h12, h22) at field points, floats or arrays (then h11, h12 are arrays, h22 a scalar).
+# ---------------------------------------------------------------------------
+# the eigenframe in closed form
+# ---------------------------------------------------------------------------
 
-    The one definition of the matrix: h12 = (0.5 eps0) * d12 is taken as
-    CPython multiplies a float by a complex.
+
+def _angle(z):
+    """The frame angle th with e^{2 i th} = z and Re th in [-pi/2, pi/2], elementwise."""
+    return 0.5 * np.angle(z) - 0.5j * np.log(np.abs(z))
+
+
+def _gauge(z, c, s) -> np.ndarray:
+    """Signs (..., 2) that gauge the vectors (c, s) and (-s, c) of the frame angle th.
+
+    c = cos th, s = sin th and e^{2 i th} = z. Each signed vector's
+    largest-magnitude component has a positive real part (tie: a
+    non-negative imaginary part), and the first component leads a tie of
+    magnitudes. Which component leads is read off Re z, not off the rounded
+    moduli: |cos th|^2 - |sin th|^2 has the sign of Re z, which is exactly 0
+    at a tie (a = 0 with a real g) where the rounded moduli differ.
     """
-    d12 = complex(params.d12)
-    h11 = _complex(params.e1 + omega, -params.gamma1)
-    h12 = _complex(*_fmul(0.5 * eps0, d12.real, d12.imag))
-    return h11, h12, complex(params.e2, -params.gamma2)
-
-
-class _Eigensystems(NamedTuple):
-    """Eigenframes of n matrices, one per row: what ``eigenframe`` returns for each.
-
-    ``abs_delta`` is |discriminant|, for the EP guard, and ``half_trace`` is
-    tr(H)/2. ``finite`` is False where the scalar recipe overflows float64
-    (there Python raises OverflowError). ``cnorm`` ((n, 2), '+' then '-') is
-    computed on request only.
-    """
-
-    e_plus: np.ndarray  # (n,)
-    e_minus: np.ndarray  # (n,)
-    v_plus: np.ndarray  # (n, 2)
-    v_minus: np.ndarray  # (n, 2)
-    half_trace: np.ndarray  # (n,)
-    abs_delta: np.ndarray  # (n,)
-    finite: np.ndarray  # (n,) bool
-    cnorm: Optional[np.ndarray] = None  # (n, 2)
-
-
-def _eigensystems(h11, h12, h21, h22, with_cnorm: bool = False) -> _Eigensystems:
-    """Eigenframes of the matrices [[h11, h12], [h21, h22]], elementwise over arrays.
-
-    Bit for bit the scalar recipe: the '+' eigenvalue takes the discriminant
-    root with Re >= 0 (tie: Im >= 0); each eigenvector is the better
-    conditioned of the null vectors (h12, e - h11) and (e - h22, h21) (the
-    basis vectors for a diagonal matrix), divided by the square root of its
-    c-norm, with the sign that gives its largest-magnitude component a
-    positive real part (tie: non-negative imaginary part). The EP guard is
-    left to the caller, through ``abs_delta``.
-    """
-    h11, h12, h21, h22 = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(h, dtype=complex)) for h in (h11, h12, h21, h22))
-    )
-    with np.errstate(all="ignore"):  # overflow and the EP are reported through the result
-        dr, di = h11.real - h22.real, h11.imag - h22.imag
-        dd_r, dd_i = _mul(dr, di, dr, di)
-        q_r, q_i = _mul(*_fmul(4.0, h12.real, h12.imag), h21.real, h21.imag)
-        delta = _complex(dd_r + q_r, dd_i + q_i)
-        del dr, di, dd_r, dd_i, q_r, q_i
-        abs_delta = np.hypot(delta.real, delta.imag)
-        w = np.sqrt(delta)
-        w = np.where((w.real < 0.0) | ((w.real == 0.0) & (w.imag < 0.0)), -w, w)
-        half_w = _fmul(0.5, w.real, w.imag)
-        half_trace = _complex(*_fmul(0.5, h11.real + h22.real, h11.imag + h22.imag))
-        del delta, w
-        e_plus = _complex(half_trace.real + half_w[0], half_trace.imag + half_w[1])
-        e_minus = _complex(half_trace.real - half_w[0], half_trace.imag - half_w[1])
-        del half_w
-        m12, m21 = np.hypot(h12.real, h12.imag), np.hypot(h21.real, h21.imag)
-        v_plus, ok_plus, c_plus = _eigvec(h11, h12, h21, h22, m12, m21, e_plus, with_cnorm)
-        v_minus, ok_minus, c_minus = _eigvec(h11, h12, h21, h22, m12, m21, e_minus, with_cnorm)
-    finite = np.isfinite(abs_delta) & ok_plus & ok_minus
-    cnorm = np.stack([c_plus, c_minus], axis=1) if with_cnorm else None
-    return _Eigensystems(e_plus, e_minus, v_plus, v_minus, half_trace, abs_delta, finite, cnorm)
-
-
-def _eigvec(h11, h12, h21, h22, m12, m21, e, with_cnorm: bool):
-    """(gauged c-normalized eigenvectors (n, 2), finite mask, cnorm or None) for eigenvalues e.
-
-    ``m12`` and ``m21`` are |h12| and |h21|.
-    """
-    a1 = e - h11  # candidate a is (h12, e - h11), candidate b is (e - h22, h21)
-    b0 = e - h22
-    m_a1, m_b0 = np.hypot(a1.real, a1.imag), np.hypot(b0.real, b0.imag)
-    na, nb = m12 + m_a1, m_b0 + m21
-    use_a = na >= nb
-    r0, r1 = np.where(use_a, h12, b0), np.where(use_a, a1, h21)
-    m0, m1 = np.where(use_a, m12, m_b0), np.where(use_a, m_a1, m21)
-    diagonal = (na == 0.0) & (nb == 0.0)
-    del a1, b0, m_a1, m_b0, na, nb
-    if diagonal.any():  # the basis vectors, (1, 0) for the eigenvalue h11
-        first = e == h11
-        r0 = np.where(diagonal, np.where(first, 1.0, 0.0), r0)
-        r1 = np.where(diagonal, np.where(first, 0.0, 1.0), r1)
-        m0, m1 = np.where(diagonal, r0.real, m0), np.where(diagonal, r1.real, m1)
-    c_r, c_i = _mul(r0.real, r0.imag, r0.real, r0.imag)
-    d_r, d_i = _mul(r1.real, r1.imag, r1.real, r1.imag)
-    cnrm = _complex(c_r + d_r, c_i + d_i)
-    del c_r, c_i, d_r, d_i
-    scale = np.sqrt(cnrm)
-    (v0_r, v0_i), (v1_r, v1_i) = _quotients(
-        scale.real, scale.imag, (r0.real, r0.imag), (r1.real, r1.imag)
-    )
-    lead_first = np.hypot(v0_r, v0_i) >= np.hypot(v1_r, v1_i)
-    lead_r, lead_i = np.where(lead_first, v0_r, v1_r), np.where(lead_first, v0_i, v1_i)
-    sign = np.where(
-        lead_r != 0.0, np.where(lead_r > 0.0, 1.0, -1.0), np.where(lead_i >= 0.0, 1.0, -1.0)
-    )
-    v = np.empty(v0_r.shape + (2,), dtype=complex)
-    v.real[:, 0], v.imag[:, 0] = _fmul(sign, v0_r, v0_i)
-    v.real[:, 1], v.imag[:, 1] = _fmul(sign, v1_r, v1_i)
-    # abs(raw) ** 2 (the cnorm diagnostic) overflows in the scalar recipe first
-    finite = np.isfinite(m0 * m0) & np.isfinite(m1 * m1) & np.isfinite(v.view(float)).all(axis=1)
-    cnorm = None
-    if with_cnorm:
-        # c-norm of the Euclidean-normalized vector; x ** 2 on a Python float is C pow
-        unit = np.float_power(m0, 2.0) + np.float_power(m1, 2.0)
-        ((n_r, n_i),) = _quotients(unit, np.zeros_like(unit), (cnrm.real, cnrm.imag))
-        cnorm = _complex(n_r, n_i)
-    return v, finite, cnorm
+    lead = np.stack([np.where(z.real >= 0.0, c, s), np.where(z.real <= 0.0, -s, c)], axis=-1)
+    return np.where((lead.real > 0.0) | ((lead.real == 0.0) & (lead.imag >= 0.0)), 1.0, -1.0)
 
 
 def eigenframe(h: HamiltonianMatrix, tol: float = 1e-8) -> EigenFrame:
     """Bi-orthogonal eigenframe of a complex-symmetric 2x2 matrix.
+
+    With the traceless part [[a, g], [g, -a]], a = (h11 - h22)/2 and g = h12,
+    the eigenvalues are tr(H)/2 +/- lam, lam the root of a^2 + g^2 on the '+'
+    branch (Re >= 0, tie Im >= 0), and the c-normalized eigenvectors are
+    (cos th, sin th) and (-sin th, cos th) with e^{2 i th} = (a + i g)/lam,
+    each signed by the gauge (``_gauge``). The tracked frames of
+    ``propagation.track_branches`` and the adiabatic route use the same
+    formulas along a drive.
 
     Parameters
     ----------
     h:
         The matrix to decompose.
     tol:
-        EP proximity guard: refuses when |discriminant| <= tol^2 rather than
-        returning arbitrarily large normalized vectors (derivative couplings
-        diverge there).
+        EP proximity guard: refuses when |discriminant| = 4 |a^2 + g^2| <=
+        tol^2 rather than returning arbitrarily large normalized vectors
+        (derivative couplings diverge there).
 
     Raises
     ------
@@ -408,28 +312,28 @@ def eigenframe(h: HamiltonianMatrix, tol: float = 1e-8) -> EigenFrame:
     NonFiniteError
         If the frame overflows float64.
     """
-    eig = _eigensystems(h.h11, h.h12, h.h21, h.h22, with_cnorm=True)
-    _check_frame(eig, 0, tol)
-    return EigenFrame(
-        e_plus=complex(eig.e_plus[0]),
-        e_minus=complex(eig.e_minus[0]),
-        v_plus=eig.v_plus[0],
-        v_minus=eig.v_minus[0],
-        cnorm_plus=complex(eig.cnorm[0, 0]),
-        cnorm_minus=complex(eig.cnorm[0, 1]),
-    )
-
-
-def _check_frame(eig: _Eigensystems, k: int, tol: float) -> None:
-    """Raise for sample k what the scalar eigen-solve raises there, if anything."""
-    abs_delta = float(eig.abs_delta[k])
-    if abs_delta <= tol * tol:
-        raise EPProximityError(
-            f"|discriminant| = {abs_delta:.3e} <= tol^2 = {tol * tol:.3e}: "
-            "eigenvectors are (nearly) self-orthogonal"
-        )
-    if not eig.finite[k]:
+    a, g = np.complex128(0.5 * (h.h11 - h.h22)), np.complex128(h.h12)
+    with np.errstate(all="ignore"):  # overflow is reported below
+        w2 = a * a + g * g
+        abs_delta = 4.0 * float(abs(w2))
+        if abs_delta <= tol * tol:
+            raise EPProximityError(
+                f"|discriminant| = {abs_delta:.3e} <= tol^2 = {tol * tol:.3e}: "
+                "eigenvectors are (nearly) self-orthogonal"
+            )
+        lam = _root_plus(complex(w2))
+        z = (a + 1j * g) / lam
+        th = _angle(z)
+        c, s = np.cos(th), np.sin(th)
+        # c-norm of the Euclidean-normalized vector: both vectors have the moduli |c|, |s|
+        cnorm = complex(1.0 / (abs(c) ** 2 + abs(s) ** 2))
+        sign_plus, sign_minus = _gauge(z, c, s)
+        v_plus, v_minus = sign_plus * np.array([c, s]), sign_minus * np.array([-s, c])
+        half_trace = 0.5 * h.trace
+        e_plus, e_minus = half_trace + lam, half_trace - lam
+    if not (cmath.isfinite(e_plus) and cmath.isfinite(e_minus) and np.isfinite([v_plus, v_minus]).all()):
         raise NonFiniteError("eigenframe overflows float64")
+    return EigenFrame(e_plus, e_minus, v_plus, v_minus, cnorm_plus=cnorm, cnorm_minus=cnorm)
 
 
 def locate_ep(params: SystemParams) -> EPLocation:

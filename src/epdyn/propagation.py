@@ -44,10 +44,8 @@ share no stepper code, so their agreement is a genuine cross-check. The
 tests keep the two-frame finite difference of the couplings as an
 independent reference (``tests/coupling_reference.py``).
 
-Eigenframes are solved and paired on arrays, never one sample at a time
-(``frames``): ``track_branches`` and ``accumulated_phase`` scan a loop in
-blocks. Every frame is the bits the scalar recipe gives, so no output
-depends on the array path.
+``track_branches`` and ``accumulated_phase`` take the same frames at
+uniform samples (``traversal.branch_frames``).
 
 Recorded amplitudes are kept inside the representable range: if the true
 squared norm leaves [1e-150, 1e+150] the stored state is renormalized and
@@ -77,15 +75,14 @@ import numpy as np
 
 from .errors import (
     EPOnContourError,
-    EPProximityError,
     NonFiniteError,
     StepBudgetError,
     StepSizeUnderflowError,
 )
-from . import frames, traversal
+from . import traversal
 from .loops import LoopSpec, StaticDrive, _discriminant_on_loop, _fields_at
 # build_hamiltonian is not called here; perfbench's tracer wraps propagation.build_hamiltonian
-from .model import SystemParams, _complex, _fmul, _mul, _require_finite, build_hamiltonian, c_product
+from .model import SystemParams, _complex, _fmul, _gauge, _mul, _require_finite, build_hamiltonian, c_product
 
 __all__ = [
     "StateVector",
@@ -228,9 +225,9 @@ class AdiabaticFrame:
     """Eigenframes sampled along a loop with branch continuity applied.
 
     Slot 0 starts on the instantaneous '+' branch, slot 1 on '-'; each slot
-    then follows its eigenvector by maximal c-product overlap between
-    adjacent samples. ``labels[k, s]`` records which instantaneous branch
-    slot s occupies at ``times[k]``.
+    then follows its eigenvalue by the nearer root between adjacent samples
+    (``track_branches``). ``labels[k, s]`` records which instantaneous
+    branch slot s occupies at ``times[k]``.
     """
 
     times: np.ndarray
@@ -974,8 +971,9 @@ def propagate_adiabatic(
     ``record_internal`` records every step end instead.
 
     The coefficients are those on the tracked eigenvectors: slot 0 starts on
-    the '+' branch, and the slot signs are those of the t = 0 frame
-    (``frames._initial``). The label of slot 0 at a row is '+' where the
+    the '+' branch, and the slot signs are the gauge of the rows' own t = 0
+    frame R(th_0) (``model._gauge``, as in ``eigenframe`` and
+    ``track_branches``). The label of slot 0 at a row is '+' where the
     continued root is the '+' root there. ``meta["solver"]`` holds the
     row step count (``steps``), the frame ("eigen"), the full-loop map's
     change at the last doubling (``floor``) and the number of doublings
@@ -1008,29 +1006,23 @@ def propagate_adiabatic(
     _scan_contour(params, loop, ep_tol, n=max(1024, 2 * n_output))
     started = time.perf_counter()
     try:
-        first = frames._initial(params, loop, ep_tol)
         tmap, steps, rows = traversal.eigen_rows(params, loop, config.rel_tol, n_output, record_internal, ep_tol**2)
         stepped = time.perf_counter()
-        # the coefficients at t = 0 on the '+' and '-' vectors, and the signs of
-        # those vectors against (cos th_0, sin th_0) and (-sin th_0, cos th_0)
-        vs = first.eig.v_plus[0], first.eig.v_minus[0]
-        c0 = (initial.c1, initial.c2)
-        b = np.array([c_product(v, c0) for v in vs])
-        axes = np.array([[rows.cos[0], rows.sin[0]], [-rows.sin[0], rows.cos[0]]])
-        signs = np.where([(axis @ v).real > 0.0 for axis, v in zip(axes, vs)], 1.0, -1.0)
+        # c0 on the axes (cos th_0, sin th_0) and (-sin th_0, cos th_0); the
+        # coefficients are on those axes signed by the gauge
+        axes = ((rows.cos[0], rows.sin[0]), (-rows.sin[0], rows.cos[0]))
+        b = np.array([c_product(axis, (initial.c1, initial.c2)) for axis in axes])
+        signs = _gauge(rows.z0, rows.cos[0], rows.sin[0])
         _, shift = np.frexp(np.maximum(np.abs(b.real), np.abs(b.imag)).max())
         with np.errstate(all="ignore"):  # overflow is caught below
-            y = rows.prefix @ (signs * b * np.ldexp(1.0, -shift))
+            y = rows.prefix @ (b * np.ldexp(1.0, -shift))
         coeffs = signs * y
         raw = np.stack([rows.cos * y[:, 0] - rows.sin * y[:, 1], rows.sin * y[:, 0] + rows.cos * y[:, 1]], axis=1)
         if not np.isfinite(raw).all():
             raise OverflowError("a row overflowed float64")
-        plus = (rows.lam.real > 0.0) | ((rows.lam.real == 0.0) & (rows.lam.imag >= 0.0))
-        labels = np.where(plus, "+", "-")
+        labels = np.where(_on_plus(rows.lam), "+", "-")
         log_internal = 2.0 * math.log(2.0) * (rows.exponent + shift)
         states, norms, logs, coeffs = _finalize(params, loop, rows.times, raw, log_internal, coeffs)
-    except EPProximityError as exc:
-        raise EPOnContourError(str(exc)) from exc
     except OverflowError as exc:
         raise NonFiniteError("coefficients overflowed float64") from exc
     meta = {
@@ -1064,13 +1056,12 @@ def track_branches(
 ) -> AdiabaticFrame:
     """Continuity-tracked eigenframes at uniform samples over one traversal.
 
-    Slot assignments follow maximal |c-product| overlap between adjacent
-    samples; the ``swapped`` property reports whether one traversal exchanged
-    the instantaneous branches (the EP-encircling signature). The frames are
-    solved and paired in array blocks (``frames._scan``): each sample's pick
-    of branch depends only on it and the sample before, so slots follow from
-    a cumulative parity and signs from a cumulative product, and the result
-    is the bits of pairing one sample at a time.
+    Slot 0 starts on the instantaneous '+' branch and follows the root
+    +/-sqrt(a^2 + g^2) nearer the one before, in the frames of
+    ``traversal.branch_frames``; at t = 0 they are ``eigenframe``'s, gauge
+    included, up to rounding. The ``swapped`` property reports whether one
+    traversal exchanged the instantaneous branches (the EP-encircling
+    signature).
 
     Raises
     ------
@@ -1084,14 +1075,22 @@ def track_branches(
     if n_samples < 16:
         raise ValueError("n_samples must be >= 16")
     times = np.linspace(0.0, loop.duration_T, n_samples + 1)
-    energies = np.empty((n_samples + 1, 2), dtype=complex)
-    vectors = np.empty((n_samples + 1, 2, 2), dtype=complex)
-    labels = np.empty((n_samples + 1, 2), dtype="<U1")
-    for rows, tracked in frames._scan(params, loop, times, ep_tol):
-        energies[rows] = tracked.energies()
-        vectors[rows] = tracked.vectors()
-        labels[rows] = tracked.labels()
-    return AdiabaticFrame(times=times, energies=energies, vectors=vectors, labels=labels)
+    a, lam, th, signs = traversal.branch_frames(params, loop, times, ep_tol**2)
+    half_trace = complex(params.e2, -params.gamma2) + a  # tr(H)/2 = h22 + a
+    c, s = np.cos(th), np.sin(th)
+    vectors = np.stack([np.stack([c, s], axis=1) * signs[0], np.stack([-s, c], axis=1) * signs[1]], axis=1)
+    plus = _on_plus(lam)
+    return AdiabaticFrame(
+        times=times,
+        energies=np.stack([half_trace + lam, half_trace - lam], axis=1),
+        vectors=vectors,
+        labels=np.stack([np.where(plus, "+", "-"), np.where(plus, "-", "+")], axis=1),
+    )
+
+
+def _on_plus(lam: np.ndarray) -> np.ndarray:
+    """Where the continued root is the '+' root (Re > 0, tie Im >= 0): slot 0 is on '+'."""
+    return (lam.real > 0.0) | ((lam.real == 0.0) & (lam.imag >= 0.0))
 
 
 def _simpson(y: np.ndarray, x: np.ndarray):
@@ -1131,6 +1130,8 @@ def accumulated_phase(
 ) -> complex:
     """Quadrature of the tracked branch-energy difference, int_0^t dE dt'.
 
+    dE = 2 lam, lam the root of a^2 + g^2 continued along the samples as in
+    ``track_branches`` (which raises what this raises), by Simpson's rule.
     ``branch_pairing`` selects the orientation: "plus-minus" integrates
     E_a - E_b for the branches that start as '+' and '-'; "minus-plus"
     negates. The imaginary part is minus the accumulated width difference;
@@ -1146,11 +1147,8 @@ def accumulated_phase(
     if t == 0.0:
         return 0j
     times = np.linspace(0.0, t, n_samples + 1)
-    gap = np.empty(len(times), dtype=complex)
-    for rows, tracked in frames._scan(params, loop, times, ep_tol=1e-8):
-        energies = tracked.energies()
-        gap[rows] = energies[:, 0] - energies[:, 1]
-    result = complex(_simpson(gap, times))
+    _, lam, _, _ = traversal.branch_frames(params, loop, times, 1e-8**2)
+    result = complex(_simpson(2.0 * lam, times))
     return -result if branch_pairing == "minus-plus" else result
 
 

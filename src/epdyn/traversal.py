@@ -8,7 +8,8 @@ H0 = [[a, g], [g, -a]] (``model._traceless``). It is nearly rank 1 on an
 EP-encircling loop, which is the paper's "any initial state" ends in the
 selected one. ``traversal_maps`` computes U for a batch of loops;
 ``eigen_rows`` gives the adiabatic route (``propagation``) the map from
-t = 0 to each of its rows.
+t = 0 to each of its rows, and ``branch_frames`` gives branch tracking
+and the phase integrals the eigenframe itself at uniform samples.
 
 Step. n uniform steps of length h = T/n, each the 4th-order
 commutator-free Magnus step with two exponentials at the Gauss points
@@ -28,7 +29,9 @@ e^{2 i th} = (a + i g)/lam, with lam continued from the sample before; th
 takes the multiple of pi nearest th_0 plus the Gauss quadrature of th' up
 to there. The e^29 growth of the diode loop (criterion 04b) sits on K's
 diagonal there, so each coefficient keeps its own relative precision, and
-U = R(th_T) U_b R(th_0)^T.
+U = R(th_T) U_b R(th_0)^T. ``branch_frames`` takes the same root and angle
+at uniform samples for branch tracking; it judges a sample by the overlap
+of adjacent frames (``_AMBIGUITY``), not by the turn rule below.
 The eigenframe is unresolved at a step count where the frame turns by
 more than half a radian in one step (|th'| h > 1/2: an EP on or near the
 contour that the steps do not resolve; through an EP the eigenframe
@@ -90,8 +93,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import AmbiguousTrackingError, EPOnContourError, EpdynError, NonFiniteError, StepBudgetError
-from .loops import LoopSpec, StaticDrive, _motion_at
-from .model import SystemParams, _traceless, _traceless_drive
+from .loops import LoopSpec, StaticDrive, _fields_at, _motion_at
+from .model import SystemParams, _angle, _gauge, _traceless, _traceless_drive
 
 __all__ = ["TraversalMap", "traversal_maps"]
 
@@ -125,8 +128,12 @@ _EP_GUARD = 1e-16
 #: The largest entry array whose second products ``_mat`` forms in one broadcast
 #: product; past it that full-size temporary can cost more than the calls it saves.
 _BROADCAST_ENTRIES = 1024
-#: Steps evaluated at once over all loops of a batch (bounds the memory).
+#: Steps evaluated at once over all loops of a batch, and samples of a
+#: ``branch_frames`` block (bounds the memory).
 _BLOCK_STEPS = 2**13
+#: A sample's pairing is ambiguous when the c-product with the other slot's
+#: vector before exceeds this fraction of the one with its own.
+_AMBIGUITY = 0.9
 # the exponentials' power series in zeta = sigma^2, up to zeta^_SERIES_TERMS
 _SERIES_TERMS = 9
 _INV_FACTORIALS = tuple(1.0 / math.factorial(k) for k in range(2 * _SERIES_TERMS + 2))
@@ -271,6 +278,7 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int, every
         np.concatenate([c0, c[0]]),
         np.concatenate([s0, s[0]]),
         np.concatenate([run.lam0, run.lam[0]]),
+        complex(run.z0[0]),
     )
 
 
@@ -278,7 +286,8 @@ class _Rows(NamedTuple):
     """The maps to the rows of one loop: row j at ``times[j]`` is R(th_j) P_j R(th_0)^T 2^exponent_j.
 
     ``prefix`` (N + 1, 2, 2) holds P_j (the identity at row 0) and ``cos``,
-    ``sin`` the rotation of th_j; ``lam`` is the continued root at each row.
+    ``sin`` the rotation of th_j; ``lam`` is the continued root at each row,
+    and ``z0`` = e^{2 i th_0}, which fixes the gauge of the t = 0 frame.
     """
 
     times: np.ndarray
@@ -287,6 +296,7 @@ class _Rows(NamedTuple):
     cos: np.ndarray
     sin: np.ndarray
     lam: np.ndarray
+    z0: complex
 
 
 def _no_step_fits(reach: float, n: int) -> bool:
@@ -467,13 +477,78 @@ class _Phase:
         root = np.sqrt(w2)
         self.lam = np.where(root.real * before.real + root.imag * before.imag < 0.0, -root, root)
         z = (a + 1j * g) / self.lam
-        th0 = 0.5 * np.angle(self.z0) - 0.5j * np.log(np.abs(self.z0))
+        th0 = _angle(self.z0)
         base = 0.5 * np.angle(z)
         k = (th0.real[:, None] + turned - base) / math.pi
         turns = np.rint(k)
         self.smooth &= (np.abs(k - turns) <= _MAX_MISMATCH).all(axis=1)
         th = base + math.pi * turns - 0.5j * np.log(np.abs(z))
         return (np.cos(th0), np.sin(th0)), (np.cos(th), np.sin(th))
+
+
+def branch_frames(params: SystemParams, drive, times: np.ndarray, guard: float) -> tuple:
+    """The eigenframe continued along ``times`` (from 0): (a, lam, th, signs).
+
+    At each time a is the traceless drive term, lam the root of a^2 + g^2
+    continued by ``_Phase.follow`` (the '+' root at t = 0) and th the frame
+    angle, e^{2 i th} = (a + i g)/lam, at the multiple of pi nearest th
+    before. Slot 0 holds the energy tr(H)/2 + lam and the vector
+    signs[0] (cos th, sin th), slot 1 tr(H)/2 - lam and signs[1] (-sin th,
+    cos th); ``signs`` is the gauge of the t = 0 frame (``model._gauge``).
+    Between adjacent samples the c-products of these vectors are cos dth
+    (same slot) and sin dth (other slot), so a sample pairs with the one
+    before unless |sin dth| > ``_AMBIGUITY`` |cos dth|. The samples are taken
+    in blocks of at most ``_BLOCK_STEPS``, each continuing the one before;
+    the multiples of pi are an integer count, so where a block ends changes
+    no bit. The first sample that fails raises.
+
+    Raises
+    ------
+    EPOnContourError
+        If 4 |a^2 + g^2| <= guard (|discriminant| <= ep_tol^2).
+    NonFiniteError
+        If the frame overflows float64.
+    AmbiguousTrackingError
+        If the sample's overlaps with the frame before are too close to call.
+    """
+    n = len(times)
+    a, lam, th = (np.empty(n, dtype=complex) for _ in range(3))
+    edges = [0, *range(1, n, _BLOCK_STEPS), n]
+    for start, stop in zip(edges, edges[1:]):
+        rows = slice(start, stop)
+        with np.errstate(all="ignore"):  # overflow and the EP are reported below
+            a[rows], g = _traceless(params, *_fields_at(drive, times[rows]))
+            w2 = a[rows] * a[rows] + g * g
+            if start == 0:
+                phase = _Phase(a[rows], g, w2, guard, 1)
+                lam[rows], th[rows] = phase.lam0, _angle(phase.z0)
+                signs = _gauge(phase.z0[0], np.cos(th[0]), np.sin(th[0]))
+                last_base, half_turns = th[0].real, np.zeros(1)
+                ambiguous = np.zeros(1, dtype=bool)
+            else:
+                lam[rows] = phase.follow(w2[None])[0]
+                angle = _angle((a[rows] + 1j * g) / lam[rows])
+                base = np.concatenate([[last_base], angle.real])
+                half_turns = half_turns[-1] + np.cumsum(np.rint((base[:-1] - base[1:]) / np.pi))
+                last_base = base[-1]
+                th[rows] = angle + np.pi * half_turns
+                turn = np.diff(th[start - 1 : stop])
+                ambiguous = np.abs(np.sin(turn)) > _AMBIGUITY * np.abs(np.cos(turn))
+            near = 4.0 * np.abs(w2) <= guard
+            finite = np.isfinite(w2) & np.isfinite(th[rows])
+        bad = np.flatnonzero(near | ~finite | ambiguous)
+        if bad.size:
+            k = bad[0]
+            if near[k]:
+                raise EPOnContourError(
+                    f"|discriminant| = {4.0 * abs(w2[k]):.3e} <= tol^2 = {guard:.3e}: "
+                    "eigenvectors are (nearly) self-orthogonal"
+                )
+            if not finite[k]:
+                raise NonFiniteError("eigenframe overflows float64")
+            overlaps = sorted(abs(f(th[start + k] - th[start + k - 1])) for f in (np.cos, np.sin))
+            raise AmbiguousTrackingError(f"branch overlaps too close to call: {overlaps[1]:.3f} vs {overlaps[0]:.3f}")
+    return a, lam, th, signs
 
 
 class _Run(NamedTuple):
@@ -489,6 +564,7 @@ class _Run(NamedTuple):
     rotations: tuple  # ((cos th_0, sin th_0) (m,), (cos th, sin th) (m, N)) (eigenframe)
     lam0: np.ndarray  # (m,) the '+' root at t = 0 (eigenframe)
     lam: np.ndarray  # (m, N) the continued root at the interval ends (eigenframe)
+    z0: np.ndarray  # (m,) e^{2 i th_0} (eigenframe)
 
 
 def _intervals(
@@ -535,10 +611,10 @@ def _intervals(
         shape = (m, n // every, every // per)
         x, e = _tree(np.concatenate(nodes, axis=-1).reshape(2, 2, *shape), np.concatenate(exps, axis=-1).reshape(shape))
         if not eigen:
-            return _Run(x, e, finite, resolved, reach, np.ones(m, dtype=bool), np.ones(m, dtype=bool), (), None, None)
+            return _Run(x, e, finite, resolved, reach, np.ones(m, dtype=bool), np.ones(m, dtype=bool), (), None, None, None)
         a, g, _, _, w2, good = _drive(params, columns, ends)
         rotations = phase.rotations(a, g, w2)
-    return _Run(x, e, finite & good, resolved, reach, phase.clear, phase.smooth, rotations, phase.lam0, phase.lam)
+    return _Run(x, e, finite & good, resolved, reach, phase.clear, phase.smooth, rotations, phase.lam0, phase.lam, phase.z0)
 
 
 def _rotate(run: _Run, u: np.ndarray, e: np.ndarray) -> tuple:

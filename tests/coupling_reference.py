@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from epdyn import frames
 from epdyn.errors import AmbiguousTrackingError, EPProximityError
 from epdyn.loops import LoopSpec
 from epdyn.model import (
@@ -23,6 +22,7 @@ from epdyn.model import (
     c_product,
     eigenframe,
 )
+from frame_reference import _aligned_next
 
 
 def _det_sign(vs) -> float:
@@ -62,16 +62,12 @@ def na_coupling(
         return 0j, 0j
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    va = np.array([frame_a.v_plus, frame_a.v_minus])  # [slot, component]
-    cands = np.array([frame_b.v_plus, frame_b.v_minus])
-    pairing = frames._pair(va[:1], va[1:], cands[:1], cands[1:])
-    if not pairing.ok[0]:
-        try:
-            frames._raise_pairing(pairing.mags[0], plus0=True)
-        except AmbiguousTrackingError as exc:
-            raise EPProximityError("frames too close to the EP to pair branches") from exc
-    picks = [1, 0] if pairing.cross[0] else [0, 1]
-    vb = np.where(pairing.chain[0] >= 0.0, 1.0, -1.0)[:, None] * cands[picks]
+    va = (frame_a.v_plus, frame_a.v_minus)
+    try:
+        _, vb, _ = _aligned_next(va, frame_b.e_plus, frame_b.e_minus, frame_b.v_plus, frame_b.v_minus)
+    except AmbiguousTrackingError as exc:
+        raise EPProximityError("frames too close to the EP to pair branches") from exc
+    va, vb = np.array(va), np.array(vb)  # [slot, component]
     mid = 0.5 * (va + vb)
     dv = (vb - va) / dt
     return complex(c_product(mid[0], dv[1])), complex(c_product(mid[1], dv[0]))

@@ -1,11 +1,13 @@
-"""The scalar eigenframe path, kept as the oracle of the array path.
+"""The null-vector eigenframe recipe, kept as the oracle of the closed form.
 
-``_eigensystem`` solves one frame in Python complex arithmetic,
-``_aligned_next`` pairs it with the previous one by c-product overlap, and
-``_tracked_frames`` walks a list of times one sample at a time. The package
-solves and pairs whole arrays of frames instead (``model._eigensystems``,
-``frames._pair``); the tests check that its energies, vectors and
-labels are the same bits as these functions give.
+``_eigensystem`` solves one frame in Python complex arithmetic for the
+better conditioned null vector of H - e, ``_aligned_next`` pairs it with
+the previous one by c-product overlap, and ``_tracked_frames`` walks a list
+of times one sample at a time. The package takes its frames in closed form
+instead (``model.eigenframe``, ``traversal.branch_frames``); the tests
+check that its energies, vectors and phase samples agree with these within
+stated bounds, and that labels, swaps and error types are the same.
+``tests/coupling_reference.py`` pairs its two frames with ``_aligned_next``.
 """
 
 import cmath

@@ -161,6 +161,15 @@ class TestEigenframe:
         np.testing.assert_allclose(frame.v_plus, [inv_sqrt2, inv_sqrt2], atol=1e-14)
         np.testing.assert_allclose(frame.v_minus, [inv_sqrt2, -inv_sqrt2], atol=1e-14)
 
+    def test_tie_keeps_first_component_leading(self):
+        # at a = 0 (h11 == h22) with a real g each vector's components have
+        # equal moduli; the first leads, whatever the rounding of cos th and sin th
+        for h11, g in ((1.0, 0.1), (1.0 - 0.2j, 0.3), (-2.0, -0.7), (0.5 - 0.1j, -1e-3)):
+            frame = eigenframe(HamiltonianMatrix.symmetric(h11, g, h11))
+            for v in (frame.v_plus, frame.v_minus):
+                assert abs(v[0]) == pytest.approx(abs(v[1]), rel=1e-15)
+                assert v[0].real > 0.0
+
     def test_refuses_at_ep(self):
         h = build_hamiltonian(REF, FieldPoint(1.0, 0.2))
         with pytest.raises(EPProximityError):

@@ -42,7 +42,7 @@ from epdyn import (
     track_branches,
     winding_number,
 )
-from epdyn import frames, loops, traversal
+from epdyn import loops, model, traversal
 from epdyn.analysis import survival_fraction
 from epdyn import propagation as prop
 from epdyn.errors import AmbiguousTrackingError, EpdynError, StepBudgetError, StepSizeUnderflowError
@@ -969,11 +969,16 @@ class TestAccumulatedPhase:
             accumulated_phase(REF, loop, 50.0, n_samples=n_samples)
 
     def test_diode_phase_integrals_unchanged(self):
-        # the values scipy.integrate.simpson gave on these samples, to the bit
-        cw = accumulated_phase(REF, diode_loop(Direction.CW), DIODE_DURATION, n_samples=8192)
-        ccw = accumulated_phase(REF, diode_loop(Direction.CCW), DIODE_DURATION, n_samples=8192)
-        assert cw == complex(518.8764293351911, 7.164493477684154)
-        assert ccw == complex(-518.876429335191, -7.164493477684161)
+        # the values scipy.integrate.simpson gives on the tracked gap 2 lam, to the bit
+        times = np.linspace(0.0, DIODE_DURATION, 8193)
+        for direction, want in (
+            (Direction.CW, complex(518.876429335191, 7.164493477684154)),
+            (Direction.CCW, complex(-518.876429335191, -7.164493477684161)),
+        ):
+            loop = diode_loop(direction)
+            phase = accumulated_phase(REF, loop, DIODE_DURATION, n_samples=8192)
+            _, lam, _, _ = traversal.branch_frames(REF, loop, times, 1e-16)
+            assert phase == complex(simpson(2.0 * lam, x=times)) == want
 
 
 class TestSimpson:
@@ -1166,25 +1171,29 @@ class TestAdiabaticPropagation:
         assert len(traj.times) == 513
 
     def test_one_eigensolve_per_step_and_interior_grid_time(self, monkeypatch):
-        # the route solves one eigenframe, at t = 0; the step products take
-        # the drive in array calls whose number does not grow with the steps
-        calls = {"solve": 0, "frames": 0, "drive": 0, "samples": 0}
-        real_solve, real_drive = frames._solve, traversal._drive
+        # the route solves no eigenframe: its t = 0 frame is the rows' own
+        # R(th_0); the step products take the drive in array calls whose
+        # number does not grow with the steps
+        calls = {"solve": 0, "drive": 0, "samples": 0}
+        real_drive = traversal._drive
 
-        def counted_solve(params, drive, times):
-            calls["solve"] += 1
-            calls["frames"] += len(times)
-            return real_solve(params, drive, times)
+        def counted_solve(solve):
+            def counted(*args):
+                calls["solve"] += 1
+                return solve(*args)
+
+            return counted
 
         def counted_drive(params, columns, times):
             calls["drive"] += 1
             calls["samples"] += np.size(times)
             return real_drive(params, columns, times)
 
-        monkeypatch.setattr(frames, "_solve", counted_solve)
+        monkeypatch.setattr(traversal, "branch_frames", counted_solve(traversal.branch_frames))
+        monkeypatch.setattr(model, "eigenframe", counted_solve(model.eigenframe))
         monkeypatch.setattr(traversal, "_drive", counted_drive)
         traj = propagate_adiabatic(REF, encircling_loop(50.0, Direction.CW), StateVector.basis(2), TIGHT)
-        assert (calls["solve"], calls["frames"]) == (1, 1)
+        assert calls["solve"] == 0
         # each step count tried; the rows reuse the settled one's 512 intervals
         products = traj.meta["solver"]["doublings"] + 1
         assert calls["drive"] == 3 * products  # t = 0, one block of Gauss points, the interval ends
