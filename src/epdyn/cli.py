@@ -251,7 +251,10 @@ def cmd_simulate(config: RunConfig, method: str, n_output: int) -> int:
     if n_output < 2:
         raise ConfigError(f"--n-output must be >= 2, got {n_output}")
     propagate = propagate_direct if method == "direct" else propagate_adiabatic
-    traj = propagate(config.params, config.loop, config.initial, config.integrator, n_output=n_output)
+    try:
+        traj = propagate(config.params, config.loop, config.initial, config.integrator, n_output=n_output)
+    except ValueError as exc:  # a loop the route cannot step (duration_T too small for the adiabatic route)
+        raise ConfigError(f"invalid 'loop' section: {exc}") from exc
     if config.out_format == "csv":
         _write_text(config.out_path, serialize.trajectory_to_csv(traj))
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -188,12 +189,25 @@ def field_velocity(loop: LoopSpec, t: float) -> tuple[float, float]:
     return _velocity(loop, math.cos(th), math.sin(th))
 
 
+def _as_loop(drive):
+    """A drive's constants under ``LoopSpec``'s attribute names; a loop is its own.
+
+    A ``StaticDrive`` is the loop with both axes -0.0 at the fixed angle 0
+    (start phase 0.0, direction sign 0.0): cos 0 = 1.0 and sin 0 = 0.0 make
+    each axis term -0.0, and x + -0.0 is x for every x, signed zeros
+    included, so it gives the bits of the constant field and a zero velocity.
+    """
+    if not isinstance(drive, StaticDrive):
+        return drive
+    return SimpleNamespace(center=drive.field, semi_axis_omega=-0.0, semi_axis_eps=-0.0,
+                           direction=SimpleNamespace(sign=0.0), duration_T=drive.duration_T, start_phase=0.0)
+
+
 def _fields_at(drive, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, eps0) arrays at ``times`` along a loop or static drive, the bits of ``field_at``."""
-    if isinstance(drive, StaticDrive):
-        return tuple(np.full_like(times, x) for x in (drive.field.omega, drive.field.eps0))
-    th = _angle(drive, times, np)
-    return _ellipse(drive, np.cos(th), np.sin(th))
+    """(omega, eps0) arrays at ``times`` along a loop or static drive (``_as_loop``), the bits of ``field_at``."""
+    loop = _as_loop(drive)
+    th = _angle(loop, times, np)
+    return _ellipse(loop, np.cos(th), np.sin(th))
 
 
 def _motion_at(loop: LoopSpec, times: np.ndarray) -> tuple:

@@ -200,9 +200,14 @@ def _root_plus(delta: complex) -> complex:
     is deterministic for every input including negative real discriminants.
     """
     w = cmath.sqrt(delta)
-    if w.real < 0.0 or (w.real == 0.0 and w.imag < 0.0):
+    if not (_plus(w) or cmath.isnan(w)):  # cmath.sqrt's root has Re >= 0, or a NaN part
         w = -w
     return w
+
+
+def _plus(z):
+    """Where z, a complex or an array, is on the '+' side: Re > 0, tie Im >= 0 (a NaN part: False)."""
+    return (z.real > 0.0) | ((z.real == 0.0) & (z.imag >= 0.0))
 
 
 def eigenvalues(h: HamiltonianMatrix) -> tuple[complex, complex]:
@@ -282,7 +287,7 @@ def _gauge(z, c, s) -> np.ndarray:
     at a tie (a = 0 with a real g) where the rounded moduli differ.
     """
     lead = np.stack([np.where(z.real >= 0.0, c, s), np.where(z.real <= 0.0, -s, c)], axis=-1)
-    return np.where((lead.real > 0.0) | ((lead.real == 0.0) & (lead.imag >= 0.0)), 1.0, -1.0)
+    return np.where(_plus(lead), 1.0, -1.0)
 
 
 def eigenframe(h: HamiltonianMatrix, tol: float = 1e-8) -> EigenFrame:

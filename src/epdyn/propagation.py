@@ -80,9 +80,9 @@ from .errors import (
     StepSizeUnderflowError,
 )
 from . import traversal
-from .loops import LoopSpec, StaticDrive, _discriminant_on_loop, _fields_at
+from .loops import LoopSpec, StaticDrive, _as_loop, _discriminant_on_loop, _fields_at
 # build_hamiltonian is not called here; perfbench's tracer wraps propagation.build_hamiltonian
-from .model import SystemParams, _complex, _fmul, _gauge, _mul, _require_finite, build_hamiltonian, c_product
+from .model import SystemParams, _complex, _fmul, _gauge, _mul, _plus, _require_finite, build_hamiltonian, c_product
 
 __all__ = [
     "StateVector",
@@ -536,27 +536,13 @@ def _drive_constants(drive: Drive, params: SystemParams) -> tuple:
     Each RHS call of the run clamps its time to [0, T] and takes
     th = th0 + turn * fmod(t / T, 1.0), a = a_static + 0.5 * (cx + ax cos th)
     and g = half_d12 * (cy + ay sin th): the operations of ``field_at`` and
-    ``model._traceless`` in their order, so every (a, g) is their bits. A
-    static drive is the loop with both axes -0.0 at the fixed angle 0
-    (turn 0.0): cos 0 = 1.0 and sin 0 = 0.0 make each axis term -0.0, and
-    x + -0.0 is x for every x, signed zeros included, so the run gets the
-    bits of the constant field.
+    ``model._traceless`` in their order, so every (a, g) is their bits. The
+    constants are the drive's as a loop (``loops._as_loop``), so a static
+    drive gets the bits of its constant field.
     """
-    if isinstance(drive, StaticDrive):
-        fp = drive.field
-        return (drive.duration_T, 0.0, 0.0, fp.omega, -0.0, fp.eps0, -0.0,
-                params._a_static, params._half_d12)
-    return (
-        drive.duration_T,
-        drive.start_phase,
-        drive.direction.sign * 2.0 * math.pi,
-        drive.center.omega,
-        drive.semi_axis_omega,
-        drive.center.eps0,
-        drive.semi_axis_eps,
-        params._a_static,
-        params._half_d12,
-    )
+    loop = _as_loop(drive)
+    return (loop.duration_T, loop.start_phase, loop.direction.sign * 2.0 * math.pi, loop.center.omega,
+            loop.semi_axis_omega, loop.center.eps0, loop.semi_axis_eps, params._a_static, params._half_d12)
 
 
 # the step controller of scipy.integrate.DOP853; the exponent is -1 / (error estimator order 7 + 1)
@@ -1002,7 +988,7 @@ def propagate_adiabatic(
         raise ValueError("n_output must be >= 2")
     T = loop.duration_T
     if not T / traversal._STEP_CAP >= np.finfo(float).tiny:
-        raise ValueError(f"duration_T = {T:.3g} is too small: its steps T/n are subnormal")
+        raise ValueError(f"duration_T = {T:.3g}: duration_T is too small, its steps T/n are subnormal")
     _scan_contour(params, loop, ep_tol, n=max(1024, 2 * n_output))
     started = time.perf_counter()
     try:
@@ -1020,7 +1006,7 @@ def propagate_adiabatic(
         raw = np.stack([rows.cos * y[:, 0] - rows.sin * y[:, 1], rows.sin * y[:, 0] + rows.cos * y[:, 1]], axis=1)
         if not np.isfinite(raw).all():
             raise OverflowError("a row overflowed float64")
-        labels = np.where(_on_plus(rows.lam), "+", "-")
+        labels = np.where(_plus(rows.lam), "+", "-")
         log_internal = 2.0 * math.log(2.0) * (rows.exponent + shift)
         states, norms, logs, coeffs = _finalize(params, loop, rows.times, raw, log_internal, coeffs)
     except OverflowError as exc:
@@ -1079,18 +1065,13 @@ def track_branches(
     half_trace = complex(params.e2, -params.gamma2) + a  # tr(H)/2 = h22 + a
     c, s = np.cos(th), np.sin(th)
     vectors = np.stack([np.stack([c, s], axis=1) * signs[0], np.stack([-s, c], axis=1) * signs[1]], axis=1)
-    plus = _on_plus(lam)
+    plus = _plus(lam)
     return AdiabaticFrame(
         times=times,
         energies=np.stack([half_trace + lam, half_trace - lam], axis=1),
         vectors=vectors,
         labels=np.stack([np.where(plus, "+", "-"), np.where(plus, "-", "+")], axis=1),
     )
-
-
-def _on_plus(lam: np.ndarray) -> np.ndarray:
-    """Where the continued root is the '+' root (Re > 0, tie Im >= 0): slot 0 is on '+'."""
-    return (lam.real > 0.0) | ((lam.real == 0.0) & (lam.imag >= 0.0))
 
 
 def _simpson(y: np.ndarray, x: np.ndarray):

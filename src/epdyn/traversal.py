@@ -40,27 +40,30 @@ more than a quarter turn (pi/4) from a multiple of pi at an interval end,
 so that lam and the frame disagree on the branch. A sample inside the EP
 guard (|discriminant| <= 1e-16, ep_tol^2 for the adiabatic route) rules
 the eigenframe out. ``traversal_maps`` then takes the bare frame,
-K = -i H0, with the same closed form; so it does when the eigenframe does
-not settle (below). That depends on the loop alone. The adiabatic route
-has no bare frame: it raises instead.
+K = -i H0, with the same closed form, as it does when the eigenframe does
+not settle (below); that depends on the loop alone.
 
-Steps and floor. Each frame doubles n from 256 and compares U with the one
-before: the change is max |U_n - U_{n/2}| / max |U_n| on the common scale.
-For a 4th-order product the change is 15 times the error of U_n (Richardson),
-so the doubling stops when change / 15 is at most ``rel_tol``; or, at a
-change of at most ``_FLOOR_MAX``, when the change shrank less than 8-fold
-over the last doubling where a 4th-order step shrinks it 16-fold: rounding,
-not the step, sets it there. Either way the last change is reported with U
-as the loop's floor. A change that stalls above ``_FLOOR_MAX`` will not
-settle: the frame stops there. Each of these stops only at a step count
-where every step is resolved (|sigma^2| <= 1 for both exponentials): an
-unresolved step's change can be small by chance (the README diode config
-with e1 = 18 changes by 1.3e-9 from 256 to 512 steps and by 4.1e-7 from
-512 to 1024). Past ``_STEP_CAP`` steps the frame has not settled either. In
-the bare frame either raises ``StepBudgetError``. A step count whose map
-overflows ends the doubling at once, with the error the cap would give, when
-its largest |Re sigma| scaled to the cap's step still exceeds twice
-float64's exp limit (``_no_step_fits``): no count up to the cap fits a step.
+Steps and floor. One loop, ``_settle``, doubles n from 256 in one frame
+and compares U with the one before: the change is max |U_n - U_{n/2}| /
+max |U_n| on the common scale. For a 4th-order product the change is 15
+times the error of U_n (Richardson), so the doubling stops when change / 15
+is at most ``rel_tol``; or, at a change of at most ``_FLOOR_MAX``, when the
+change shrank less than 8-fold over the last doubling where a 4th-order
+step shrinks it 16-fold: rounding, not the step, sets it there. Either way
+the last change is reported with U as the loop's floor. A change that
+stalls above ``_FLOOR_MAX`` will not settle: the frame stops there. Each of
+these stops only at a step count where every step is resolved (|sigma^2|
+<= 1 for both exponentials): an unresolved step's change can be small by
+chance (the README diode config with e1 = 18 changes by 1.3e-9 from 256 to
+512 steps and by 4.1e-7 from 512 to 1024). Past ``_STEP_CAP`` steps the
+frame has not settled either. A step count whose map overflows ends the
+doubling at once, as the cap would, when its largest |Re sigma| scaled to
+the cap's step still exceeds twice float64's exp limit (``_no_step_fits``):
+no count up to the cap fits a step. The loop's one policy argument is the
+fallback: the maps' eigenframe leaves a loop to the bare frame where it is
+ruled out, stalls or meets the cap; the bare frame and the adiabatic route
+double on past an unresolved frame or a map that is not finite, and raise
+what ends them, with one message per condition.
 
 Bits. Every operation is elementwise over (loops, steps) arrays or runs
 along one loop's steps, so a loop's U is the same bits alone and in any
@@ -74,10 +77,11 @@ and an inclusive Hillis-Steele scan (Commun. ACM 29, 1170 (1986)) over the
 intervals, rescaled the same way. Level d of the scan multiplies each
 element by the one d before it, so for a power-of-two number of intervals
 its last element takes, level by level, the very products of the tree: it
-is the tree over all steps, with its bits. ``eigen_rows`` therefore reads
-the map off that last element at a step count that may settle, so the
-settled count runs one product pass; a count that cannot settle, and rows
-at every step end (whose scan costs n log n products), take the tree.
+is the tree over all steps, with its bits. ``_settle`` therefore reads the
+map off that last element at a step count that may settle, and the rows of
+``eigen_rows`` take that scan, so the settled count runs one product pass;
+a count that cannot settle, and rows at every step end (whose scan costs
+n log n products), take the tree. A map's one interval is both.
 ``_mat`` forms the products of every entry at once by broadcasting: each
 element still gets the same two products and the same sum, in the same
 order, so the same bits.
@@ -88,12 +92,12 @@ from __future__ import annotations
 import math
 import sys
 from types import SimpleNamespace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import AmbiguousTrackingError, EPOnContourError, EpdynError, NonFiniteError, StepBudgetError
-from .loops import LoopSpec, StaticDrive, _fields_at, _motion_at
+from .loops import LoopSpec, _as_loop, _fields_at, _motion_at
 from .model import SystemParams, _angle, _gauge, _traceless, _traceless_drive
 
 __all__ = ["TraversalMap", "traversal_maps"]
@@ -175,26 +179,24 @@ def traversal_maps(
 
 
 def _maps(params: SystemParams, loops: Sequence[LoopSpec], rel_tol: float) -> list:
-    """``traversal_maps``, with each loop's error in its place instead of raised."""
-    out, _ = _settle(params, loops, rel_tol, eigen=True)
+    """``traversal_maps`` with each loop's error in its place; the bare frame takes what the eigenframe leaves."""
+    out, _, _ = _settle(params, loops, rel_tol, True, _EP_GUARD, 1, fallback=True)
     bare = [k for k, m in enumerate(out) if m is None]
-    maps, why = _settle(params, [loops[k] for k in bare], rel_tol, eigen=False)
-    for k, m, reason in zip(bare, maps, why):
-        out[k] = m if m is not None else StepBudgetError(f"the traversal map of {loops[k]} {reason}")
+    maps, _, _ = _settle(params, [loops[k] for k in bare], rel_tol, False, _EP_GUARD, 1, fallback=False)
+    for k, m in zip(bare, maps):
+        out[k] = m
     return out
 
 
 def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int, every_step: bool, guard: float):
     """The eigenframe maps from t = 0 to each row of the adiabatic route (see the module docstring).
 
-    The full-loop map settles first, doubling from 256 steps under the
-    rule of ``_settle``; the rows are then the step ends of the smallest
-    n_output * 2^k steps at or above that count: every (2^k)-th step end,
-    or every one if ``every_step``. At a step count that may settle
-    (resolved, after a finite map) the map is the last element of the
-    prefix scan over the n_output intervals (the tree's bits, see the module
-    docstring), so where the rows take the settled count, its scan serves
-    both. Other counts, and every count with ``every_step``, take the tree.
+    The full-loop map settles first (``_settle`` over the n_output row
+    intervals, or over every step if ``every_step``, with no fallback); the
+    rows are then the step ends of the smallest n_output * 2^k steps at or
+    above that count: every (2^k)-th step end, or every one if
+    ``every_step``. Where that is the settled count, the rows take its
+    prefix scan (run now after a tree); a finer count runs again.
     Returns (the settled ``TraversalMap``, the row step count, ``_Rows``).
 
     Raises
@@ -209,60 +211,18 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int, every
     NonFiniteError
         If the drive overflows float64.
     """
-    def intervals(n: int) -> int:
-        return n if every_step else n_output
-
-    def run_at(n: int, every: int) -> _Run:
-        times = np.linspace(0.0, drive.duration_T, n // every + 1)
-        run = _intervals(params, [drive], n, every, True, guard, times[None, 1:])
-        if not run.finite[0]:
-            raise NonFiniteError(f"the drive (a, g) overflows float64 on {drive}")
-        if not run.clear[0]:
-            raise EPOnContourError(f"a sample of {drive} at {n} steps comes within |discriminant| <= {guard:.1e}")
-        return run
-
-    before, tmap, prefix, n = None, None, None, _FIRST_STEPS
-    while tmap is None:
-        if n > _STEP_CAP:
-            raise (StepBudgetError if smooth else AmbiguousTrackingError)(f"the eigenframe map of {drive} {why}")
-        k = intervals(n)
-        every = n // k if n % k == 0 and k & (k - 1) == 0 else n
-        run = run_at(n, every)
-        with np.errstate(all="ignore"):  # overflow shows as a map that is not finite
-            if every_step or before is None or not run.resolved[0]:  # cannot settle, or its scan costs n log n
-                prefix, (u, e) = None, _tree(run.x, run.e)
-            else:  # the scan's last element is the tree over the intervals
-                prefix = _scan(run.x, run.e)
-                u, e = prefix[0][..., -1], prefix[1][..., -1]
-        u, e = _rotate(run, u, e)
-        u, e = u[:, :, 0], int(e[0])
-        smooth = bool(run.smooth[0])
-        if not (smooth and np.isfinite(u).all()):
-            before = None
-            why = (f"is unresolved at every step count up to {_STEP_CAP}" if not smooth
-                   else f"overflows float64 at every step count up to {_STEP_CAP}: no step fits")
-            if smooth and _no_step_fits(run.reach[0], n):
-                raise StepBudgetError(f"the eigenframe map of {drive} {why}")
-        elif before is not None:
-            change = _change(u, e, *before[:2])
-            verdict = _verdict(change, before[2], run.resolved[0], rel_tol)
-            if verdict == "stalled":
-                raise StepBudgetError(f"the eigenframe map of {drive} does not settle in float64: "
-                                      f"its change stalled at {change:.1e} at {n} steps")
-            if verdict == "settled":
-                tmap = TraversalMap(u, e * math.log(2.0), n, "eigen", change)
-            before = (u, e, change if run.resolved[0] else math.inf)
-        else:
-            before = (u, e, math.inf)
-            why = f"has not settled at {_STEP_CAP} steps"
-        n *= 2
+    (tmap,), run, prefix = _settle(params, [drive], rel_tol, True, guard, None if every_step else n_output, False)
+    if isinstance(tmap, EpdynError):
+        raise tmap
     n = n_output
     while n < tmap.steps:
         n *= 2
-    if n != tmap.steps or every != n // intervals(n):
-        run, prefix = run_at(n, n // intervals(n)), None
-        if not run.smooth[0]:
-            raise AmbiguousTrackingError(f"the eigenframe of {drive} is unresolved at {n} steps")
+    rows = n if every_step else n_output
+    if n != tmap.steps:  # the rows take a finer step count
+        run, prefix = _intervals(params, [drive], n, n // rows, True, guard), None
+        error = _ruled_out(run, 0, drive, n, guard)
+        if error or not run.smooth[0]:
+            raise error or AmbiguousTrackingError(f"the eigenframe of {drive} is unresolved at {n} steps")
     if prefix is None:
         with np.errstate(all="ignore"):
             prefix = _scan(run.x, run.e)
@@ -272,7 +232,7 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int, every
         raise StepBudgetError(f"the eigenframe map of {drive} overflows float64 at {n} steps")
     (c0, s0), (c, s) = run.rotations
     return tmap, n, _Rows(
-        np.linspace(0.0, drive.duration_T, intervals(n) + 1),
+        np.linspace(0.0, drive.duration_T, rows + 1),
         x,
         np.concatenate([[0], e[0]]),
         np.concatenate([c0, c[0]]),
@@ -320,52 +280,85 @@ def _verdict(change: float, before: float, resolved: bool, rel_tol: float):
     return "stalled" if stalled else None
 
 
-def _settle(params: SystemParams, loops: Sequence[LoopSpec], rel_tol: float, eigen: bool) -> tuple:
-    """Double each loop's steps in one frame until it settles.
+def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool, guard: float,
+            intervals: Optional[int], fallback: bool) -> tuple:
+    """Double each drive's steps in one frame until its map settles (see the module docstring).
 
-    Returns each loop's map, error or None (not settled), and for each None
-    of the bare frame why, as the end of a sentence. An eigenframe that a
-    step count rules out is left (None) for the bare frame.
+    Each step count runs ``intervals`` intervals (1 for a map, None for one
+    per step), and a count that may settle takes the map off their prefix
+    scan. With ``fallback`` a drive whose frame is ruled out, stalls or
+    meets the cap ends with None, for another frame to take; without it the
+    frame doubles on past an unresolved frame or a map that is not finite,
+    and each stop but a settled map is the drive's error. Returns each
+    drive's map, error or None, and the ``_Run`` and scan (None after a tree)
+    of the last step count: for one drive, the count that settles it.
     """
-    out: list = [None] * len(loops)
-    why = [""] * len(loops)
-    smallest = [math.inf] * len(loops)
-    last = {}  # loop index -> (U, exponent, change) at the step count before
-    active = list(range(len(loops)))
-    n = _FIRST_STEPS
+    what = "eigenframe" if eigen else "traversal"
+    out: list = [None] * len(drives)
+    last = {}  # drive index -> (U, exponent, change) at the step count before
+    ending = {}  # drive index -> (error type, reason) if the cap ends it
+
+    def end(k: int, kind: type, reason: str) -> None:
+        out[k] = None if fallback else kind(f"the {what} map of {drives[k]} {reason}")
+
+    active, n, run, scan = list(range(len(drives))), _FIRST_STEPS, None, None
     while active and n <= _STEP_CAP:
-        us, exps, ok, drive_ok, resolved, reach = _product(params, [loops[k] for k in active], n, eigen)
+        rows = n if intervals is None else intervals
+        every = n // rows if n % rows == 0 and rows & (rows - 1) == 0 else n
+        run = _intervals(params, [drives[k] for k in active], n, every, eigen, guard)
+        with np.errstate(all="ignore"):  # overflow shows as a map that is not finite
+            if intervals is None or not run.resolved.all() or not all(k in last for k in active):
+                scan, (u, e) = None, _tree(run.x, run.e)  # cannot settle, or its scan costs n log n
+            else:  # the scan's last element is the tree over the intervals
+                scan = _scan(run.x, run.e)
+                u, e = scan[0][..., -1], scan[1][..., -1]
+        if eigen:
+            u, e = _rotate(run, u, e)
         still = []
-        for k, u, e, good, finite, res, r in zip(active, us, exps, ok, drive_ok, resolved, reach):
-            if not finite:  # the same at every step count
-                out[k] = NonFiniteError(f"the drive (a, g) overflows float64 on {loops[k]}")
+        for i, k in enumerate(active):
+            error = _ruled_out(run, i, drives[k], n, guard)
+            if error is not None:  # with a fallback, a sample in the guard leaves the drive to the other frame
+                out[k] = None if fallback and run.finite[i] else error
                 continue
-            if not good:
-                if not eigen:
-                    last.pop(k, None)
-                    why[k] = f"has not settled at {_STEP_CAP} steps (no finite map)"
-                    if not _no_step_fits(r, n):
-                        still.append(k)
-                continue  # the guard or an unresolved frame rules the eigenframe out
+            uk, ek = u[:, :, i], int(e[i])
+            if not (run.smooth[i] and np.isfinite(uk).all()):
+                last.pop(k, None)
+                ending[k] = ((StepBudgetError, f"overflows float64 at every step count up to {_STEP_CAP}: no step fits")
+                             if run.smooth[i] else
+                             (AmbiguousTrackingError, f"is unresolved at every step count up to {_STEP_CAP}"))
+                if fallback or (run.smooth[i] and _no_step_fits(run.reach[i], n)):
+                    end(k, *ending[k])
+                else:
+                    still.append(k)
+                continue
             before = last.get(k)
-            last[k] = (u, e, math.inf)
+            last[k] = (uk, ek, math.inf)
+            ending[k] = (StepBudgetError, f"has not settled at {_STEP_CAP} steps")
             if before is not None:
-                change = _change(u, e, before[0], before[1])
-                last[k] = (u, e, change if res else math.inf)  # an unresolved change shows no stall
-                smallest[k] = min(smallest[k], change)
-                verdict = _verdict(change, before[2], res, rel_tol)
+                change = _change(uk, ek, *before[:2])
+                verdict = _verdict(change, before[2], run.resolved[i], rel_tol)
                 if verdict == "settled":
-                    frame = "eigen" if eigen else "bare"
-                    out[k] = TraversalMap(u, float(e) * math.log(2.0), n, frame, change)
+                    out[k] = TraversalMap(uk, ek * math.log(2.0), n, "eigen" if eigen else "bare", change)
                     continue
                 if verdict == "stalled":
-                    why[k] = f"does not settle in float64: its change stalled at {change:.1e} at {n} steps"
+                    end(k, StepBudgetError, f"does not settle in float64: its change stalled at {change:.1e} at {n} steps")
                     continue
-            why[k] = f"has not settled at {_STEP_CAP} steps (smallest change {smallest[k]:.1e})"
+                last[k] = (uk, ek, change if run.resolved[i] else math.inf)  # an unresolved change shows no stall
             still.append(k)
         active = still
         n *= 2
-    return out, why
+    for k in active:
+        end(k, *ending[k])
+    return out, run, scan
+
+
+def _ruled_out(run: "_Run", i: int, drive, n: int, guard: float):
+    """The error where drive i of ``run`` overflows float64 or, at n steps, has a sample in the guard; else None."""
+    if not run.finite[i]:  # the same at every step count
+        return NonFiniteError(f"the drive (a, g) overflows float64 on {drive}")
+    if not run.clear[i]:
+        return EPOnContourError(f"a sample of {drive} at {n} steps comes within |discriminant| <= {guard:.1e}")
+    return None
 
 
 def _change(u: np.ndarray, e: int, v: np.ndarray, f: int) -> float:
@@ -376,24 +369,17 @@ def _change(u: np.ndarray, e: int, v: np.ndarray, f: int) -> float:
 
 
 def _columns(drives: Sequence) -> SimpleNamespace:
-    """The drives' constants as (m, 1) columns under ``LoopSpec``'s attribute names.
+    """The drives' constants (``loops._as_loop``) as (m, 1) columns under ``LoopSpec``'s attribute names.
 
     ``loops._motion_at`` then evaluates every drive at once, each element by
-    the operations it does for one loop, so with that loop's bits. A
-    ``StaticDrive`` is the loop with both axes -0.0 at the fixed angle 0
-    (direction sign 0.0): x + -0.0 is x, so it gives the constant field
-    and a zero velocity.
+    the operations it does for one loop, so with that loop's bits.
     """
-    def column(values):
-        return np.array(values, dtype=float)[:, None]
-
     def constants(x):
-        if isinstance(x, StaticDrive):
-            return (x.field.omega, x.field.eps0, -0.0, -0.0, 0.0, x.duration_T, 0.0)
+        x = _as_loop(x)
         return (x.center.omega, x.center.eps0, x.semi_axis_omega, x.semi_axis_eps,
                 x.direction.sign, x.duration_T, x.start_phase)
 
-    cx, cy, ax, ay, sign, T, th0 = (column(c) for c in zip(*map(constants, drives)))
+    cx, cy, ax, ay, sign, T, th0 = (np.array(c, dtype=float)[:, None] for c in zip(*map(constants, drives)))
     return SimpleNamespace(
         center=SimpleNamespace(omega=cx, eps0=cy),
         semi_axis_omega=ax,
@@ -568,13 +554,12 @@ class _Run(NamedTuple):
 
 
 def _intervals(
-    params: SystemParams, drives: Sequence, n: int, every: int, eigen: bool, guard: float, ends: np.ndarray
+    params: SystemParams, drives: Sequence, n: int, every: int, eigen: bool, guard: float
 ) -> _Run:
     """The products of each run of ``every`` steps of n steps on each drive, in one frame.
 
-    ``every`` is a power of two that divides n; ``ends`` (m, n / every) are
-    the times of the interval ends, where the eigenframe's rotations are
-    taken.
+    ``every`` is a power of two that divides n. The eigenframe's rotations
+    are taken at the interval ends, ``np.linspace(0, T, n / every + 1)[1:]``.
     """
     m = len(drives)
     columns = _columns(drives)
@@ -612,6 +597,7 @@ def _intervals(
         x, e = _tree(np.concatenate(nodes, axis=-1).reshape(2, 2, *shape), np.concatenate(exps, axis=-1).reshape(shape))
         if not eigen:
             return _Run(x, e, finite, resolved, reach, np.ones(m, dtype=bool), np.ones(m, dtype=bool), (), None, None, None)
+        ends = columns.duration_T if n == every else np.linspace(0.0, columns.duration_T[:, 0], n // every + 1)[1:].T
         a, g, _, _, w2, good = _drive(params, columns, ends)
         rotations = phase.rotations(a, g, w2)
     return _Run(x, e, finite & good, resolved, reach, phase.clear, phase.smooth, rotations, phase.lam0, phase.lam, phase.z0)
@@ -623,21 +609,6 @@ def _rotate(run: _Run, u: np.ndarray, e: np.ndarray) -> tuple:
     r0, r1 = (np.array([[c, -s], [s, c]]) for c, s in ((c0, s0), (c1[:, -1], s1[:, -1])))
     with np.errstate(all="ignore"):
         return _rescale(_mat(_mat(r1, u), r0.transpose(1, 0, 2)), e)
-
-
-def _product(params: SystemParams, loops: Sequence[LoopSpec], n: int, eigen: bool):
-    """(U (m, 2, 2), exponent (m,), ok (m,), finite drive (m,), resolved (m,), reach (m,)) of n steps on each loop.
-
-    ok is False where U is not finite, and in the eigenframe where a sample
-    meets the EP guard or the frame is unresolved.
-    """
-    run = _intervals(params, loops, n, n, eigen, _EP_GUARD, _columns(loops).duration_T)
-    u, e = run.x[..., 0], run.e[..., 0]
-    if eigen:
-        u, e = _rotate(run, u, e)
-    u = np.moveaxis(u, -1, 0)
-    ok = run.clear & run.smooth & np.isfinite(u).all(axis=(1, 2))
-    return u, e, ok, run.finite, run.resolved, run.reach
 
 
 def _means(p: np.ndarray, q: np.ndarray, h: np.ndarray) -> tuple:

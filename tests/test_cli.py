@@ -391,12 +391,15 @@ class TestStepBudget:
         (1e-320, ["simulate"]),
         (1e-320, ["simulate", "--method", "adiabatic"]),
         (348.75, ["--jobs", "1", "sweep", "--t-min", "1e-320"]),
+        (1e-305, ["simulate", "--method", "adiabatic"]),
     ],
-    ids=["direct", "adiabatic", "sweep"],
+    ids=["direct", "adiabatic", "sweep", "adiabatic-subnormal-steps"],
 )
 def test_subnormal_duration_names_field(tmp_path, capsys, duration, argv):
     # 2*pi/T overflows below T = 3.5e-308: the loop is rejected up front
-    # (simulate ended in a traceback from math.sin(inf), a sweep cell in an error)
+    # (simulate ended in a traceback from math.sin(inf), a sweep cell in an
+    # error). The adiabatic route's steps T/2^17 are subnormal below about
+    # T = 2.9e-303, which it also reports as a config error (it was a traceback)
     doc = with_field("loop", "duration_T", duration)
     doc["output"]["path"] = str(tmp_path / "out.csv")
     assert main(["--config", write_config(tmp_path, doc), *argv]) == 1

@@ -902,7 +902,8 @@ class TestDopri5:
         # the Gauss points and the weights of the two exponentials make the
         # product 4th order: the change over a doubling shrinks 16-fold
         loop = encircling_loop(10.0, Direction.CW)
-        maps = [traversal._product(REF, [loop], n, True)[:2] for n in (256, 512, 1024)]
+        runs = [traversal._intervals(REF, [loop], n, n, True, 1e-16) for n in (256, 512, 1024)]
+        maps = [traversal._rotate(run, run.x[..., 0], run.e[..., 0]) for run in runs]
         changes = [traversal._change(*maps[k + 1], *maps[k]) for k in (0, 1)]
         assert 16.0 / 1.2 < changes[0] / changes[1] < 16.0 * 1.2, changes
 

@@ -11,6 +11,7 @@ import traversal_reference as reference
 from epdyn import (
     DEFAULT_PARAMS,
     Direction,
+    EpdynError,
     FieldPoint,
     HERMITIAN_PARAMS,
     IntegratorConfig,
@@ -290,11 +291,11 @@ class TestBoundedWork:
         # twice float64's exp limit; the errors are those of the cap
         loop = LoopSpec(FieldPoint(1.0, 0.2), 0.05, 0.05, Direction.CW, T)
         counts = self.counted(monkeypatch)
-        with pytest.raises(StepBudgetError, match=r"has not settled at 131072 steps \(no finite map\)"):
+        with pytest.raises(StepBudgetError, match="overflows float64 at every step count up to 131072: no step fits$"):
             traversal_maps(REF, [loop], 1e-10)
         assert len(counts) <= 2, counts  # the eigenframe once, the bare frame once
         counts.clear()
-        with pytest.raises(StepBudgetError, match="overflows float64 at every step count up to 131072: no step fits"):
+        with pytest.raises(StepBudgetError, match="overflows float64 at every step count up to 131072: no step fits$"):
             propagate_adiabatic(REF, loop, StateVector.basis(1), ACCEPT)
         assert len(counts) <= 2, counts
 
@@ -310,16 +311,30 @@ class TestBoundedWork:
         ],
     )
     def test_a_map_that_fits_a_finer_step_count_keeps_doubling(self, params, loop, finer, monkeypatch):
-        for n, fits in ((256, False), (finer, True)):
-            assert bool(np.isfinite(traversal._product(params, [loop], n, False)[0]).all()) is fits
+        for n, fits in ((256, False), (finer, True)):  # the bare frame's map, one interval of n steps
+            assert bool(np.isfinite(traversal._intervals(params, [loop], n, n, False, 1e-16).x).all()) is fits
         counts = self.counted(monkeypatch)
-        with pytest.raises(StepBudgetError, match=r"has not settled at 131072 steps \(smallest change"):
+        with pytest.raises(StepBudgetError, match="has not settled at 131072 steps$"):
             traversal_maps(params, [loop], 1e-10)
         assert counts[-1] == traversal._STEP_CAP
         counts.clear()
         with pytest.raises(StepBudgetError, match="has not settled at 131072 steps$"):
             propagate_adiabatic(params, loop, StateVector.basis(1), ACCEPT)
         assert counts[-1] == traversal._STEP_CAP
+
+    @pytest.mark.parametrize("T", [2e16, 1e7])
+    def test_both_entry_points_give_one_reason(self, T):
+        # the maps end in the bare frame and the adiabatic route in the
+        # eigenframe, each with the one message of the condition that ends it
+        loop = LoopSpec(FieldPoint(1.0, 0.2), 0.05, 0.05, Direction.CW, T)
+        with pytest.raises(EpdynError) as maps:
+            traversal_maps(REF, [loop], 1e-10)
+        with pytest.raises(EpdynError) as adiabatic:
+            propagate_adiabatic(REF, loop, StateVector.basis(1), ACCEPT)
+        assert type(maps.value) is type(adiabatic.value)
+        bare, eigen = f"the traversal map of {loop} ", f"the eigenframe map of {loop} "
+        assert str(maps.value).startswith(bare) and str(adiabatic.value).startswith(eigen)
+        assert str(maps.value)[len(bare):] == str(adiabatic.value)[len(eigen):]
 
     @staticmethod
     def counted(monkeypatch) -> list:
