@@ -4,8 +4,8 @@ Projections of a trajectory record are computed on the normalized state so
 the rescaling factors cancel; survival fractions use the true
 (un-renormalized) squared norms. The table and the sweep read their final
 states off one traversal map per loop (``traversal``): U c0 from any initial
-state c0, so a loop serves every initial state, and the sweep evaluates one
-grid row of loops in one batch.
+state c0, so a loop serves every initial state, and the sweep evaluates its
+cells in batches of up to ``traversal._BATCH_LOOPS`` loops, in grid order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .propagation import (
     propagate_direct,
     track_branches,
 )
-from .traversal import TraversalMap, _maps, traversal_maps
+from .traversal import _BATCH_LOOPS, TraversalMap, _maps, traversal_maps
 
 __all__ = [
     "ProjectionSeries",
@@ -260,9 +260,17 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if len(self.durations) < 1 or len(self.amp_scales) < 1:
             raise ValueError("grid must have at least one duration and one amplitude")
-        if self.ratio_min <= 0 or any(s <= 0 for s in self.survival_levels):
-            raise ValueError("thresholds must be positive")
-        # a grid point that makes no valid loop fails here, not in the sweep's set-up
+        if not 0 < self.ratio_min < math.inf:
+            raise ValueError(f"ratio_min must be finite and > 0, got {self.ratio_min!r}")
+        if not (self.survival_levels and all(0 < s < math.inf for s in self.survival_levels)):
+            raise ValueError(
+                f"survival_levels must be finite and > 0 (at least one level), got {self.survival_levels!r}"
+            )
+        # an initial state or grid point that is not valid fails here, not in the sweep
+        try:
+            self.initial_state()
+        except ValueError as exc:
+            raise ValueError(f"initial_phase {self.initial_phase!r} gives no initial state: {exc}") from exc
         for i in range(len(self.durations)):
             for j in range(len(self.amp_scales)):
                 self.cell_loop(i, j)
@@ -298,6 +306,8 @@ class SweepCell:
     pass_ratio: Optional[bool]
     pass_survival: Optional[bool]
     error: Optional[str] = None
+    steps: Optional[int] = None  # the step count of the cell's map (None for a failed cell)
+    frame: Optional[str] = None  # the frame of the cell's map, "eigen" or "bare"
 
 
 @dataclass(frozen=True)
@@ -313,19 +323,21 @@ class SweepResult:
         return all(c.error is not None for c in self.cells)
 
 
-def _run_row(spec: SweepSpec, params: SystemParams, rel_tol: float, i: int, ep) -> list:
-    """The cells of grid row i (one duration), from one batch of traversal maps.
+def _run_batch(
+    spec: SweepSpec, params: SystemParams, rel_tol: float, grid: list, ep, initial: StateVector
+) -> list:
+    """The cells at the grid positions (i, j) of ``grid``, from one batch of traversal maps.
 
     A cell whose map fails records the error.
     """
-    loops = [spec.cell_loop(i, j) for j in range(len(spec.amp_scales))]
+    loops = [spec.cell_loop(i, j) for i, j in grid]
     cells = []
-    for j, (loop, tmap) in enumerate(zip(loops, _maps(params, loops, rel_tol))):
+    for (i, j), loop, tmap in zip(grid, loops, _maps(params, loops, rel_tol)):
         common = dict(i=i, j=j, duration_T=spec.durations[i], amp_scale=spec.amp_scales[j], rho=rho(loop, ep))
         try:
             if isinstance(tmap, Exception):
                 raise tmap
-            report = _map_report(params, loop, tmap, spec.initial_state(), "sweep")
+            report = _map_report(params, loop, tmap, initial, "sweep")
         except (EpdynError, ValueError) as exc:
             cells.append(SweepCell(
                 **common, ratio=None, dominant_state=None, survival=None,
@@ -338,6 +350,7 @@ def _run_row(spec: SweepSpec, params: SystemParams, rel_tol: float, i: int, ep) 
         cells.append(SweepCell(
             **common, ratio=report.ratio, dominant_state=report.dominant_state, survival=report.survival,
             pass_ratio=ok_ratio, pass_survival=report.survival >= min(spec.survival_levels),
+            steps=tmap.steps, frame=tmap.frame,
         ))
     return cells
 
@@ -349,19 +362,23 @@ def sweep(
     jobs: int = 1,
     progress=None,
 ) -> SweepResult:
-    """Run the grid, one batch of traversal maps per grid row.
+    """Run the grid in batches of traversal maps, each of up to ``_BATCH_LOOPS`` cells.
 
-    Each cell's final state is U c0 on its loop's map (``traversal_maps``
-    with ``config.rel_tol``; no other field of ``config`` is read). Per-cell
-    errors are recorded in the cell (the sweep always completes).
-    ``progress`` is an optional callable invoked with each finished cell,
-    row by row in grid order (row-major over durations, then amplitudes).
+    The cells are taken in grid order (row-major over durations, then
+    amplitudes), so a batch may hold part of a row or span several. Each
+    cell's final state is U c0 on its loop's map (``traversal_maps`` with
+    ``config.rel_tol``; no other field of ``config`` is read), and a loop's
+    map is the same bits in any batch. Per-cell errors are recorded in the
+    cell (the sweep always completes). ``progress`` is an optional callable
+    invoked with each finished cell, batch by batch in grid order.
     ``jobs`` is accepted for compatibility and has no effect.
     """
     ep = locate_ep(params)
+    initial = spec.initial_state()
+    grid = [(i, j) for i in range(len(spec.durations)) for j in range(len(spec.amp_scales))]
     cells = []
-    for i in range(len(spec.durations)):
-        for cell in _run_row(spec, params, config.rel_tol, i, ep):
+    for start in range(0, len(grid), _BATCH_LOOPS):
+        for cell in _run_batch(spec, params, config.rel_tol, grid[start:start + _BATCH_LOOPS], ep, initial):
             cells.append(cell)
             if progress is not None:
                 progress(cell)

@@ -308,18 +308,23 @@ def cmd_sweep(config: RunConfig, args) -> int:
             dominant_target=target,
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        # the spec names the field at fault; name the flag that sets it
+        message = str(exc)
+        for name in ("ratio_min", "survival_levels", "initial_phase"):
+            message = message.replace(name, "--" + name.replace("_", "-"))
+        raise ConfigError(message) from exc
 
     def report(cell: analysis.SweepCell) -> None:
-        log.info("cell (%d,%d) done", cell.i, cell.j)
+        log.info("cell (%d,%d) done steps=%s frame=%s", cell.i, cell.j, cell.steps, cell.frame)
 
     if config.out_format == "json":
         result = analysis.sweep(spec, config.params, config.integrator, args.jobs, report)
         _write_text(config.out_path, serialize.sweep_to_json(result))
         return EXIT_SWEEP_FAILED if result.all_failed else EXIT_OK
 
-    # CSV: write each row as its cell arrives (cells arrive in grid order,
-    # one grid row at a time), so an interrupted run leaves valid output
+    # CSV: write each row as its cell arrives (cells arrive in grid order, one
+    # batch of up to 32 at a time, so a batch may end mid-row), so an
+    # interrupted run leaves valid output
     with open(config.out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(serialize.sweep_header_csv() + "\n")
         fh.flush()

@@ -135,6 +135,9 @@ _BROADCAST_ENTRIES = 1024
 #: Steps evaluated at once over all loops of a batch, and samples of a
 #: ``branch_frames`` block (bounds the memory).
 _BLOCK_STEPS = 2**13
+#: The most loops a sweep passes to one ``_maps`` call: the most whose first
+#: step count still runs as one block, which also bounds a batch's tree nodes.
+_BATCH_LOOPS = _BLOCK_STEPS // _FIRST_STEPS
 #: A sample's pairing is ambiguous when the c-product with the other slot's
 #: vector before exceeds this fraction of the one with its own.
 _AMBIGUITY = 0.9
@@ -591,6 +594,7 @@ def _intervals(
                 reach = np.maximum(reach, _reach(hp, hq, sign))
             shape = (m, size // per, per)
             node, e = _tree(maps.reshape(2, 2, *shape), np.zeros(shape, dtype=np.int64))
+            del maps, zeta  # freed before the next block's steps, so one block's arrays bound the peak
             nodes.append(node)
             exps.append(e)
         shape = (m, n // every, every // per)

@@ -246,6 +246,50 @@ class TestSweep:
         duration_T=5.0,
     )
 
+    # a NaN threshold passes a "<= 0" test and then fails every cell's check;
+    # a NaN phase makes no initial state, which every cell would report
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("ratio_min", math.nan, "ratio_min must be finite and > 0"),
+            ("ratio_min", math.inf, "ratio_min must be finite and > 0"),
+            ("ratio_min", 0.0, "ratio_min must be finite and > 0"),
+            ("survival_levels", (math.nan, 0.1), "survival_levels must be finite and > 0"),
+            ("survival_levels", (0.1, math.inf), "survival_levels must be finite and > 0"),
+            ("survival_levels", (), "survival_levels must be finite and > 0"),
+            ("initial_phase", math.nan, "initial_phase nan gives no initial state"),
+        ],
+    )
+    def test_spec_rejects_what_no_cell_can_use(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(template=self.THIN, durations=(5.0,), amp_scales=(1.0,), **{field: value})
+
+    def test_cells_in_batches_of_32_in_grid_order(self, monkeypatch):
+        # 35 cells: one batch of 32 and one of 3, each taking its loops in
+        # row-major order, so a batch spans rows and splits the last one
+        spec = SweepSpec(
+            template=hermitian_loop(4.0, Direction.CW),
+            durations=(4.0, 4.5, 5.0, 5.5, 6.0),
+            amp_scales=(0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3),
+            direction=Direction.CW,
+            dominant_target=None,
+        )
+        batches = []
+        engine = analysis._maps
+
+        def recording(params, loops, rel_tol):
+            batches.append(loops)
+            return engine(params, loops, rel_tol)
+
+        monkeypatch.setattr(analysis, "_maps", recording)
+        seen = []
+        result = sweep(spec, REF, FAST, progress=lambda c: seen.append((c.i, c.j)))
+        grid = [(i, j) for i in range(5) for j in range(7)]
+        assert [len(b) for b in batches] == [32, 3]
+        assert batches[0] + batches[1] == [spec.cell_loop(i, j) for i, j in grid]
+        assert seen == grid == [(c.i, c.j) for c in result.cells]
+        assert all(c.error is None for c in result.cells)
+
     def test_cell_error_recorded_and_sweep_continues(self, monkeypatch):
         # the engine fails for one cell: that cell records the error, the
         # other cell of its grid row still has its result
@@ -383,6 +427,26 @@ class TestMapBits:
         assert main(["--config", self.config(tmp_path), "--format", "json", "table1"]) == 0
         assert capsys.readouterr().out == table_to_json(table)
 
+    def test_sweep_cells_alike_in_any_batching(self, monkeypatch):
+        # batches of 1, of 3 (which split the rows of 4) and the default give
+        # the same cells: bits, error text and the maps' steps and frame; the
+        # grid holds a bare-frame cell (0.4) and a failing one (1e300)
+        spec = SweepSpec(
+            template=TestSweep.THIN,
+            durations=(5.0, 6.0),
+            amp_scales=(0.4, 1.0, 1.2, 1e300),
+            direction=Direction.CW,
+            dominant_target=None,
+        )
+        result = sweep(spec, REF, FAST)
+        for batch in (1, 3):
+            monkeypatch.setattr(analysis, "_BATCH_LOOPS", batch)
+            assert [repr(c) for c in sweep(spec, REF, FAST).cells] == [repr(c) for c in result.cells]
+        assert [(c.frame, c.steps is None) for c in result.cells[:4]] == [
+            ("bare", False), ("eigen", False), ("eigen", False), (None, True)
+        ]
+        assert result.cell(1, 3).error.startswith("NonFiniteError: the drive (a, g) overflows float64")
+
     def test_sweep_cells(self, tmp_path):
         flags = ["--t-min", "300", "--t-max", "375", "--nt", "3", "--t-spacing", "linear"]
         flags += ["--amp-min", "0.05", "--amp-max", "1.3", "--namp", "3", "--initial-phase", "1.0"]
@@ -396,7 +460,7 @@ class TestMapBits:
         )
         result = sweep(spec, REF, self.ACCEPT)
         assert all(cell.error is None for cell in result.cells)
-        for cell in result.cells:  # a grid row shares a batch; each cell alone gives the same bits
+        for cell in result.cells:  # the nine cells share a batch; each cell alone gives the same bits
             loop = spec.cell_loop(cell.i, cell.j)
             (tmap,) = traversal_maps(REF, [loop], self.ACCEPT.rel_tol)
             alone = analysis._map_report(REF, loop, tmap, spec.initial_state(), "sweep")

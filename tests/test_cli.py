@@ -429,6 +429,28 @@ class TestSweep:
         assert f"{what} grid" in capsys.readouterr().err
         assert not out.exists()
 
+    # a NaN threshold passes a "<= 0" test and then fails every cell's check;
+    # a NaN phase makes no initial state, which every cell would report
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--ratio-min", "nan"], "--ratio-min"),
+            (["--ratio-min", "inf"], "--ratio-min"),
+            (["--survival-levels", "nan,0.1"], "--survival-levels"),
+            (["--initial-phase", "nan"], "--initial-phase"),
+            (["--initial-phase", "inf"], "--initial-phase"),
+        ],
+        ids=["nan-ratio", "inf-ratio", "nan-level", "nan-phase", "inf-phase"],
+    )
+    def test_non_finite_option_names_its_flag(self, tmp_path, capsys, flags, flag):
+        out = tmp_path / "sweep.csv"
+        argv = ["--config", write_config(tmp_path), "--output", str(out), "--jobs", "1", "sweep", "--t-min", "10"]
+        with time_limit(20):
+            code = main(argv + flags)
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_cell_matches_simulate_summary(self, tmp_path, capsys):
         # the cell's map against a direct run at rel_tol 1e-12, within the
         # map's floor plus that tolerance
@@ -478,16 +500,17 @@ class TestSweep:
     def test_interrupted_run_leaves_valid_partial_csv(self, tmp_path, monkeypatch):
         import epdyn.analysis as analysis_mod
 
-        real_run_row = analysis_mod._run_row
+        real_run_batch = analysis_mod._run_batch
         calls = []
 
-        def exploding_run_row(*args):
+        def exploding_run_batch(*args):
             if len(calls) >= 1:
                 raise KeyboardInterrupt
             calls.append(1)
-            return real_run_row(*args)
+            return real_run_batch(*args)
 
-        monkeypatch.setattr(analysis_mod, "_run_row", exploding_run_row)
+        monkeypatch.setattr(analysis_mod, "_run_batch", exploding_run_batch)
+        monkeypatch.setattr(analysis_mod, "_BATCH_LOOPS", 2)  # the 2x2 grid in two batches
         doc = patched({"loop": {"center_eps0": 0.35}})
         out = tmp_path / "partial.csv"
         with pytest.raises(KeyboardInterrupt):
@@ -517,7 +540,7 @@ class TestSweep:
                 ]
             )
         lines = out.read_text().splitlines()
-        assert len(lines) == 3  # header plus the finished grid row's two cells
+        assert len(lines) == 3  # header plus the finished batch's two cells
         assert lines[0].startswith("i,j,")
         assert [line.split(",")[:2] for line in lines[1:]] == [["0", "0"], ["0", "1"]]
 
@@ -553,7 +576,7 @@ class TestSweep:
         assert code == 0
         err = capsys.readouterr().err
         assert err.count("done") == 4
-        assert err.splitlines()[0] == "cell (0,0) done"
+        assert err.splitlines()[0] == "cell (0,0) done steps=512 frame=eigen"
         lines = out.read_text().splitlines()
         assert len(lines) == 5
         assert lines[1].split(",")[:2] == ["0", "0"]
@@ -565,12 +588,13 @@ class TestSweep:
         cfg = write_config(tmp_path, patched({"loop": {"center_eps0": 0.35}}))
         argv = ["--config", cfg, "--output", str(tmp_path / "sweep.csv"), "--jobs", "1", "sweep"]
         argv += ["--t-min", "5.0", "--t-max", "10.0", "--nt", "2", "--dominant-target", "any"]
+        lines = ["cell (0,0) done steps=512 frame=eigen", "cell (1,0) done steps=512 frame=eigen"]
         with caplog.at_level(logging.INFO, logger="epdyn.cli"):
             for _ in range(2):
                 assert main(argv) == 0
-                assert capsys.readouterr().err == "cell (0,0) done\ncell (1,0) done\n"
+                assert capsys.readouterr().err == "".join(line + "\n" for line in lines)
         logged = [r.getMessage() for r in caplog.records if r.name == "epdyn.cli"]
-        assert logged == ["cell (0,0) done", "cell (1,0) done"] * 2
+        assert logged == lines * 2
         assert logging.getLogger("epdyn.cli").handlers == []
 
 
