@@ -297,6 +297,9 @@ def cmd_sweep(config: RunConfig, args) -> int:
     target = None if args.dominant_target == "any" else int(args.dominant_target)
     try:
         levels = tuple(float(x) for x in args.survival_levels.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--survival-levels must be comma-separated numbers, got {args.survival_levels!r}") from exc
+    try:
         spec = analysis.SweepSpec(
             template=config.loop,
             durations=durations,

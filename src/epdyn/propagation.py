@@ -21,10 +21,10 @@ and the model's constants read once per run), so every stage has those
 bits without a call or an object per step. The run keeps the stages of
 each step that holds an output time; after it, one array pass
 (``_dense_rows``) builds those steps' dense-output interpolants and
-evaluates every output row. The run rescales the working state in place,
-keeping the step size, when its norm leaves the working window, and
-enforces a step budget (``_STEP_BUDGET``), so no input makes a run go on
-without end.
+evaluates every output row after the first. The run rescales the working
+state in place, keeping the step size, when its norm leaves the working
+window, and enforces a step budget (``_STEP_BUDGET``), so no input makes a
+run go on without end.
 
 ``propagate_adiabatic`` expands the state in the instantaneous eigenbasis:
 the c-normalized eigenvectors (cos th, sin th) and (-sin th, cos th),
@@ -579,7 +579,7 @@ def _rhs_lines(t: Optional[str], u0: str, u1: str, f0: str, f1: str) -> list:
 
 
 _DOP853_TEMPLATE = '''
-def run(drive, y, t_bound, grid, rtol, atol, max_step, h_abs, record_internal):
+def run(drive, y, t_bound, grid, rtol, atol, max_step, h_abs):
     T, th0, turn, cx, ax, cy, ay, a_static, half_d12 = drive
     y0, y1 = y
     t = log_u = 0.0
@@ -597,7 +597,7 @@ def run(drive, y, t_bound, grid, rtol, atol, max_step, h_abs, record_internal):
         log_u = log(n2)
         renormalizations = 1
 {first}
-    times, logs, ends, held, values = [0.0], [log_u], [(0, (y0, y1))], [], []
+    start, times, logs, held, values = (y0, y1), [0.0], [log_u], [], []
     while t < t_bound:
         k0_0, k1_0 = k0_{n}, k1_{n}
         min_step = 10.0 * ulp(t)
@@ -660,10 +660,6 @@ def run(drive, y, t_bound, grid, rtol, atol, max_step, h_abs, record_internal):
             times += grid[gi:stop]
             logs += [log_u] * (stop - gi)
             gi = stop
-        if record_internal and times[-1] < t_new < t_bound:
-            ends.append((len(times), (n0, n1)))
-            times.append(t_new)
-            logs.append(log_u)
         if accepted > {budget!r} and t_bound - t_new > {remaining!r} * h:
             raise StepBudgetError(budget_message(accepted, t_bound, t_new, h))
         t, y0, y1 = t_new, n0, n1
@@ -681,25 +677,25 @@ def run(drive, y, t_bound, grid, rtol, atol, max_step, h_abs, record_internal):
             raise NonFiniteError("amplitudes underflowed float64 during integration")
     counts = {{"accepted": accepted, "rejected": rejected, "rhs_calls": 1 + {n} * (accepted + rejected),
               "renormalizations": renormalizations, "min_step": h_min, "max_step": h_max}}
-    return times, logs, ends, held, values, counts
+    return times, logs, start, held, values, counts
 '''
 
 
 def _dop853_source() -> str:
     """Python source of ``run``, the direct route's whole DOP853 integration, from the tableau.
 
-    ``run(drive, y, t_bound, grid, rtol, atol, max_step, h_abs,
-    record_internal)`` takes ``_drive_constants`` and the initial state and
-    returns ``(times, logs, ends, held, values, counts)``: the rows as
-    columns (time and log of the rescalings so far), the rows at a step end
-    with their state, each step that holds a grid time as ``_dense_rows``
-    takes it (its t_old, h and row count; its y_old, y_new and 13 stage
-    pairs), and ``meta["solver"]``'s counts before the dense stages. The
-    stepping loop, the controller (scipy's), the grid and ``record_internal``
-    rows, the step budget and the in-place rescale all run on local
-    variables. The stages, the 8th-order solution and both error estimates
-    are flat statements, one expression per sum in the tableau's order from a
-    0j accumulator, with the coefficients as complex literals, and each RHS
+    ``run(drive, y, t_bound, grid, rtol, atol, max_step, h_abs)`` takes
+    ``_drive_constants`` and the initial state and returns ``(times, logs,
+    start, held, values, counts)``: the rows as columns (time and log of the
+    rescalings so far), the state of row 0 (the initial state brought into
+    the working window), each step that holds a grid time as
+    ``_dense_rows`` takes it (its t_old, h and row count; its y_old, y_new
+    and 13 stage pairs), and ``meta["solver"]``'s counts before the dense
+    stages. The stepping loop, the controller (scipy's), the grid rows, the
+    step budget and the in-place rescale all run on local variables. The
+    stages, the 8th-order solution and both error estimates are flat
+    statements, one expression per sum in the tableau's order from a 0j
+    accumulator, with the coefficients as complex literals, and each RHS
     call is written out with its drive inlined (``_rhs_lines``).
     ``notes/decisions.md`` gives the argument that every value is the bits
     of the loop-based stepper that ``tests/dop853_reference.py`` keeps.
@@ -846,19 +842,18 @@ def propagate_direct(
     initial,
     config: IntegratorConfig = IntegratorConfig(),
     n_output: int = 512,
-    record_internal: bool = False,
 ) -> TrajectoryRecord:
     """Integrate i dc/dt = H(t) c along the drive in the bare basis.
 
     One generated DOP853 run (``_dop853_source``) integrates the
     traceless-frame amplitudes. Records at ``n_output + 1`` uniformly spaced
-    times (>= 512 by default) from the dense-output interpolant of the steps
-    that hold a grid time, which the run keeps and ``_dense_rows`` evaluates
-    in one array pass after it; ``record_internal`` additionally keeps every
-    accepted step. When the squared norm leaves [1e-100, 1e+100] the state is
-    rescaled in place and the step size kept; the initial state is brought
-    into that window before the first step (divided by its largest part
-    first when every square underflows). ``meta["solver"]`` counts accepted and rejected
+    times (>= 512 by default): the initial state, then the dense-output
+    interpolant of the steps that hold a grid time, which the run keeps and
+    ``_dense_rows`` evaluates in one array pass after it. When the squared
+    norm leaves [1e-100, 1e+100] the state is rescaled in place and the step
+    size kept; the initial state is brought into that window before the
+    first step (divided by its largest part first when every square
+    underflows). ``meta["solver"]`` counts accepted and rejected
     steps, RHS calls (3 more for each step that holds a grid time) and
     renormalizations, and holds the smallest and largest accepted step
     (``min_step``, ``max_step``; the last step, clipped to T, included).
@@ -884,18 +879,15 @@ def propagate_direct(
     h_abs = min(config.initial_step, config.max_step, 0.5 * T)
     started = time.perf_counter()
     try:
-        times, logs, ends, held, values, solver = _dop853_run()(
+        times, logs, start, held, values, solver = _dop853_run()(
             _drive_constants(drive, params), y, T, _output_grid(T, n_output),
-            config.rel_tol, config.abs_tol, config.max_step, h_abs, record_internal,
+            config.rel_tol, config.abs_tol, config.max_step, h_abs,
         )
         stepped = time.perf_counter()
         times = np.array(times)
         raw = np.empty((len(times), 2), dtype=complex)
-        at_end = np.zeros(len(times), dtype=bool)
-        rows, kept = zip(*ends)
-        at_end[list(rows)] = True
-        raw[at_end] = kept
-        raw[~at_end] = _dense_rows(params, drive, times[~at_end], held, values)
+        raw[0] = start
+        raw[1:] = _dense_rows(params, drive, times[1:], held, values)
         solver["rhs_calls"] += len(_DOP_EXTRA) * len(held)
         states, norms, logs, _ = _finalize(params, drive, times, raw, np.array(logs))
     except OverflowError as exc:
@@ -918,14 +910,13 @@ def propagate_direct(
 # ---------------------------------------------------------------------------
 
 
-def _scan_contour(params: SystemParams, drive: Drive, ep_tol: float, n: int = 1024) -> None:
-    guard = ep_tol * ep_tol
+def _scan_contour(params: SystemParams, drive: Drive, n: int = 1024) -> None:
     times = np.linspace(0.0, drive.duration_T, n + 1)
     mags = np.abs(_discriminant_on_loop(drive, params, times))
-    hits = np.flatnonzero(mags <= guard)
+    hits = np.flatnonzero(mags <= traversal._EP_GUARD)
     if hits.size:
         raise EPOnContourError(
-            f"contour reaches |discriminant| <= {guard:.1e} near t = {times[hits[0]]:.6g}"
+            f"contour reaches |discriminant| <= {traversal._EP_GUARD:.1e} near t = {times[hits[0]]:.6g}"
         )
 
 
@@ -935,8 +926,6 @@ def propagate_adiabatic(
     initial,
     config: IntegratorConfig = IntegratorConfig(),
     n_output: int = 512,
-    ep_tol: float = 1e-8,
-    record_internal: bool = False,
 ) -> TrajectoryRecord:
     """Propagate in the instantaneous eigenbasis, as a prefix product of eigenframe step maps.
 
@@ -953,8 +942,7 @@ def propagate_adiabatic(
     prefix product. Row j is R(th_j) P_j R(th_0)^T c0 in the traceless
     frame, where R(th) holds the c-normalized eigenvectors (cos th, sin th)
     and (-sin th, cos th) (see the module docstring); ``_finalize`` restores
-    the trace factor. Rows are recorded at ``n_output + 1`` uniform times;
-    ``record_internal`` records every step end instead.
+    the trace factor. Rows are recorded at ``n_output + 1`` uniform times.
 
     The coefficients are those on the tracked eigenvectors: slot 0 starts on
     the '+' branch, and the slot signs are the gauge of the rows' own t = 0
@@ -989,10 +977,10 @@ def propagate_adiabatic(
     T = loop.duration_T
     if not T / traversal._STEP_CAP >= np.finfo(float).tiny:
         raise ValueError(f"duration_T = {T:.3g}: duration_T is too small, its steps T/n are subnormal")
-    _scan_contour(params, loop, ep_tol, n=max(1024, 2 * n_output))
+    _scan_contour(params, loop, n=max(1024, 2 * n_output))
     started = time.perf_counter()
     try:
-        tmap, steps, rows = traversal.eigen_rows(params, loop, config.rel_tol, n_output, record_internal, ep_tol**2)
+        tmap, steps, rows = traversal.eigen_rows(params, loop, config.rel_tol, n_output)
         stepped = time.perf_counter()
         # c0 on the axes (cos th_0, sin th_0) and (-sin th_0, cos th_0); the
         # coefficients are on those axes signed by the gauge
@@ -1017,7 +1005,6 @@ def propagate_adiabatic(
         "drive": loop,
         "config": config,
         "n_output": n_output,
-        "ep_tol": ep_tol,
         "solver": {
             "steps": steps,
             "frame": tmap.frame,
@@ -1038,7 +1025,6 @@ def track_branches(
     params: SystemParams,
     loop: LoopSpec,
     n_samples: int = 2048,
-    ep_tol: float = 1e-8,
 ) -> AdiabaticFrame:
     """Continuity-tracked eigenframes at uniform samples over one traversal.
 
@@ -1061,7 +1047,7 @@ def track_branches(
     if n_samples < 16:
         raise ValueError("n_samples must be >= 16")
     times = np.linspace(0.0, loop.duration_T, n_samples + 1)
-    a, lam, th, signs = traversal.branch_frames(params, loop, times, ep_tol**2)
+    a, lam, th, signs = traversal.branch_frames(params, loop, times)
     half_trace = complex(params.e2, -params.gamma2) + a  # tr(H)/2 = h22 + a
     c, s = np.cos(th), np.sin(th)
     vectors = np.stack([np.stack([c, s], axis=1) * signs[0], np.stack([-s, c], axis=1) * signs[1]], axis=1)
@@ -1106,21 +1092,16 @@ def accumulated_phase(
     params: SystemParams,
     loop: LoopSpec,
     t: float,
-    branch_pairing: str = "plus-minus",
     n_samples: int = 2048,
 ) -> complex:
     """Quadrature of the tracked branch-energy difference, int_0^t dE dt'.
 
     dE = 2 lam, lam the root of a^2 + g^2 continued along the samples as in
-    ``track_branches`` (which raises what this raises), by Simpson's rule.
-    ``branch_pairing`` selects the orientation: "plus-minus" integrates
-    E_a - E_b for the branches that start as '+' and '-'; "minus-plus"
-    negates. The imaginary part is minus the accumulated width difference;
-    over a full EP-encircling traversal it changes sign with the loop
-    direction.
+    ``track_branches`` (which raises what this raises), by Simpson's rule:
+    E_a - E_b for the branches that start as '+' and '-'. The imaginary part
+    is minus the accumulated width difference; over a full EP-encircling
+    traversal it changes sign with the loop direction.
     """
-    if branch_pairing not in ("plus-minus", "minus-plus"):
-        raise ValueError("branch_pairing must be 'plus-minus' or 'minus-plus'")
     if not 0.0 <= t <= loop.duration_T:
         raise ValueError(f"t = {t} outside [0, {loop.duration_T}]")
     if n_samples < 16:
@@ -1128,9 +1109,8 @@ def accumulated_phase(
     if t == 0.0:
         return 0j
     times = np.linspace(0.0, t, n_samples + 1)
-    _, lam, _, _ = traversal.branch_frames(params, loop, times, 1e-8**2)
-    result = complex(_simpson(2.0 * lam, times))
-    return -result if branch_pairing == "minus-plus" else result
+    _, lam, _, _ = traversal.branch_frames(params, loop, times)
+    return complex(_simpson(2.0 * lam, times))
 
 
 def average_decay_rate(

@@ -38,10 +38,9 @@ contour that the steps do not resolve; through an EP the eigenframe
 product converges to a wrong map), or where the quadrature of th' lands
 more than a quarter turn (pi/4) from a multiple of pi at an interval end,
 so that lam and the frame disagree on the branch. A sample inside the EP
-guard (|discriminant| <= 1e-16, ep_tol^2 for the adiabatic route) rules
-the eigenframe out. ``traversal_maps`` then takes the bare frame,
-K = -i H0, with the same closed form, as it does when the eigenframe does
-not settle (below); that depends on the loop alone.
+guard (``_EP_GUARD``) rules the eigenframe out. ``traversal_maps`` then
+takes the bare frame, K = -i H0, with the same closed form, as it does when
+the eigenframe does not settle (below); that depends on the loop alone.
 
 Steps and floor. One loop, ``_settle``, doubles n from 256 in one frame
 and compares U with the one before: the change is max |U_n - U_{n/2}| /
@@ -80,8 +79,7 @@ its last element takes, level by level, the very products of the tree: it
 is the tree over all steps, with its bits. ``_settle`` therefore reads the
 map off that last element at a step count that may settle, and the rows of
 ``eigen_rows`` take that scan, so the settled count runs one product pass;
-a count that cannot settle, and rows at every step end (whose scan costs
-n log n products), take the tree. A map's one interval is both.
+a count that cannot settle takes the tree. A map's one interval is both.
 ``_mat`` forms the products of every entry at once by broadcasting: each
 element still gets the same two products and the same sum, in the same
 order, so the same bits.
@@ -92,7 +90,7 @@ from __future__ import annotations
 import math
 import sys
 from types import SimpleNamespace
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,8 +125,9 @@ _MAX_TURN = 0.5
 _MAX_MISMATCH = 0.25
 #: The largest x with a finite exp(x) in float64.
 _EXP_LIMIT = math.log(sys.float_info.max)
-#: The eigenframe's EP guard on |discriminant| = 4 |a^2 + g^2| (ep_tol 1e-8 squared).
-_EP_GUARD = 1e-16
+#: The one EP guard of the eigenframes: a sample with |discriminant| = 4 |a^2 + g^2|
+#: at or below it is too near the EP, whose eigenvectors are self-orthogonal.
+_EP_GUARD = 1e-8 ** 2
 #: The largest entry array whose second products ``_mat`` forms in one broadcast
 #: product; past it that full-size temporary can cost more than the calls it saves.
 _BROADCAST_ENTRIES = 1024
@@ -183,29 +182,28 @@ def traversal_maps(
 
 def _maps(params: SystemParams, loops: Sequence[LoopSpec], rel_tol: float) -> list:
     """``traversal_maps`` with each loop's error in its place; the bare frame takes what the eigenframe leaves."""
-    out, _, _ = _settle(params, loops, rel_tol, True, _EP_GUARD, 1, fallback=True)
+    out, _, _ = _settle(params, loops, rel_tol, True, 1, fallback=True)
     bare = [k for k, m in enumerate(out) if m is None]
-    maps, _, _ = _settle(params, [loops[k] for k in bare], rel_tol, False, _EP_GUARD, 1, fallback=False)
+    maps, _, _ = _settle(params, [loops[k] for k in bare], rel_tol, False, 1, fallback=False)
     for k, m in zip(bare, maps):
         out[k] = m
     return out
 
 
-def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int, every_step: bool, guard: float):
+def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     """The eigenframe maps from t = 0 to each row of the adiabatic route (see the module docstring).
 
     The full-loop map settles first (``_settle`` over the n_output row
-    intervals, or over every step if ``every_step``, with no fallback); the
-    rows are then the step ends of the smallest n_output * 2^k steps at or
-    above that count: every (2^k)-th step end, or every one if
-    ``every_step``. Where that is the settled count, the rows take its
-    prefix scan (run now after a tree); a finer count runs again.
-    Returns (the settled ``TraversalMap``, the row step count, ``_Rows``).
+    intervals, with no fallback); the rows are then every (2^k)-th step end
+    of the smallest n_output * 2^k steps at or above that count. Where that
+    is the settled count, the rows take its prefix scan (run now after a
+    tree); a finer count runs again. Returns (the settled ``TraversalMap``,
+    the row step count, ``_Rows``).
 
     Raises
     ------
     EPOnContourError
-        If a sample comes within ``guard`` of the EP.
+        If a sample comes within ``_EP_GUARD`` of the EP.
     AmbiguousTrackingError
         If the frame is unresolved at every step count up to the cap.
     StepBudgetError
@@ -214,16 +212,15 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int, every
     NonFiniteError
         If the drive overflows float64.
     """
-    (tmap,), run, prefix = _settle(params, [drive], rel_tol, True, guard, None if every_step else n_output, False)
+    (tmap,), run, prefix = _settle(params, [drive], rel_tol, True, n_output, False)
     if isinstance(tmap, EpdynError):
         raise tmap
     n = n_output
     while n < tmap.steps:
         n *= 2
-    rows = n if every_step else n_output
     if n != tmap.steps:  # the rows take a finer step count
-        run, prefix = _intervals(params, [drive], n, n // rows, True, guard), None
-        error = _ruled_out(run, 0, drive, n, guard)
+        run, prefix = _intervals(params, [drive], n, n // n_output, True), None
+        error = _ruled_out(run, 0, drive, n)
         if error or not run.smooth[0]:
             raise error or AmbiguousTrackingError(f"the eigenframe of {drive} is unresolved at {n} steps")
     if prefix is None:
@@ -235,7 +232,7 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int, every
         raise StepBudgetError(f"the eigenframe map of {drive} overflows float64 at {n} steps")
     (c0, s0), (c, s) = run.rotations
     return tmap, n, _Rows(
-        np.linspace(0.0, drive.duration_T, rows + 1),
+        np.linspace(0.0, drive.duration_T, n_output + 1),
         x,
         np.concatenate([[0], e[0]]),
         np.concatenate([c0, c[0]]),
@@ -283,16 +280,17 @@ def _verdict(change: float, before: float, resolved: bool, rel_tol: float):
     return "stalled" if stalled else None
 
 
-def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool, guard: float,
-            intervals: Optional[int], fallback: bool) -> tuple:
+def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool, intervals: int,
+            fallback: bool) -> tuple:
     """Double each drive's steps in one frame until its map settles (see the module docstring).
 
-    Each step count runs ``intervals`` intervals (1 for a map, None for one
-    per step), and a count that may settle takes the map off their prefix
-    scan. With ``fallback`` a drive whose frame is ruled out, stalls or
-    meets the cap ends with None, for another frame to take; without it the
-    frame doubles on past an unresolved frame or a map that is not finite,
-    and each stop but a settled map is the drive's error. Returns each
+    Each step count runs ``intervals`` intervals (1 for a map, the rows' for
+    the adiabatic route) where they are a power of two that divides it, else
+    one, and a count that may settle takes the map off their prefix scan.
+    With ``fallback`` a drive whose frame is ruled out, stalls or meets the
+    cap ends with None, for another frame to take; without it the frame
+    doubles on past an unresolved frame or a map that is not finite, and
+    each stop but a settled map is the drive's error. Returns each
     drive's map, error or None, and the ``_Run`` and scan (None after a tree)
     of the last step count: for one drive, the count that settles it.
     """
@@ -306,12 +304,11 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
 
     active, n, run, scan = list(range(len(drives))), _FIRST_STEPS, None, None
     while active and n <= _STEP_CAP:
-        rows = n if intervals is None else intervals
-        every = n // rows if n % rows == 0 and rows & (rows - 1) == 0 else n
-        run = _intervals(params, [drives[k] for k in active], n, every, eigen, guard)
+        every = n // intervals if n % intervals == 0 and intervals & (intervals - 1) == 0 else n
+        run = _intervals(params, [drives[k] for k in active], n, every, eigen)
         with np.errstate(all="ignore"):  # overflow shows as a map that is not finite
-            if intervals is None or not run.resolved.all() or not all(k in last for k in active):
-                scan, (u, e) = None, _tree(run.x, run.e)  # cannot settle, or its scan costs n log n
+            if not run.resolved.all() or not all(k in last for k in active):
+                scan, (u, e) = None, _tree(run.x, run.e)  # cannot settle
             else:  # the scan's last element is the tree over the intervals
                 scan = _scan(run.x, run.e)
                 u, e = scan[0][..., -1], scan[1][..., -1]
@@ -319,7 +316,7 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
             u, e = _rotate(run, u, e)
         still = []
         for i, k in enumerate(active):
-            error = _ruled_out(run, i, drives[k], n, guard)
+            error = _ruled_out(run, i, drives[k], n)
             if error is not None:  # with a fallback, a sample in the guard leaves the drive to the other frame
                 out[k] = None if fallback and run.finite[i] else error
                 continue
@@ -355,12 +352,12 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
     return out, run, scan
 
 
-def _ruled_out(run: "_Run", i: int, drive, n: int, guard: float):
+def _ruled_out(run: "_Run", i: int, drive, n: int):
     """The error where drive i of ``run`` overflows float64 or, at n steps, has a sample in the guard; else None."""
     if not run.finite[i]:  # the same at every step count
         return NonFiniteError(f"the drive (a, g) overflows float64 on {drive}")
     if not run.clear[i]:
-        return EPOnContourError(f"a sample of {drive} at {n} steps comes within |discriminant| <= {guard:.1e}")
+        return EPOnContourError(f"a sample of {drive} at {n} steps comes within |discriminant| <= {_EP_GUARD:.1e}")
     return None
 
 
@@ -416,14 +413,14 @@ class _Phase:
     (a + i g)/lam, which fixes it up to a multiple of pi; the multiple is
     the one nearest th_0 plus the Gauss quadrature of th' up to there (an
     integer, so the quadrature's rounding cannot reach a map's bits).
-    ``clear`` turns False where a sample meets the guard, ``smooth`` where
+    ``clear`` turns False where a sample meets ``_EP_GUARD``, ``smooth`` where
     the frame turns by more than ``_MAX_TURN`` in a step or the quadrature
     misses the closed form by more than ``_MAX_MISMATCH`` turns.
     """
 
-    def __init__(self, a: np.ndarray, g: np.ndarray, w2: np.ndarray, guard: float, every: int) -> None:
-        self.guard, self.every = guard, every
-        self.clear = 4.0 * np.abs(w2) > guard
+    def __init__(self, a: np.ndarray, g: np.ndarray, w2: np.ndarray, every: int) -> None:
+        self.every = every
+        self.clear = 4.0 * np.abs(w2) > _EP_GUARD
         self.smooth = np.ones(len(a), dtype=bool)
         self.root = np.sqrt(w2)
         # numpy's root of a negative real with a -0.0 imaginary part is the '-' root
@@ -435,7 +432,7 @@ class _Phase:
 
     def follow(self, w2: np.ndarray) -> np.ndarray:
         """lam at the next block of samples (m, s), where a^2 + g^2 is w2."""
-        self.clear &= (4.0 * np.abs(w2) > self.guard).all(axis=1)
+        self.clear &= (4.0 * np.abs(w2) > _EP_GUARD).all(axis=1)
         root = np.sqrt(w2)
         before = np.concatenate([self.root[:, None], root[:, :-1]], axis=1)
         flips = root.real * before.real + root.imag * before.imag < 0.0
@@ -461,7 +458,7 @@ class _Phase:
 
         w2 is a^2 + g^2 there. Also keeps the continued root at the ends as ``lam``.
         """
-        self.clear &= (4.0 * np.abs(w2) > self.guard).all(axis=1)
+        self.clear &= (4.0 * np.abs(w2) > _EP_GUARD).all(axis=1)
         before, turned = (np.concatenate(column, axis=1) for column in zip(*self.marks))
         root = np.sqrt(w2)
         self.lam = np.where(root.real * before.real + root.imag * before.imag < 0.0, -root, root)
@@ -475,7 +472,7 @@ class _Phase:
         return (np.cos(th0), np.sin(th0)), (np.cos(th), np.sin(th))
 
 
-def branch_frames(params: SystemParams, drive, times: np.ndarray, guard: float) -> tuple:
+def branch_frames(params: SystemParams, drive, times: np.ndarray) -> tuple:
     """The eigenframe continued along ``times`` (from 0): (a, lam, th, signs).
 
     At each time a is the traceless drive term, lam the root of a^2 + g^2
@@ -494,7 +491,7 @@ def branch_frames(params: SystemParams, drive, times: np.ndarray, guard: float) 
     Raises
     ------
     EPOnContourError
-        If 4 |a^2 + g^2| <= guard (|discriminant| <= ep_tol^2).
+        If |discriminant| = 4 |a^2 + g^2| <= ``_EP_GUARD``.
     NonFiniteError
         If the frame overflows float64.
     AmbiguousTrackingError
@@ -509,7 +506,7 @@ def branch_frames(params: SystemParams, drive, times: np.ndarray, guard: float) 
             a[rows], g = _traceless(params, *_fields_at(drive, times[rows]))
             w2 = a[rows] * a[rows] + g * g
             if start == 0:
-                phase = _Phase(a[rows], g, w2, guard, 1)
+                phase = _Phase(a[rows], g, w2, 1)
                 lam[rows], th[rows] = phase.lam0, _angle(phase.z0)
                 signs = _gauge(phase.z0[0], np.cos(th[0]), np.sin(th[0]))
                 last_base, half_turns = th[0].real, np.zeros(1)
@@ -523,14 +520,14 @@ def branch_frames(params: SystemParams, drive, times: np.ndarray, guard: float) 
                 th[rows] = angle + np.pi * half_turns
                 turn = np.diff(th[start - 1 : stop])
                 ambiguous = np.abs(np.sin(turn)) > _AMBIGUITY * np.abs(np.cos(turn))
-            near = 4.0 * np.abs(w2) <= guard
+            near = 4.0 * np.abs(w2) <= _EP_GUARD
             finite = np.isfinite(w2) & np.isfinite(th[rows])
         bad = np.flatnonzero(near | ~finite | ambiguous)
         if bad.size:
             k = bad[0]
             if near[k]:
                 raise EPOnContourError(
-                    f"|discriminant| = {4.0 * abs(w2[k]):.3e} <= tol^2 = {guard:.3e}: "
+                    f"|discriminant| = {4.0 * abs(w2[k]):.3e} <= tol^2 = {_EP_GUARD:.3e}: "
                     "eigenvectors are (nearly) self-orthogonal"
                 )
             if not finite[k]:
@@ -548,7 +545,7 @@ class _Run(NamedTuple):
     finite: np.ndarray  # (m,) the drive stays finite
     resolved: np.ndarray  # (m,) |sigma^2| <= 1 in every exponential
     reach: np.ndarray  # (m,) the largest |Re sigma| over the blocks with a step map that is not finite (else 0)
-    clear: np.ndarray  # (m,) no sample in the guard (eigenframe)
+    clear: np.ndarray  # (m,) no sample in the EP guard (eigenframe)
     smooth: np.ndarray  # (m,) the frame is resolved (eigenframe)
     rotations: tuple  # ((cos th_0, sin th_0) (m,), (cos th, sin th) (m, N)) (eigenframe)
     lam0: np.ndarray  # (m,) the '+' root at t = 0 (eigenframe)
@@ -556,9 +553,7 @@ class _Run(NamedTuple):
     z0: np.ndarray  # (m,) e^{2 i th_0} (eigenframe)
 
 
-def _intervals(
-    params: SystemParams, drives: Sequence, n: int, every: int, eigen: bool, guard: float
-) -> _Run:
+def _intervals(params: SystemParams, drives: Sequence, n: int, every: int, eigen: bool) -> _Run:
     """The products of each run of ``every`` steps of n steps on each drive, in one frame.
 
     ``every`` is a power of two that divides n. The eigenframe's rotations
@@ -574,7 +569,7 @@ def _intervals(
     reach = np.zeros(m)
     with np.errstate(all="ignore"):  # overflow and the guard are reported in the result
         a, g, _, _, w2, finite = _drive(params, columns, np.zeros((m, 1)))
-        phase = _Phase(a[:, 0], g[:, 0], w2[:, 0], guard, every) if eigen else None
+        phase = _Phase(a[:, 0], g[:, 0], w2[:, 0], every) if eigen else None
         nodes, exps = [], []
         for start in range(0, n, block):
             size = min(block, n - start)

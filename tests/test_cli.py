@@ -437,10 +437,12 @@ class TestSweep:
             (["--ratio-min", "nan"], "--ratio-min"),
             (["--ratio-min", "inf"], "--ratio-min"),
             (["--survival-levels", "nan,0.1"], "--survival-levels"),
+            (["--survival-levels", "abc"], "--survival-levels"),
+            (["--survival-levels", "0.1,,0.01"], "--survival-levels"),
             (["--initial-phase", "nan"], "--initial-phase"),
             (["--initial-phase", "inf"], "--initial-phase"),
         ],
-        ids=["nan-ratio", "inf-ratio", "nan-level", "nan-phase", "inf-phase"],
+        ids=["nan-ratio", "inf-ratio", "nan-level", "abc-level", "empty-level", "nan-phase", "inf-phase"],
     )
     def test_non_finite_option_names_its_flag(self, tmp_path, capsys, flags, flag):
         out = tmp_path / "sweep.csv"

@@ -280,16 +280,13 @@ def test_adiabatic_t0_coefficients_on_tracked_frame():
 
 
 def test_adiabatic_rows_on_oracle_frames():
-    # with record_internal every step end is a row: tracking the oracle's
-    # frames along the rows gives the recorded labels, and the states are
-    # the coefficients on the oracle's vectors
+    # the loop settles at 512 steps, so at 512 rows every step end is a row:
+    # tracking the oracle's frames along the rows gives the recorded labels,
+    # and the states are the coefficients on the oracle's vectors
     loop = encircling_loop(50.0, Direction.CW)
-    n_output = 64
-    traj = propagate_adiabatic(
-        REF, loop, StateVector(0.6, 0.8j), TIGHT, n_output=n_output, record_internal=True
-    )
-    assert len(traj.times) == traj.meta["solver"]["steps"] + 1
-    assert set(np.linspace(0.0, 50.0, n_output + 1).tolist()) <= set(traj.times.tolist())
+    traj = propagate_adiabatic(REF, loop, StateVector(0.6, 0.8j), TIGHT, n_output=512)
+    solver = traj.meta["solver"]
+    assert len(traj.times) - 1 == solver["steps"] == traversal._FIRST_STEPS << solver["doublings"]
     for row, (_, vs, labels) in enumerate(_tracked_frames(REF, loop, traj.times, 1e-8)):
         assert traj.branch_labels[row] == labels[0]
         expected = traj.adiabatic_coeffs[row] @ np.array(vs)
@@ -303,7 +300,7 @@ def test_diode_phase_samples_bit_equal_to_oracle():
     times = np.linspace(0.0, DIODE_DURATION, 8193)
     for direction in (Direction.CW, Direction.CCW):
         loop = diode_loop(direction)
-        _, lam, _, _ = traversal.branch_frames(REF, loop, times, 1e-16)
+        _, lam, _, _ = traversal.branch_frames(REF, loop, times)
         energies, _, _ = oracle_track(REF, loop, 8192)
         gap = energies[:, 0] - energies[:, 1]
         assert np.abs(2.0 * lam - gap).max() <= 4 * EPS * np.abs(gap).max()

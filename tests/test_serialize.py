@@ -84,17 +84,15 @@ DECAYING = SystemParams(e1=0.0, e2=1.0, gamma1=3.0, gamma2=5.0, d12=1.0)
 
 WRITER_CASES = {
     "direct-diode": lambda: propagate_direct(DEFAULT_PARAMS, diode_loop(Direction.CCW), StateVector.basis(2), ACCEPT),
-    "direct-internal": lambda: propagate_direct(
-        DEFAULT_PARAMS, encircling_loop(50.0), StateVector(0.6, 0.8j), ACCEPT, record_internal=True
-    ),
     "direct-static": lambda: propagate_direct(
         DEFAULT_PARAMS, StaticDrive(FieldPoint(1.07, 0.31), 7.0), StateVector.basis(1), ACCEPT, n_output=64
     ),
     "direct-renormalizing": lambda: propagate_direct(
         DECAYING, StaticDrive(FieldPoint(0.5, 0.3), 400.0), StateVector.basis(1), ACCEPT
     ),
+    # the loop settles at 512 steps, so every step end is a row
     "adiabatic-encircling": lambda: propagate_adiabatic(
-        DEFAULT_PARAMS, encircling_loop(50.0, Direction.CCW), StateVector.basis(2), ACCEPT, record_internal=True
+        DEFAULT_PARAMS, encircling_loop(50.0, Direction.CCW), StateVector.basis(2), ACCEPT, n_output=512
     ),
 }
 

@@ -206,7 +206,7 @@ class TestRows:
         # map is the last element of their scan, so no tree runs over them.
         # 256 steps (one interval) cannot settle: the first count takes the tree
         trees, scans = self.passes(monkeypatch)
-        tmap, n, rows = traversal.eigen_rows(REF, encircling_loop(50.0), 1e-10, 512, False, 1e-16)
+        tmap, n, rows = traversal.eigen_rows(REF, encircling_loop(50.0), 1e-10, 512)
         assert (tmap.steps, n) == (512, 512)
         assert scans == [512]
         assert 512 not in trees
@@ -227,7 +227,7 @@ class TestRows:
         params = SystemParams(e1=18.0, e2=1.0, gamma1=0.1, gamma2=0.3, d12=1.0 + 0.0j)
         loop = LoopSpec(FieldPoint(0.92005, 0.64976), 2.02446, 0.64973, Direction.CW, 348.75, 4.35017)
         trees, scans = self.passes(monkeypatch)
-        tmap, n, _ = traversal.eigen_rows(params, loop, 1e-10, 512, False, 1e-16)
+        tmap, n, _ = traversal.eigen_rows(params, loop, 1e-10, 512)
         assert (tmap.steps, n) == (4096, 4096)
         assert trees.count(512) == 2  # 512 and 1024 steps (the blocks' own trees are shorter)
         assert scans == [512, 512]
@@ -312,7 +312,7 @@ class TestBoundedWork:
     )
     def test_a_map_that_fits_a_finer_step_count_keeps_doubling(self, params, loop, finer, monkeypatch):
         for n, fits in ((256, False), (finer, True)):  # the bare frame's map, one interval of n steps
-            assert bool(np.isfinite(traversal._intervals(params, [loop], n, n, False, 1e-16).x).all()) is fits
+            assert bool(np.isfinite(traversal._intervals(params, [loop], n, n, False).x).all()) is fits
         counts = self.counted(monkeypatch)
         with pytest.raises(StepBudgetError, match="has not settled at 131072 steps$"):
             traversal_maps(params, [loop], 1e-10)
