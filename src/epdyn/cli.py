@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from . import analysis, serialize
@@ -50,21 +50,7 @@ EXIT_PROPAGATION = 3
 EXIT_PRECONDITION = 4
 EXIT_SWEEP_FAILED = 5
 
-_SECTION_FIELDS = {
-    "system": ("e1", "e2", "gamma1", "gamma2", "d12_re", "d12_im"),
-    "loop": (
-        "center_omega",
-        "center_eps0",
-        "semi_axis_omega",
-        "semi_axis_eps",
-        "direction",
-        "duration_T",
-        "start_phase",
-    ),
-    "integrator": ("rel_tol", "abs_tol", "max_step", "initial_step"),
-    "initial": ("c1_re", "c1_im", "c2_re", "c2_im"),
-    "output": ("path", "format"),
-}
+REQUIRED = object()  # the default of a field the config must give
 
 
 @dataclass
@@ -79,12 +65,7 @@ class RunConfig:
     out_format: str
 
 
-def _require_number(section: str, data: dict, key: str, default=None) -> float:
-    if key not in data:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required field '{section}.{key}'")
-    value = data[key]
+def _number(section: str, key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{section}.{key}' must be a number")
     try:
@@ -96,13 +77,74 @@ def _require_number(section: str, data: dict, key: str, default=None) -> float:
     return number
 
 
-def _check_keys(section: str, data) -> None:
+def _one_of(*choices: str):
+    def read(section: str, key: str, value) -> str:
+        if value not in choices:
+            raise ConfigError(f"field '{section}.{key}' must be {' or '.join(map(repr, choices))}")
+        return value
+
+    return read
+
+
+def _text_or_none(section: str, key: str, value) -> Optional[str]:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"field '{section}.{key}' must be a string")
+    return value
+
+
+#: each section's constructor, which takes the fields as keywords, and its
+#: fields in check order with their defaults. Every field is a number but those
+#: in ``_READERS``; the loop's direction comes first, so a bad direction is
+#: named before the numbers
+_SECTIONS = {
+    "system": (
+        lambda d12_re, d12_im, **kw: SystemParams(d12=complex(d12_re, d12_im), **kw),
+        {"e1": REQUIRED, "e2": REQUIRED, "gamma1": REQUIRED, "gamma2": REQUIRED, "d12_re": REQUIRED, "d12_im": 0.0},
+    ),
+    "loop": (
+        lambda center_omega, center_eps0, direction, **kw: LoopSpec(
+            FieldPoint(center_omega, center_eps0), direction=Direction(direction), **kw
+        ),
+        {"direction": None, "center_omega": REQUIRED, "center_eps0": REQUIRED, "semi_axis_omega": REQUIRED,
+         "semi_axis_eps": REQUIRED, "duration_T": REQUIRED, "start_phase": 0.0},
+    ),
+    "integrator": (IntegratorConfig, {f.name: f.default for f in fields(IntegratorConfig)}),
+    "initial": (
+        lambda c1_re, c1_im, c2_re, c2_im: StateVector(complex(c1_re, c1_im), complex(c2_re, c2_im)),
+        dict.fromkeys(("c1_re", "c1_im", "c2_re", "c2_im"), 0.0),
+    ),
+    "output": (lambda path, format: (path, format), {"path": None, "format": "csv"}),
+}
+_READERS = {
+    ("loop", "direction"): _one_of("cw", "ccw"),
+    ("output", "path"): _text_or_none,
+    ("output", "format"): _one_of("csv", "json"),
+}
+
+
+def _section(doc: dict, section: str, absent=REQUIRED):
+    """The object a section builds, or ``absent`` where the document has no such section."""
+    if section not in doc:
+        if absent is REQUIRED:
+            raise ConfigError(f"missing required section '{section}'")
+        return absent
+    data = doc[section]
     if not isinstance(data, dict):
         raise ConfigError(f"config section '{section}' must be a JSON object")
-    allowed = _SECTION_FIELDS[section]
+    build, defaults = _SECTIONS[section]
     for key in data:
-        if key not in allowed:
+        if key not in defaults:
             raise ConfigError(f"unknown config key '{section}.{key}'")
+    values = {}
+    for key, default in defaults.items():
+        value = data.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing required field '{section}.{key}'")
+        values[key] = _READERS.get((section, key), _number)(section, key, value)
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid '{section}' section: {exc}") from exc
 
 
 def load_config(path: str, require_loop: bool = True) -> RunConfig:
@@ -116,99 +158,15 @@ def load_config(path: str, require_loop: bool = True) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     for key in doc:
-        if key not in _SECTION_FIELDS:
+        if key not in _SECTIONS:
             raise ConfigError(f"unknown config key '{key}'")
-
-    if "system" not in doc:
-        raise ConfigError("missing required section 'system'")
-    sys_sec = doc["system"]
-    _check_keys("system", sys_sec)
-    try:
-        params = SystemParams(
-            e1=_require_number("system", sys_sec, "e1"),
-            e2=_require_number("system", sys_sec, "e2"),
-            gamma1=_require_number("system", sys_sec, "gamma1"),
-            gamma2=_require_number("system", sys_sec, "gamma2"),
-            d12=complex(
-                _require_number("system", sys_sec, "d12_re"),
-                _require_number("system", sys_sec, "d12_im", default=0.0),
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid 'system' section: {exc}") from exc
-
-    loop = None
-    if "loop" in doc:
-        loop_sec = doc["loop"]
-        _check_keys("loop", loop_sec)
-        direction_raw = loop_sec.get("direction")
-        if direction_raw not in ("cw", "ccw"):
-            raise ConfigError("field 'loop.direction' must be 'cw' or 'ccw'")
-        try:
-            loop = LoopSpec(
-                center=FieldPoint(
-                    omega=_require_number("loop", loop_sec, "center_omega"),
-                    eps0=_require_number("loop", loop_sec, "center_eps0"),
-                ),
-                semi_axis_omega=_require_number("loop", loop_sec, "semi_axis_omega"),
-                semi_axis_eps=_require_number("loop", loop_sec, "semi_axis_eps"),
-                direction=Direction(direction_raw),
-                duration_T=_require_number("loop", loop_sec, "duration_T"),
-                start_phase=_require_number("loop", loop_sec, "start_phase", default=0.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid 'loop' section: {exc}") from exc
-    elif require_loop:
-        raise ConfigError("missing required section 'loop'")
-
-    integrator = IntegratorConfig()
-    if "integrator" in doc:
-        int_sec = doc["integrator"]
-        _check_keys("integrator", int_sec)
-        defaults = IntegratorConfig()
-        try:
-            integrator = IntegratorConfig(
-                rel_tol=_require_number("integrator", int_sec, "rel_tol", defaults.rel_tol),
-                abs_tol=_require_number("integrator", int_sec, "abs_tol", defaults.abs_tol),
-                max_step=_require_number("integrator", int_sec, "max_step", defaults.max_step),
-                initial_step=_require_number(
-                    "integrator", int_sec, "initial_step", defaults.initial_step
-                ),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid 'integrator' section: {exc}") from exc
-
-    initial = StateVector.basis(1)
-    if "initial" in doc:
-        init_sec = doc["initial"]
-        _check_keys("initial", init_sec)
-        try:
-            initial = StateVector(
-                complex(
-                    _require_number("initial", init_sec, "c1_re", default=0.0),
-                    _require_number("initial", init_sec, "c1_im", default=0.0),
-                ),
-                complex(
-                    _require_number("initial", init_sec, "c2_re", default=0.0),
-                    _require_number("initial", init_sec, "c2_im", default=0.0),
-                ),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid 'initial' section: {exc}") from exc
-
-    out_path = None
-    out_format = "csv"
-    if "output" in doc:
-        out_sec = doc["output"]
-        _check_keys("output", out_sec)
-        out_path = out_sec.get("path")
-        if out_path is not None and not isinstance(out_path, str):
-            raise ConfigError("field 'output.path' must be a string")
-        out_format = out_sec.get("format", "csv")
-        if out_format not in ("csv", "json"):
-            raise ConfigError("field 'output.format' must be 'csv' or 'json'")
-
-    return RunConfig(params, loop, integrator, initial, out_path, out_format)
+    return RunConfig(
+        _section(doc, "system"),
+        _section(doc, "loop", REQUIRED if require_loop else None),
+        _section(doc, "integrator", IntegratorConfig()),
+        _section(doc, "initial", StateVector.basis(1)),
+        *_section(doc, "output", (None, "csv")),
+    )
 
 
 def _write_text(path: str, text: str) -> None:
@@ -255,10 +213,8 @@ def cmd_simulate(config: RunConfig, method: str, n_output: int) -> int:
         traj = propagate(config.params, config.loop, config.initial, config.integrator, n_output=n_output)
     except ValueError as exc:  # a loop the route cannot step (duration_T too small for the adiabatic route)
         raise ConfigError(f"invalid 'loop' section: {exc}") from exc
-    if config.out_format == "csv":
-        _write_text(config.out_path, serialize.trajectory_to_csv(traj))
-    else:
-        _write_text(config.out_path, serialize.trajectory_to_json(traj))
+    write = serialize.trajectory_to_csv if config.out_format == "csv" else serialize.trajectory_to_json
+    _write_text(config.out_path, write(traj))
     report = analysis.final_state_report(traj, config.loop.direction)
     print(_report_line(report, method))
     return EXIT_OK
@@ -270,10 +226,7 @@ def cmd_table1(config: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    if config.out_format == "json":
-        rendered = serialize.table_to_json(table)
-    else:
-        rendered = serialize.table_to_text(table)
+    rendered = (serialize.table_to_json if config.out_format == "json" else serialize.table_to_text)(table)
     if config.out_path:
         _write_text(config.out_path, rendered)
     sys.stdout.write(rendered)

@@ -16,6 +16,7 @@ keeps those writers as the oracle.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -41,19 +42,11 @@ __all__ = [
 ]
 
 TRAJECTORY_COLUMNS = ("t", "re_c1", "im_c1", "re_c2", "im_c2", "norm_sq", "log_scale", "W1", "W2")
-SWEEP_COLUMNS = (
-    "i",
-    "j",
-    "T",
-    "amp_scale",
-    "rho",
-    "ratio",
-    "dominant",
-    "survival",
-    "pass_ratio",
-    "pass_survival",
-    "error",
-)
+#: the sweep's columns, each with the ``SweepCell`` field it holds
+_SWEEP_FIELDS = {"i": "i", "j": "j", "T": "duration_T", "amp_scale": "amp_scale", "rho": "rho", "ratio": "ratio",
+                 "dominant": "dominant_state", "survival": "survival", "pass_ratio": "pass_ratio",
+                 "pass_survival": "pass_survival", "error": "error"}
+SWEEP_COLUMNS = tuple(_SWEEP_FIELDS)
 
 
 def fmt(x: float) -> str:
@@ -92,12 +85,7 @@ def loop_to_dict(loop) -> dict:
 
 
 def config_to_dict(config: IntegratorConfig) -> dict:
-    return {
-        "rel_tol": config.rel_tol,
-        "abs_tol": config.abs_tol,
-        "max_step": config.max_step,
-        "initial_step": config.initial_step,
-    }
+    return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
 def _trajectory_columns(traj: TrajectoryRecord) -> list:
@@ -143,28 +131,24 @@ def trajectory_to_json(traj: TrajectoryRecord) -> str:
     return head[:-2] + ',\n "rows": [\n' + rows + "\n ]\n}\n"
 
 
-def _sweep_row(cell) -> list[str]:
-    def opt(x, f=fmt):
-        return "" if x is None else f(x)
+def _sweep_values(cell) -> dict:
+    """The cell's values by sweep column, in ``SWEEP_COLUMNS`` order."""
+    return {column: getattr(cell, name) for column, name in _SWEEP_FIELDS.items()}
 
-    return [
-        str(cell.i),
-        str(cell.j),
-        fmt(cell.duration_T),
-        fmt(cell.amp_scale),
-        fmt(cell.rho),
-        opt(cell.ratio),
-        "" if cell.dominant_state is None else str(cell.dominant_state),
-        opt(cell.survival),
-        "" if cell.pass_ratio is None else str(cell.pass_ratio).lower(),
-        "" if cell.pass_survival is None else str(cell.pass_survival).lower(),
-        cell.error or "",
-    ]
+
+def _csv_value(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return str(x).lower()
+    if isinstance(x, str):
+        return x
+    return fmt(x)
 
 
 def sweep_row_csv(cell) -> str:
     """One CSV line for a finished cell (lets callers flush incrementally)."""
-    return ",".join(_sweep_row(cell))
+    return ",".join(map(_csv_value, _sweep_values(cell).values()))
 
 
 def sweep_header_csv() -> str:
@@ -189,22 +173,7 @@ def sweep_to_json(result: SweepResult) -> str:
             "survival_levels": list(spec.survival_levels),
             "dominant_target": spec.dominant_target,
         },
-        "cells": [
-            {
-                "i": c.i,
-                "j": c.j,
-                "T": c.duration_T,
-                "amp_scale": c.amp_scale,
-                "rho": c.rho,
-                "ratio": c.ratio,
-                "dominant": c.dominant_state,
-                "survival": c.survival,
-                "pass_ratio": c.pass_ratio,
-                "pass_survival": c.pass_survival,
-                "error": c.error,
-            }
-            for c in result.cells
-        ],
+        "cells": [_sweep_values(c) for c in result.cells],
     }
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 

@@ -96,7 +96,7 @@ import numpy as np
 
 from .errors import AmbiguousTrackingError, EPOnContourError, EpdynError, NonFiniteError, StepBudgetError
 from .loops import LoopSpec, _as_loop, _fields_at, _motion_at
-from .model import SystemParams, _angle, _gauge, _traceless, _traceless_drive
+from .model import SystemParams, _angle, _gauge, _plus, _traceless, _traceless_drive
 
 __all__ = ["TraversalMap", "traversal_maps"]
 
@@ -424,7 +424,7 @@ class _Phase:
         self.smooth = np.ones(len(a), dtype=bool)
         self.root = np.sqrt(w2)
         # numpy's root of a negative real with a -0.0 imaginary part is the '-' root
-        self.parity = (self.root.real == 0.0) & (self.root.imag < 0.0)
+        self.parity = ~_plus(self.root)
         self.lam0 = np.where(self.parity, -self.root, self.root)
         self.z0 = (a + 1j * g) / self.lam0
         self.turned = np.zeros(len(a))  # Re of the integral of th' so far

@@ -17,8 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import config_reference
 import epdyn
-from epdyn.cli import main
+from epdyn.cli import load_config, main
+from epdyn.errors import ConfigError
 
 BASE_CONFIG = {
     "system": {"e1": 0.0, "e2": 1.0, "gamma1": 0.1, "gamma2": 0.3, "d12_re": 1.0, "d12_im": 0.0},
@@ -725,6 +727,77 @@ def test_sweep_exits_cleanly_on_mutated_config(doc, fmt):
             code = main(["--config", path, "--output", f"{tmp}/out", "--format", fmt, "--jobs", "1", *SWEEP_GRID])
     assert code in range(6)
     assert "Traceback" not in stderr.getvalue()
+
+
+# -- the section reader against the per-section loader ----------------------------
+
+
+def load_outcome(load, path, require_loop):
+    """The ``RunConfig`` a loader builds, or its ``ConfigError`` message."""
+    try:
+        return load(path, require_loop=require_loop)
+    except ConfigError as exc:
+        return str(exc)
+
+
+def without_field(section, key, **changes):
+    doc = json.loads(json.dumps(DIODE_CONFIG))
+    del doc[section][key]
+    doc[section].update(changes)
+    return doc
+
+
+#: a negative centre and a missing later loop field: the one config class on
+#: which the reader names another field than the per-section loader
+CENTRE_FIRST = without_field("loop", "semi_axis_omega", center_eps0=-1.0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_configs())
+@example(doc=CENTRE_FIRST)
+def test_load_config_matches_reference(tmp_path_factory, doc):
+    # the table reader gives the old loader's RunConfig or its error message,
+    # with and without a required loop section
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for require_loop in (True, False):
+        got = load_outcome(load_config, path, require_loop)
+        want = load_outcome(config_reference.load_config, path, require_loop)
+        if want == "invalid 'loop' section: eps0 must be >= 0" and got != want:
+            # the old loader built the centre's FieldPoint before it read the
+            # loop's later numbers; the reader reads every field first
+            assert got.startswith(("missing required field 'loop.", "field 'loop.")), got
+            continue
+        assert got == want
+
+
+def test_fields_are_read_before_the_section_is_built(tmp_path):
+    path = write_config(tmp_path, CENTRE_FIRST)
+    with pytest.raises(ConfigError, match="^missing required field 'loop.semi_axis_omega'$"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="^invalid 'loop' section: eps0 must be >= 0$"):
+        load_config(write_config(tmp_path, with_field("loop", "center_eps0", -1.0)))
+
+
+@pytest.mark.parametrize("method", ["direct", "adiabatic"])
+def test_trajectory_meta_loads_as_the_run_config(tmp_path, capsys, method):
+    # the sections a trajectory JSON writes in its meta read back, through the
+    # config reader, as the run's SystemParams, LoopSpec and IntegratorConfig
+    doc = json.loads(json.dumps(DIODE_CONFIG))
+    doc["system"]["d12_im"] = -0.0
+    doc["loop"].update(direction="ccw", start_phase=1.25)
+    doc["integrator"] = {"rel_tol": 1e-9, "abs_tol": 3e-13, "max_step": 2.5, "initial_step": 0.125}
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "trajectory.json"
+    argv = ["--config", config, "--output", str(out), "--format", "json", "simulate", "--method", method]
+    assert main([*argv, "--n-output", "4"]) == 0
+    meta = json.loads(out.read_text(encoding="utf-8"))["meta"]
+    assert sorted(meta) == ["integrator", "loop", "method", "system"]
+    sections = {section: meta[section] for section in ("system", "loop", "integrator")}
+    read_back = load_config(write_config(tmp_path, sections, name="meta.json"))
+    run = load_config(config)
+    assert (read_back.params, read_back.loop, read_back.integrator) == (run.params, run.loop, run.integrator)
+    assert math.copysign(1.0, read_back.params.d12.imag) == -1.0
 
 
 # -- runtime dependencies -------------------------------------------------------

@@ -20,11 +20,12 @@ from epdyn import (
     propagate_adiabatic,
     propagate_direct,
 )
-from epdyn.analysis import SweepSpec, sweep, table1
+from epdyn.analysis import SweepCell, SweepSpec, sweep, table1
 from epdyn.propagation import TrajectoryRecord
 from epdyn.serialize import (
     SWEEP_COLUMNS,
     TRAJECTORY_COLUMNS,
+    sweep_row_csv,
     sweep_to_csv,
     sweep_to_json,
     table_from_json,
@@ -170,6 +171,15 @@ class TestSweepFormats:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
         assert first[8] in ("true", "false")
+
+    def test_csv_row_of_each_value_kind(self):
+        # empty for None, lower-case booleans, text as is, fmt for numbers (integers without a point)
+        common = dict(i=3, j=10, duration_T=348.75, amp_scale=1.0, rho=0.1)
+        done = SweepCell(**common, ratio=1e3 / 3, dominant_state=2, survival=5e-324, pass_ratio=True, pass_survival=False)
+        failed = SweepCell(**common, ratio=None, dominant_state=None, survival=None, pass_ratio=None,
+                           pass_survival=None, error="StepBudgetError: no map")
+        assert sweep_row_csv(done) == "3,10,348.75,1,0.10000000000000001,333.33333333333331,2,4.9406564584124654e-324,true,false,"
+        assert sweep_row_csv(failed) == "3,10,348.75,1,0.10000000000000001,,,,,,StepBudgetError: no map"
 
     def test_json_cells(self):
         doc = json.loads(sweep_to_json(self.make_result()))

@@ -1,12 +1,15 @@
-"""The benchmark harness's view of the package: every name it wraps must exist, every call it makes bind."""
+"""The package as its tools and documents see it: every name the benchmark harness wraps
+must exist, every call it makes bind, and the README's config must match the reader's table."""
 
 import importlib
 import inspect
+import json
 from pathlib import Path
 
-from epdyn import analysis, propagation
+from epdyn import analysis, cli, propagation
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_every_traced_name_resolves(monkeypatch):
@@ -37,3 +40,17 @@ def test_workload_calls_bind_to_the_signatures():
     bound = {f.__name__: inspect.signature(f).bind(*args, **kwargs).arguments for f, args, kwargs in calls}
     assert bound["track_branches"]["n_samples"] == 4096
     assert bound["accumulated_phase"]["t"] == 50.0
+
+
+def test_readme_config_names_every_field_once(tmp_path):
+    # the config under README's "Command line" loads, and names each field of
+    # each section of the reader's table once, so the documented schema cannot drift
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(block, encoding="utf-8")
+    cli.load_config(str(path))
+    doc = json.loads(block, object_pairs_hook=list)  # keeps a repeated key
+    assert [section for section, _ in doc] == list(cli._SECTIONS)
+    for section, pairs in doc:
+        assert sorted(key for key, _ in pairs) == sorted(cli._SECTIONS[section][1]), section
