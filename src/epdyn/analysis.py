@@ -38,6 +38,7 @@ __all__ = [
     "SweepCell",
     "SweepResult",
     "RATIO_CAP",
+    "state_name",
     "project_normalized",
     "final_state_report",
     "table1",
@@ -92,6 +93,11 @@ class Table1Result:
 
     def disagreements(self) -> int:
         return sum(1 for r in self.rows if r.exact_final != r.adiabatic_final)
+
+
+def state_name(index: Optional[int]) -> str:
+    """A bare state's label, "state1" or "state2"; "-" for none (a tie)."""
+    return "-" if index is None else f"state{index}"
 
 
 def project_normalized(traj: TrajectoryRecord) -> ProjectionSeries:
@@ -218,7 +224,7 @@ def table1(
                 frame.vectors[0, 1, initial_state - 1]
             ) else 1
             report = _map_report(
-                params, direction_loop, tmap, StateVector.basis(initial_state), f"state{initial_state}"
+                params, direction_loop, tmap, StateVector.basis(initial_state), state_name(initial_state)
             )
             rows.append(
                 Table1Row(

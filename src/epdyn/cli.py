@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import analysis, serialize
@@ -32,7 +32,7 @@ from .errors import (
     ZeroNormError,
 )
 from .loops import Direction, LoopSpec, rho, winding_number
-from .model import FieldPoint, SystemParams, locate_ep
+from .model import SystemParams, locate_ep
 from .propagation import (
     IntegratorConfig,
     StateVector,
@@ -50,8 +50,6 @@ EXIT_PROPAGATION = 3
 EXIT_PRECONDITION = 4
 EXIT_SWEEP_FAILED = 5
 
-REQUIRED = object()  # the default of a field the config must give
-
 
 @dataclass
 class RunConfig:
@@ -65,88 +63,6 @@ class RunConfig:
     out_format: str
 
 
-def _number(section: str, key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field '{section}.{key}' must be a number")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"field '{section}.{key}' must be finite")
-    return number
-
-
-def _one_of(*choices: str):
-    def read(section: str, key: str, value) -> str:
-        if value not in choices:
-            raise ConfigError(f"field '{section}.{key}' must be {' or '.join(map(repr, choices))}")
-        return value
-
-    return read
-
-
-def _text_or_none(section: str, key: str, value) -> Optional[str]:
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"field '{section}.{key}' must be a string")
-    return value
-
-
-#: each section's constructor, which takes the fields as keywords, and its
-#: fields in check order with their defaults. Every field is a number but those
-#: in ``_READERS``; the loop's direction comes first, so a bad direction is
-#: named before the numbers
-_SECTIONS = {
-    "system": (
-        lambda d12_re, d12_im, **kw: SystemParams(d12=complex(d12_re, d12_im), **kw),
-        {"e1": REQUIRED, "e2": REQUIRED, "gamma1": REQUIRED, "gamma2": REQUIRED, "d12_re": REQUIRED, "d12_im": 0.0},
-    ),
-    "loop": (
-        lambda center_omega, center_eps0, direction, **kw: LoopSpec(
-            FieldPoint(center_omega, center_eps0), direction=Direction(direction), **kw
-        ),
-        {"direction": None, "center_omega": REQUIRED, "center_eps0": REQUIRED, "semi_axis_omega": REQUIRED,
-         "semi_axis_eps": REQUIRED, "duration_T": REQUIRED, "start_phase": 0.0},
-    ),
-    "integrator": (IntegratorConfig, {f.name: f.default for f in fields(IntegratorConfig)}),
-    "initial": (
-        lambda c1_re, c1_im, c2_re, c2_im: StateVector(complex(c1_re, c1_im), complex(c2_re, c2_im)),
-        dict.fromkeys(("c1_re", "c1_im", "c2_re", "c2_im"), 0.0),
-    ),
-    "output": (lambda path, format: (path, format), {"path": None, "format": "csv"}),
-}
-_READERS = {
-    ("loop", "direction"): _one_of("cw", "ccw"),
-    ("output", "path"): _text_or_none,
-    ("output", "format"): _one_of("csv", "json"),
-}
-
-
-def _section(doc: dict, section: str, absent=REQUIRED):
-    """The object a section builds, or ``absent`` where the document has no such section."""
-    if section not in doc:
-        if absent is REQUIRED:
-            raise ConfigError(f"missing required section '{section}'")
-        return absent
-    data = doc[section]
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section '{section}' must be a JSON object")
-    build, defaults = _SECTIONS[section]
-    for key in data:
-        if key not in defaults:
-            raise ConfigError(f"unknown config key '{section}.{key}'")
-    values = {}
-    for key, default in defaults.items():
-        value = data.get(key, default)
-        if value is REQUIRED:
-            raise ConfigError(f"missing required field '{section}.{key}'")
-        values[key] = _READERS.get((section, key), _number)(section, key, value)
-    try:
-        return build(**values)
-    except ValueError as exc:
-        raise ConfigError(f"invalid '{section}' section: {exc}") from exc
-
-
 def load_config(path: str, require_loop: bool = True) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -158,19 +74,28 @@ def load_config(path: str, require_loop: bool = True) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     for key in doc:
-        if key not in _SECTIONS:
+        if key not in serialize.SECTIONS:
             raise ConfigError(f"unknown config key '{key}'")
+    read = serialize.read_section
     return RunConfig(
-        _section(doc, "system"),
-        _section(doc, "loop", REQUIRED if require_loop else None),
-        _section(doc, "integrator", IntegratorConfig()),
-        _section(doc, "initial", StateVector.basis(1)),
-        *_section(doc, "output", (None, "csv")),
+        read(doc, "system"),
+        read(doc, "loop", serialize.REQUIRED if require_loop else None),
+        read(doc, "integrator", IntegratorConfig()),
+        read(doc, "initial", StateVector.basis(1)),
+        *read(doc, "output", (None, "csv")),
     )
 
 
+def _open_output(path: str):
+    """The output file, opened for writing; a path that cannot be opened is a config error."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"field 'output.path' (or --output) cannot be opened for writing: {exc}") from exc
+
+
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(path) as fh:
         fh.write(text)
 
 
@@ -186,9 +111,8 @@ def _exit_code_for(exc: EpdynError) -> int:
 
 
 def _report_line(report: analysis.AsymmetryReport, method: str) -> str:
-    dominant = "-" if report.dominant_state is None else f"state{report.dominant_state}"
     return (
-        f"direction={report.direction.value} method={method} dominant={dominant} "
+        f"direction={report.direction.value} method={method} dominant={analysis.state_name(report.dominant_state)} "
         f"ratio={serialize.fmt(report.ratio)} survival={serialize.fmt(report.survival)}"
     )
 
@@ -227,7 +151,7 @@ def cmd_table1(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     rendered = (serialize.table_to_json if config.out_format == "json" else serialize.table_to_text)(table)
-    if config.out_path:
+    if config.out_path is not None:
         _write_text(config.out_path, rendered)
     sys.stdout.write(rendered)
     return EXIT_OK
@@ -281,7 +205,7 @@ def cmd_sweep(config: RunConfig, args) -> int:
     # CSV: write each row as its cell arrives (cells arrive in grid order, one
     # batch of up to 32 at a time, so a batch may end mid-row), so an
     # interrupted run leaves valid output
-    with open(config.out_path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(config.out_path) as fh:
         fh.write(serialize.sweep_header_csv() + "\n")
         fh.flush()
 

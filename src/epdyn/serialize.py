@@ -1,4 +1,9 @@
-"""File formats: trajectory/sweep CSV and JSON, table renderings.
+"""File formats: the config sections, trajectory/sweep CSV and JSON, table renderings.
+
+``SECTIONS`` is the one schema of the config sections: each section's
+constructor, its fields with their defaults, and its inverse. ``read_section``
+reads a config section through it, and ``section_to_dict`` writes the same
+fields, which the trajectory meta and the sweep JSON's ``spec.template`` hold.
 
 CSV uses comma separators, '.' decimals, a header row, LF line endings, and
 17 significant digits for reals, so identical inputs always serialize to
@@ -16,23 +21,27 @@ keeps those writers as the oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
-from typing import Optional
+import math
+from dataclasses import astuple, fields
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .analysis import SweepResult, Table1Result
-from .loops import Direction, StaticDrive
-from .model import SystemParams
-from .propagation import IntegratorConfig, TrajectoryRecord
+from .analysis import AsymmetryReport, SweepResult, Table1Result, Table1Row, state_name
+from .errors import ConfigError
+from .loops import Direction, LoopSpec, StaticDrive
+from .model import FieldPoint, SystemParams
+from .propagation import IntegratorConfig, StateVector, TrajectoryRecord
 
 __all__ = [
     "TRAJECTORY_COLUMNS",
     "SWEEP_COLUMNS",
+    "SECTIONS",
+    "REQUIRED",
     "fmt",
-    "params_to_dict",
-    "loop_to_dict",
-    "config_to_dict",
+    "read_section",
+    "section_to_dict",
     "trajectory_to_csv",
     "trajectory_to_json",
     "sweep_to_csv",
@@ -47,6 +56,17 @@ _SWEEP_FIELDS = {"i": "i", "j": "j", "T": "duration_T", "amp_scale": "amp_scale"
                  "dominant": "dominant_state", "survival": "survival", "pass_ratio": "pass_ratio",
                  "pass_survival": "pass_survival", "error": "error"}
 SWEEP_COLUMNS = tuple(_SWEEP_FIELDS)
+#: the sweep JSON's spec keys, each a ``SweepSpec`` field; the ``initial``
+#: override, which the command line never sets, is not written
+_SPEC_FIELDS = ("template", "durations", "amp_scales", "direction", "initial_phase", "ratio_min", "survival_levels",
+                "dominant_target")
+#: the table1 JSON's row keys, each with the ``Table1Row`` attribute it holds
+_TABLE1_FIELDS = {"direction": "direction", "initial": "initial_state", "adiabatic_final": "adiabatic_final",
+                  "exact_final": "exact_final", "ratio": "report.ratio", "survival": "report.survival"}
+#: the trajectory meta's sections, each with the ``TrajectoryRecord.meta`` key of the object it writes
+_META_SECTIONS = {"system": "params", "loop": "drive", "integrator": "config"}
+
+REQUIRED = object()  # the default of a field the config must give
 
 
 def fmt(x: float) -> str:
@@ -54,38 +74,118 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def params_to_dict(params: SystemParams) -> dict:
-    d12 = complex(params.d12)
-    return {
-        "e1": params.e1,
-        "e2": params.e2,
-        "gamma1": params.gamma1,
-        "gamma2": params.gamma2,
-        "d12_re": d12.real,
-        "d12_im": d12.imag,
-    }
+def _number(section: str, key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field '{section}.{key}' must be a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"field '{section}.{key}' must be finite")
+    return number
 
 
-def loop_to_dict(loop) -> dict:
-    if isinstance(loop, StaticDrive):
-        return {
-            "static_omega": loop.field.omega,
-            "static_eps0": loop.field.eps0,
-            "duration_T": loop.duration_T,
-        }
-    return {
-        "center_omega": loop.center.omega,
-        "center_eps0": loop.center.eps0,
-        "semi_axis_omega": loop.semi_axis_omega,
-        "semi_axis_eps": loop.semi_axis_eps,
-        "direction": loop.direction.value,
-        "duration_T": loop.duration_T,
-        "start_phase": loop.start_phase,
-    }
+def _one_of(*choices: str):
+    def read(section: str, key: str, value) -> str:
+        if value not in choices:
+            raise ConfigError(f"field '{section}.{key}' must be {' or '.join(map(repr, choices))}")
+        return value
+
+    return read
 
 
-def config_to_dict(config: IntegratorConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(config)}
+def _text_or_none(section: str, key: str, value) -> Optional[str]:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"field '{section}.{key}' must be a string")
+    return value
+
+
+class _Field(NamedTuple):
+    """A config field that is not a number: its default and its reader."""
+
+    default: object
+    read: Callable
+
+
+#: each config section's constructor, which takes the fields as keywords; its
+#: fields in check order with their defaults; and its inverse, the fields'
+#: values read off the object the constructor builds, in that order. Every
+#: field is a number but the three given as a ``_Field``; the loop's direction
+#: comes first, so a bad direction is named before the numbers
+SECTIONS = {
+    "system": (
+        lambda d12_re, d12_im, **kw: SystemParams(d12=complex(d12_re, d12_im), **kw),
+        {"e1": REQUIRED, "e2": REQUIRED, "gamma1": REQUIRED, "gamma2": REQUIRED, "d12_re": REQUIRED, "d12_im": 0.0},
+        lambda p: (p.e1, p.e2, p.gamma1, p.gamma2, complex(p.d12).real, complex(p.d12).imag),
+    ),
+    "loop": (
+        lambda center_omega, center_eps0, direction, **kw: LoopSpec(
+            FieldPoint(center_omega, center_eps0), direction=Direction(direction), **kw
+        ),
+        {"direction": _Field(None, _one_of("cw", "ccw")), "center_omega": REQUIRED, "center_eps0": REQUIRED,
+         "semi_axis_omega": REQUIRED, "semi_axis_eps": REQUIRED, "duration_T": REQUIRED, "start_phase": 0.0},
+        lambda loop: (loop.direction.value, loop.center.omega, loop.center.eps0, loop.semi_axis_omega,
+                      loop.semi_axis_eps, loop.duration_T, loop.start_phase),
+    ),
+    "integrator": (IntegratorConfig, {f.name: f.default for f in fields(IntegratorConfig)}, astuple),
+    "initial": (
+        lambda c1_re, c1_im, c2_re, c2_im: StateVector(complex(c1_re, c1_im), complex(c2_re, c2_im)),
+        dict.fromkeys(("c1_re", "c1_im", "c2_re", "c2_im"), 0.0),
+        lambda state: (state.c1.real, state.c1.imag, state.c2.real, state.c2.imag),
+    ),
+    "output": (
+        lambda path, format: (path, format),
+        {"path": _Field(None, _text_or_none), "format": _Field("csv", _one_of("csv", "json"))},
+        tuple,
+    ),
+}
+
+
+def read_section(doc: dict, section: str, absent=REQUIRED):
+    """The object a config section builds, or ``absent`` where the document has no such section."""
+    if section not in doc:
+        if absent is REQUIRED:
+            raise ConfigError(f"missing required section '{section}'")
+        return absent
+    data = doc[section]
+    if not isinstance(data, dict):
+        raise ConfigError(f"config section '{section}' must be a JSON object")
+    build, defaults, _ = SECTIONS[section]
+    for key in data:
+        if key not in defaults:
+            raise ConfigError(f"unknown config key '{section}.{key}'")
+    values = {}
+    for key, default in defaults.items():
+        default, read = default if isinstance(default, _Field) else (default, _number)
+        value = data.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing required field '{section}.{key}'")
+        values[key] = read(section, key, value)
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid '{section}' section: {exc}") from exc
+
+
+def section_to_dict(section: str, obj) -> dict:
+    """``obj`` as its config section: each of the section's fields with its value read off ``obj``."""
+    _, defaults, inverse = SECTIONS[section]
+    return dict(zip(defaults, inverse(obj)))
+
+
+def _json_value(x):
+    """A value as the JSON files hold it: a direction by its name, a loop as its config section."""
+    if isinstance(x, Direction):
+        return x.value
+    if isinstance(x, LoopSpec):
+        return section_to_dict("loop", x)
+    return x
+
+
+def _values(obj, names: dict) -> dict:
+    """``obj``'s attributes by file key, as ``names`` maps each key to its (dotted) attribute."""
+    return {key: _json_value(attrgetter(name)(obj)) for key, name in names.items()}
 
 
 def _trajectory_columns(traj: TrajectoryRecord) -> list:
@@ -108,12 +208,14 @@ def trajectory_to_csv(traj: TrajectoryRecord) -> str:
 def _meta_dict(traj: TrajectoryRecord) -> dict:
     meta = traj.meta
     out = {"method": meta.get("method", "")}
-    if "params" in meta:
-        out["system"] = params_to_dict(meta["params"])
-    if "drive" in meta:
-        out["loop"] = loop_to_dict(meta["drive"])
-    if "config" in meta:
-        out["integrator"] = config_to_dict(meta["config"])
+    for section, key in _META_SECTIONS.items():
+        value = meta.get(key)
+        if isinstance(value, StaticDrive):
+            # the table's one exception: no config builds a static drive, so its meta only describes the run
+            out[section] = dict(static_omega=value.field.omega, static_eps0=value.field.eps0,
+                                duration_T=value.duration_T)
+        elif key in meta:
+            out[section] = section_to_dict(section, value)
     return out
 
 
@@ -131,11 +233,6 @@ def trajectory_to_json(traj: TrajectoryRecord) -> str:
     return head[:-2] + ',\n "rows": [\n' + rows + "\n ]\n}\n"
 
 
-def _sweep_values(cell) -> dict:
-    """The cell's values by sweep column, in ``SWEEP_COLUMNS`` order."""
-    return {column: getattr(cell, name) for column, name in _SWEEP_FIELDS.items()}
-
-
 def _csv_value(x) -> str:
     if x is None:
         return ""
@@ -148,7 +245,7 @@ def _csv_value(x) -> str:
 
 def sweep_row_csv(cell) -> str:
     """One CSV line for a finished cell (lets callers flush incrementally)."""
-    return ",".join(map(_csv_value, _sweep_values(cell).values()))
+    return ",".join(map(_csv_value, _values(cell, _SWEEP_FIELDS).values()))
 
 
 def sweep_header_csv() -> str:
@@ -162,24 +259,11 @@ def sweep_to_csv(result: SweepResult) -> str:
 
 
 def sweep_to_json(result: SweepResult) -> str:
-    spec = result.spec
     doc = {
-        "spec": {
-            "template": loop_to_dict(spec.template),
-            "durations": list(spec.durations),
-            "amp_scales": list(spec.amp_scales),
-            "direction": spec.direction.value,
-            "ratio_min": spec.ratio_min,
-            "survival_levels": list(spec.survival_levels),
-            "dominant_target": spec.dominant_target,
-        },
-        "cells": [_sweep_values(c) for c in result.cells],
+        "spec": {key: _json_value(getattr(result.spec, key)) for key in _SPEC_FIELDS},
+        "cells": [_values(c, _SWEEP_FIELDS) for c in result.cells],
     }
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
-def _state_name(index: Optional[int]) -> str:
-    return "-" if index is None else f"state{index}"
 
 
 def table_to_text(table: Table1Result) -> str:
@@ -187,9 +271,9 @@ def table_to_text(table: Table1Result) -> str:
     body = [
         (
             row.direction.value,
-            _state_name(row.initial_state),
-            _state_name(row.adiabatic_final),
-            _state_name(row.exact_final),
+            state_name(row.initial_state),
+            state_name(row.adiabatic_final),
+            state_name(row.exact_final),
         )
         for row in table.rows
     ]
@@ -203,44 +287,23 @@ def table_to_text(table: Table1Result) -> str:
 
 
 def table_to_json(table: Table1Result) -> str:
-    doc = {
-        "swapped": table.swapped,
-        "rows": [
-            {
-                "direction": row.direction.value,
-                "initial": row.initial_state,
-                "adiabatic_final": row.adiabatic_final,
-                "exact_final": row.exact_final,
-                "ratio": row.report.ratio,
-                "survival": row.report.survival,
-            }
-            for row in table.rows
-        ],
-    }
+    doc = {"swapped": table.swapped, "rows": [_values(row, _TABLE1_FIELDS) for row in table.rows]}
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 def table_from_json(text: str) -> Table1Result:
     """Rebuild the table structure from its JSON rendering (round-trip aid)."""
-    from .analysis import AsymmetryReport, Table1Row
-
     doc = json.loads(text)
     rows = []
     for r in doc["rows"]:
+        row = {name: r[key] for key, name in _TABLE1_FIELDS.items()}
+        direction = Direction(row.pop("direction"))
         report = AsymmetryReport(
-            dominant_state=r["exact_final"],
-            ratio=r["ratio"],
-            survival=r["survival"],
-            direction=Direction(r["direction"]),
-            initial_label=f"state{r['initial']}",
+            dominant_state=row["exact_final"],
+            ratio=row.pop("report.ratio"),
+            survival=row.pop("report.survival"),
+            direction=direction,
+            initial_label=state_name(row["initial_state"]),
         )
-        rows.append(
-            Table1Row(
-                direction=Direction(r["direction"]),
-                initial_state=r["initial"],
-                adiabatic_final=r["adiabatic_final"],
-                exact_final=r["exact_final"],
-                report=report,
-            )
-        )
+        rows.append(Table1Row(direction=direction, report=report, **row))
     return Table1Result(rows=tuple(rows), swapped=doc["swapped"])

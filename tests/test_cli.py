@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 
 import config_reference
 import epdyn
+from epdyn import DEFAULT_PARAMS, FieldPoint, IntegratorConfig, StateVector, StaticDrive, propagate_direct
 from epdyn.cli import load_config, main
 from epdyn.errors import ConfigError
+from epdyn.serialize import trajectory_to_json
 
 BASE_CONFIG = {
     "system": {"e1": 0.0, "e2": 1.0, "gamma1": 0.1, "gamma2": 0.3, "d12_re": 1.0, "d12_im": 0.0},
@@ -224,6 +226,28 @@ class TestSimulate:
         assert main(argv) == 1
         assert "--n-output" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputPath:
+    # a path that cannot be opened for writing is a config error naming the
+    # field, on every command that writes a file; table1 writes "" too
+    COMMANDS = [["simulate", "--n-output", "8"], ["table1"], ["--jobs", "1", "sweep", "--t-min", "10"]]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=["simulate", "table1", "sweep"])
+    @pytest.mark.parametrize(
+        "path, flag",
+        [("", False), (".", False), ("missing/out", False), (".", True), ("missing/out", True)],
+        ids=["empty", "directory", "missing-directory", "directory-flag", "missing-directory-flag"],
+    )
+    def test_unopenable_path_exits_1(self, tmp_path, capsys, argv, path, flag):
+        path = str(tmp_path / path) if path else path
+        doc = patched({"integrator": {"rel_tol": 1e-8}, "output": {} if flag else {"path": path}})
+        config = write_config(tmp_path, doc)
+        assert main(["--config", config, *(["--output", path] if flag else []), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: field 'output.path' (or --output) cannot be opened for writing")
+        assert "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
 
 
 class TestTable1:
@@ -798,6 +822,25 @@ def test_trajectory_meta_loads_as_the_run_config(tmp_path, capsys, method):
     run = load_config(config)
     assert (read_back.params, read_back.loop, read_back.integrator) == (run.params, run.loop, run.integrator)
     assert math.copysign(1.0, read_back.params.d12.imag) == -1.0
+
+
+def test_static_drive_and_uncapped_step_meta_do_not_read_back(tmp_path):
+    # the decision: a StaticDrive's meta (static_omega, static_eps0) and an
+    # infinite max_step describe a library run; no config builds either, so
+    # the reader refuses them as it refuses any config with those fields
+    drive = StaticDrive(FieldPoint(1.0, 0.2), 5.0)
+    config = IntegratorConfig(rel_tol=1e-8, max_step=math.inf)
+    traj = propagate_direct(DEFAULT_PARAMS, drive, StateVector.basis(1), config, n_output=4)
+    text = trajectory_to_json(traj)
+    assert '"max_step": Infinity' in text
+    meta = json.loads(text)["meta"]
+    assert meta["loop"] == {"static_omega": 1.0, "static_eps0": 0.2, "duration_T": 5.0}
+    loop_doc = {"system": meta["system"], "loop": meta["loop"]}
+    with pytest.raises(ConfigError, match="^unknown config key 'loop.static_eps0'$"):
+        load_config(write_config(tmp_path, loop_doc, name="loop.json"))
+    integrator_doc = {"system": meta["system"], "integrator": meta["integrator"]}
+    with pytest.raises(ConfigError, match="^field 'integrator.max_step' must be finite$"):
+        load_config(write_config(tmp_path, integrator_doc, name="integrator.json"), require_loop=False)
 
 
 # -- runtime dependencies -------------------------------------------------------

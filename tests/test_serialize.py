@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epdyn import (
     DEFAULT_PARAMS,
@@ -20,11 +22,14 @@ from epdyn import (
     propagate_adiabatic,
     propagate_direct,
 )
-from epdyn.analysis import SweepCell, SweepSpec, sweep, table1
+from epdyn.analysis import SweepCell, SweepResult, SweepSpec, sweep, table1
 from epdyn.propagation import TrajectoryRecord
 from epdyn.serialize import (
+    SECTIONS,
     SWEEP_COLUMNS,
     TRAJECTORY_COLUMNS,
+    read_section,
+    section_to_dict,
     sweep_row_csv,
     sweep_to_csv,
     sweep_to_json,
@@ -207,3 +212,81 @@ class TestTableFormats:
         assert table_to_text(rebuilt) == table_to_text(table)
         assert rebuilt.swapped == table.swapped
         assert [r.exact_final for r in rebuilt.rows] == [r.exact_final for r in table.rows]
+
+
+# -- the config schema: each section's writer inverts its reader ----------------
+
+#: every finite float: -0.0, subnormals and the largest magnitudes included
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
+POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
+
+
+@st.composite
+def optional_fields(draw, section, required, **optional):
+    """A section with its required fields and a drawn subset of its optional ones."""
+    data = {key: draw(strategy) for key, strategy in required.items()}
+    data.update({key: draw(strategy) for key, strategy in optional.items() if draw(st.booleans())})
+    return section, data
+
+
+@st.composite
+def loop_sections(draw):
+    semi_axis_eps, center_eps0 = sorted([draw(POSITIVE), draw(POSITIVE)])
+    required = dict(direction=st.sampled_from(["cw", "ccw"]), center_omega=FINITE, center_eps0=st.just(center_eps0),
+                    semi_axis_omega=POSITIVE, semi_axis_eps=st.just(semi_axis_eps),
+                    duration_T=st.floats(min_value=1e-300, allow_infinity=False))  # 2*pi/T must be finite
+    return draw(optional_fields("loop", required, start_phase=FINITE))
+
+
+SECTION_DOCS = st.one_of(
+    optional_fields("system", dict(e1=FINITE, e2=FINITE, gamma1=NON_NEGATIVE, gamma2=NON_NEGATIVE, d12_re=FINITE),
+                    d12_im=FINITE),
+    loop_sections(),
+    optional_fields("integrator", {}, rel_tol=st.floats(min_value=1e-13, allow_infinity=False), abs_tol=POSITIVE,
+                    max_step=POSITIVE, initial_step=POSITIVE),
+    optional_fields("initial", {}, c1_re=FINITE, c1_im=FINITE, c2_re=FINITE, c2_im=FINITE).filter(
+        lambda doc: any(doc[1].values())),  # not identically zero
+    optional_fields("output", {}, path=st.none() | st.text(max_size=8), format=st.sampled_from(["csv", "json"])),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(section_doc=SECTION_DOCS)
+@example(section_doc=("system", dict(e1=-0.0, e2=1e300, gamma1=5e-324, gamma2=-0.0, d12_re=-1e300, d12_im=-0.0)))
+@example(section_doc=("loop", dict(direction="ccw", center_omega=-1e300, center_eps0=1e300, semi_axis_omega=5e-324,
+                                   semi_axis_eps=5e-324, duration_T=1e300, start_phase=-0.0)))
+@example(section_doc=("integrator", dict(rel_tol=1e300, abs_tol=5e-324, max_step=1e300, initial_step=5e-324)))
+@example(section_doc=("initial", dict(c1_re=-0.0, c1_im=5e-324, c2_re=-1e300, c2_im=1e300)))
+@example(section_doc=("output", dict(path="")))
+def test_each_writer_inverts_the_reader(section_doc):
+    # a valid section, read and written, gives the document back with its
+    # defaults filled in (to the bit: json writes -0.0 and each float's repr),
+    # and that reads once more as an equal object
+    section, data = section_doc
+    built = read_section({section: data}, section)
+    written = section_to_dict(section, built)
+    defaults = SECTIONS[section][1]
+    # a field that is not a number holds its default beside its reader
+    filled = {key: data.get(key, getattr(default, "default", default)) for key, default in defaults.items()}
+    assert json.dumps(written, sort_keys=True) == json.dumps(filled, sort_keys=True)
+    assert read_section({section: written}, section) == built
+
+
+def test_library_dipole_is_written_as_a_float():
+    # SystemParams(d12=1) holds an int; its meta writes complex(1).real, as a config would give it
+    params = SystemParams(e1=0.0, e2=1.0, gamma1=0.1, gamma2=0.3, d12=1)
+    traj = propagate_direct(params, hermitian_loop(5.0), StateVector.basis(1), FAST, n_output=4)
+    text = trajectory_to_json(traj)
+    assert '"d12_re": 1.0,' in text and '"d12_im": 0.0,' in text
+    assert read_section(json.loads(text)["meta"], "system") == params
+
+
+def test_sweep_spec_template_reads_back_as_the_template():
+    spec = SweepSpec(template=diode_loop(Direction.CW), durations=(300.0, 375.0), amp_scales=(0.5, 1.0),
+                     direction=Direction.CCW, initial_phase=1.5)
+    doc = json.loads(sweep_to_json(SweepResult(spec)))["spec"]
+    assert read_section({"loop": doc["template"]}, "loop") == spec.template
+    assert sorted(doc) == ["amp_scales", "direction", "dominant_target", "durations", "initial_phase", "ratio_min",
+                           "survival_levels", "template"]
+    assert (doc["initial_phase"], doc["direction"], doc["durations"]) == (1.5, "ccw", [300.0, 375.0])

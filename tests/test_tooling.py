@@ -1,12 +1,12 @@
 """The package as its tools and documents see it: every name the benchmark harness wraps
-must exist, every call it makes bind, and the README's config must match the reader's table."""
+must exist, every call it makes bind, and the README's config must match the schema table."""
 
 import importlib
 import inspect
 import json
 from pathlib import Path
 
-from epdyn import analysis, cli, propagation
+from epdyn import analysis, cli, propagation, serialize
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -44,13 +44,13 @@ def test_workload_calls_bind_to_the_signatures():
 
 def test_readme_config_names_every_field_once(tmp_path):
     # the config under README's "Command line" loads, and names each field of
-    # each section of the reader's table once, so the documented schema cannot drift
+    # each section of the schema table once, so the documented schema cannot drift
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "config.json"
     path.write_text(block, encoding="utf-8")
     cli.load_config(str(path))
     doc = json.loads(block, object_pairs_hook=list)  # keeps a repeated key
-    assert [section for section, _ in doc] == list(cli._SECTIONS)
+    assert [section for section, _ in doc] == list(serialize.SECTIONS)
     for section, pairs in doc:
-        assert sorted(key for key, _ in pairs) == sorted(cli._SECTIONS[section][1]), section
+        assert sorted(key for key, _ in pairs) == sorted(serialize.SECTIONS[section][1]), section
