@@ -68,11 +68,6 @@ class AsymmetryReport:
     ratio: float  # max(W1,W2)/min(W1,W2), capped at RATIO_CAP
     survival: float  # true norm^2(T) / norm^2(0)
     direction: Direction
-    initial_label: str
-
-    @property
-    def w_dominant(self) -> float:
-        return self.ratio / (1.0 + self.ratio)
 
 
 @dataclass(frozen=True)
@@ -123,11 +118,7 @@ def _dominance(w1: float) -> tuple[Optional[int], float]:
     return (1 if w1 > w2 else 2), ratio
 
 
-def final_state_report(
-    traj: TrajectoryRecord,
-    direction: Direction,
-    initial_label: str = "",
-) -> AsymmetryReport:
+def final_state_report(traj: TrajectoryRecord, direction: Direction) -> AsymmetryReport:
     """Dominance, capped ratio, and survival fraction of the final state."""
     series = project_normalized(traj)
     dominant, ratio = _dominance(float(series.w1[-1]))
@@ -136,7 +127,6 @@ def final_state_report(
         ratio=ratio,
         survival=survival_fraction(traj),
         direction=direction,
-        initial_label=initial_label,
     )
 
 
@@ -157,13 +147,7 @@ def survival_fraction(traj: TrajectoryRecord) -> float:
     return float(traj.norms_sq[-1] / traj.norms_sq[0] * math.exp(traj.log_scale[-1] - traj.log_scale[0]))
 
 
-def _map_report(
-    params: SystemParams,
-    loop: LoopSpec,
-    tmap: TraversalMap,
-    initial,
-    initial_label: str = "",
-) -> AsymmetryReport:
+def _map_report(params: SystemParams, loop: LoopSpec, tmap: TraversalMap, initial) -> AsymmetryReport:
     """Dominance, capped ratio and survival of the state U c0 that a traversal map gives.
 
     The survival restores the trace factor the map leaves out:
@@ -187,7 +171,6 @@ def _map_report(
         ratio=ratio,
         survival=math.exp(log_survival),
         direction=loop.direction,
-        initial_label=initial_label,
     )
 
 
@@ -223,9 +206,7 @@ def table1(
             slot = 0 if abs(frame.vectors[0, 0, initial_state - 1]) >= abs(
                 frame.vectors[0, 1, initial_state - 1]
             ) else 1
-            report = _map_report(
-                params, direction_loop, tmap, StateVector.basis(initial_state), state_name(initial_state)
-            )
+            report = _map_report(params, direction_loop, tmap, StateVector.basis(initial_state))
             rows.append(
                 Table1Row(
                     direction=direction_loop.direction,
@@ -258,7 +239,6 @@ class SweepSpec:
     amp_scales: tuple[float, ...]
     direction: Direction = Direction.CW
     initial_phase: float = 0.0  # relative phase of the equal superposition
-    initial: Optional[StateVector] = None  # overrides the equal superposition
     ratio_min: float = 1000.0
     survival_levels: tuple[float, ...] = (0.1, 0.01, 0.001)
     dominant_target: Optional[int] = 2
@@ -282,8 +262,6 @@ class SweepSpec:
                 self.cell_loop(i, j)
 
     def initial_state(self) -> StateVector:
-        if self.initial is not None:
-            return self.initial
         return StateVector.equal_superposition(self.initial_phase)
 
     def cell_loop(self, i: int, j: int) -> LoopSpec:
@@ -343,7 +321,7 @@ def _run_batch(
         try:
             if isinstance(tmap, Exception):
                 raise tmap
-            report = _map_report(params, loop, tmap, initial, "sweep")
+            report = _map_report(params, loop, tmap, initial)
         except (EpdynError, ValueError) as exc:
             cells.append(SweepCell(
                 **common, ratio=None, dominant_state=None, survival=None,

@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 config error, 2 no finite EP, 3 propagation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -86,17 +87,20 @@ def load_config(path: str, require_loop: bool = True) -> RunConfig:
     )
 
 
-def _open_output(path: str):
-    """The output file, opened for writing; a path that cannot be opened is a config error."""
+def _open_output(path: Optional[str], required: bool = True):
+    """The output file at ``path``, opened for writing before any work; no optional path gives a null context.
+
+    A missing required path and one that cannot be opened are config errors.
+    A run that fails after the open leaves the file empty.
+    """
+    if path is None:
+        if required:
+            raise ConfigError("missing required field 'output.path' (or --output)")
+        return contextlib.nullcontext()
     try:
         return open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ConfigError(f"field 'output.path' (or --output) cannot be opened for writing: {exc}") from exc
-
-
-def _write_text(path: str, text: str) -> None:
-    with _open_output(path) as fh:
-        fh.write(text)
 
 
 def _exit_code_for(exc: EpdynError) -> int:
@@ -128,31 +132,31 @@ def cmd_locate_ep(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig, method: str, n_output: int) -> int:
-    if config.out_path is None:
-        raise ConfigError("missing required field 'output.path' (or --output)")
     if n_output < 2:
         raise ConfigError(f"--n-output must be >= 2, got {n_output}")
     propagate = propagate_direct if method == "direct" else propagate_adiabatic
-    try:
-        traj = propagate(config.params, config.loop, config.initial, config.integrator, n_output=n_output)
-    except ValueError as exc:  # a loop the route cannot step (duration_T too small for the adiabatic route)
-        raise ConfigError(f"invalid 'loop' section: {exc}") from exc
     write = serialize.trajectory_to_csv if config.out_format == "csv" else serialize.trajectory_to_json
-    _write_text(config.out_path, write(traj))
+    with _open_output(config.out_path) as fh:
+        try:
+            traj = propagate(config.params, config.loop, config.initial, config.integrator, n_output=n_output)
+        except ValueError as exc:  # a loop the route cannot step (duration_T too small for the adiabatic route)
+            raise ConfigError(f"invalid 'loop' section: {exc}") from exc
+        fh.write(write(traj))
     report = analysis.final_state_report(traj, config.loop.direction)
     print(_report_line(report, method))
     return EXIT_OK
 
 
 def cmd_table1(config: RunConfig) -> int:
-    try:
-        table = analysis.table1(config.params, config.loop, config.integrator)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    rendered = (serialize.table_to_json if config.out_format == "json" else serialize.table_to_text)(table)
-    if config.out_path is not None:
-        _write_text(config.out_path, rendered)
+    with _open_output(config.out_path, required=False) as fh:
+        try:
+            table = analysis.table1(config.params, config.loop, config.integrator)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
+        rendered = (serialize.table_to_json if config.out_format == "json" else serialize.table_to_text)(table)
+        if fh is not None:
+            fh.write(rendered)
     sys.stdout.write(rendered)
     return EXIT_OK
 
@@ -167,8 +171,6 @@ def cmd_winding(config: RunConfig, n_samples: int) -> int:
 
 
 def cmd_sweep(config: RunConfig, args) -> int:
-    if config.out_path is None:
-        raise ConfigError("missing required field 'output.path' (or --output)")
     durations = _parse_grid(args.t_min, args.t_max, args.nt, args.t_spacing, "duration")
     amp_scales = _parse_grid(args.amp_min, args.amp_max, args.namp, "linear", "amplitude")
     target = None if args.dominant_target == "any" else int(args.dominant_target)
@@ -194,27 +196,23 @@ def cmd_sweep(config: RunConfig, args) -> int:
             message = message.replace(name, "--" + name.replace("_", "-"))
         raise ConfigError(message) from exc
 
-    def report(cell: analysis.SweepCell) -> None:
-        log.info("cell (%d,%d) done steps=%s frame=%s", cell.i, cell.j, cell.steps, cell.frame)
-
-    if config.out_format == "json":
-        result = analysis.sweep(spec, config.params, config.integrator, args.jobs, report)
-        _write_text(config.out_path, serialize.sweep_to_json(result))
-        return EXIT_SWEEP_FAILED if result.all_failed else EXIT_OK
-
-    # CSV: write each row as its cell arrives (cells arrive in grid order, one
+    # CSV writes each row as its cell arrives (cells arrive in grid order, one
     # batch of up to 32 at a time, so a batch may end mid-row), so an
-    # interrupted run leaves valid output
+    # interrupted run leaves valid output; JSON writes the whole result
+    csv = config.out_format == "csv"
     with _open_output(config.out_path) as fh:
-        fh.write(serialize.sweep_header_csv() + "\n")
-        fh.flush()
+        def report(cell: analysis.SweepCell) -> None:
+            log.info("cell (%d,%d) done steps=%s frame=%s", cell.i, cell.j, cell.steps, cell.frame)
+            if csv:
+                fh.write(serialize.sweep_row_csv(cell) + "\n")
+                fh.flush()
 
-        def write_row(cell: analysis.SweepCell) -> None:
-            report(cell)
-            fh.write(serialize.sweep_row_csv(cell) + "\n")
+        if csv:
+            fh.write(serialize.sweep_header_csv() + "\n")
             fh.flush()
-
-        result = analysis.sweep(spec, config.params, config.integrator, args.jobs, write_row)
+        result = analysis.sweep(spec, config.params, config.integrator, args.jobs, report)
+        if not csv:
+            fh.write(serialize.sweep_to_json(result))
     return EXIT_SWEEP_FAILED if result.all_failed else EXIT_OK
 
 
@@ -296,7 +294,7 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     try:
         config = load_config(args.config, require_loop=args.command != "locate-ep")
-        if args.output:
+        if args.output is not None:
             config.out_path = args.output
         if args.format:
             config.out_format = args.format

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from types import SimpleNamespace
+from collections import namedtuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,14 +83,7 @@ class LoopSpec:
             raise ValueError("center.eps0 must be >= semi_axis_eps (eps0 >= 0 on contour)")
 
     def reversed(self) -> "LoopSpec":
-        return LoopSpec(
-            center=self.center,
-            semi_axis_omega=self.semi_axis_omega,
-            semi_axis_eps=self.semi_axis_eps,
-            direction=self.direction.reversed(),
-            duration_T=self.duration_T,
-            start_phase=self.start_phase,
-        )
+        return replace(self, direction=self.direction.reversed())
 
     # -- drive protocol ----------------------------------------------------
 
@@ -106,11 +99,9 @@ class LoopSpec:
         ``xp`` is math for a time, numpy for an array of times, as for ``_angle``.
         """
         _check_time(self, t, xp)
-        th0 = self.start_phase
-        rate = self.direction.sign * 2.0 * math.pi / self.duration_T
-        return self.center.omega * t + self.semi_axis_omega * (
-            (xp.sin(th0 + rate * t) - math.sin(th0)) / rate
-        )
+        c = _contour(self)
+        rate = c.sign * 2.0 * math.pi / c.T
+        return c.cx * t + c.ax * ((xp.sin(c.th0 + rate * t) - math.sin(c.th0)) / rate)
 
 
 @dataclass(frozen=True)
@@ -149,75 +140,81 @@ def _check_time(drive, t, xp=math) -> None:
         raise ValueError(f"t = {t} outside [0, {drive.duration_T}]")
 
 
-def _angle(loop: LoopSpec, t, xp=math):
-    """Angle start_phase + sign*2*pi*(t/T mod 1); ``xp`` is math for scalars, numpy for arrays.
+#: A drive's constants: duration T, start phase th0, direction sign, centre (cx, cy)
+#: and axes (ax, ay); floats for one drive, (m, 1) columns for a batch
+#: (``_contours``). The generated direct run unpacks them in this order.
+_Contour = namedtuple("_Contour", "T th0 sign cx ax cy ay")
+
+
+def _contour(drive) -> _Contour:
+    """The constants of a loop or static drive, the one reader of both.
+
+    A ``StaticDrive`` is the contour with both axes -0.0 at the fixed angle 0
+    (start phase 0.0, sign 0.0): cos 0 = 1.0 and sin 0 = 0.0 make each axis
+    term -0.0, and x + -0.0 is x for every x, signed zeros included, so it
+    gives the bits of the constant field and a zero velocity.
+    """
+    if isinstance(drive, StaticDrive):
+        return _Contour(drive.duration_T, 0.0, 0.0, drive.field.omega, -0.0, drive.field.eps0, -0.0)
+    return _Contour(drive.duration_T, drive.start_phase, drive.direction.sign, drive.center.omega,
+                    drive.semi_axis_omega, drive.center.eps0, drive.semi_axis_eps)
+
+
+def _contours(drives) -> _Contour:
+    """The drives' ``_contour`` fields as (m, 1) columns, so one evaluation takes every drive with its bits."""
+    return _Contour(*(np.array(column, dtype=float)[:, None] for column in zip(*map(_contour, drives))))
+
+
+def _angle(c: _Contour, t, xp=math):
+    """Angle th0 + sign*2*pi*(t/T mod 1); ``xp`` is math for scalars, numpy for arrays.
 
     Reducing t/T mod 1 makes t = T reproduce t = 0 bit for bit.
     """
-    frac = xp.fmod(t / loop.duration_T, 1.0)
-    return loop.start_phase + loop.direction.sign * 2.0 * xp.pi * frac
+    return c.th0 + c.sign * 2.0 * xp.pi * xp.fmod(t / c.T, 1.0)
 
 
-def _ellipse(loop: LoopSpec, c, s):
-    """Contour point (omega, eps0) at the angle with cosine c and sine s, floats or arrays."""
-    return (
-        loop.center.omega + loop.semi_axis_omega * c,
-        loop.center.eps0 + loop.semi_axis_eps * s,
-    )
+def _ellipse(c: _Contour, cos, sin):
+    """Contour point (omega, eps0) at the angle with cosine ``cos`` and sine ``sin``, floats or arrays."""
+    return c.cx + c.ax * cos, c.cy + c.ay * sin
 
 
-def _velocity(loop: LoopSpec, c, s):
-    """Contour velocity (omega', eps0') at the angle with cosine c and sine s, floats or arrays."""
-    rate = loop.direction.sign * 2.0 * math.pi / loop.duration_T
-    return (
-        -loop.semi_axis_omega * s * rate,
-        loop.semi_axis_eps * c * rate,
-    )
+def _velocity(c: _Contour, cos, sin):
+    """Contour velocity (omega', eps0') at the angle with cosine ``cos`` and sine ``sin``, floats or arrays."""
+    rate = c.sign * 2.0 * math.pi / c.T
+    return -c.ax * sin * rate, c.ay * cos * rate
 
 
 def field_at(loop: LoopSpec, t: float) -> FieldPoint:
     """Contour point at time t: theta(t) = start_phase + sign*2*pi*t/T."""
     _check_time(loop, t)
-    th = _angle(loop, t)
-    return FieldPoint(*_ellipse(loop, math.cos(th), math.sin(th)))
+    c = _contour(loop)
+    th = _angle(c, t)
+    return FieldPoint(*_ellipse(c, math.cos(th), math.sin(th)))
 
 
 def field_velocity(loop: LoopSpec, t: float) -> tuple[float, float]:
     """Analytic time derivative of field_at; scales as 1/T for fixed geometry."""
     _check_time(loop, t)
-    th = _angle(loop, t)
-    return _velocity(loop, math.cos(th), math.sin(th))
-
-
-def _as_loop(drive):
-    """A drive's constants under ``LoopSpec``'s attribute names; a loop is its own.
-
-    A ``StaticDrive`` is the loop with both axes -0.0 at the fixed angle 0
-    (start phase 0.0, direction sign 0.0): cos 0 = 1.0 and sin 0 = 0.0 make
-    each axis term -0.0, and x + -0.0 is x for every x, signed zeros
-    included, so it gives the bits of the constant field and a zero velocity.
-    """
-    if not isinstance(drive, StaticDrive):
-        return drive
-    return SimpleNamespace(center=drive.field, semi_axis_omega=-0.0, semi_axis_eps=-0.0,
-                           direction=SimpleNamespace(sign=0.0), duration_T=drive.duration_T, start_phase=0.0)
+    c = _contour(loop)
+    th = _angle(c, t)
+    return _velocity(c, math.cos(th), math.sin(th))
 
 
 def _fields_at(drive, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, eps0) arrays at ``times`` along a loop or static drive (``_as_loop``), the bits of ``field_at``."""
-    loop = _as_loop(drive)
-    th = _angle(loop, times, np)
-    return _ellipse(loop, np.cos(th), np.sin(th))
+    """(omega, eps0) arrays at ``times`` along a loop or static drive, the bits of ``field_at``."""
+    c = _contour(drive)
+    th = _angle(c, times, np)
+    return _ellipse(c, np.cos(th), np.sin(th))
 
 
-def _motion_at(loop: LoopSpec, times: np.ndarray) -> tuple:
-    """(omega, eps0, omega', eps0') arrays at ``times`` along a loop, from one angle.
+def _motion_at(c: _Contour, times: np.ndarray) -> tuple:
+    """(omega, eps0, omega', eps0') arrays at ``times`` along a contour or batch of them, from one angle.
 
     The bits of ``_fields_at`` and of ``field_velocity`` at each time.
     """
-    th = _angle(loop, times, np)
-    c, s = np.cos(th), np.sin(th)
-    return (*_ellipse(loop, c, s), *_velocity(loop, c, s))
+    th = _angle(c, times, np)
+    cos, sin = np.cos(th), np.sin(th)
+    return (*_ellipse(c, cos, sin), *_velocity(c, cos, sin))
 
 
 def _discriminant_on_loop(drive, params: SystemParams, times: np.ndarray) -> np.ndarray:

@@ -16,8 +16,9 @@ eigenvectors turn with th, tan 2th = g/a. ``_traceless`` is the one
 definition of (a, g). It is plain arithmetic, so omega and eps0 may be floats
 or numpy arrays; the closed-form couplings, the step products of
 ``traversal`` and the vectorized contour scans in ``loops`` use it, and the
-direct route's generated run gets the same bits from constants read once
-per run, with its operations inlined (``propagation._drive_constants``;
+direct route's generated run gets the same bits from the drive's
+``loops._contour`` and the model's constants, read once per run, with its
+operations inlined (``propagation._drive_constants``;
 ``tests/dop853_reference.py`` keeps the scalar closure as the reference).
 
 Eigenframes have one closed form. The eigenvalues are tr(H)/2 +/- lam with

@@ -17,10 +17,10 @@ the tests keep as its oracle. The whole integration is one function,
 tableau (``_dop853_source``): the stepping loop, the controller and the row
 bookkeeping on local variables, with the drive inlined into every stage
 (the operations of ``model._traceless`` at ``field_at``, on the drive's
-and the model's constants read once per run), so every stage has those
-bits without a call or an object per step. The run keeps the stages of
-each step that holds an output time; after it, one array pass
-(``_dense_rows``) builds those steps' dense-output interpolants and
+``loops._contour`` and the model's constants read once per run), so every
+stage has those bits without a call or an object per step. The run keeps
+the stages of each step that holds an output time; after it, one array
+pass (``_dense_rows``) builds those steps' dense-output interpolants and
 evaluates every output row after the first. The run rescales the working
 state in place, keeping the step size, when its norm leaves the working
 window, and enforces a step budget (``_STEP_BUDGET``), so no input makes a
@@ -80,7 +80,7 @@ from .errors import (
     StepSizeUnderflowError,
 )
 from . import traversal
-from .loops import LoopSpec, StaticDrive, _as_loop, _discriminant_on_loop, _fields_at
+from .loops import LoopSpec, StaticDrive, _contour, _discriminant_on_loop, _fields_at
 # build_hamiltonian is not called here; perfbench's tracer wraps propagation.build_hamiltonian
 from .model import SystemParams, _complex, _fmul, _gauge, _mul, _plus, _require_finite, build_hamiltonian, c_product
 
@@ -531,18 +531,15 @@ _DOP_D = (
 
 
 def _drive_constants(drive: Drive, params: SystemParams) -> tuple:
-    """(T, th0, turn, cx, ax, cy, ay, a_static, half_d12): what the direct run reads of a drive.
+    """(T, th0, sign, cx, ax, cy, ay, a_static, half_d12): the drive's ``loops._contour`` and the model's constants.
 
-    Each RHS call of the run clamps its time to [0, T] and takes
-    th = th0 + turn * fmod(t / T, 1.0), a = a_static + 0.5 * (cx + ax cos th)
-    and g = half_d12 * (cy + ay sin th): the operations of ``field_at`` and
-    ``model._traceless`` in their order, so every (a, g) is their bits. The
-    constants are the drive's as a loop (``loops._as_loop``), so a static
-    drive gets the bits of its constant field.
+    The direct run takes turn = sign * 2.0 * pi once, and each RHS call
+    clamps its time to [0, T] and takes th = th0 + turn * fmod(t / T, 1.0),
+    a = a_static + 0.5 * (cx + ax cos th) and g = half_d12 * (cy + ay sin th):
+    the operations of ``field_at`` and ``model._traceless`` in their order,
+    so every (a, g) is their bits, a static drive's those of its field.
     """
-    loop = _as_loop(drive)
-    return (loop.duration_T, loop.start_phase, loop.direction.sign * 2.0 * math.pi, loop.center.omega,
-            loop.semi_axis_omega, loop.center.eps0, loop.semi_axis_eps, params._a_static, params._half_d12)
+    return (*_contour(drive), params._a_static, params._half_d12)
 
 
 # the step controller of scipy.integrate.DOP853; the exponent is -1 / (error estimator order 7 + 1)
@@ -580,7 +577,8 @@ def _rhs_lines(t: Optional[str], u0: str, u1: str, f0: str, f1: str) -> list:
 
 _DOP853_TEMPLATE = '''
 def run(drive, y, t_bound, grid, rtol, atol, max_step, h_abs):
-    T, th0, turn, cx, ax, cy, ay, a_static, half_d12 = drive
+    T, th0, sign, cx, ax, cy, ay, a_static, half_d12 = drive
+    turn = sign * 2.0 * pi
     y0, y1 = y
     t = log_u = 0.0
     accepted = rejected = renormalizations = 0
@@ -734,7 +732,7 @@ def _dop853_source() -> str:
 @functools.cache
 def _dop853_run():
     """``run``, compiled from ``_dop853_source()`` by the first direct run of a process."""
-    namespace = {name: getattr(math, name) for name in ("cos", "sin", "fmod", "sqrt", "log", "ulp", "inf")}
+    namespace = {name: getattr(math, name) for name in ("cos", "sin", "fmod", "sqrt", "log", "ulp", "inf", "pi")}
     namespace.update(isfinite=cmath.isfinite, bisect_right=bisect.bisect_right, budget_message=_budget_message,
                      NonFiniteError=NonFiniteError, StepBudgetError=StepBudgetError,
                      StepSizeUnderflowError=StepSizeUnderflowError)

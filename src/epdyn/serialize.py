@@ -56,8 +56,7 @@ _SWEEP_FIELDS = {"i": "i", "j": "j", "T": "duration_T", "amp_scale": "amp_scale"
                  "dominant": "dominant_state", "survival": "survival", "pass_ratio": "pass_ratio",
                  "pass_survival": "pass_survival", "error": "error"}
 SWEEP_COLUMNS = tuple(_SWEEP_FIELDS)
-#: the sweep JSON's spec keys, each a ``SweepSpec`` field; the ``initial``
-#: override, which the command line never sets, is not written
+#: the sweep JSON's spec keys, every ``SweepSpec`` field
 _SPEC_FIELDS = ("template", "durations", "amp_scales", "direction", "initial_phase", "ratio_min", "survival_levels",
                 "dominant_target")
 #: the table1 JSON's row keys, each with the ``Table1Row`` attribute it holds
@@ -303,7 +302,6 @@ def table_from_json(text: str) -> Table1Result:
             ratio=row.pop("report.ratio"),
             survival=row.pop("report.survival"),
             direction=direction,
-            initial_label=state_name(row["initial_state"]),
         )
         rows.append(Table1Row(direction=direction, report=report, **row))
     return Table1Result(rows=tuple(rows), swapped=doc["swapped"])

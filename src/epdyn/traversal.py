@@ -89,13 +89,12 @@ from __future__ import annotations
 
 import math
 import sys
-from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import AmbiguousTrackingError, EPOnContourError, EpdynError, NonFiniteError, StepBudgetError
-from .loops import LoopSpec, _as_loop, _fields_at, _motion_at
+from .loops import LoopSpec, _Contour, _contours, _fields_at, _motion_at
 from .model import SystemParams, _angle, _gauge, _plus, _traceless, _traceless_drive
 
 __all__ = ["TraversalMap", "traversal_maps"]
@@ -368,36 +367,14 @@ def _change(u: np.ndarray, e: int, v: np.ndarray, f: int) -> float:
     return float(d) if np.isfinite(d) else math.inf
 
 
-def _columns(drives: Sequence) -> SimpleNamespace:
-    """The drives' constants (``loops._as_loop``) as (m, 1) columns under ``LoopSpec``'s attribute names.
-
-    ``loops._motion_at`` then evaluates every drive at once, each element by
-    the operations it does for one loop, so with that loop's bits.
-    """
-    def constants(x):
-        x = _as_loop(x)
-        return (x.center.omega, x.center.eps0, x.semi_axis_omega, x.semi_axis_eps,
-                x.direction.sign, x.duration_T, x.start_phase)
-
-    cx, cy, ax, ay, sign, T, th0 = (np.array(c, dtype=float)[:, None] for c in zip(*map(constants, drives)))
-    return SimpleNamespace(
-        center=SimpleNamespace(omega=cx, eps0=cy),
-        semi_axis_omega=ax,
-        semi_axis_eps=ay,
-        direction=SimpleNamespace(sign=sign),
-        duration_T=T,
-        start_phase=th0,
-    )
-
-
-def _drive(params: SystemParams, loops: SimpleNamespace, times: np.ndarray):
-    """(a, g, a', g', w2, finite) of each loop at its row of ``times`` (m, s).
+def _drive(params: SystemParams, contours: _Contour, times: np.ndarray):
+    """(a, g, a', g', w2, finite) of each drive of a ``loops._contours`` batch at its row of ``times`` (m, s).
 
     (a, g) is ``model._traceless`` at the contour point and (a', g') is
     ``model._traceless_drive`` at its velocity (``loops._motion_at``).
     w2 is a^2 + g^2, and ``finite`` (m,) is False for a loop where it overflows.
     """
-    omega, eps0, omega_dot, eps0_dot = _motion_at(loops, times)
+    omega, eps0, omega_dot, eps0_dot = _motion_at(contours, times)
     a, g = _traceless(params, omega, eps0)
     a_dot, g_dot = _traceless_drive(params, omega_dot, eps0_dot)
     w2 = a * a + g * g
@@ -560,21 +537,21 @@ def _intervals(params: SystemParams, drives: Sequence, n: int, every: int, eigen
     are taken at the interval ends, ``np.linspace(0, T, n / every + 1)[1:]``.
     """
     m = len(drives)
-    columns = _columns(drives)
-    h = columns.duration_T / n
+    contours = _contours(drives)
+    h = contours.T / n
     block = min(n, max(1, _BLOCK_STEPS // m))
     block = 1 << (block.bit_length() - 1)  # a power of two, so a block is a subtree
     per = min(every, block)  # divides the block, n and every block start
     resolved = np.ones(m, dtype=bool)
     reach = np.zeros(m)
     with np.errstate(all="ignore"):  # overflow and the guard are reported in the result
-        a, g, _, _, w2, finite = _drive(params, columns, np.zeros((m, 1)))
+        a, g, _, _, w2, finite = _drive(params, contours, np.zeros((m, 1)))
         phase = _Phase(a[:, 0], g[:, 0], w2[:, 0], every) if eigen else None
         nodes, exps = [], []
         for start in range(0, n, block):
             size = min(block, n - start)
             steps = np.arange(start, start + size)[:, None] + np.array(_GAUSS)
-            a, g, a_dot, g_dot, w2, good = _drive(params, columns, steps.ravel() * h)
+            a, g, a_dot, g_dot, w2, good = _drive(params, contours, steps.ravel() * h)
             finite &= good
             if eigen:  # K = [[-i lam, th'], [-th', i lam]]
                 lam = phase.follow(w2)
@@ -596,8 +573,8 @@ def _intervals(params: SystemParams, drives: Sequence, n: int, every: int, eigen
         x, e = _tree(np.concatenate(nodes, axis=-1).reshape(2, 2, *shape), np.concatenate(exps, axis=-1).reshape(shape))
         if not eigen:
             return _Run(x, e, finite, resolved, reach, np.ones(m, dtype=bool), np.ones(m, dtype=bool), (), None, None, None)
-        ends = columns.duration_T if n == every else np.linspace(0.0, columns.duration_T[:, 0], n // every + 1)[1:].T
-        a, g, _, _, w2, good = _drive(params, columns, ends)
+        ends = contours.T if n == every else np.linspace(0.0, contours.T[:, 0], n // every + 1)[1:].T
+        a, g, _, _, w2, good = _drive(params, contours, ends)
         rotations = phase.rotations(a, g, w2)
     return _Run(x, e, finite & good, resolved, reach, phase.clear, phase.smooth, rotations, phase.lam0, phase.lam, phase.z0)
 

@@ -117,7 +117,7 @@ class TestFinalStateReport:
         assert report.ratio == RATIO_CAP
 
     def test_asymmetry_criterion(self):
-        base = dict(survival=0.5, direction=Direction.CW, initial_label="x")
+        base = dict(survival=0.5, direction=Direction.CW)
         assert asymmetry_criterion(AsymmetryReport(1, 1500.0, **base)) is True
         assert asymmetry_criterion(AsymmetryReport(1, 999.0, **base)) is False
         assert asymmetry_criterion(AsymmetryReport(1, 999.0, **base), threshold=500) is True
@@ -422,7 +422,7 @@ class TestMapBits:
             oriented = dataclasses.replace(loop, direction=row.direction)
             (tmap,) = traversal_maps(REF, [oriented], self.ACCEPT.rel_tol)
             init = StateVector.basis(row.initial_state)
-            alone = analysis._map_report(REF, oriented, tmap, init, f"state{row.initial_state}")
+            alone = analysis._map_report(REF, oriented, tmap, init)
             assert repr(alone) == repr(row.report)  # repr tells every float apart
         assert main(["--config", self.config(tmp_path), "--format", "json", "table1"]) == 0
         assert capsys.readouterr().out == table_to_json(table)
@@ -463,7 +463,7 @@ class TestMapBits:
         for cell in result.cells:  # the nine cells share a batch; each cell alone gives the same bits
             loop = spec.cell_loop(cell.i, cell.j)
             (tmap,) = traversal_maps(REF, [loop], self.ACCEPT.rel_tol)
-            alone = analysis._map_report(REF, loop, tmap, spec.initial_state(), "sweep")
+            alone = analysis._map_report(REF, loop, tmap, spec.initial_state())
             assert (repr(alone.ratio), repr(alone.survival)) == (repr(cell.ratio), repr(cell.survival))
         out = tmp_path / "sweep.csv"
         with contextlib.redirect_stderr(io.StringIO()):

@@ -249,6 +249,34 @@ class TestOutputPath:
         assert "Traceback" not in err
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("argv", COMMANDS, ids=["simulate", "table1", "sweep"])
+    def test_empty_flag_overrides_the_config_path(self, tmp_path, capsys, argv):
+        # --output "" is a path like any other, not an absent flag
+        configured = tmp_path / "configured.out"
+        config = write_config(tmp_path, patched({"integrator": {"rel_tol": 1e-8}, "output": {"path": str(configured)}}))
+        assert main(["--config", config, "--output", "", *argv]) == 1
+        assert "output.path" in capsys.readouterr().err
+        assert not configured.exists()
+
+    @pytest.mark.parametrize(
+        "argv, module, name",
+        [
+            (["simulate", "--n-output", "8"], epdyn.cli, "propagate_direct"),
+            (["--format", "json", "--jobs", "1", "sweep", "--t-min", "10"], epdyn.analysis, "sweep"),
+            (["--format", "csv", "--jobs", "1", "sweep", "--t-min", "10"], epdyn.analysis, "sweep"),
+            (["table1"], epdyn.analysis, "table1"),
+        ],
+        ids=["simulate", "sweep-json", "sweep-csv", "table1"],
+    )
+    def test_unopenable_path_fails_before_the_work(self, tmp_path, capsys, monkeypatch, argv, module, name):
+        def work(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the output was opened")
+
+        monkeypatch.setattr(module, name, work)
+        path = str(tmp_path / "missing" / "out")
+        assert main(["--config", write_config(tmp_path), "--output", path, *argv]) == 1
+        assert "cannot be opened for writing" in capsys.readouterr().err
+
 
 class TestTable1:
     def test_non_encircling_exit_4(self, tmp_path, capsys):

@@ -22,6 +22,7 @@ from epdyn import (
     rho,
     winding_number,
 )
+from epdyn import loops
 from epdyn.loops import _discriminant_on_loop
 from epdyn.model import _traceless, _traceless_drive, build_hamiltonian, discriminant
 from dop853_reference import _traceless_kernel
@@ -223,6 +224,41 @@ class TestTracelessKernel:
                 kernel = _traceless_kernel(drive, params)
                 for t in rng.uniform(-0.01, 1.01, 64) * drive.duration_T:
                     assert bits(kernel(t)) == bits(reference_kernel(drive, params, t)), (drive, params, t)
+
+
+class TestContour:
+    """``loops._contour`` is the one reader of a drive's constants; a batch of them evaluates each drive's bits."""
+
+    DRIVES = [
+        make_loop(direction=Direction.CW, T=13.0, sp=0.4),
+        make_loop(direction=Direction.CCW),
+        diode_loop(Direction.CW),
+        diode_loop(Direction.CCW),
+        *(StaticDrive(FieldPoint(x, y), 5.0) for x, y in [(0.0, -0.0), (-0.0, 0.0), (1e300, 1e300), (-1e300, 0.0)]),
+    ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_rows_are_each_drive_alone(self, seed):
+        rng = np.random.default_rng(seed)
+        drives = [self.DRIVES[k] for k in rng.permutation(len(self.DRIVES))]
+        fractions = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 64)])
+        times = np.array([d.duration_T for d in drives])[:, None] * fractions
+        motion = loops._motion_at(loops._contours(drives), times)
+        for row, drive in enumerate(drives):
+            velocity = np.array([field_velocity(drive, t) for t in times[row].tolist()]).T
+            alone = (*loops._fields_at(drive, times[row]), *velocity)
+            assert [m[row].tobytes() for m in motion] == [a.tobytes() for a in alone], drive
+
+    @pytest.mark.parametrize("drive", DRIVES[4:], ids=["+0", "-0", "+1e300", "-1e300"])
+    def test_static_drive_is_its_field(self, drive):
+        # both axes -0.0 at the angle 0: each axis term is -0.0, which keeps every bit of the field
+        times = np.linspace(0.0, drive.duration_T, 9)
+        omega, eps0 = loops._fields_at(drive, times)
+        assert omega.tobytes() == np.full(9, drive.field.omega).tobytes()
+        assert eps0.tobytes() == np.full(9, drive.field.eps0).tobytes()
+        point = field_at(drive, 2.0)
+        assert bits((point.omega, point.eps0)) == bits((drive.field.omega, drive.field.eps0))
+        assert field_velocity(drive, 2.0) == (0.0, 0.0)
 
 
 class TestOmegaIntegral:

@@ -29,13 +29,14 @@ def test_workload_calls_bind_to_the_signatures():
     # they make them: a removed or reordered parameter fails here, not first in
     # a benchmark run. Binding checks names and arity only, so the arguments
     # are stand-ins
-    params, loop, state, config, spec = (object() for _ in range(5))
+    params, loop, state, config, spec, traj, direction = (object() for _ in range(7))
     calls = [
         (propagation.propagate_direct, (params, loop, state, config), {"n_output": 8}),
         (propagation.propagate_adiabatic, (params, loop, state, config), {}),
         (propagation.track_branches, (params, loop, 4096), {}),
         (propagation.accumulated_phase, (params, loop, 50.0), {"n_samples": 8192}),
         (analysis.sweep, (spec, params, config), {"jobs": 1}),
+        (analysis.final_state_report, (traj, direction), {}),
     ]
     bound = {f.__name__: inspect.signature(f).bind(*args, **kwargs).arguments for f, args, kwargs in calls}
     assert bound["track_branches"]["n_samples"] == 4096

@@ -1,6 +1,5 @@
 """Traversal maps: the long-double oracle, symmetry, batch independence, frames, bounded work."""
 
-import dataclasses
 import math
 import time
 
@@ -26,7 +25,7 @@ from epdyn import (
     propagate_direct,
 )
 from epdyn import traversal
-from epdyn.analysis import SweepSpec, final_state_report, sweep, table1
+from epdyn.analysis import SweepSpec, _map_report, final_state_report, sweep, table1
 from epdyn.traversal import traversal_maps
 
 REF = DEFAULT_PARAMS
@@ -381,8 +380,8 @@ def test_a_tiny_state_reports_like_its_multiple():
     # the reports scale the initial state by a power of two first, so
     # |U c0|^2 of a subnormal state does not underflow
     loop = encircling_loop(15.0)
-    spec = SweepSpec(template=loop, durations=(15.0,), amp_scales=(1.0,), dominant_target=None)
-    big = sweep(spec, REF, ACCEPT).cells[0]
-    tiny = sweep(dataclasses.replace(spec, initial=StateVector(5e-324, 5e-324)), REF, ACCEPT).cells[0]
+    (tmap,) = traversal_maps(REF, [loop], ACCEPT.rel_tol)
+    big = _map_report(REF, loop, tmap, StateVector.equal_superposition(0.0))
+    tiny = _map_report(REF, loop, tmap, StateVector(5e-324, 5e-324))
     assert tiny.ratio == pytest.approx(big.ratio, rel=1e-14)
     assert tiny.survival == pytest.approx(big.survival, rel=1e-12)
