@@ -125,8 +125,7 @@ class StaticDrive:
         return self.field
 
     def velocity_at(self, t: float) -> tuple[float, float]:
-        _check_time(self, t)
-        return (0.0, 0.0)
+        return field_velocity(self, t)
 
     def omega_integral(self, t, xp=math):
         _check_time(self, t, xp)

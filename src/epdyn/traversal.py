@@ -49,10 +49,25 @@ times the error of U_n (Richardson), so the doubling stops when change / 15
 is at most ``rel_tol``; or, at a change of at most ``_FLOOR_MAX``, when the
 change shrank less than 8-fold over the last doubling where a 4th-order
 step shrinks it 16-fold: rounding, not the step, sets it there. Either way
-the last change is reported with U as the loop's floor. A change that
-stalls above ``_FLOOR_MAX`` will not settle: the frame stops there. Each of
-these stops only at a step count where every step is resolved (|sigma^2|
-<= 1 for both exponentials): an unresolved step's change can be small by
+the last change is reported with U as the loop's floor. The step is
+symmetric, so U's error expands in even powers of h (Hairer, Lubich &
+Wanner, Geometric Numerical Integration, ch. II), and R_n = (16 U_n -
+U_{n/2}) / 15, formed as U_n + (U_n - U_{n/2}) / 15, is a 6th-order map
+from the two counts at hand. Where U's rules do not stop a map (one
+interval), R does: when R's change over the doubling, divided by 63, is at
+most ``rel_tol`` and has shrunk at least 32-fold since the doubling before
+(an h^6 error shrinks it 64-fold). R is reported, rescaled, with its
+change undivided as the floor: where rounding sets R's change, the 63rd
+part understates the error (38-fold on the README sweep's CW cell T = 375,
+amp_scale 0.7643). The shrink asks for four resolved counts in a row, so R
+stops a map at 2048 steps at the earliest; a first change of R can be
+small by chance (perfbench's CCW sweep cell T = 300, amp_scale 1.3: 6.2e-11
+after the division at 1024 steps, where R is 7.9e-9 off). The rows of
+``eigen_rows`` keep U's rules: their prefix maps are U_n's, 4th order at the
+settled count. A change that stalls above ``_FLOOR_MAX`` will not settle:
+the frame stops there. Each of these stops only at a step count where every
+step is resolved (|sigma^2| <= 1 for both exponentials; R asks it of both
+its counts): an unresolved step's change can be small by
 chance (the README diode config with e1 = 18 changes by 1.3e-9 from 256 to
 512 steps and by 4.1e-7 from 512 to 1024). Past ``_STEP_CAP`` steps the
 frame has not settled either. A step count whose map overflows ends the
@@ -113,6 +128,11 @@ _STEP_CAP = 2**17
 #: the next; a change that shrank less than 8-fold has stalled.
 _RICHARDSON = 15.0
 _STALL = 1.0 / 8.0
+#: A map settles on R_n = (16 U_n - U_{n/2}) / 15 too, a 6th-order map: its change
+#: over one doubling is 2^6 - 1 = 63 times its error, and it shrinks 64-fold from
+#: one doubling to the next; R stops a map only after it shrank at least 32-fold.
+_RICHARDSON_6 = 63.0
+_SHRINK_6 = 1.0 / 32
 #: The largest change at which a stalled doubling counts as the float64 floor
 #: (above it U has no three digits; the diode loop passes it near T = 435).
 _FLOOR_MAX = 1e-3
@@ -149,7 +169,9 @@ class TraversalMap(NamedTuple):
 
     ``U`` is scaled to a largest component in [0.5, 1). ``steps`` is the
     step count of the reported U, ``frame`` is "eigen" or "bare", and
-    ``floor`` the normalized change of U at the last doubling.
+    ``floor`` the normalized change at the last doubling of what is
+    reported: U_n's, or for a map that stopped on the extrapolated pair
+    R_n's, undivided (see the module docstring).
     """
 
     U: np.ndarray
@@ -269,14 +291,43 @@ def _no_step_fits(reach: float, n: int) -> bool:
     return not reach * n / _STEP_CAP <= 2.0 * _EXP_LIMIT
 
 
-def _verdict(change: float, before: float, resolved: bool, rel_tol: float):
-    """'settled', 'stalled' (above ``_FLOOR_MAX``) or None (double on); only a resolved step count stops."""
+def _verdict(change: float, before: float, resolved: bool, rel_tol: float,
+             extrapolated: float = math.inf, extrapolated_before: float = math.inf):
+    """'settled', 'extrapolated', 'stalled' (above ``_FLOOR_MAX``) or None (double on); only a resolved count stops.
+
+    ``change`` and ``before`` are U's changes over this doubling and the one
+    before, ``extrapolated`` and ``extrapolated_before`` the extrapolated
+    map's (inf where it was not formed). U's two rules come first, so where
+    they stop a map it keeps U's bits.
+    """
     if not resolved:
         return None
     stalled = change > _STALL * before
     if change <= _RICHARDSON * rel_tol or (stalled and change <= _FLOOR_MAX):
         return "settled"
-    return "stalled" if stalled else None
+    if stalled:
+        return "stalled"
+    # the chain also asks for a change before: an infinite one shows no shrinking
+    if extrapolated <= _RICHARDSON_6 * rel_tol and extrapolated <= _SHRINK_6 * extrapolated_before < math.inf:
+        return "extrapolated"
+    return None
+
+
+class _Count(NamedTuple):
+    """What ``_settle`` keeps of a drive's last step count.
+
+    U 2^e; whether its steps are resolved; U's change over the doubling to
+    it (inf where it shows no stall: the first count, or an unresolved one);
+    for a map, the extrapolated R 2^e (None where not formed) and R's
+    change over the doubling (inf where not formed).
+    """
+
+    u: np.ndarray
+    e: int
+    resolved: bool
+    change: float = math.inf
+    r: np.ndarray | None = None
+    r_change: float = math.inf
 
 
 def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool, intervals: int,
@@ -286,7 +337,7 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
     Each step count runs ``intervals`` intervals (1 for a map, the rows' for
     the adiabatic route) where they are a power of two that divides it, else
     one, and a count that may settle takes the map off their prefix scan.
-    With ``fallback`` a drive whose frame is ruled out, stalls or meets the
+    Only a map, of one interval, may also stop on the extrapolated pair. With ``fallback`` a drive whose frame is ruled out, stalls or meets the
     cap ends with None, for another frame to take; without it the frame
     doubles on past an unresolved frame or a map that is not finite, and
     each stop but a settled map is the drive's error. Returns each
@@ -294,8 +345,10 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
     of the last step count: for one drive, the count that settles it.
     """
     what = "eigenframe" if eigen else "traversal"
+    frame = "eigen" if eigen else "bare"
+    extrapolate = intervals == 1  # the rows' prefix maps are 4th order at the settled count
     out: list = [None] * len(drives)
-    last = {}  # drive index -> (U, exponent, change) at the step count before
+    last = {}  # drive index -> _Count at the step count before
     ending = {}  # drive index -> (error type, reason) if the cap ends it
 
     def end(k: int, kind: type, reason: str) -> None:
@@ -331,18 +384,31 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
                     still.append(k)
                 continue
             before = last.get(k)
-            last[k] = (uk, ek, math.inf)
+            resolved = bool(run.resolved[i])
             ending[k] = (StepBudgetError, f"has not settled at {_STEP_CAP} steps")
+            count = _Count(uk, ek, resolved)
             if before is not None:
-                change = _change(uk, ek, *before[:2])
-                verdict = _verdict(change, before[2], run.resolved[i], rel_tol)
+                change = _change(uk, ek, before.u, before.e)
+                r, r_change = None, math.inf
+                if extrapolate and resolved and before.resolved:
+                    with np.errstate(all="ignore"):
+                        r = uk + (uk - before.u * np.ldexp(1.0, before.e - ek)) / _RICHARDSON
+                    if before.r is not None:
+                        r_change = _change(r, ek, before.r, before.e)
+                verdict = _verdict(change, before.change, resolved, rel_tol, r_change, before.r_change)
                 if verdict == "settled":
-                    out[k] = TraversalMap(uk, ek * math.log(2.0), n, "eigen" if eigen else "bare", change)
+                    out[k] = TraversalMap(uk, ek * math.log(2.0), n, frame, change)
+                    continue
+                if verdict == "extrapolated":
+                    r, er = _rescale(r, ek)
+                    out[k] = TraversalMap(r, int(er) * math.log(2.0), n, frame, r_change)
                     continue
                 if verdict == "stalled":
                     end(k, StepBudgetError, f"does not settle in float64: its change stalled at {change:.1e} at {n} steps")
                     continue
-                last[k] = (uk, ek, change if run.resolved[i] else math.inf)  # an unresolved change shows no stall
+                # an unresolved change shows no stall
+                count = _Count(uk, ek, resolved, change if resolved else math.inf, r, r_change)
+            last[k] = count
             still.append(k)
         active = still
         n *= 2

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from epdyn.errors import NonFiniteError, StepBudgetError, StepSizeUnderflowError
-from epdyn.loops import StaticDrive
+from epdyn.loops import StaticDrive, field_velocity
 from epdyn.model import _traceless, _traceless_drive
 from epdyn.propagation import (
     _DOP_B,
@@ -207,7 +207,7 @@ def _traceless_kernel(drive, params: SystemParams):
     """
     if isinstance(drive, StaticDrive):
         values = (*_traceless(params, drive.field.omega, drive.field.eps0),
-                  *_traceless_drive(params, 0.0, 0.0))
+                  *_traceless_drive(params, *field_velocity(drive, 0.0)))
         return lambda t: values
     T, th0 = drive.duration_T, drive.start_phase
     turn = drive.direction.sign * 2.0 * math.pi

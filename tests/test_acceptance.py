@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. All tolerances are pinned here. Criterion 4 is split in two: the
-state-selectivity claim itself (4a) and the slowness clause (4b), which asks
+lines. All tolerances are pinned here. Criterion 4 is split in three: the
+state-selectivity claim itself (4a), the same claim for the mixed state I/2
+over a window of durations (4c), and the slowness clause (4b), which asks
 that the width-difference exponent on the non-adiabatic couplings, the
 largest |int dGamma dt'| a traversal of the diode loop builds, reach 15 in
 both directions whatever the start point. Why this and not the closed-traversal
@@ -168,6 +169,25 @@ def test_criterion_04a_diode_state_selectivity():
             dominants[direction] = doms.pop()
         assert dominants[Direction.CW] != dominants[Direction.CCW]
         assert time.perf_counter() - t0 < 120.0
+
+
+def test_criterion_04c_mixed_state_window():
+    with criterion("04c", "I/2 ends in the direction's state at ratio >= 1e3 over a window of T"):
+        # from rho0 = I/2 the final populations are U's squared row norms
+        # (rho_T ~ U U^H); sigma2/sigma1 is the same in both directions
+        # (U_ccw = U_cw^T) and is the selectivity of any initial state
+        contrasts = []
+        for T in (275.0, 300.0, 325.0, DIODE_DURATION, 375.0, 400.0, 425.0):
+            maps = traversal_maps(REF, [diode_loop(d, T) for d in (Direction.CW, Direction.CCW)], ACCEPT.rel_tol)
+            for state, tmap in zip((1, 2), maps):
+                pops = (np.abs(tmap.U) ** 2).sum(axis=1)
+                assert _dominance(pops[0] / pops.sum())[0] == state, T
+                assert max(pops) / min(pops) >= 1e3, (T, state, pops)
+            sigmas = [np.linalg.svd(tmap.U, compute_uv=False) for tmap in maps]
+            assert sigmas[0][1] / sigmas[0][0] == pytest.approx(sigmas[1][1] / sigmas[1][0], rel=1e-3)
+            contrasts.append(sigmas[0][1] / sigmas[0][0])
+        assert all(b < a for a, b in zip(contrasts, contrasts[1:])), contrasts
+        assert contrasts[0] < 1e-2 and contrasts[-1] < 2e-4, contrasts
 
 
 def traversal_spans(loop):

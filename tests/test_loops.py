@@ -258,7 +258,11 @@ class TestContour:
         assert eps0.tobytes() == np.full(9, drive.field.eps0).tobytes()
         point = field_at(drive, 2.0)
         assert bits((point.omega, point.eps0)) == bits((drive.field.omega, drive.field.eps0))
-        assert field_velocity(drive, 2.0) == (0.0, 0.0)
+        # the zero velocity has one spelling, the contour formula's: -ax sin rate = 0.0, ay cos rate = -0.0
+        assert bits(drive.velocity_at(2.0)) == bits(field_velocity(drive, 2.0)) == bits((0.0, -0.0))
+        assert [v.tobytes() for v in loops._motion_at(loops._contour(drive), times)[2:]] == [
+            np.full(9, 0.0).tobytes(), np.full(9, -0.0).tobytes()
+        ]
 
 
 class TestOmegaIntegral:

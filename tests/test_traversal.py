@@ -1,5 +1,6 @@
-"""Traversal maps: the long-double oracle, symmetry, batch independence, frames, bounded work."""
+"""Traversal maps: the long-double oracle, the extrapolated stop, symmetry, batch independence, frames, bounded work."""
 
+import functools
 import math
 import time
 
@@ -44,6 +45,39 @@ THIN = LoopSpec(
     direction=Direction.CW,
     duration_T=5.0,
 )
+
+
+def grid_cell(n: int, i: int, j: int, direction: Direction) -> LoopSpec:
+    """Cell (i, j) of an n x n sweep grid over T in [300, 375] and amp_scale in [0.05, 1.3].
+
+    n = 8 spans the README's sweep example and n = 4 is perfbench's
+    ``sweep`` workload, both on the CLI's linear spacing (``--t-spacing
+    linear``; the README example's T takes the default geometric spacing).
+    """
+    spacing = [lo + (hi - lo) / (n - 1) * k for lo, hi, k in ((300.0, 375.0, i), (0.05, 1.3, j))]
+    spec = SweepSpec(template=diode_loop(Direction.CW), durations=(spacing[0],), amp_scales=(spacing[1],),
+                     direction=direction)
+    return spec.cell_loop(0, 0)
+
+
+def plain_map(loop: LoopSpec, n: int) -> tuple:
+    """(U, exponent) of the loop's eigenframe product on n steps, as ``_settle`` forms it at one count."""
+    run = traversal._intervals(REF, [loop], n, n, True)
+    u, e = traversal._rotate(run, *traversal._tree(run.x, run.e))
+    return u[:, :, 0], int(e[0])
+
+
+@functools.lru_cache(maxsize=None)
+def oracle(loop: LoopSpec) -> tuple:
+    """The oracle's map of the loop at 16,384 steps (about 1.4 s each)."""
+    return reference.traversal_map(REF, loop, 16384)
+
+
+def oracle_error(u: np.ndarray, log_scale: float, loop: LoopSpec) -> float:
+    """max |U e^log_scale - V| / max |V| against the oracle's V at 16,384 steps."""
+    want, want_log = oracle(loop)
+    big = np.max(np.abs(u))
+    return float(np.max(np.abs(u / big * math.exp(log_scale + math.log(big) - float(want_log)) - want.astype(complex))))
 
 
 def scaled(tmap):
@@ -230,6 +264,70 @@ class TestRows:
         assert (tmap.steps, n) == (4096, 4096)
         assert trees.count(512) == 2  # 512 and 1024 steps (the blocks' own trees are shorter)
         assert scans == [512, 512]
+
+
+class TestExtrapolatedPair:
+    """A map also stops on R_n = (16 U_n - U_{n/2}) / 15, each case against the oracle at 16,384 steps."""
+
+    def test_a_smooth_cell_settles_at_a_quarter_of_the_steps(self):
+        # README grid, CCW cell (0, 2), T = 300, amp 0.4071: U's change / 15
+        # reaches rel_tol at 8192 steps; R's change / 63 at 2048, where R's
+        # oracle error is 3.4e-13 and its change 9.0e-11
+        loop = grid_cell(8, 0, 2, Direction.CCW)
+        (tmap,) = traversal_maps(REF, [loop], 1e-10)
+        assert (tmap.steps, tmap.frame) == (2048, "eigen")
+        assert oracle_error(tmap.U, tmap.log_scale, loop) <= tmap.floor <= 63 * 1e-10
+        # the rows keep U's rule: their prefix maps are 4th order at the settled count
+        rows_map, n, _ = traversal.eigen_rows(REF, loop, 1e-10, 512)
+        assert (rows_map.steps, n) == (8192, 8192)
+
+    def test_a_rounding_limited_cell_reports_the_undivided_change(self):
+        # linear README grid, CW cell (7, 4), T = 375, amp 0.7643: R stops at 2048
+        # steps with a change of 1.8e-9 (38-fold under the one before), whose
+        # 63rd part, 2.9e-11, understates R's error 1.1e-9 38-fold
+        loop = grid_cell(8, 7, 4, Direction.CW)
+        (tmap,) = traversal_maps(REF, [loop], 1e-10)
+        assert tmap.steps == 2048
+        error = oracle_error(tmap.U, tmap.log_scale, loop)
+        assert tmap.floor / 63 < 1e-10 < 1e-9 < error <= tmap.floor
+
+    def test_the_first_extrapolated_change_does_not_stop_a_map(self):
+        # perfbench grid CCW cell (0, 3), T = 300, amp 1.3: R's first change
+        # (1024 steps) reads 6.2e-11 after / 63, but R's error is 7.9e-9;
+        # with no change before it to shrink from, the doubling goes on and
+        # U's stall rule stops the map at 2048 steps on U's change 1.3e-8
+        loop = grid_cell(4, 0, 3, Direction.CCW)
+        (tmap,) = traversal_maps(REF, [loop], 1e-10)
+        u, e = plain_map(loop, 2048)
+        assert (tmap.steps, tmap.U.tobytes(), tmap.log_scale) == (2048, u.tobytes(), e * math.log(2.0))
+        assert tmap.floor == pytest.approx(1.26e-8, rel=0.01)
+        assert oracle_error(tmap.U, tmap.log_scale, loop) <= tmap.floor
+        maps = [plain_map(loop, n) for n in (256, 512, 1024)]
+        r512, r1024 = (u + (u - v * 2.0 ** (f - e)) / 15 for (v, f), (u, e) in zip(maps, maps[1:]))
+        first = traversal._change(r1024, maps[2][1], r512, maps[1][1])
+        assert first / 63 < 1e-10 < 1e-9 < oracle_error(r1024, maps[2][1] * math.log(2.0), loop)
+
+    def test_the_diode_maps_keep_their_count_and_bits(self):
+        # table1's maps stop on U's stall rule at 1024 steps, before R may stop them
+        for direction in (Direction.CW, Direction.CCW):
+            (tmap,) = traversal_maps(REF, [diode_loop(direction)], 1e-10)
+            u, e = plain_map(diode_loop(direction), 1024)
+            assert (tmap.steps, tmap.U.tobytes(), tmap.log_scale) == (1024, u.tobytes(), e * math.log(2.0))
+
+    @pytest.mark.parametrize(
+        "change, before, r_change, r_before, verdict",
+        [
+            (1e-8, 1.6e-7, 5e-9, 2e-7, "extrapolated"),  # R's change / 63 <= rel_tol, 40-fold smaller
+            (1e-8, 1.6e-7, 5e-9, math.inf, None),  # R's first change: nothing to shrink from
+            (1e-8, 1.6e-7, 5e-9, 1e-7, None),  # only 20-fold smaller
+            (1e-8, 1.6e-7, 7e-9, 1e-6, None),  # R's change / 63 above rel_tol
+            (1.4e-9, 2e-8, 5e-9, 2e-7, "settled"),  # U's own rule comes first
+            (1e-8, 2e-8, 5e-9, 2e-7, "settled"),  # so does U's stall at the floor
+        ],
+    )
+    def test_extrapolated_stop_rule(self, change, before, r_change, r_before, verdict):
+        assert traversal._verdict(change, before, True, 1e-10, r_change, r_before) == verdict
+        assert traversal._verdict(change, before, False, 1e-10, r_change, r_before) is None
 
 
 class TestFrames:
