@@ -141,6 +141,8 @@ def cmd_simulate(config: RunConfig, method: str, n_output: int) -> int:
             traj = propagate(config.params, config.loop, config.initial, config.integrator, n_output=n_output)
         except ValueError as exc:  # a loop the route cannot step (duration_T too small for the adiabatic route)
             raise ConfigError(f"invalid 'loop' section: {exc}") from exc
+        except MemoryError as exc:  # numpy refused the count's arrays, or could not allocate them
+            raise ConfigError(f"--n-output {n_output} is too large: {exc}") from exc
         fh.write(write(traj))
     report = analysis.final_state_report(traj, config.loop.direction)
     print(_report_line(report, method))
@@ -164,7 +166,10 @@ def cmd_table1(config: RunConfig) -> int:
 def cmd_winding(config: RunConfig, n_samples: int) -> int:
     if n_samples < 64:
         raise ConfigError(f"--n-samples must be >= 64, got {n_samples}")
-    w = winding_number(config.loop, config.params, n_samples=n_samples)
+    try:
+        w = winding_number(config.loop, config.params, n_samples=n_samples)
+    except MemoryError as exc:
+        raise ConfigError(f"--n-samples {n_samples} is too large: {exc}") from exc
     r = rho(config.loop, locate_ep(config.params))
     print(f"winding={w} rho={serialize.fmt(r)}")
     return EXIT_OK

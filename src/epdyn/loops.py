@@ -222,6 +222,19 @@ def _discriminant_on_loop(drive, params: SystemParams, times: np.ndarray) -> np.
     return 4.0 * (a * a + g * g)
 
 
+def _samples(T: float, n: int) -> np.ndarray:
+    """The n + 1 uniform times over [0, T]; a count too large for an array raises MemoryError.
+
+    numpy refuses some counts before it allocates anything, with a
+    ValueError or an IndexError that names no argument; as a MemoryError
+    such a count ends like one whose allocation fails.
+    """
+    try:
+        return np.linspace(0.0, T, n + 1)
+    except (ValueError, IndexError) as exc:
+        raise MemoryError(f"{n + 1} samples do not fit in an array") from exc
+
+
 def winding_number(
     loop: LoopSpec,
     params: SystemParams,
@@ -246,7 +259,7 @@ def winding_number(
     """
     if n_samples < 64:
         raise ValueError("n_samples must be >= 64")
-    times = np.linspace(0.0, loop.duration_T, n_samples + 1)
+    times = _samples(loop.duration_T, n_samples)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         delta = _discriminant_on_loop(loop, params, times)
     if not np.all(np.isfinite(delta)):

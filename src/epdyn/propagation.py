@@ -37,7 +37,8 @@ branch energies on the diagonal and the couplings -th', +th' off it. It
 takes no stepper of its own: ``traversal.eigen_rows`` multiplies uniform
 closed-form 4th-order Magnus steps in that eigenframe, doubling their count
 until the full-loop map settles, and gives the map from t = 0 to every
-row as a prefix product. The branch is continued by the root
+row as a prefix product, which the route keeps for the last two loops it
+ran, since none of it depends on the state. The branch is continued by the root
 +/-sqrt(a^2 + g^2) nearer the one before, sample by sample, which is where
 the state exchange around an exceptional point shows up. The two routes
 share no stepper code, so their agreement is a genuine cross-check. The
@@ -65,8 +66,10 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import collections
 import functools
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -80,7 +83,7 @@ from .errors import (
     StepSizeUnderflowError,
 )
 from . import traversal
-from .loops import LoopSpec, StaticDrive, _contour, _discriminant_on_loop, _fields_at
+from .loops import LoopSpec, StaticDrive, _contour, _discriminant_on_loop, _fields_at, _samples
 # build_hamiltonian is not called here; perfbench's tracer wraps propagation.build_hamiltonian
 from .model import SystemParams, _complex, _fmul, _gauge, _mul, _plus, _require_finite, build_hamiltonian, c_product
 
@@ -116,7 +119,7 @@ def _output_grid(T: float, n_output: int) -> list:
     On a subnormal T, linspace repeats a time or steps back; such a time
     would repeat a recorded row or go back in time, so it is dropped.
     """
-    grid = np.linspace(0.0, T, n_output + 1)
+    grid = _samples(T, n_output)
     return grid[grid > np.maximum.accumulate(np.r_[-math.inf, grid[:-1]])].tolist()
 
 
@@ -909,13 +912,63 @@ def propagate_direct(
 
 
 def _scan_contour(params: SystemParams, drive: Drive, n: int = 1024) -> None:
-    times = np.linspace(0.0, drive.duration_T, n + 1)
+    times = _samples(drive.duration_T, n)
     mags = np.abs(_discriminant_on_loop(drive, params, times))
     hits = np.flatnonzero(mags <= traversal._EP_GUARD)
     if hits.size:
         raise EPOnContourError(
             f"contour reaches |discriminant| <= {traversal._EP_GUARD:.1e} near t = {times[hits[0]]:.6g}"
         )
+
+
+#: The state-independent part of recent adiabatic runs, least recently used
+#: first: one loop in both directions (see ``_loop_rows``); the lock guards
+#: each lookup and insertion, not the computation between them
+_LOOP_ROWS: collections.OrderedDict = collections.OrderedDict()
+_LOOP_ROWS_SIZE = 2
+_LOOP_ROWS_LOCK = threading.Lock()
+
+
+def _exact(values) -> tuple:
+    """Each value's type and exact value, a float by its bits: -0.0 and 0.0, equal under ==, differ."""
+    return tuple((type(v), v.hex() if isinstance(v, float) else v) for v in values)
+
+
+def _loop_rows(params: SystemParams, drive: Drive, rel_tol: float, n_output: int) -> tuple:
+    """The contour scan and ``traversal.eigen_rows`` of a loop, kept for the next state on it.
+
+    Neither reads the initial state, so a run on a loop of the cache takes
+    the same arrays, read-only. The key is the exact value of everything
+    they read: the drive's type and ``_contour`` fields, the model's five
+    constants, ``rel_tol`` and ``n_output``. Only a result is kept; an
+    error is raised again by the next call. Returns (the solver counts of
+    the settled map, ``traversal._Rows``, whether they came from the cache).
+    """
+    d12 = complex(params.d12)
+    key = (type(drive), *_exact(_contour(drive)),
+           *_exact((params.e1, params.e2, params.gamma1, params.gamma2, d12.real, d12.imag, rel_tol, n_output)))
+    with _LOOP_ROWS_LOCK:
+        entry = _LOOP_ROWS.get(key)
+        if entry is not None:
+            _LOOP_ROWS.move_to_end(key)
+    if entry is not None:
+        return (*entry, True)
+    _scan_contour(params, drive, n=max(1024, 2 * n_output))
+    tmap, steps, rows = traversal.eigen_rows(params, drive, rel_tol, n_output)
+    for array in rows:
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    solver = {
+        "steps": steps,
+        "frame": tmap.frame,
+        "floor": tmap.floor,
+        "doublings": (tmap.steps // traversal._FIRST_STEPS).bit_length() - 1,
+    }
+    with _LOOP_ROWS_LOCK:
+        _LOOP_ROWS[key] = solver, rows
+        if len(_LOOP_ROWS) > _LOOP_ROWS_SIZE:
+            _LOOP_ROWS.popitem(last=False)
+    return solver, rows, False
 
 
 def propagate_adiabatic(
@@ -948,10 +1001,18 @@ def propagate_adiabatic(
     ``track_branches``). The label of slot 0 at a row is '+' where the
     continued root is the '+' root there. ``meta["solver"]`` holds the
     row step count (``steps``), the frame ("eigen"), the full-loop map's
-    change at the last doubling (``floor``) and the number of doublings
-    from 256 steps to the settled count (``doublings``). ``meta["phase_s"]``
-    holds the wall seconds of the step products (``stepping``) and of the
-    rows after them (``rows``).
+    change at the last doubling (``floor``), the number of doublings
+    from 256 steps to the settled count (``doublings``) and whether the
+    rows came from the cache (``reused``). ``meta["phase_s"]`` holds the
+    wall seconds of the contour scan and the step products (``stepping``;
+    a cache lookup on a hit) and of the rows after them (``rows``).
+
+    The scan and the prefix maps do not depend on the initial state, so
+    the route keeps them for the last two loops it ran (``_loop_rows``,
+    keyed on the exact bits of everything they read): the second state on
+    a loop, or the other direction's next call, only projects, multiplies
+    and finishes its rows, with the bits of a fresh computation. An error
+    is not kept; the next call raises it again.
 
     Raises
     ------
@@ -975,10 +1036,9 @@ def propagate_adiabatic(
     T = loop.duration_T
     if not T / traversal._STEP_CAP >= np.finfo(float).tiny:
         raise ValueError(f"duration_T = {T:.3g}: duration_T is too small, its steps T/n are subnormal")
-    _scan_contour(params, loop, n=max(1024, 2 * n_output))
     started = time.perf_counter()
     try:
-        tmap, steps, rows = traversal.eigen_rows(params, loop, config.rel_tol, n_output)
+        solver, rows, reused = _loop_rows(params, loop, config.rel_tol, n_output)
         stepped = time.perf_counter()
         # c0 on the axes (cos th_0, sin th_0) and (-sin th_0, cos th_0); the
         # coefficients are on those axes signed by the gauge
@@ -1003,15 +1063,10 @@ def propagate_adiabatic(
         "drive": loop,
         "config": config,
         "n_output": n_output,
-        "solver": {
-            "steps": steps,
-            "frame": tmap.frame,
-            "floor": tmap.floor,
-            "doublings": (tmap.steps // traversal._FIRST_STEPS).bit_length() - 1,
-        },
+        "solver": {**solver, "reused": reused},
         "phase_s": {"stepping": stepped - started, "rows": time.perf_counter() - stepped},
     }
-    return TrajectoryRecord(rows.times, states, norms, logs, coeffs, labels, meta)
+    return TrajectoryRecord(rows.times.copy(), states, norms, logs, coeffs, labels, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import config_reference
 import epdyn
+from epdyn import loops, propagation
 from epdyn import DEFAULT_PARAMS, FieldPoint, IntegratorConfig, StateVector, StaticDrive, propagate_direct
 from epdyn.cli import load_config, main
 from epdyn.errors import ConfigError
@@ -458,6 +459,38 @@ def test_subnormal_duration_names_field(tmp_path, capsys, duration, argv):
     doc["output"]["path"] = str(tmp_path / "out.csv")
     assert main(["--config", write_config(tmp_path, doc), *argv]) == 1
     assert "duration_T is too small" in capsys.readouterr().err
+
+
+#: a count numpy refuses to size before it allocates anything
+HUGE = "100000000000000000000"
+COUNTS = [
+    (["winding", "--n-samples"], "--n-samples", loops),
+    (["simulate", "--n-output"], "--n-output", propagation),
+    (["simulate", "--method", "adiabatic", "--n-output"], "--n-output", propagation),
+]
+COUNT_IDS = ["winding", "direct", "adiabatic"]
+
+
+@pytest.mark.parametrize("argv, flag", [count[:2] for count in COUNTS], ids=COUNT_IDS)
+def test_a_count_numpy_refuses_names_its_flag(tmp_path, capsys, argv, flag):
+    # numpy's ValueError ended winding in a traceback, and simulate blamed the loop
+    assert main(["--config", write_config(tmp_path), "--output", str(tmp_path / "out.csv"), *argv, HUGE]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: {flag} {HUGE} is too large: ") and "loop" not in err
+
+
+@pytest.mark.parametrize("argv, flag, module", COUNTS, ids=COUNT_IDS)
+def test_a_failed_allocation_names_its_flag(tmp_path, capsys, monkeypatch, argv, flag, module):
+    # the grid's allocation fails, as numpy's does for 4e9 samples on a small host;
+    # the stand-in raises before anything is allocated
+    def unable(T, n):
+        raise MemoryError(f"Unable to allocate {8 * (n + 1) / 2**30:.1f} GiB for an array with shape ({n + 1},)")
+
+    monkeypatch.setattr(module, "_samples", unable)
+    out = tmp_path / "out.csv"
+    assert main(["--config", write_config(tmp_path), "--output", str(out), *argv, "4000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: {flag} 4000000000 is too large: Unable to allocate ")
 
 
 class TestSweep:

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import re
 import sys
+import threading
 import time
 
 import numpy as np
@@ -491,7 +492,11 @@ def test_meta_times_each_phase(propagate):
     for traj in runs:
         assert sorted(traj.meta["phase_s"]) == ["rows", "stepping"]
         assert all(seconds >= 0.0 for seconds in traj.meta["phase_s"].values())
-    assert runs[0].meta["solver"] == runs[1].meta["solver"]
+    solvers = [dict(traj.meta["solver"]) for traj in runs]
+    if propagate is propagate_adiabatic:
+        # the second run on the loop takes the first one's rows; the counts are the same
+        assert [solver.pop("reused") for solver in solvers] == [False, True]
+    assert solvers[0] == solvers[1]
     assert trajectory_to_csv(runs[0]) == trajectory_to_csv(runs[1])
     assert trajectory_to_json(runs[0]) == trajectory_to_json(runs[1])
 
@@ -1148,7 +1153,8 @@ class TestAdiabaticPropagation:
     def test_solver_counts(self):
         traj = propagate_adiabatic(REF, encircling_loop(50.0, Direction.CW), StateVector.basis(2), TIGHT)
         solver = traj.meta["solver"]
-        assert set(solver) == {"steps", "frame", "floor", "doublings"}
+        assert set(solver) == {"steps", "frame", "floor", "doublings", "reused"}
+        assert solver["reused"] is False  # the first run on the loop
         # 256 steps doubled until the map settled; the rows take that count
         # here, a multiple of the 512 output intervals
         assert solver["steps"] == 256 * 2 ** solver["doublings"] >= 512
@@ -1259,3 +1265,112 @@ class TestAdiabaticPropagation:
         assert set(traj.branch_labels) <= {"+", "-"}
         assert traj.adiabatic_coeffs.shape == traj.states.shape
 
+
+def record_bits(traj) -> tuple:
+    """Every array of a record as raw bytes, and its solver counts without ``reused``."""
+    arrays = (traj.times, traj.states, traj.norms_sq, traj.log_scale, traj.adiabatic_coeffs, traj.branch_labels)
+    solver = {k: v for k, v in traj.meta["solver"].items() if k != "reused"}
+    return (*map(bits, arrays), solver)
+
+
+def fresh(*args, **kwargs):
+    """An adiabatic run with the loop cache emptied first, so it computes its rows."""
+    prop._LOOP_ROWS.clear()
+    return propagate_adiabatic(*args, **kwargs)
+
+
+class TestLoopRows:
+    """The adiabatic route keeps the state-independent rows of its last two loops."""
+
+    LOOP = encircling_loop(50.0, Direction.CW)
+
+    def test_a_hit_is_the_bits_of_a_fresh_run(self):
+        first = propagate_adiabatic(REF, self.LOOP, StateVector(0.6, 0.8j), TIGHT, n_output=64)
+        hit = propagate_adiabatic(REF, self.LOOP, StateVector(1e-200, -0.0), TIGHT, n_output=64)
+        assert (first.meta["solver"]["reused"], hit.meta["solver"]["reused"]) == (False, True)
+        want = fresh(REF, self.LOOP, StateVector(1e-200, -0.0), TIGHT, n_output=64)
+        assert want.meta["solver"]["reused"] is False
+        assert record_bits(hit) == record_bits(want)
+
+    def test_signed_zero_start_phases_are_separate_entries(self):
+        drives = [dataclasses.replace(self.LOOP, start_phase=phase) for phase in (0.0, -0.0)]
+        runs = [propagate_adiabatic(REF, loop, StateVector.basis(2), TIGHT, n_output=16) for loop in drives]
+        assert [run.meta["solver"]["reused"] for run in runs] == [False, False]
+        assert len(prop._LOOP_ROWS) == 2
+        for loop, run in zip(drives, runs):
+            assert record_bits(run) == record_bits(fresh(REF, loop, StateVector.basis(2), TIGHT, n_output=16))
+
+    def test_an_error_is_raised_on_every_call(self):
+        loop = LoopSpec(FieldPoint(1.0, 0.25), 0.05, 0.05, Direction.CCW, 10.0)
+        messages = []
+        for _ in range(3):
+            with pytest.raises(EPOnContourError) as info:
+                propagate_adiabatic(REF, loop, StateVector.basis(1), TIGHT)
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1 and not prop._LOOP_ROWS
+
+    def test_writing_into_a_record_leaves_the_next_call_unchanged(self):
+        first = propagate_adiabatic(REF, self.LOOP, StateVector.basis(2), TIGHT, n_output=16)
+        want = record_bits(first)
+        first.times[1:] = 1e9
+        first.states[:] = 0.0
+        hit = propagate_adiabatic(REF, self.LOOP, StateVector.basis(2), TIGHT, n_output=16)
+        assert hit.meta["solver"]["reused"] and record_bits(hit) == want
+        ((_, rows),) = prop._LOOP_ROWS.values()
+        with pytest.raises(ValueError, match="read-only"):
+            rows.prefix[0] = 0.0
+
+    def test_a_third_loop_evicts_the_oldest(self):
+        a, b, c = (encircling_loop(T, Direction.CW) for T in (50.0, 60.0, 70.0))
+
+        def reused(loop):
+            return propagate_adiabatic(REF, loop, StateVector.basis(2), TIGHT, n_output=8).meta["solver"]["reused"]
+
+        # a is used again after b, so b is the oldest when c comes in
+        assert [reused(loop) for loop in (a, b, a, c, a, b)] == [False, False, True, False, True, False]
+        assert len(prop._LOOP_ROWS) == 2
+
+    def test_the_second_state_runs_no_intervals(self, monkeypatch):
+        calls = []
+        real_intervals = traversal._intervals
+
+        def counted(*args):
+            calls.append(args[2])
+            return real_intervals(*args)
+
+        monkeypatch.setattr(traversal, "_intervals", counted)
+        propagate_adiabatic(REF, self.LOOP, StateVector.basis(1), TIGHT)
+        assert calls
+        calls.clear()
+        propagate_adiabatic(REF, self.LOOP, StateVector.basis(2), TIGHT)
+        assert calls == []
+
+    def test_threads_sharing_the_cache_get_fresh_bits(self):
+        # more threads than cores on three loops, so entries are evicted while
+        # others read them; a lost update or a torn lookup raises or changes bits
+        drives = [encircling_loop(T, Direction.CW) for T in (50.0, 60.0, 70.0)]
+        want = [record_bits(fresh(REF, loop, StateVector.basis(2), TIGHT, n_output=8)) for loop in drives]
+        got, errors = [], []
+
+        def work(offset):
+            try:
+                for k in range(12):
+                    i = (k + offset) % len(drives)
+                    got.append((i, record_bits(propagate_adiabatic(REF, drives[i], StateVector.basis(2), TIGHT,
+                                                                   n_output=8))))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and errors == []
+        assert len(got) == 48 and all(bits_ == want[i] for i, bits_ in got)
+        assert len(prop._LOOP_ROWS) <= 2

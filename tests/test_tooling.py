@@ -55,3 +55,14 @@ def test_readme_config_names_every_field_once(tmp_path):
     assert [section for section, _ in doc] == list(serialize.SECTIONS)
     for section, pairs in doc:
         assert sorted(key for key, _ in pairs) == sorted(serialize.SECTIONS[section][1]), section
+
+
+def test_readme_library_tour_runs():
+    # the ```python block under README's "Library tour" runs as written, so the
+    # documented calls cannot drift from the package's names and signatures
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md (Library tour)", "exec"), namespace)
+    assert namespace["adia"].meta["method"] == "adiabatic"
+    assert namespace["m"].steps > 0
