@@ -50,6 +50,8 @@ __all__ = [
 #: Ratios beyond this are reported as the cap (quotients near total purity
 #: carry no information).
 RATIO_CAP = 1e12
+#: The uniform samples of ``table1``'s branch tracking.
+_TRACK_SAMPLES = 2048
 
 @dataclass(frozen=True)
 class ProjectionSeries:
@@ -182,7 +184,6 @@ def table1(
     params: SystemParams,
     loop: LoopSpec,
     config: IntegratorConfig = IntegratorConfig(),
-    n_track: int = 2048,
 ) -> Table1Result:
     """State-exchange table: {CW, CCW} x {bare 1, bare 2} initial states.
 
@@ -196,7 +197,7 @@ def table1(
     """
     if not contains_ep(loop, params):
         raise ValueError("table requires an EP-encircling loop (rho > 0)")
-    frame = track_branches(params, loop, n_samples=n_track)
+    frame = track_branches(params, loop, n_samples=_TRACK_SAMPLES)
     oriented = [replace(loop, direction=d) for d in (Direction.CW, Direction.CCW)]
     rows = []
     for direction_loop, tmap in zip(oriented, traversal_maps(params, oriented, config.rel_tol)):

@@ -121,8 +121,7 @@ class StaticDrive:
             raise ValueError("duration_T must be > 0")
 
     def field_at(self, t: float) -> FieldPoint:
-        _check_time(self, t)
-        return self.field
+        return field_at(self, t)
 
     def velocity_at(self, t: float) -> tuple[float, float]:
         return field_velocity(self, t)
@@ -184,7 +183,7 @@ def _velocity(c: _Contour, cos, sin):
 
 
 def field_at(loop: LoopSpec, t: float) -> FieldPoint:
-    """Contour point at time t: theta(t) = start_phase + sign*2*pi*t/T."""
+    """Contour point at time t: theta(t) = start_phase + sign*2*pi*t/T (a static drive's field)."""
     _check_time(loop, t)
     c = _contour(loop)
     th = _angle(c, t)
@@ -235,12 +234,11 @@ def _samples(T: float, n: int) -> np.ndarray:
         raise MemoryError(f"{n + 1} samples do not fit in an array") from exc
 
 
-def winding_number(
-    loop: LoopSpec,
-    params: SystemParams,
-    n_samples: int = 1024,
-    tol: float = 1e-12,
-) -> int:
+#: The |discriminant| below which ``winding_number`` counts a sample as on the EP.
+_WINDING_GUARD = 1e-12
+
+
+def winding_number(loop: LoopSpec, params: SystemParams, n_samples: int = 1024) -> int:
     """Integer winding of the discriminant around the complex origin.
 
     Accumulates the continuous argument of Delta along one traversal. The
@@ -251,7 +249,7 @@ def winding_number(
     Raises
     ------
     EPOnContourError
-        If |Delta| < tol at any sample (contour touches the degeneracy).
+        If |Delta| < ``_WINDING_GUARD`` at any sample (contour touches the degeneracy).
     NonFiniteError
         If Delta overflows float64 at any sample.
     UndersampledError
@@ -265,10 +263,10 @@ def winding_number(
     if not np.all(np.isfinite(delta)):
         raise NonFiniteError("discriminant is not finite in float64 along the contour")
     mags = np.abs(delta)
-    if np.any(mags < tol):
+    if np.any(mags < _WINDING_GUARD):
         k = int(np.argmin(mags))
         raise EPOnContourError(
-            f"|discriminant| = {mags[k]:.3e} < tol at sample t = {times[k]:.6g}"
+            f"|discriminant| = {mags[k]:.3e} < {_WINDING_GUARD:.0e} at sample t = {times[k]:.6g}"
         )
     args = np.angle(delta)
     jumps = np.diff(args)

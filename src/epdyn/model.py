@@ -27,7 +27,8 @@ lam = +/-sqrt(a^2 + g^2), and the c-normalized eigenvectors are
 ``eigenframe`` takes lam on the '+' root at one matrix; along a drive,
 ``traversal`` continues lam by the nearer root and th by the nearer
 multiple of pi, for the tracked frames and the adiabatic route alike.
-``_angle`` and the gauge (``_gauge``) are shared by all three.
+The '+' root (``_root_plus``), ``_angle``, the gauge (``_gauge``) and the
+EP guard (``_EP_GUARD``) are shared by all three.
 """
 
 from __future__ import annotations
@@ -56,7 +57,10 @@ __all__ = [
     "verify_ep",
 ]
 
-GAUGE_TAG = "c-normalized; sign fixed so the largest-magnitude component has positive real part"
+#: The one EP guard of the eigenframes: a matrix or sample with |discriminant| =
+#: 4 |a^2 + g^2| at or below it is too near the EP, whose eigenvectors are
+#: self-orthogonal (``eigenframe``, ``traversal`` and ``propagation`` read it).
+_EP_GUARD = 1e-8 ** 2
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,6 @@ class EigenFrame:
     v_minus: np.ndarray
     cnorm_plus: complex
     cnorm_minus: complex
-    gauge_tag: str = GAUGE_TAG
 
 
 @dataclass(frozen=True)
@@ -194,16 +197,17 @@ def discriminant(h: HamiltonianMatrix) -> complex:
     return d * d + 4.0 * h.h12 * h.h21
 
 
-def _root_plus(delta: complex) -> complex:
-    """Square root of the discriminant on the branch with Re >= 0.
+def _root_plus(w2):
+    """The square root of w2, a complex or an array, on the '+' branch: Re >= 0, tie Im >= 0.
 
-    Ties (purely imaginary roots) resolve to Im >= 0, so the '+' eigenvalue
-    is deterministic for every input including negative real discriminants.
+    numpy's root has Re >= 0, but at a tie (a negative real w2 with a -0.0
+    imaginary part) it is the one with Im < 0, which is negated, so the '+'
+    eigenvalue is deterministic for every input. A root with a NaN part
+    stays as it is. ``eigenframe`` and ``eigenvalues`` take it at one
+    matrix, ``traversal._Phase`` at the first sample of each loop.
     """
-    w = cmath.sqrt(delta)
-    if not (_plus(w) or cmath.isnan(w)):  # cmath.sqrt's root has Re >= 0, or a NaN part
-        w = -w
-    return w
+    root = np.sqrt(w2)
+    return np.where(_plus(root) | np.isnan(root), root, -root)
 
 
 def _plus(z):
@@ -218,12 +222,7 @@ def eigenvalues(h: HamiltonianMatrix) -> tuple[complex, complex]:
     (tie: non-negative imaginary part). Only relative statements about the
     two branches are physical; the convention just makes results reproducible.
     """
-    return _split(h, discriminant(h))
-
-
-def _split(h: HamiltonianMatrix, delta: complex) -> tuple[complex, complex]:
-    """Eigenvalues tr(H)/2 +/- root(delta)/2 from an already computed discriminant."""
-    w = _root_plus(delta)
+    w = complex(_root_plus(discriminant(h)))
     half_trace = 0.5 * h.trace
     return half_trace + 0.5 * w, half_trace - 0.5 * w
 
@@ -291,7 +290,7 @@ def _gauge(z, c, s) -> np.ndarray:
     return np.where(_plus(lead), 1.0, -1.0)
 
 
-def eigenframe(h: HamiltonianMatrix, tol: float = 1e-8) -> EigenFrame:
+def eigenframe(h: HamiltonianMatrix) -> EigenFrame:
     """Bi-orthogonal eigenframe of a complex-symmetric 2x2 matrix.
 
     With the traceless part [[a, g], [g, -a]], a = (h11 - h22)/2 and g = h12,
@@ -302,19 +301,12 @@ def eigenframe(h: HamiltonianMatrix, tol: float = 1e-8) -> EigenFrame:
     ``propagation.track_branches`` and the adiabatic route use the same
     formulas along a drive.
 
-    Parameters
-    ----------
-    h:
-        The matrix to decompose.
-    tol:
-        EP proximity guard: refuses when |discriminant| = 4 |a^2 + g^2| <=
-        tol^2 rather than returning arbitrarily large normalized vectors
-        (derivative couplings diverge there).
-
     Raises
     ------
     EPProximityError
-        Within the guard region around the EP.
+        Where |discriminant| = 4 |a^2 + g^2| <= ``_EP_GUARD``, rather than
+        returning arbitrarily large normalized vectors (derivative couplings
+        diverge there).
     NonFiniteError
         If the frame overflows float64.
     """
@@ -322,12 +314,12 @@ def eigenframe(h: HamiltonianMatrix, tol: float = 1e-8) -> EigenFrame:
     with np.errstate(all="ignore"):  # overflow is reported below
         w2 = a * a + g * g
         abs_delta = 4.0 * float(abs(w2))
-        if abs_delta <= tol * tol:
+        if abs_delta <= _EP_GUARD:
             raise EPProximityError(
-                f"|discriminant| = {abs_delta:.3e} <= tol^2 = {tol * tol:.3e}: "
+                f"|discriminant| = {abs_delta:.3e} <= tol^2 = {_EP_GUARD:.3e}: "
                 "eigenvectors are (nearly) self-orthogonal"
             )
-        lam = _root_plus(complex(w2))
+        lam = complex(_root_plus(w2))
         z = (a + 1j * g) / lam
         th = _angle(z)
         c, s = np.cos(th), np.sin(th)

@@ -85,7 +85,8 @@ from .errors import (
 from . import traversal
 from .loops import LoopSpec, StaticDrive, _contour, _discriminant_on_loop, _fields_at, _samples
 # build_hamiltonian is not called here; perfbench's tracer wraps propagation.build_hamiltonian
-from .model import SystemParams, _complex, _fmul, _gauge, _mul, _plus, _require_finite, build_hamiltonian, c_product
+from .model import (_EP_GUARD, SystemParams, _complex, _fmul, _gauge, _mul, _plus, _require_finite, build_hamiltonian,
+                    c_product)
 
 __all__ = [
     "StateVector",
@@ -210,10 +211,6 @@ class TrajectoryRecord:
             raise ValueError("times must be a 1-D array with at least two entries")
         if t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise ValueError("times must increase strictly from 0")
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1])
 
     @property
     def final_state(self) -> np.ndarray:
@@ -914,10 +911,10 @@ def propagate_direct(
 def _scan_contour(params: SystemParams, drive: Drive, n: int = 1024) -> None:
     times = _samples(drive.duration_T, n)
     mags = np.abs(_discriminant_on_loop(drive, params, times))
-    hits = np.flatnonzero(mags <= traversal._EP_GUARD)
+    hits = np.flatnonzero(mags <= _EP_GUARD)
     if hits.size:
         raise EPOnContourError(
-            f"contour reaches |discriminant| <= {traversal._EP_GUARD:.1e} near t = {times[hits[0]]:.6g}"
+            f"contour reaches |discriminant| <= {_EP_GUARD:.1e} near t = {times[hits[0]]:.6g}"
         )
 
 
@@ -1099,7 +1096,7 @@ def track_branches(
     """
     if n_samples < 16:
         raise ValueError("n_samples must be >= 16")
-    times = np.linspace(0.0, loop.duration_T, n_samples + 1)
+    times = _samples(loop.duration_T, n_samples)
     a, lam, th, signs = traversal.branch_frames(params, loop, times)
     half_trace = complex(params.e2, -params.gamma2) + a  # tr(H)/2 = h22 + a
     c, s = np.cos(th), np.sin(th)
@@ -1161,7 +1158,7 @@ def accumulated_phase(
         raise ValueError("n_samples must be >= 16")
     if t == 0.0:
         return 0j
-    times = np.linspace(0.0, t, n_samples + 1)
+    times = _samples(t, n_samples)
     _, lam, _, _ = traversal.branch_frames(params, loop, times)
     return complex(_simpson(2.0 * lam, times))
 

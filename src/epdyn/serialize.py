@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .analysis import AsymmetryReport, SweepResult, Table1Result, Table1Row, state_name
+from .analysis import SweepResult, Table1Result, state_name
 from .errors import ConfigError
 from .loops import Direction, LoopSpec, StaticDrive
 from .model import FieldPoint, SystemParams
@@ -288,20 +288,3 @@ def table_to_text(table: Table1Result) -> str:
 def table_to_json(table: Table1Result) -> str:
     doc = {"swapped": table.swapped, "rows": [_values(row, _TABLE1_FIELDS) for row in table.rows]}
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
-def table_from_json(text: str) -> Table1Result:
-    """Rebuild the table structure from its JSON rendering (round-trip aid)."""
-    doc = json.loads(text)
-    rows = []
-    for r in doc["rows"]:
-        row = {name: r[key] for key, name in _TABLE1_FIELDS.items()}
-        direction = Direction(row.pop("direction"))
-        report = AsymmetryReport(
-            dominant_state=row["exact_final"],
-            ratio=row.pop("report.ratio"),
-            survival=row.pop("report.survival"),
-            direction=direction,
-        )
-        rows.append(Table1Row(direction=direction, report=report, **row))
-    return Table1Result(rows=tuple(rows), swapped=doc["swapped"])

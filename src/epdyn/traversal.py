@@ -38,7 +38,7 @@ contour that the steps do not resolve; through an EP the eigenframe
 product converges to a wrong map), or where the quadrature of th' lands
 more than a quarter turn (pi/4) from a multiple of pi at an interval end,
 so that lam and the frame disagree on the branch. A sample inside the EP
-guard (``_EP_GUARD``) rules the eigenframe out. ``traversal_maps`` then
+guard (``model._EP_GUARD``) rules the eigenframe out. ``traversal_maps`` then
 takes the bare frame, K = -i H0, with the same closed form, as it does when
 the eigenframe does not settle (below); that depends on the loop alone.
 
@@ -92,9 +92,9 @@ intervals, rescaled the same way. Level d of the scan multiplies each
 element by the one d before it, so for a power-of-two number of intervals
 its last element takes, level by level, the very products of the tree: it
 is the tree over all steps, with its bits. ``_settle`` therefore reads the
-map off that last element at a step count that may settle, and the rows of
-``eigen_rows`` take that scan, so the settled count runs one product pass;
-a count that cannot settle takes the tree. A map's one interval is both.
+map off that last element at every step count, and the rows of
+``eigen_rows`` take the settled count's scan, so that count runs one
+product pass. A map's one interval is both.
 ``_mat`` forms the products of every entry at once by broadcasting: each
 element still gets the same two products and the same sum, in the same
 order, so the same bits.
@@ -110,7 +110,7 @@ import numpy as np
 
 from .errors import AmbiguousTrackingError, EPOnContourError, EpdynError, NonFiniteError, StepBudgetError
 from .loops import LoopSpec, _Contour, _contours, _fields_at, _motion_at
-from .model import SystemParams, _angle, _gauge, _plus, _traceless, _traceless_drive
+from .model import _EP_GUARD, SystemParams, _angle, _gauge, _root_plus, _traceless, _traceless_drive
 
 __all__ = ["TraversalMap", "traversal_maps"]
 
@@ -144,9 +144,6 @@ _MAX_TURN = 0.5
 _MAX_MISMATCH = 0.25
 #: The largest x with a finite exp(x) in float64.
 _EXP_LIMIT = math.log(sys.float_info.max)
-#: The one EP guard of the eigenframes: a sample with |discriminant| = 4 |a^2 + g^2|
-#: at or below it is too near the EP, whose eigenvectors are self-orthogonal.
-_EP_GUARD = 1e-8 ** 2
 #: The largest entry array whose second products ``_mat`` forms in one broadcast
 #: product; past it that full-size temporary can cost more than the calls it saves.
 _BROADCAST_ENTRIES = 1024
@@ -217,9 +214,9 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     The full-loop map settles first (``_settle`` over the n_output row
     intervals, with no fallback); the rows are then every (2^k)-th step end
     of the smallest n_output * 2^k steps at or above that count. Where that
-    is the settled count, the rows take its prefix scan (run now after a
-    tree); a finer count runs again. Returns (the settled ``TraversalMap``,
-    the row step count, ``_Rows``).
+    is the settled count, the rows take its prefix scan; a finer count runs
+    again. Returns (the settled ``TraversalMap``, the row step count,
+    ``_Rows``).
 
     Raises
     ------
@@ -233,21 +230,19 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     NonFiniteError
         If the drive overflows float64.
     """
-    (tmap,), run, prefix = _settle(params, [drive], rel_tol, True, n_output, False)
+    (tmap,), run, (x, e) = _settle(params, [drive], rel_tol, True, n_output, False)
     if isinstance(tmap, EpdynError):
         raise tmap
     n = n_output
     while n < tmap.steps:
         n *= 2
     if n != tmap.steps:  # the rows take a finer step count
-        run, prefix = _intervals(params, [drive], n, n // n_output, True), None
+        run = _intervals(params, [drive], n, n // n_output, True)
         error = _ruled_out(run, 0, drive, n)
         if error or not run.smooth[0]:
             raise error or AmbiguousTrackingError(f"the eigenframe of {drive} is unresolved at {n} steps")
-    if prefix is None:
         with np.errstate(all="ignore"):
-            prefix = _scan(run.x, run.e)
-    x, e = prefix
+            x, e = _scan(run.x, run.e)
     x = np.concatenate([np.eye(2, dtype=complex)[:, :, None, None], x], axis=-1)[:, :, 0].transpose(2, 0, 1)
     if not np.isfinite(x).all():
         raise StepBudgetError(f"the eigenframe map of {drive} overflows float64 at {n} steps")
@@ -336,13 +331,14 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
 
     Each step count runs ``intervals`` intervals (1 for a map, the rows' for
     the adiabatic route) where they are a power of two that divides it, else
-    one, and a count that may settle takes the map off their prefix scan.
-    Only a map, of one interval, may also stop on the extrapolated pair. With ``fallback`` a drive whose frame is ruled out, stalls or meets the
-    cap ends with None, for another frame to take; without it the frame
-    doubles on past an unresolved frame or a map that is not finite, and
-    each stop but a settled map is the drive's error. Returns each
-    drive's map, error or None, and the ``_Run`` and scan (None after a tree)
-    of the last step count: for one drive, the count that settles it.
+    one, and takes the map off their prefix scan. Only a map, of one
+    interval, may also stop on the extrapolated pair. With ``fallback`` a
+    drive whose frame is ruled out, stalls or meets the cap ends with None,
+    for another frame to take; without it the frame doubles on past an
+    unresolved frame or a map that is not finite, and each stop but a
+    settled map is the drive's error. Returns each drive's map, error or
+    None, and the ``_Run`` and scan of the last step count: for one drive,
+    the count that settles it.
     """
     what = "eigenframe" if eigen else "traversal"
     frame = "eigen" if eigen else "bare"
@@ -359,11 +355,8 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
         every = n // intervals if n % intervals == 0 and intervals & (intervals - 1) == 0 else n
         run = _intervals(params, [drives[k] for k in active], n, every, eigen)
         with np.errstate(all="ignore"):  # overflow shows as a map that is not finite
-            if not run.resolved.all() or not all(k in last for k in active):
-                scan, (u, e) = None, _tree(run.x, run.e)  # cannot settle
-            else:  # the scan's last element is the tree over the intervals
-                scan = _scan(run.x, run.e)
-                u, e = scan[0][..., -1], scan[1][..., -1]
+            scan = _scan(run.x, run.e)  # its last element is the tree over the intervals
+        u, e = scan[0][..., -1], scan[1][..., -1]
         if eigen:
             u, e = _rotate(run, u, e)
         still = []
@@ -465,10 +458,10 @@ class _Phase:
         self.every = every
         self.clear = 4.0 * np.abs(w2) > _EP_GUARD
         self.smooth = np.ones(len(a), dtype=bool)
+        self.lam0 = _root_plus(w2)
+        # ``follow`` counts the flips of numpy's root from lam0, its negative at a tie
         self.root = np.sqrt(w2)
-        # numpy's root of a negative real with a -0.0 imaginary part is the '-' root
-        self.parity = ~_plus(self.root)
-        self.lam0 = np.where(self.parity, -self.root, self.root)
+        self.parity = self.lam0 != self.root
         self.z0 = (a + 1j * g) / self.lam0
         self.turned = np.zeros(len(a))  # Re of the integral of th' so far
         self.marks = []  # (lam at the sample before, turned) at the interval ends of each block

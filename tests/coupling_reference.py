@@ -77,7 +77,6 @@ def na_coupling_at(
     params: SystemParams,
     loop: LoopSpec,
     t: float,
-    ep_tol: float = 1e-8,
 ) -> tuple[complex, complex]:
     """Couplings (V_{+/-}, V_{-/+}) at time t on a loop, in closed form.
 
@@ -88,7 +87,7 @@ def na_coupling_at(
     inside the eigenframe guard.
     """
     fp = loop.field_at(t)
-    frame = eigenframe(build_hamiltonian(params, fp), ep_tol)
+    frame = eigenframe(build_hamiltonian(params, fp))
     theta_dot = _theta_dot(params, *_traceless(params, fp.omega, fp.eps0), loop.velocity_at(t))
     det = _det_sign((frame.v_plus.tolist(), frame.v_minus.tolist()))
     return -det * theta_dot, det * theta_dot

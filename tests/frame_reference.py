@@ -18,10 +18,10 @@ from epdyn.errors import AmbiguousTrackingError, EPOnContourError, EPProximityEr
 from epdyn.model import (
     HamiltonianMatrix,
     SystemParams,
-    _split,
     build_hamiltonian,
     c_product,
     discriminant,
+    eigenvalues,
 )
 from epdyn.propagation import Drive
 
@@ -63,7 +63,7 @@ def _eigensystem(h: HamiltonianMatrix, tol: float):
             f"|discriminant| = {abs(delta):.3e} <= tol^2 = {tol * tol:.3e}: "
             "eigenvectors are (nearly) self-orthogonal"
         )
-    e_p, e_m = _split(h, delta)
+    e_p, e_m = eigenvalues(h)
     out = []
     for e in (e_p, e_m):
         raw = _eigvec_raw(h, e)

@@ -254,7 +254,7 @@ def test_criterion_04b_phase_integral_target():
 
 def test_criterion_05_adiabatic_prediction_fails():
     with criterion("05", "adiabatic flip prediction wrong in exactly 2 of 4 rows"):
-        table = table1(REF, diode_loop(Direction.CW), ACCEPT, n_track=4096)
+        table = table1(REF, diode_loop(Direction.CW), ACCEPT)
         assert table.swapped is True
         for row in table.rows:
             assert row.adiabatic_final == 3 - row.initial_state

@@ -173,7 +173,7 @@ class TestTable1:
     def test_adiabatic_column_is_flip_when_swapped(self):
         from epdyn import encircling_loop
 
-        table = table1(REF, encircling_loop(15.0), FAST, n_track=1024)
+        table = table1(REF, encircling_loop(15.0), FAST)
         assert table.swapped is True
         for row in table.rows:
             assert row.adiabatic_final == 3 - row.initial_state

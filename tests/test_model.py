@@ -22,6 +22,7 @@ from epdyn import (
     locate_ep,
     verify_ep,
 )
+from epdyn import model, traversal
 from ep_reference import refine_ep
 
 REF = DEFAULT_PARAMS
@@ -132,6 +133,20 @@ class TestEigenvalues:
         e_p, e_m = eigenvalues(h)
         assert e_p.imag > 0 and e_m.imag < 0
 
+    def test_plus_root_at_a_signed_zero_tie(self):
+        # a^2 + g^2 = -4 - 0i, where numpy's root -2i is the '-' side of the tie:
+        # the '+' root is -0.0 + 2i, for one matrix and as the array element
+        # that the first sample of a traversal gives ``traversal._Phase``
+        h = HamiltonianMatrix.symmetric(-2j, complex(0.0, -0.0), 2j)
+        a, g = np.complex128(0.5 * (h.h11 - h.h22)), np.complex128(h.h12)
+        w2 = a * a + g * g
+        assert (w2.real, math.copysign(1.0, w2.imag)) == (-4.0, -1.0)
+        frame = eigenframe(h)
+        assert (frame.e_plus, frame.e_minus) == eigenvalues(h) == (2j, -2j)
+        phase = traversal._Phase(np.array([a]), np.array([g]), np.array([w2]), 1)
+        for lam in (complex(model._root_plus(complex(w2))), complex(phase.lam0[0])):
+            assert lam == 2j and math.copysign(1.0, lam.real) == -1.0
+
     def test_trace_conservation_random(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -203,9 +218,7 @@ class TestEigenframe:
         distances = np.geomspace(1e-2, 1e-7, 11)
         mags = []
         for d in distances:
-            frame = eigenframe(
-                build_hamiltonian(REF, FieldPoint(1.0, 0.2 + d)), tol=1e-12
-            )
+            frame = eigenframe(build_hamiltonian(REF, FieldPoint(1.0, 0.2 + d)))
             mags.append(abs(frame.cnorm_plus))
         assert all(a > b for a, b in zip(mags, mags[1:]))
         assert mags[-1] < 1e-3

@@ -959,6 +959,11 @@ class TestAccumulatedPhase:
         with pytest.raises(ValueError, match="n_samples must be >= 16"):
             accumulated_phase(REF, loop, 50.0, n_samples=n_samples)
 
+    def test_a_count_numpy_refuses_names_the_count(self):
+        # numpy refuses 10^20 + 1 samples before it allocates anything
+        with pytest.raises(MemoryError, match=f"^{10**20 + 1} samples do not fit"):
+            accumulated_phase(REF, encircling_loop(50.0), 25.0, n_samples=10**20)
+
     def test_diode_phase_integrals_unchanged(self):
         # the values scipy.integrate.simpson gives on the tracked gap 2 lam, to the bit
         times = np.linspace(0.0, DIODE_DURATION, 8193)
@@ -1065,6 +1070,11 @@ class TestTrackBranches:
         with pytest.raises(AmbiguousTrackingError):
             track_branches(REF, loop, n_samples=32)
         assert track_branches(REF, loop, n_samples=4096).swapped is True
+
+    def test_a_count_numpy_refuses_names_the_count(self):
+        # numpy refuses 10^20 + 1 samples before it allocates anything
+        with pytest.raises(MemoryError, match=f"^{10**20 + 1} samples do not fit"):
+            track_branches(REF, encircling_loop(10.0), n_samples=10**20)
 
 
 class TestAverageDecayRate:

@@ -1,15 +1,22 @@
 """The package as its tools and documents see it: every name the benchmark harness wraps
-must exist, every call it makes bind, and the README's config must match the schema table."""
+must exist, every call it makes bind, the README's config must match the schema table and its commands run."""
 
 import importlib
 import inspect
 import json
+import shlex
 from pathlib import Path
 
 from epdyn import analysis, cli, propagation, serialize
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
+
+
+def readme_block(section: str, fence: str) -> str:
+    """The first ```fence block under README's ``## section`` heading."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"## {section}", 1)[1].split(f"```{fence}\n", 1)[1].split("```", 1)[0]
 
 
 def test_every_traced_name_resolves(monkeypatch):
@@ -46,8 +53,7 @@ def test_workload_calls_bind_to_the_signatures():
 def test_readme_config_names_every_field_once(tmp_path):
     # the config under README's "Command line" loads, and names each field of
     # each section of the schema table once, so the documented schema cannot drift
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Command line", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    block = readme_block("Command line", "json")
     path = tmp_path / "config.json"
     path.write_text(block, encoding="utf-8")
     cli.load_config(str(path))
@@ -60,9 +66,23 @@ def test_readme_config_names_every_field_once(tmp_path):
 def test_readme_library_tour_runs():
     # the ```python block under README's "Library tour" runs as written, so the
     # documented calls cannot drift from the package's names and signatures
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    block = readme_block("Library tour", "python")
     namespace = {}
     exec(compile(block, "README.md (Library tour)", "exec"), namespace)
     assert namespace["adia"].meta["method"] == "adiabatic"
     assert namespace["m"].steps > 0
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # each ``epdyn`` line of README's "Command line" block exits 0 on the
+    # config above it, so the documented commands and flags cannot drift
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(readme_block("Command line", "json"), encoding="utf-8")
+    lines = readme_block("Command line", "sh").replace("\\\n", " ").splitlines()
+    assert len(lines) == 5
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "epdyn"
+        assert cli.main(argv) == 0, line
+    assert (tmp_path / "trajectory.csv").stat().st_size > 0
+    assert (tmp_path / "sweep.csv").read_text(encoding="utf-8").count("\n") == 1 + 8 * 8

@@ -11,6 +11,7 @@ import traversal_reference as reference
 from epdyn import (
     DEFAULT_PARAMS,
     Direction,
+    EPOnContourError,
     EpdynError,
     FieldPoint,
     HERMITIAN_PARAMS,
@@ -104,7 +105,7 @@ class TestOracle:
         assert [float(f"{r:.5g}") for r in ratios] == list(DIODE_RATIOS)
 
     def test_table1_agrees_with_the_oracle(self, oracle):
-        table = table1(REF, diode_loop(Direction.CW), ACCEPT, n_track=1024)
+        table = table1(REF, diode_loop(Direction.CW), ACCEPT)
         want = [reference.ratio(u, k) for u, _ in oracle for k in (0, 1)]
         for row, ratio in zip(table.rows, want):
             assert row.report.ratio == pytest.approx(ratio, rel=1e-3), row
@@ -237,11 +238,11 @@ class TestRows:
     def test_the_settled_count_runs_one_product_pass(self, monkeypatch):
         # encircling_loop(50) settles at 512 steps, the 512 row intervals; the
         # map is the last element of their scan, so no tree runs over them.
-        # 256 steps (one interval) cannot settle: the first count takes the tree
+        # 256 steps cannot hold 512 intervals: that count scans its one interval
         trees, scans = self.passes(monkeypatch)
         tmap, n, rows = traversal.eigen_rows(REF, encircling_loop(50.0), 1e-10, 512)
         assert (tmap.steps, n) == (512, 512)
-        assert scans == [512]
+        assert scans == [1, 512]
         assert 512 not in trees
         # the last prefix map, rotated as the map is, is the settled map's bits
         (c0, c1), (s0, s1) = rows.cos[[0, -1]], rows.sin[[0, -1]]
@@ -253,17 +254,24 @@ class TestRows:
         assert u[:, :, 0].tobytes() == tmap.U.tobytes()
         assert e[0] * math.log(2.0) == tmap.log_scale
 
-    def test_a_count_that_cannot_settle_takes_the_tree(self, monkeypatch):
+    def test_a_count_that_cannot_settle_takes_the_scan(self, monkeypatch):
         # the README config with e1 = 18 is unresolved up to 1024 steps (no
-        # count there may settle) and settles at 4096; only 2048 and 4096,
-        # resolved after a finite map, scan their 512 intervals
+        # count there may settle) and settles at 4096; every count from 512
+        # on scans its 512 intervals, and none runs a tree over them
         params = SystemParams(e1=18.0, e2=1.0, gamma1=0.1, gamma2=0.3, d12=1.0 + 0.0j)
         loop = LoopSpec(FieldPoint(0.92005, 0.64976), 2.02446, 0.64973, Direction.CW, 348.75, 4.35017)
         trees, scans = self.passes(monkeypatch)
         tmap, n, _ = traversal.eigen_rows(params, loop, 1e-10, 512)
         assert (tmap.steps, n) == (4096, 4096)
-        assert trees.count(512) == 2  # 512 and 1024 steps (the blocks' own trees are shorter)
-        assert scans == [512, 512]
+        assert scans == [1, 512, 512, 512, 512]
+        assert 512 not in trees
+        # at the unresolved counts too, the scan's last element is the tree's bits
+        for steps in (512, 1024):
+            run = traversal._intervals(params, [loop], steps, steps // 512, True)
+            assert not run.resolved[0]
+            with np.errstate(all="ignore"):
+                (x, e), (u, f) = traversal._scan(run.x, run.e), traversal._tree(run.x, run.e)
+            assert (x[..., -1].tobytes(), e[..., -1].tobytes()) == (u.tobytes(), f.tobytes())
 
 
 class TestExtrapolatedPair:
@@ -335,6 +343,19 @@ class TestFrames:
         for tmap in traversal_maps(REF, [diode_loop(d) for d in (Direction.CW, Direction.CCW)], 1e-10):
             assert tmap.frame == "eigen"
             assert tmap.steps >= 512
+
+    def test_a_gauss_sample_in_the_guard_leaves_the_map_to_the_bare_frame(self):
+        # a CCW circle through the EP at (1, 0.2) whose start phase puts the
+        # first Gauss point of step 192 of 256 on it: the EP guard rules out
+        # that count's eigenframe, so the map takes the bare frame; the
+        # adiabatic route has no other frame and raises
+        phase = 1.5 * math.pi - 2.0 * math.pi * (192 + 0.5 - math.sqrt(3.0) / 6.0) / 256
+        loop = LoopSpec(FieldPoint(1.0, 0.25), 0.05, 0.05, Direction.CCW, 50.0, phase)
+        (tmap,) = traversal_maps(REF, [loop], 1e-10)
+        assert (tmap.frame, tmap.steps) == ("bare", 512)
+        for n_output in (512, 500):
+            with pytest.raises(EPOnContourError, match=" at 256 steps comes within "):
+                propagate_adiabatic(REF, loop, StateVector.basis(1), n_output=n_output)
 
     @pytest.mark.parametrize(
         "loop",
