@@ -21,6 +21,8 @@ from .model import (
     EPLocation,
     FieldPoint,
     SystemParams,
+    _ep_contact,
+    _on_ep,
     _require_finite,
     _traceless,
     locate_ep,
@@ -215,12 +217,6 @@ def _motion_at(c: _Contour, times: np.ndarray) -> tuple:
     return (*_ellipse(c, cos, sin), *_velocity(c, cos, sin))
 
 
-def _discriminant_on_loop(drive, params: SystemParams, times: np.ndarray) -> np.ndarray:
-    """Vectorized discriminant 4 (a^2 + g^2) along a loop or static drive (keeps scans fast)."""
-    a, g = _traceless(params, *_fields_at(drive, times))
-    return 4.0 * (a * a + g * g)
-
-
 def _samples(T: float, n: int) -> np.ndarray:
     """The n + 1 uniform times over [0, T]; a count too large for an array raises MemoryError.
 
@@ -234,10 +230,6 @@ def _samples(T: float, n: int) -> np.ndarray:
         raise MemoryError(f"{n + 1} samples do not fit in an array") from exc
 
 
-#: The |discriminant| below which ``winding_number`` counts a sample as on the EP.
-_WINDING_GUARD = 1e-12
-
-
 def winding_number(loop: LoopSpec, params: SystemParams, n_samples: int = 1024) -> int:
     """Integer winding of the discriminant around the complex origin.
 
@@ -249,7 +241,7 @@ def winding_number(loop: LoopSpec, params: SystemParams, n_samples: int = 1024) 
     Raises
     ------
     EPOnContourError
-        If |Delta| < ``_WINDING_GUARD`` at any sample (contour touches the degeneracy).
+        If a sample is on the EP (``model._on_ep``): the contour touches the degeneracy.
     NonFiniteError
         If Delta overflows float64 at any sample.
     UndersampledError
@@ -259,15 +251,14 @@ def winding_number(loop: LoopSpec, params: SystemParams, n_samples: int = 1024) 
         raise ValueError("n_samples must be >= 64")
     times = _samples(loop.duration_T, n_samples)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        delta = _discriminant_on_loop(loop, params, times)
+        a, g = _traceless(params, *_fields_at(loop, times))
+        delta = 4.0 * (a * a + g * g)
     if not np.all(np.isfinite(delta)):
         raise NonFiniteError("discriminant is not finite in float64 along the contour")
-    mags = np.abs(delta)
-    if np.any(mags < _WINDING_GUARD):
-        k = int(np.argmin(mags))
-        raise EPOnContourError(
-            f"|discriminant| = {mags[k]:.3e} < {_WINDING_GUARD:.0e} at sample t = {times[k]:.6g}"
-        )
+    near = _on_ep(a, g, 0.25 * delta)
+    if near.any():
+        k = int(np.argmax(near))
+        raise EPOnContourError(f"{_ep_contact(a[k], g[k])} at sample t = {times[k]:.6g}")
     args = np.angle(delta)
     jumps = np.diff(args)
     jumps = (jumps + np.pi) % (2.0 * np.pi) - np.pi

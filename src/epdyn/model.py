@@ -15,7 +15,7 @@ only adds a common phase and decay. The EP is where a^2 + g^2 = 0, and the
 eigenvectors turn with th, tan 2th = g/a. ``_traceless`` is the one
 definition of (a, g). It is plain arithmetic, so omega and eps0 may be floats
 or numpy arrays; the closed-form couplings, the step products of
-``traversal`` and the vectorized contour scans in ``loops`` use it, and the
+``traversal`` and the samples of ``loops.winding_number`` use it, and the
 direct route's generated run gets the same bits from the drive's
 ``loops._contour`` and the model's constants, read once per run, with its
 operations inlined (``propagation._drive_constants``;
@@ -27,8 +27,11 @@ lam = +/-sqrt(a^2 + g^2), and the c-normalized eigenvectors are
 ``eigenframe`` takes lam on the '+' root at one matrix; along a drive,
 ``traversal`` continues lam by the nearer root and th by the nearer
 multiple of pi, for the tracked frames and the adiabatic route alike.
-The '+' root (``_root_plus``), ``_angle``, the gauge (``_gauge``) and the
-EP guard (``_EP_GUARD``) are shared by all three.
+The '+' root (``_root_plus``), ``_angle`` and the gauge (``_gauge``) are
+shared by all three.
+One rule, free of units as the dynamics are, decides contact with the EP
+everywhere: |a^2 + g^2| <= ``_EP_CONTACT`` (|a|^2 + |g|^2) (``_on_ep``; its
+message is ``_ep_contact``).
 """
 
 from __future__ import annotations
@@ -57,10 +60,10 @@ __all__ = [
     "verify_ep",
 ]
 
-#: The one EP guard of the eigenframes: a matrix or sample with |discriminant| =
-#: 4 |a^2 + g^2| at or below it is too near the EP, whose eigenvectors are
-#: self-orthogonal (``eigenframe``, ``traversal`` and ``propagation`` read it).
-_EP_GUARD = 1e-8 ** 2
+#: kappa of the one EP-contact rule (``_on_ep``): off the EP it bounds
+#: |e^{2 i th}|^2 = |a + i g|^2 / |a^2 + g^2| below 2 / kappa, and with it the
+#: condition number of the eigenframe, whose vectors are self-orthogonal at the EP.
+_EP_CONTACT = 1e-11
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,29 @@ def _require_finite(obj, *names: str) -> None:
     for name in names:
         if not cmath.isfinite(attrgetter(name)(obj)):
             raise ValueError(f"{name} must be finite")
+
+
+def _on_ep(a, g, w2):
+    """Whether (a, g), complexes or arrays with w2 = a^2 + g^2, is on the EP: |w2| <= kappa (|a|^2 + |g|^2).
+
+    A w2 that is not finite is not on the EP: its error is the overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.abs(w2) <= _EP_CONTACT * _norm2(a, g)) & np.isfinite(w2)
+
+
+def _norm2(a, g):
+    """|a|^2 + |g|^2, without a square root."""
+    return a.real * a.real + a.imag * a.imag + g.real * g.real + g.imag * g.imag
+
+
+def _ep_contact(a=None, g=None) -> str:
+    """The EP-contact rule as message text; given a sample (a, g), its |a^2 + g^2| against the bound."""
+    rule = f"{_EP_CONTACT:.0e} (|a|^2 + |g|^2)"
+    if a is None:
+        return f"|a^2 + g^2| <= {rule}"
+    w2 = a * a + g * g
+    return f"|a^2 + g^2| = {np.abs(w2):.3e} {'<=' if _on_ep(a, g, w2) else '>'} {rule} = {_EP_CONTACT * _norm2(a, g):.3e}"
 
 
 def _traceless(params: SystemParams, omega, eps0):
@@ -304,21 +330,17 @@ def eigenframe(h: HamiltonianMatrix) -> EigenFrame:
     Raises
     ------
     EPProximityError
-        Where |discriminant| = 4 |a^2 + g^2| <= ``_EP_GUARD``, rather than
-        returning arbitrarily large normalized vectors (derivative couplings
-        diverge there).
+        Where the matrix is on the EP (``_on_ep``), rather than returning
+        arbitrarily large normalized vectors (derivative couplings diverge
+        there).
     NonFiniteError
         If the frame overflows float64.
     """
     a, g = np.complex128(0.5 * (h.h11 - h.h22)), np.complex128(h.h12)
     with np.errstate(all="ignore"):  # overflow is reported below
         w2 = a * a + g * g
-        abs_delta = 4.0 * float(abs(w2))
-        if abs_delta <= _EP_GUARD:
-            raise EPProximityError(
-                f"|discriminant| = {abs_delta:.3e} <= tol^2 = {_EP_GUARD:.3e}: "
-                "eigenvectors are (nearly) self-orthogonal"
-            )
+        if _on_ep(a, g, w2):
+            raise EPProximityError(f"{_ep_contact(a, g)}: eigenvectors are (nearly) self-orthogonal")
         lam = complex(_root_plus(w2))
         z = (a + 1j * g) / lam
         th = _angle(z)
@@ -344,8 +366,8 @@ def locate_ep(params: SystemParams) -> EPLocation:
     ------
     NoFiniteEPError
         If Re[d12] = 0 (no finite drive amplitude degenerates the spectrum),
-        or if float64 cannot resolve the closed form: it overflows, or its
-        |discriminant| residual is >= 1e-10 (e.g. for level energies near 1e20).
+        or if float64 cannot resolve the closed form: it overflows, or it is
+        not on the EP by ``_on_ep`` (e.g. for level energies near 1e16).
     NegativeAmplitudeError
         If the closed form gives eps0_ep < 0 (unreachable amplitude).
     """
@@ -361,13 +383,12 @@ def locate_ep(params: SystemParams) -> EPLocation:
     if not (math.isfinite(omega_ep) and math.isfinite(eps0_ep)):
         raise NoFiniteEPError(f"closed-form EP ({omega_ep:.6g}, {eps0_ep:.6g}) overflows float64")
     field = FieldPoint(omega=omega_ep, eps0=eps0_ep)
-    residual = abs(discriminant(build_hamiltonian(params, field)))
-    if not residual < 1e-10:  # NaN too
-        raise NoFiniteEPError(
-            f"closed-form EP residual {residual:.3e} >= 1e-10: float64 cannot resolve the EP "
-            "for these parameters"
-        )
-    return EPLocation(field=field, residual=residual)
+    h = build_hamiltonian(params, field)
+    a, g, delta = 0.5 * (h.h11 - h.h22), h.h12, discriminant(h)
+    if not _on_ep(a, g, 0.25 * delta):  # 0.25 delta is a^2 + g^2, exactly
+        raise NoFiniteEPError(f"closed-form EP residual {abs(delta):.3e}: {_ep_contact(a, g)}: "
+                              "float64 cannot resolve the EP for these parameters")
+    return EPLocation(field=field, residual=abs(delta))
 
 
 def verify_ep(params: SystemParams, field: FieldPoint) -> float:

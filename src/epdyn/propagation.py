@@ -76,17 +76,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import (
-    EPOnContourError,
-    NonFiniteError,
-    StepBudgetError,
-    StepSizeUnderflowError,
-)
+from .errors import NonFiniteError, StepBudgetError, StepSizeUnderflowError
 from . import traversal
-from .loops import LoopSpec, StaticDrive, _contour, _discriminant_on_loop, _fields_at, _samples
+from .loops import LoopSpec, StaticDrive, _contour, _fields_at, _samples
 # build_hamiltonian is not called here; perfbench's tracer wraps propagation.build_hamiltonian
-from .model import (_EP_GUARD, SystemParams, _complex, _fmul, _gauge, _mul, _plus, _require_finite, build_hamiltonian,
-                    c_product)
+from .model import SystemParams, _complex, _fmul, _gauge, _mul, _plus, _require_finite, build_hamiltonian, c_product
 
 __all__ = [
     "StateVector",
@@ -908,16 +902,6 @@ def propagate_direct(
 # ---------------------------------------------------------------------------
 
 
-def _scan_contour(params: SystemParams, drive: Drive, n: int = 1024) -> None:
-    times = _samples(drive.duration_T, n)
-    mags = np.abs(_discriminant_on_loop(drive, params, times))
-    hits = np.flatnonzero(mags <= _EP_GUARD)
-    if hits.size:
-        raise EPOnContourError(
-            f"contour reaches |discriminant| <= {_EP_GUARD:.1e} near t = {times[hits[0]]:.6g}"
-        )
-
-
 #: The state-independent part of recent adiabatic runs, least recently used
 #: first: one loop in both directions (see ``_loop_rows``); the lock guards
 #: each lookup and insertion, not the computation between them
@@ -932,14 +916,15 @@ def _exact(values) -> tuple:
 
 
 def _loop_rows(params: SystemParams, drive: Drive, rel_tol: float, n_output: int) -> tuple:
-    """The contour scan and ``traversal.eigen_rows`` of a loop, kept for the next state on it.
+    """``traversal.eigen_rows`` of a loop, kept for the next state on it.
 
-    Neither reads the initial state, so a run on a loop of the cache takes
-    the same arrays, read-only. The key is the exact value of everything
-    they read: the drive's type and ``_contour`` fields, the model's five
-    constants, ``rel_tol`` and ``n_output``. Only a result is kept; an
-    error is raised again by the next call. Returns (the solver counts of
-    the settled map, ``traversal._Rows``, whether they came from the cache).
+    The rows do not read the initial state, so a run on a loop of the cache
+    takes the same arrays, read-only. The key is the exact value of
+    everything they read: the drive's type and ``_contour`` fields, the
+    model's five constants, ``rel_tol`` and ``n_output``. Only a result is
+    kept; an error is raised again by the next call. Returns (the solver
+    counts of the settled map, ``traversal._Rows``, whether they came from
+    the cache).
     """
     d12 = complex(params.d12)
     key = (type(drive), *_exact(_contour(drive)),
@@ -950,7 +935,6 @@ def _loop_rows(params: SystemParams, drive: Drive, rel_tol: float, n_output: int
             _LOOP_ROWS.move_to_end(key)
     if entry is not None:
         return (*entry, True)
-    _scan_contour(params, drive, n=max(1024, 2 * n_output))
     tmap, steps, rows = traversal.eigen_rows(params, drive, rel_tol, n_output)
     for array in rows:
         if isinstance(array, np.ndarray):
@@ -1001,10 +985,10 @@ def propagate_adiabatic(
     change at the last doubling (``floor``), the number of doublings
     from 256 steps to the settled count (``doublings``) and whether the
     rows came from the cache (``reused``). ``meta["phase_s"]`` holds the
-    wall seconds of the contour scan and the step products (``stepping``;
-    a cache lookup on a hit) and of the rows after them (``rows``).
+    wall seconds of the step products (``stepping``; a cache lookup on a
+    hit) and of the rows after them (``rows``).
 
-    The scan and the prefix maps do not depend on the initial state, so
+    The prefix maps do not depend on the initial state, so
     the route keeps them for the last two loops it ran (``_loop_rows``,
     keyed on the exact bits of everything they read): the second state on
     a loop, or the other direction's next call, only projects, multiplies
@@ -1016,7 +1000,7 @@ def propagate_adiabatic(
     ValueError
         If ``duration_T`` is so small that the steps T/n are subnormal.
     EPOnContourError
-        If the contour comes within the eigenframe guard of the EP.
+        If a sample of the steps is on the EP (``model._on_ep``).
     AmbiguousTrackingError
         If the eigenframe is unresolved at every step count (it turns by
         more than half a radian in a step, or the continued root and the
@@ -1090,7 +1074,7 @@ def track_branches(
     AmbiguousTrackingError
         If adjacent overlaps are within 10% of each other (undersampled).
     EPOnContourError
-        If any sample falls inside the eigenframe's EP guard.
+        If a sample is on the EP (``model._on_ep``).
     NonFiniteError
         If a frame overflows float64.
     """

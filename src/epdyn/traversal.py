@@ -37,8 +37,9 @@ more than half a radian in one step (|th'| h > 1/2: an EP on or near the
 contour that the steps do not resolve; through an EP the eigenframe
 product converges to a wrong map), or where the quadrature of th' lands
 more than a quarter turn (pi/4) from a multiple of pi at an interval end,
-so that lam and the frame disagree on the branch. A sample inside the EP
-guard (``model._EP_GUARD``) rules the eigenframe out. ``traversal_maps`` then
+so that lam and the frame disagree on the branch. A sample on the EP
+(``model._on_ep``: t = 0, a Gauss point or an interval end) rules the
+eigenframe out at that step count. ``traversal_maps`` then
 takes the bare frame, K = -i H0, with the same closed form, as it does when
 the eigenframe does not settle (below); that depends on the loop alone.
 
@@ -109,8 +110,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import AmbiguousTrackingError, EPOnContourError, EpdynError, NonFiniteError, StepBudgetError
-from .loops import LoopSpec, _Contour, _contours, _fields_at, _motion_at
-from .model import _EP_GUARD, SystemParams, _angle, _gauge, _root_plus, _traceless, _traceless_drive
+from .loops import LoopSpec, _Contour, _contours, _fields_at, _motion_at, _samples
+from .model import SystemParams, _angle, _ep_contact, _gauge, _on_ep, _root_plus, _traceless, _traceless_drive
 
 __all__ = ["TraversalMap", "traversal_maps"]
 
@@ -220,8 +221,10 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
 
     Raises
     ------
+    MemoryError
+        If the n_output + 1 row times do not fit in an array (before any step).
     EPOnContourError
-        If a sample comes within ``_EP_GUARD`` of the EP.
+        If a sample is on the EP (``model._on_ep``).
     AmbiguousTrackingError
         If the frame is unresolved at every step count up to the cap.
     StepBudgetError
@@ -230,6 +233,7 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     NonFiniteError
         If the drive overflows float64.
     """
+    times = _samples(drive.duration_T, n_output)
     (tmap,), run, (x, e) = _settle(params, [drive], rel_tol, True, n_output, False)
     if isinstance(tmap, EpdynError):
         raise tmap
@@ -248,7 +252,7 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
         raise StepBudgetError(f"the eigenframe map of {drive} overflows float64 at {n} steps")
     (c0, s0), (c, s) = run.rotations
     return tmap, n, _Rows(
-        np.linspace(0.0, drive.duration_T, n_output + 1),
+        times,
         x,
         np.concatenate([[0], e[0]]),
         np.concatenate([c0, c[0]]),
@@ -362,7 +366,7 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
         still = []
         for i, k in enumerate(active):
             error = _ruled_out(run, i, drives[k], n)
-            if error is not None:  # with a fallback, a sample in the guard leaves the drive to the other frame
+            if error is not None:  # with a fallback, a sample on the EP leaves the drive to the other frame
                 out[k] = None if fallback and run.finite[i] else error
                 continue
             uk, ek = u[:, :, i], int(e[i])
@@ -411,11 +415,11 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
 
 
 def _ruled_out(run: "_Run", i: int, drive, n: int):
-    """The error where drive i of ``run`` overflows float64 or, at n steps, has a sample in the guard; else None."""
+    """The error where drive i of ``run`` overflows float64 or, at n steps, has a sample on the EP; else None."""
     if not run.finite[i]:  # the same at every step count
         return NonFiniteError(f"the drive (a, g) overflows float64 on {drive}")
     if not run.clear[i]:
-        return EPOnContourError(f"a sample of {drive} at {n} steps comes within |discriminant| <= {_EP_GUARD:.1e}")
+        return EPOnContourError(f"a sample of {drive} at {n} steps comes within the EP: {_ep_contact()}")
     return None
 
 
@@ -449,14 +453,13 @@ class _Phase:
     (a + i g)/lam, which fixes it up to a multiple of pi; the multiple is
     the one nearest th_0 plus the Gauss quadrature of th' up to there (an
     integer, so the quadrature's rounding cannot reach a map's bits).
-    ``clear`` turns False where a sample meets ``_EP_GUARD``, ``smooth`` where
-    the frame turns by more than ``_MAX_TURN`` in a step or the quadrature
-    misses the closed form by more than ``_MAX_MISMATCH`` turns.
+    ``smooth`` turns False where the frame turns by more than ``_MAX_TURN``
+    in a step or the quadrature misses the closed form by more than
+    ``_MAX_MISMATCH`` turns.
     """
 
     def __init__(self, a: np.ndarray, g: np.ndarray, w2: np.ndarray, every: int) -> None:
         self.every = every
-        self.clear = 4.0 * np.abs(w2) > _EP_GUARD
         self.smooth = np.ones(len(a), dtype=bool)
         self.lam0 = _root_plus(w2)
         # ``follow`` counts the flips of numpy's root from lam0, its negative at a tie
@@ -468,7 +471,6 @@ class _Phase:
 
     def follow(self, w2: np.ndarray) -> np.ndarray:
         """lam at the next block of samples (m, s), where a^2 + g^2 is w2."""
-        self.clear &= (4.0 * np.abs(w2) > _EP_GUARD).all(axis=1)
         root = np.sqrt(w2)
         before = np.concatenate([self.root[:, None], root[:, :-1]], axis=1)
         flips = root.real * before.real + root.imag * before.imag < 0.0
@@ -494,7 +496,6 @@ class _Phase:
 
         w2 is a^2 + g^2 there. Also keeps the continued root at the ends as ``lam``.
         """
-        self.clear &= (4.0 * np.abs(w2) > _EP_GUARD).all(axis=1)
         before, turned = (np.concatenate(column, axis=1) for column in zip(*self.marks))
         root = np.sqrt(w2)
         self.lam = np.where(root.real * before.real + root.imag * before.imag < 0.0, -root, root)
@@ -527,7 +528,7 @@ def branch_frames(params: SystemParams, drive, times: np.ndarray) -> tuple:
     Raises
     ------
     EPOnContourError
-        If |discriminant| = 4 |a^2 + g^2| <= ``_EP_GUARD``.
+        If the sample is on the EP (``model._on_ep``).
     NonFiniteError
         If the frame overflows float64.
     AmbiguousTrackingError
@@ -556,16 +557,14 @@ def branch_frames(params: SystemParams, drive, times: np.ndarray) -> tuple:
                 th[rows] = angle + np.pi * half_turns
                 turn = np.diff(th[start - 1 : stop])
                 ambiguous = np.abs(np.sin(turn)) > _AMBIGUITY * np.abs(np.cos(turn))
-            near = 4.0 * np.abs(w2) <= _EP_GUARD
+            near = _on_ep(a[rows], g, w2)
             finite = np.isfinite(w2) & np.isfinite(th[rows])
         bad = np.flatnonzero(near | ~finite | ambiguous)
         if bad.size:
             k = bad[0]
             if near[k]:
-                raise EPOnContourError(
-                    f"|discriminant| = {4.0 * abs(w2[k]):.3e} <= tol^2 = {_EP_GUARD:.3e}: "
-                    "eigenvectors are (nearly) self-orthogonal"
-                )
+                raise EPOnContourError(f"{_ep_contact(a[start + k], g[k])}: eigenvectors are (nearly) "
+                                       f"self-orthogonal at t = {times[start + k]:.6g}")
             if not finite[k]:
                 raise NonFiniteError("eigenframe overflows float64")
             overlaps = sorted(abs(f(th[start + k] - th[start + k - 1])) for f in (np.cos, np.sin))
@@ -581,7 +580,7 @@ class _Run(NamedTuple):
     finite: np.ndarray  # (m,) the drive stays finite
     resolved: np.ndarray  # (m,) |sigma^2| <= 1 in every exponential
     reach: np.ndarray  # (m,) the largest |Re sigma| over the blocks with a step map that is not finite (else 0)
-    clear: np.ndarray  # (m,) no sample in the EP guard (eigenframe)
+    clear: np.ndarray  # (m,) no sample on the EP (eigenframe)
     smooth: np.ndarray  # (m,) the frame is resolved (eigenframe)
     rotations: tuple  # ((cos th_0, sin th_0) (m,), (cos th, sin th) (m, N)) (eigenframe)
     lam0: np.ndarray  # (m,) the '+' root at t = 0 (eigenframe)
@@ -603,9 +602,11 @@ def _intervals(params: SystemParams, drives: Sequence, n: int, every: int, eigen
     per = min(every, block)  # divides the block, n and every block start
     resolved = np.ones(m, dtype=bool)
     reach = np.zeros(m)
-    with np.errstate(all="ignore"):  # overflow and the guard are reported in the result
+    with np.errstate(all="ignore"):  # overflow and the EP are reported in the result
         a, g, _, _, w2, finite = _drive(params, contours, np.zeros((m, 1)))
-        phase = _Phase(a[:, 0], g[:, 0], w2[:, 0], every) if eigen else None
+        if eigen:
+            phase = _Phase(a[:, 0], g[:, 0], w2[:, 0], every)
+            clear = ~_on_ep(a, g, w2)[:, 0]
         nodes, exps = [], []
         for start in range(0, n, block):
             size = min(block, n - start)
@@ -613,6 +614,7 @@ def _intervals(params: SystemParams, drives: Sequence, n: int, every: int, eigen
             a, g, a_dot, g_dot, w2, good = _drive(params, contours, steps.ravel() * h)
             finite &= good
             if eigen:  # K = [[-i lam, th'], [-th', i lam]]
+                clear &= ~_on_ep(a, g, w2).any(axis=1)
                 lam = phase.follow(w2)
                 th_dot = 0.5 * (a * g_dot - g * a_dot) / w2
                 phase.turn(th_dot, h, lam, start)
@@ -634,8 +636,9 @@ def _intervals(params: SystemParams, drives: Sequence, n: int, every: int, eigen
             return _Run(x, e, finite, resolved, reach, np.ones(m, dtype=bool), np.ones(m, dtype=bool), (), None, None, None)
         ends = contours.T if n == every else np.linspace(0.0, contours.T[:, 0], n // every + 1)[1:].T
         a, g, _, _, w2, good = _drive(params, contours, ends)
+        clear &= ~_on_ep(a, g, w2).any(axis=1)
         rotations = phase.rotations(a, g, w2)
-    return _Run(x, e, finite & good, resolved, reach, phase.clear, phase.smooth, rotations, phase.lam0, phase.lam, phase.z0)
+    return _Run(x, e, finite & good, resolved, reach, clear, phase.smooth, rotations, phase.lam0, phase.lam, phase.z0)
 
 
 def _rotate(run: _Run, u: np.ndarray, e: np.ndarray) -> tuple:

@@ -84,7 +84,7 @@ def na_coupling_at(
     th' = (a g' - g a') / (2 (a^2 + g^2)) taken from the loop velocity,
     V_{+/-} = -det th' and V_{-/+} = +det th', where det = +/-1 is the
     determinant of the frame's (v_plus, v_minus). Raises EPProximityError
-    inside the eigenframe guard.
+    on the EP (``model._on_ep``).
     """
     fp = loop.field_at(t)
     frame = eigenframe(build_hamiltonian(params, fp))

@@ -50,17 +50,19 @@ def _gauge_sign(v: tuple[complex, complex]) -> float:
     return 1.0 if lead.imag >= 0.0 else -1.0
 
 
-def _eigensystem(h: HamiltonianMatrix, tol: float):
+def _eigensystem(h: HamiltonianMatrix, kappa: float):
     """Scalar-arithmetic eigen-solve shared by eigenframe and the propagators.
 
     Returns (e_plus, e_minus, v_plus, v_minus, cnorm_plus, cnorm_minus) with
-    vectors as plain complex 2-tuples. Raises EPProximityError inside the
-    |Delta| <= tol^2 guard, where c-normalization becomes singular.
+    vectors as plain complex 2-tuples. Raises EPProximityError on the EP,
+    |Delta| <= 4 kappa (|a|^2 + |g|^2) with a = (h11 - h22)/2 and g = h12,
+    where c-normalization becomes singular.
     """
     delta = discriminant(h)
-    if abs(delta) <= tol * tol:
+    bound = 4.0 * kappa * (abs(0.5 * (h.h11 - h.h22)) ** 2 + abs(h.h12) ** 2)
+    if abs(delta) <= bound:
         raise EPProximityError(
-            f"|discriminant| = {abs(delta):.3e} <= tol^2 = {tol * tol:.3e}: "
+            f"|discriminant| = {abs(delta):.3e} <= 4 kappa (|a|^2 + |g|^2) = {bound:.3e}: "
             "eigenvectors are (nearly) self-orthogonal"
         )
     e_p, e_m = eigenvalues(h)
@@ -112,19 +114,19 @@ def _aligned_next(ref_vs, e_p, e_m, v_p, v_m, ambiguity: float = 0.9):
     return tuple(out_e), tuple(out_v), tuple(out_l)
 
 
-def _initial_frame(params: SystemParams, drive: Drive, ep_tol: float):
+def _initial_frame(params: SystemParams, drive: Drive, kappa: float):
     """The t = 0 frame ((e0, e1), (v0, v1), labels), slot 0 on the '+' branch."""
-    e_p, e_m, v_p, v_m, _, _ = _eigensystem(build_hamiltonian(params, drive.field_at(0.0)), ep_tol)
+    e_p, e_m, v_p, v_m, _, _ = _eigensystem(build_hamiltonian(params, drive.field_at(0.0)), kappa)
     return (e_p, e_m), (v_p, v_m), ("+", "-")
 
 
-def _tracked_frames(params: SystemParams, drive: Drive, times: np.ndarray, ep_tol: float):
+def _tracked_frames(params: SystemParams, drive: Drive, times: np.ndarray, kappa: float):
     """Yield the tracked frame ((e0, e1), (v0, v1), labels) at each of ``times`` (from 0)."""
     try:
-        frame = _initial_frame(params, drive, ep_tol)
+        frame = _initial_frame(params, drive, kappa)
         yield frame
         for t in times[1:]:
-            eig = _eigensystem(build_hamiltonian(params, drive.field_at(float(t))), ep_tol)
+            eig = _eigensystem(build_hamiltonian(params, drive.field_at(float(t))), kappa)
             frame = _aligned_next(frame[1], *eig[:4])
             yield frame
     except EPProximityError as exc:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import config_reference
 import epdyn
-from epdyn import loops, propagation
+from epdyn import loops, propagation, traversal
 from epdyn import DEFAULT_PARAMS, FieldPoint, IntegratorConfig, StateVector, StaticDrive, propagate_direct
 from epdyn.analysis import state_name
 from epdyn.cli import load_config, main
@@ -149,6 +149,12 @@ class TestLocateEP:
         assert main(["--config", write_config(tmp_path, doc), command]) == 2
         err = capsys.readouterr().err
         assert "NoFiniteEP" in err and "residual" in err
+
+    def test_a_closed_form_off_the_ep_exit_2(self, tmp_path, capsys):
+        # at e1 = 1e16 the closed form's |a^2 + g^2| is as large as |a|^2 + |g|^2 there
+        doc = patched({"system": {"e1": 1e16}})
+        assert main(["--config", write_config(tmp_path, doc), "locate-ep"]) == 2
+        assert capsys.readouterr().err.startswith("error: NoFiniteEPError: closed-form EP residual 1.077e+00: ")
 
 
 class TestSimulate:
@@ -469,7 +475,7 @@ HUGE = "100000000000000000000"
 COUNTS = [
     (["winding", "--n-samples"], "--n-samples", loops),
     (["simulate", "--n-output"], "--n-output", propagation),
-    (["simulate", "--method", "adiabatic", "--n-output"], "--n-output", propagation),
+    (["simulate", "--method", "adiabatic", "--n-output"], "--n-output", traversal),
 ]
 COUNT_IDS = ["winding", "direct", "adiabatic"]
 

@@ -53,6 +53,8 @@ from frame_reference import _eigensystem, _tracked_frames
 REF = DEFAULT_PARAMS
 TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14)
 EPS = np.finfo(float).eps
+#: kappa of the package's EP-contact rule, which the oracle applies on its own
+KAPPA = 1e-11
 
 # the loop of TestTrackBranches.test_no_swap_without_ep
 NO_SWAP = LoopSpec(FieldPoint(1.0, 0.5), 0.05, 0.05, Direction.CCW, 10.0)
@@ -67,9 +69,9 @@ def bits(a) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
 
-def oracle_track(params, drive, n_samples, ep_tol=1e-8):
+def oracle_track(params, drive, n_samples, kappa=KAPPA):
     times = np.linspace(0.0, drive.duration_T, n_samples + 1)
-    frames = list(_tracked_frames(params, drive, times, ep_tol))
+    frames = list(_tracked_frames(params, drive, times, kappa))
     energies = np.array([es for es, _, _ in frames], dtype=complex)
     vectors = np.array([vs for _, vs, _ in frames], dtype=complex)
     labels = np.array([labs for _, _, labs in frames])
@@ -240,7 +242,7 @@ def test_eigenframe_bit_equal_to_oracle():
             rng.normal(), rng.normal(), abs(rng.normal()), abs(rng.normal()), complex(*rng.normal(size=2))
         )
         h = build_hamiltonian(params, FieldPoint(rng.normal(), 0.0 if k % 3 == 0 else abs(rng.normal())))
-        e_p, e_m, v_p, v_m, c_p, c_m = _eigensystem(h, 1e-8)
+        e_p, e_m, v_p, v_m, c_p, c_m = _eigensystem(h, KAPPA)
         frame = eigenframe(h)
         scale = max(abs(e_p), abs(e_m))
         assert abs(frame.e_plus - e_p) <= 4 * EPS * scale and abs(frame.e_minus - e_m) <= 4 * EPS * scale
@@ -287,7 +289,7 @@ def test_adiabatic_rows_on_oracle_frames():
     traj = propagate_adiabatic(REF, loop, StateVector(0.6, 0.8j), TIGHT, n_output=512)
     solver = traj.meta["solver"]
     assert len(traj.times) - 1 == solver["steps"] == traversal._FIRST_STEPS << solver["doublings"]
-    for row, (_, vs, labels) in enumerate(_tracked_frames(REF, loop, traj.times, 1e-8)):
+    for row, (_, vs, labels) in enumerate(_tracked_frames(REF, loop, traj.times, KAPPA)):
         assert traj.branch_labels[row] == labels[0]
         expected = traj.adiabatic_coeffs[row] @ np.array(vs)
         scale = np.linalg.norm(expected)

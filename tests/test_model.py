@@ -1,6 +1,8 @@
 """Hamiltonian construction, spectrum, eigenframes, and EP location."""
 
 import cmath
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -8,21 +10,31 @@ import pytest
 
 from epdyn import (
     DEFAULT_PARAMS,
+    Direction,
+    EPOnContourError,
     EPProximityError,
     FieldPoint,
     HamiltonianMatrix,
+    IntegratorConfig,
+    LoopSpec,
     NegativeAmplitudeError,
     NoFiniteEPError,
+    StateVector,
     SystemParams,
     build_hamiltonian,
     c_product,
+    diode_loop,
     discriminant,
     eigenframe,
     eigenvalues,
     locate_ep,
+    propagate_adiabatic,
+    track_branches,
     verify_ep,
+    winding_number,
 )
 from epdyn import model, traversal
+from epdyn.analysis import final_state_report, table1
 from ep_reference import refine_ep
 
 REF = DEFAULT_PARAMS
@@ -265,6 +277,110 @@ class TestLocateEP:
         refined = refine_ep(REF, seed)
         assert abs(refined.omega - ep.field.omega) < 1e-10
         assert abs(refined.eps0 - ep.field.eps0) < 1e-10
+
+
+#: Parameters with no special values (no exact cancellation in the closed-form EP).
+GENERIC = SystemParams(e1=0.37, e2=1.13, gamma1=0.11, gamma2=0.29, d12=0.93 + 0.31j)
+#: The README's integrator section.
+README_CONFIG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14, max_step=10.0, initial_step=0.01)
+
+
+def in_units(s, params, loop=None, config=None):
+    """The model, loop and integrator in units where every energy is s times larger and every time s times shorter."""
+    params = SystemParams(params.e1 * s, params.e2 * s, params.gamma1 * s, params.gamma2 * s, params.d12)
+    if loop is None:
+        return params
+    loop = dataclasses.replace(
+        loop,
+        center=FieldPoint(loop.center.omega * s, loop.center.eps0 * s),
+        semi_axis_omega=loop.semi_axis_omega * s,
+        semi_axis_eps=loop.semi_axis_eps * s,
+        duration_T=loop.duration_T / s,
+    )
+    return params, loop, dataclasses.replace(config, max_step=config.max_step / s, initial_step=config.initial_step / s)
+
+
+@functools.lru_cache(maxsize=None)
+def diode_answers(s: float) -> tuple:
+    """The diode loop's decisions in units scaled by s, and the adiabatic route's ratio (CW from state 2)."""
+    params, loop, config = in_units(s, REF, diode_loop(Direction.CW), README_CONFIG)
+    locate_ep(params)
+    table = table1(params, loop, config)
+    report = final_state_report(propagate_adiabatic(params, loop, StateVector.basis(2), config), Direction.CW)
+    return (
+        winding_number(loop, params),
+        [(row.exact_final, row.adiabatic_final) for row in table.rows],
+        table.swapped,
+        report.dominant_state,
+    ), report.ratio
+
+
+class TestOneEPRule:
+    # contact with the EP is |a^2 + g^2| <= kappa (|a|^2 + |g|^2), free of
+    # units as the dynamics are: energies times s and times over s give the
+    # same answers
+
+    def test_the_rule_is_free_of_units(self):
+        rng = np.random.default_rng(7)
+        a, g = (rng.normal(size=400) + 1j * rng.normal(size=400) for _ in range(2))
+        # every other g is i a (1 + d) with |d| from 1e-14 to 1e-9: kappa = 1e-11 splits them
+        g[::2] = 1j * a[::2] * (1.0 + rng.normal(size=200) * 10.0 ** rng.uniform(-14, -9, size=200))
+        near = model._on_ep(a, g, a * a + g * g)
+        assert near[::2].any() and not near[::2].all() and not near[1::2].any()
+        for k in (-200, -40, 40, 200):  # a power of two scales every value exactly
+            s = 2.0**k
+            assert np.array_equal(model._on_ep(s * a, s * g, (s * a) ** 2 + (s * g) ** 2), near)
+
+    def test_an_overflow_is_not_contact(self):
+        # a^2 + g^2 and |a|^2 + |g|^2 both overflow: the sample's error is the overflow
+        a, g = np.array([1e200 + 0j]), np.zeros(1, dtype=complex)
+        with np.errstate(over="ignore"):
+            w2 = a * a + g * g
+        assert np.isinf(w2).all() and not model._on_ep(a, g, w2).any()
+
+    @pytest.mark.parametrize("k", range(-12, 7))
+    def test_a_change_of_units_changes_no_answer(self, k):
+        # the same winding number, table1 decisions and dominant state; the
+        # adiabatic ratio within 1e-8 (table1's ratios move in the 4th digit,
+        # the float64 floor of the diode loop, and are not compared)
+        decisions, ratio = diode_answers(10.0**k)
+        want, want_ratio = diode_answers(1.0)
+        assert decisions == want
+        assert ratio == pytest.approx(want_ratio, rel=1e-8)
+
+    def test_generic_parameters_have_an_ep_in_any_units(self):
+        want = locate_ep(GENERIC)
+        for k in range(-12, 13):
+            s = 10.0**k
+            ep = locate_ep(in_units(s, GENERIC))
+            assert ep.field.omega == pytest.approx(s * want.field.omega, rel=1e-12)
+            assert ep.field.eps0 == pytest.approx(s * want.field.eps0, rel=1e-12)
+
+    @pytest.mark.parametrize("e1", [1e16, 1e20])
+    def test_an_unresolved_closed_form_is_refused(self, e1):
+        # the closed form's |a^2 + g^2| (0.269) is as large as |a|^2 + |g|^2 there (0.270)
+        with pytest.raises(NoFiniteEPError, match=r"^closed-form EP residual 1\.077e\+00: .* > 1e-11 "):
+            locate_ep(dataclasses.replace(REF, e1=e1))
+
+    def test_one_contact_one_error(self):
+        # |discriminant| = 1.0e-13 at t = 0, inside the rule's 8e-13 at this
+        # EP's scale: every frame and count that samples t = 0 reports it alike
+        loop = LoopSpec(FieldPoint(1.0, 0.25), 0.05, 0.05, Direction.CCW, 50.0, 1.5 * math.pi + 5e-12)
+        with pytest.raises(EPProximityError) as info:
+            eigenframe(build_hamiltonian(REF, loop.field_at(0.0)))
+        messages = [str(info.value)]
+        for call in (
+            lambda: winding_number(loop, REF),
+            lambda: track_branches(REF, loop),
+            lambda: propagate_adiabatic(REF, loop, StateVector.basis(1)),
+        ):
+            with pytest.raises(EPOnContourError) as info:
+                call()
+            messages.append(str(info.value))
+        assert all("<= 1e-11 (|a|^2 + |g|^2)" in m and "tol^2" not in m for m in messages)
+        # the maps leave the eigenframe to the bare frame
+        (tmap,) = traversal.traversal_maps(REF, [loop], 1e-10)
+        assert (tmap.frame, tmap.steps) == ("bare", 512)
 
 
 class TestVerifyEP:
