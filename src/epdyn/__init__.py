@@ -7,7 +7,6 @@ from .errors import (
     ConfigError,
     EpdynError,
     EPOnContourError,
-    EPProximityError,
     NegativeAmplitudeError,
     NoFiniteEPError,
     NonFiniteError,
@@ -27,7 +26,6 @@ from .loops import (
     winding_number,
 )
 from .model import (
-    EigenFrame,
     EPLocation,
     FieldPoint,
     HamiltonianMatrix,
@@ -35,10 +33,7 @@ from .model import (
     build_hamiltonian,
     c_product,
     discriminant,
-    eigenframe,
-    eigenvalues,
     locate_ep,
-    verify_ep,
 )
 from .presets import (
     DEFAULT_PARAMS,
@@ -55,7 +50,6 @@ from .propagation import (
     StateVector,
     TrajectoryRecord,
     accumulated_phase,
-    average_decay_rate,
     propagate_adiabatic,
     propagate_direct,
     track_branches,

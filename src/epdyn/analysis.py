@@ -30,7 +30,6 @@ from .propagation import (
 from .traversal import _BATCH_LOOPS, TraversalMap, _maps, traversal_maps
 
 __all__ = [
-    "ProjectionSeries",
     "AsymmetryReport",
     "Table1Row",
     "Table1Result",
@@ -39,10 +38,8 @@ __all__ = [
     "SweepResult",
     "RATIO_CAP",
     "state_name",
-    "project_normalized",
     "final_state_report",
     "table1",
-    "asymmetry_criterion",
     "survival_fraction",
     "sweep",
 ]
@@ -52,15 +49,6 @@ __all__ = [
 RATIO_CAP = 1e12
 #: The uniform samples of ``table1``'s branch tracking.
 _TRACK_SAMPLES = 2048
-
-@dataclass(frozen=True)
-class ProjectionSeries:
-    """Normalized bare-state populations W1(t), W2(t) with W1 + W2 = 1."""
-
-    times: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-
 
 @dataclass(frozen=True)
 class AsymmetryReport:
@@ -97,20 +85,6 @@ def state_name(index: Optional[int]) -> str:
     return "-" if index is None else f"state{index}"
 
 
-def project_normalized(traj: TrajectoryRecord) -> ProjectionSeries:
-    """W1(t) = |c1|^2 / (|c1|^2 + |c2|^2) and W2 = 1 - W1 exactly.
-
-    Scale factors cancel in the quotient; W2 is defined as the complement so
-    the closure W1 + W2 = 1 holds bit-for-bit.
-    """
-    pop1 = np.abs(traj.states[:, 0]) ** 2
-    total = traj.norms_sq
-    if np.any(total == 0.0):
-        raise ZeroNormError("both amplitudes are exactly zero at some recorded time")
-    w1 = pop1 / total
-    return ProjectionSeries(times=traj.times.copy(), w1=w1, w2=1.0 - w1)
-
-
 def _dominance(w1: float) -> tuple[Optional[int], float]:
     w2 = 1.0 - w1
     if w1 == w2:
@@ -121,20 +95,22 @@ def _dominance(w1: float) -> tuple[Optional[int], float]:
 
 
 def final_state_report(traj: TrajectoryRecord, direction: Direction) -> AsymmetryReport:
-    """Dominance, capped ratio, and survival fraction of the final state."""
-    series = project_normalized(traj)
-    dominant, ratio = _dominance(float(series.w1[-1]))
+    """Dominance, capped ratio, and survival fraction of the final state.
+
+    W1 = |c1|^2 / (|c1|^2 + |c2|^2) of the final record, where the scale
+    factors cancel; the one-element arrays give it the bits of the
+    trajectory's ``W1`` column.
+    """
+    total = traj.norms_sq[-1:]
+    if total[0] == 0.0:
+        raise ZeroNormError("both amplitudes are exactly zero at the final record")
+    dominant, ratio = _dominance(float((np.abs(traj.states[-1:, 0]) ** 2 / total)[0]))
     return AsymmetryReport(
         dominant_state=dominant,
         ratio=ratio,
         survival=survival_fraction(traj),
         direction=direction,
     )
-
-
-def asymmetry_criterion(report: AsymmetryReport, threshold: float = 1000.0) -> bool:
-    """True when the dominant population is at least ``threshold`` times the other."""
-    return report.ratio >= threshold
 
 
 def survival_fraction(traj: TrajectoryRecord) -> float:

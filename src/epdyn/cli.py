@@ -195,10 +195,12 @@ def cmd_sweep(config: RunConfig, args) -> int:
             dominant_target=target,
         )
     except ValueError as exc:
-        # the spec names the field at fault; name the flag that sets it
+        # the spec names the field at fault; name the flag that sets it (the
+        # shortest duration, --t-min, is the one a loop refuses as too small)
         message = str(exc)
-        for name in ("ratio_min", "survival_levels", "initial_phase"):
-            message = message.replace(name, "--" + name.replace("_", "-"))
+        for name, flag in (("ratio_min", "--ratio-min"), ("survival_levels", "--survival-levels"),
+                           ("initial_phase", "--initial-phase"), ("duration_T", "--t-min")):
+            message = message.replace(name, flag)
         raise ConfigError(message) from exc
 
     # CSV writes each row as its cell arrives (cells arrive in grid order, one
@@ -232,9 +234,13 @@ def _parse_grid(lo: float, hi: float, n: int, spacing: str, what: str):
         raise ConfigError(f"{what} grid bounds must satisfy 0 < min < max < inf")
     if spacing == "geometric":
         ratio = (hi / lo) ** (1.0 / (n - 1))
-        return tuple(lo * ratio**k for k in range(n))
-    step = (hi - lo) / (n - 1)
-    return tuple(lo + step * k for k in range(n))
+        grid = tuple(lo * ratio**k for k in range(n))
+    else:
+        step = (hi - lo) / (n - 1)
+        grid = tuple(lo + step * k for k in range(n))
+    if not all(map(math.isfinite, grid)):  # a geometric ratio max / min past float64
+        raise ConfigError(f"{what} grid overflows float64 between {lo} and {hi}")
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:

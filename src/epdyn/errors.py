@@ -5,14 +5,6 @@ class EpdynError(Exception):
     """Base class for all package-specific errors."""
 
 
-class EPProximityError(EpdynError):
-    """Eigenframe requested too close to an exceptional point.
-
-    Near the EP the eigenvectors become self-orthogonal under the c-product,
-    so c-normalization and eigenvector derivatives blow up.
-    """
-
-
 class NoFiniteEPError(EpdynError):
     """No finite-amplitude EP exists (Re[d12] = 0), or float64 cannot resolve it."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class Direction(enum.Enum):
         """Angular orientation: +1 for CCW, -1 for CW."""
         return 1 if self is Direction.CCW else -1
 
-    def reversed(self) -> "Direction":
-        return Direction.CW if self is Direction.CCW else Direction.CCW
-
 
 @dataclass(frozen=True)
 class LoopSpec:
@@ -83,9 +80,6 @@ class LoopSpec:
             raise ValueError("duration_T is too small: the angular rate 2*pi/duration_T overflows")
         if self.center.eps0 < self.semi_axis_eps:
             raise ValueError("center.eps0 must be >= semi_axis_eps (eps0 >= 0 on contour)")
-
-    def reversed(self) -> "LoopSpec":
-        return replace(self, direction=self.direction.reversed())
 
     # -- drive protocol ----------------------------------------------------
 

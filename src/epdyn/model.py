@@ -6,8 +6,8 @@ one-photon level). The resulting 2x2 matrix is complex symmetric, so its
 bi-orthogonal eigenvectors are their own left partners under the c-product
 (the bilinear product without complex conjugation). The two eigenvalues
 coalesce, together with their eigenvectors, at an exceptional point (EP) in
-the (omega, eps0) plane; this module locates it in closed form and provides
-the instantaneous eigenframes everywhere else.
+the (omega, eps0) plane; this module locates it in closed form and holds
+the pieces of the instantaneous eigenframes everywhere else.
 
 The physics lives in the traceless part H - tr(H)/2 I = [[a, g], [g, -a]],
 with a = (e1 - e2 + omega)/2 + i delta_gamma/2 and g = eps0 d12/2; the trace
@@ -24,11 +24,10 @@ operations inlined (``propagation._drive_constants``;
 Eigenframes have one closed form. The eigenvalues are tr(H)/2 +/- lam with
 lam = +/-sqrt(a^2 + g^2), and the c-normalized eigenvectors are
 (cos th, sin th) and (-sin th, cos th) with e^{2 i th} = (a + i g)/lam.
-``eigenframe`` takes lam on the '+' root at one matrix; along a drive,
-``traversal`` continues lam by the nearer root and th by the nearer
-multiple of pi, for the tracked frames and the adiabatic route alike.
-The '+' root (``_root_plus``), ``_angle`` and the gauge (``_gauge``) are
-shared by all three.
+``traversal`` continues lam by the nearer root from the '+' root at t = 0,
+and th by the nearer multiple of pi, for the tracked frames and the
+adiabatic route alike; the '+' root (``_root_plus``), ``_angle`` and the
+gauge (``_gauge``) are defined here for both.
 One rule, free of units as the dynamics are, decides contact with the EP
 everywhere: |a^2 + g^2| <= ``_EP_CONTACT`` (|a|^2 + |g|^2) (``_on_ep``; its
 message is ``_ep_contact``).
@@ -43,21 +42,17 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import EPProximityError, NegativeAmplitudeError, NoFiniteEPError, NonFiniteError
+from .errors import NegativeAmplitudeError, NoFiniteEPError
 
 __all__ = [
     "SystemParams",
     "FieldPoint",
     "HamiltonianMatrix",
-    "EigenFrame",
     "EPLocation",
     "build_hamiltonian",
     "discriminant",
-    "eigenvalues",
     "c_product",
-    "eigenframe",
     "locate_ep",
-    "verify_ep",
 ]
 
 #: kappa of the one EP-contact rule (``_on_ep``): off the EP it bounds
@@ -153,47 +148,18 @@ class FieldPoint:
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """2x2 complex-symmetric Hamiltonian; h12 == h21 is enforced exactly."""
+    """2x2 complex-symmetric Hamiltonian [[h11, h12], [h12, h22]]."""
 
     h11: complex
     h12: complex
-    h21: complex
     h22: complex
-
-    def __post_init__(self) -> None:
-        if self.h12 != self.h21:
-            raise ValueError("model Hamiltonian must be complex symmetric (h12 == h21)")
-
-    @classmethod
-    def symmetric(cls, h11: complex, h12: complex, h22: complex) -> "HamiltonianMatrix":
-        return cls(h11, h12, h12, h22)
 
     @property
     def trace(self) -> complex:
         return self.h11 + self.h22
 
     def as_array(self) -> np.ndarray:
-        return np.array([[self.h11, self.h12], [self.h21, self.h22]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class EigenFrame:
-    """Instantaneous bi-orthogonal eigen-decomposition at one field point.
-
-    ``v_plus``/``v_minus`` are right eigenvectors normalized to
-    c_product(v, v) = 1; for a complex-symmetric matrix they are also the
-    left eigenvectors under the c-product. ``cnorm_plus``/``cnorm_minus``
-    are the c-norms of the Euclidean-normalized eigenvectors *before*
-    c-normalization; their magnitude drops to zero on approach to the EP
-    (self-orthogonality) and is therefore the standard proximity diagnostic.
-    """
-
-    e_plus: complex
-    e_minus: complex
-    v_plus: np.ndarray
-    v_minus: np.ndarray
-    cnorm_plus: complex
-    cnorm_minus: complex
+        return np.array([[self.h11, self.h12], [self.h12, self.h22]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -208,19 +174,19 @@ def build_hamiltonian(params: SystemParams, field: FieldPoint) -> HamiltonianMat
     """Assemble the driven 2x2 matrix at one field point.
 
     h11 = e1 + omega - i*gamma1, h22 = e2 - i*gamma2, and the drive couples
-    the levels through h12 = h21 = eps0*d12/2.
+    the levels through h12 = eps0*d12/2.
     """
     d12 = complex(params.d12)
     h12 = complex(*_fmul(0.5 * field.eps0, d12.real, d12.imag))
-    return HamiltonianMatrix.symmetric(
+    return HamiltonianMatrix(
         complex(params.e1 + field.omega, -params.gamma1), h12, complex(params.e2, -params.gamma2)
     )
 
 
 def discriminant(h: HamiltonianMatrix) -> complex:
-    """(h11 - h22)^2 + 4*h12*h21; zero exactly at a spectral degeneracy."""
+    """(h11 - h22)^2 + 4*h12^2; zero exactly at a spectral degeneracy."""
     d = h.h11 - h.h22
-    return d * d + 4.0 * h.h12 * h.h21
+    return d * d + 4.0 * h.h12 * h.h12
 
 
 def _root_plus(w2):
@@ -229,8 +195,8 @@ def _root_plus(w2):
     numpy's root has Re >= 0, but at a tie (a negative real w2 with a -0.0
     imaginary part) it is the one with Im < 0, which is negated, so the '+'
     eigenvalue is deterministic for every input. A root with a NaN part
-    stays as it is. ``eigenframe`` and ``eigenvalues`` take it at one
-    matrix, ``traversal._Phase`` at the first sample of each loop.
+    stays as it is. ``traversal._Phase`` takes it at the first sample of
+    each loop.
     """
     root = np.sqrt(w2)
     return np.where(_plus(root) | np.isnan(root), root, -root)
@@ -239,18 +205,6 @@ def _root_plus(w2):
 def _plus(z):
     """Where z, a complex or an array, is on the '+' side: Re > 0, tie Im >= 0 (a NaN part: False)."""
     return (z.real > 0.0) | ((z.real == 0.0) & (z.imag >= 0.0))
-
-
-def eigenvalues(h: HamiltonianMatrix) -> tuple[complex, complex]:
-    """Both eigenvalues, ordered by the fixed branch convention.
-
-    The '+' branch takes the discriminant root with non-negative real part
-    (tie: non-negative imaginary part). Only relative statements about the
-    two branches are physical; the convention just makes results reproducible.
-    """
-    w = complex(_root_plus(discriminant(h)))
-    half_trace = 0.5 * h.trace
-    return half_trace + 0.5 * w, half_trace - 0.5 * w
 
 
 def c_product(u, v) -> complex:
@@ -293,7 +247,7 @@ def _complex(re, im) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the eigenframe in closed form
+# the eigenframe's angle and gauge
 # ---------------------------------------------------------------------------
 
 
@@ -314,46 +268,6 @@ def _gauge(z, c, s) -> np.ndarray:
     """
     lead = np.stack([np.where(z.real >= 0.0, c, s), np.where(z.real <= 0.0, -s, c)], axis=-1)
     return np.where(_plus(lead), 1.0, -1.0)
-
-
-def eigenframe(h: HamiltonianMatrix) -> EigenFrame:
-    """Bi-orthogonal eigenframe of a complex-symmetric 2x2 matrix.
-
-    With the traceless part [[a, g], [g, -a]], a = (h11 - h22)/2 and g = h12,
-    the eigenvalues are tr(H)/2 +/- lam, lam the root of a^2 + g^2 on the '+'
-    branch (Re >= 0, tie Im >= 0), and the c-normalized eigenvectors are
-    (cos th, sin th) and (-sin th, cos th) with e^{2 i th} = (a + i g)/lam,
-    each signed by the gauge (``_gauge``). The tracked frames of
-    ``propagation.track_branches`` and the adiabatic route use the same
-    formulas along a drive.
-
-    Raises
-    ------
-    EPProximityError
-        Where the matrix is on the EP (``_on_ep``), rather than returning
-        arbitrarily large normalized vectors (derivative couplings diverge
-        there).
-    NonFiniteError
-        If the frame overflows float64.
-    """
-    a, g = np.complex128(0.5 * (h.h11 - h.h22)), np.complex128(h.h12)
-    with np.errstate(all="ignore"):  # overflow is reported below
-        w2 = a * a + g * g
-        if _on_ep(a, g, w2):
-            raise EPProximityError(f"{_ep_contact(a, g)}: eigenvectors are (nearly) self-orthogonal")
-        lam = complex(_root_plus(w2))
-        z = (a + 1j * g) / lam
-        th = _angle(z)
-        c, s = np.cos(th), np.sin(th)
-        # c-norm of the Euclidean-normalized vector: both vectors have the moduli |c|, |s|
-        cnorm = complex(1.0 / (abs(c) ** 2 + abs(s) ** 2))
-        sign_plus, sign_minus = _gauge(z, c, s)
-        v_plus, v_minus = sign_plus * np.array([c, s]), sign_minus * np.array([-s, c])
-        half_trace = 0.5 * h.trace
-        e_plus, e_minus = half_trace + lam, half_trace - lam
-    if not (cmath.isfinite(e_plus) and cmath.isfinite(e_minus) and np.isfinite([v_plus, v_minus]).all()):
-        raise NonFiniteError("eigenframe overflows float64")
-    return EigenFrame(e_plus, e_minus, v_plus, v_minus, cnorm_plus=cnorm, cnorm_minus=cnorm)
 
 
 def locate_ep(params: SystemParams) -> EPLocation:
@@ -389,19 +303,3 @@ def locate_ep(params: SystemParams) -> EPLocation:
         raise NoFiniteEPError(f"closed-form EP residual {abs(delta):.3e}: {_ep_contact(a, g)}: "
                               "float64 cannot resolve the EP for these parameters")
     return EPLocation(field=field, residual=abs(delta))
-
-
-def verify_ep(params: SystemParams, field: FieldPoint) -> float:
-    """Residual of the two degeneracy conditions at a field point; 0 at an EP.
-
-    The conditions pair Re and Im of (h11 - h22) against +/-2 times the
-    square root of h12*h21 with correlated signs; both pairings are evaluated
-    and the smaller Euclidean residual returned, so the answer does not
-    depend on which root the square function picks.
-    """
-    h = build_hamiltonian(params, field)
-    dh = h.h11 - h.h22
-    r = cmath.sqrt(h.h12 * h.h21)
-    res_a = math.hypot(dh.real + 2.0 * r.imag, dh.imag - 2.0 * r.real)  # dh = +2i*r
-    res_b = math.hypot(dh.real - 2.0 * r.imag, dh.imag + 2.0 * r.real)  # dh = -2i*r
-    return min(res_a, res_b)

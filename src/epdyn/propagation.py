@@ -91,7 +91,6 @@ __all__ = [
     "propagate_adiabatic",
     "track_branches",
     "accumulated_phase",
-    "average_decay_rate",
 ]
 
 Drive = Union[LoopSpec, StaticDrive]
@@ -978,15 +977,15 @@ def propagate_adiabatic(
 
     The coefficients are those on the tracked eigenvectors: slot 0 starts on
     the '+' branch, and the slot signs are the gauge of the rows' own t = 0
-    frame R(th_0) (``model._gauge``, as in ``eigenframe`` and
-    ``track_branches``). The label of slot 0 at a row is '+' where the
-    continued root is the '+' root there. ``meta["solver"]`` holds the
-    row step count (``steps``), the frame ("eigen"), the full-loop map's
-    change at the last doubling (``floor``), the number of doublings
-    from 256 steps to the settled count (``doublings``) and whether the
-    rows came from the cache (``reused``). ``meta["phase_s"]`` holds the
-    wall seconds of the step products (``stepping``; a cache lookup on a
-    hit) and of the rows after them (``rows``).
+    frame R(th_0) (``model._gauge``, as in ``track_branches``). The label
+    of slot 0 at a row is '+' where the continued root is the '+' root
+    there. ``meta["solver"]`` holds the row step count (``steps``), the
+    frame ("eigen"), the full-loop map's change at the last doubling
+    (``floor``), the number of doublings from 256 steps to the settled
+    count (``doublings``) and whether the rows came from the cache
+    (``reused``). ``meta["phase_s"]`` holds the wall seconds of the step
+    products (``stepping``; a cache lookup on a hit) and of the rows after
+    them (``rows``).
 
     The prefix maps do not depend on the initial state, so
     the route keeps them for the last two loops it ran (``_loop_rows``,
@@ -1000,7 +999,7 @@ def propagate_adiabatic(
     ValueError
         If ``duration_T`` is so small that the steps T/n are subnormal.
     EPOnContourError
-        If a sample of the steps is on the EP (``model._on_ep``).
+        If a row time or a sample of the steps is on the EP (``model._on_ep``).
     AmbiguousTrackingError
         If the eigenframe is unresolved at every step count (it turns by
         more than half a radian in a step, or the continued root and the
@@ -1064,8 +1063,9 @@ def track_branches(
 
     Slot 0 starts on the instantaneous '+' branch and follows the root
     +/-sqrt(a^2 + g^2) nearer the one before, in the frames of
-    ``traversal.branch_frames``; at t = 0 they are ``eigenframe``'s, gauge
-    included, up to rounding. The ``swapped`` property reports whether one
+    ``traversal.branch_frames``. The t = 0 sample is the eigenframe at the
+    start point: slot 0 on the '+' root, each vector signed by the gauge
+    (``model._gauge``). The ``swapped`` property reports whether one
     traversal exchanged the instantaneous branches (the EP-encircling
     signature).
 
@@ -1145,32 +1145,3 @@ def accumulated_phase(
     times = _samples(t, n_samples)
     _, lam, _, _ = traversal.branch_frames(params, loop, times)
     return complex(_simpson(2.0 * lam, times))
-
-
-def average_decay_rate(
-    params: SystemParams,
-    loop: LoopSpec,
-    branch: str = "plus",
-    n_samples: int = 2048,
-) -> float:
-    """Loop-averaged decay rate of one tracked adiabatic branch.
-
-    The decay rate convention is gamma = -Im E (so the bare widths are
-    gamma1, gamma2 at zero drive). When the loop encircles the EP the
-    tracked branches exchange, so each branch closes only after two
-    traversals and its average covers both instantaneous sheets; both
-    branches then share the same average, (gamma1 + gamma2)/2 in this model.
-    Without the exchange each branch averages over its own single-traversal
-    path.
-    """
-    if branch not in ("plus", "minus"):
-        raise ValueError("branch must be 'plus' or 'minus'")
-    frame = track_branches(params, loop, n_samples=n_samples)
-    rates = -frame.energies.imag  # (m, 2)
-    t = frame.times
-    if frame.swapped:
-        # closed circuit = two traversals covering both slots
-        total = _simpson(rates[:, 0], t) + _simpson(rates[:, 1], t)
-        return float(total / (2.0 * loop.duration_T))
-    slot = 0 if branch == "plus" else 1
-    return float(_simpson(rates[:, slot], t) / loop.duration_T)

@@ -44,7 +44,6 @@ __all__ = [
     "section_to_dict",
     "trajectory_to_csv",
     "trajectory_to_json",
-    "sweep_to_csv",
     "sweep_to_json",
     "table_to_text",
     "table_to_json",
@@ -249,12 +248,6 @@ def sweep_row_csv(cell) -> str:
 
 def sweep_header_csv() -> str:
     return ",".join(SWEEP_COLUMNS)
-
-
-def sweep_to_csv(result: SweepResult) -> str:
-    lines = [sweep_header_csv()]
-    lines.extend(sweep_row_csv(c) for c in result.cells)
-    return "\n".join(lines) + "\n"
 
 
 def sweep_to_json(result: SweepResult) -> str:

@@ -224,7 +224,8 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     MemoryError
         If the n_output + 1 row times do not fit in an array (before any step).
     EPOnContourError
-        If a sample is on the EP (``model._on_ep``).
+        If a row time (checked before any step) or a sample is on the EP
+        (``model._on_ep``).
     AmbiguousTrackingError
         If the frame is unresolved at every step count up to the cap.
     StepBudgetError
@@ -234,6 +235,13 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
         If the drive overflows float64.
     """
     times = _samples(drive.duration_T, n_output)
+    with np.errstate(all="ignore"):  # an overflow is the maps' to report
+        a, g = _traceless(params, *_fields_at(drive, times))
+        on_ep = np.flatnonzero(_on_ep(a, g, a * a + g * g))
+    if on_ep.size:
+        k = on_ep[0]
+        raise EPOnContourError(f"the row at t = {times[k]:.6g} of {drive} comes within the EP: "
+                               f"{_ep_contact(a[k], g[k])}")
     (tmap,), run, (x, e) = _settle(params, [drive], rel_tol, True, n_output, False)
     if isinstance(tmap, EpdynError):
         raise tmap

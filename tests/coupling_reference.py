@@ -1,28 +1,20 @@
 """The non-adiabatic couplings at one time, two ways, kept as a reference.
 
-``na_coupling`` differences two nearby eigenframes; ``na_coupling_at`` takes
-the closed form th' = (a g' - g a') / (2 (a^2 + g^2)) that the adiabatic
-route's eigenframe steps take (see the ``traversal`` docstring). Nothing in the
-package calls them: the tests check the closed form against the finite
-difference and its growth towards the EP.
+``na_coupling`` differences two nearby frames of the null-vector oracle
+(``frame_reference._eigensystem``); ``na_coupling_at`` takes the closed form
+th' = (a g' - g a') / (2 (a^2 + g^2)) that the adiabatic route's eigenframe
+steps take (see the ``traversal`` docstring), with the sign of the oracle's
+frame. Nothing in the package calls them: the tests check the closed form
+against the finite difference and its growth towards the EP.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from epdyn.errors import AmbiguousTrackingError, EPProximityError
 from epdyn.loops import LoopSpec
-from epdyn.model import (
-    EigenFrame,
-    SystemParams,
-    _traceless,
-    _traceless_drive,
-    build_hamiltonian,
-    c_product,
-    eigenframe,
-)
-from frame_reference import _aligned_next
+from epdyn.model import SystemParams, _traceless, _traceless_drive, build_hamiltonian, c_product
+from frame_reference import KAPPA, _aligned_next, _eigensystem
 
 
 def _det_sign(vs) -> float:
@@ -37,36 +29,29 @@ def _theta_dot(params: SystemParams, a: complex, g: complex, velocity) -> comple
     return 0.5 * (a * g_dot - g * a_dot) / (a * a + g * g)
 
 
-def na_coupling(
-    frame_a: EigenFrame,
-    frame_b: EigenFrame,
-    dt: float,
-    velocity: tuple[float, float],
-) -> tuple[complex, complex]:
+def na_coupling(frame_a: tuple, frame_b: tuple, dt: float, velocity: tuple[float, float]) -> tuple[complex, complex]:
     """Non-adiabatic couplings (V_{+/-}, V_{-/+}) from two nearby frames.
 
-    ``frame_a`` and ``frame_b`` must be eigenframes at parameter points
-    placed symmetrically around the evaluation point along the velocity
-    direction, separated by ``velocity * dt``; the central difference
-    (v_b - v_a)/dt is then the velocity-weighted parameter derivative of
-    each eigenvector, and the couplings are its c-products with the opposite
-    branch. Zero velocity returns (0, 0) exactly. This finite difference is
-    the independent reference for the closed form of :func:`na_coupling_at`.
+    ``frame_a`` and ``frame_b`` are ``_eigensystem`` frames (e_plus,
+    e_minus, v_plus, v_minus, ...) at parameter points placed symmetrically
+    around the evaluation point along the velocity direction, separated by
+    ``velocity * dt``; the central difference (v_b - v_a)/dt is then the
+    velocity-weighted parameter derivative of each eigenvector, and the
+    couplings are its c-products with the opposite branch. Zero velocity
+    returns (0, 0) exactly. This finite difference is the independent
+    reference for the closed form of :func:`na_coupling_at`.
 
     The gauge convention fixes signs only piecewise, so frame_b is re-aligned
-    (branch pairing and sign) to frame_a before differencing; too-ambiguous
-    overlaps raise EPProximityError because that is the divergent-derivative
+    (branch pairing and sign) to frame_a before differencing; overlaps too
+    close to pair raise AmbiguousTrackingError, the divergent-derivative
     signature near the EP.
     """
     if velocity[0] == 0.0 and velocity[1] == 0.0:
         return 0j, 0j
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    va = (frame_a.v_plus, frame_a.v_minus)
-    try:
-        _, vb, _ = _aligned_next(va, frame_b.e_plus, frame_b.e_minus, frame_b.v_plus, frame_b.v_minus)
-    except AmbiguousTrackingError as exc:
-        raise EPProximityError("frames too close to the EP to pair branches") from exc
+    va = frame_a[2:4]
+    _, vb, _ = _aligned_next(va, *frame_b[:4])
     va, vb = np.array(va), np.array(vb)  # [slot, component]
     mid = 0.5 * (va + vb)
     dv = (vb - va) / dt
@@ -83,11 +68,11 @@ def na_coupling_at(
     With the traceless H = [[a, g], [g, -a]] and
     th' = (a g' - g a') / (2 (a^2 + g^2)) taken from the loop velocity,
     V_{+/-} = -det th' and V_{-/+} = +det th', where det = +/-1 is the
-    determinant of the frame's (v_plus, v_minus). Raises EPProximityError
-    on the EP (``model._on_ep``).
+    determinant of the oracle frame's (v_plus, v_minus). Raises
+    EPOnContourError on the EP (the oracle's rule).
     """
     fp = loop.field_at(t)
-    frame = eigenframe(build_hamiltonian(params, fp))
+    _, _, v_plus, v_minus, _, _ = _eigensystem(build_hamiltonian(params, fp), KAPPA)
     theta_dot = _theta_dot(params, *_traceless(params, fp.omega, fp.eps0), loop.velocity_at(t))
-    det = _det_sign((frame.v_plus.tolist(), frame.v_minus.tolist()))
+    det = _det_sign((v_plus, v_minus))
     return -det * theta_dot, det * theta_dot

@@ -4,36 +4,49 @@
 better conditioned null vector of H - e, ``_aligned_next`` pairs it with
 the previous one by c-product overlap, and ``_tracked_frames`` walks a list
 of times one sample at a time. The package takes its frames in closed form
-instead (``model.eigenframe``, ``traversal.branch_frames``); the tests
-check that its energies, vectors and phase samples agree with these within
-stated bounds, and that labels, swaps and error types are the same.
-``tests/coupling_reference.py`` pairs its two frames with ``_aligned_next``.
+instead (``traversal.branch_frames``); the tests check that its energies,
+vectors and phase samples agree with these within stated bounds, and that
+labels, swaps and error types are the same. The eigenvalues are the
+oracle's own too: tr(H)/2 +/- root/2, with ``cmath``'s root of the
+discriminant turned to the '+' side. ``tests/coupling_reference.py``
+differences two of these frames, paired with ``_aligned_next``.
 """
 
 import cmath
 
 import numpy as np
 
-from epdyn.errors import AmbiguousTrackingError, EPOnContourError, EPProximityError
+from epdyn.errors import AmbiguousTrackingError, EPOnContourError
 from epdyn.model import (
     HamiltonianMatrix,
     SystemParams,
     build_hamiltonian,
     c_product,
     discriminant,
-    eigenvalues,
 )
 from epdyn.propagation import Drive
+
+#: kappa of the package's EP-contact rule, which the oracle applies on its own
+KAPPA = 1e-11
+
+
+def _eigenvalues(h: HamiltonianMatrix) -> tuple[complex, complex]:
+    """(e_plus, e_minus) = tr(H)/2 +/- root/2, root the discriminant's root with Re > 0 (tie: Im >= 0)."""
+    root = cmath.sqrt(discriminant(h))
+    if not (root.real > 0.0 or (root.real == 0.0 and root.imag >= 0.0)):
+        root = -root
+    half_trace = 0.5 * (h.h11 + h.h22)
+    return half_trace + 0.5 * root, half_trace - 0.5 * root
 
 
 def _eigvec_raw(h: HamiltonianMatrix, e: complex) -> tuple[complex, complex]:
     """Unnormalized right eigenvector for eigenvalue e.
 
-    (h12, e - h11) and (e - h22, h21) are parallel null vectors of (H - e);
+    (h12, e - h11) and (e - h22, h12) are parallel null vectors of (H - e);
     pick whichever is better conditioned.
     """
     cand_a = (h.h12, e - h.h11)
-    cand_b = (e - h.h22, h.h21)
+    cand_b = (e - h.h22, h.h12)
     na = abs(cand_a[0]) + abs(cand_a[1])
     nb = abs(cand_b[0]) + abs(cand_b[1])
     if na == 0.0 and nb == 0.0:
@@ -51,21 +64,21 @@ def _gauge_sign(v: tuple[complex, complex]) -> float:
 
 
 def _eigensystem(h: HamiltonianMatrix, kappa: float):
-    """Scalar-arithmetic eigen-solve shared by eigenframe and the propagators.
+    """Scalar-arithmetic eigen-solve of one matrix.
 
     Returns (e_plus, e_minus, v_plus, v_minus, cnorm_plus, cnorm_minus) with
-    vectors as plain complex 2-tuples. Raises EPProximityError on the EP,
+    vectors as plain complex 2-tuples. Raises EPOnContourError on the EP,
     |Delta| <= 4 kappa (|a|^2 + |g|^2) with a = (h11 - h22)/2 and g = h12,
     where c-normalization becomes singular.
     """
     delta = discriminant(h)
     bound = 4.0 * kappa * (abs(0.5 * (h.h11 - h.h22)) ** 2 + abs(h.h12) ** 2)
     if abs(delta) <= bound:
-        raise EPProximityError(
+        raise EPOnContourError(
             f"|discriminant| = {abs(delta):.3e} <= 4 kappa (|a|^2 + |g|^2) = {bound:.3e}: "
             "eigenvectors are (nearly) self-orthogonal"
         )
-    e_p, e_m = eigenvalues(h)
+    e_p, e_m = _eigenvalues(h)
     out = []
     for e in (e_p, e_m):
         raw = _eigvec_raw(h, e)
@@ -122,13 +135,10 @@ def _initial_frame(params: SystemParams, drive: Drive, kappa: float):
 
 def _tracked_frames(params: SystemParams, drive: Drive, times: np.ndarray, kappa: float):
     """Yield the tracked frame ((e0, e1), (v0, v1), labels) at each of ``times`` (from 0)."""
-    try:
-        frame = _initial_frame(params, drive, kappa)
+    frame = _initial_frame(params, drive, kappa)
+    yield frame
+    for t in times[1:]:
+        eig = _eigensystem(build_hamiltonian(params, drive.field_at(float(t))), kappa)
+        frame = _aligned_next(frame[1], *eig[:4])
         yield frame
-        for t in times[1:]:
-            eig = _eigensystem(build_hamiltonian(params, drive.field_at(float(t))), kappa)
-            frame = _aligned_next(frame[1], *eig[:4])
-            yield frame
-    except EPProximityError as exc:
-        raise EPOnContourError(str(exc)) from exc
 

@@ -26,17 +26,14 @@ from epdyn import (
 from epdyn import analysis
 from epdyn.analysis import (
     RATIO_CAP,
-    AsymmetryReport,
     SweepSpec,
-    asymmetry_criterion,
     final_state_report,
-    project_normalized,
     survival_fraction,
     sweep,
     table1,
 )
 from epdyn.cli import _parse_grid, main
-from epdyn.serialize import sweep_to_csv, table_to_json
+from epdyn.serialize import sweep_header_csv, sweep_row_csv, table_to_json, trajectory_to_csv
 from epdyn.traversal import traversal_maps
 
 REF = DEFAULT_PARAMS
@@ -60,28 +57,37 @@ def fake_record(c1, c2):
     )
 
 
+def csv_projections(traj) -> tuple:
+    """The W1 and W2 columns of the trajectory CSV, as floats."""
+    rows = [line.split(",") for line in trajectory_to_csv(traj).splitlines()[1:]]
+    return np.array([float(row[-2]) for row in rows]), np.array([float(row[-1]) for row in rows])
+
+
 class TestProjections:
+    # the normalized populations W1 = |c1|^2 / |c|^2 and W2 = 1 - W1: of the
+    # final record in the report, of every record in the trajectory files
+
     def test_pure_state(self):
-        series = project_normalized(fake_record(0.5, 0.0))
-        assert series.w1[-1] == 1.0 and series.w2[-1] == 0.0
+        # W1 = 1 and W2 = 0 exactly, whatever the norm
+        report = final_state_report(fake_record(0.5, 0.0), Direction.CW)
+        assert report.dominant_state == 1 and report.ratio == RATIO_CAP
 
     def test_balanced_state(self):
         amp = 1 / math.sqrt(2)
-        series = project_normalized(fake_record(amp, amp * 1j))
-        assert series.w1[-1] == pytest.approx(0.5)
-        assert series.w2[-1] == pytest.approx(0.5)
+        report = final_state_report(fake_record(amp, amp * 1j), Direction.CW)
+        assert report.ratio == pytest.approx(1.0)
 
     def test_closure_exact(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
             z = rng.normal(size=4)
-            series = project_normalized(fake_record(complex(z[0], z[1]), complex(z[2], z[3])))
-            assert float(series.w1[-1] + series.w2[-1]) == 1.0
+            w1, w2 = csv_projections(fake_record(complex(z[0], z[1]), complex(z[2], z[3])))
+            assert float(w1[-1] + w2[-1]) == 1.0
 
     def test_closure_on_real_trajectory(self):
         traj = propagate_direct(REF, hermitian_loop(5.0), StateVector.basis(1), FAST)
-        series = project_normalized(traj)
-        assert np.all(series.w1 + series.w2 == 1.0)
+        w1, w2 = csv_projections(traj)
+        assert len(w1) == len(traj.times) and np.all(w1 + w2 == 1.0)
 
     def test_zero_norm_rejected(self):
         from epdyn import ZeroNormError
@@ -97,7 +103,7 @@ class TestProjections:
             meta={},
         )
         with pytest.raises(ZeroNormError):
-            project_normalized(record)
+            final_state_report(record, Direction.CW)
 
 
 class TestFinalStateReport:
@@ -115,12 +121,6 @@ class TestFinalStateReport:
     def test_ratio_capped(self):
         report = final_state_report(fake_record(1.0, 0.0), Direction.CW)
         assert report.ratio == RATIO_CAP
-
-    def test_asymmetry_criterion(self):
-        base = dict(survival=0.5, direction=Direction.CW)
-        assert asymmetry_criterion(AsymmetryReport(1, 1500.0, **base)) is True
-        assert asymmetry_criterion(AsymmetryReport(1, 999.0, **base)) is False
-        assert asymmetry_criterion(AsymmetryReport(1, 999.0, **base), threshold=500) is True
 
 
 class TestSurvival:
@@ -468,4 +468,5 @@ class TestMapBits:
         out = tmp_path / "sweep.csv"
         with contextlib.redirect_stderr(io.StringIO()):
             assert main(["--config", self.config(tmp_path), "--output", str(out), "sweep", *flags]) == 0
-        assert out.read_text() == sweep_to_csv(result)
+        lines = [sweep_header_csv(), *map(sweep_row_csv, result.cells)]
+        assert out.read_text() == "".join(f"{line}\n" for line in lines)

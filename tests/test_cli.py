@@ -198,6 +198,17 @@ class TestSimulate:
         assert code == 3
         assert "EPOnContour" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_output", ["512", "500"])
+    def test_a_row_on_the_ep_exits_3_at_either_count(self, tmp_path, capsys, n_output):
+        # the CW circle meets the EP at t = 2.5, a row time at both counts; at
+        # 500 no sample of the maps lands there, and the route doubled to
+        # 2^17 steps and exited 4 before the row times were checked
+        doc = patched({"loop": {"center_eps0": 0.25, "direction": "cw"}})
+        out = tmp_path / "traj.csv"
+        argv = ["--output", str(out), "simulate", "--method", "adiabatic", "--n-output", n_output]
+        assert main(["--config", write_config(tmp_path, doc), *argv]) == 3
+        assert "error: EPOnContourError: the row at t = 2.5 of " in capsys.readouterr().err
+
     def test_direction_override(self, tmp_path, capsys):
         doc = patched({"loop": {"center_eps0": 0.35}})
         out = tmp_path / "t.csv"
@@ -450,24 +461,27 @@ class TestStepBudget:
 
 
 @pytest.mark.parametrize(
-    "duration, argv",
+    "duration, argv, name",
     [
-        (1e-320, ["simulate"]),
-        (1e-320, ["simulate", "--method", "adiabatic"]),
-        (348.75, ["--jobs", "1", "sweep", "--t-min", "1e-320"]),
-        (1e-305, ["simulate", "--method", "adiabatic"]),
+        (1e-320, ["simulate"], "duration_T"),
+        (1e-320, ["simulate", "--method", "adiabatic"], "duration_T"),
+        (348.75, ["--jobs", "1", "sweep", "--t-min", "1e-320"], "--t-min"),
+        (1e-305, ["simulate", "--method", "adiabatic"], "duration_T"),
     ],
     ids=["direct", "adiabatic", "sweep", "adiabatic-subnormal-steps"],
 )
-def test_subnormal_duration_names_field(tmp_path, capsys, duration, argv):
+def test_subnormal_duration_names_field(tmp_path, capsys, duration, argv, name):
     # 2*pi/T overflows below T = 3.5e-308: the loop is rejected up front
     # (simulate ended in a traceback from math.sin(inf), a sweep cell in an
     # error). The adiabatic route's steps T/2^17 are subnormal below about
-    # T = 2.9e-303, which it also reports as a config error (it was a traceback)
+    # T = 2.9e-303, which it also reports as a config error (it was a traceback).
+    # A sweep's durations come from its grid, so it names the flag, not the loop field
     doc = with_field("loop", "duration_T", duration)
     doc["output"]["path"] = str(tmp_path / "out.csv")
     assert main(["--config", write_config(tmp_path, doc), *argv]) == 1
-    assert "duration_T is too small" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{name} is too small" in err
+    assert name == "duration_T" or "duration_T" not in err
 
 
 #: a count numpy refuses to size before it allocates anything
@@ -523,6 +537,16 @@ class TestSweep:
             code = main(argv + flags)
         assert code == 1
         assert f"{what} grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_grid_that_overflows_names_the_grid(self, tmp_path, capsys):
+        # max / min overflows, so the geometric grid's ratio is inf: every
+        # point past the first would be an infinite duration
+        out = tmp_path / "sweep.csv"
+        argv = ["--config", write_config(tmp_path), "--output", str(out), "sweep"]
+        assert main(argv + ["--t-min", "1e-300", "--t-max", "1e300", "--nt", "3"]) == 1
+        err = capsys.readouterr().err
+        assert "error: ConfigError: duration grid overflows float64 between 1e-300 and 1e+300" in err
         assert not out.exists()
 
     # a NaN threshold passes a "<= 0" test and then fails every cell's check;

@@ -2,17 +2,17 @@
 
 The package takes every eigenframe in closed form: lam = +/-sqrt(a^2 + g^2)
 continued by the nearer root, the vectors (cos th, sin th) and
-(-sin th, cos th) with e^{2 i th} = (a + i g)/lam (``traversal.branch_frames``,
-``eigenframe``). The oracle solves each frame for a null vector in Python
-complex arithmetic and pairs it with the frame before by c-product overlap,
-one sample at a time. The two round differently, so energies, vectors and
+(-sin th, cos th) with e^{2 i th} = (a + i g)/lam (``traversal.branch_frames``;
+``track_branches`` on a ``StaticDrive`` gives the frame of one matrix). The
+oracle solves each frame for a null vector in Python complex arithmetic and
+pairs it with the frame before by c-product overlap, one sample at a time. The two round differently, so energies, vectors and
 phase samples agree within the bounds below; labels, ``swapped`` and error
 types are identical.
 
 Bounds, in units of float64's eps: energies and phase samples to 4 of the
 largest entry (at most 1.8 seen); vectors to 16 of the largest entry times
 1/|cnorm| = |cos th|^2 + |sin th|^2, which grows towards the EP (at most
-4.9 seen); |cnorm| of ``eigenframe`` to 16 relative (5.4 seen). Seen on the
+4.9 seen); |cnorm| of one matrix's frame to 16 relative (5.4 seen). Seen on the
 loops here and on 300 seeded random loops at 16 to 4096 samples, with the
 same outcome on all 1800.
 """
@@ -40,7 +40,6 @@ from epdyn import (
     build_hamiltonian,
     c_product,
     diode_loop,
-    eigenframe,
     encircling_loop,
     hermitian_loop,
     propagate_adiabatic,
@@ -48,13 +47,11 @@ from epdyn import (
     winding_number,
 )
 from epdyn import traversal
-from frame_reference import _eigensystem, _tracked_frames
+from frame_reference import KAPPA, _eigensystem, _tracked_frames
 
 REF = DEFAULT_PARAMS
 TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14)
 EPS = np.finfo(float).eps
-#: kappa of the package's EP-contact rule, which the oracle applies on its own
-KAPPA = 1e-11
 
 # the loop of TestTrackBranches.test_no_swap_without_ep
 NO_SWAP = LoopSpec(FieldPoint(1.0, 0.5), 0.05, 0.05, Direction.CCW, 10.0)
@@ -235,25 +232,29 @@ def test_grazing_loop_outcomes_match_oracle():
 
 
 def test_eigenframe_bit_equal_to_oracle():
-    # random matrices, a third of them diagonal (eps0 = 0), cnorms included
+    # the frame of one matrix, a static drive's t = 0 sample, on random
+    # matrices, a third of them diagonal (eps0 = 0), cnorms included: the
+    # c-norm of the unit vector is 1/|v|^2 of the c-normalized v
     rng = np.random.default_rng(5)
     for k in range(600):
         params = SystemParams(
             rng.normal(), rng.normal(), abs(rng.normal()), abs(rng.normal()), complex(*rng.normal(size=2))
         )
-        h = build_hamiltonian(params, FieldPoint(rng.normal(), 0.0 if k % 3 == 0 else abs(rng.normal())))
-        e_p, e_m, v_p, v_m, c_p, c_m = _eigensystem(h, KAPPA)
-        frame = eigenframe(h)
+        field = FieldPoint(rng.normal(), 0.0 if k % 3 == 0 else abs(rng.normal()))
+        e_p, e_m, v_p, v_m, c_p, c_m = _eigensystem(build_hamiltonian(params, field), KAPPA)
+        frame = track_branches(params, StaticDrive(field, 1.0), n_samples=16)
+        energies, vectors = frame.energies[0], frame.vectors[0]
         scale = max(abs(e_p), abs(e_m))
-        assert abs(frame.e_plus - e_p) <= 4 * EPS * scale and abs(frame.e_minus - e_m) <= 4 * EPS * scale
-        assert_vectors_agree(np.array([frame.v_plus, frame.v_minus]), np.array([v_p, v_m]))
-        for ours, theirs in ((frame.cnorm_plus, c_p), (frame.cnorm_minus, c_m)):
+        assert abs(energies[0] - e_p) <= 4 * EPS * scale and abs(energies[1] - e_m) <= 4 * EPS * scale
+        assert_vectors_agree(vectors, np.array([v_p, v_m]))
+        for ours, theirs in zip(1.0 / np.sum(np.abs(vectors) ** 2, axis=-1), (c_p, c_m)):
             assert abs(abs(ours) - abs(theirs)) <= 16 * EPS * abs(theirs)
 
 
 def test_tracked_t0_frame_is_eigenframe():
-    # one gauge: the tracked frame at t = 0 is eigenframe's up to rounding,
-    # at gauge ties (Re e^{2 i th} = 0: both static drives) as elsewhere
+    # one gauge: the tracked frame at t = 0 is the eigenframe of the matrix
+    # there, the oracle's up to rounding, at gauge ties (Re e^{2 i th} = 0:
+    # both static drives, where the first component leads) as elsewhere
     cases = [
         (REF, encircling_loop(10.0)),
         (REF, diode_loop(Direction.CW)),
@@ -262,11 +263,16 @@ def test_tracked_t0_frame_is_eigenframe():
         (HERMITIAN_PARAMS, hermitian_loop(10.0)),
     ]
     for params, drive in cases:
-        frame = eigenframe(build_hamiltonian(params, drive.field_at(0.0)))
+        e_p, e_m, v_p, v_m, _, _ = _eigensystem(build_hamiltonian(params, drive.field_at(0.0)), KAPPA)
         tracked = track_branches(params, drive, n_samples=64)
-        want = np.array([frame.v_plus, frame.v_minus])
+        want = np.array([v_p, v_m])
+        for slot in (0, 1):
+            m = np.abs(want[slot])
+            if abs(m[0] - m[1]) <= 4 * EPS * m.max():  # the oracle's rounded moduli pick either sign
+                assert leads_positive(tracked.vectors[0, slot])
+                want[slot] *= 1.0 if c_product(tracked.vectors[0, slot], want[slot]).real > 0.0 else -1.0
         np.testing.assert_allclose(tracked.vectors[0], want, rtol=0, atol=4 * EPS * np.abs(want).max())
-        np.testing.assert_allclose(tracked.energies[0], [frame.e_plus, frame.e_minus], rtol=4 * EPS)
+        np.testing.assert_allclose(tracked.energies[0], [e_p, e_m], rtol=4 * EPS)
 
 
 def test_adiabatic_t0_coefficients_on_tracked_frame():

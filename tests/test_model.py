@@ -1,6 +1,5 @@
 """Hamiltonian construction, spectrum, eigenframes, and EP location."""
 
-import cmath
 import dataclasses
 import functools
 import math
@@ -12,7 +11,6 @@ from epdyn import (
     DEFAULT_PARAMS,
     Direction,
     EPOnContourError,
-    EPProximityError,
     FieldPoint,
     HamiltonianMatrix,
     IntegratorConfig,
@@ -20,17 +18,15 @@ from epdyn import (
     NegativeAmplitudeError,
     NoFiniteEPError,
     StateVector,
+    StaticDrive,
     SystemParams,
     build_hamiltonian,
     c_product,
     diode_loop,
     discriminant,
-    eigenframe,
-    eigenvalues,
     locate_ep,
     propagate_adiabatic,
     track_branches,
-    verify_ep,
     winding_number,
 )
 from epdyn import model, traversal
@@ -52,6 +48,12 @@ def random_params(rng) -> SystemParams:
 
 def random_field(rng) -> FieldPoint:
     return FieldPoint(omega=rng.uniform(0, 2), eps0=rng.uniform(0, 1))
+
+
+def frame_at(params: SystemParams, field: FieldPoint) -> tuple:
+    """(e_plus, e_minus), (v_plus, v_minus) of the matrix at one field point: a static drive's t = 0 frame."""
+    frame = track_branches(params, StaticDrive(field, 1.0), n_samples=16)
+    return frame.energies[0], frame.vectors[0]
 
 
 class TestSystemParams:
@@ -77,12 +79,12 @@ class TestBuildHamiltonian:
     def test_reference_point(self):
         h = build_hamiltonian(REF, FieldPoint(1.0, 0.2))
         assert h.h11 == 1.0 - 0.1j
-        assert h.h12 == h.h21 == 0.1
+        assert h.h12 == 0.1
         assert h.h22 == 1.0 - 0.3j
 
     def test_zero_coupling_is_diagonal(self):
         h = build_hamiltonian(REF, FieldPoint(1.0, 0.0))
-        assert h.h12 == 0 and h.h21 == 0
+        assert h.h12 == 0
         assert h.h11 == 1.0 - 0.1j and h.h22 == 1.0 - 0.3j
 
     def test_detuned_point(self):
@@ -92,8 +94,11 @@ class TestBuildHamiltonian:
         assert h.h22 == 1.0 - 0.3j
 
     def test_complex_symmetry_enforced(self):
-        with pytest.raises(ValueError):
+        # one off-diagonal field: the matrix cannot be built unsymmetric
+        with pytest.raises(TypeError):
             HamiltonianMatrix(1.0, 0.1, 0.2, 1.0)
+        mat = HamiltonianMatrix(1.0, 0.1 + 0.2j, -1.0).as_array()
+        assert np.array_equal(mat, mat.T)
 
     def test_trace_identity(self):
         rng = np.random.default_rng(11)
@@ -119,42 +124,34 @@ class TestDiscriminant:
 
 
 class TestEigenvalues:
-    def test_coalesced_at_ep(self):
-        h = build_hamiltonian(REF, FieldPoint(1.0, 0.2))
-        e_p, e_m = eigenvalues(h)
-        assert e_p == pytest.approx(1.0 - 0.2j)
-        assert e_m == pytest.approx(1.0 - 0.2j)
-
     def test_split_above_ep(self):
-        h = build_hamiltonian(REF, FieldPoint(1.0, 0.4))
-        e_p, e_m = eigenvalues(h)
+        (e_p, e_m), _ = frame_at(REF, FieldPoint(1.0, 0.4))
         half_root = 0.5 * math.sqrt(0.12)
         assert e_p == pytest.approx(1.0 + half_root - 0.2j)
         assert e_m == pytest.approx(1.0 - half_root - 0.2j)
 
     def test_hermitian_case_real(self):
         p = SystemParams(e1=0.0, e2=1.0, gamma1=0.0, gamma2=0.0, d12=1.0)
-        e_p, e_m = eigenvalues(build_hamiltonian(p, FieldPoint(1.0, 0.2)))
+        (e_p, e_m), _ = frame_at(p, FieldPoint(1.0, 0.2))
         assert e_p == pytest.approx(1.1) and e_p.imag == 0
         assert e_m == pytest.approx(0.9) and e_m.imag == 0
 
     def test_plus_branch_convention(self):
         # '+' root has Re >= 0; for negative real discriminants the tie
-        # resolves to Im >= 0
-        h = HamiltonianMatrix.symmetric(0.2j, 0.0, -0.2j)
-        e_p, e_m = eigenvalues(h)
-        assert e_p.imag > 0 and e_m.imag < 0
+        # resolves to Im >= 0: here a = 0.2i and g = 0, so a^2 + g^2 = -0.04
+        p = SystemParams(e1=0.0, e2=0.0, gamma1=0.0, gamma2=0.4, d12=1.0)
+        (e_p, e_m), _ = frame_at(p, FieldPoint(0.0, 0.0))
+        half_trace = 0.5 * (e_p + e_m)
+        assert e_p.imag > half_trace.imag > e_m.imag
 
     def test_plus_root_at_a_signed_zero_tie(self):
         # a^2 + g^2 = -4 - 0i, where numpy's root -2i is the '-' side of the tie:
-        # the '+' root is -0.0 + 2i, for one matrix and as the array element
+        # the '+' root is -0.0 + 2i, for one value and as the array element
         # that the first sample of a traversal gives ``traversal._Phase``
-        h = HamiltonianMatrix.symmetric(-2j, complex(0.0, -0.0), 2j)
+        h = HamiltonianMatrix(-2j, complex(0.0, -0.0), 2j)
         a, g = np.complex128(0.5 * (h.h11 - h.h22)), np.complex128(h.h12)
         w2 = a * a + g * g
         assert (w2.real, math.copysign(1.0, w2.imag)) == (-4.0, -1.0)
-        frame = eigenframe(h)
-        assert (frame.e_plus, frame.e_minus) == eigenvalues(h) == (2j, -2j)
         phase = traversal._Phase(np.array([a]), np.array([g]), np.array([w2]), 1)
         for lam in (complex(model._root_plus(complex(w2))), complex(phase.lam0[0])):
             assert lam == 2j and math.copysign(1.0, lam.real) == -1.0
@@ -162,9 +159,9 @@ class TestEigenvalues:
     def test_trace_conservation_random(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            h = build_hamiltonian(random_params(rng), random_field(rng))
-            e_p, e_m = eigenvalues(h)
-            assert abs((e_p + e_m) - h.trace) < 1e-12
+            p, f = random_params(rng), random_field(rng)
+            (e_p, e_m), _ = frame_at(p, f)
+            assert abs((e_p + e_m) - build_hamiltonian(p, f).trace) < 1e-12
 
 
 class TestCProduct:
@@ -179,33 +176,35 @@ class TestCProduct:
 
 
 class TestEigenframe:
+    # the frame of one matrix is the t = 0 sample of a static drive's tracked frames
+
     def test_hermitian_frame(self):
-        h = HamiltonianMatrix.symmetric(1.0, 0.1, 1.0)
-        frame = eigenframe(h)
-        assert frame.e_plus == pytest.approx(1.1)
-        assert frame.e_minus == pytest.approx(0.9)
+        p = SystemParams(e1=0.0, e2=1.0, gamma1=0.0, gamma2=0.0, d12=1.0)  # H = [[1, 0.1], [0.1, 1]]
+        (e_p, e_m), (v_plus, v_minus) = frame_at(p, FieldPoint(1.0, 0.2))
+        assert e_p == pytest.approx(1.1)
+        assert e_m == pytest.approx(0.9)
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        np.testing.assert_allclose(frame.v_plus, [inv_sqrt2, inv_sqrt2], atol=1e-14)
-        np.testing.assert_allclose(frame.v_minus, [inv_sqrt2, -inv_sqrt2], atol=1e-14)
+        np.testing.assert_allclose(v_plus, [inv_sqrt2, inv_sqrt2], atol=1e-14)
+        np.testing.assert_allclose(v_minus, [inv_sqrt2, -inv_sqrt2], atol=1e-14)
 
     def test_tie_keeps_first_component_leading(self):
         # at a = 0 (h11 == h22) with a real g each vector's components have
         # equal moduli; the first leads, whatever the rounding of cos th and sin th
         for h11, g in ((1.0, 0.1), (1.0 - 0.2j, 0.3), (-2.0, -0.7), (0.5 - 0.1j, -1e-3)):
-            frame = eigenframe(HamiltonianMatrix.symmetric(h11, g, h11))
-            for v in (frame.v_plus, frame.v_minus):
+            h11 = complex(h11)
+            p = SystemParams(e1=0.0, e2=h11.real, gamma1=-h11.imag, gamma2=-h11.imag, d12=math.copysign(1.0, g))
+            _, vectors = frame_at(p, FieldPoint(h11.real, 2.0 * abs(g)))
+            for v in vectors:
                 assert abs(v[0]) == pytest.approx(abs(v[1]), rel=1e-15)
                 assert v[0].real > 0.0
 
     def test_refuses_at_ep(self):
-        h = build_hamiltonian(REF, FieldPoint(1.0, 0.2))
-        with pytest.raises(EPProximityError):
-            eigenframe(h)
+        with pytest.raises(EPOnContourError):
+            frame_at(REF, FieldPoint(1.0, 0.2))
 
     def test_biorthogonality(self):
-        h = build_hamiltonian(REF, FieldPoint(1.0, 0.4))
-        frame = eigenframe(h)
-        assert abs(c_product(frame.v_plus, frame.v_minus)) < 1e-12
+        _, (v_plus, v_minus) = frame_at(REF, FieldPoint(1.0, 0.4))
+        assert abs(c_product(v_plus, v_minus)) < 1e-12
 
     def test_c_normalization_and_residual_random(self):
         rng = np.random.default_rng(17)
@@ -216,33 +215,34 @@ class TestEigenframe:
             if abs(discriminant(h)) < 1e-3:
                 continue
             count += 1
-            frame = eigenframe(h)
-            assert abs(c_product(frame.v_plus, frame.v_plus) - 1.0) < 1e-12
-            assert abs(c_product(frame.v_minus, frame.v_minus) - 1.0) < 1e-12
+            (e_p, e_m), (v_plus, v_minus) = frame_at(p, f)
+            assert abs(c_product(v_plus, v_plus) - 1.0) < 1e-12
+            assert abs(c_product(v_minus, v_minus) - 1.0) < 1e-12
             mat = h.as_array()
             norm_h = np.linalg.norm(mat)
-            for e, v in ((frame.e_plus, frame.v_plus), (frame.e_minus, frame.v_minus)):
+            for e, v in ((e_p, v_plus), (e_m, v_minus)):
                 assert np.linalg.norm(mat @ v - e * v) <= 1e-10 * norm_h
 
     def test_cnorm_collapse_near_ep(self):
-        # |c-norm| of the unit eigenvector decreases monotonically on the
-        # last decade of approach; self-orthogonality in the limit
+        # |c-norm| of the unit eigenvector, 1/|v|^2 of the c-normalized v,
+        # decreases monotonically on the last decade of approach;
+        # self-orthogonality in the limit
         distances = np.geomspace(1e-2, 1e-7, 11)
         mags = []
         for d in distances:
-            frame = eigenframe(build_hamiltonian(REF, FieldPoint(1.0, 0.2 + d)))
-            mags.append(abs(frame.cnorm_plus))
+            _, (v_plus, _) = frame_at(REF, FieldPoint(1.0, 0.2 + d))
+            mags.append(1.0 / np.sum(np.abs(v_plus) ** 2))
         assert all(a > b for a, b in zip(mags, mags[1:]))
         assert mags[-1] < 1e-3
 
     def test_gauge_leading_component_positive(self):
         rng = np.random.default_rng(23)
         for _ in range(40):
-            h = build_hamiltonian(random_params(rng), random_field(rng))
-            if abs(discriminant(h)) < 1e-3:
+            p, f = random_params(rng), random_field(rng)
+            if abs(discriminant(build_hamiltonian(p, f))) < 1e-3:
                 continue
-            frame = eigenframe(h)
-            for v in (frame.v_plus, frame.v_minus):
+            _, vectors = frame_at(p, f)
+            for v in vectors:
                 lead = v[0] if abs(v[0]) >= abs(v[1]) else v[1]
                 assert lead.real > 0 or (lead.real == 0 and lead.imag >= 0)
 
@@ -366,9 +366,10 @@ class TestOneEPRule:
         # |discriminant| = 1.0e-13 at t = 0, inside the rule's 8e-13 at this
         # EP's scale: every frame and count that samples t = 0 reports it alike
         loop = LoopSpec(FieldPoint(1.0, 0.25), 0.05, 0.05, Direction.CCW, 50.0, 1.5 * math.pi + 5e-12)
-        with pytest.raises(EPProximityError) as info:
-            eigenframe(build_hamiltonian(REF, loop.field_at(0.0)))
-        messages = [str(info.value)]
+        field = loop.field_at(0.0)
+        a, g = model._traceless(REF, field.omega, field.eps0)
+        assert model._on_ep(a, g, a * a + g * g)
+        messages = []
         for call in (
             lambda: winding_number(loop, REF),
             lambda: track_branches(REF, loop),
@@ -383,39 +384,6 @@ class TestOneEPRule:
         assert (tmap.frame, tmap.steps) == ("bare", 512)
 
 
-class TestVerifyEP:
-    def test_zero_at_ep(self):
-        ep = locate_ep(REF)
-        assert verify_ep(REF, ep.field) < 1e-12
-
-    def test_positive_off_ep(self):
-        assert verify_ep(REF, FieldPoint(1.0, 0.4)) > 0.01
-
-    def test_tracks_discriminant_root_on_grid(self):
-        # the residual equals |sqrt(discriminant)| up to a factor bounded
-        # on both sides
-        for omega in np.linspace(0.8, 1.2, 10):
-            for eps0 in np.linspace(0.05, 0.5, 10):
-                f = FieldPoint(float(omega), float(eps0))
-                res = verify_ep(REF, f)
-                root = abs(cmath.sqrt(discriminant(build_hamiltonian(REF, f))))
-                assert res <= root * (1.0 + 1e-12)
-                assert res >= 0.05 * root
-
-    def test_equivalence_with_discriminant_random(self):
-        rng = np.random.default_rng(41)
-        for _ in range(200):
-            p, f = random_params(rng), random_field(rng)
-            h = build_hamiltonian(p, f)
-            delta = abs(discriminant(h))
-            res = verify_ep(p, f)
-            # the two sign-branch residuals multiply to |Delta| and each is
-            # bounded by the matrix scale, so the two EP indicators agree
-            scale = abs(h.h11 - h.h22) + 2.0 * abs(cmath.sqrt(h.h12 * h.h21)) + 1e-30
-            assert res <= math.sqrt(delta) * (1.0 + 1e-9)
-            assert res >= delta / scale * (1.0 - 1e-9)
-
-
 class TestHermitianNoDegeneracy:
     def test_gap_lower_bound(self):
         rng = np.random.default_rng(29)
@@ -424,5 +392,5 @@ class TestHermitianNoDegeneracy:
             d = rng.uniform(0.1, 2.0) * (1 if rng.random() < 0.5 else -1)
             p = SystemParams(e1=rng.uniform(-1, 1), e2=rng.uniform(-1, 1), gamma1=gamma, gamma2=gamma, d12=d)
             f = FieldPoint(rng.uniform(0, 2), rng.uniform(1e-3, 1.0))
-            e_p, e_m = eigenvalues(build_hamiltonian(p, f))
+            (e_p, e_m), _ = frame_at(p, f)
             assert abs(e_p - e_m) >= f.eps0 * abs(d) * (1.0 - 1e-12)

@@ -29,13 +29,10 @@ from epdyn import (
     StaticDrive,
     SystemParams,
     accumulated_phase,
-    average_decay_rate,
     build_hamiltonian,
     c_product,
     diode_control_loop,
     diode_loop,
-    eigenframe,
-    eigenvalues,
     encircling_loop,
     hermitian_loop,
     propagate_adiabatic,
@@ -43,7 +40,7 @@ from epdyn import (
     track_branches,
     winding_number,
 )
-from epdyn import loops, model, traversal
+from epdyn import loops, traversal
 from epdyn.analysis import survival_fraction
 from epdyn import propagation as prop
 from epdyn.errors import AmbiguousTrackingError, EpdynError, StepBudgetError, StepSizeUnderflowError
@@ -51,6 +48,7 @@ from epdyn.model import _traceless
 from epdyn.propagation import _LOG_WORK_HI, _LOG_WORK_LO, TrajectoryRecord
 from epdyn.serialize import trajectory_to_csv, trajectory_to_json
 from coupling_reference import na_coupling, na_coupling_at
+from frame_reference import KAPPA, _eigensystem
 import dop853_reference
 import traversal_reference
 from row_reference import dop853_interp, finalize
@@ -794,25 +792,23 @@ class TestNaCoupling:
         # real symmetric family [[q, 1], [1, -q]]: eigenvector rotation rate
         # at q = 0 is 1/2
         h = 1e-6
-        frame_a = eigenframe(HamiltonianMatrix.symmetric(-h, 1.0, h))
-        frame_b = eigenframe(HamiltonianMatrix.symmetric(h, 1.0, -h))
+        frame_a = _eigensystem(HamiltonianMatrix(-h, 1.0, h), KAPPA)
+        frame_b = _eigensystem(HamiltonianMatrix(h, 1.0, -h), KAPPA)
         v_pm, v_mp = na_coupling(frame_a, frame_b, dt=2 * h, velocity=(1.0, 0.0))
         assert abs(v_pm) == pytest.approx(0.5, rel=1e-6)
         assert abs(v_mp) == pytest.approx(0.5, rel=1e-6)
         assert v_pm == pytest.approx(-v_mp, rel=1e-6)
 
     def test_zero_velocity(self):
-        frame = eigenframe(HamiltonianMatrix.symmetric(0.3, 1.0, -0.3))
+        frame = _eigensystem(HamiltonianMatrix(0.3, 1.0, -0.3), KAPPA)
         assert na_coupling(frame, frame, dt=1.0, velocity=(0.0, 0.0)) == (0j, 0j)
 
     def test_unpairable_frames_rejected(self):
         # 45-degree rotated frames overlap both branches equally: that is the
         # divergent-derivative signature, not a usable difference quotient
-        from epdyn.errors import EPProximityError
-
-        frame_a = eigenframe(HamiltonianMatrix.symmetric(1.0, 1e-3, -1.0))
-        frame_b = eigenframe(HamiltonianMatrix.symmetric(0.0, 1.0, 0.0))
-        with pytest.raises(EPProximityError):
+        frame_a = _eigensystem(HamiltonianMatrix(1.0, 1e-3, -1.0), KAPPA)
+        frame_b = _eigensystem(HamiltonianMatrix(0.0, 1.0, 0.0), KAPPA)
+        with pytest.raises(AmbiguousTrackingError):
             na_coupling(frame_a, frame_b, dt=1e-6, velocity=(1.0, 0.0))
 
     def test_divergence_towards_ep(self):
@@ -843,8 +839,8 @@ class TestNaCoupling:
             velocity = loop.velocity_at(t)
             speed = math.hypot(*velocity)
             ux, uy = velocity[0] / speed, velocity[1] / speed
-            frame_a = eigenframe(build_hamiltonian(REF, FieldPoint(fp.omega - h * ux, fp.eps0 - h * uy)))
-            frame_b = eigenframe(build_hamiltonian(REF, FieldPoint(fp.omega + h * ux, fp.eps0 + h * uy)))
+            frame_a = _eigensystem(build_hamiltonian(REF, FieldPoint(fp.omega - h * ux, fp.eps0 - h * uy)), KAPPA)
+            frame_b = _eigensystem(build_hamiltonian(REF, FieldPoint(fp.omega + h * ux, fp.eps0 + h * uy)), KAPPA)
             fd = na_coupling(frame_a, frame_b, dt=2 * h / speed, velocity=velocity)
             closed = na_coupling_at(REF, loop, t)
             for c, f in zip(closed, fd):
@@ -927,7 +923,7 @@ class TestDopri5:
 class TestAccumulatedPhase:
     def test_static_linear_in_time(self):
         drive = StaticDrive(FieldPoint(1.0, 0.4), 10.0)
-        e_p, e_m = eigenvalues(build_hamiltonian(REF, drive.field))
+        e_p, e_m = _eigensystem(build_hamiltonian(REF, drive.field), KAPPA)[:2]
         for t in (2.5, 7.0):
             phi = accumulated_phase(REF, drive, t)
             assert phi == pytest.approx((e_p - e_m) * t, rel=1e-10)
@@ -1077,27 +1073,6 @@ class TestTrackBranches:
             track_branches(REF, encircling_loop(10.0), n_samples=10**20)
 
 
-class TestAverageDecayRate:
-    def test_static_bare_widths(self):
-        drive = StaticDrive(FieldPoint(1.0, 0.0), 10.0)
-        assert average_decay_rate(REF, drive, "plus") == pytest.approx(0.1, abs=1e-10)
-        assert average_decay_rate(REF, drive, "minus") == pytest.approx(0.3, abs=1e-10)
-
-    def test_hermitian_zero(self):
-        loop = hermitian_loop(10.0)
-        assert average_decay_rate(HERMITIAN_PARAMS, loop, "plus") == pytest.approx(0.0, abs=1e-12)
-        assert average_decay_rate(HERMITIAN_PARAMS, loop, "minus") == pytest.approx(0.0, abs=1e-12)
-
-    def test_encircling_branches_share_average(self):
-        # each tracked branch closes only after two traversals, covering both
-        # sheets, so the averages coincide at the mean bare width
-        loop = encircling_loop(10.0)
-        plus = average_decay_rate(REF, loop, "plus")
-        minus = average_decay_rate(REF, loop, "minus")
-        assert plus == pytest.approx(minus, abs=1e-12)
-        assert plus == pytest.approx(0.5 * (REF.gamma1 + REF.gamma2), abs=1e-8)
-
-
 class TestAdiabaticPropagation:
     def test_static_coefficients_frozen(self):
         # zero parameter velocity means zero coupling: the phase-stripped
@@ -1106,11 +1081,10 @@ class TestAdiabaticPropagation:
         initial = StateVector(0.8, 0.6j)
         traj = propagate_adiabatic(REF, drive, initial, TIGHT, n_output=16)
         h = build_hamiltonian(REF, drive.field)
-        e_p, e_m = eigenvalues(h)
-        frame = eigenframe(h)
-        a0 = np.array(
-            [c_product(frame.v_plus, initial.as_array()), c_product(frame.v_minus, initial.as_array())]
-        )
+        # the coefficients are on the tracked frame, gauge included
+        frame = track_branches(REF, drive, n_samples=16)
+        e_p, e_m = frame.energies[0]
+        a0 = np.array([c_product(v, initial.as_array()) for v in frame.vectors[0]])
         for k, t in enumerate(traj.times):
             scale = math.exp(0.5 * traj.log_scale[k])
             coeffs = traj.adiabatic_coeffs[k] * scale
@@ -1151,12 +1125,12 @@ class TestAdiabaticPropagation:
         leakage = []
         for T in (100.0, 200.0):
             loop = hermitian_loop(T)
-            frame0 = eigenframe(build_hamiltonian(HERMITIAN_PARAMS, loop.field_at(0.0)))
-            initial = StateVector(*frame0.v_plus)
+            _, _, v_plus, _, _, _ = _eigensystem(build_hamiltonian(HERMITIAN_PARAMS, loop.field_at(0.0)), KAPPA)
+            initial = StateVector(*v_plus)
             traj = propagate_adiabatic(HERMITIAN_PARAMS, loop, initial, TIGHT)
             final = normalized_final(traj)
-            frame_T = eigenframe(build_hamiltonian(HERMITIAN_PARAMS, loop.field_at(T)))
-            v_other = frame_T.v_minus / np.linalg.norm(frame_T.v_minus)
+            _, _, _, v_minus, _, _ = _eigensystem(build_hamiltonian(HERMITIAN_PARAMS, loop.field_at(T)), KAPPA)
+            v_other = np.array(v_minus) / np.linalg.norm(v_minus)
             leakage.append(fidelity(final, v_other))
         assert leakage[1] < leakage[0]
 
@@ -1192,7 +1166,6 @@ class TestAdiabaticPropagation:
             return real_drive(params, columns, times)
 
         monkeypatch.setattr(traversal, "branch_frames", counted_solve(traversal.branch_frames))
-        monkeypatch.setattr(model, "eigenframe", counted_solve(model.eigenframe))
         monkeypatch.setattr(traversal, "_drive", counted_drive)
         traj = propagate_adiabatic(REF, encircling_loop(50.0, Direction.CW), StateVector.basis(2), TIGHT)
         assert calls["solve"] == 0

@@ -30,8 +30,8 @@ from epdyn.serialize import (
     TRAJECTORY_COLUMNS,
     read_section,
     section_to_dict,
+    sweep_header_csv,
     sweep_row_csv,
-    sweep_to_csv,
     sweep_to_json,
     table_to_json,
     table_to_text,
@@ -168,8 +168,7 @@ class TestSweepFormats:
         return sweep(spec, DEFAULT_PARAMS, FAST)
 
     def test_csv_schema(self):
-        text = sweep_to_csv(self.make_result())
-        lines = text.splitlines()
+        lines = [sweep_header_csv(), *map(sweep_row_csv, self.make_result().cells)]
         assert lines[0] == ",".join(SWEEP_COLUMNS)
         assert len(lines) == 3
         first = lines[1].split(",")

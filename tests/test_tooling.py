@@ -1,6 +1,7 @@
 """The package as its tools and documents see it: every name the benchmark harness wraps
 must exist, every call it makes bind, the README's config must match the schema table and its commands run."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -29,6 +30,22 @@ def test_every_traced_name_resolves(monkeypatch):
     for target in targets:
         assert target.module.__name__.startswith("epdyn."), target.name
         assert callable(getattr(target.module, target.attr, None)), f"{target.module.__name__}.{target.attr}"
+
+
+def test_the_exports_do_not_drift():
+    # the package root imports exactly the __all__ of loops, model, presets
+    # and propagation, and every module's __all__ names something it has
+    src = ROOT / "src" / "epdyn"
+    tree = ast.parse((src / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        node.module: {alias.name for alias in node.names} for node in tree.body if isinstance(node, ast.ImportFrom)
+    }
+    for name in ("loops", "model", "presets", "propagation"):
+        assert imported[name] == set(importlib.import_module(f"epdyn.{name}").__all__), name
+    for path in sorted(src.glob("*.py")):
+        module = importlib.import_module("epdyn" if path.stem == "__init__" else f"epdyn.{path.stem}")
+        for entry in getattr(module, "__all__", ()):
+            assert hasattr(module, entry), f"{module.__name__}.{entry}"
 
 
 def test_workload_calls_bind_to_the_signatures():
