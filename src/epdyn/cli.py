@@ -195,12 +195,14 @@ def cmd_sweep(config: RunConfig, args) -> int:
             dominant_target=target,
         )
     except ValueError as exc:
-        # the spec names the field at fault; name the flag that sets it (the
-        # shortest duration, --t-min, is the one a loop refuses as too small)
+        # the spec's message starts with the field at fault; name the flag that
+        # sets it instead (the shortest duration, --t-min, is the one a loop
+        # refuses as too small), and leave the rest of the message as it is
         message = str(exc)
         for name, flag in (("ratio_min", "--ratio-min"), ("survival_levels", "--survival-levels"),
                            ("initial_phase", "--initial-phase"), ("duration_T", "--t-min")):
-            message = message.replace(name, flag)
+            if message.startswith(name):
+                message = flag + message[len(name):]
         raise ConfigError(message) from exc
 
     # CSV writes each row as its cell arrives (cells arrive in grid order, one

@@ -77,7 +77,7 @@ class LoopSpec:
         if self.duration_T <= 0:
             raise ValueError("duration_T must be > 0")
         if math.isinf(2.0 * math.pi / self.duration_T):
-            raise ValueError("duration_T is too small: the angular rate 2*pi/duration_T overflows")
+            raise ValueError("duration_T is too small: the angular rate 2*pi/T overflows")
         if self.center.eps0 < self.semi_axis_eps:
             raise ValueError("center.eps0 must be >= semi_axis_eps (eps0 >= 0 on contour)")
 

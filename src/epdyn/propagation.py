@@ -8,23 +8,26 @@ only have to resolve the traceless dynamics, whose rates are set by the
 small eigenvalue splitting. This keeps norm drift at machine precision for
 Hermitian parameters and postpones overflow for strongly decaying runs.
 
-``propagate_direct`` integrates the bare-basis amplitudes with DOP853, an
-adaptive 8th-order Runge-Kutta method, on the two amplitudes as Python
-complex scalars. It uses the published tableau (tested equal to scipy's)
-and the error norm and step controller of ``scipy.integrate.DOP853``, which
-the tests keep as its oracle. The whole integration is one function,
-``run``, compiled once per process, by the first direct run, from the
-tableau (``_dop853_source``): the stepping loop, the controller and the row
-bookkeeping on local variables, with the drive inlined into every stage
-(the operations of ``model._traceless`` at ``field_at``, on the drive's
-``loops._contour`` and the model's constants read once per run), so every
-stage has those bits without a call or an object per step. The run keeps
-the stages of each step that holds an output time; after it, one array
-pass (``_dense_rows``) builds those steps' dense-output interpolants and
-evaluates every output row after the first. The run rescales the working
-state in place, keeping the step size, when its norm leaves the working
-window, and enforces a step budget (``_STEP_BUDGET``), so no input makes a
-run go on without end.
+``propagate_direct`` integrates the loop's fundamental matrix U in the bare
+basis with DOP853, an adaptive 8th-order Runge-Kutta method, on U's four
+entries as Python complex scalars, from the identity at t = 0; every row of
+the record is then U(t_k) c0. It uses the published tableau (tested equal
+to scipy's) and the error norm and step controller of
+``scipy.integrate.DOP853``, which the tests keep as its oracle. The whole
+integration is one function, ``run``, compiled once per process, by the
+first direct run, from the tableau (``_dop853_source``): the stepping loop,
+the controller and the row bookkeeping on local variables, with the drive
+inlined into every stage (the operations of ``model._traceless`` at
+``field_at``, on the drive's ``loops._contour`` and the model's constants
+read once per run), so every stage has those bits without a call or an
+object per step. The run keeps the stages of each step that holds an output
+time; after it, one array pass (``_dense_rows``) builds those steps'
+dense-output interpolants and evaluates U at every output row after the
+first. The run rescales U in place, keeping the step size, when its norm
+leaves the working window, and enforces a step budget (``_STEP_BUDGET``),
+so no input makes a run go on without end. U does not depend on the
+initial state, so the route keeps U's rows for the last two loops it ran
+(``_DIRECT_RUNS``) and the next state on a loop only multiplies.
 
 ``propagate_adiabatic`` expands the state in the instantaneous eigenbasis:
 the c-normalized eigenvectors (cos th, sin th) and (-sin th, cos th),
@@ -38,15 +41,21 @@ takes no stepper of its own: ``traversal.eigen_rows`` multiplies uniform
 closed-form 4th-order Magnus steps in that eigenframe, doubling their count
 until the full-loop map settles, and gives the map from t = 0 to every
 row as a prefix product, which the route keeps for the last two loops it
-ran, since none of it depends on the state. The branch is continued by the root
-+/-sqrt(a^2 + g^2) nearer the one before, sample by sample, which is where
-the state exchange around an exceptional point shows up. The two routes
+ran (``_LOOP_ROWS``), since none of it depends on the state. The branch
+is continued by the root +/-sqrt(a^2 + g^2) nearer the one before, sample
+by sample, which is where the state exchange around an exceptional point
+shows up. The two routes
 share no stepper code, so their agreement is a genuine cross-check. The
 tests keep the two-frame finite difference of the couplings as an
 independent reference (``tests/coupling_reference.py``).
 
 ``track_branches`` and ``accumulated_phase`` take the same frames at
 uniform samples (``traversal.branch_frames``).
+
+Both routes bring c0 into their rows scaled by a power of two
+(``_pow2_scaled``) and keep the state-independent part of their last two
+loops in one kind of cache (``_Recent``, keyed on the exact bits of every
+input that part reads).
 
 Recorded amplitudes are kept inside the representable range: if the true
 squared norm leaves [1e-150, 1e+150] the stored state is renormalized and
@@ -59,7 +68,8 @@ that every value is the bits of the old row-by-row loop in Python scalars
 (``tests/row_reference.py`` keeps that loop as the oracle, and
 ``tests/dop853_reference.py`` the loop-based DOP853 with its scalar dense
 output). Both routes time two phases into ``meta["phase_s"]``: ``stepping``
-(the stepping loop, or the step products) and ``rows`` (the rows after it).
+(the stepping loop, or the step products; a cache lookup on a hit) and
+``rows`` (the state's rows after it).
 """
 
 from __future__ import annotations
@@ -316,6 +326,72 @@ def _finalize(
     return states, _norms_sq(states), offsets, None if coeffs is None else scaled(coeffs)
 
 
+def _pow2_scaled(z: np.ndarray) -> tuple:
+    """z scaled by a power of two along its last axis to a largest part in [0.5, 1), and the exponents.
+
+    z = scaled * 2**shift exactly: ``np.ldexp`` on the parts keeps every
+    signed zero and brings subnormal parts up, where a product with
+    2**-shift would overflow for a subnormal largest part. A vector that is
+    exactly zero keeps shift 0. A state enters either route's rows this
+    way, and leaves the direct route's, so no finite state overflows or
+    underflows on its way in or out.
+    """
+    _, shift = np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)).max(axis=-1))
+    down = -shift[..., None]
+    return _complex(np.ldexp(z.real, down), np.ldexp(z.imag, down)), shift
+
+
+def _exact(values) -> tuple:
+    """Each value's type and exact value, a float by its bits: -0.0 and 0.0, equal under ==, differ."""
+    return tuple((type(v), v.hex() if isinstance(v, float) else v) for v in values)
+
+
+def _key(params: SystemParams, drive: Drive, *settings) -> tuple:
+    """A cache key: the exact drive type and ``_contour`` fields, model constants and ``settings`` of a loop's rows."""
+    d12 = complex(params.d12)
+    return (type(drive), *_exact(_contour(drive)),
+            *_exact((params.e1, params.e2, params.gamma1, params.gamma2, d12.real, d12.imag, *settings)))
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, made read-only, so nothing a caller gets can change a kept entry."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+class _Recent:
+    """The results of the last ``size`` keys, least recently used first.
+
+    A route keeps here the part of its runs that does not read the initial
+    state, so the next state on a loop takes it. ``get(key, compute)``
+    returns (the value, whether it was kept): on a miss it calls
+    ``compute()`` and keeps the result; an error propagates and nothing is
+    kept, so the next call raises it again. The lock guards each lookup and
+    insertion, not the computation between them: two threads that miss on
+    one key both compute it, and the later insertion stores the same bits.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.entries: collections.OrderedDict = collections.OrderedDict()
+        self.lock = threading.Lock()
+
+    def get(self, key, compute) -> tuple:
+        with self.lock:
+            value = self.entries.get(key)
+            if value is not None:
+                self.entries.move_to_end(key)
+        if value is not None:
+            return value, True
+        value = compute()
+        with self.lock:
+            self.entries[key] = value
+            if len(self.entries) > self.size:
+                self.entries.popitem(last=False)
+        return value, False
+
+
 # ---------------------------------------------------------------------------
 # direct propagation (bare basis, DOP853)
 # ---------------------------------------------------------------------------
@@ -537,6 +613,9 @@ def _drive_constants(drive: Drive, params: SystemParams) -> tuple:
 
 # the step controller of scipy.integrate.DOP853; the exponent is -1 / (error estimator order 7 + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
+#: U(0), the direct run's start: the fundamental matrix as its columns (U00, U10) and (U01, U11)
+_IDENTITY = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+_COMPONENTS = range(len(_IDENTITY))
 
 
 def _sum(coeffs, k: str) -> str:
@@ -544,9 +623,15 @@ def _sum(coeffs, k: str) -> str:
     return " + ".join(["0j"] + [f"{complex(c)!r} * {k}{j}" for j, c in coeffs])
 
 
-def _rhs_lines(t: Optional[str], u0: str, u1: str, f0: str, f1: str) -> list:
-    """Statements of one RHS call at time ``t``: (a, g) of the drive, then -i H u.
+def _names(pattern: str) -> list:
+    """The pattern's name for each component of U: ``_names("k{}_3")`` is k0_3, k1_3, k2_3, k3_3."""
+    return [pattern.format(i) for i in _COMPONENTS]
 
+
+def _rhs_lines(t: Optional[str], u: list, f: list) -> list:
+    """Statements of one RHS call at time ``t``: (a, g) of the drive, then -i H on each column of U.
+
+    ``u`` and ``f`` name the four components of U and of its derivative.
     With ``t`` None the call reuses the (a, g) of the statements before it.
     The time is clamped to [0, T], as RK stages can poke an ulp outside and
     the contour is periodic and smooth there; then t / T lies in [0, 1], and
@@ -565,32 +650,28 @@ def _rhs_lines(t: Optional[str], u0: str, u1: str, f0: str, f1: str) -> list:
         "a = a_static + 0.5 * (cx + ax * cos(th))",
         "g = half_d12 * (cy + ay * sin(th))",
     ]
-    return drive + [f"{f0} = -1j * (a * {u0} + g * {u1})", f"{f1} = -1j * (g * {u0} - a * {u1})"]
+    for c in (0, 2):  # the column (u[c], u[c + 1])
+        drive += [f"{f[c]} = -1j * (a * {u[c]} + g * {u[c + 1]})", f"{f[c + 1]} = -1j * (g * {u[c]} - a * {u[c + 1]})"]
+    return drive
+
+
+def _squares(z: list) -> str:
+    """The expression sum_i |z_i|^2 over the components, each |z|^2 as z.re z.re + z.im z.im, summed in order."""
+    return " + ".join(f"({x}.real * {x}.real + {x}.imag * {x}.imag)" for x in z)
 
 
 _DOP853_TEMPLATE = '''
-def run(drive, y, t_bound, grid, rtol, atol, max_step, h_abs):
+def run(drive, t_bound, grid, rtol, atol, max_step, h_abs):
     T, th0, sign, cx, ax, cy, ay, a_static, half_d12 = drive
     turn = sign * 2.0 * pi
-    y0, y1 = y
+    {y} = {identity}
     t = log_u = 0.0
     accepted = rejected = renormalizations = 0
     h_min, h_max, gi, n_grid = inf, 0.0, 1, len(grid)
-    n2 = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
-    if n2 == 0.0:  # every square underflows: divide by the largest part
-        norm = max(abs(y0.real), abs(y0.imag), abs(y1.real), abs(y1.imag))
-        y0, y1 = y0 / norm, y1 / norm
-        log_u = 2.0 * log(norm)
-        renormalizations = 1
-    elif n2 < inf and not ({lo!r} < log(n2) < {hi!r}):  # as the loop rescales
-        norm = sqrt(n2)
-        y0, y1 = y0 / norm, y1 / norm
-        log_u = log(n2)
-        renormalizations = 1
 {first}
-    start, times, logs, held, values = (y0, y1), [0.0], [log_u], [], []
+    times, logs, held, values = [0.0], [0.0], [], []
     while t < t_bound:
-        k0_0, k1_0 = k0_{n}, k1_{n}
+        {k_first} = {k_last}
         min_step = 10.0 * ulp(t)
         h = h_abs
         if h > max_step:
@@ -608,21 +689,11 @@ def run(drive, y, t_bound, grid, rtol, atol, max_step, h_abs):
                 t_new = t_bound
             h = t_new - t
 {stages}
-            s0 = abs(y0)
-            m = abs(n0)
-            if m > s0:
-                s0 = m
-            s0 = atol + s0 * rtol
-            s1 = abs(y1)
-            m = abs(n1)
-            if m > s1:
-                s1 = m
-            s1 = atol + s1 * rtol
 {errors}
             if err5 == 0.0 and err3 == 0.0:
                 err = 0.0
             else:
-                err = h * err5 / sqrt(2.0 * (err5 + 0.01 * err3))
+                err = h * err5 / sqrt({n_components!r} * (err5 + 0.01 * err3))
             if err < 1.0:
                 factor = {max_factor!r}
                 if err > 0.0:
@@ -642,75 +713,88 @@ def run(drive, y, t_bound, grid, rtol, atol, max_step, h_abs):
             h_min = h
         if h > h_max:
             h_max = h
-        if not (isfinite(n0) and isfinite(n1)):
+        if not ({finite}):
             raise NonFiniteError("amplitudes became non-finite during integration")
         if gi < n_grid and grid[gi] <= t_new:
             stop = bisect_right(grid, t_new, gi)
             held.append((t, h, stop - gi))
-            values.append((y0, y1, n0, n1, {stage_pairs}))
+            values.append(({y}, {n}, {stage_values}))
             times += grid[gi:stop]
             logs += [log_u] * (stop - gi)
             gi = stop
         if accepted > {budget!r} and t_bound - t_new > {remaining!r} * h:
             raise StepBudgetError(budget_message(accepted, t_bound, t_new, h))
-        t, y0, y1 = t_new, n0, n1
-        n2 = (y0.real * y0.real + y0.imag * y0.imag) + (y1.real * y1.real + y1.imag * y1.imag)
-        if n2 > 0.0:
-            lg = log(n2)
+        t, {y} = t_new, {n}
+        ss = {norm_sq}
+        if ss > 0.0:
+            lg = log(ss)
             if not ({lo!r} < lg < {hi!r}):
-                if lg == inf:  # dividing by sqrt(n2) would zero the state
+                if lg == inf:  # dividing by sqrt(ss) would zero the matrix
                     raise NonFiniteError("amplitudes overflowed float64")
-                norm = sqrt(n2)
-                y0, y1, k0_{n}, k1_{n} = y0 / norm, y1 / norm, k0_{n} / norm, k1_{n} / norm
+                norm = sqrt(ss)
+                {y}, {k_last} = {y_scaled}, {k_scaled}
                 renormalizations += 1
                 log_u += lg
         else:
             raise NonFiniteError("amplitudes underflowed float64 during integration")
-    counts = {{"accepted": accepted, "rejected": rejected, "rhs_calls": 1 + {n} * (accepted + rejected),
+    counts = {{"accepted": accepted, "rejected": rejected, "rhs_calls": 1 + {stages_per_step} * (accepted + rejected),
               "renormalizations": renormalizations, "min_step": h_min, "max_step": h_max}}
-    return times, logs, start, held, values, counts
+    return times, logs, held, values, counts
 '''
 
 
 def _dop853_source() -> str:
     """Python source of ``run``, the direct route's whole DOP853 integration, from the tableau.
 
-    ``run(drive, y, t_bound, grid, rtol, atol, max_step, h_abs)`` takes
-    ``_drive_constants`` and the initial state and returns ``(times, logs,
-    start, held, values, counts)``: the rows as columns (time and log of the
-    rescalings so far), the state of row 0 (the initial state brought into
-    the working window), each step that holds a grid time as
-    ``_dense_rows`` takes it (its t_old, h and row count; its y_old, y_new
-    and 13 stage pairs), and ``meta["solver"]``'s counts before the dense
-    stages. The stepping loop, the controller (scipy's), the grid rows, the
-    step budget and the in-place rescale all run on local variables. The
-    stages, the 8th-order solution and both error estimates are flat
-    statements, one expression per sum in the tableau's order from a 0j
-    accumulator, with the coefficients as complex literals, and each RHS
-    call is written out with its drive inlined (``_rhs_lines``).
-    ``notes/decisions.md`` gives the argument that every value is the bits
-    of the loop-based stepper that ``tests/dop853_reference.py`` keeps.
+    ``run(drive, t_bound, grid, rtol, atol, max_step, h_abs)`` takes
+    ``_drive_constants`` and steps the fundamental matrix U, its four
+    components (the columns (U00, U10) and (U01, U11)) from the identity at
+    t = 0. It returns ``(times, logs, held, values, counts)``: the rows as
+    columns (time and log of U's rescalings so far), each step that holds a
+    grid time as ``_dense_rows`` takes it (its t_old, h and row count; its
+    U_old, U_new and 13 stage quadruples), and ``meta["solver"]``'s counts
+    before the dense stages. The stepping loop, the controller (scipy's,
+    its error norm over the four components), the grid rows, the step
+    budget and the in-place rescale on U's squared Frobenius norm all run
+    on local variables. The stages, the 8th-order solution and both error
+    estimates are flat statements, one expression per sum in the tableau's
+    order from a 0j accumulator, with the coefficients as complex literals,
+    and each RHS call is written out with its drive inlined, one (a, g) for
+    both columns (``_rhs_lines``). ``notes/decisions.md`` gives the argument
+    that every value is the bits of the loop-based stepper that
+    ``tests/dop853_reference.py`` keeps.
     """
     assert _DOP_STAGES[-1][0] == 1.0  # the FSAL derivative at t + h reuses the last stage's (a, g)
+    y, n, k_last = _names("y{}"), _names("n{}"), _names(f"k{{}}_{_N_STAGES}")
     stages = []
     for s, (c, a) in enumerate(_DOP_STAGES, 1):
-        stages += [f"u0 = y0 + ({_sum(a, 'k0_')}) * h", f"u1 = y1 + ({_sum(a, 'k1_')}) * h"]
-        stages += _rhs_lines(f"t + ({c!r}) * h", "u0", "u1", f"k0_{s}", f"k1_{s}")
-    stages += [f"n0 = y0 + h * ({_sum(_DOP_B, 'k0_')})", f"n1 = y1 + h * ({_sum(_DOP_B, 'k1_')})"]
-    stages += _rhs_lines(None, "n0", "n1", f"k0_{_N_STAGES}", f"k1_{_N_STAGES}")
+        stages += [f"u{i} = y{i} + ({_sum(a, f'k{i}_')}) * h" for i in _COMPONENTS]
+        stages += _rhs_lines(f"t + ({c!r}) * h", _names("u{}"), _names(f"k{{}}_{s}"))
+    stages += [f"n{i} = y{i} + h * ({_sum(_DOP_B, f'k{i}_')})" for i in _COMPONENTS]
+    stages += _rhs_lines(None, n, k_last)
     errors = []
+    for i in _COMPONENTS:  # scipy's scale atol + max(|y|, |y_new|) rtol
+        errors += [f"s{i} = abs(y{i})", f"m = abs(n{i})", f"if m > s{i}:", f"    s{i} = m",
+                   f"s{i} = atol + s{i} * rtol"]
     for name, weights in (("err5", _DOP_E5), ("err3", _DOP_E3)):
-        errors += [
-            f"q0 = ({_sum(weights, 'k0_')}) / s0",
-            f"q1 = ({_sum(weights, 'k1_')}) / s1",
-            f"{name} = (q0.real * q0.real + q0.imag * q0.imag) + (q1.real * q1.real + q1.imag * q1.imag)",
-        ]
+        errors += [f"q{i} = ({_sum(weights, f'k{i}_')}) / s{i}" for i in _COMPONENTS]
+        errors.append(f"{name} = {_squares(_names('q{}'))}")
     return _DOP853_TEMPLATE.format(
-        first="\n".join("    " + line for line in _rhs_lines("0.0", "y0", "y1", f"k0_{_N_STAGES}", f"k1_{_N_STAGES}")),
+        y=", ".join(y),
+        n=", ".join(n),
+        k_first=", ".join(_names("k{}_0")),
+        k_last=", ".join(k_last),
+        identity=", ".join(map(repr, _IDENTITY)),
+        first="\n".join("    " + line for line in _rhs_lines("0.0", y, k_last)),
         stages="\n".join("            " + line for line in stages),
         errors="\n".join("            " + line for line in errors),
-        n=_N_STAGES,
-        stage_pairs=", ".join(f"k0_{s}, k1_{s}" for s in range(_N_STAGES + 1)),
+        n_components=float(len(_IDENTITY)),
+        finite=" and ".join(f"isfinite({x})" for x in n),
+        stage_values=", ".join(name for s in range(_N_STAGES + 1) for name in _names(f"k{{}}_{s}")),
+        norm_sq=_squares(y),
+        y_scaled=", ".join(f"{x} / norm" for x in y),
+        k_scaled=", ".join(f"{x} / norm" for x in k_last),
+        stages_per_step=_N_STAGES,
         lo=_LOG_WORK_LO,
         hi=_LOG_WORK_HI,
         budget=_STEP_BUDGET,
@@ -774,11 +858,11 @@ def _stage_sums(rows, k: np.ndarray, zk: np.ndarray) -> np.ndarray:
 
 
 def _dense_rows(params: SystemParams, drive: Drive, times: np.ndarray, held: list, values: list) -> np.ndarray:
-    """The working-frame states at ``times``, the rows inside the steps that hold a grid time.
+    """The working-frame U at ``times`` as rows of its four components, the rows inside the steps that hold a grid time.
 
     ``held`` has each such step's (t_old, h, number of rows), in the order
     of the rows, and ``values`` its (y_old, y_new, K_0, ..., K_12) as
-    complex pairs. One array pass takes the three extra stages (the drive
+    complex quadruples. One array pass takes the three extra stages (the drive
     through ``loops._fields_at``, whose bits are the run's), the
     ``_DOP_D`` sums, the seven coefficients of scipy's interpolant and every
     row's Horner chain in x and 1 - x. Every value is the bits the scalar
@@ -791,9 +875,9 @@ def _dense_rows(params: SystemParams, drive: Drive, times: np.ndarray, held: lis
     """
     t_old, h, count = (np.array(column) for column in zip(*held))
     # [(y_old, y_new, K_j), part, component, step]
-    parts = np.array(values, dtype=complex).view(float).reshape(len(held), -1, 2, 2).transpose(1, 3, 2, 0)
+    parts = np.array(values, dtype=complex).view(float).reshape(len(held), -1, len(_IDENTITY), 2).transpose(1, 3, 2, 0)
     # [stage, part, component, step]; the extra stages 13..15 are filled below
-    k = np.empty((_N_STAGES_EXTENDED, 2, 2, len(held)))
+    k = np.empty((_N_STAGES_EXTENDED, 2, len(_IDENTITY), len(held)))
     k[: _N_STAGES + 1] = parts[2:]
     y_old, y_new = parts[0], parts[1]
     a_static, half_d12 = params._a_static, params._half_d12
@@ -805,9 +889,10 @@ def _dense_rows(params: SystemParams, drive: Drive, times: np.ndarray, held: lis
             # a_static + 0.5 * omega and half_d12 * eps0, the float widened to complex(x, 0.0)
             a = np.stack([a_static.real + 0.5 * omega, np.full_like(omega, a_static.imag + 0.0)])
             g = _sfmul(eps0, np.array([[half_d12.real], [half_d12.imag]]))
-            # -1j * (a * u0 + g * u1) and -1j * (g * u0 - a * u1)
-            k[s, :, 0] = _smul(_MINUS_I, _smul(a, u[:, 0]) + _smul(g, u[:, 1]))
-            k[s, :, 1] = _smul(_MINUS_I, _smul(g, u[:, 0]) - _smul(a, u[:, 1]))
+            for c in (0, 2):  # -1j * (a * v + g * w) and -1j * (g * v - a * w) on the column (v, w)
+                v, w = u[:, c], u[:, c + 1]
+                k[s, :, c] = _smul(_MINUS_I, _smul(a, v) + _smul(g, w))
+                k[s, :, c + 1] = _smul(_MINUS_I, _smul(g, v) - _smul(a, w))
             zk[s] = _lead(_SIGNED_ZERO, 3) * k[s, ::-1]
         dy = y_new - y_old
         f_old, f_new = k[0], k[_N_STAGES]
@@ -827,6 +912,33 @@ def _dense_rows(params: SystemParams, drive: Drive, times: np.ndarray, held: lis
     return _complex(ar.T, ai.T)
 
 
+#: U's rows of the last direct runs: one loop in both directions (see ``propagate_direct``)
+_DIRECT_RUNS = _Recent(2)
+
+
+def _direct_run(params: SystemParams, drive: Drive, config: IntegratorConfig, n_output: int) -> tuple:
+    """((times, logs, rows), solver counts) of one run of U along the drive, the arrays read-only.
+
+    ``rows[k]`` holds U(times[k]) in the traceless working frame as its
+    components (U00, U10, U01, U11), and ``logs[k]`` the log of the run's
+    rescalings of U up to that row: the identity at t = 0, then the
+    dense-output interpolant of the steps that hold a grid time
+    (``_dense_rows``).
+    """
+    T = drive.duration_T
+    h_abs = min(config.initial_step, config.max_step, 0.5 * T)
+    times, logs, held, values, solver = _dop853_run()(
+        _drive_constants(drive, params), T, _output_grid(T, n_output),
+        config.rel_tol, config.abs_tol, config.max_step, h_abs,
+    )
+    times = np.array(times)
+    rows = np.empty((len(times), len(_IDENTITY)), dtype=complex)
+    rows[0] = _IDENTITY
+    rows[1:] = _dense_rows(params, drive, times[1:], held, values)
+    solver["rhs_calls"] += len(_DOP_EXTRA) * len(held)
+    return _read_only(times, np.array(logs), rows), solver
+
+
 def propagate_direct(
     params: SystemParams,
     drive: Drive,
@@ -834,22 +946,34 @@ def propagate_direct(
     config: IntegratorConfig = IntegratorConfig(),
     n_output: int = 512,
 ) -> TrajectoryRecord:
-    """Integrate i dc/dt = H(t) c along the drive in the bare basis.
+    """Integrate i dc/dt = H(t) c along the drive in the bare basis, as U(t) c0.
 
     One generated DOP853 run (``_dop853_source``) integrates the
-    traceless-frame amplitudes. Records at ``n_output + 1`` uniformly spaced
-    times (>= 512 by default): the initial state, then the dense-output
-    interpolant of the steps that hold a grid time, which the run keeps and
-    ``_dense_rows`` evaluates in one array pass after it. When the squared
-    norm leaves [1e-100, 1e+100] the state is rescaled in place and the step
-    size kept; the initial state is brought into that window before the
-    first step (divided by its largest part first when every square
-    underflows). ``meta["solver"]`` counts accepted and rejected
-    steps, RHS calls (3 more for each step that holds a grid time) and
-    renormalizations, and holds the smallest and largest accepted step
-    (``min_step``, ``max_step``; the last step, clipped to T, included).
-    ``meta["phase_s"]`` holds the wall seconds of the stepping loop
-    (``stepping``) and of the interpolated and finished rows after it
+    traceless-frame fundamental matrix U from the identity, and every row
+    of the record is U(t_k) c0. Records at ``n_output + 1`` uniformly spaced
+    times (>= 512 by default): t = 0, then the dense-output interpolant of
+    the steps that hold a grid time, which the run keeps and
+    ``_dense_rows`` evaluates in one array pass after it. When U's squared
+    Frobenius norm leaves [1e-100, 1e+100] U is rescaled in place and the
+    step size kept. c0 and each row U(t_k) c0 are scaled by powers of two to
+    a largest part in [0.5, 1) (``_pow2_scaled``), the exponents going into
+    the row's log scale, so no finite state overflows or underflows on its
+    way in or out.
+
+    U does not depend on the initial state, so the route keeps the rows of
+    the last two loops it ran (``_DIRECT_RUNS``, keyed on the exact bits of
+    the drive's type and ``_contour`` fields, the model's five constants,
+    the four ``config`` fields and ``n_output``): the next state on a loop
+    only multiplies and finishes its rows, with the bits of a fresh run. An
+    error is not kept; the next call raises it again.
+
+    ``meta["solver"]`` describes the loop's run: it counts accepted and
+    rejected steps, RHS calls (3 more for each step that holds a grid time)
+    and renormalizations, holds the smallest and largest accepted step
+    (``min_step``, ``max_step``; the last step, clipped to T, included),
+    and whether U's rows came from the cache (``reused``).
+    ``meta["phase_s"]`` holds the wall seconds of U's run and rows (a cache
+    lookup on a hit; ``stepping``) and of the state's rows after it
     (``rows``).
 
     Raises
@@ -859,28 +983,29 @@ def propagate_direct(
     StepBudgetError
         If the run exceeds the step budget (see ``_STEP_BUDGET``).
     NonFiniteError
-        If amplitudes leave the representable range despite rescaling: they
-        overflow, or the state's squared norm underflows to 0 within a step.
+        If U leaves the representable range despite rescaling (it overflows,
+        or its squared norm underflows to 0 within a step), or a row of the
+        state is exactly zero.
     """
     initial = StateVector.coerce(initial)
     if n_output < 2:
         raise ValueError("n_output must be >= 2")
-    T = drive.duration_T
-    y = (complex(initial.c1), complex(initial.c2))
-    h_abs = min(config.initial_step, config.max_step, 0.5 * T)
     started = time.perf_counter()
+    key = _key(params, drive, config.rel_tol, config.abs_tol, config.max_step, config.initial_step, n_output)
     try:
-        times, logs, start, held, values, solver = _dop853_run()(
-            _drive_constants(drive, params), y, T, _output_grid(T, n_output),
-            config.rel_tol, config.abs_tol, config.max_step, h_abs,
+        ((times, logs, rows), solver), reused = _DIRECT_RUNS.get(
+            key, lambda: _direct_run(params, drive, config, n_output)
         )
         stepped = time.perf_counter()
-        times = np.array(times)
-        raw = np.empty((len(times), 2), dtype=complex)
-        raw[0] = start
-        raw[1:] = _dense_rows(params, drive, times[1:], held, values)
-        solver["rhs_calls"] += len(_DOP_EXTRA) * len(held)
-        states, norms, logs, _ = _finalize(params, drive, times, raw, np.array(logs))
+        c0, shift = _pow2_scaled(initial.as_array())
+        u = rows.reshape(-1, 2, 2)  # [row, column, component]
+        # c0[0] * column 0 + c0[1] * column 1, each product as CPython's
+        (ar, ai), (br, bi) = (_mul(u.real[:, j], u.imag[:, j], c0.real[j], c0.imag[j]) for j in (0, 1))
+        raw, shifts = _pow2_scaled(_complex(ar + br, ai + bi))
+        zero = np.flatnonzero(~raw.any(axis=1))
+        if zero.size:
+            raise NonFiniteError(f"amplitudes underflowed float64: the state is 0 at t = {times[zero[0]]:.6g}")
+        states, norms, logs, _ = _finalize(params, drive, times, raw, logs + 2.0 * math.log(2.0) * (shift + shifts))
     except OverflowError as exc:
         # abs() and ** on Python scalars raise OverflowError instead of returning inf
         raise NonFiniteError("amplitudes overflowed float64") from exc
@@ -890,10 +1015,10 @@ def propagate_direct(
         "drive": drive,
         "config": config,
         "n_output": n_output,
-        "solver": solver,
+        "solver": {**solver, "reused": reused},
         "phase_s": {"stepping": stepped - started, "rows": time.perf_counter() - stepped},
     }
-    return TrajectoryRecord(times, states, norms, logs, None, None, meta)
+    return TrajectoryRecord(times.copy(), states, norms, logs, None, None, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -901,17 +1026,8 @@ def propagate_direct(
 # ---------------------------------------------------------------------------
 
 
-#: The state-independent part of recent adiabatic runs, least recently used
-#: first: one loop in both directions (see ``_loop_rows``); the lock guards
-#: each lookup and insertion, not the computation between them
-_LOOP_ROWS: collections.OrderedDict = collections.OrderedDict()
-_LOOP_ROWS_SIZE = 2
-_LOOP_ROWS_LOCK = threading.Lock()
-
-
-def _exact(values) -> tuple:
-    """Each value's type and exact value, a float by its bits: -0.0 and 0.0, equal under ==, differ."""
-    return tuple((type(v), v.hex() if isinstance(v, float) else v) for v in values)
+#: The state-independent part of recent adiabatic runs: one loop in both directions (see ``_loop_rows``)
+_LOOP_ROWS = _Recent(2)
 
 
 def _loop_rows(params: SystemParams, drive: Drive, rel_tol: float, n_output: int) -> tuple:
@@ -920,35 +1036,23 @@ def _loop_rows(params: SystemParams, drive: Drive, rel_tol: float, n_output: int
     The rows do not read the initial state, so a run on a loop of the cache
     takes the same arrays, read-only. The key is the exact value of
     everything they read: the drive's type and ``_contour`` fields, the
-    model's five constants, ``rel_tol`` and ``n_output``. Only a result is
-    kept; an error is raised again by the next call. Returns (the solver
-    counts of the settled map, ``traversal._Rows``, whether they came from
-    the cache).
+    model's five constants, ``rel_tol`` and ``n_output``. Returns (the
+    solver counts of the settled map, ``traversal._Rows``, whether they
+    came from the cache).
     """
-    d12 = complex(params.d12)
-    key = (type(drive), *_exact(_contour(drive)),
-           *_exact((params.e1, params.e2, params.gamma1, params.gamma2, d12.real, d12.imag, rel_tol, n_output)))
-    with _LOOP_ROWS_LOCK:
-        entry = _LOOP_ROWS.get(key)
-        if entry is not None:
-            _LOOP_ROWS.move_to_end(key)
-    if entry is not None:
-        return (*entry, True)
-    tmap, steps, rows = traversal.eigen_rows(params, drive, rel_tol, n_output)
-    for array in rows:
-        if isinstance(array, np.ndarray):
-            array.flags.writeable = False
-    solver = {
-        "steps": steps,
-        "frame": tmap.frame,
-        "floor": tmap.floor,
-        "doublings": (tmap.steps // traversal._FIRST_STEPS).bit_length() - 1,
-    }
-    with _LOOP_ROWS_LOCK:
-        _LOOP_ROWS[key] = solver, rows
-        if len(_LOOP_ROWS) > _LOOP_ROWS_SIZE:
-            _LOOP_ROWS.popitem(last=False)
-    return solver, rows, False
+    def compute():
+        tmap, steps, rows = traversal.eigen_rows(params, drive, rel_tol, n_output)
+        _read_only(*(array for array in rows if isinstance(array, np.ndarray)))
+        solver = {
+            "steps": steps,
+            "frame": tmap.frame,
+            "floor": tmap.floor,
+            "doublings": (tmap.steps // traversal._FIRST_STEPS).bit_length() - 1,
+        }
+        return solver, rows
+
+    (solver, rows), reused = _LOOP_ROWS.get(_key(params, drive, rel_tol, n_output), compute)
+    return solver, rows, reused
 
 
 def propagate_adiabatic(
@@ -1023,11 +1127,15 @@ def propagate_adiabatic(
         # c0 on the axes (cos th_0, sin th_0) and (-sin th_0, cos th_0); the
         # coefficients are on those axes signed by the gauge
         axes = ((rows.cos[0], rows.sin[0]), (-rows.sin[0], rows.cos[0]))
-        b = np.array([c_product(axis, (initial.c1, initial.c2)) for axis in axes])
+        # c0 is scaled before the projection, so a subnormal state keeps its
+        # digits, and the projection after it: for a normal c0 both scales
+        # are exact, so b and the total shift are those of one scale of b
+        c0, shift = _pow2_scaled(initial.as_array())
+        b, shift_b = _pow2_scaled(np.array([c_product(axis, c0) for axis in axes]))
+        shift = shift + shift_b
         signs = _gauge(rows.z0, rows.cos[0], rows.sin[0])
-        _, shift = np.frexp(np.maximum(np.abs(b.real), np.abs(b.imag)).max())
         with np.errstate(all="ignore"):  # overflow is caught below
-            y = rows.prefix @ (b * np.ldexp(1.0, -shift))
+            y = rows.prefix @ b
         coeffs = signs * y
         raw = np.stack([rows.cos * y[:, 0] - rows.sin * y[:, 1], rows.sin * y[:, 0] + rows.cos * y[:, 1]], axis=1)
         if not np.isfinite(raw).all():

@@ -6,8 +6,9 @@ from epdyn import propagation
 
 
 @pytest.fixture(autouse=True)
-def fresh_loop_rows():
-    # the adiabatic route keeps the rows of its last loops; a test that
-    # patches the code behind them, or counts its calls, must see them built
-    propagation._LOOP_ROWS.clear()
+def fresh_loop_caches():
+    # both routes keep the state-independent part of their last loops; a test
+    # that patches the code behind it, or counts its calls, must see it built
+    propagation._LOOP_ROWS.entries.clear()
+    propagation._DIRECT_RUNS.entries.clear()
     yield

@@ -1,13 +1,14 @@
 """The direct route's loop-based DOP853, kept as the oracle of the generated run.
 
-``_Dop853`` is the stepper the package ran before its integration became
-straight-line code compiled from the tableau: the stages as loops over the
-tableau's entries (``_combine``), an RHS callable, and ``dense()``, which
-takes the three extra stages and returns the interpolant of the last step.
-``propagate_direct`` drives it as the package's ``propagate_direct`` once did.
-Its RHS takes (a, g) from ``_traceless_kernel``, the drive read once per run.
-The tests check that the package's records are the same bits and its
-``meta["solver"]`` the same counts.
+``_Dop853`` is the package's stepper written as it ran before its
+integration became straight-line code compiled from the tableau: the stages
+as loops over the tableau's entries (``_combine``) and over the components,
+an RHS callable, and ``dense()``, which takes the three extra stages and
+returns the interpolant of the last step. ``propagate_direct`` drives it on
+the fundamental matrix U's four components from the identity and reads each
+row U c0 in Python scalars. Its RHS takes (a, g) from ``_traceless_kernel``,
+the drive read once per run. The tests check that the package's records are
+the same bits and its ``meta["solver"]`` the same counts.
 """
 
 from __future__ import annotations
@@ -45,29 +46,44 @@ from epdyn.propagation import (
 )
 
 
-def _combine(coeffs, k0: list, k1: list) -> tuple:
-    """sum_j c_j K[j] for both components."""
-    d0 = d1 = 0j
-    for j, c in coeffs:
-        d0 += c * k0[j]
-        d1 += c * k1[j]
-    return d0, d1
+def _combine(coeffs, ks: list) -> tuple:
+    """sum_j c_j K[j] for each component."""
+    out = []
+    for k in ks:
+        d = 0j
+        for j, c in coeffs:
+            d += c * k[j]
+        out.append(d)
+    return tuple(out)
 
 
 def _abs2(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
+def _norm2(zs) -> float:
+    """sum_i |z_i|^2, in the components' order."""
+    total = 0.0
+    for z in zs:
+        total += _abs2(z)
+    return total
+
+
+#: U(0): the fundamental matrix as its columns (U00, U10) and (U01, U11)
+IDENTITY = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+
+
 class _Dop853:
-    """DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) on two complex scalars.
+    """DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) on a tuple of complex scalars.
 
     The tableau is the published one, written out above; the tests check it
     equal to scipy's. The error norm (scipy's blend of the 5th- and 3rd-order
-    estimates), the step controller and the floor min_step = 10 ulp(t) are
-    those of ``scipy.integrate.DOP853``, which stays in the tests as the
-    oracle; only the stepping loop differs. ``rhs(t, y0, y1)`` returns the
-    derivative pair. The stages of the last accepted step are kept, so the
-    dense-output interpolant is built only when ``dense()`` asks for it.
+    estimates over all components), the step controller and the floor
+    min_step = 10 ulp(t) are those of ``scipy.integrate.DOP853``, which
+    stays in the tests as the oracle; only the stepping loop differs.
+    ``rhs(t, y)`` returns the derivative tuple. The stages of the last
+    accepted step are kept, so the dense-output interpolant is built only
+    when ``dense()`` asks for it.
     """
 
     SAFETY = 0.9
@@ -80,10 +96,9 @@ class _Dop853:
         self.t_bound = t_bound
         self.rtol, self.atol, self.max_step = config.rel_tol, config.abs_tol, config.max_step
         self.t, self.y = 0.0, y
-        self.f = rhs(0.0, *y)
+        self.f = rhs(0.0, y)
         self.h_abs = min(config.initial_step, config.max_step, 0.5 * t_bound)
-        self.k0 = [0j] * _N_STAGES_EXTENDED
-        self.k1 = [0j] * _N_STAGES_EXTENDED
+        self.k = [[0j] * _N_STAGES_EXTENDED for _ in y]
         self.rhs_calls = 1
         self.accepted = 0
         self.rejected = 0
@@ -92,7 +107,7 @@ class _Dop853:
 
     def step(self) -> None:
         """Take one accepted step, shrinking the trial step on rejection."""
-        t, (y0, y1), k0, k1, rhs = self.t, self.y, self.k0, self.k1, self.rhs
+        t, y, ks, rhs = self.t, self.y, self.k, self.rhs
         min_step = 10.0 * math.ulp(t)
         h = self.h_abs
         if h > self.max_step:
@@ -107,27 +122,24 @@ class _Dop853:
                 )
             t_new = min(t + h, self.t_bound)
             h = t_new - t
-            k0[0], k1[0] = self.f
+            for k, f in zip(ks, self.f):
+                k[0] = f
             for s, (c, a) in enumerate(_DOP_STAGES, 1):
-                d0 = d1 = 0j
-                for j, a_j in a:
-                    d0 += a_j * k0[j]
-                    d1 += a_j * k1[j]
-                k0[s], k1[s] = rhs(t + c * h, y0 + d0 * h, y1 + d1 * h)
-            d0, d1 = _combine(_DOP_B, k0, k1)
-            n0, n1 = y0 + h * d0, y1 + h * d1
-            f = k0[_N_STAGES], k1[_N_STAGES] = rhs(t + h, n0, n1)
+                d = _combine(a, ks)
+                for k, f in zip(ks, rhs(t + c * h, tuple(yi + di * h for yi, di in zip(y, d)))):
+                    k[s] = f
+            new = tuple(yi + h * di for yi, di in zip(y, _combine(_DOP_B, ks)))
+            f = rhs(t + h, new)
+            for k, fi in zip(ks, f):
+                k[_N_STAGES] = fi
             self.rhs_calls += _N_STAGES
-            s0 = self.atol + max(abs(y0), abs(n0)) * self.rtol
-            s1 = self.atol + max(abs(y1), abs(n1)) * self.rtol
-            e0, e1 = _combine(_DOP_E5, k0, k1)
-            err5 = _abs2(e0 / s0) + _abs2(e1 / s1)
-            e0, e1 = _combine(_DOP_E3, k0, k1)
-            err3 = _abs2(e0 / s0) + _abs2(e1 / s1)
+            scale = [self.atol + max(abs(yi), abs(ni)) * self.rtol for yi, ni in zip(y, new)]
+            err5 = _norm2(e / s for e, s in zip(_combine(_DOP_E5, ks), scale))
+            err3 = _norm2(e / s for e, s in zip(_combine(_DOP_E3, ks), scale))
             if err5 == 0.0 and err3 == 0.0:
                 err = 0.0
             else:
-                err = h * err5 / math.sqrt(2.0 * (err5 + 0.01 * err3))
+                err = h * err5 / math.sqrt(float(len(y)) * (err5 + 0.01 * err3))
             if err < 1.0:
                 factor = self.MAX_FACTOR
                 if err > 0.0:
@@ -140,46 +152,44 @@ class _Dop853:
         self.accepted += 1
         self.h_min, self.h_max = min(self.h_min, h), max(self.h_max, h)
         self.t_old, self.y_old, self.h = t, self.y, h
-        self.t, self.y, self.f = t_new, (n0, n1), f
+        self.t, self.y, self.f = t_new, new, f
 
     def dense(self):
-        """Interpolant t -> (y0, y1) over the last accepted step (3 more RHS calls).
+        """Interpolant t -> y over the last accepted step (3 more RHS calls).
 
         Call it before ``rescale``: it reads the step's end state.
         """
-        k0, k1, h, t_old = self.k0, self.k1, self.h, self.t_old
-        y_old = self.y_old
+        ks, h, t_old, y_old = self.k, self.h, self.t_old, self.y_old
         for s, (c, a) in enumerate(_DOP_EXTRA, _N_STAGES + 1):
-            d0, d1 = _combine(a, k0, k1)
-            k0[s], k1[s] = self.rhs(t_old + c * h, y_old[0] + d0 * h, y_old[1] + d1 * h)
+            d = _combine(a, ks)
+            for k, f in zip(ks, self.rhs(t_old + c * h, tuple(yi + di * h for yi, di in zip(y_old, d)))):
+                k[s] = f
         self.rhs_calls += len(_DOP_EXTRA)
-        high = [_combine(d, k0, k1) for d in _DOP_D]
+        high = [_combine(d, ks) for d in _DOP_D]
         polys = []
-        for i, k in enumerate((k0, k1)):
+        for i, k in enumerate(ks):
             dy = self.y[i] - y_old[i]
             f_old, f_new = k[0], k[_N_STAGES]
-            d3, d4, d5, d6 = (h * pair[i] for pair in high)
+            d3, d4, d5, d6 = (h * sums[i] for sums in high)
             # scipy's loop first adds the top coefficient to a zero accumulator,
             # which turns a -0.0 part into 0.0
             polys.append((dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old), d3, d4, d5, 0j + d6))
-        (p0, p1, p2, p3, p4, p5, p6), (q0, q1, q2, q3, q4, q5, q6) = polys
-        y0, y1 = y_old
 
         def interp(t: float) -> tuple:
             # scipy's Horner scheme in x and 1 - x, alternating from the top coefficient
             x = (t - t_old) / h
             u = 1.0 - x
-            return (
-                ((((((p6 * x + p5) * u + p4) * x + p3) * u + p2) * x + p1) * u + p0) * x + y0,
-                ((((((q6 * x + q5) * u + q4) * x + q3) * u + q2) * x + q1) * u + q0) * x + y1,
+            return tuple(
+                ((((((p6 * x + p5) * u + p4) * x + p3) * u + p2) * x + p1) * u + p0) * x + y0
+                for (p0, p1, p2, p3, p4, p5, p6), y0 in zip(polys, y_old)
             )
 
         return interp
 
     def rescale(self, norm: float) -> None:
         """Divide the state and its FSAL derivative by ``norm``; the step size is kept."""
-        self.y = (self.y[0] / norm, self.y[1] / norm)
-        self.f = (self.f[0] / norm, self.f[1] / norm)
+        self.y = tuple(yi / norm for yi in self.y)
+        self.f = tuple(fi / norm for fi in self.f)
         self.renormalizations += 1
 
     def counts(self) -> dict:
@@ -235,14 +245,21 @@ def _traceless_kernel(drive, params: SystemParams):
 
 
 def kernel_rhs(drive, params: SystemParams):
-    """The RHS (t, u0, u1) -> -i H (u0, u1) of the direct route, (a, g) from ``_traceless_kernel``."""
+    """The RHS (t, U) -> -i H U of the direct route on U's columns, (a, g) from ``_traceless_kernel``."""
     kernel = _traceless_kernel(drive, params)
 
-    def rhs(t: float, u0: complex, u1: complex) -> tuple:
+    def rhs(t: float, u: tuple) -> tuple:
         a, g, _, _ = kernel(t)
-        return -1j * (a * u0 + g * u1), -1j * (g * u0 - a * u1)
+        u0, u1, u2, u3 = u
+        return -1j * (a * u0 + g * u1), -1j * (g * u0 - a * u1), -1j * (a * u2 + g * u3), -1j * (g * u2 - a * u3)
 
     return rhs
+
+
+def pow2_scaled(z: tuple) -> tuple:
+    """z scaled by a power of two to a largest part in [0.5, 1), and the exponent."""
+    _, shift = math.frexp(max(abs(x) for zi in z for x in (zi.real, zi.imag)))
+    return tuple(complex(math.ldexp(zi.real, -shift), math.ldexp(zi.imag, -shift)) for zi in z), shift
 
 
 def propagate_direct(
@@ -255,57 +272,44 @@ def propagate_direct(
 ) -> TrajectoryRecord:
     """``propagate_direct`` as it stepped before its step was generated: the oracle.
 
-    The loop-based ``_Dop853`` above, its RHS from ``_traceless_kernel``,
-    and the interpolant built on each step that holds a grid time, one row at
-    a time; the rows are finished by the package's ``_finalize``. Before the
-    first step the initial state is brought into the working window as the
-    loop rescales, divided first by its largest part when every square
-    underflows.
+    The loop-based ``_Dop853`` above steps U from the identity, its RHS
+    from ``_traceless_kernel``, and the interpolant is built on each step
+    that holds a grid time, one row at a time. Each row is then U c0 for c0
+    scaled by a power of two, in Python complex scalars, scaled again by a
+    power of two; the rows are finished by the package's ``_finalize``.
+    ``meta["solver"]`` holds the run's counts (no ``reused``).
     """
     initial = StateVector.coerce(initial)
     if n_output < 2:
         raise ValueError("n_output must be >= 2")
     T = drive.duration_T
-
-    rhs = kernel_rhs(drive, params)
     grid = _output_grid(T, n_output)
-    y = (complex(initial.c1), complex(initial.c2))
-    log_u, renormalized = 0.0, 0
-    n2 = _abs2(y[0]) + _abs2(y[1])
-    if n2 == 0.0:
-        norm = max(abs(y[0].real), abs(y[0].imag), abs(y[1].real), abs(y[1].imag))
-        y = (y[0] / norm, y[1] / norm)
-        log_u, renormalized = 2.0 * math.log(norm), 1
-    elif n2 < math.inf and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
-        norm = math.sqrt(n2)
-        y = (y[0] / norm, y[1] / norm)
-        log_u, renormalized = math.log(n2), 1
-    # the rows as columns: time, working-frame state, log of the rescalings so far
-    times, raw, logs = [0.0], [y], [log_u]
+    # the rows as columns: time, working-frame U, log of the rescalings so far
+    times, rows, logs = [0.0], [IDENTITY], [0.0]
+    log_u = 0.0
     started = time.perf_counter()
-    stepper = _Dop853(rhs, y, T, config)
-    stepper.renormalizations = renormalized
+    stepper = _Dop853(kernel_rhs(drive, params), IDENTITY, T, config)
     gi = 1
     try:
         while stepper.t < T:
             stepper.step()
-            t, (y0, y1) = stepper.t, stepper.y
-            if not (cmath.isfinite(y0) and cmath.isfinite(y1)):
+            t, y = stepper.t, stepper.y
+            if not all(cmath.isfinite(z) for z in y):
                 raise NonFiniteError("amplitudes became non-finite during integration")
             if gi < len(grid) and grid[gi] <= t:
                 interp = stepper.dense()
                 while gi < len(grid) and grid[gi] <= t:
                     times.append(grid[gi])
-                    raw.append(interp(grid[gi]))
+                    rows.append(interp(grid[gi]))
                     logs.append(log_u)
                     gi += 1
             if record_internal and times[-1] < t < T:
                 times.append(t)
-                raw.append(stepper.y)
+                rows.append(y)
                 logs.append(log_u)
             if stepper.accepted > _STEP_BUDGET and T - t > _STEP_BUDGET_REMAINING * stepper.h:
                 raise StepBudgetError(_budget_message(stepper.accepted, T, t, stepper.h))
-            n2 = _abs2(y0) + _abs2(y1)
+            n2 = _norm2(y)
             if not n2 > 0:
                 raise NonFiniteError("amplitudes underflowed float64 during integration")
             if not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
@@ -314,8 +318,16 @@ def propagate_direct(
                 stepper.rescale(math.sqrt(n2))
                 log_u += math.log(n2)
         stepped = time.perf_counter()
+        (c1, c2), shift = pow2_scaled((complex(initial.c1), complex(initial.c2)))
+        raw, log_internal = [], []
+        for t, (u0, u1, u2, u3), log_row in zip(times, rows, logs):
+            state, row_shift = pow2_scaled((u0 * c1 + u2 * c2, u1 * c1 + u3 * c2))
+            if state == (0j, 0j):
+                raise NonFiniteError(f"amplitudes underflowed float64: the state is 0 at t = {t:.6g}")
+            raw.append(state)
+            log_internal.append(log_row + 2.0 * math.log(2.0) * (shift + row_shift))
         times = np.array(times)
-        states, norms, logs, _ = _finalize(params, drive, times, raw, np.array(logs))
+        states, norms, logs, _ = _finalize(params, drive, times, raw, np.array(log_internal))
     except OverflowError as exc:
         # abs() and ** on Python scalars raise OverflowError instead of returning inf
         raise NonFiniteError("amplitudes overflowed float64") from exc
@@ -331,6 +343,6 @@ def propagate_direct(
     return TrajectoryRecord(times, states, norms, logs, None, None, meta)
 
 
-def stage_pairs(stepper: _Dop853) -> list:
-    """K_0..K_12 of the last step, the two components interleaved, as the generated run keeps them."""
-    return [z for pair in zip(stepper.k0[: _N_STAGES + 1], stepper.k1) for z in pair]
+def stage_values(stepper: _Dop853) -> list:
+    """K_0..K_12 of the last step, the components of each stage together, as the generated run keeps them."""
+    return [z for stage in zip(*(k[: _N_STAGES + 1] for k in stepper.k)) for z in stage]

@@ -98,10 +98,10 @@ def dop853_interp(stepper):
     The coefficients run from the top one down, and the accumulator is
     multiplied by x and 1 - x in turn.
     """
-    k0, k1, h, t_old, y_old = stepper.k0, stepper.k1, stepper.h, stepper.t_old, stepper.y_old
-    high = [_combine(d, k0, k1) for d in _DOP_D]
+    ks, h, t_old, y_old = stepper.k, stepper.h, stepper.t_old, stepper.y_old
+    high = [_combine(d, ks) for d in _DOP_D]
     polys = []
-    for i, k in enumerate((k0, k1)):
+    for i, k in enumerate(ks):
         dy = stepper.y[i] - y_old[i]
         f_old, f_new = k[0], k[_N_STAGES]
         coeffs = [dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)]

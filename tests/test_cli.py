@@ -549,6 +549,19 @@ class TestSweep:
         assert "error: ConfigError: duration grid overflows float64 between 1e-300 and 1e+300" in err
         assert not out.exists()
 
+    def test_a_too_short_grid_names_the_flag_once(self, tmp_path, capsys):
+        # the flag replaces the field the message starts with, not the
+        # symbol of the formula after it (which read 2*pi/--t-min)
+        doc = json.loads(json.dumps(DIODE_CONFIG))
+        doc["output"]["path"] = str(tmp_path / "sweep.csv")
+        argv = ["--config", write_config(tmp_path, doc), "sweep", "--t-min", "1e-320", "--t-max", "2e-320",
+                "--t-spacing", "linear"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: ConfigError: --t-min is too small: the angular rate 2*pi/T overflows" in err
+        assert err.count("--t-min") == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
     # a NaN threshold passes a "<= 0" test and then fails every cell's check;
     # a NaN phase makes no initial state, which every cell would report
     @pytest.mark.parametrize(

@@ -62,6 +62,16 @@ def normalized_final(traj):
     return v / np.linalg.norm(v)
 
 
+def normalized(traj) -> np.ndarray:
+    """Every row of the record, normalized."""
+    return traj.states / np.linalg.norm(traj.states, axis=1, keepdims=True)
+
+
+def counts(traj) -> dict:
+    """The run's solver counts, without ``reused``."""
+    return {k: v for k, v in traj.meta["solver"].items() if k != "reused"}
+
+
 def fidelity(a, b) -> float:
     return abs(np.vdot(a, b)) ** 2
 
@@ -199,11 +209,19 @@ class TestDirectPropagation:
         assert traj.log_scale[-1] != 0.0
 
     @pytest.mark.parametrize("c1, c2", [(1e300, 1e300), (complex(1.5e308, 1.5e308), 0.0)])
-    def test_overflowing_initial_state_is_non_finite(self, c1, c2):
+    def test_overflowing_initial_state_is_scaled(self, c1, c2):
         # finite amplitudes whose squared norm or modulus overflows float64
+        # enter the rows by a power of two, as on the adiabatic route: the
+        # record is the one of the state 2^1024 times smaller, its squared
+        # norm 2^2048 times larger
         drive = StaticDrive(FieldPoint(1.0, 0.2), 1.0)
-        with pytest.raises(NonFiniteError):
-            propagate_direct(REF, drive, StateVector(c1, c2), n_output=8)
+        big = propagate_direct(REF, drive, StateVector(c1, c2), n_output=8)
+        c1s, c2s = (complex(math.ldexp(complex(c).real, -1024), math.ldexp(complex(c).imag, -1024)) for c in (c1, c2))
+        small = propagate_direct(REF, drive, StateVector(c1s, c2s), n_output=8)
+        assert np.isfinite(big.states.view(float)).all() and np.isfinite(big.log_scale).all()
+        log_n2 = [np.log(traj.norms_sq) + traj.log_scale for traj in (big, small)]
+        np.testing.assert_allclose(log_n2[0], log_n2[1] + 2048.0 * math.log(2.0), rtol=1e-12)
+        np.testing.assert_allclose(*(normalized(traj) for traj in (big, small)), rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("propagate", [propagate_direct, propagate_adiabatic], ids=["direct", "adiabatic"])
     @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
@@ -217,9 +235,23 @@ class TestDirectPropagation:
         assert tiny.log_scale[0] == pytest.approx(2.0 * math.log(1e-200))
         assert survival_fraction(tiny) == pytest.approx(survival_fraction(unit), rel=1e-12, abs=0.0)
         if propagate is propagate_direct:
-            # the run divides by the largest part, 1e-200, and steps the unit state's steps
-            assert tiny.meta["solver"] == {**unit.meta["solver"], "renormalizations": 1}
+            # c0 enters by a power of two, so both states take the loop's one run of U
+            assert (tiny.meta["solver"]["reused"], unit.meta["solver"]["reused"]) == (False, True)
+            assert counts(tiny) == counts(unit)
             np.testing.assert_allclose(tiny.states, unit.states, rtol=1e-12)
+
+    @pytest.mark.parametrize("propagate", [propagate_direct, propagate_adiabatic], ids=["direct", "adiabatic"])
+    def test_subnormal_initial_state(self, propagate):
+        # the state enters the rows by ldexp on its parts, before the
+        # adiabatic route's projection, which would round a subnormal state
+        # away (and 2^1073 overflowed: NonFiniteError): 2^-1074 gives the
+        # rows of 2^-1
+        drive = StaticDrive(FieldPoint(1.1, 0.2), 1.0)
+        tiny = propagate(REF, drive, StateVector(5e-324, 0.0), n_output=8)
+        half = propagate(REF, drive, StateVector(0.5, 0.0), n_output=8)
+        assert np.isfinite(tiny.states.view(float)).all() and np.isfinite(tiny.log_scale).all()
+        np.testing.assert_allclose(normalized(tiny), normalized(half), rtol=1e-12)
+        assert survival_fraction(tiny) == pytest.approx(survival_fraction(half), rel=1e-12, abs=0.0)
 
     def test_huge_rates_end_in_the_step_budget(self):
         # e1 = 1e100 drives the step to about 1e-100; the run stops once
@@ -242,22 +274,24 @@ class TestDirectPropagation:
 
 
 def scipy_direct(params, drive, initial, config, n_output):
-    """Oracle: scipy's DOP853 class driven as propagate_direct once drove it.
+    """Oracle: scipy's DOP853 class on the flattened fundamental matrix, each row U(t_k) c0.
 
-    Dense output on every step, and a fresh solver from ``initial_step``
-    after each renormalization. Returns the record and the accepted steps.
+    U steps as its columns (U00, U10, U01, U11) from the identity, with
+    dense output on every step, and a fresh solver from ``initial_step``
+    after each renormalization of U. Returns the record and the accepted
+    steps.
     """
     T = drive.duration_T
 
     def rhs(t, u):
         fp = drive.field_at(min(max(t, 0.0), T))
         a, g = _traceless(params, fp.omega, fp.eps0)
-        return -1j * np.array([a * u[0] + g * u[1], g * u[0] - a * u[1]], dtype=complex)
+        return -1j * np.array([a * u[0] + g * u[1], g * u[0] - a * u[1], a * u[2] + g * u[3], g * u[2] - a * u[3]])
 
     grid = np.linspace(0.0, T, n_output + 1)
-    u = initial.as_array()
+    u = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
     log_u = 0.0
-    times, raw, logs = [0.0], [u.copy()], [log_u]
+    times, rows, logs = [0.0], [u.copy()], [log_u]
     t_now, gi, accepted = 0.0, 1, 0
     while t_now < T:
         first = min(config.initial_step, config.max_step, 0.5 * (T - t_now))
@@ -271,47 +305,57 @@ def scipy_direct(params, drive, initial, config, n_output):
             dense = solver.dense_output()
             while gi <= n_output and grid[gi] <= solver.t:
                 times.append(grid[gi])
-                raw.append(dense(grid[gi]))
+                rows.append(dense(grid[gi]))
                 logs.append(log_u)
                 gi += 1
-            n2 = float(abs(solver.y[0]) ** 2 + abs(solver.y[1]) ** 2)
+            n2 = float(np.sum(np.abs(solver.y) ** 2))
             if n2 > 0 and not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
                 u, t_now, restart = solver.y / math.sqrt(n2), solver.t, True
                 log_u += math.log(n2)
                 break
         if not restart:
             u, t_now = solver.y, solver.t
+    raw = [row.reshape(2, 2).T @ initial.as_array() for row in rows]
     states, norms, logs, _ = finalize(params, drive, times, raw, logs)
     return TrajectoryRecord(np.array(times), states, norms, logs, None, None), accepted
 
 
 ORACLE_CASES = {
-    f"{name}-{d.value}-state{s}": (params, make_loop(d), s)
+    f"{name}-{d.value}-state{s}": (params, make_loop(d), s, bound)
     for d in (Direction.CW, Direction.CCW)
-    for name, params, make_loop, states in (
-        ("encircling50", REF, lambda d: encircling_loop(50.0, d), (1, 2)),
-        ("hermitian50", HERMITIAN_PARAMS, lambda d: hermitian_loop(50.0, d), (1, 2)),
-        ("diode_control", REF, diode_control_loop, (1, 2)),
-        ("diode", REF, diode_loop, (2,)),
+    for name, params, make_loop, states, bound in (
+        ("encircling50", REF, lambda d: encircling_loop(50.0, d), (1, 2), 1e-12),
+        ("hermitian50", HERMITIAN_PARAMS, lambda d: hermitian_loop(50.0, d), (1, 2), 1e-12),
+        ("diode_control", REF, diode_control_loop, (1, 2), 1e-12),
+        # see test_same_steps_and_grid_rows
+        ("diode", REF, diode_loop, (2,), 1e-3),
     )
     for s in states
 }
 
 
 class TestDirectStepperAgainstScipy:
-    @pytest.mark.parametrize("params, loop, state", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
-    def test_same_steps_and_grid_rows(self, params, loop, state):
+    @pytest.mark.parametrize("params, loop, state, bound", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+    def test_same_steps_and_grid_rows(self, params, loop, state, bound):
+        # the same accepted steps, grid times and log scales. The step sizes
+        # agree to rounding only: U's off-diagonal entries start at 0, so
+        # the error estimates of the first steps are rounding, which numpy
+        # sums in another order (the steps differ by 1e-7 to 1e-2 relative
+        # on these loops). The rows then agree to 1e-12, except on the diode
+        # loop, whose transient amplifies the different steps' local errors
+        # to its own error at this tolerance: 1.5e-5 (CW) and 7.4e-5 (CCW)
+        # measured, while U e2 is 1e-5 from the long-double map there
         traj = propagate_direct(params, loop, StateVector.basis(state), TIGHT, n_output=64)
         oracle, accepted = scipy_direct(params, loop, StateVector.basis(state), TIGHT, n_output=64)
         assert traj.meta["solver"]["accepted"] == accepted
         np.testing.assert_array_equal(traj.times, oracle.times)
         np.testing.assert_array_equal(traj.log_scale, oracle.log_scale)
         rel = np.linalg.norm(traj.states - oracle.states, axis=1) / np.linalg.norm(oracle.states, axis=1)
-        assert rel.max() <= 1e-12, rel.max()
+        assert rel.max() <= bound, rel.max()
 
     def test_dense_output_only_on_steps_holding_a_grid_time(self, monkeypatch):
-        # 12 RHS calls per step, 3 more on each of the 8 steps that hold a
-        # grid time, 1 at t = 0. The loop-based reference stepper evaluates
+        # 12 RHS calls per step tried (2 are rejected here), 3 more on each
+        # of the 8 steps that hold a grid time, 1 at t = 0. The loop-based reference stepper evaluates
         # the drive kernel once per call, and the array pass takes the drive
         # at the 3 extra stages of those 8 steps only; the scipy oracle,
         # whose RHS goes through loops.field_at, builds the interpolant on
@@ -327,17 +371,17 @@ class TestDirectStepperAgainstScipy:
         monkeypatch.setattr(dop853_reference, "_traceless_kernel", counting_kernel)
         monkeypatch.setattr(prop, "_fields_at", lambda drive, t: stage_times.extend(t) or fields_at(drive, t))
         loop, init = diode_loop(Direction.CCW), StateVector.basis(2)
-        solver = propagate_direct(REF, loop, init, TIGHT, n_output=8).meta["solver"]
+        solver = counts(propagate_direct(REF, loop, init, TIGHT, n_output=8))
         assert solver == dop853_reference.propagate_direct(REF, loop, init, TIGHT, n_output=8).meta["solver"]
         assert solver["rhs_calls"] == len(calls)
-        assert solver["rhs_calls"] == 12 * solver["accepted"] + 3 * 8 + 1
-        assert len(stage_times) == 3 * 8
+        assert solver["rhs_calls"] == 12 * (solver["accepted"] + solver["rejected"]) + 3 * 8 + 1
+        assert solver["rejected"] == 2 and len(stage_times) == 3 * 8
         calls.clear()
         field_at = loops.field_at
         monkeypatch.setattr(loops, "field_at", lambda loop, t: calls.append(t) or field_at(loop, t))
         _, accepted = scipy_direct(REF, loop, init, TIGHT, n_output=8)
         assert accepted == solver["accepted"]
-        assert len(calls) == 15 * accepted + 1
+        assert len(calls) == 15 * accepted + 12 * solver["rejected"] + 1
 
 
 @pytest.mark.parametrize("propagate", [propagate_direct, propagate_adiabatic], ids=["direct", "adiabatic"])
@@ -356,7 +400,7 @@ def test_solver_reports_the_accepted_step_sizes(propagate):
         assert len(traj.times) == solver["steps"] + 1
         np.testing.assert_allclose(np.diff(traj.times), 50.0 / solver["steps"], rtol=1e-12)
         return
-    solver = propagate(REF, loop, StateVector.basis(2), TIGHT, n_output=2).meta["solver"]
+    solver = counts(propagate(REF, loop, StateVector.basis(2), TIGHT, n_output=2))
     internal = dop853_reference.propagate_direct(REF, loop, StateVector.basis(2), TIGHT, n_output=2,
                                                  record_internal=True)
     assert internal.meta["solver"] == solver
@@ -435,14 +479,14 @@ class TestRowsAgainstReference:
         # the array pass's Horner chains give the bits of scipy's loop, on 60
         # steps of the loop-based reference stepper at 7 times each
         rhs = dop853_reference.kernel_rhs(diode_loop(Direction.CCW), REF)
-        stepper = dop853_reference._Dop853(rhs, (0.6 + 0j, 0.8j), DIODE_DURATION, TIGHT)
+        stepper = dop853_reference._Dop853(rhs, (0.6 + 0j, 0.8j, -0.3j, 0.2 + 0j), DIODE_DURATION, TIGHT)
         held, values, times, reference = [], [], [], []
         for _ in range(60):
             stepper.step()
             stepper.dense()
             interp = dop853_interp(stepper)
             held.append((stepper.t_old, stepper.h, 7))
-            values.append((*stepper.y_old, *stepper.y, *dop853_reference.stage_pairs(stepper)))
+            values.append((*stepper.y_old, *stepper.y, *dop853_reference.stage_values(stepper)))
             for t in np.linspace(stepper.t_old, stepper.t, 7).tolist():
                 times.append(t)
                 reference.append(interp(t))
@@ -464,17 +508,17 @@ class TestRowsAgainstReference:
             return complex(re, im)
 
         rhs = dop853_reference.kernel_rhs(drive, params)
-        stepper = dop853_reference._Dop853(rhs, (1.0 + 0j, 0j), drive.duration_T, TIGHT)
+        stepper = dop853_reference._Dop853(rhs, dop853_reference.IDENTITY, drive.duration_T, TIGHT)
         held, values, times, reference = [], [], [], []
         for t_old in np.linspace(0.0, 0.9 * drive.duration_T, 200).tolist():
             stepper.t_old, stepper.h = t_old, 0.05 * drive.duration_T
-            stepper.y_old, stepper.y = (value(), value()), (value(), value())
-            for j in range(prop._N_STAGES + 1):
-                stepper.k0[j], stepper.k1[j] = value(), value()
+            stepper.y_old, stepper.y = tuple(value() for _ in range(4)), tuple(value() for _ in range(4))
+            for k in stepper.k:
+                k[: prop._N_STAGES + 1] = [value() for _ in range(prop._N_STAGES + 1)]
             stepper.dense()
             interp = dop853_interp(stepper)
             held.append((stepper.t_old, stepper.h, 3))
-            values.append((*stepper.y_old, *stepper.y, *dop853_reference.stage_pairs(stepper)))
+            values.append((*stepper.y_old, *stepper.y, *dop853_reference.stage_values(stepper)))
             for x in (0.0, 0.5, 1.0):
                 times.append(t_old + x * stepper.h)
                 reference.append(interp(times[-1]))
@@ -490,11 +534,9 @@ def test_meta_times_each_phase(propagate):
     for traj in runs:
         assert sorted(traj.meta["phase_s"]) == ["rows", "stepping"]
         assert all(seconds >= 0.0 for seconds in traj.meta["phase_s"].values())
-    solvers = [dict(traj.meta["solver"]) for traj in runs]
-    if propagate is propagate_adiabatic:
-        # the second run on the loop takes the first one's rows; the counts are the same
-        assert [solver.pop("reused") for solver in solvers] == [False, True]
-    assert solvers[0] == solvers[1]
+    # the second run on the loop takes the first one's rows; the counts are the same
+    assert [traj.meta["solver"]["reused"] for traj in runs] == [False, True]
+    assert counts(runs[0]) == counts(runs[1])
     assert trajectory_to_csv(runs[0]) == trajectory_to_csv(runs[1])
     assert trajectory_to_json(runs[0]) == trajectory_to_json(runs[1])
 
@@ -563,6 +605,14 @@ ORACLE_STEP_CASES = {
     "grid-on-step-ends": (
         REF, StaticDrive(FieldPoint(1.07, 0.31), 2.0), StateVector.basis(1), ON_STEP_ENDS, {"n_output": 8}
     ),
+    # finite states whose squared norm or modulus overflows float64 enter the rows by a power of two
+    "overflowing-norm": (
+        REF, StaticDrive(FieldPoint(1.0, 0.2), 1.0), StateVector(1e300, 1e300), IntegratorConfig(), {"n_output": 8}
+    ),
+    "overflowing-modulus": (
+        REF, StaticDrive(FieldPoint(1.0, 0.2), 1.0), StateVector(complex(1.5e308, 1.5e308), 0.0), IntegratorConfig(),
+        {"n_output": 8},
+    ),
 }
 
 
@@ -576,7 +626,7 @@ class TestGeneratedStepAgainstLoop:
         oracle = dop853_reference.propagate_direct(params, drive, initial, config, **kwargs)
         for name in ("times", "states", "norms_sq", "log_scale"):
             assert bits(getattr(traj, name)) == bits(getattr(oracle, name)), name
-        assert traj.meta["solver"] == oracle.meta["solver"]
+        assert counts(traj) == oracle.meta["solver"]
 
     def test_cases_cover_what_they_name(self):
         def solver(name):
@@ -589,33 +639,35 @@ class TestGeneratedStepAgainstLoop:
         assert on_ends["min_step"] == on_ends["max_step"] == 0.25
         assert on_ends["rhs_calls"] == 12 * 8 + 3 * 8 + 1
 
-    @pytest.mark.parametrize("params, drive, y", [
-        (REF, diode_loop(Direction.CW), (0.6 + 0j, 0.8j)),
-        (SIGNED_ZEROS, StaticDrive(FieldPoint(-0.0, -0.0), 5.0), (1.0 - 0j, complex(-0.0, 0.0))),
-        (SIGNED_ZEROS, StaticDrive(FieldPoint(-0.0, 0.3), 5.0), (complex(-0.0, -0.0), 1.0 + 0j)),
+    @pytest.mark.parametrize("params, drive", [
+        (REF, diode_loop(Direction.CW)),
+        (SIGNED_ZEROS, StaticDrive(FieldPoint(-0.0, -0.0), 5.0)),
+        (SIGNED_ZEROS, StaticDrive(FieldPoint(-0.0, 0.3), 5.0)),
     ], ids=["diode", "static-zero-field", "static-signed-zeros"])
-    def test_each_step_is_the_loops_bits(self, params, drive, y):
+    def test_each_step_is_the_loops_bits(self, params, drive):
         # the run on a grid of the loop's step ends holds every step, so
-        # ``values`` has each step's start and end state and its 13 stage
-        # pairs, signed zeros included: a zero field keeps every stage a
-        # signed zero, whose sign only the exact operation order reproduces
+        # ``values`` has each step's start and end U and its 13 stage
+        # quadruples, signed zeros included: the identity's zeros stay
+        # signed zeros in a zero field, whose sign only the exact operation
+        # order reproduces
         T = drive.duration_T
-        reference = dop853_reference._Dop853(dop853_reference.kernel_rhs(drive, params), y, T, TIGHT)
+        reference = dop853_reference._Dop853(dop853_reference.kernel_rhs(drive, params), dop853_reference.IDENTITY,
+                                             T, TIGHT)
         grid, steps, want = [0.0], [], []
         while reference.t < T:
             reference.step()
             grid.append(reference.t)
             steps.append((reference.t_old, reference.h, 1))
-            want.append((*reference.y_old, *reference.y, *dop853_reference.stage_pairs(reference)))
+            want.append((*reference.y_old, *reference.y, *dop853_reference.stage_values(reference)))
         h_abs = min(TIGHT.initial_step, TIGHT.max_step, 0.5 * T)
         run = prop._dop853_run()
-        times, logs, start, held, values, counts = run(
-            prop._drive_constants(drive, params), y, T, grid, TIGHT.rel_tol, TIGHT.abs_tol, TIGHT.max_step, h_abs
+        times, logs, held, values, solver = run(
+            prop._drive_constants(drive, params), T, grid, TIGHT.rel_tol, TIGHT.abs_tol, TIGHT.max_step, h_abs
         )
         assert held == steps
         assert bits(np.array(values)) == bits(np.array(want))
-        assert (times, logs, start) == (grid, [0.0] * len(grid), y)
-        assert counts == reference.counts()
+        assert (times, logs) == (grid, [0.0] * len(grid))
+        assert solver == reference.counts()
 
     def test_source_is_flat_and_from_the_tableau(self):
         source = prop._dop853_source()
@@ -662,8 +714,10 @@ def fuzz_case(rng):
         drive = StaticDrive(FieldPoint(float(rng.choice([0.0, -0.0])), float(rng.choice([0.0, -0.0]))), T)
         params = SIGNED_ZEROS
     else:
+        # half of these decay fast enough (|U|^2 grows as e^(|gamma1 - gamma2| t)) that U is rescaled
         drive = StaticDrive(FieldPoint(float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.0, 0.5))), T)
-        params = SystemParams(e1=0.0, e2=1.0, gamma1=float(rng.uniform(0.0, 0.5)), gamma2=0.3, d12=0.0)
+        gamma1 = float(rng.choice([rng.uniform(0.0, 0.5), rng.uniform(40.0, 60.0)]))
+        params = SystemParams(e1=0.0, e2=1.0, gamma1=gamma1, gamma2=0.3, d12=0.0)
     config = IntegratorConfig(
         rel_tol=float(rng.choice([1e-6, 1e-8, 1e-10, 1e-12])),
         abs_tol=float(rng.choice([1e-6, 1e-10, 1e-14, 1e-300])),
@@ -710,15 +764,6 @@ FAILING_CASES = {
          {"n_output": 4}),
         NonFiniteError, "amplitudes underflowed",
     ),
-    "overflowing-norm": (
-        (REF, StaticDrive(FieldPoint(1.0, 0.2), 1.0), StateVector(1e300, 1e300), IntegratorConfig(), {"n_output": 8}),
-        NonFiniteError, "amplitudes overflowed",
-    ),
-    "overflowing-modulus": (
-        (REF, StaticDrive(FieldPoint(1.0, 0.2), 1.0), StateVector(complex(1.5e308, 1.5e308), 0.0), IntegratorConfig(),
-         {"n_output": 8}),
-        NonFiniteError, "amplitudes overflowed",
-    ),
 }
 
 
@@ -728,7 +773,7 @@ def outcome(propagate, params, drive, initial, config, kwargs):
         traj = propagate(params, drive, initial, config, **kwargs)
     except EpdynError as exc:
         return type(exc), str(exc)
-    return [bits(getattr(traj, name)) for name in ("times", "states", "norms_sq", "log_scale")], traj.meta["solver"]
+    return [bits(getattr(traj, name)) for name in ("times", "states", "norms_sq", "log_scale")], counts(traj)
 
 
 class TestFuzzAgainstLoop:
@@ -1258,7 +1303,7 @@ def record_bits(traj) -> tuple:
 
 def fresh(*args, **kwargs):
     """An adiabatic run with the loop cache emptied first, so it computes its rows."""
-    prop._LOOP_ROWS.clear()
+    prop._LOOP_ROWS.entries.clear()
     return propagate_adiabatic(*args, **kwargs)
 
 
@@ -1279,7 +1324,7 @@ class TestLoopRows:
         drives = [dataclasses.replace(self.LOOP, start_phase=phase) for phase in (0.0, -0.0)]
         runs = [propagate_adiabatic(REF, loop, StateVector.basis(2), TIGHT, n_output=16) for loop in drives]
         assert [run.meta["solver"]["reused"] for run in runs] == [False, False]
-        assert len(prop._LOOP_ROWS) == 2
+        assert len(prop._LOOP_ROWS.entries) == 2
         for loop, run in zip(drives, runs):
             assert record_bits(run) == record_bits(fresh(REF, loop, StateVector.basis(2), TIGHT, n_output=16))
 
@@ -1290,7 +1335,7 @@ class TestLoopRows:
             with pytest.raises(EPOnContourError) as info:
                 propagate_adiabatic(REF, loop, StateVector.basis(1), TIGHT)
             messages.append(str(info.value))
-        assert len(set(messages)) == 1 and not prop._LOOP_ROWS
+        assert len(set(messages)) == 1 and not prop._LOOP_ROWS.entries
 
     def test_writing_into_a_record_leaves_the_next_call_unchanged(self):
         first = propagate_adiabatic(REF, self.LOOP, StateVector.basis(2), TIGHT, n_output=16)
@@ -1299,7 +1344,7 @@ class TestLoopRows:
         first.states[:] = 0.0
         hit = propagate_adiabatic(REF, self.LOOP, StateVector.basis(2), TIGHT, n_output=16)
         assert hit.meta["solver"]["reused"] and record_bits(hit) == want
-        ((_, rows),) = prop._LOOP_ROWS.values()
+        ((_, rows),) = prop._LOOP_ROWS.entries.values()
         with pytest.raises(ValueError, match="read-only"):
             rows.prefix[0] = 0.0
 
@@ -1311,7 +1356,7 @@ class TestLoopRows:
 
         # a is used again after b, so b is the oldest when c comes in
         assert [reused(loop) for loop in (a, b, a, c, a, b)] == [False, False, True, False, True, False]
-        assert len(prop._LOOP_ROWS) == 2
+        assert len(prop._LOOP_ROWS.entries) == 2
 
     def test_the_second_state_runs_no_intervals(self, monkeypatch):
         calls = []
@@ -1356,4 +1401,102 @@ class TestLoopRows:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads) and errors == []
         assert len(got) == 48 and all(bits_ == want[i] for i, bits_ in got)
-        assert len(prop._LOOP_ROWS) <= 2
+        assert len(prop._LOOP_ROWS.entries) <= 2
+
+
+def fresh_direct(*args, **kwargs):
+    """A direct run with the cache emptied first, so it steps U."""
+    prop._DIRECT_RUNS.entries.clear()
+    return propagate_direct(*args, **kwargs)
+
+
+def direct_bits(traj) -> tuple:
+    """Every array of a direct record as raw bytes, and its solver counts without ``reused``."""
+    return (*(bits(getattr(traj, name)) for name in ("times", "states", "norms_sq", "log_scale")), counts(traj))
+
+
+#: the key fields of a direct run, each changed from (REF, DirectRuns.LOOP, TIGHT, n_output 8)
+LOOP50 = encircling_loop(50.0, Direction.CW)
+KEY_CHANGES = {
+    "drive-type": (REF, StaticDrive(LOOP50.center, 50.0), TIGHT, 8),
+    "center-omega": (REF, dataclasses.replace(LOOP50, center=FieldPoint(1.01, LOOP50.center.eps0)), TIGHT, 8),
+    "center-eps0": (REF, dataclasses.replace(LOOP50, center=FieldPoint(1.0, LOOP50.center.eps0 + 0.01)), TIGHT, 8),
+    "semi-axis-omega": (REF, dataclasses.replace(LOOP50, semi_axis_omega=LOOP50.semi_axis_omega + 0.01), TIGHT, 8),
+    "semi-axis-eps": (REF, dataclasses.replace(LOOP50, semi_axis_eps=LOOP50.semi_axis_eps - 0.01), TIGHT, 8),
+    "direction": (REF, dataclasses.replace(LOOP50, direction=Direction.CCW), TIGHT, 8),
+    "duration": (REF, dataclasses.replace(LOOP50, duration_T=50.5), TIGHT, 8),
+    "start-phase-signed-zero": (REF, dataclasses.replace(LOOP50, start_phase=-0.0), TIGHT, 8),
+    "e1": (dataclasses.replace(REF, e1=0.01), LOOP50, TIGHT, 8),
+    "e2": (dataclasses.replace(REF, e2=1.01), LOOP50, TIGHT, 8),
+    "gamma1": (dataclasses.replace(REF, gamma1=0.11), LOOP50, TIGHT, 8),
+    "gamma2": (dataclasses.replace(REF, gamma2=0.31), LOOP50, TIGHT, 8),
+    "d12-real": (dataclasses.replace(REF, d12=1.01), LOOP50, TIGHT, 8),
+    "d12-imag": (dataclasses.replace(REF, d12=1.0 + 0.01j), LOOP50, TIGHT, 8),
+    "rel-tol": (REF, LOOP50, dataclasses.replace(TIGHT, rel_tol=1e-11), 8),
+    "abs-tol": (REF, LOOP50, dataclasses.replace(TIGHT, abs_tol=1e-13), 8),
+    "max-step": (REF, LOOP50, dataclasses.replace(TIGHT, max_step=3.0), 8),
+    "initial-step": (REF, LOOP50, dataclasses.replace(TIGHT, initial_step=0.02), 8),
+    "n-output": (REF, LOOP50, TIGHT, 9),
+}
+
+
+class TestDirectRuns:
+    """The direct route keeps U's rows of its last two loops."""
+
+    LOOP = LOOP50
+
+    @pytest.mark.parametrize("initial", [
+        random_state(np.random.default_rng(5)), StateVector(0.0, 0.7), StateVector(1e-200, complex(0.0, -1e-210)),
+    ], ids=["gaussian", "zero-first", "underflowing"])
+    def test_a_hit_is_the_bits_of_a_fresh_run(self, initial):
+        propagate_direct(REF, self.LOOP, StateVector(0.6, 0.8j), TIGHT, n_output=64)
+        hit = propagate_direct(REF, self.LOOP, initial, TIGHT, n_output=64)
+        want = fresh_direct(REF, self.LOOP, initial, TIGHT, n_output=64)
+        assert (hit.meta["solver"]["reused"], want.meta["solver"]["reused"]) == (True, False)
+        assert direct_bits(hit) == direct_bits(want)
+
+    def test_the_base_run_has_the_values_the_changes_move(self):
+        assert self.LOOP.start_phase == 0.0 and math.copysign(1.0, self.LOOP.start_phase) == 1.0
+        assert REF.e1 == 0.0 and REF.e2 == 1.0 and REF.d12 == 1.0 and TIGHT.max_step == 10.0
+
+    @pytest.mark.parametrize("params, drive, config, n_output", KEY_CHANGES.values(), ids=KEY_CHANGES.keys())
+    def test_a_change_to_any_key_field_misses(self, params, drive, config, n_output):
+        propagate_direct(REF, self.LOOP, StateVector.basis(2), TIGHT, n_output=8)
+        run = propagate_direct(params, drive, StateVector.basis(2), config, n_output=n_output)
+        assert run.meta["solver"]["reused"] is False and len(prop._DIRECT_RUNS.entries) == 2
+        want = fresh_direct(params, drive, StateVector.basis(2), config, n_output=n_output)
+        assert direct_bits(run) == direct_bits(want)
+
+    @pytest.mark.parametrize("name", ["budget", "underflow"])
+    def test_an_error_is_raised_on_every_call(self, name):
+        (params, drive, initial, config, kwargs), error, _ = FAILING_CASES[name]
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                propagate_direct(params, drive, initial, config, **kwargs)
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1 and not prop._DIRECT_RUNS.entries
+
+    def test_writing_into_a_record_leaves_the_next_call_unchanged(self):
+        first = propagate_direct(REF, self.LOOP, StateVector.basis(2), TIGHT, n_output=16)
+        want = direct_bits(first)
+        first.times[1:] = 1e9
+        first.states[:] = 0.0
+        first.log_scale[:] = 5.0
+        first.meta["solver"]["accepted"] = -1
+        hit = propagate_direct(REF, self.LOOP, StateVector.basis(2), TIGHT, n_output=16)
+        assert hit.meta["solver"]["reused"] and direct_bits(hit) == want
+        (((times, logs, rows), solver),) = prop._DIRECT_RUNS.entries.values()
+        for array in (times, logs, rows):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_a_third_loop_evicts_the_oldest(self):
+        a, b, c = (encircling_loop(T, Direction.CW) for T in (50.0, 60.0, 70.0))
+
+        def reused(loop):
+            return propagate_direct(REF, loop, StateVector.basis(2), TIGHT, n_output=8).meta["solver"]["reused"]
+
+        # a is used again after b, so b is the oldest when c comes in
+        assert [reused(loop) for loop in (a, b, a, c, a, b)] == [False, False, True, False, True, False]
+        assert len(prop._DIRECT_RUNS.entries) == 2
