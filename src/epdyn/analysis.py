@@ -24,6 +24,7 @@ from .propagation import (
     IntegratorConfig,
     StateVector,
     TrajectoryRecord,
+    _pow2_scaled,
     propagate_direct,
     track_branches,
 )
@@ -131,11 +132,8 @@ def _map_report(params: SystemParams, loop: LoopSpec, tmap: TraversalMap, initia
     The survival restores the trace factor the map leaves out:
     |U c0|^2 e^(2 log_scale) e^(-(gamma1 + gamma2) T) / |c0|^2.
     """
-    c0 = StateVector.coerce(initial).as_array()
-    # scaled by a power of two to a largest amplitude in [0.5, 1), so that
-    # |U c0|^2 of a tiny state cannot underflow
-    _, shift = np.frexp(np.max(np.abs(c0)))
-    c0 = np.ldexp(c0.real, -shift) + 1j * np.ldexp(c0.imag, -shift)
+    # c0 enters as on both routes, by a power of two, so |U c0|^2 of a tiny state cannot underflow
+    c0, _ = _pow2_scaled(StateVector.coerce(initial).as_array())
     final = tmap.U[:, 0] * c0[0] + tmap.U[:, 1] * c0[1]
     pops = np.abs(final) ** 2
     dominant, ratio = _dominance(float(pops[0] / (pops[0] + pops[1])))

@@ -23,9 +23,10 @@ read once per run), so every stage has those bits without a call or an
 object per step. The run keeps the stages of each step that holds an output
 time; after it, one array pass (``_dense_rows``) builds those steps'
 dense-output interpolants and evaluates U at every output row after the
-first. The run rescales U in place, keeping the step size, when its norm
-leaves the working window, and enforces a step budget (``_STEP_BUDGET``),
-so no input makes a run go on without end. U does not depend on the
+first. The run rescales each column of U in place, keeping the step size,
+when the column's norm leaves the working window, so a column that falls
+far below the other keeps its digits, and it enforces a step budget
+(``_STEP_BUDGET``), so no input makes a run go on without end. U does not depend on the
 initial state, so the route keeps U's rows for the last two loops it ran
 (``_DIRECT_RUNS``) and the next state on a loop only multiplies.
 
@@ -332,9 +333,10 @@ def _pow2_scaled(z: np.ndarray) -> tuple:
     z = scaled * 2**shift exactly: ``np.ldexp`` on the parts keeps every
     signed zero and brings subnormal parts up, where a product with
     2**-shift would overflow for a subnormal largest part. A vector that is
-    exactly zero keeps shift 0. A state enters either route's rows this
-    way, and leaves the direct route's, so no finite state overflows or
-    underflows on its way in or out.
+    exactly zero keeps shift 0. A state enters either route's rows and a
+    traversal map's report (``analysis._map_report``) this way, and leaves
+    the direct route's, so no finite state overflows or underflows on its
+    way in or out.
     """
     _, shift = np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)).max(axis=-1))
     down = -shift[..., None]
@@ -665,11 +667,11 @@ def run(drive, t_bound, grid, rtol, atol, max_step, h_abs):
     T, th0, sign, cx, ax, cy, ay, a_static, half_d12 = drive
     turn = sign * 2.0 * pi
     {y} = {identity}
-    t = log_u = 0.0
+    t = log_u0 = log_u1 = 0.0
     accepted = rejected = renormalizations = 0
     h_min, h_max, gi, n_grid = inf, 0.0, 1, len(grid)
 {first}
-    times, logs, held, values = [0.0], [0.0], [], []
+    times, logs, held, values = [0.0], [(0.0, 0.0)], [], []
     while t < t_bound:
         {k_first} = {k_last}
         min_step = 10.0 * ulp(t)
@@ -720,27 +722,35 @@ def run(drive, t_bound, grid, rtol, atol, max_step, h_abs):
             held.append((t, h, stop - gi))
             values.append(({y}, {n}, {stage_values}))
             times += grid[gi:stop]
-            logs += [log_u] * (stop - gi)
+            logs += [(log_u0, log_u1)] * (stop - gi)
             gi = stop
         if accepted > {budget!r} and t_bound - t_new > {remaining!r} * h:
             raise StepBudgetError(budget_message(accepted, t_bound, t_new, h))
         t, {y} = t_new, {n}
-        ss = {norm_sq}
-        if ss > 0.0:
-            lg = log(ss)
-            if not ({lo!r} < lg < {hi!r}):
-                if lg == inf:  # dividing by sqrt(ss) would zero the matrix
-                    raise NonFiniteError("amplitudes overflowed float64")
-                norm = sqrt(ss)
-                {y}, {k_last} = {y_scaled}, {k_scaled}
-                renormalizations += 1
-                log_u += lg
-        else:
-            raise NonFiniteError("amplitudes underflowed float64 during integration")
+{rescale}
     counts = {{"accepted": accepted, "rejected": rejected, "rhs_calls": 1 + {stages_per_step} * (accepted + rejected),
               "renormalizations": renormalizations, "min_step": h_min, "max_step": h_max}}
     return times, logs, held, values, counts
 '''
+
+
+def _rescale_lines(c: int) -> list:
+    """Statements that rescale U's column ``c`` and its FSAL derivative when its squared norm leaves the window."""
+    y, k = _names("y{}")[2 * c: 2 * c + 2], _names(f"k{{}}_{_N_STAGES}")[2 * c: 2 * c + 2]
+    return [
+        f"ss = {_squares(y)}",
+        "if ss > 0.0:",
+        "    lg = log(ss)",
+        f"    if not ({_LOG_WORK_LO!r} < lg < {_LOG_WORK_HI!r}):",
+        "        if lg == inf:  # dividing by sqrt(ss) would zero the column",
+        '            raise NonFiniteError("amplitudes overflowed float64")',
+        "        norm = sqrt(ss)",
+        f"        {', '.join(y + k)} = {', '.join(f'{x} / norm' for x in y + k)}",
+        "        renormalizations += 1",
+        f"        log_u{c} += lg",
+        "else:",
+        '    raise NonFiniteError("amplitudes underflowed float64 during integration")',
+    ]
 
 
 def _dop853_source() -> str:
@@ -750,13 +760,13 @@ def _dop853_source() -> str:
     ``_drive_constants`` and steps the fundamental matrix U, its four
     components (the columns (U00, U10) and (U01, U11)) from the identity at
     t = 0. It returns ``(times, logs, held, values, counts)``: the rows as
-    columns (time and log of U's rescalings so far), each step that holds a
-    grid time as ``_dense_rows`` takes it (its t_old, h and row count; its
+    columns (time and the log of each column's rescalings so far), each step
+    that holds a grid time as ``_dense_rows`` takes it (its t_old, h and row count; its
     U_old, U_new and 13 stage quadruples), and ``meta["solver"]``'s counts
     before the dense stages. The stepping loop, the controller (scipy's,
     its error norm over the four components), the grid rows, the step
-    budget and the in-place rescale on U's squared Frobenius norm all run
-    on local variables. The stages, the 8th-order solution and both error
+    budget and the in-place rescale of each column on its squared norm all
+    run on local variables. The stages, the 8th-order solution and both error
     estimates are flat statements, one expression per sum in the tableau's
     order from a 0j accumulator, with the coefficients as complex literals,
     and each RHS call is written out with its drive inlined, one (a, g) for
@@ -791,12 +801,8 @@ def _dop853_source() -> str:
         n_components=float(len(_IDENTITY)),
         finite=" and ".join(f"isfinite({x})" for x in n),
         stage_values=", ".join(name for s in range(_N_STAGES + 1) for name in _names(f"k{{}}_{s}")),
-        norm_sq=_squares(y),
-        y_scaled=", ".join(f"{x} / norm" for x in y),
-        k_scaled=", ".join(f"{x} / norm" for x in k_last),
+        rescale="\n".join("        " + line for c in (0, 1) for line in _rescale_lines(c)),
         stages_per_step=_N_STAGES,
-        lo=_LOG_WORK_LO,
-        hi=_LOG_WORK_HI,
         budget=_STEP_BUDGET,
         remaining=_STEP_BUDGET_REMAINING,
         safety=_SAFETY,
@@ -921,8 +927,8 @@ def _direct_run(params: SystemParams, drive: Drive, config: IntegratorConfig, n_
 
     ``rows[k]`` holds U(times[k]) in the traceless working frame as its
     components (U00, U10, U01, U11), and ``logs[k]`` the log of the run's
-    rescalings of U up to that row: the identity at t = 0, then the
-    dense-output interpolant of the steps that hold a grid time
+    rescalings of each column up to that row: the identity at t = 0, then
+    the dense-output interpolant of the steps that hold a grid time
     (``_dense_rows``).
     """
     T = drive.duration_T
@@ -953,12 +959,14 @@ def propagate_direct(
     of the record is U(t_k) c0. Records at ``n_output + 1`` uniformly spaced
     times (>= 512 by default): t = 0, then the dense-output interpolant of
     the steps that hold a grid time, which the run keeps and
-    ``_dense_rows`` evaluates in one array pass after it. When U's squared
-    Frobenius norm leaves [1e-100, 1e+100] U is rescaled in place and the
-    step size kept. c0 and each row U(t_k) c0 are scaled by powers of two to
-    a largest part in [0.5, 1) (``_pow2_scaled``), the exponents going into
-    the row's log scale, so no finite state overflows or underflows on its
-    way in or out.
+    ``_dense_rows`` evaluates in one array pass after it. When a column's
+    squared norm leaves [1e-100, 1e+100] the column is rescaled in place,
+    its log kept, and the step size kept, so each column keeps its digits
+    however far the two drift apart. c0 and each row U(t_k) c0 are scaled
+    by powers of two to a largest part in [0.5, 1) (``_pow2_scaled``), the
+    exponents going into the row's log scale, and each column enters a row
+    by e^((its log - top) / 2), top the larger log of the columns c0 takes,
+    so no finite state overflows or underflows on its way in or out.
 
     U does not depend on the initial state, so the route keeps the rows of
     the last two loops it ran (``_DIRECT_RUNS``, keyed on the exact bits of
@@ -969,9 +977,9 @@ def propagate_direct(
 
     ``meta["solver"]`` describes the loop's run: it counts accepted and
     rejected steps, RHS calls (3 more for each step that holds a grid time)
-    and renormalizations, holds the smallest and largest accepted step
-    (``min_step``, ``max_step``; the last step, clipped to T, included),
-    and whether U's rows came from the cache (``reused``).
+    and renormalizations (of either column), holds the smallest and largest
+    accepted step (``min_step``, ``max_step``; the last step, clipped to T,
+    included), and whether U's rows came from the cache (``reused``).
     ``meta["phase_s"]`` holds the wall seconds of U's run and rows (a cache
     lookup on a hit; ``stepping``) and of the state's rows after it
     (``rows``).
@@ -983,9 +991,9 @@ def propagate_direct(
     StepBudgetError
         If the run exceeds the step budget (see ``_STEP_BUDGET``).
     NonFiniteError
-        If U leaves the representable range despite rescaling (it overflows,
-        or its squared norm underflows to 0 within a step), or a row of the
-        state is exactly zero.
+        If U leaves the representable range despite rescaling (a column
+        overflows, or its squared norm underflows to 0 within a step), or a
+        row of the state is exactly zero.
     """
     initial = StateVector.coerce(initial)
     if n_output < 2:
@@ -999,13 +1007,23 @@ def propagate_direct(
         stepped = time.perf_counter()
         c0, shift = _pow2_scaled(initial.as_array())
         u = rows.reshape(-1, 2, 2)  # [row, column, component]
-        # c0[0] * column 0 + c0[1] * column 1, each product as CPython's
-        (ar, ai), (br, bi) = (_mul(u.real[:, j], u.imag[:, j], c0.real[j], c0.imag[j]) for j in (0, 1))
+        # the row is e^(top / 2) sum_j c0[j] e^((logs[:, j] - top) / 2) column j,
+        # top the larger log of the columns c0 takes; each product as CPython's
+        taken = c0 != 0
+        top = logs[:, taken].max(axis=1)
+        gap = 0.5 * (logs - top[:, None])
+        factor = np.ones_like(gap)
+        apart = (gap != 0.0) & taken
+        factor[apart] = np.fromiter(map(math.exp, gap[apart].tolist()), float)
+        (ar, ai), (br, bi) = (
+            _mul(u.real[:, j], u.imag[:, j], c0.real[j] * factor[:, j, None], c0.imag[j] * factor[:, j, None])
+            for j in (0, 1)
+        )
         raw, shifts = _pow2_scaled(_complex(ar + br, ai + bi))
         zero = np.flatnonzero(~raw.any(axis=1))
         if zero.size:
             raise NonFiniteError(f"amplitudes underflowed float64: the state is 0 at t = {times[zero[0]]:.6g}")
-        states, norms, logs, _ = _finalize(params, drive, times, raw, logs + 2.0 * math.log(2.0) * (shift + shifts))
+        states, norms, logs, _ = _finalize(params, drive, times, raw, top + 2.0 * math.log(2.0) * (shift + shifts))
     except OverflowError as exc:
         # abs() and ** on Python scalars raise OverflowError instead of returning inf
         raise NonFiniteError("amplitudes overflowed float64") from exc

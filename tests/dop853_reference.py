@@ -186,10 +186,12 @@ class _Dop853:
 
         return interp
 
-    def rescale(self, norm: float) -> None:
-        """Divide the state and its FSAL derivative by ``norm``; the step size is kept."""
-        self.y = tuple(yi / norm for yi in self.y)
-        self.f = tuple(fi / norm for fi in self.f)
+    def rescale(self, components: slice, norm: float) -> None:
+        """Divide these components of the state and its FSAL derivative by ``norm``; the step size is kept."""
+        y, f = list(self.y), list(self.f)
+        y[components] = [yi / norm for yi in y[components]]
+        f[components] = [fi / norm for fi in f[components]]
+        self.y, self.f = tuple(y), tuple(f)
         self.renormalizations += 1
 
     def counts(self) -> dict:
@@ -256,6 +258,11 @@ def kernel_rhs(drive, params: SystemParams):
     return rhs
 
 
+def _times(z: complex, x: float) -> complex:
+    """z times a real x part by part; ``z * x`` would take x as complex(x, 0.0) and move signed zeros."""
+    return complex(z.real * x, z.imag * x)
+
+
 def pow2_scaled(z: tuple) -> tuple:
     """z scaled by a power of two to a largest part in [0.5, 1), and the exponent."""
     _, shift = math.frexp(max(abs(x) for zi in z for x in (zi.real, zi.imag)))
@@ -274,9 +281,10 @@ def propagate_direct(
 
     The loop-based ``_Dop853`` above steps U from the identity, its RHS
     from ``_traceless_kernel``, and the interpolant is built on each step
-    that holds a grid time, one row at a time. Each row is then U c0 for c0
-    scaled by a power of two, in Python complex scalars, scaled again by a
-    power of two; the rows are finished by the package's ``_finalize``.
+    that holds a grid time, one row at a time, each column of U rescaled on
+    its own norm. Each row is then U c0 for c0 scaled by a power of two,
+    each column weighted by e^((its log - top) / 2), in Python complex
+    scalars, scaled again by a power of two; the rows are finished by the package's ``_finalize``.
     ``meta["solver"]`` holds the run's counts (no ``reused``).
     """
     initial = StateVector.coerce(initial)
@@ -284,9 +292,9 @@ def propagate_direct(
         raise ValueError("n_output must be >= 2")
     T = drive.duration_T
     grid = _output_grid(T, n_output)
-    # the rows as columns: time, working-frame U, log of the rescalings so far
-    times, rows, logs = [0.0], [IDENTITY], [0.0]
-    log_u = 0.0
+    # the rows as columns: time, working-frame U, log of each column's rescalings so far
+    times, rows, logs = [0.0], [IDENTITY], [(0.0, 0.0)]
+    log_u = [0.0, 0.0]
     started = time.perf_counter()
     stepper = _Dop853(kernel_rhs(drive, params), IDENTITY, T, config)
     gi = 1
@@ -301,31 +309,36 @@ def propagate_direct(
                 while gi < len(grid) and grid[gi] <= t:
                     times.append(grid[gi])
                     rows.append(interp(grid[gi]))
-                    logs.append(log_u)
+                    logs.append(tuple(log_u))
                     gi += 1
             if record_internal and times[-1] < t < T:
                 times.append(t)
                 rows.append(y)
-                logs.append(log_u)
+                logs.append(tuple(log_u))
             if stepper.accepted > _STEP_BUDGET and T - t > _STEP_BUDGET_REMAINING * stepper.h:
                 raise StepBudgetError(_budget_message(stepper.accepted, T, t, stepper.h))
-            n2 = _norm2(y)
-            if not n2 > 0:
-                raise NonFiniteError("amplitudes underflowed float64 during integration")
-            if not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
-                if n2 == math.inf:
-                    raise NonFiniteError("amplitudes overflowed float64")
-                stepper.rescale(math.sqrt(n2))
-                log_u += math.log(n2)
+            for c in (0, 1):  # each column of U on its own
+                n2 = _norm2(stepper.y[2 * c: 2 * c + 2])
+                if not n2 > 0:
+                    raise NonFiniteError("amplitudes underflowed float64 during integration")
+                if not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
+                    if n2 == math.inf:
+                        raise NonFiniteError("amplitudes overflowed float64")
+                    stepper.rescale(slice(2 * c, 2 * c + 2), math.sqrt(n2))
+                    log_u[c] += math.log(n2)
         stepped = time.perf_counter()
-        (c1, c2), shift = pow2_scaled((complex(initial.c1), complex(initial.c2)))
+        c0, shift = pow2_scaled((complex(initial.c1), complex(initial.c2)))
         raw, log_internal = [], []
         for t, (u0, u1, u2, u3), log_row in zip(times, rows, logs):
+            # column j enters by e^((log_j - top) / 2), top the larger log of the columns c0 takes
+            top = max(log for log, c in zip(log_row, c0) if c != 0)
+            c1, c2 = (c if c == 0 or log == top else _times(c, math.exp(0.5 * (log - top)))
+                      for log, c in zip(log_row, c0))
             state, row_shift = pow2_scaled((u0 * c1 + u2 * c2, u1 * c1 + u3 * c2))
             if state == (0j, 0j):
                 raise NonFiniteError(f"amplitudes underflowed float64: the state is 0 at t = {t:.6g}")
             raw.append(state)
-            log_internal.append(log_row + 2.0 * math.log(2.0) * (shift + row_shift))
+            log_internal.append(top + 2.0 * math.log(2.0) * (shift + row_shift))
         times = np.array(times)
         states, norms, logs, _ = _finalize(params, drive, times, raw, np.array(log_internal))
     except OverflowError as exc:
