@@ -139,7 +139,7 @@ def cmd_simulate(config: RunConfig, method: str, n_output: int) -> int:
     with _open_output(config.out_path) as fh:
         try:
             traj = propagate(config.params, config.loop, config.initial, config.integrator, n_output=n_output)
-        except ValueError as exc:  # a loop the route cannot step (duration_T too small for the adiabatic route)
+        except ValueError as exc:  # a loop the route cannot step or record (duration_T too small)
             raise ConfigError(f"invalid 'loop' section: {exc}") from exc
         except MemoryError as exc:  # numpy refused the count's arrays, or could not allocate them
             raise ConfigError(f"--n-output {n_output} is too large: {exc}") from exc

@@ -23,12 +23,12 @@ read once per run), so every stage has those bits without a call or an
 object per step. The run keeps the stages of each step that holds an output
 time; after it, one array pass (``_dense_rows``) builds those steps'
 dense-output interpolants and evaluates U at every output row after the
-first. The run rescales each column of U in place, keeping the step size,
-when the column's norm leaves the working window, so a column that falls
-far below the other keeps its digits, and it enforces a step budget
-(``_STEP_BUDGET``), so no input makes a run go on without end. U does not depend on the
-initial state, so the route keeps U's rows for the last two loops it ran
-(``_DIRECT_RUNS``) and the next state on a loop only multiplies.
+first. A rescale changes only a column's power-of-two exponent
+(``_rescale_lines``), so ``abs_tol`` bounds U's entries throughout and a
+column far below the other keeps its digits; a step budget
+(``_STEP_BUDGET``) keeps any input from running on without end. U does not
+depend on the initial state, so the route keeps U's rows for the last two
+loops it ran (``_DIRECT_RUNS``) and the next state on a loop only multiplies.
 
 ``propagate_adiabatic`` expands the state in the instantaneous eigenbasis:
 the c-normalized eigenvectors (cos th, sin th) and (-sin th, cos th),
@@ -109,23 +109,10 @@ Drive = Union[LoopSpec, StaticDrive]
 # stored squared norm is kept inside this window (log bounds)
 _LOG_RECORD_LO = math.log(1e-150)
 _LOG_RECORD_HI = math.log(1e150)
-# tighter internal window so intermediate RK stages stay far from overflow
-_LOG_WORK_LO = math.log(1e-100)
-_LOG_WORK_HI = math.log(1e100)
-# the step budget of both routes: past _STEP_BUDGET accepted steps a run
+# the direct run's step budget: past _STEP_BUDGET accepted steps it
 # stops once (T - t) / h predicts more than _STEP_BUDGET_REMAINING to come
 _STEP_BUDGET = 10_000
 _STEP_BUDGET_REMAINING = 1e7
-
-
-def _output_grid(T: float, n_output: int) -> list:
-    """The n_output + 1 uniform output times over [0, T], each one later than all before it.
-
-    On a subnormal T, linspace repeats a time or steps back; such a time
-    would repeat a recorded row or go back in time, so it is dropped.
-    """
-    grid = _samples(T, n_output)
-    return grid[grid > np.maximum.accumulate(np.r_[-math.inf, grid[:-1]])].tolist()
 
 
 def _budget_message(steps: int, T: float, t: float, h: float) -> str:
@@ -667,11 +654,11 @@ def run(drive, t_bound, grid, rtol, atol, max_step, h_abs):
     T, th0, sign, cx, ax, cy, ay, a_static, half_d12 = drive
     turn = sign * 2.0 * pi
     {y} = {identity}
-    t = log_u0 = log_u1 = 0.0
-    accepted = rejected = renormalizations = 0
+    t, atol0, atol1 = 0.0, atol, atol
+    e0 = e1 = accepted = rejected = renormalizations = 0
     h_min, h_max, gi, n_grid = inf, 0.0, 1, len(grid)
 {first}
-    times, logs, held, values = [0.0], [(0.0, 0.0)], [], []
+    exponents, held, values = [(0, 0)], [], []
     while t < t_bound:
         {k_first} = {k_last}
         min_step = 10.0 * ulp(t)
@@ -692,7 +679,8 @@ def run(drive, t_bound, grid, rtol, atol, max_step, h_abs):
             h = t_new - t
 {stages}
 {errors}
-            if err5 == 0.0 and err3 == 0.0:
+            # err5 = 0 gives err 0 (scipy's 0/0 where 0.01 err3 underflows too, as a huge tolerance allows)
+            if err5 == 0.0:
                 err = 0.0
             else:
                 err = h * err5 / sqrt({n_components!r} * (err5 + 0.01 * err3))
@@ -721,8 +709,7 @@ def run(drive, t_bound, grid, rtol, atol, max_step, h_abs):
             stop = bisect_right(grid, t_new, gi)
             held.append((t, h, stop - gi))
             values.append(({y}, {n}, {stage_values}))
-            times += grid[gi:stop]
-            logs += [(log_u0, log_u1)] * (stop - gi)
+            exponents += [(e0, e1)] * (stop - gi)
             gi = stop
         if accepted > {budget!r} and t_bound - t_new > {remaining!r} * h:
             raise StepBudgetError(budget_message(accepted, t_bound, t_new, h))
@@ -730,27 +717,40 @@ def run(drive, t_bound, grid, rtol, atol, max_step, h_abs):
 {rescale}
     counts = {{"accepted": accepted, "rejected": rejected, "rhs_calls": 1 + {stages_per_step} * (accepted + rejected),
               "renormalizations": renormalizations, "min_step": h_min, "max_step": h_max}}
-    return times, logs, held, values, counts
+    return exponents, held, values, counts
 '''
 
 
 def _rescale_lines(c: int) -> list:
-    """Statements that rescale U's column ``c`` and its FSAL derivative when its squared norm leaves the window."""
+    """Statements that rescale U's column ``c`` by 2^-e where its squared norm leaves the window.
+
+    e puts the column's largest part in [0.5, 1) and adds to its exponent; the FSAL derivative and the
+    tolerance go with it, so every value after is the unrescaled run's times 2^-e, its steps too.
+    """
     y, k = _names("y{}")[2 * c: 2 * c + 2], _names(f"k{{}}_{_N_STAGES}")[2 * c: 2 * c + 2]
     return [
         f"ss = {_squares(y)}",
-        "if ss > 0.0:",
-        "    lg = log(ss)",
-        f"    if not ({_LOG_WORK_LO!r} < lg < {_LOG_WORK_HI!r}):",
-        "        if lg == inf:  # dividing by sqrt(ss) would zero the column",
-        '            raise NonFiniteError("amplitudes overflowed float64")',
-        "        norm = sqrt(ss)",
-        f"        {', '.join(y + k)} = {', '.join(f'{x} / norm' for x in y + k)}",
-        "        renormalizations += 1",
-        f"        log_u{c} += lg",
-        "else:",
-        '    raise NonFiniteError("amplitudes underflowed float64 during integration")',
+        "if not 1e-100 <= ss <= 1e100:",
+        f"    top = max({', '.join(f'abs({x}.{part})' for x in y for part in ('real', 'imag'))})",
+        "    if top == 0.0:",
+        '        raise NonFiniteError("amplitudes underflowed float64 during integration")',
+        "    e = frexp(top)[1]",
+        *(f"    {x} = complex(ldexp({x}.real, -e), ldexp({x}.imag, -e))" for x in y + k),
+        f"    e{c} += e",
+        f"    atol{c} = column_tol(atol, e{c})",
+        "    renormalizations += 1",
     ]
+
+
+def _column_tol(atol: float, exponent: int) -> float:
+    """atol * 2^-exponent, the tolerance of a column kept at 2^exponent, within [smallest subnormal, inf].
+
+    The floor makes an exactly zero component's error quotient 0, not 0/0; ``math.ldexp`` raises where inf is meant.
+    """
+    try:
+        return max(math.ldexp(atol, -exponent), math.ulp(0.0))
+    except OverflowError:
+        return math.inf
 
 
 def _dop853_source() -> str:
@@ -759,14 +759,15 @@ def _dop853_source() -> str:
     ``run(drive, t_bound, grid, rtol, atol, max_step, h_abs)`` takes
     ``_drive_constants`` and steps the fundamental matrix U, its four
     components (the columns (U00, U10) and (U01, U11)) from the identity at
-    t = 0. It returns ``(times, logs, held, values, counts)``: the rows as
-    columns (time and the log of each column's rescalings so far), each step
-    that holds a grid time as ``_dense_rows`` takes it (its t_old, h and row count; its
-    U_old, U_new and 13 stage quadruples), and ``meta["solver"]``'s counts
-    before the dense stages. The stepping loop, the controller (scipy's,
-    its error norm over the four components), the grid rows, the step
-    budget and the in-place rescale of each column on its squared norm all
-    run on local variables. The stages, the 8th-order solution and both error
+    t = 0, recording at each time of ``grid`` (strictly increasing, 0 to
+    t_bound). It returns ``(exponents, held, values, counts)``: each row's
+    column exponents (U's column j is 2^e_j times the stepped one), each
+    step that holds a grid time as ``_dense_rows`` takes it (its t_old, h
+    and row count; its U_old, U_new and 13 stage quadruples), and
+    ``meta["solver"]``'s counts before the dense stages. The stepping loop,
+    the controller (scipy's, its error norm over the four components), the
+    grid rows, the step budget and the rescales (``_rescale_lines``) run on
+    local variables. The stages, the 8th-order solution and both error
     estimates are flat statements, one expression per sum in the tableau's
     order from a 0j accumulator, with the coefficients as complex literals,
     and each RHS call is written out with its drive inlined, one (a, g) for
@@ -783,9 +784,9 @@ def _dop853_source() -> str:
     stages += [f"n{i} = y{i} + h * ({_sum(_DOP_B, f'k{i}_')})" for i in _COMPONENTS]
     stages += _rhs_lines(None, n, k_last)
     errors = []
-    for i in _COMPONENTS:  # scipy's scale atol + max(|y|, |y_new|) rtol
+    for i in _COMPONENTS:  # scipy's scale atol + max(|y|, |y_new|) rtol, atol that of the component's column
         errors += [f"s{i} = abs(y{i})", f"m = abs(n{i})", f"if m > s{i}:", f"    s{i} = m",
-                   f"s{i} = atol + s{i} * rtol"]
+                   f"s{i} = atol{i // 2} + s{i} * rtol"]
     for name, weights in (("err5", _DOP_E5), ("err3", _DOP_E3)):
         errors += [f"q{i} = ({_sum(weights, f'k{i}_')}) / s{i}" for i in _COMPONENTS]
         errors.append(f"{name} = {_squares(_names('q{}'))}")
@@ -815,9 +816,9 @@ def _dop853_source() -> str:
 @functools.cache
 def _dop853_run():
     """``run``, compiled from ``_dop853_source()`` by the first direct run of a process."""
-    namespace = {name: getattr(math, name) for name in ("cos", "sin", "fmod", "sqrt", "log", "ulp", "inf", "pi")}
-    namespace.update(isfinite=cmath.isfinite, bisect_right=bisect.bisect_right, budget_message=_budget_message,
-                     NonFiniteError=NonFiniteError, StepBudgetError=StepBudgetError,
+    namespace = {name: getattr(math, name) for name in ("cos", "sin", "fmod", "sqrt", "frexp", "ldexp", "ulp", "inf")}
+    namespace.update(pi=math.pi, isfinite=cmath.isfinite, bisect_right=bisect.bisect_right, column_tol=_column_tol,
+                     budget_message=_budget_message, NonFiniteError=NonFiniteError, StepBudgetError=StepBudgetError,
                      StepSizeUnderflowError=StepSizeUnderflowError)
     exec(compile(_dop853_source(), "<dop853>", "exec"), namespace)
     return namespace["run"]
@@ -922,27 +923,24 @@ def _dense_rows(params: SystemParams, drive: Drive, times: np.ndarray, held: lis
 _DIRECT_RUNS = _Recent(2)
 
 
-def _direct_run(params: SystemParams, drive: Drive, config: IntegratorConfig, n_output: int) -> tuple:
-    """((times, logs, rows), solver counts) of one run of U along the drive, the arrays read-only.
+def _direct_run(params: SystemParams, drive: Drive, config: IntegratorConfig, times: np.ndarray) -> tuple:
+    """((exponents, rows), solver counts) of one run of U along the drive, recorded at ``times``, the arrays read-only.
 
     ``rows[k]`` holds U(times[k]) in the traceless working frame as its
-    components (U00, U10, U01, U11), and ``logs[k]`` the log of the run's
-    rescalings of each column up to that row: the identity at t = 0, then
-    the dense-output interpolant of the steps that hold a grid time
-    (``_dense_rows``).
+    components (U00, U10, U01, U11), each column j scaled by 2^-exponents[k, j]:
+    the identity at t = 0, then the dense-output interpolant of the steps
+    that hold a row time (``_dense_rows``).
     """
     T = drive.duration_T
     h_abs = min(config.initial_step, config.max_step, 0.5 * T)
-    times, logs, held, values, solver = _dop853_run()(
-        _drive_constants(drive, params), T, _output_grid(T, n_output),
-        config.rel_tol, config.abs_tol, config.max_step, h_abs,
+    exponents, held, values, solver = _dop853_run()(
+        _drive_constants(drive, params), T, times.tolist(), config.rel_tol, config.abs_tol, config.max_step, h_abs,
     )
-    times = np.array(times)
     rows = np.empty((len(times), len(_IDENTITY)), dtype=complex)
     rows[0] = _IDENTITY
     rows[1:] = _dense_rows(params, drive, times[1:], held, values)
     solver["rhs_calls"] += len(_DOP_EXTRA) * len(held)
-    return _read_only(times, np.array(logs), rows), solver
+    return _read_only(np.array(exponents), rows), solver
 
 
 def propagate_direct(
@@ -956,17 +954,17 @@ def propagate_direct(
 
     One generated DOP853 run (``_dop853_source``) integrates the
     traceless-frame fundamental matrix U from the identity, and every row
-    of the record is U(t_k) c0. Records at ``n_output + 1`` uniformly spaced
-    times (>= 512 by default): t = 0, then the dense-output interpolant of
-    the steps that hold a grid time, which the run keeps and
-    ``_dense_rows`` evaluates in one array pass after it. When a column's
-    squared norm leaves [1e-100, 1e+100] the column is rescaled in place,
-    its log kept, and the step size kept, so each column keeps its digits
-    however far the two drift apart. c0 and each row U(t_k) c0 are scaled
-    by powers of two to a largest part in [0.5, 1) (``_pow2_scaled``), the
-    exponents going into the row's log scale, and each column enters a row
-    by e^((its log - top) / 2), top the larger log of the columns c0 takes,
-    so no finite state overflows or underflows on its way in or out.
+    of the record is U(t_k) c0. Records at the ``n_output + 1`` times of
+    ``loops._samples`` (>= 512 by default): t = 0, then the dense-output
+    interpolant of the steps that hold a grid time, which the run keeps and
+    ``_dense_rows`` evaluates in one array pass after it. A rescale changes
+    only a column's power-of-two exponent (``_rescale_lines``), so each
+    column keeps its digits however far the two drift apart. c0 and each
+    row U(t_k) c0 are scaled by powers of two to a largest part in [0.5, 1)
+    (``_pow2_scaled``), each column enters a row by 2^(its exponent - top),
+    top the larger exponent of the columns c0 takes, and the exponents go
+    into the row's log scale, so no finite state overflows or underflows on
+    its way in or out.
 
     U does not depend on the initial state, so the route keeps the rows of
     the last two loops it ran (``_DIRECT_RUNS``, keyed on the exact bits of
@@ -986,46 +984,47 @@ def propagate_direct(
 
     Raises
     ------
+    ValueError
+        If ``duration_T`` is so small that the row times are not distinct.
     StepSizeUnderflowError
         If the adaptive controller cannot meet the tolerances.
     StepBudgetError
         If the run exceeds the step budget (see ``_STEP_BUDGET``).
     NonFiniteError
         If U leaves the representable range despite rescaling (a column
-        overflows, or its squared norm underflows to 0 within a step), or a
-        row of the state is exactly zero.
+        overflows, or vanishes, within a step), or a row of the state is
+        exactly zero.
     """
     initial = StateVector.coerce(initial)
     if n_output < 2:
         raise ValueError("n_output must be >= 2")
+    times = _samples(drive.duration_T, n_output)
+    if not (np.diff(times) > 0.0).all():
+        raise ValueError(f"duration_T = {drive.duration_T:.3g}: duration_T is too small for distinct row times")
     started = time.perf_counter()
     key = _key(params, drive, config.rel_tol, config.abs_tol, config.max_step, config.initial_step, n_output)
     try:
-        ((times, logs, rows), solver), reused = _DIRECT_RUNS.get(
-            key, lambda: _direct_run(params, drive, config, n_output)
+        ((exponents, rows), solver), reused = _DIRECT_RUNS.get(
+            key, lambda: _direct_run(params, drive, config, times)
         )
         stepped = time.perf_counter()
         c0, shift = _pow2_scaled(initial.as_array())
         u = rows.reshape(-1, 2, 2)  # [row, column, component]
-        # the row is e^(top / 2) sum_j c0[j] e^((logs[:, j] - top) / 2) column j,
-        # top the larger log of the columns c0 takes; each product as CPython's
-        taken = c0 != 0
-        top = logs[:, taken].max(axis=1)
-        gap = 0.5 * (logs - top[:, None])
-        factor = np.ones_like(gap)
-        apart = (gap != 0.0) & taken
-        factor[apart] = np.fromiter(map(math.exp, gap[apart].tolist()), float)
+        # the row is 2^top sum_j c0[j] 2^(exponents[:, j] - top) column j, top the
+        # larger exponent of the columns c0 takes; each product as CPython's
+        top = exponents[:, c0 != 0].max(axis=1)
+        gap = (exponents - top[:, None])[..., None]
         (ar, ai), (br, bi) = (
-            _mul(u.real[:, j], u.imag[:, j], c0.real[j] * factor[:, j, None], c0.imag[j] * factor[:, j, None])
+            _mul(u.real[:, j], u.imag[:, j], np.ldexp(c0.real[j], gap[:, j]), np.ldexp(c0.imag[j], gap[:, j]))
             for j in (0, 1)
         )
         raw, shifts = _pow2_scaled(_complex(ar + br, ai + bi))
         zero = np.flatnonzero(~raw.any(axis=1))
         if zero.size:
             raise NonFiniteError(f"amplitudes underflowed float64: the state is 0 at t = {times[zero[0]]:.6g}")
-        states, norms, logs, _ = _finalize(params, drive, times, raw, top + 2.0 * math.log(2.0) * (shift + shifts))
+        states, norms, logs, _ = _finalize(params, drive, times, raw, 2.0 * math.log(2.0) * (top + shift + shifts))
     except OverflowError as exc:
-        # abs() and ** on Python scalars raise OverflowError instead of returning inf
+        # abs() of a complex whose modulus overflows float64 (the run's error scale) raises instead of returning inf
         raise NonFiniteError("amplitudes overflowed float64") from exc
     meta = {
         "method": "direct",
@@ -1036,7 +1035,7 @@ def propagate_direct(
         "solver": {**solver, "reused": reused},
         "phase_s": {"stepping": stepped - started, "rows": time.perf_counter() - stepped},
     }
-    return TrajectoryRecord(times.copy(), states, norms, logs, None, None, meta)
+    return TrajectoryRecord(times, states, norms, logs, None, None, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from epdyn.errors import NonFiniteError, StepBudgetError, StepSizeUnderflowError
-from epdyn.loops import StaticDrive, field_velocity
+from epdyn.loops import StaticDrive, _samples, field_velocity
 from epdyn.model import _traceless, _traceless_drive
 from epdyn.propagation import (
     _DOP_B,
@@ -29,8 +29,6 @@ from epdyn.propagation import (
     _DOP_E5,
     _DOP_EXTRA,
     _DOP_STAGES,
-    _LOG_WORK_HI,
-    _LOG_WORK_LO,
     _N_STAGES,
     _N_STAGES_EXTENDED,
     _STEP_BUDGET,
@@ -40,7 +38,6 @@ from epdyn.propagation import (
     TrajectoryRecord,
     _budget_message,
     _finalize,
-    _output_grid,
     Drive,
     SystemParams,
 )
@@ -71,6 +68,16 @@ def _norm2(zs) -> float:
 
 #: U(0): the fundamental matrix as its columns (U00, U10) and (U01, U11)
 IDENTITY = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+#: a column whose squared norm leaves this window is rescaled; a test opens it to (0, inf) to run the unrescaled twin
+WINDOW = (1e-100, 1e100)
+
+
+def column_tol(atol: float, exponent: int) -> float:
+    """atol * 2**-exponent, no smaller than the smallest subnormal, and inf where it overflows."""
+    try:
+        return max(math.ldexp(atol, -exponent), math.ulp(0.0))
+    except OverflowError:
+        return math.inf
 
 
 class _Dop853:
@@ -81,9 +88,10 @@ class _Dop853:
     estimates over all components), the step controller and the floor
     min_step = 10 ulp(t) are those of ``scipy.integrate.DOP853``, which
     stays in the tests as the oracle; only the stepping loop differs.
-    ``rhs(t, y)`` returns the derivative tuple. The stages of the last
-    accepted step are kept, so the dense-output interpolant is built only
-    when ``dense()`` asks for it.
+    ``rhs(t, y)`` returns the derivative tuple. Each component has its own
+    absolute tolerance, ``abs_tol`` until ``rescale`` gives it another. The
+    stages of the last accepted step are kept, so the dense-output
+    interpolant is built only when ``dense()`` asks for it.
     """
 
     SAFETY = 0.9
@@ -94,7 +102,8 @@ class _Dop853:
     def __init__(self, rhs, y: tuple, t_bound: float, config: IntegratorConfig) -> None:
         self.rhs = rhs
         self.t_bound = t_bound
-        self.rtol, self.atol, self.max_step = config.rel_tol, config.abs_tol, config.max_step
+        self.rtol, self.max_step = config.rel_tol, config.max_step
+        self.atols = [config.abs_tol] * len(y)
         self.t, self.y = 0.0, y
         self.f = rhs(0.0, y)
         self.h_abs = min(config.initial_step, config.max_step, 0.5 * t_bound)
@@ -133,10 +142,11 @@ class _Dop853:
             for k, fi in zip(ks, f):
                 k[_N_STAGES] = fi
             self.rhs_calls += _N_STAGES
-            scale = [self.atol + max(abs(yi), abs(ni)) * self.rtol for yi, ni in zip(y, new)]
+            scale = [atol + max(abs(yi), abs(ni)) * self.rtol for atol, yi, ni in zip(self.atols, y, new)]
             err5 = _norm2(e / s for e, s in zip(_combine(_DOP_E5, ks), scale))
             err3 = _norm2(e / s for e, s in zip(_combine(_DOP_E3, ks), scale))
-            if err5 == 0.0 and err3 == 0.0:
+            # err5 = 0 gives err 0 (scipy's 0/0 where 0.01 err3 underflows too, as a huge tolerance allows)
+            if err5 == 0.0:
                 err = 0.0
             else:
                 err = h * err5 / math.sqrt(float(len(y)) * (err5 + 0.01 * err3))
@@ -186,12 +196,13 @@ class _Dop853:
 
         return interp
 
-    def rescale(self, components: slice, norm: float) -> None:
-        """Divide these components of the state and its FSAL derivative by ``norm``; the step size is kept."""
+    def rescale(self, components: slice, e: int, atol: float) -> None:
+        """Take these components and their FSAL derivative by 2**-e, give them ``atol``; the step size is kept."""
         y, f = list(self.y), list(self.f)
-        y[components] = [yi / norm for yi in y[components]]
-        f[components] = [fi / norm for fi in f[components]]
+        for z in (y, f):
+            z[components] = [complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)) for x in z[components]]
         self.y, self.f = tuple(y), tuple(f)
+        self.atols[components] = [atol] * len(self.atols[components])
         self.renormalizations += 1
 
     def counts(self) -> dict:
@@ -258,11 +269,6 @@ def kernel_rhs(drive, params: SystemParams):
     return rhs
 
 
-def _times(z: complex, x: float) -> complex:
-    """z times a real x part by part; ``z * x`` would take x as complex(x, 0.0) and move signed zeros."""
-    return complex(z.real * x, z.imag * x)
-
-
 def pow2_scaled(z: tuple) -> tuple:
     """z scaled by a power of two to a largest part in [0.5, 1), and the exponent."""
     _, shift = math.frexp(max(abs(x) for zi in z for x in (zi.real, zi.imag)))
@@ -281,20 +287,25 @@ def propagate_direct(
 
     The loop-based ``_Dop853`` above steps U from the identity, its RHS
     from ``_traceless_kernel``, and the interpolant is built on each step
-    that holds a grid time, one row at a time, each column of U rescaled on
-    its own norm. Each row is then U c0 for c0 scaled by a power of two,
-    each column weighted by e^((its log - top) / 2), in Python complex
-    scalars, scaled again by a power of two; the rows are finished by the package's ``_finalize``.
+    that holds a grid time, one row at a time. A column of U whose squared
+    norm leaves ``WINDOW`` is taken by the power of two that puts its
+    largest part in [0.5, 1), with its FSAL derivative, and steps on with
+    ``abs_tol`` in its own units; the column keeps the exponent. Each row is
+    then U c0 for c0 scaled by a power of two, each column taken by 2^(its
+    exponent - top), in Python complex scalars, scaled again by a power of
+    two; the rows are finished by the package's ``_finalize``.
     ``meta["solver"]`` holds the run's counts (no ``reused``).
     """
     initial = StateVector.coerce(initial)
     if n_output < 2:
         raise ValueError("n_output must be >= 2")
     T = drive.duration_T
-    grid = _output_grid(T, n_output)
-    # the rows as columns: time, working-frame U, log of each column's rescalings so far
-    times, rows, logs = [0.0], [IDENTITY], [(0.0, 0.0)]
-    log_u = [0.0, 0.0]
+    grid = _samples(T, n_output).tolist()
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"duration_T = {T:.3g}: duration_T is too small for distinct row times")
+    # the rows as columns: time, working-frame U, each column's exponent
+    times, rows, exponents = [0.0], [IDENTITY], [(0, 0)]
+    exps = [0, 0]
     started = time.perf_counter()
     stepper = _Dop853(kernel_rhs(drive, params), IDENTITY, T, config)
     gi = 1
@@ -309,40 +320,39 @@ def propagate_direct(
                 while gi < len(grid) and grid[gi] <= t:
                     times.append(grid[gi])
                     rows.append(interp(grid[gi]))
-                    logs.append(tuple(log_u))
+                    exponents.append(tuple(exps))
                     gi += 1
             if record_internal and times[-1] < t < T:
                 times.append(t)
                 rows.append(y)
-                logs.append(tuple(log_u))
+                exponents.append(tuple(exps))
             if stepper.accepted > _STEP_BUDGET and T - t > _STEP_BUDGET_REMAINING * stepper.h:
                 raise StepBudgetError(_budget_message(stepper.accepted, T, t, stepper.h))
             for c in (0, 1):  # each column of U on its own
-                n2 = _norm2(stepper.y[2 * c: 2 * c + 2])
-                if not n2 > 0:
-                    raise NonFiniteError("amplitudes underflowed float64 during integration")
-                if not (_LOG_WORK_LO < math.log(n2) < _LOG_WORK_HI):
-                    if n2 == math.inf:
-                        raise NonFiniteError("amplitudes overflowed float64")
-                    stepper.rescale(slice(2 * c, 2 * c + 2), math.sqrt(n2))
-                    log_u[c] += math.log(n2)
+                column = slice(2 * c, 2 * c + 2)
+                if not WINDOW[0] <= _norm2(stepper.y[column]) <= WINDOW[1]:
+                    top = max(abs(x) for z in stepper.y[column] for x in (z.real, z.imag))
+                    if top == 0.0:
+                        raise NonFiniteError("amplitudes underflowed float64 during integration")
+                    e = math.frexp(top)[1]
+                    exps[c] += e
+                    stepper.rescale(column, e, column_tol(config.abs_tol, exps[c]))
         stepped = time.perf_counter()
         c0, shift = pow2_scaled((complex(initial.c1), complex(initial.c2)))
         raw, log_internal = [], []
-        for t, (u0, u1, u2, u3), log_row in zip(times, rows, logs):
-            # column j enters by e^((log_j - top) / 2), top the larger log of the columns c0 takes
-            top = max(log for log, c in zip(log_row, c0) if c != 0)
-            c1, c2 = (c if c == 0 or log == top else _times(c, math.exp(0.5 * (log - top)))
-                      for log, c in zip(log_row, c0))
+        for t, (u0, u1, u2, u3), row_exps in zip(times, rows, exponents):
+            # column j enters by 2^(its exponent - top), top the larger exponent of the columns c0 takes
+            top = max(e for e, c in zip(row_exps, c0) if c != 0)
+            c1, c2 = (complex(math.ldexp(c.real, e - top), math.ldexp(c.imag, e - top)) for e, c in zip(row_exps, c0))
             state, row_shift = pow2_scaled((u0 * c1 + u2 * c2, u1 * c1 + u3 * c2))
             if state == (0j, 0j):
                 raise NonFiniteError(f"amplitudes underflowed float64: the state is 0 at t = {t:.6g}")
             raw.append(state)
-            log_internal.append(top + 2.0 * math.log(2.0) * (shift + row_shift))
+            log_internal.append(2.0 * math.log(2.0) * (top + shift + row_shift))
         times = np.array(times)
         states, norms, logs, _ = _finalize(params, drive, times, raw, np.array(log_internal))
     except OverflowError as exc:
-        # abs() and ** on Python scalars raise OverflowError instead of returning inf
+        # abs() of a complex whose modulus overflows float64 raises instead of returning inf
         raise NonFiniteError("amplitudes overflowed float64") from exc
     meta = {
         "method": "direct",

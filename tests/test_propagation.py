@@ -47,7 +47,7 @@ from epdyn.analysis import survival_fraction
 from epdyn import propagation as prop
 from epdyn.errors import AmbiguousTrackingError, EpdynError, StepBudgetError, StepSizeUnderflowError
 from epdyn.model import _traceless
-from epdyn.propagation import _LOG_WORK_HI, _LOG_WORK_LO, TrajectoryRecord
+from epdyn.propagation import TrajectoryRecord
 from epdyn.serialize import trajectory_to_csv, trajectory_to_json
 from coupling_reference import na_coupling, na_coupling_at
 from frame_reference import KAPPA, _eigensystem
@@ -333,8 +333,8 @@ def scipy_direct(params, drive, initial, config, n_output):
     """Oracle: scipy's DOP853 class on the flattened fundamental matrix, each row U(t_k) c0.
 
     U steps as its columns (U00, U10, U01, U11) from the identity, with
-    dense output on every step, and a fresh solver from ``initial_step``
-    after each renormalization of a column of U. The RHS, the stage sums and the error
+    dense output on every step, never rescaled, so a case's unscaled U must
+    fit float64. The RHS, the stage sums and the error
     norm run in Python scalars (``_InOrderDOP853``, ``_rk_step_in_order``),
     as the package's run does; scipy's controller, step loop and dense
     output are its own. numpy's vector arithmetic rounds otherwise on four
@@ -345,7 +345,7 @@ def scipy_direct(params, drive, initial, config, n_output):
     the diode loop the error estimate is mostly rounding, so one ulp of it
     moves the next step, and with numpy's arithmetic the rows ended 1.5e-5
     (CW) and 7.4e-5 (CCW) apart. With the scalar sums every step is the
-    package's, bit for bit. Returns the record and the accepted steps.
+    package's, bit for bit. Returns the record and the accepted and rejected steps.
     """
     T = drive.duration_T
 
@@ -356,41 +356,32 @@ def scipy_direct(params, drive, initial, config, n_output):
         return np.array([-1j * (a * v0 + g * w0), -1j * (g * v0 - a * w0),
                          -1j * (a * v1 + g * w1), -1j * (g * v1 - a * w1)])
 
+    trials = []
+
+    def rk_step(*args):  # one call per step tried
+        trials.append(args[1])
+        return _rk_step_in_order(*args)
+
     grid = np.linspace(0.0, T, n_output + 1)
     u = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
-    log_u = np.zeros(2)  # each column's
-    times, rows, logs = [0.0], [u.copy()], [log_u]
-    t_now, gi, accepted = 0.0, 1, 0
-    with mock.patch.object(rk, "rk_step", _rk_step_in_order):
-        while t_now < T:
-            first = min(config.initial_step, config.max_step, 0.5 * (T - t_now))
-            solver = _InOrderDOP853(rhs, t_now, u, t_bound=T, rtol=config.rel_tol, atol=config.abs_tol,
-                                    max_step=config.max_step, first_step=first)
-            restart = False
-            while solver.status == "running":
-                solver.step()
-                assert solver.status != "failed"
-                accepted += 1
-                dense = solver.dense_output()
-                while gi <= n_output and grid[gi] <= solver.t:
-                    times.append(grid[gi])
-                    rows.append(dense(grid[gi]))
-                    logs.append(log_u)
-                    gi += 1
-                n2 = np.sum(np.abs(solver.y.reshape(2, 2)) ** 2, axis=1)
-                out = (n2 > 0) & ~((_LOG_WORK_LO < np.log(n2)) & (np.log(n2) < _LOG_WORK_HI))
-                if out.any():
-                    n2 = np.where(out, n2, 1.0)
-                    u, t_now, restart = (solver.y.reshape(2, 2) / np.sqrt(n2)[:, None]).ravel(), solver.t, True
-                    log_u = log_u + np.log(n2)
-                    break
-            if not restart:
-                u, t_now = solver.y, solver.t
-    c0 = initial.as_array()
-    top = [max(log[c0 != 0]) for log in logs]
-    raw = [row.reshape(2, 2).T @ (c0 * np.exp(0.5 * (log - t))) for row, log, t in zip(rows, logs, top)]
-    states, norms, logs, _ = finalize(params, drive, times, raw, top)
-    return TrajectoryRecord(np.array(times), states, norms, logs, None, None), accepted
+    times, rows = [0.0], [u]
+    gi, accepted = 1, 0
+    first = min(config.initial_step, config.max_step, 0.5 * T)
+    with mock.patch.object(rk, "rk_step", rk_step):
+        solver = _InOrderDOP853(rhs, 0.0, u, t_bound=T, rtol=config.rel_tol, atol=config.abs_tol,
+                                max_step=config.max_step, first_step=first)
+        while solver.status == "running":
+            solver.step()
+            assert solver.status != "failed"
+            accepted += 1
+            dense = solver.dense_output()
+            while gi <= n_output and grid[gi] <= solver.t:
+                times.append(grid[gi])
+                rows.append(dense(grid[gi]))
+                gi += 1
+    raw = [row.reshape(2, 2).T @ initial.as_array() for row in rows]
+    states, norms, logs, _ = finalize(params, drive, times, raw, [0.0] * len(times))
+    return TrajectoryRecord(np.array(times), states, norms, logs, None, None), accepted, len(trials) - accepted
 
 
 ORACLE_CASES = {
@@ -404,17 +395,23 @@ ORACLE_CASES = {
     )
     for s in states
 }
+# uncoupled, U's columns move as e^(+-0.2 t) in |u|^2: the run rescales each twice, while the unscaled U fits float64
+ORACLE_CASES.update({
+    f"uncoupled2500-state{s}": (REF, StaticDrive(FieldPoint(1.0, 0.0), 2500.0), s) for s in (1, 2)
+})
 
 
 class TestDirectStepperAgainstScipy:
     @pytest.mark.parametrize("params, loop, state", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
     def test_same_steps_and_grid_rows(self, params, loop, state):
+        # the oracle's rows take the package's log scale (the same, a factor of 1, where no row renormalizes)
         traj = propagate_direct(params, loop, StateVector.basis(state), TIGHT, n_output=64)
-        oracle, accepted = scipy_direct(params, loop, StateVector.basis(state), TIGHT, n_output=64)
-        assert traj.meta["solver"]["accepted"] == accepted
+        oracle, accepted, rejected = scipy_direct(params, loop, StateVector.basis(state), TIGHT, n_output=64)
+        assert (traj.meta["solver"]["accepted"], traj.meta["solver"]["rejected"]) == (accepted, rejected)
         np.testing.assert_array_equal(traj.times, oracle.times)
-        np.testing.assert_array_equal(traj.log_scale, oracle.log_scale)
-        rel = np.linalg.norm(traj.states - oracle.states, axis=1) / np.linalg.norm(oracle.states, axis=1)
+        np.testing.assert_allclose(traj.log_scale, oracle.log_scale, rtol=1e-12, atol=0.0)
+        restored = oracle.states * np.exp(0.5 * (oracle.log_scale - traj.log_scale))[:, None]
+        rel = np.linalg.norm(traj.states - restored, axis=1) / np.linalg.norm(restored, axis=1)
         assert rel.max() <= 1e-12, rel.max()
 
     def test_dense_output_only_on_steps_holding_a_grid_time(self, monkeypatch):
@@ -443,8 +440,8 @@ class TestDirectStepperAgainstScipy:
         calls.clear()
         field_at = loops.field_at
         monkeypatch.setattr(loops, "field_at", lambda loop, t: calls.append(t) or field_at(loop, t))
-        _, accepted = scipy_direct(REF, loop, init, TIGHT, n_output=8)
-        assert accepted == solver["accepted"]
+        _, accepted, rejected = scipy_direct(REF, loop, init, TIGHT, n_output=8)
+        assert (accepted, rejected) == (solver["accepted"], solver["rejected"])
         assert len(calls) == 15 * accepted + 12 * solver["rejected"] + 1
 
 
@@ -677,6 +674,20 @@ ORACLE_STEP_CASES = {
         REF, StaticDrive(FieldPoint(1.0, 0.2), 1.0), StateVector(complex(1.5e308, 1.5e308), 0.0), IntegratorConfig(),
         {"n_output": 8},
     ),
+    # uncoupled, c2' = -c2: the decaying column's tolerance 1e300 * 2^-exponent passes the largest float and reads inf
+    "tolerance-past-the-largest-float": (
+        SystemParams(e1=0.0, e2=1.0, gamma1=0.0, gamma2=2.0, d12=0.0), StaticDrive(FieldPoint(1.0, 0.0), 200.0),
+        StateVector.basis(2), IntegratorConfig(abs_tol=1e300, max_step=1.0), {"n_output": 16},
+    ),
+    # a tolerance that dwarfs U's error: err5 is 0 and 0.01 err3 underflows, so scipy's norm would be 0/0
+    "error-norm-underflowing": (
+        SystemParams(e1=32.24661575824719, e2=1.0, gamma1=0.865952659560213, gamma2=0.3,
+                     d12=0.034742850746953005 + 0.003035765512004006j),
+        StaticDrive(FieldPoint(1.0, 0.4007447677615643), 0.3201049305391366), StateVector.basis(1),
+        IntegratorConfig(rel_tol=1e-6, abs_tol=3.9798378097841404e160, max_step=1e300,
+                         initial_step=0.10670164351304552),
+        {"n_output": 4},
+    ),
 }
 
 
@@ -691,6 +702,22 @@ class TestGeneratedStepAgainstLoop:
         for name in ("times", "states", "norms_sq", "log_scale"):
             assert bits(getattr(traj, name)) == bits(getattr(oracle, name)), name
         assert counts(traj) == oracle.meta["solver"]
+
+    @pytest.mark.parametrize("initial", [StateVector.basis(1), StateVector.basis(2),
+                                         StateVector.equal_superposition(0.3)], ids=["state1", "state2", "superposition"])
+    def test_a_rescale_changes_exponents_only(self, monkeypatch, initial):
+        # uncoupled at T = 2500 the run rescales each column of U twice, while
+        # the unscaled U fits float64: the loop-based stepper with its window
+        # opened never rescales, and takes the same steps to the same records
+        drive = StaticDrive(FieldPoint(1.0, 0.0), 2500.0)
+        traj = propagate_direct(REF, drive, initial, TIGHT, n_output=64)
+        monkeypatch.setattr(dop853_reference, "WINDOW", (0.0, math.inf))
+        twin = dop853_reference.propagate_direct(REF, drive, initial, TIGHT, n_output=64)
+        for name in ("times", "states", "norms_sq", "log_scale"):
+            assert bits(getattr(traj, name)) == bits(getattr(twin, name)), name
+        solver = counts(traj)
+        assert (solver["accepted"], solver["rejected"], solver["renormalizations"]) == (684, 0, 4)
+        assert solver == {**twin.meta["solver"], "renormalizations": 4}
 
     def test_cases_cover_what_they_name(self):
         def solver(name):
@@ -725,12 +752,12 @@ class TestGeneratedStepAgainstLoop:
             want.append((*reference.y_old, *reference.y, *dop853_reference.stage_values(reference)))
         h_abs = min(TIGHT.initial_step, TIGHT.max_step, 0.5 * T)
         run = prop._dop853_run()
-        times, logs, held, values, solver = run(
+        exponents, held, values, solver = run(
             prop._drive_constants(drive, params), T, grid, TIGHT.rel_tol, TIGHT.abs_tol, TIGHT.max_step, h_abs
         )
         assert held == steps
         assert bits(np.array(values)) == bits(np.array(want))
-        assert (times, logs) == (grid, [(0.0, 0.0)] * len(grid))
+        assert exponents == [(0, 0)] * len(grid)
         assert solver == reference.counts()
 
     def test_source_is_flat_and_from_the_tableau(self):
@@ -811,13 +838,15 @@ FAILING_CASES = {
          IntegratorConfig(rel_tol=1e-8, abs_tol=1e205, max_step=5e27, initial_step=1e50), {"n_output": 4}),
         NonFiniteError, "amplitudes became non-finite",
     ),
-    # the state grows past 1e154 within one accepted step, so its squared norm overflows;
-    # a rescale by sqrt(inf) would zero it and leave NaN rows after
+    # the state grows past 1e154 within one accepted step, so its squared norm overflows while
+    # its parts are finite: the column is rescaled by a power of two like any other (a division
+    # by sqrt(inf) would have zeroed it), its tolerance with it, and at rates of 1e40 the run
+    # goes on into the step budget
     "overflowing-step": (
         (SystemParams(e1=3.6e5, e2=1.0, gamma1=0.1, gamma2=0.3, d12=-1.7e39 - 1.4e40j),
          StaticDrive(FieldPoint(1.0, 0.3), 15.5), StateVector.basis(1),
          IntegratorConfig(abs_tol=5.36e183, initial_step=2.6e-211, rel_tol=1.7e-9, max_step=7.7e92), {"n_output": 4}),
-        NonFiniteError, "amplitudes overflowed",
+        StepBudgetError, "10001 steps taken",
     ),
     # c2' = -c2, and the first step h sits on the real root z = -4.3468... of DOP853's stability
     # polynomial where y + h sum(b k) rounds to exactly 0, which would leave NaN rows after
@@ -993,11 +1022,17 @@ class TestDopri5:
     @pytest.mark.parametrize("T", [5e-324, 32 * 5e-324])
     def test_cap_underflowing_to_zero_is_a_value_error(self, T):
         # the steps T/n of so short a drive are subnormal (T/256 is 0.0 here);
-        # the direct route, whose floor is 10 ulp(t), takes one step
+        # the direct route, whose floor is 10 ulp(t), takes one step, but
+        # needs 9 distinct row times: at 5e-324 linspace repeats them
         drive = StaticDrive(FieldPoint(1.0, 0.3), T)
         with pytest.raises(ValueError, match="duration_T = .* is too small"):
             propagate_adiabatic(REF, drive, StateVector.basis(2), n_output=8)
-        assert propagate_direct(REF, drive, StateVector.basis(2), n_output=8).times[-1] == T
+        if T == 5e-324:
+            with pytest.raises(ValueError, match="duration_T = .* is too small for distinct row times"):
+                propagate_direct(REF, drive, StateVector.basis(2), n_output=8)
+        else:
+            traj = propagate_direct(REF, drive, StateVector.basis(2), n_output=8)
+            assert len(traj.times) == 9 and traj.times[-1] == T
 
     def test_step_product_is_fourth_order(self):
         # the Gauss points and the weights of the two exponentials make the
@@ -1550,8 +1585,8 @@ class TestDirectRuns:
         first.meta["solver"]["accepted"] = -1
         hit = propagate_direct(REF, self.LOOP, StateVector.basis(2), TIGHT, n_output=16)
         assert hit.meta["solver"]["reused"] and direct_bits(hit) == want
-        (((times, logs, rows), solver),) = prop._DIRECT_RUNS.entries.values()
-        for array in (times, logs, rows):
+        (((exponents, rows), solver),) = prop._DIRECT_RUNS.entries.values()
+        for array in (exponents, rows):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
