@@ -23,12 +23,14 @@ read once per run), so every stage has those bits without a call or an
 object per step. The run keeps the stages of each step that holds an output
 time; after it, one array pass (``_dense_rows``) builds those steps'
 dense-output interpolants and evaluates U at every output row after the
-first. A rescale changes only a column's power-of-two exponent
-(``_rescale_lines``), so ``abs_tol`` bounds U's entries throughout and a
-column far below the other keeps its digits; a step budget
-(``_STEP_BUDGET``) keeps any input from running on without end. U does not
-depend on the initial state, so the route keeps U's rows for the last two
-loops it ran (``_DIRECT_RUNS``) and the next state on a loop only multiplies.
+first, in ``model``'s (re, im) pair arithmetic, with the extra stages'
+(a, g) from ``model._traceless``. A rescale changes only a column's
+power-of-two exponent (``_rescale_lines``), so ``abs_tol`` bounds U's
+entries throughout and a column far below the other keeps its digits; a
+step budget (``_STEP_BUDGET``) keeps any input from running on without
+end. U does not depend on the initial state, so the route keeps U's rows
+for the last two loops it ran (``_DIRECT_RUNS``) and the next state on a
+loop only multiplies.
 
 ``propagate_adiabatic`` expands the state in the instantaneous eigenbasis:
 the c-normalized eigenvectors (cos th, sin th) and (-sin th, cos th),
@@ -54,9 +56,10 @@ independent reference (``tests/coupling_reference.py``).
 uniform samples (``traversal.branch_frames``).
 
 Both routes bring c0 into their rows scaled by a power of two
-(``_pow2_scaled``) and keep the state-independent part of their last two
+(``_pow2_scaled``), keep the state-independent part of their last two
 loops in one kind of cache (``_Recent``, keyed on the exact bits of every
-input that part reads).
+input that part reads) and finish their records in one place
+(``_record``), so ``meta`` has one schema.
 
 Recorded amplitudes are kept inside the representable range: if the true
 squared norm leaves [1e-150, 1e+150] the stored state is renormalized and
@@ -91,7 +94,9 @@ from .errors import NonFiniteError, StepBudgetError, StepSizeUnderflowError
 from . import traversal
 from .loops import LoopSpec, StaticDrive, _contour, _fields_at, _samples
 # build_hamiltonian is not called here; perfbench's tracer wraps propagation.build_hamiltonian
-from .model import SystemParams, _complex, _fmul, _gauge, _mul, _plus, _require_finite, build_hamiltonian, c_product
+from .model import (
+    SystemParams, _complex, _fmul, _gauge, _mul, _plus, _require_finite, _traceless, build_hamiltonian, c_product,
+)
 
 __all__ = [
     "StateVector",
@@ -312,6 +317,22 @@ def _finalize(
 
     states = scaled(raw)
     return states, _norms_sq(states), offsets, None if coeffs is None else scaled(coeffs)
+
+
+def _record(method: str, params: SystemParams, drive: Drive, config: IntegratorConfig, n_output: int, solver: dict,
+            clock: tuple, times: np.ndarray, raw: np.ndarray, exponent, coeffs=None, labels=None) -> TrajectoryRecord:
+    """A route's record of its working-frame rows ``raw``, each scaled by 2^-exponent: ``_finalize`` and ``meta``.
+
+    ``clock`` is the (start, end) of the route's ``stepping`` phase; its
+    ``rows`` phase ends here. Both routes finish here, so ``meta`` has one
+    schema. A squared norm that overflows raises OverflowError, which each
+    route reports as its own ``NonFiniteError``.
+    """
+    started, stepped = clock
+    states, norms, logs, coeffs = _finalize(params, drive, times, raw, 2.0 * math.log(2.0) * exponent, coeffs)
+    meta = {"method": method, "params": params, "drive": drive, "config": config, "n_output": n_output,
+            "solver": solver, "phase_s": {"stepping": stepped - started, "rows": time.perf_counter() - stepped}}
+    return TrajectoryRecord(times, states, norms, logs, coeffs, labels, meta)
 
 
 def _pow2_scaled(z: np.ndarray) -> tuple:
@@ -824,44 +845,21 @@ def _dop853_run():
     return namespace["run"]
 
 
-# the parts of a complex array stacked on a leading axis: value[0] is the real
-# part, value[1] the imaginary one, and value[::-1] swaps them
-_SIGNED_ZERO = np.array([-0.0, 0.0])
-_MINUS_I = np.array([-0.0, -1.0])
+def _stage_sums(rows, kr: np.ndarray, ki: np.ndarray) -> tuple:
+    """sum_j c_j K_j for each coefficient row, as (re, im) arrays [row, component, step].
 
-
-def _lead(v: np.ndarray, ndim: int) -> np.ndarray:
-    """The pair ``v`` (2,) shaped to broadcast along the leading axis of an ndim array."""
-    return v.reshape((2,) + (1,) * (ndim - 1))
-
-
-def _sfmul(x, b: np.ndarray) -> np.ndarray:
-    """``model._fmul`` on stacked parts: (x b.re - 0.0 b.im, x b.im + 0.0 b.re), with x - y as x + -y."""
-    return x * b + _lead(_SIGNED_ZERO, b.ndim) * b[::-1]
-
-
-def _smul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``model._mul`` on stacked parts: (a.re b.re - a.im b.im, a.re b.im + a.im b.re)."""
-    p, q = a[0] * b, a[1] * b[::-1]
-    np.subtract(p[0], q[0], out=p[0])
-    np.add(p[1], q[1], out=p[1])
-    return p
-
-
-def _stage_sums(rows, k: np.ndarray, zk: np.ndarray) -> np.ndarray:
-    """sum_j c_j K_j for each coefficient row, as stacked parts [row, part, component, step].
-
-    ``zk`` holds the stages' signed-zero terms ``_SIGNED_ZERO * k[::-1]``, so
-    every c_j K_j is ``_sfmul``'s bits. Each sum runs in the tableau's order
-    from a 0j accumulator, as the scalar sums do. The rows share their
+    ``kr`` and ``ki`` are the stages' parts [stage, component, step]. Each
+    c_j K_j is ``model._fmul``'s bits, and each sum runs in the tableau's
+    order from a 0j accumulator, as the scalar sums do. The rows share their
     stage indices j (as ``_DOP_D``'s do), so one array operation serves
     every row.
     """
-    coeffs = np.array([[c for _, c in row] for row in rows]).T[:, :, None, None, None]  # [term, row, part, comp, step]
-    total = 0.0
+    coeffs = np.array([[c for _, c in row] for row in rows]).T[:, :, None, None]  # [term, row, component, step]
+    re = im = 0.0
     for c, (j, _) in zip(coeffs, rows[0]):
-        total = total + (c * k[j] + zk[j])
-    return total
+        cr, ci = _fmul(c, kr[j], ki[j])
+        re, im = np.add(cr, re, out=cr), np.add(ci, im, out=ci)  # re + c_j K_j in cr's fresh array
+    return re, im
 
 
 def _dense_rows(params: SystemParams, drive: Drive, times: np.ndarray, held: list, values: list) -> np.ndarray:
@@ -869,51 +867,46 @@ def _dense_rows(params: SystemParams, drive: Drive, times: np.ndarray, held: lis
 
     ``held`` has each such step's (t_old, h, number of rows), in the order
     of the rows, and ``values`` its (y_old, y_new, K_0, ..., K_12) as
-    complex quadruples. One array pass takes the three extra stages (the drive
-    through ``loops._fields_at``, whose bits are the run's), the
-    ``_DOP_D`` sums, the seven coefficients of scipy's interpolant and every
-    row's Horner chain in x and 1 - x. Every value is the bits the scalar
-    ``dense()`` and its interpolant give (``tests/dop853_reference.py``):
-    the arithmetic runs on the real and imaginary parts, stacked in one
-    array per step quantity (float * complex as ``_sfmul``, complex
-    products as ``_smul``) and apart in the rows' chains (``_fmul``), each
-    sum from a 0j accumulator. The extra stages lie inside their step, so
-    their times need no clamp to [0, T].
+    complex quadruples. One array pass takes the three extra stages (their
+    (a, g) from ``model._traceless`` at ``loops._fields_at``, whose bits are
+    the run's), the ``_DOP_D`` sums, the seven coefficients of scipy's
+    interpolant and every row's Horner chain in x and 1 - x. Every value is
+    the bits the scalar ``dense()`` and its interpolant give
+    (``tests/dop853_reference.py``): the arithmetic runs on real and
+    imaginary parts apart, float * complex as ``model._fmul`` and complex
+    products as ``model._mul``, each sum from a 0j accumulator. The extra
+    stages lie inside their step, so their times need no clamp to [0, T].
     """
     t_old, h, count = (np.array(column) for column in zip(*held))
-    # [(y_old, y_new, K_j), part, component, step]
-    parts = np.array(values, dtype=complex).view(float).reshape(len(held), -1, len(_IDENTITY), 2).transpose(1, 3, 2, 0)
-    # [stage, part, component, step]; the extra stages 13..15 are filled below
-    k = np.empty((_N_STAGES_EXTENDED, 2, len(_IDENTITY), len(held)))
-    k[: _N_STAGES + 1] = parts[2:]
-    y_old, y_new = parts[0], parts[1]
-    a_static, half_d12 = params._a_static, params._half_d12
+    # [(y_old, y_new, K_j), component, step]
+    z = np.array(values, dtype=complex).reshape(len(held), -1, len(_IDENTITY)).transpose(1, 2, 0)
+    # [stage, component, step]; the extra stages 13..15 are filled below
+    kr, ki = np.empty((2, _N_STAGES_EXTENDED, len(_IDENTITY), len(held)))
+    kr[: _N_STAGES + 1], ki[: _N_STAGES + 1] = z.real[2:], z.imag[2:]
+    yr, yi, dr, di = z.real[0], z.imag[0], z.real[1] - z.real[0], z.imag[1] - z.imag[0]  # y_old, y_new - y_old
     with np.errstate(over="ignore", invalid="ignore"):  # Python complex arithmetic overflows silently
-        zk = _lead(_SIGNED_ZERO, 3) * k[:, ::-1]  # stages 13..15 are filled in with k
         for s, (c, coeffs) in enumerate(_DOP_EXTRA, _N_STAGES + 1):
-            u = y_old + _sfmul(h, _stage_sums((coeffs,), k, zk)[0])  # y_old + d * h
-            omega, eps0 = _fields_at(drive, t_old + c * h)
-            # a_static + 0.5 * omega and half_d12 * eps0, the float widened to complex(x, 0.0)
-            a = np.stack([a_static.real + 0.5 * omega, np.full_like(omega, a_static.imag + 0.0)])
-            g = _sfmul(eps0, np.array([[half_d12.real], [half_d12.imag]]))
-            for c in (0, 2):  # -1j * (a * v + g * w) and -1j * (g * v - a * w) on the column (v, w)
-                v, w = u[:, c], u[:, c + 1]
-                k[s, :, c] = _smul(_MINUS_I, _smul(a, v) + _smul(g, w))
-                k[s, :, c + 1] = _smul(_MINUS_I, _smul(g, v) - _smul(a, w))
-            zk[s] = _lead(_SIGNED_ZERO, 3) * k[s, ::-1]
-        dy = y_new - y_old
-        f_old, f_new = k[0], k[_N_STAGES]
-        poly = [dy, _sfmul(h, f_old) - dy, _sfmul(2.0, dy) - _sfmul(h, f_new + f_old)]
-        poly += [_sfmul(h, d) for d in _stage_sums(_DOP_D, k, zk)]
-        # scipy's loop first adds the top coefficient to a zero accumulator,
-        # which turns a -0.0 part into 0.0
-        poly[-1] = 0.0 + poly[-1]
+            (sr,), (si,) = _stage_sums((coeffs,), kr, ki)
+            ur, ui = _fmul(h, sr, si)
+            ur, ui = yr + ur, yi + ui  # y_old + d * h
+            a, g = ((q.real, q.imag) for q in _traceless(params, *_fields_at(drive, t_old + c * h)))
+            for col in (0, 2):  # -1j * (a * v + g * w) and -1j * (g * v - a * w) on the column (v, w)
+                v, w = (ur[col], ui[col]), (ur[col + 1], ui[col + 1])
+                (avr, avi), (gwr, gwi), (gvr, gvi), (awr, awi) = _mul(*a, *v), _mul(*g, *w), _mul(*g, *v), _mul(*a, *w)
+                kr[s, col], ki[s, col] = _mul(-0.0, -1.0, avr + gwr, avi + gwi)
+                kr[s, col + 1], ki[s, col + 1] = _mul(-0.0, -1.0, gvr - awr, gvi - awi)
+        # the first three coefficients: dy, h f_old - dy and 2 dy - h (f_new + f_old)
+        (fr, fi), (tr, ti) = _fmul(h, kr[0], ki[0]), _fmul(2.0, dr, di)
+        sr, si = _fmul(h, kr[_N_STAGES] + kr[0], ki[_N_STAGES] + ki[0])
+        poly = [(dr, di), (fr - dr, fi - di), (tr - sr, ti - si)]
+        poly += [_fmul(h, *d) for d in zip(*_stage_sums(_DOP_D, kr, ki))]
         step_of = np.repeat(np.arange(len(held)), count)
         x = (times - t_old[step_of]) / h[step_of]
         u = 1.0 - x
-        # scipy's Horner scheme in x and 1 - x, alternating from the top coefficient
-        ar, ai = poly[6][0][:, step_of], poly[6][1][:, step_of]
-        for (cr, ci), w in zip(poly[5::-1] + [y_old], (x, u, x, u, x, u, x)):
+        # scipy's Horner scheme in x and 1 - x, alternating from the top
+        # coefficient, which its loop first adds to a zero accumulator: a -0.0 part turns 0.0
+        ar, ai = (0.0 + part[:, step_of] for part in poly[6])
+        for (cr, ci), w in zip(poly[5::-1] + [(yr, yi)], (x, u, x, u, x, u, x)):
             ar, ai = _fmul(w, ar, ai)
             ar, ai = ar + cr[:, step_of], ai + ci[:, step_of]
     return _complex(ar.T, ai.T)
@@ -1022,20 +1015,11 @@ def propagate_direct(
         zero = np.flatnonzero(~raw.any(axis=1))
         if zero.size:
             raise NonFiniteError(f"amplitudes underflowed float64: the state is 0 at t = {times[zero[0]]:.6g}")
-        states, norms, logs, _ = _finalize(params, drive, times, raw, 2.0 * math.log(2.0) * (top + shift + shifts))
+        return _record("direct", params, drive, config, n_output, {**solver, "reused": reused}, (started, stepped),
+                       times, raw, top + shift + shifts)
     except OverflowError as exc:
         # abs() of a complex whose modulus overflows float64 (the run's error scale) raises instead of returning inf
         raise NonFiniteError("amplitudes overflowed float64") from exc
-    meta = {
-        "method": "direct",
-        "params": params,
-        "drive": drive,
-        "config": config,
-        "n_output": n_output,
-        "solver": {**solver, "reused": reused},
-        "phase_s": {"stepping": stepped - started, "rows": time.perf_counter() - stepped},
-    }
-    return TrajectoryRecord(times, states, norms, logs, None, None, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,7 +1104,8 @@ def propagate_adiabatic(
     ValueError
         If ``duration_T`` is so small that the steps T/n are subnormal.
     EPOnContourError
-        If a row time or a sample of the steps is on the EP (``model._on_ep``).
+        If a row time, a loop's contour point at the EP's own angle or a
+        sample of the steps is on the EP (``model._on_ep``).
     AmbiguousTrackingError
         If the eigenframe is unresolved at every step count (it turns by
         more than half a radian in a step, or the continued root and the
@@ -1158,20 +1143,10 @@ def propagate_adiabatic(
         if not np.isfinite(raw).all():
             raise OverflowError("a row overflowed float64")
         labels = np.where(_plus(rows.lam), "+", "-")
-        log_internal = 2.0 * math.log(2.0) * (rows.exponent + shift)
-        states, norms, logs, coeffs = _finalize(params, loop, rows.times, raw, log_internal, coeffs)
+        return _record("adiabatic", params, loop, config, n_output, {**solver, "reused": reused}, (started, stepped),
+                       rows.times.copy(), raw, rows.exponent + shift, coeffs, labels)
     except OverflowError as exc:
         raise NonFiniteError("coefficients overflowed float64") from exc
-    meta = {
-        "method": "adiabatic",
-        "params": params,
-        "drive": loop,
-        "config": config,
-        "n_output": n_output,
-        "solver": {**solver, "reused": reused},
-        "phase_s": {"stepping": stepped - started, "rows": time.perf_counter() - stepped},
-    }
-    return TrajectoryRecord(rows.times.copy(), states, norms, logs, coeffs, labels, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import AmbiguousTrackingError, EPOnContourError, EpdynError, NonFiniteError, StepBudgetError
-from .loops import LoopSpec, _Contour, _contours, _fields_at, _motion_at, _samples
-from .model import SystemParams, _angle, _ep_contact, _gauge, _on_ep, _root_plus, _traceless, _traceless_drive
+from .loops import LoopSpec, _Contour, _contour, _contours, _ellipse, _fields_at, _motion_at, _samples
+from .model import SystemParams, _angle, _ep_contact, _gauge, _on_ep, _root_plus, _traceless, _traceless_drive, locate_ep
 
 __all__ = ["TraversalMap", "traversal_maps"]
 
@@ -224,8 +224,9 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     MemoryError
         If the n_output + 1 row times do not fit in an array (before any step).
     EPOnContourError
-        If a row time (checked before any step) or a sample is on the EP
-        (``model._on_ep``).
+        If a row time or, for a ``LoopSpec``, the contour point at the EP's
+        own ellipse angle (both checked before any step), or a sample is on
+        the EP (``model._on_ep``).
     AmbiguousTrackingError
         If the frame is unresolved at every step count up to the cap.
     StepBudgetError
@@ -242,6 +243,8 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
         k = on_ep[0]
         raise EPOnContourError(f"the row at t = {times[k]:.6g} of {drive} comes within the EP: "
                                f"{_ep_contact(a[k], g[k])}")
+    if isinstance(drive, LoopSpec):
+        _check_ep_point(params, drive)
     (tmap,), run, (x, e) = _settle(params, [drive], rel_tol, True, n_output, False)
     if isinstance(tmap, EpdynError):
         raise tmap
@@ -268,6 +271,25 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
         np.concatenate([run.lam0, run.lam[0]]),
         complex(run.z0[0]),
     )
+
+
+def _check_ep_point(params: SystemParams, loop: LoopSpec) -> None:
+    """Raise EPOnContourError where the loop passes through the EP, whatever its row times and step counts.
+
+    The one contour point that can be the EP is the one at the EP's own
+    ellipse angle; it is tested with ``model._on_ep``. A model whose
+    ``locate_ep`` finds no finite EP on the eps0 >= 0 side has none to meet.
+    """
+    try:
+        ep = locate_ep(params).field
+    except EpdynError:
+        return
+    c = _contour(loop)
+    th = math.atan2((ep.eps0 - c.cy) / c.ay, (ep.omega - c.cx) / c.ax)
+    a, g = _traceless(params, *_ellipse(c, math.cos(th), math.sin(th)))
+    if _on_ep(a, g, a * a + g * g):
+        t = c.T * ((th - c.th0) / (c.sign * 2.0 * math.pi) % 1.0)
+        raise EPOnContourError(f"the contour point at t = {t:.6g} of {loop} comes within the EP: {_ep_contact(a, g)}")
 
 
 class _Rows(NamedTuple):

@@ -209,6 +209,31 @@ class TestSimulate:
         assert main(["--config", write_config(tmp_path, doc), *argv]) == 3
         assert "error: EPOnContourError: the row at t = 2.5 of " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_output, where", [("8", "the row"), ("7", "the contour point")])
+    def test_a_contour_through_the_ep_exits_3_before_any_step(self, tmp_path, capsys, monkeypatch, n_output, where):
+        # the same circle: at 8 intervals t = 2.5 is a row; at 7 no row and no
+        # sample of any step count is, and the route doubled to 2^17 steps and
+        # exited 4 before the contour point at the EP's own angle was checked
+        products = []
+        monkeypatch.setattr(traversal, "_intervals", lambda *args: products.append(args))
+        doc = patched({"loop": {"center_eps0": 0.25, "direction": "cw"}})
+        argv = ["--output", str(tmp_path / "traj.csv"), "simulate", "--method", "adiabatic", "--n-output", n_output]
+        assert main(["--config", write_config(tmp_path, doc), *argv]) == 3
+        assert f"error: EPOnContourError: {where} at t = 2.5 of " in capsys.readouterr().err
+        assert not products
+
+    def test_a_modulus_past_float64_exits_3(self, tmp_path, capsys):
+        # a field of 1e-300 held for 1e300 with a first step of 5.9e26: the first trial step's U00 has finite
+        # parts whose modulus overflows, so abs() in the error scale raises, which the direct route reports
+        doc = patched({
+            "loop": {"center_omega": 0.0, "center_eps0": 1e-300, "semi_axis_omega": 1e-300, "semi_axis_eps": 1e-300,
+                     "duration_T": 1e300},
+            "integrator": {"max_step": 1e300, "initial_step": 5.8529525055982455e+26},
+        })
+        argv = ["--config", write_config(tmp_path, doc), "--output", str(tmp_path / "traj.csv"), "simulate"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: NonFiniteError: amplitudes overflowed float64\n"
+
     def test_direction_override(self, tmp_path, capsys):
         doc = patched({"loop": {"center_eps0": 0.35}})
         out = tmp_path / "t.csv"

@@ -554,13 +554,21 @@ class TestRowsAgainstReference:
         rows = prop._dense_rows(REF, diode_loop(Direction.CCW), np.array(times), held, values)
         assert bits(rows) == bits(np.array(reference))
 
-    @pytest.mark.parametrize("drive", [diode_loop(Direction.CW), StaticDrive(FieldPoint(-0.0, -0.0), 5.0)],
-                             ids=["loop", "static"])
-    def test_dense_pass_keeps_signed_zeros(self, drive):
+    @pytest.mark.parametrize(
+        "drive, d12",
+        [(drive, d12) for drive in (diode_loop(Direction.CW), StaticDrive(FieldPoint(-0.0, -0.0), 5.0))
+         for d12 in (1.0, complex(-0.0, 0.7), complex(0.5, -0.0), complex(-0.0, -0.0), complex(-1.0, 0.0))],
+        ids=[drive + d12 for drive in ("loop", "static")
+             for d12 in ("", "-imaginary", "-negative-zero-im", "-zero", "-negative")],
+    )
+    def test_dense_pass_keeps_signed_zeros(self, drive, d12):
         # synthetic steps whose stages and states are mostly signed zeros, with
         # a_static.imag = -0.0: each widened product, each 0j accumulator and
-        # the drive's (a, g) decide signs the rows keep
-        params = SystemParams(e1=0.0, e2=1.0, gamma1=0.0, gamma2=-0.0, d12=1.0)
+        # the drive's (a, g) decide signs the rows keep. The d12 cases put
+        # signed zeros into g = d12 eps0 / 2, numpy's complex product in
+        # model._traceless: its values reach the rows, while a zero's sign in
+        # an extra stage cannot (each stage enters through a +0.0 accumulator)
+        params = SystemParams(e1=0.0, e2=1.0, gamma1=0.0, gamma2=-0.0, d12=d12)
         assert math.copysign(1.0, params._a_static.imag) == -1.0
         rng = np.random.default_rng(7)
 
@@ -856,6 +864,14 @@ FAILING_CASES = {
          IntegratorConfig(abs_tol=1e200, rel_tol=1e-6, initial_step=4.346807010632345, max_step=100.0),
          {"n_output": 4}),
         NonFiniteError, "amplitudes underflowed",
+    ),
+    # the first trial step's new U00 is about -1.29e308-1.26e308j: both parts are finite, but abs() of it in
+    # the error scale raises OverflowError ("absolute value too large"), which the route reports
+    "overflowing-modulus": (
+        (REF, StaticDrive(FieldPoint(0.0, 0.0), 1e300), StateVector.basis(1),
+         IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6, max_step=math.inf, initial_step=5.8529525055982455e+26),
+         {"n_output": 2}),
+        NonFiniteError, "amplitudes overflowed float64",
     ),
 }
 
@@ -1362,15 +1378,19 @@ class TestAdiabaticPropagation:
     @pytest.mark.parametrize(
         "loop, error, message",
         [
-            # through the EP, between the guard's samples: the frame turns by
-            # more than half a radian in a step at every step count
+            # through the EP, between the rows and the guard's samples: the
+            # contour point at the EP's own angle is on it, before any step
             (dataclasses.replace(hermitian_loop(10.0, Direction.CW), start_phase=0.1),
+             EPOnContourError, "the contour point at t = 2.65915 of "),
+            # 1e-9 from the EP, outside the contact rule: the frame turns by
+            # more than half a radian in a step at every step count
+            (LoopSpec(FieldPoint(1.0, 0.250000001), 0.05, 0.05, Direction.CW, 10.0, 0.1),
              AmbiguousTrackingError, "unresolved at every step count"),
             # 1e-4 from the EP: uniform steps resolve the pass only from 2^14
             # steps on, and the change at 2^17 is still 1.8e-8
             (LoopSpec(FieldPoint(1.0, 0.2), 1e-4, 0.1, Direction.CW, 5.0), StepBudgetError, "has not settled"),
         ],
-        ids=["on-contour", "1e-4-from-contour"],
+        ids=["on-contour", "1e-9-from-contour", "1e-4-from-contour"],
     )
     def test_an_unresolved_ep_pass_is_an_error(self, loop, error, message):
         # the route has no bare frame to fall back on

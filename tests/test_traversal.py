@@ -348,13 +348,14 @@ class TestFrames:
         # a CCW circle through the EP at (1, 0.2) whose start phase puts the
         # first Gauss point of step 192 of 256 on it: the EP guard rules out
         # that count's eigenframe, so the map takes the bare frame; the
-        # adiabatic route has no other frame and raises
+        # adiabatic route has no other frame and raises before any step, at
+        # the contour point of the EP's own angle
         phase = 1.5 * math.pi - 2.0 * math.pi * (192 + 0.5 - math.sqrt(3.0) / 6.0) / 256
         loop = LoopSpec(FieldPoint(1.0, 0.25), 0.05, 0.05, Direction.CCW, 50.0, phase)
         (tmap,) = traversal_maps(REF, [loop], 1e-10)
         assert (tmap.frame, tmap.steps) == ("bare", 512)
         for n_output in (512, 500):
-            with pytest.raises(EPOnContourError, match=" at 256 steps comes within "):
+            with pytest.raises(EPOnContourError, match="^the contour point at t = 37.5413 of "):
                 propagate_adiabatic(REF, loop, StateVector.basis(1), n_output=n_output)
 
     @pytest.mark.parametrize(
