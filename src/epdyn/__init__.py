@@ -10,6 +10,7 @@ from .errors import (
     NegativeAmplitudeError,
     NoFiniteEPError,
     NonFiniteError,
+    NotEncirclingError,
     StepBudgetError,
     StepSizeUnderflowError,
     UndersampledError,

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EpdynError, ZeroNormError
+from .errors import EpdynError, NotEncirclingError, ZeroNormError
 from .loops import Direction, LoopSpec, contains_ep, rho
 from .model import FieldPoint, SystemParams, locate_ep
 # propagate_direct is not called here; perfbench's tracer wraps analysis.propagate_direct
@@ -167,10 +167,11 @@ def table1(
     final states off the traversal map of each direction, each computed
     from its own loop (``traversal_maps`` with ``config.rel_tol``; no other
     field of ``config`` is read): the map's two columns are the two basis
-    rows. The loop must encircle the EP for the table to carry its meaning.
+    rows. The loop must encircle the EP for the table to carry its meaning;
+    one that does not raises ``NotEncirclingError``.
     """
     if not contains_ep(loop, params):
-        raise ValueError("table requires an EP-encircling loop (rho > 0)")
+        raise NotEncirclingError("table requires an EP-encircling loop (rho > 0)")
     frame = track_branches(params, loop, n_samples=_TRACK_SAMPLES)
     oriented = [replace(loop, direction=d) for d in (Direction.CW, Direction.CCW)]
     rows = []

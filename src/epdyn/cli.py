@@ -16,6 +16,8 @@ import contextlib
 import json
 import logging
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -87,20 +89,47 @@ def load_config(path: str, require_loop: bool = True) -> RunConfig:
     )
 
 
-def _open_output(path: Optional[str], required: bool = True):
-    """The output file at ``path``, opened for writing before any work; no optional path gives a null context.
+@contextlib.contextmanager
+def _open_output(path: Optional[str], required: bool = True, keep_interrupted: bool = False):
+    """A new file beside ``path``, opened before any work, that replaces ``path`` when the block succeeds.
 
-    A missing required path and one that cannot be opened are config errors.
-    A run that fails after the open leaves the file empty.
+    A missing required path is a config error, and so is a path that names
+    no file, cannot be written or lies in a directory that cannot take the
+    new file; no optional path gives ``None``. A block that raises removes
+    the new file, so a failed run leaves what was at ``path`` as it was,
+    except that with ``keep_interrupted`` a ``KeyboardInterrupt`` moves the
+    partial file over ``path``. A symbolic link's file is the one replaced.
     """
     if path is None:
         if required:
             raise ConfigError("missing required field 'output.path' (or --output)")
-        return contextlib.nullcontext()
+        yield None
+        return
+    target = os.path.realpath(path)
+    partial = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.urandom(4).hex()}.tmp")
     try:
-        return open(path, "w", encoding="utf-8", newline="\n")
+        if not os.path.basename(path) or os.path.isdir(target):
+            raise OSError(f"{path!r} names no file")
+        if os.path.exists(target) and not os.access(target, os.W_OK):
+            raise OSError(f"{path!r} is not writable")
+        fh = open(partial, "x", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ConfigError(f"field 'output.path' (or --output) cannot be opened for writing: {exc}") from exc
+    keep = False
+    try:
+        with fh:
+            yield fh
+        keep = True
+    except KeyboardInterrupt:
+        keep = keep_interrupted
+        raise
+    finally:
+        if keep:
+            if os.path.exists(target):  # the new file takes the old one's permission bits
+                os.chmod(partial, stat.S_IMODE(os.stat(target).st_mode))
+            os.replace(partial, target)
+        else:
+            os.unlink(partial)
 
 
 def _exit_code_for(exc: EpdynError) -> int:
@@ -143,8 +172,8 @@ def cmd_simulate(config: RunConfig, method: str, n_output: int) -> int:
             raise ConfigError(f"invalid 'loop' section: {exc}") from exc
         except MemoryError as exc:  # numpy refused the count's arrays, or could not allocate them
             raise ConfigError(f"--n-output {n_output} is too large: {exc}") from exc
+        report = analysis.final_state_report(traj, config.loop.direction)
         fh.write(write(traj))
-    report = analysis.final_state_report(traj, config.loop.direction)
     print(_report_line(report, method))
     return EXIT_OK
 
@@ -153,9 +182,8 @@ def cmd_table1(config: RunConfig) -> int:
     with _open_output(config.out_path, required=False) as fh:
         try:
             table = analysis.table1(config.params, config.loop, config.integrator)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
+        except ValueError as exc:  # a loop the maps cannot step; a loop off the EP is NotEncirclingError
+            raise ConfigError(f"invalid 'loop' section: {exc}") from exc
         rendered = (serialize.table_to_json if config.out_format == "json" else serialize.table_to_text)(table)
         if fh is not None:
             fh.write(rendered)
@@ -209,7 +237,7 @@ def cmd_sweep(config: RunConfig, args) -> int:
     # batch of up to 32 at a time, so a batch may end mid-row), so an
     # interrupted run leaves valid output; JSON writes the whole result
     csv = config.out_format == "csv"
-    with _open_output(config.out_path) as fh:
+    with _open_output(config.out_path, keep_interrupted=csv) as fh:
         def report(cell: analysis.SweepCell) -> None:
             log.info("cell (%d,%d) done steps=%s frame=%s", cell.i, cell.j, cell.steps, cell.frame)
             if csv:

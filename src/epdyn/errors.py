@@ -17,6 +17,10 @@ class EPOnContourError(EpdynError):
     """A parameter-space contour passes through (or too close to) the EP."""
 
 
+class NotEncirclingError(EpdynError):
+    """The loop does not encircle the EP (rho <= 0), so the state-exchange table has no meaning."""
+
+
 class UndersampledError(EpdynError):
     """Contour sampling too coarse to track the discriminant's argument."""
 

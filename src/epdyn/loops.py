@@ -81,24 +81,6 @@ class LoopSpec:
         if self.center.eps0 < self.semi_axis_eps:
             raise ValueError("center.eps0 must be >= semi_axis_eps (eps0 >= 0 on contour)")
 
-    # -- drive protocol ----------------------------------------------------
-
-    def field_at(self, t: float) -> FieldPoint:
-        return field_at(self, t)
-
-    def velocity_at(self, t: float) -> tuple[float, float]:
-        return field_velocity(self, t)
-
-    def omega_integral(self, t, xp=math):
-        """Closed form of int_0^t omega(t') dt' (used to factor the mean phase).
-
-        ``xp`` is math for a time, numpy for an array of times, as for ``_angle``.
-        """
-        _check_time(self, t, xp)
-        c = _contour(self)
-        rate = c.sign * 2.0 * math.pi / c.T
-        return c.cx * t + c.ax * ((xp.sin(c.th0 + rate * t) - math.sin(c.th0)) / rate)
-
 
 @dataclass(frozen=True)
 class StaticDrive:
@@ -116,21 +98,10 @@ class StaticDrive:
         if self.duration_T <= 0:
             raise ValueError("duration_T must be > 0")
 
-    def field_at(self, t: float) -> FieldPoint:
-        return field_at(self, t)
 
-    def velocity_at(self, t: float) -> tuple[float, float]:
-        return field_velocity(self, t)
-
-    def omega_integral(self, t, xp=math):
-        _check_time(self, t, xp)
-        return self.field.omega * t
-
-
-def _check_time(drive, t, xp=math) -> None:
-    """Raise ValueError unless t (every time of an array, for ``xp`` numpy) lies in [0, T]."""
-    lo, hi = (t, t) if xp is math else (t.min(), t.max())
-    if not (0.0 <= lo and hi <= drive.duration_T):
+def _check_time(drive, t: float) -> None:
+    """Raise ValueError unless t lies in [0, T]."""
+    if not (0.0 <= t <= drive.duration_T):
         raise ValueError(f"t = {t} outside [0, {drive.duration_T}]")
 
 
@@ -159,12 +130,12 @@ def _contours(drives) -> _Contour:
     return _Contour(*(np.array(column, dtype=float)[:, None] for column in zip(*map(_contour, drives))))
 
 
-def _angle(c: _Contour, t, xp=math):
-    """Angle th0 + sign*2*pi*(t/T mod 1); ``xp`` is math for scalars, numpy for arrays.
+def _angle(c: _Contour, t):
+    """Angle th0 + sign*2*pi*(t/T mod 1) at a time or an array of times.
 
     Reducing t/T mod 1 makes t = T reproduce t = 0 bit for bit.
     """
-    return c.th0 + c.sign * 2.0 * xp.pi * xp.fmod(t / c.T, 1.0)
+    return c.th0 + c.sign * 2.0 * np.pi * np.fmod(t / c.T, 1.0)
 
 
 def _ellipse(c: _Contour, cos, sin):
@@ -179,25 +150,21 @@ def _velocity(c: _Contour, cos, sin):
 
 
 def field_at(loop: LoopSpec, t: float) -> FieldPoint:
-    """Contour point at time t: theta(t) = start_phase + sign*2*pi*t/T (a static drive's field)."""
+    """Contour point at time t (a static drive's field): the floats of ``_fields_at``."""
     _check_time(loop, t)
-    c = _contour(loop)
-    th = _angle(c, t)
-    return FieldPoint(*_ellipse(c, math.cos(th), math.sin(th)))
+    return FieldPoint(*map(float, _fields_at(loop, t)))
 
 
 def field_velocity(loop: LoopSpec, t: float) -> tuple[float, float]:
-    """Analytic time derivative of field_at; scales as 1/T for fixed geometry."""
+    """Analytic time derivative of field_at, ``_motion_at``'s floats; scales as 1/T for fixed geometry."""
     _check_time(loop, t)
-    c = _contour(loop)
-    th = _angle(c, t)
-    return _velocity(c, math.cos(th), math.sin(th))
+    return tuple(map(float, _motion_at(_contour(loop), t)[2:]))
 
 
 def _fields_at(drive, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, eps0) arrays at ``times`` along a loop or static drive, the bits of ``field_at``."""
+    """(omega, eps0) arrays at ``times`` along a loop or static drive."""
     c = _contour(drive)
-    th = _angle(c, times, np)
+    th = _angle(c, times)
     return _ellipse(c, np.cos(th), np.sin(th))
 
 
@@ -206,9 +173,18 @@ def _motion_at(c: _Contour, times: np.ndarray) -> tuple:
 
     The bits of ``_fields_at`` and of ``field_velocity`` at each time.
     """
-    th = _angle(c, times, np)
+    th = _angle(c, times)
     cos, sin = np.cos(th), np.sin(th)
     return (*_ellipse(c, cos, sin), *_velocity(c, cos, sin))
+
+
+def _omega_integral(drive, t: np.ndarray) -> np.ndarray:
+    """Closed form of int_0^t omega(t') dt' at an array of times in [0, T]; a static drive's (sign 0) is cx * t."""
+    c = _contour(drive)
+    if not c.sign:
+        return c.cx * t
+    rate = c.sign * 2.0 * math.pi / c.T
+    return c.cx * t + c.ax * ((np.sin(c.th0 + rate * t) - math.sin(c.th0)) / rate)
 
 
 def _samples(T: float, n: int) -> np.ndarray:

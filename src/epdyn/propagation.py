@@ -92,7 +92,7 @@ import numpy as np
 
 from .errors import NonFiniteError, StepBudgetError, StepSizeUnderflowError
 from . import traversal
-from .loops import LoopSpec, StaticDrive, _contour, _fields_at, _samples
+from .loops import LoopSpec, StaticDrive, _contour, _fields_at, _omega_integral, _samples
 # build_hamiltonian is not called here; perfbench's tracer wraps propagation.build_hamiltonian
 from .model import (
     SystemParams, _complex, _fmul, _gauge, _mul, _plus, _require_finite, _traceless, build_hamiltonian, c_product,
@@ -244,7 +244,7 @@ class AdiabaticFrame:
 
 def _trace_phase(params: SystemParams, drive: Drive, t: np.ndarray) -> np.ndarray:
     """Re int_0^t tr H / 2 dt' (the removed common phase) at an array of times, in closed form."""
-    return 0.5 * ((params.e1 + params.e2) * t + drive.omega_integral(t, np))
+    return 0.5 * ((params.e1 + params.e2) * t + _omega_integral(drive, t))
 
 
 def _norms_sq(z: np.ndarray) -> np.ndarray:

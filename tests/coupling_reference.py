@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from epdyn import loops
 from epdyn.loops import LoopSpec
 from epdyn.model import SystemParams, _traceless, _traceless_drive, build_hamiltonian, c_product
 from frame_reference import KAPPA, _aligned_next, _eigensystem
@@ -71,8 +72,8 @@ def na_coupling_at(
     determinant of the oracle frame's (v_plus, v_minus). Raises
     EPOnContourError on the EP (the oracle's rule).
     """
-    fp = loop.field_at(t)
+    fp = loops.field_at(loop, t)
     _, _, v_plus, v_minus, _, _ = _eigensystem(build_hamiltonian(params, fp), KAPPA)
-    theta_dot = _theta_dot(params, *_traceless(params, fp.omega, fp.eps0), loop.velocity_at(t))
+    theta_dot = _theta_dot(params, *_traceless(params, fp.omega, fp.eps0), loops.field_velocity(loop, t))
     det = _det_sign((v_plus, v_minus))
     return -det * theta_dot, det * theta_dot

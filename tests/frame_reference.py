@@ -16,6 +16,7 @@ import cmath
 
 import numpy as np
 
+from epdyn import loops
 from epdyn.errors import AmbiguousTrackingError, EPOnContourError
 from epdyn.model import (
     HamiltonianMatrix,
@@ -129,7 +130,7 @@ def _aligned_next(ref_vs, e_p, e_m, v_p, v_m, ambiguity: float = 0.9):
 
 def _initial_frame(params: SystemParams, drive: Drive, kappa: float):
     """The t = 0 frame ((e0, e1), (v0, v1), labels), slot 0 on the '+' branch."""
-    e_p, e_m, v_p, v_m, _, _ = _eigensystem(build_hamiltonian(params, drive.field_at(0.0)), kappa)
+    e_p, e_m, v_p, v_m, _, _ = _eigensystem(build_hamiltonian(params, loops.field_at(drive, 0.0)), kappa)
     return (e_p, e_m), (v_p, v_m), ("+", "-")
 
 
@@ -138,7 +139,7 @@ def _tracked_frames(params: SystemParams, drive: Drive, times: np.ndarray, kappa
     frame = _initial_frame(params, drive, kappa)
     yield frame
     for t in times[1:]:
-        eig = _eigensystem(build_hamiltonian(params, drive.field_at(float(t))), kappa)
+        eig = _eigensystem(build_hamiltonian(params, loops.field_at(drive, float(t))), kappa)
         frame = _aligned_next(frame[1], *eig[:4])
         yield frame
 

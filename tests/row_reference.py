@@ -10,6 +10,8 @@ that its rows are the same bits and its files the same bytes.
 ``dop853_interp`` is scipy's loop for the DOP853 interpolant, which the
 reference stepper's ``dense()`` (``dop853_reference``) and the package's
 array pass ``propagation._dense_rows`` write as one Horner chain.
+``omega_integral`` is the closed form of the trace phase's integral at one
+time, in Python floats, the oracle of ``loops._omega_integral``.
 """
 
 import cmath
@@ -19,8 +21,18 @@ import math
 import numpy as np
 
 from dop853_reference import _combine
+from epdyn.loops import _contour
 from epdyn.propagation import _DOP_D, _LOG_RECORD_HI, _LOG_RECORD_LO, _N_STAGES
 from epdyn.serialize import TRAJECTORY_COLUMNS, _meta_dict, fmt
+
+
+def omega_integral(drive, t: float) -> float:
+    """int_0^t omega(t') dt' along a loop or static drive (the contour of sign 0, cx * t) at one time."""
+    c = _contour(drive)
+    if not c.sign:
+        return c.cx * t
+    rate = c.sign * 2.0 * math.pi / c.T
+    return c.cx * t + c.ax * ((math.sin(c.th0 + rate * t) - math.sin(c.th0)) / rate)
 
 
 def finalize(params, drive, times, raw_states, log_internal, coeffs=None):
@@ -41,7 +53,7 @@ def finalize(params, drive, times, raw_states, log_internal, coeffs=None):
     rows = zip(np.asarray(times).tolist(), np.asarray(raw_states).tolist(), raw_coeffs,
                np.asarray(log_internal).tolist())
     for k, (t, raw_state, raw_coeff, log_in) in enumerate(rows):
-        phase = -(0.5 * ((params.e1 + params.e2) * t + drive.omega_integral(t)))
+        phase = -(0.5 * ((params.e1 + params.e2) * t + omega_integral(drive, t)))
         log_total = -2.0 * gbar * t + log_in
         raw_n2 = abs(raw_state[0]) ** 2 + abs(raw_state[1]) ** 2
         log_true = math.log(raw_n2) + log_total if raw_n2 > 0 else -math.inf

@@ -45,6 +45,7 @@ from epdyn import (
     track_branches,
     winding_number,
 )
+from epdyn import loops
 from epdyn.analysis import SweepSpec, _dominance, final_state_report, sweep, table1
 from epdyn.errors import EpdynError
 from epdyn.traversal import traversal_maps
@@ -277,10 +278,10 @@ def test_criterion_06_hermitian_control():
         leakages = []
         for T in (25.0, 50.0, 100.0, 200.0):
             loop = hermitian_loop(T)
-            _, _, v_plus, _, _, _ = _eigensystem(build_hamiltonian(HERMITIAN_PARAMS, loop.field_at(0.0)), KAPPA)
+            _, _, v_plus, _, _, _ = _eigensystem(build_hamiltonian(HERMITIAN_PARAMS, loops.field_at(loop, 0.0)), KAPPA)
             traj = propagate_adiabatic(HERMITIAN_PARAMS, loop, StateVector(*v_plus), leak_cfg)
             final = traj.final_state / np.linalg.norm(traj.final_state)
-            _, _, _, v_minus, _, _ = _eigensystem(build_hamiltonian(HERMITIAN_PARAMS, loop.field_at(T)), KAPPA)
+            _, _, _, v_minus, _, _ = _eigensystem(build_hamiltonian(HERMITIAN_PARAMS, loops.field_at(loop, T)), KAPPA)
             v_other = np.array(v_minus) / np.linalg.norm(v_minus)
             leakages.append(abs(np.vdot(v_other, final)) ** 2)
         assert all(b < a for a, b in zip(leakages, leakages[1:])), leakages

@@ -16,6 +16,7 @@ from epdyn import (
     FieldPoint,
     IntegratorConfig,
     LoopSpec,
+    NotEncirclingError,
     StateVector,
     StaticDrive,
     StepBudgetError,
@@ -167,7 +168,7 @@ class TestTable1:
             direction=Direction.CW,
             duration_T=10.0,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(NotEncirclingError, match="EP-encircling"):
             table1(REF, loop, FAST)
 
     def test_adiabatic_column_is_flip_when_swapped(self):

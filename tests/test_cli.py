@@ -322,10 +322,67 @@ class TestOutputPath:
         assert "cannot be opened for writing" in capsys.readouterr().err
 
 
+class TestFailedRunKeepsTheFile:
+    # the output goes to a new file beside the path, which replaces the path
+    # only when the command succeeds: an error exit leaves the directory as it was
+
+    PREVIOUS = b"t,re_c1\n0.0,1.0\n"
+
+    @staticmethod
+    def failing(case):
+        """(config, argv, exit code, stderr start) of a command that fails after its output is opened."""
+        if case == "simulate":  # the CW circle meets the EP at t = 2.5
+            doc = patched({"loop": {"center_eps0": 0.25, "direction": "cw"}})
+            return doc, ["simulate", "--method", "adiabatic"], 3, "error: EPOnContourError: "
+        # the README config moved onto the diode control loop, which leaves the EP outside
+        return with_field("loop", "center_omega", 3.52005), ["table1"], 4, "error: NotEncirclingError: "
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+    @pytest.mark.parametrize("case, name", [("simulate", "keep.csv"), ("table1", "keep.txt")])
+    def test_an_error_exit_leaves_the_directory_as_it_was(self, tmp_path, capsys, case, name, existing):
+        doc, argv, code, err = self.failing(case)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        keep = out_dir / name
+        if existing:
+            keep.write_bytes(self.PREVIOUS)
+        assert main(["--config", write_config(tmp_path, doc), "--output", str(keep), *argv]) == code
+        assert capsys.readouterr().err.startswith(err)
+        assert os.listdir(out_dir) == ([name] if existing else [])
+        if existing:
+            assert keep.read_bytes() == self.PREVIOUS
+
+    def test_a_success_replaces_the_file_and_keeps_its_mode(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        keep = out_dir / "keep.csv"
+        keep.write_bytes(self.PREVIOUS)
+        keep.chmod(0o640)
+        link = tmp_path / "link.csv"  # a link's file is the one replaced, as writing through it did
+        link.symlink_to(keep)
+        doc = patched({"loop": {"center_eps0": 0.35}})
+        assert main(["--config", write_config(tmp_path, doc), "--output", str(link), "simulate", "--n-output", "8"]) == 0
+        assert keep.read_text().startswith("t,re_c1,im_c1") and len(keep.read_text().splitlines()) == 10
+        assert link.is_symlink() and (keep.stat().st_mode & 0o777) == 0o640
+        assert os.listdir(out_dir) == ["keep.csv"]
+
+
 class TestTable1:
     def test_non_encircling_exit_4(self, tmp_path, capsys):
         doc = patched({"loop": {"center_eps0": 0.5}})
         assert main(["--config", write_config(tmp_path, doc), "table1"]) == 4
+        assert capsys.readouterr().err == (
+            "error: NotEncirclingError: table requires an EP-encircling loop (rho > 0)\n"
+        )
+
+    def test_another_value_error_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # one cause, one exit code: as in simulate, a loop the route cannot take is the config's fault
+        def refuse(*args):
+            raise ValueError("duration_T is too small")
+
+        monkeypatch.setattr(epdyn.analysis, "table1", refuse)
+        assert main(["--config", write_config(tmp_path), "table1"]) == 1
+        assert capsys.readouterr().err == "error: ConfigError: invalid 'loop' section: duration_T is too small\n"
 
     def test_renders_four_rows(self, tmp_path, capsys):
         doc = patched({"integrator": {"rel_tol": 1e-8}})

@@ -46,7 +46,7 @@ from epdyn import (
     track_branches,
     winding_number,
 )
-from epdyn import traversal
+from epdyn import loops, traversal
 from frame_reference import KAPPA, _eigensystem, _tracked_frames
 
 REF = DEFAULT_PARAMS
@@ -263,7 +263,7 @@ def test_tracked_t0_frame_is_eigenframe():
         (HERMITIAN_PARAMS, hermitian_loop(10.0)),
     ]
     for params, drive in cases:
-        e_p, e_m, v_p, v_m, _, _ = _eigensystem(build_hamiltonian(params, drive.field_at(0.0)), KAPPA)
+        e_p, e_m, v_p, v_m, _, _ = _eigensystem(build_hamiltonian(params, loops.field_at(drive, 0.0)), KAPPA)
         tracked = track_branches(params, drive, n_samples=64)
         want = np.array([v_p, v_m])
         for slot in (0, 1):

@@ -29,7 +29,7 @@ from epdyn import (
     track_branches,
     winding_number,
 )
-from epdyn import model, traversal
+from epdyn import loops, model, traversal
 from epdyn.analysis import final_state_report, table1
 from ep_reference import refine_ep
 
@@ -366,7 +366,7 @@ class TestOneEPRule:
         # |discriminant| = 1.0e-13 at t = 0, inside the rule's 8e-13 at this
         # EP's scale: every frame and count that samples t = 0 reports it alike
         loop = LoopSpec(FieldPoint(1.0, 0.25), 0.05, 0.05, Direction.CCW, 50.0, 1.5 * math.pi + 5e-12)
-        field = loop.field_at(0.0)
+        field = loops.field_at(loop, 0.0)
         a, g = model._traceless(REF, field.omega, field.eps0)
         assert model._on_ep(a, g, a * a + g * g)
         messages = []

@@ -350,7 +350,7 @@ def scipy_direct(params, drive, initial, config, n_output):
     T = drive.duration_T
 
     def rhs(t, u):
-        fp = drive.field_at(min(max(t, 0.0), T))
+        fp = loops.field_at(drive, min(max(t, 0.0), T))
         a, g = _traceless(params, fp.omega, fp.eps0)
         v0, w0, v1, w1 = u.tolist()
         return np.array([-1j * (a * v0 + g * w0), -1j * (g * v0 - a * w0),
@@ -989,8 +989,8 @@ class TestNaCoupling:
         # at -/+ h along the velocity direction around the same point
         h = 1e-6
         for t in loop.duration_T * (np.arange(9) + 0.5) / 9:
-            fp = loop.field_at(t)
-            velocity = loop.velocity_at(t)
+            fp = loops.field_at(loop, t)
+            velocity = loops.field_velocity(loop, t)
             speed = math.hypot(*velocity)
             ux, uy = velocity[0] / speed, velocity[1] / speed
             frame_a = _eigensystem(build_hamiltonian(REF, FieldPoint(fp.omega - h * ux, fp.eps0 - h * uy)), KAPPA)
@@ -1285,11 +1285,11 @@ class TestAdiabaticPropagation:
         leakage = []
         for T in (100.0, 200.0):
             loop = hermitian_loop(T)
-            _, _, v_plus, _, _, _ = _eigensystem(build_hamiltonian(HERMITIAN_PARAMS, loop.field_at(0.0)), KAPPA)
+            _, _, v_plus, _, _, _ = _eigensystem(build_hamiltonian(HERMITIAN_PARAMS, loops.field_at(loop, 0.0)), KAPPA)
             initial = StateVector(*v_plus)
             traj = propagate_adiabatic(HERMITIAN_PARAMS, loop, initial, TIGHT)
             final = normalized_final(traj)
-            _, _, _, v_minus, _, _ = _eigensystem(build_hamiltonian(HERMITIAN_PARAMS, loop.field_at(T)), KAPPA)
+            _, _, _, v_minus, _, _ = _eigensystem(build_hamiltonian(HERMITIAN_PARAMS, loops.field_at(loop, T)), KAPPA)
             v_other = np.array(v_minus) / np.linalg.norm(v_minus)
             leakage.append(fidelity(final, v_other))
         assert leakage[1] < leakage[0]
