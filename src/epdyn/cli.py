@@ -17,8 +17,10 @@ import json
 import logging
 import math
 import os
+import shutil
 import stat
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -91,45 +93,65 @@ def load_config(path: str, require_loop: bool = True) -> RunConfig:
 
 @contextlib.contextmanager
 def _open_output(path: Optional[str], required: bool = True, keep_interrupted: bool = False):
-    """A new file beside ``path``, opened before any work, that replaces ``path`` when the block succeeds.
+    """The output for ``path``, checked before any work and written into ``path`` when the block succeeds.
 
     A missing required path is a config error, and so is a path that names
-    no file, cannot be written or lies in a directory that cannot take the
-    new file; no optional path gives ``None``. A block that raises removes
-    the new file, so a failed run leaves what was at ``path`` as it was,
-    except that with ``keep_interrupted`` a ``KeyboardInterrupt`` moves the
-    partial file over ``path``. A symbolic link's file is the one replaced.
+    no file, cannot be written or lies in a directory that cannot take a new
+    file; no optional path gives ``None``. An existing file that is not a
+    regular one (a pipe, a device) is opened and written as the block
+    writes. Otherwise the block writes an unnamed file, beside ``path``
+    where its directory takes one, whose bytes are copied into ``path`` when
+    the block succeeds, or, with ``keep_interrupted``, when it ends by
+    ``KeyboardInterrupt``. So a failed run leaves what was at ``path`` as it
+    was and leaves no file behind, and a file that is written keeps its
+    owner, links and mode.
     """
     if path is None:
         if required:
             raise ConfigError("missing required field 'output.path' (or --output)")
         yield None
         return
-    target = os.path.realpath(path)
-    partial = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.urandom(4).hex()}.tmp")
     try:
-        if not os.path.basename(path) or os.path.isdir(target):
+        if not os.path.basename(path) or os.path.isdir(path):
             raise OSError(f"{path!r} names no file")
-        if os.path.exists(target) and not os.access(target, os.W_OK):
+        existing = os.path.exists(path)
+        staged = not existing or stat.S_ISREG(os.stat(path).st_mode)
+        if not staged:
+            fh = open(path, "w", encoding="utf-8", newline="\n")
+        elif existing and not os.access(path, os.W_OK):
             raise OSError(f"{path!r} is not writable")
-        fh = open(partial, "x", encoding="utf-8", newline="\n")
+        else:
+            fh = _staging_file(path, existing)
     except OSError as exc:
         raise ConfigError(f"field 'output.path' (or --output) cannot be opened for writing: {exc}") from exc
-    keep = False
-    try:
-        with fh:
+    with fh:
+        try:
             yield fh
-        keep = True
-    except KeyboardInterrupt:
-        keep = keep_interrupted
-        raise
-    finally:
-        if keep:
-            if os.path.exists(target):  # the new file takes the old one's permission bits
-                os.chmod(partial, stat.S_IMODE(os.stat(target).st_mode))
-            os.replace(partial, target)
-        else:
-            os.unlink(partial)
+        except KeyboardInterrupt:
+            if staged and keep_interrupted:
+                _copy_out(fh, path)
+            raise
+        if staged:
+            _copy_out(fh, path)
+
+
+def _staging_file(path: str, existing: bool):
+    """An unnamed file beside ``path``; an existing file whose directory takes no new file is staged in the temporary directory."""
+    try:
+        return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=os.path.dirname(os.path.realpath(path)))
+    except OSError:
+        if not existing:
+            raise
+        return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+
+
+def _copy_out(staged, path: str) -> None:
+    staged.seek(0)  # flushes the text layer, so its bytes are copied as they are
+    try:
+        with open(path, "wb") as fh:
+            shutil.copyfileobj(staged.buffer, fh)
+    except OSError as exc:
+        raise ConfigError(f"field 'output.path' (or --output) cannot be written: {exc}") from exc
 
 
 def _exit_code_for(exc: EpdynError) -> int:

@@ -7,9 +7,11 @@ import logging
 import math
 import os
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -323,7 +325,7 @@ class TestOutputPath:
 
 
 class TestFailedRunKeepsTheFile:
-    # the output goes to a new file beside the path, which replaces the path
+    # the output goes to an unnamed file beside the path, copied into the path
     # only when the command succeeds: an error exit leaves the directory as it was
 
     PREVIOUS = b"t,re_c1\n0.0,1.0\n"
@@ -352,19 +354,77 @@ class TestFailedRunKeepsTheFile:
         if existing:
             assert keep.read_bytes() == self.PREVIOUS
 
-    def test_a_success_replaces_the_file_and_keeps_its_mode(self, tmp_path, capsys):
+    SIMULATE = ["simulate", "--n-output", "8"]
+
+    def succeed(self, tmp_path, path):
+        doc = patched({"loop": {"center_eps0": 0.35}})
+        return main(["--config", write_config(tmp_path, doc), "--output", str(path), *self.SIMULATE])
+
+    def test_a_success_writes_the_file_in_place(self, tmp_path, capsys):
+        # the file keeps its inode, so its mode and hard links stay, and a
+        # link's file is the one written, as writing through the link did
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         keep = out_dir / "keep.csv"
         keep.write_bytes(self.PREVIOUS)
         keep.chmod(0o640)
-        link = tmp_path / "link.csv"  # a link's file is the one replaced, as writing through it did
+        hard = out_dir / "hard.csv"
+        os.link(keep, hard)
+        link = tmp_path / "link.csv"
         link.symlink_to(keep)
-        doc = patched({"loop": {"center_eps0": 0.35}})
-        assert main(["--config", write_config(tmp_path, doc), "--output", str(link), "simulate", "--n-output", "8"]) == 0
+        inode = keep.stat().st_ino
+        assert self.succeed(tmp_path, link) == 0
         assert keep.read_text().startswith("t,re_c1,im_c1") and len(keep.read_text().splitlines()) == 10
-        assert link.is_symlink() and (keep.stat().st_mode & 0o777) == 0o640
+        assert hard.read_bytes() == keep.read_bytes()
+        assert link.is_symlink() and keep.stat().st_ino == inode and (keep.stat().st_mode & 0o777) == 0o640
+        assert sorted(os.listdir(out_dir)) == ["hard.csv", "keep.csv"]
+
+    def test_a_pipe_is_written_as_it_is(self, tmp_path, capsys):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            code = self.succeed(tmp_path, fifo)
+        finally:
+            reader.join(timeout=30)
+        assert code == 0 and not reader.is_alive()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert received[0].startswith(b"t,re_c1,im_c1") and len(received[0].splitlines()) == 10
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "out.fifo"]
+
+    def test_a_closed_directory_still_takes_its_file(self, tmp_path, capsys, monkeypatch):
+        # an existing writable file is written even where its directory refuses
+        # a new file (root ignores a directory's mode, so the refusal is patched in)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        keep = out_dir / "keep.csv"
+        keep.write_bytes(self.PREVIOUS)
+        staging = tempfile.TemporaryFile
+
+        def refuse_beside(*args, dir=None, **kwargs):
+            if dir == str(out_dir):
+                raise PermissionError(13, "Permission denied", dir)
+            return staging(*args, dir=dir, **kwargs)
+
+        monkeypatch.setattr(epdyn.cli.tempfile, "TemporaryFile", refuse_beside)
+        assert self.succeed(tmp_path, keep) == 0
+        assert keep.read_text().startswith("t,re_c1,im_c1")
         assert os.listdir(out_dir) == ["keep.csv"]
+        assert self.succeed(tmp_path, out_dir / "new.csv") == 1  # a new path needs the directory
+        assert "cannot be opened for writing" in capsys.readouterr().err
+        assert os.listdir(out_dir) == ["keep.csv"]
+
+    def test_a_late_write_failure_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(epdyn.cli.shutil, "copyfileobj", refuse)
+        assert self.succeed(tmp_path, tmp_path / "out.csv") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ConfigError: field 'output.path' (or --output) cannot be written: ")
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestTable1:
