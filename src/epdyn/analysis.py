@@ -150,10 +150,6 @@ def _map_report(params: SystemParams, loop: LoopSpec, tmap: TraversalMap, initia
     )
 
 
-def _bare_label(vector: np.ndarray) -> int:
-    return 1 if abs(vector[0]) >= abs(vector[1]) else 2
-
-
 def table1(
     params: SystemParams,
     loop: LoopSpec,
@@ -161,38 +157,37 @@ def table1(
 ) -> Table1Result:
     """State-exchange table: {CW, CCW} x {bare 1, bare 2} initial states.
 
-    The adiabatic column follows the initial state's dominant eigenbranch
-    through the tracked (possibly swapped) frame and reads off the bare
-    label of that branch's final eigenvector. The exact column reads the
-    final states off the traversal map of each direction, each computed
-    from its own loop (``traversal_maps`` with ``config.rel_tol``; no other
-    field of ``config`` is read): the map's two columns are the two basis
-    rows. The loop must encircle the EP for the table to carry its meaning;
-    one that does not raises ``NotEncirclingError``.
+    The adiabatic column is the exchange rule of branch tracking: the
+    initial state where one traversal leaves the tracked branches in place,
+    the other state where it swaps them (``track_branches(...).swapped``,
+    the same for both directions). On a closed loop a tracked slot ends on
+    +/- its own first vector, or the other slot's when the branches swap,
+    so this is the bare label that following the initial state's dominant
+    branch to T reads. The exact column reads the final states off the
+    traversal map of each direction, each computed from its own loop
+    (``traversal_maps`` with ``config.rel_tol``; no other field of
+    ``config`` is read): the map's two columns are the two basis rows. The
+    loop must encircle the EP for the table to carry its meaning; one that
+    does not raises ``NotEncirclingError``.
     """
     if not contains_ep(loop, params):
         raise NotEncirclingError("table requires an EP-encircling loop (rho > 0)")
-    frame = track_branches(params, loop, n_samples=_TRACK_SAMPLES)
+    swapped = track_branches(params, loop, n_samples=_TRACK_SAMPLES).swapped
     oriented = [replace(loop, direction=d) for d in (Direction.CW, Direction.CCW)]
     rows = []
     for direction_loop, tmap in zip(oriented, traversal_maps(params, oriented, config.rel_tol)):
-        # branch tracking is traversal-symmetric in what it pairs at t=0/T,
-        # so the flip prediction is shared by both directions
         for initial_state in (1, 2):
-            slot = 0 if abs(frame.vectors[0, 0, initial_state - 1]) >= abs(
-                frame.vectors[0, 1, initial_state - 1]
-            ) else 1
             report = _map_report(params, direction_loop, tmap, StateVector.basis(initial_state))
             rows.append(
                 Table1Row(
                     direction=direction_loop.direction,
                     initial_state=initial_state,
-                    adiabatic_final=_bare_label(frame.vectors[-1, slot]),
+                    adiabatic_final=3 - initial_state if swapped else initial_state,
                     exact_final=report.dominant_state,
                     report=report,
                 )
             )
-    return Table1Result(rows=tuple(rows), swapped=frame.swapped)
+    return Table1Result(rows=tuple(rows), swapped=swapped)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import logging
 import math
@@ -295,8 +296,15 @@ def _parse_grid(lo: float, hi: float, n: int, spacing: str, what: str):
     return grid
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are config errors: one ``error:`` line and exit 1, as for every other error."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epdyn",
         description="Driven two-resonance model: EP location, loop protocols, state exchange",
     )
@@ -338,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # progress goes through logging; a handler of this call's own prints it,
     # so a second call in the same process prints each line once
     handler = logging.StreamHandler(sys.stderr)
@@ -347,15 +353,28 @@ def main(argv=None) -> int:
     level = log.level
     log.addHandler(handler)
     log.setLevel(logging.INFO)
+    code = EXIT_OK
     try:
-        return _run(args)
+        code = _run(argv)
+        sys.stdout.flush()  # a pipe closed by its reader shows here, not in the interpreter's last flush
+    except BrokenPipeError:
+        # the reader has all it asked for: the rest of the output goes to os.devnull
+        # (a stdout with no descriptor has none to redirect), and the code is the
+        # command's, or 0 where the pipe closed during the command
+        with contextlib.suppress(io.UnsupportedOperation):
+            stdout = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout)
+            os.close(devnull)
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
+    return code
 
 
-def _run(args) -> int:
+def _run(argv) -> int:
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config, require_loop=args.command != "locate-ep")
         if args.output is not None:
             config.out_path = args.output
@@ -372,9 +391,7 @@ def _run(args) -> int:
             return cmd_table1(config)
         if args.command == "sweep":
             return cmd_sweep(config, args)
-        if args.command == "winding":
-            return cmd_winding(config, args.n_samples)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_winding(config, args.n_samples)
     except EpdynError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

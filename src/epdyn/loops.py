@@ -200,37 +200,46 @@ def _samples(T: float, n: int) -> np.ndarray:
         raise MemoryError(f"{n + 1} samples do not fit in an array") from exc
 
 
+def _traceless_at(params: SystemParams, drive, times: np.ndarray) -> tuple:
+    """(a, g, a^2 + g^2) of ``model._traceless`` at ``times`` along a drive: the one scan of a drive's samples.
+
+    Raises at the first sample that is on the EP (``model._on_ep``:
+    ``EPOnContourError``) or whose a^2 + g^2 is not finite
+    (``NonFiniteError``), whichever comes first.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        a, g = _traceless(params, *_fields_at(drive, times))
+        w2 = a * a + g * g
+    bad = np.flatnonzero(_on_ep(a, g, w2) | ~np.isfinite(w2))
+    if bad.size:
+        k = bad[0]
+        if np.isfinite(w2[k]):
+            raise EPOnContourError(f"the contour point at t = {times[k]:.6g} of {drive} comes within the EP: "
+                                   f"{_ep_contact(a[k], g[k])}")
+        raise NonFiniteError(f"the drive (a, g) overflows float64 at t = {times[k]:.6g} of {drive}")
+    return a, g, w2
+
+
 def winding_number(loop: LoopSpec, params: SystemParams, n_samples: int = 1024) -> int:
     """Integer winding of the discriminant around the complex origin.
 
-    Accumulates the continuous argument of Delta along one traversal. The
-    result is -1 for a CCW loop enclosing the EP of this model (+1 for CW)
-    and 0 otherwise; the sign convention follows from Delta circling the
-    origin opposite to the parameter-space orientation here.
+    Accumulates the continuous argument of Delta = 4 (a^2 + g^2), which is
+    that of a^2 + g^2, along one traversal. The result is -1 for a CCW loop
+    enclosing the EP of this model (+1 for CW) and 0 otherwise; the sign
+    convention follows from Delta circling the origin opposite to the
+    parameter-space orientation here.
 
     Raises
     ------
-    EPOnContourError
-        If a sample is on the EP (``model._on_ep``): the contour touches the degeneracy.
-    NonFiniteError
-        If Delta overflows float64 at any sample.
+    EPOnContourError, NonFiniteError
+        At the first sample on the EP or past float64 (``_traceless_at``).
     UndersampledError
         If any adjacent-sample argument jump exceeds pi/2.
     """
     if n_samples < 64:
         raise ValueError("n_samples must be >= 64")
-    times = _samples(loop.duration_T, n_samples)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        a, g = _traceless(params, *_fields_at(loop, times))
-        delta = 4.0 * (a * a + g * g)
-    if not np.all(np.isfinite(delta)):
-        raise NonFiniteError("discriminant is not finite in float64 along the contour")
-    near = _on_ep(a, g, 0.25 * delta)
-    if near.any():
-        k = int(np.argmax(near))
-        raise EPOnContourError(f"{_ep_contact(a[k], g[k])} at sample t = {times[k]:.6g}")
-    args = np.angle(delta)
-    jumps = np.diff(args)
+    _, _, w2 = _traceless_at(params, loop, _samples(loop.duration_T, n_samples))
+    jumps = np.diff(np.angle(w2))
     jumps = (jumps + np.pi) % (2.0 * np.pi) - np.pi
     worst = float(np.max(np.abs(jumps)))
     if worst > 0.5 * np.pi:

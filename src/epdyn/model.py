@@ -15,8 +15,9 @@ only adds a common phase and decay. The EP is where a^2 + g^2 = 0, and the
 eigenvectors turn with th, tan 2th = g/a. ``_traceless`` is the one
 definition of (a, g). It is plain arithmetic, so omega and eps0 may be floats
 or numpy arrays; the closed-form couplings, the step products of
-``traversal`` and the samples of ``loops.winding_number`` use it, and the
-direct route's generated run gets the same bits from the drive's
+``traversal`` and the one scan of a drive's samples
+(``loops._traceless_at``) use it, and the direct route's generated run
+gets the same bits from the drive's
 ``loops._contour`` and the model's constants, read once per run, with its
 operations inlined (``propagation._drive_constants``;
 ``tests/dop853_reference.py`` keeps the scalar closure as the reference).

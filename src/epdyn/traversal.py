@@ -110,7 +110,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import AmbiguousTrackingError, EPOnContourError, EpdynError, NonFiniteError, StepBudgetError
-from .loops import LoopSpec, _Contour, _contour, _contours, _ellipse, _fields_at, _motion_at, _samples
+from .loops import LoopSpec, _Contour, _contour, _contours, _motion_at, _samples, _traceless_at
 from .model import SystemParams, _angle, _ep_contact, _gauge, _on_ep, _root_plus, _traceless, _traceless_drive, locate_ep
 
 __all__ = ["TraversalMap", "traversal_maps"]
@@ -148,8 +148,7 @@ _EXP_LIMIT = math.log(sys.float_info.max)
 #: The largest entry array whose second products ``_mat`` forms in one broadcast
 #: product; past it that full-size temporary can cost more than the calls it saves.
 _BROADCAST_ENTRIES = 1024
-#: Steps evaluated at once over all loops of a batch, and samples of a
-#: ``branch_frames`` block (bounds the memory).
+#: Steps evaluated at once over all loops of a batch (bounds the memory).
 _BLOCK_STEPS = 2**13
 #: The most loops a sweep passes to one ``_maps`` call: the most whose first
 #: step count still runs as one block, which also bounds a batch's tree nodes.
@@ -223,28 +222,20 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     ------
     MemoryError
         If the n_output + 1 row times do not fit in an array (before any step).
-    EPOnContourError
+    EPOnContourError, NonFiniteError
         If a row time or, for a ``LoopSpec``, the contour point at the EP's
-        own ellipse angle (both checked before any step), or a sample is on
-        the EP (``model._on_ep``).
+        own ellipse angle is on the EP or past float64 (one
+        ``loops._traceless_at`` scan before any step), or a sample of the
+        steps is.
     AmbiguousTrackingError
         If the frame is unresolved at every step count up to the cap.
     StepBudgetError
         If the map stalls above ``_FLOOR_MAX``, or does not settle (or
         overflows float64 at every step) up to the cap.
-    NonFiniteError
-        If the drive overflows float64.
     """
     times = _samples(drive.duration_T, n_output)
-    with np.errstate(all="ignore"):  # an overflow is the maps' to report
-        a, g = _traceless(params, *_fields_at(drive, times))
-        on_ep = np.flatnonzero(_on_ep(a, g, a * a + g * g))
-    if on_ep.size:
-        k = on_ep[0]
-        raise EPOnContourError(f"the row at t = {times[k]:.6g} of {drive} comes within the EP: "
-                               f"{_ep_contact(a[k], g[k])}")
-    if isinstance(drive, LoopSpec):
-        _check_ep_point(params, drive)
+    t_ep = _ep_time(params, drive)
+    _traceless_at(params, drive, times if t_ep is None else np.append(times, t_ep))  # raises before any step
     (tmap,), run, (x, e) = _settle(params, [drive], rel_tol, True, n_output, False)
     if isinstance(tmap, EpdynError):
         raise tmap
@@ -273,23 +264,21 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     )
 
 
-def _check_ep_point(params: SystemParams, loop: LoopSpec) -> None:
-    """Raise EPOnContourError where the loop passes through the EP, whatever its row times and step counts.
+def _ep_time(params: SystemParams, drive):
+    """The time of the contour point at the EP's own ellipse angle, the one point of a loop that can be the EP.
 
-    The one contour point that can be the EP is the one at the EP's own
-    ellipse angle; it is tested with ``model._on_ep``. A model whose
-    ``locate_ep`` finds no finite EP on the eps0 >= 0 side has none to meet.
+    None for a ``StaticDrive``, and for a model whose ``locate_ep`` finds
+    no finite EP on the eps0 >= 0 side: it has none to meet.
     """
+    if not isinstance(drive, LoopSpec):
+        return None
     try:
         ep = locate_ep(params).field
     except EpdynError:
-        return
-    c = _contour(loop)
+        return None
+    c = _contour(drive)
     th = math.atan2((ep.eps0 - c.cy) / c.ay, (ep.omega - c.cx) / c.ax)
-    a, g = _traceless(params, *_ellipse(c, math.cos(th), math.sin(th)))
-    if _on_ep(a, g, a * a + g * g):
-        t = c.T * ((th - c.th0) / (c.sign * 2.0 * math.pi) % 1.0)
-        raise EPOnContourError(f"the contour point at t = {t:.6g} of {loop} comes within the EP: {_ep_contact(a, g)}")
+    return c.T * ((th - c.th0) / (c.sign * 2.0 * math.pi) % 1.0)
 
 
 class _Rows(NamedTuple):
@@ -542,63 +531,46 @@ class _Phase:
 def branch_frames(params: SystemParams, drive, times: np.ndarray) -> tuple:
     """The eigenframe continued along ``times`` (from 0): (a, lam, th, signs).
 
-    At each time a is the traceless drive term, lam the root of a^2 + g^2
-    continued by ``_Phase.follow`` (the '+' root at t = 0) and th the frame
-    angle, e^{2 i th} = (a + i g)/lam, at the multiple of pi nearest th
-    before. Slot 0 holds the energy tr(H)/2 + lam and the vector
-    signs[0] (cos th, sin th), slot 1 tr(H)/2 - lam and signs[1] (-sin th,
-    cos th); ``signs`` is the gauge of the t = 0 frame (``model._gauge``).
-    Between adjacent samples the c-products of these vectors are cos dth
-    (same slot) and sin dth (other slot), so a sample pairs with the one
-    before unless |sin dth| > ``_AMBIGUITY`` |cos dth|. The samples are taken
-    in blocks of at most ``_BLOCK_STEPS``, each continuing the one before;
-    the multiples of pi are an integer count, so where a block ends changes
-    no bit. The first sample that fails raises.
+    At each time a is the traceless drive term (``loops._traceless_at``),
+    lam the root of a^2 + g^2 continued by ``_Phase.follow`` (the '+' root
+    at t = 0) and th the frame angle, e^{2 i th} = (a + i g)/lam, at the
+    multiple of pi nearest th before. Slot 0 holds the energy tr(H)/2 + lam
+    and the vector signs[0] (cos th, sin th), slot 1 tr(H)/2 - lam and
+    signs[1] (-sin th, cos th); ``signs`` is the gauge of the t = 0 frame
+    (``model._gauge``). Between adjacent samples the c-products of these
+    vectors are cos dth (same slot) and sin dth (other slot), so a sample
+    pairs with the one before unless |sin dth| > ``_AMBIGUITY`` |cos dth|.
+    The samples are taken in one pass. A sample on the EP or past float64
+    anywhere raises first; then the first sample whose frame fails.
 
     Raises
     ------
-    EPOnContourError
-        If the sample is on the EP (``model._on_ep``).
+    EPOnContourError, NonFiniteError
+        If a sample is on the EP or past float64 (``loops._traceless_at``).
     NonFiniteError
         If the frame overflows float64.
     AmbiguousTrackingError
         If the sample's overlaps with the frame before are too close to call.
     """
-    n = len(times)
-    a, lam, th = (np.empty(n, dtype=complex) for _ in range(3))
-    edges = [0, *range(1, n, _BLOCK_STEPS), n]
-    for start, stop in zip(edges, edges[1:]):
-        rows = slice(start, stop)
-        with np.errstate(all="ignore"):  # overflow and the EP are reported below
-            a[rows], g = _traceless(params, *_fields_at(drive, times[rows]))
-            w2 = a[rows] * a[rows] + g * g
-            if start == 0:
-                phase = _Phase(a[rows], g, w2, 1)
-                lam[rows], th[rows] = phase.lam0, _angle(phase.z0)
-                signs = _gauge(phase.z0[0], np.cos(th[0]), np.sin(th[0]))
-                last_base, half_turns = th[0].real, np.zeros(1)
-                ambiguous = np.zeros(1, dtype=bool)
-            else:
-                lam[rows] = phase.follow(w2[None])[0]
-                angle = _angle((a[rows] + 1j * g) / lam[rows])
-                base = np.concatenate([[last_base], angle.real])
-                half_turns = half_turns[-1] + np.cumsum(np.rint((base[:-1] - base[1:]) / np.pi))
-                last_base = base[-1]
-                th[rows] = angle + np.pi * half_turns
-                turn = np.diff(th[start - 1 : stop])
-                ambiguous = np.abs(np.sin(turn)) > _AMBIGUITY * np.abs(np.cos(turn))
-            near = _on_ep(a[rows], g, w2)
-            finite = np.isfinite(w2) & np.isfinite(th[rows])
-        bad = np.flatnonzero(near | ~finite | ambiguous)
-        if bad.size:
-            k = bad[0]
-            if near[k]:
-                raise EPOnContourError(f"{_ep_contact(a[start + k], g[k])}: eigenvectors are (nearly) "
-                                       f"self-orthogonal at t = {times[start + k]:.6g}")
-            if not finite[k]:
-                raise NonFiniteError("eigenframe overflows float64")
-            overlaps = sorted(abs(f(th[start + k] - th[start + k - 1])) for f in (np.cos, np.sin))
-            raise AmbiguousTrackingError(f"branch overlaps too close to call: {overlaps[1]:.3f} vs {overlaps[0]:.3f}")
+    a, g, w2 = _traceless_at(params, drive, times)
+    with np.errstate(all="ignore"):  # a frame that is not finite is reported below
+        phase = _Phase(a[:1], g[:1], w2[:1], 1)
+        lam = np.concatenate([phase.lam0, phase.follow(w2[None, 1:])[0]])
+        th = _angle((a + 1j * g) / lam)
+        base = th.real
+        # a zero count is +0.0 (0.0 +), so th + pi * count makes a -0.0 real part +0.0 at every sample after t = 0
+        half_turns = 0.0 + np.cumsum(np.rint((base[:-1] - base[1:]) / np.pi))
+        th[1:] += np.pi * half_turns
+        turn = np.diff(th)
+        ambiguous = np.abs(np.sin(turn)) > _AMBIGUITY * np.abs(np.cos(turn))
+    signs = _gauge(phase.z0[0], np.cos(th[0]), np.sin(th[0]))
+    bad = np.flatnonzero(~np.isfinite(th) | np.concatenate([[False], ambiguous]))
+    if bad.size:
+        k = bad[0]
+        if not np.isfinite(th[k]):
+            raise NonFiniteError("eigenframe overflows float64")
+        overlaps = sorted(abs(f(th[k] - th[k - 1])) for f in (np.cos, np.sin))
+        raise AmbiguousTrackingError(f"branch overlaps too close to call: {overlaps[1]:.3f} vs {overlaps[0]:.3f}")
     return a, lam, th, signs
 
 

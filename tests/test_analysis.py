@@ -20,9 +20,11 @@ from epdyn import (
     StateVector,
     StaticDrive,
     StepBudgetError,
+    contains_ep,
     diode_loop,
     hermitian_loop,
     propagate_direct,
+    track_branches,
 )
 from epdyn import analysis
 from epdyn.analysis import (
@@ -181,6 +183,40 @@ class TestTable1:
         assert len(table.rows) == 4
         directions = [r.direction for r in table.rows]
         assert directions == [Direction.CW, Direction.CW, Direction.CCW, Direction.CCW]
+
+    def test_adiabatic_column_is_the_slot_search(self):
+        # the column used to follow the slot whose t = 0 vector leads in the
+        # initial state's component and read the bare label of its vector at
+        # T; on a closed loop that is the exchange rule, except where
+        # |cos th_0| = |sin th_0| exactly, which sent both states down slot 0
+        rng = np.random.default_rng(11)
+        checked = {True: 0, False: 0}
+        while min(checked.values()) < 8:
+            eps = rng.uniform(0.15, 0.5)
+            loop = LoopSpec(FieldPoint(rng.uniform(0.6, 1.4), eps), rng.uniform(0.05, 0.6),
+                            rng.uniform(0.1, 1.0) * eps, Direction.CW, rng.uniform(5.0, 40.0),
+                            rng.uniform(0.0, 2.0 * math.pi))
+            frame = track_branches(REF, loop, n_samples=analysis._TRACK_SAMPLES)
+            first = frame.vectors[0, 0]
+            if abs(first[0]) == abs(first[1]):
+                continue
+            want = slot_search_column(frame)
+            if contains_ep(loop, REF):
+                got = [row.adiabatic_final for row in table1(REF, loop, FAST).rows]
+                assert got == want + want
+            else:  # table1 refuses the loop; the rule still reads off the swap
+                assert want == ([2, 1] if frame.swapped else [1, 2])
+            checked[contains_ep(loop, REF)] += 1
+
+
+def slot_search_column(frame) -> list:
+    """``table1``'s former adiabatic column, one label per basis state, from the tracked frame."""
+    column = []
+    for component in (0, 1):
+        slot = 0 if abs(frame.vectors[0, 0, component]) >= abs(frame.vectors[0, 1, component]) else 1
+        final = frame.vectors[-1, slot]
+        column.append(1 if abs(final[0]) >= abs(final[1]) else 2)
+    return column
 
 
 class TestFloat64Floor:

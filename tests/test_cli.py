@@ -209,19 +209,20 @@ class TestSimulate:
         out = tmp_path / "traj.csv"
         argv = ["--output", str(out), "simulate", "--method", "adiabatic", "--n-output", n_output]
         assert main(["--config", write_config(tmp_path, doc), *argv]) == 3
-        assert "error: EPOnContourError: the row at t = 2.5 of " in capsys.readouterr().err
+        assert "error: EPOnContourError: the contour point at t = 2.5 of " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n_output, where", [("8", "the row"), ("7", "the contour point")])
-    def test_a_contour_through_the_ep_exits_3_before_any_step(self, tmp_path, capsys, monkeypatch, n_output, where):
+    @pytest.mark.parametrize("n_output", ["8", "7"])
+    def test_a_contour_through_the_ep_exits_3_before_any_step(self, tmp_path, capsys, monkeypatch, n_output):
         # the same circle: at 8 intervals t = 2.5 is a row; at 7 no row and no
         # sample of any step count is, and the route doubled to 2^17 steps and
-        # exited 4 before the contour point at the EP's own angle was checked
+        # exited 4 before the contour point at the EP's own angle was checked;
+        # a row and that point are one scan, with one message
         products = []
         monkeypatch.setattr(traversal, "_intervals", lambda *args: products.append(args))
         doc = patched({"loop": {"center_eps0": 0.25, "direction": "cw"}})
         argv = ["--output", str(tmp_path / "traj.csv"), "simulate", "--method", "adiabatic", "--n-output", n_output]
         assert main(["--config", write_config(tmp_path, doc), *argv]) == 3
-        assert f"error: EPOnContourError: {where} at t = 2.5 of " in capsys.readouterr().err
+        assert "error: EPOnContourError: the contour point at t = 2.5 of " in capsys.readouterr().err
         assert not products
 
     def test_a_modulus_past_float64_exits_3(self, tmp_path, capsys):
@@ -1097,10 +1098,14 @@ def test_static_drive_and_uncapped_step_meta_do_not_read_back(tmp_path):
 SRC = str(Path(epdyn.__file__).resolve().parents[1])
 
 
+def python_env() -> dict:
+    """The environment of a child interpreter that imports this package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def run_python(code, *args, cwd=None):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, *args], cwd=cwd, env=python_env(), capture_output=True, text=True, timeout=120
     )
 
 
@@ -1146,3 +1151,57 @@ def test_main_runs_with_scipy_blocked(tmp_path, capsys, monkeypatch, argv):
     assert main(["--config", config, *argv]) == 0
     assert result.stdout == capsys.readouterr().out
     assert (blocked / "trajectory.csv").read_bytes() == (own / "trajectory.csv").read_bytes()
+
+
+# -- the command line's own errors and a closed pipe ----------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--config", "CONFIG", "simulate", "--n-output", "abc"], "argument --n-output: invalid int value: 'abc'"),
+        (["--config", "CONFIG", "bogus"], "argument command: invalid choice: 'bogus' "),
+        (["simulate"], "the following arguments are required: --config"),
+    ],
+    ids=["bad-int", "unknown-command", "no-config"],
+)
+def test_a_malformed_command_line_is_a_config_error(tmp_path, capsys, argv, message):
+    # argparse printed its usage block and exited 2, the code for "no finite EP"
+    config = write_config(tmp_path)
+    assert main([config if arg == "CONFIG" else arg for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: {message}") and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: epdyn")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["--output", "/dev/stdout", "simulate", "--n-output", "4"], 1),
+        # more than a pipe buffer: the pipe closes during the trajectory's writes
+        (["--output", "/dev/stdout", "simulate", "--n-output", "4096"], 1),
+        # the reader closes before the report line is flushed
+        (["locate-ep"], 0),
+    ],
+    ids=["4-rows", "4096-rows", "report-line"],
+)
+def test_a_reader_that_closes_the_pipe_ends_the_run_quietly(tmp_path, argv, lines):
+    # a BrokenPipeError escaped as a traceback with exit 1; now the run ends
+    # with the code the work earned, 0, and nothing on stderr
+    code = "import sys; from epdyn.cli import main; sys.exit(main(sys.argv[1:]))"
+    config = write_config(tmp_path, DIODE_CONFIG)
+    with subprocess.Popen([sys.executable, "-c", code, "--config", config, *argv], cwd=tmp_path, env=python_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0, err
+    assert err == ""

@@ -36,7 +36,6 @@ from epdyn import (
     StateVector,
     StaticDrive,
     SystemParams,
-    accumulated_phase,
     build_hamiltonian,
     c_product,
     diode_loop,
@@ -59,11 +58,6 @@ NO_SWAP = LoopSpec(FieldPoint(1.0, 0.5), 0.05, 0.05, Direction.CCW, 10.0)
 TOUCHING = LoopSpec(FieldPoint(1.0, 0.3), 0.2, 0.3, Direction.CCW, 10.0)
 # TestTrackBranches.test_ambiguous_when_undersampled: a flat ellipse grazing the EP
 GRAZING = LoopSpec(FieldPoint(1.0, 0.2499), 0.3, 0.05, Direction.CCW, 10.0)
-
-
-def bits(a) -> bytes:
-    """The raw bytes of an array: equal only if every float, signed zeros too, is equal."""
-    return np.ascontiguousarray(a).tobytes()
 
 
 def oracle_track(params, drive, n_samples, kappa=KAPPA):
@@ -312,20 +306,3 @@ def test_diode_phase_samples_bit_equal_to_oracle():
         energies, _, _ = oracle_track(REF, loop, 8192)
         gap = energies[:, 0] - energies[:, 1]
         assert np.abs(2.0 * lam - gap).max() <= 4 * EPS * np.abs(gap).max()
-
-
-@pytest.mark.parametrize("block", [64, 8192])
-def test_the_block_length_changes_no_bit(block, monkeypatch):
-    # each block continues the last frame of the one before, and th's
-    # multiples of pi are an integer count, so where the blocks end changes
-    # no frame, no phase integral and no error; the reference is one block
-    def outputs(length):
-        monkeypatch.setattr(traversal, "_BLOCK_STEPS", length)
-        frame = track_branches(REF, encircling_loop(10.0), n_samples=16384)
-        diode = diode_loop(Direction.CW)
-        phase = accumulated_phase(REF, diode, diode.duration_T, n_samples=8192)
-        with pytest.raises(AmbiguousTrackingError) as error:
-            track_branches(REF, GRAZING, n_samples=150)
-        return bits(frame.energies), bits(frame.vectors), frame.labels.tolist(), bits([phase]), str(error.value)
-
-    assert outputs(block) == outputs(2**15)

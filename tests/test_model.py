@@ -17,6 +17,7 @@ from epdyn import (
     LoopSpec,
     NegativeAmplitudeError,
     NoFiniteEPError,
+    NonFiniteError,
     StateVector,
     StaticDrive,
     SystemParams,
@@ -382,6 +383,35 @@ class TestOneEPRule:
         # the maps leave the eigenframe to the bare frame
         (tmap,) = traversal.traversal_maps(REF, [loop], 1e-10)
         assert (tmap.frame, tmap.steps) == ("bare", 512)
+
+
+    @pytest.mark.parametrize(
+        "loop, error, message",
+        [
+            # README's system on the CW circle of radius 0.05 about (1.0, 0.25),
+            # T = 10, meets the EP at t = 2.5, a sample of each call
+            (LoopSpec(FieldPoint(1.0, 0.25), 0.05, 0.05, Direction.CW, 10.0), EPOnContourError,
+             "the contour point at t = 2.5 of {loop} comes within the EP: |a^2 + g^2| = "),
+            # a = omega/2 + ... is 5e199: a^2 overflows at every sample
+            (LoopSpec(FieldPoint(1e200, 0.25), 0.05, 0.05, Direction.CW, 10.0), NonFiniteError,
+             "the drive (a, g) overflows float64 at t = 0 of {loop}"),
+        ],
+        ids=["ep", "overflow"],
+    )
+    def test_one_scan_one_message(self, loop, error, message):
+        # the winding, the tracked frames and the adiabatic route report the
+        # first faulty sample in the one scan's words (loops._traceless_at)
+        messages = set()
+        for call in (
+            lambda: winding_number(loop, REF),
+            lambda: track_branches(REF, loop),
+            lambda: propagate_adiabatic(REF, loop, StateVector.basis(1)),
+        ):
+            with pytest.raises(error) as info:
+                call()
+            messages.add(str(info.value))
+        (got,) = messages
+        assert got.startswith(message.format(loop=loop))
 
 
 class TestHermitianNoDegeneracy:
