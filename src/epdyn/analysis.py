@@ -18,13 +18,12 @@ import numpy as np
 
 from .errors import EpdynError, NotEncirclingError, ZeroNormError
 from .loops import Direction, LoopSpec, contains_ep, rho
-from .model import FieldPoint, SystemParams, locate_ep
+from .model import FieldPoint, SystemParams, _pow2_scaled, locate_ep
 # propagate_direct is not called here; perfbench's tracer wraps analysis.propagate_direct
 from .propagation import (
     IntegratorConfig,
     StateVector,
     TrajectoryRecord,
-    _pow2_scaled,
     propagate_direct,
     track_branches,
 )

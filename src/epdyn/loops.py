@@ -21,9 +21,10 @@ from .model import (
     EPLocation,
     FieldPoint,
     SystemParams,
+    _contact,
     _ep_contact,
-    _on_ep,
     _require_finite,
+    _pow2_scaled,
     _traceless,
     locate_ep,
 )
@@ -201,23 +202,34 @@ def _samples(T: float, n: int) -> np.ndarray:
 
 
 def _traceless_at(params: SystemParams, drive, times: np.ndarray) -> tuple:
-    """(a, g, a^2 + g^2) of ``model._traceless`` at ``times`` along a drive: the one scan of a drive's samples.
+    """(a, g, a^2 + g^2, shift) of ``model._traceless`` at ``times``, (a, g) over 2^shift: the one scan of a drive.
 
-    Raises at the first sample that is on the EP (``model._on_ep``:
-    ``EPOnContourError``) or whose a^2 + g^2 is not finite
-    (``NonFiniteError``), whichever comes first.
+    shift is 0 wherever |a|^2 + |g|^2 is a normal float. Where it is not,
+    the squares have underflowed, and the sample's (a, g) is scaled by the
+    power of two that puts its largest part in [0.5, 1)
+    (``model._pow2_scaled``), so that a^2 + g^2 keeps its digits. Each use
+    of the scan (the argument of a^2 + g^2, the frame angle, contact with
+    the EP) is free of that scale. Raises at the first sample that is on
+    the EP (``model._on_ep``: ``EPOnContourError``) or whose a^2 + g^2 is
+    not finite (``NonFiniteError``), whichever comes first.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         a, g = _traceless(params, *_fields_at(drive, times))
         w2 = a * a + g * g
-    bad = np.flatnonzero(_on_ep(a, g, w2) | ~np.isfinite(w2))
+    on, low = _contact(a, g, w2)
+    shift = np.zeros(len(times), dtype=int)
+    if low is not None:
+        pair, shift[low] = _pow2_scaled(np.stack([a[low], g[low]], axis=-1))
+        a[low], g[low] = pair[:, 0], pair[:, 1]
+        w2[low] = a[low] * a[low] + g[low] * g[low]
+    bad = np.flatnonzero(on | ~np.isfinite(w2))
     if bad.size:
         k = bad[0]
         if np.isfinite(w2[k]):
             raise EPOnContourError(f"the contour point at t = {times[k]:.6g} of {drive} comes within the EP: "
                                    f"{_ep_contact(a[k], g[k])}")
         raise NonFiniteError(f"the drive (a, g) overflows float64 at t = {times[k]:.6g} of {drive}")
-    return a, g, w2
+    return a, g, w2, shift
 
 
 def winding_number(loop: LoopSpec, params: SystemParams, n_samples: int = 1024) -> int:
@@ -238,7 +250,7 @@ def winding_number(loop: LoopSpec, params: SystemParams, n_samples: int = 1024) 
     """
     if n_samples < 64:
         raise ValueError("n_samples must be >= 64")
-    _, _, w2 = _traceless_at(params, loop, _samples(loop.duration_T, n_samples))
+    _, _, w2, _ = _traceless_at(params, loop, _samples(loop.duration_T, n_samples))
     jumps = np.diff(np.angle(w2))
     jumps = (jumps + np.pi) % (2.0 * np.pi) - np.pi
     worst = float(np.max(np.abs(jumps)))

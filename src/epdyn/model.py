@@ -31,13 +31,15 @@ adiabatic route alike; the '+' root (``_root_plus``), ``_angle`` and the
 gauge (``_gauge``) are defined here for both.
 One rule, free of units as the dynamics are, decides contact with the EP
 everywhere: |a^2 + g^2| <= ``_EP_CONTACT`` (|a|^2 + |g|^2) (``_on_ep``; its
-message is ``_ep_contact``).
+message is ``_ep_contact``), with (a, g) scaled by a power of two where
+their squares underflow (``_contact``).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -60,6 +62,8 @@ __all__ = [
 #: |e^{2 i th}|^2 = |a + i g|^2 / |a^2 + g^2| below 2 / kappa, and with it the
 #: condition number of the eigenframe, whose vectors are self-orthogonal at the EP.
 _EP_CONTACT = 1e-11
+#: The smallest normal float64: where |a|^2 + |g|^2 falls below it, the squares have lost digits to underflow.
+_NORMAL_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,26 @@ def _on_ep(a, g, w2):
 
     A w2 that is not finite is not on the EP: its error is the overflow.
     """
+    return _contact(a, g, w2)[0]
+
+
+def _contact(a, g, w2) -> tuple:
+    """(``_on_ep``, where the squares underflowed): |a|^2 + |g|^2 below the smallest normal float, None if nowhere.
+
+    Such a sample is judged again with the pair (a, g) scaled by a power of
+    two (``_pow2_scaled``); where the squares are normal the verdict is the
+    same at every scale. One reduction of the rule's bound, kappa (|a|^2 +
+    |g|^2), which rounds monotonically, rules out every underflow at once.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        return (np.abs(w2) <= _EP_CONTACT * _norm2(a, g)) & np.isfinite(w2)
+        bound = _EP_CONTACT * _norm2(a, g)
+        on = (np.abs(w2) <= bound) & np.isfinite(w2)
+        if not np.fmin.reduce(bound, axis=None) <= _EP_CONTACT * _NORMAL_MIN:  # fmin skips a NaN
+            return on, None
+        low = _norm2(a, g) < _NORMAL_MIN
+        pair, _ = _pow2_scaled(np.stack([a, g], axis=-1))
+        a, g = pair[..., 0], pair[..., 1]
+        return np.where(low, np.abs(a * a + g * g) <= _EP_CONTACT * _norm2(a, g), on), low
 
 
 def _norm2(a, g):
@@ -245,6 +267,23 @@ def _complex(re, im) -> np.ndarray:
     z.real = re
     z.imag = im
     return z
+
+
+def _pow2_scaled(z: np.ndarray) -> tuple:
+    """z scaled by a power of two along its last axis to a largest part in [0.5, 1), and the exponents.
+
+    z = scaled * 2**shift exactly: ``np.ldexp`` on the parts keeps every
+    signed zero and brings subnormal parts up, where a product with
+    2**-shift would overflow for a subnormal largest part. A vector that is
+    exactly zero keeps shift 0. A state enters either route's rows and a
+    traversal map's report (``analysis._map_report``) this way, and leaves
+    the direct route's, so no finite state overflows or underflows on its
+    way in or out; a drive sample (a, g) whose squares underflow is judged
+    (``_contact``) and scanned (``loops._traceless_at``) this way.
+    """
+    _, shift = np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)).max(axis=-1))
+    down = -shift[..., None]
+    return _complex(np.ldexp(z.real, down), np.ldexp(z.imag, down)), shift
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,9 @@ uniform samples (``traversal.branch_frames``).
 Both routes bring c0 into their rows scaled by a power of two
 (``_pow2_scaled``), keep the state-independent part of their last two
 loops in one kind of cache (``_Recent``, keyed on the exact bits of every
-input that part reads) and finish their records in one place
-(``_record``), so ``meta`` has one schema.
+input that part reads), the trace factor of their rows included
+(``_trace_factor``), and finish their records in one place (``_record``),
+so ``meta`` has one schema.
 
 Recorded amplitudes are kept inside the representable range: if the true
 squared norm leaves [1e-150, 1e+150] the stored state is renormalized and
@@ -67,9 +68,10 @@ the log of the discarded factor accumulates in ``log_scale`` (true norm^2 =
 ``norms_sq * exp(log_scale)``). All normalized projections are unaffected.
 Both routes only collect the working-frame rows as columns (time, state,
 log of the rescalings); ``_finalize`` then restores the trace phase and the
-scale factors, and scans for renormalizations, in array passes spelled so
-that every value is the bits of the old row-by-row loop in Python scalars
-(``tests/row_reference.py`` keeps that loop as the oracle, and
+scale factors, and scans for renormalizations (``_offsets``, with
+``math.log`` only where its last bit can decide one), in array passes
+spelled so that every value is the bits of the old row-by-row loop in
+Python scalars (``tests/row_reference.py`` keeps that loop as the oracle, and
 ``tests/dop853_reference.py`` the loop-based DOP853 with its scalar dense
 output). Both routes time two phases into ``meta["phase_s"]``: ``stepping``
 (the stepping loop, or the step products; a cache lookup on a hit) and
@@ -86,7 +88,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -95,7 +97,8 @@ from . import traversal
 from .loops import LoopSpec, StaticDrive, _contour, _fields_at, _omega_integral, _samples
 # build_hamiltonian is not called here; perfbench's tracer wraps propagation.build_hamiltonian
 from .model import (
-    SystemParams, _complex, _fmul, _gauge, _mul, _plus, _require_finite, _traceless, build_hamiltonian, c_product,
+    SystemParams, _complex, _fmul, _gauge, _mul, _plus, _pow2_scaled, _require_finite, _traceless, build_hamiltonian,
+    c_product,
 )
 
 __all__ = [
@@ -114,6 +117,9 @@ Drive = Union[LoopSpec, StaticDrive]
 # stored squared norm is kept inside this window (log bounds)
 _LOG_RECORD_LO = math.log(1e-150)
 _LOG_RECORD_HI = math.log(1e150)
+# numpy's log decides a row farther than this times (|log| + |log_total| + |offset|)
+# from both edges as math.log does (64 times the rounding bound; see ``_offsets``)
+_LOG_MARGIN = 2.0**-44
 # the direct run's step budget: past _STEP_BUDGET accepted steps it
 # stops once (T - t) / h predicts more than _STEP_BUDGET_REMAINING to come
 _STEP_BUDGET = 10_000
@@ -242,9 +248,15 @@ class AdiabaticFrame:
 # ---------------------------------------------------------------------------
 
 
-def _trace_phase(params: SystemParams, drive: Drive, t: np.ndarray) -> np.ndarray:
-    """Re int_0^t tr H / 2 dt' (the removed common phase) at an array of times, in closed form."""
-    return 0.5 * ((params.e1 + params.e2) * t + _omega_integral(drive, t))
+def _trace_factor(params: SystemParams, drive: Drive, times: np.ndarray) -> tuple:
+    """(cos, sin) of minus the trace phase at ``times``, read-only: the phase ``_finalize`` puts back on each row.
+
+    The trace phase, Re int_0^t tr H / 2 dt', is the removed common phase,
+    in closed form. It reads the model, the drive and the row times only,
+    so each route's kept entry makes it once for every state on the loop.
+    """
+    phase = -(0.5 * ((params.e1 + params.e2) * times + _omega_integral(drive, times)))
+    return _read_only(np.cos(phase), np.sin(phase))
 
 
 def _norms_sq(z: np.ndarray) -> np.ndarray:
@@ -257,32 +269,77 @@ def _norms_sq(z: np.ndarray) -> np.ndarray:
     return squares[:, 0] + squares[:, 1]
 
 
+def _offsets(norms_sq: np.ndarray, log_total: np.ndarray) -> np.ndarray:
+    """Each row's log offset: the log true norm^2 of the last row that left the window relative to the one before.
+
+    The scalar loop takes ``math.log(norms_sq) + log_total`` at every row,
+    and numpy's ``log`` can differ from ``math.log`` in the last bit. That
+    bit decides only a row whose shift from the offset lies within
+    ``_LOG_MARGIN`` (|log| + |log_total| + |offset|) of an edge of the
+    window, and the new offset where one moves; every other row's decision
+    is the same with numpy's log (``notes/decisions.md``, "Work that cannot
+    change a bit, done once"). So ``math.log`` is mapped over those rows
+    only, and the offsets are the scalar loop's bits. The scan costs one
+    array pass per renormalization.
+    """
+    positive = norms_sq > 0
+    log_n2 = np.log(np.where(positive, norms_sq, 1.0))
+    log_true = np.where(positive, log_n2 + log_total, -math.inf)
+    margin = _LOG_MARGIN * (np.abs(log_n2) + np.abs(log_total))
+    exact = ~positive  # rows whose log_true is the scalar loop's: -inf, or math.log's
+
+    def make_exact(rows):
+        rows = rows[~exact[rows]]
+        log_true[rows] = np.fromiter(map(math.log, norms_sq[rows].tolist()), float, len(rows)) + log_total[rows]
+        exact[rows] = True
+
+    offsets = np.empty(len(log_true))
+    start, offset = 0, 0.0
+    while start < len(log_true):
+        shift = log_true[start:] - offset
+        # a NaN distance counts as near
+        near = ~(np.minimum(np.abs(shift - _LOG_RECORD_LO), np.abs(shift - _LOG_RECORD_HI))
+                 > margin[start:] + _LOG_MARGIN * abs(offset))
+        if near.any():
+            make_exact(start + np.flatnonzero(near))
+            shift = log_true[start:] - offset
+        leaves = np.flatnonzero(~((_LOG_RECORD_LO < shift) & (shift < _LOG_RECORD_HI)))
+        stop = start + leaves[0] if leaves.size else len(log_true)
+        offsets[start:stop] = offset
+        if stop < len(log_true):
+            # renormalize the stored state, push the factor into log_scale
+            make_exact(np.array([stop]))
+            offset = offsets[stop] = log_true[stop]
+        start = stop + 1
+    return offsets
+
+
 def _finalize(
     params: SystemParams,
-    drive: Drive,
     times: np.ndarray,
     raw,
     log_internal: np.ndarray,
+    trace: tuple,
     coeffs: Optional[np.ndarray] = None,
 ) -> tuple:
     """(states, norms_sq, log_scale, coeffs) of working-frame rows, on whole columns.
 
     Row k holds the working-frame bare state ``raw[k]`` at ``times[k]``: the
-    true state is raw * exp(-i trace phase) * exp((log_internal - 2 gbar t) / 2).
-    The stored state takes that factor relative to an offset, and the offset
-    moves to the row's log true norm^2 whenever the row's would leave
-    [1e-150, 1e+150] relative to it. ``coeffs`` (adiabatic runs) take the
-    stored state's factor.
+    true state is raw * exp(-i trace phase) * exp((log_internal - 2 gbar t) / 2),
+    and ``trace`` is (cos, sin) of minus the trace phase at ``times``
+    (``_trace_factor``). The stored state takes that factor relative to an
+    offset, and the offset moves to the row's log true norm^2 whenever the
+    row's would leave [1e-150, 1e+150] relative to it (``_offsets``).
+    ``coeffs`` (adiabatic runs) take the stored state's factor.
 
     Every value is the bits the row-by-row loop in Python floats and complex
     numbers gives (``tests/row_reference.py``; ``notes/decisions.md`` lists
-    the traps): moduli and squares as in ``_norms_sq``, ``math.log`` and
-    ``math.exp`` mapped over the column because numpy's differ in the last
-    bit, numpy's ``cos`` and ``sin`` (libm's), and complex products spelled
-    out as CPython computes them (``model._mul``, ``_fmul``). The offset scan
-    costs one array pass per renormalization. A squared norm that overflows
-    raises OverflowError, as ``abs()`` and ``**`` do on Python floats, and so
-    does ``math.exp``.
+    the traps): moduli and squares as in ``_norms_sq``, ``math.log`` where
+    it decides (``_offsets``) and ``math.exp`` mapped over the column because
+    numpy's differ in the last bit, numpy's ``cos`` and ``sin`` (libm's), and
+    complex products spelled out as CPython computes them (``model._mul``,
+    ``_fmul``). A squared norm that overflows raises OverflowError, as
+    ``abs()`` and ``**`` do on Python floats, and so does ``math.exp``.
     """
     raw = np.asarray(raw, dtype=complex)
     log_total = -2.0 * (0.5 * (params.gamma1 + params.gamma2)) * times + log_internal
@@ -290,24 +347,10 @@ def _finalize(
         raw_n2 = _norms_sq(raw)
     if np.isinf(raw_n2).any():
         raise OverflowError("squared norm overflowed float64")
-    log_true = np.full(len(times), -math.inf)
-    positive = raw_n2 > 0
-    log_true[positive] = np.fromiter(map(math.log, raw_n2[positive].tolist()), float) + log_total[positive]
-    offsets = np.empty(len(times))
-    start, offset = 0, 0.0
-    while start < len(times):
-        shift = log_true[start:] - offset
-        leaves = np.flatnonzero(~((_LOG_RECORD_LO < shift) & (shift < _LOG_RECORD_HI)))
-        stop = start + leaves[0] if leaves.size else len(times)
-        offsets[start:stop] = offset
-        if stop < len(times):
-            # renormalize the stored state, push the factor into log_scale
-            offset = offsets[stop] = log_true[stop]
-        start = stop + 1
+    offsets = _offsets(raw_n2, log_total)
     scale = np.fromiter(map(math.exp, (0.5 * (log_total - offsets)).tolist()), float)
     # cmath.exp(1j * phase) * scale; 1j * phase has real part +-0.0, so exp takes cos and sin
-    phase = -_trace_phase(params, drive, times)
-    factor = _fmul(scale, np.cos(phase), np.sin(phase))
+    factor = _fmul(scale, *trace)
 
     def scaled(z):
         out = np.empty_like(z)
@@ -320,35 +363,21 @@ def _finalize(
 
 
 def _record(method: str, params: SystemParams, drive: Drive, config: IntegratorConfig, n_output: int, solver: dict,
-            clock: tuple, times: np.ndarray, raw: np.ndarray, exponent, coeffs=None, labels=None) -> TrajectoryRecord:
+            clock: tuple, times: np.ndarray, raw: np.ndarray, exponent, trace: tuple, coeffs=None,
+            labels=None) -> TrajectoryRecord:
     """A route's record of its working-frame rows ``raw``, each scaled by 2^-exponent: ``_finalize`` and ``meta``.
 
-    ``clock`` is the (start, end) of the route's ``stepping`` phase; its
-    ``rows`` phase ends here. Both routes finish here, so ``meta`` has one
-    schema. A squared norm that overflows raises OverflowError, which each
-    route reports as its own ``NonFiniteError``.
+    ``trace`` is the loop's kept ``_trace_factor`` at ``times``. ``clock``
+    is the (start, end) of the route's ``stepping`` phase; its ``rows``
+    phase ends here. Both routes finish here, so ``meta`` has one schema. A
+    squared norm that overflows raises OverflowError, which each route
+    reports as its own ``NonFiniteError``.
     """
     started, stepped = clock
-    states, norms, logs, coeffs = _finalize(params, drive, times, raw, 2.0 * math.log(2.0) * exponent, coeffs)
+    states, norms, logs, coeffs = _finalize(params, times, raw, 2.0 * math.log(2.0) * exponent, trace, coeffs)
     meta = {"method": method, "params": params, "drive": drive, "config": config, "n_output": n_output,
             "solver": solver, "phase_s": {"stepping": stepped - started, "rows": time.perf_counter() - stepped}}
     return TrajectoryRecord(times, states, norms, logs, coeffs, labels, meta)
-
-
-def _pow2_scaled(z: np.ndarray) -> tuple:
-    """z scaled by a power of two along its last axis to a largest part in [0.5, 1), and the exponents.
-
-    z = scaled * 2**shift exactly: ``np.ldexp`` on the parts keeps every
-    signed zero and brings subnormal parts up, where a product with
-    2**-shift would overflow for a subnormal largest part. A vector that is
-    exactly zero keeps shift 0. A state enters either route's rows and a
-    traversal map's report (``analysis._map_report``) this way, and leaves
-    the direct route's, so no finite state overflows or underflows on its
-    way in or out.
-    """
-    _, shift = np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)).max(axis=-1))
-    down = -shift[..., None]
-    return _complex(np.ldexp(z.real, down), np.ldexp(z.imag, down)), shift
 
 
 def _exact(values) -> tuple:
@@ -912,17 +941,18 @@ def _dense_rows(params: SystemParams, drive: Drive, times: np.ndarray, held: lis
     return _complex(ar.T, ai.T)
 
 
-#: U's rows of the last direct runs: one loop in both directions (see ``propagate_direct``)
+#: U's rows and trace factor of the last direct runs: one loop in both directions (see ``propagate_direct``)
 _DIRECT_RUNS = _Recent(2)
 
 
 def _direct_run(params: SystemParams, drive: Drive, config: IntegratorConfig, times: np.ndarray) -> tuple:
-    """((exponents, rows), solver counts) of one run of U along the drive, recorded at ``times``, the arrays read-only.
+    """((exponents, rows, trace), solver counts) of one run of U along the drive, recorded at ``times``, read-only.
 
     ``rows[k]`` holds U(times[k]) in the traceless working frame as its
     components (U00, U10, U01, U11), each column j scaled by 2^-exponents[k, j]:
     the identity at t = 0, then the dense-output interpolant of the steps
-    that hold a row time (``_dense_rows``).
+    that hold a row time (``_dense_rows``). ``trace`` is the rows'
+    ``_trace_factor``.
     """
     T = drive.duration_T
     h_abs = min(config.initial_step, config.max_step, 0.5 * T)
@@ -933,7 +963,7 @@ def _direct_run(params: SystemParams, drive: Drive, config: IntegratorConfig, ti
     rows[0] = _IDENTITY
     rows[1:] = _dense_rows(params, drive, times[1:], held, values)
     solver["rhs_calls"] += len(_DOP_EXTRA) * len(held)
-    return _read_only(np.array(exponents), rows), solver
+    return (*_read_only(np.array(exponents), rows), _trace_factor(params, drive, times)), solver
 
 
 def propagate_direct(
@@ -960,11 +990,12 @@ def propagate_direct(
     its way in or out.
 
     U does not depend on the initial state, so the route keeps the rows of
-    the last two loops it ran (``_DIRECT_RUNS``, keyed on the exact bits of
-    the drive's type and ``_contour`` fields, the model's five constants,
-    the four ``config`` fields and ``n_output``): the next state on a loop
-    only multiplies and finishes its rows, with the bits of a fresh run. An
-    error is not kept; the next call raises it again.
+    the last two loops it ran, with their trace factor (``_DIRECT_RUNS``,
+    keyed on the exact bits of the drive's type and ``_contour`` fields,
+    the model's five constants, the four ``config`` fields and
+    ``n_output``): the next state on a loop only multiplies and finishes
+    its rows, with the bits of a fresh run. An error is not kept; the next
+    call raises it again.
 
     ``meta["solver"]`` describes the loop's run: it counts accepted and
     rejected steps, RHS calls (3 more for each step that holds a grid time)
@@ -997,7 +1028,7 @@ def propagate_direct(
     started = time.perf_counter()
     key = _key(params, drive, config.rel_tol, config.abs_tol, config.max_step, config.initial_step, n_output)
     try:
-        ((exponents, rows), solver), reused = _DIRECT_RUNS.get(
+        ((exponents, rows, trace), solver), reused = _DIRECT_RUNS.get(
             key, lambda: _direct_run(params, drive, config, times)
         )
         stepped = time.perf_counter()
@@ -1016,7 +1047,7 @@ def propagate_direct(
         if zero.size:
             raise NonFiniteError(f"amplitudes underflowed float64: the state is 0 at t = {times[zero[0]]:.6g}")
         return _record("direct", params, drive, config, n_output, {**solver, "reused": reused}, (started, stepped),
-                       times, raw, top + shift + shifts)
+                       times, raw, top + shift + shifts, trace)
     except OverflowError as exc:
         # abs() of a complex whose modulus overflows float64 (the run's error scale) raises instead of returning inf
         raise NonFiniteError("amplitudes overflowed float64") from exc
@@ -1027,33 +1058,42 @@ def propagate_direct(
 # ---------------------------------------------------------------------------
 
 
+class _Loop(NamedTuple):
+    """What the adiabatic route keeps of a loop (``_loop_rows``): none of it reads the initial state."""
+
+    solver: dict  # the settled map's counts
+    rows: traversal._Rows  # the prefix maps to the rows, read-only
+    trace: tuple  # the rows' ``_trace_factor``
+    signs: np.ndarray  # the gauge of the rows' t = 0 frame R(th_0) (``model._gauge``)
+    labels: np.ndarray  # slot 0's label at each row: '+' where the continued root is the '+' root
+
+
 #: The state-independent part of recent adiabatic runs: one loop in both directions (see ``_loop_rows``)
 _LOOP_ROWS = _Recent(2)
 
 
 def _loop_rows(params: SystemParams, drive: Drive, rel_tol: float, n_output: int) -> tuple:
-    """``traversal.eigen_rows`` of a loop, kept for the next state on it.
+    """``traversal.eigen_rows`` of a loop and what its rows' frame fixes, kept for the next state on it.
 
-    The rows do not read the initial state, so a run on a loop of the cache
+    Nothing here reads the initial state, so a run on a loop of the cache
     takes the same arrays, read-only. The key is the exact value of
     everything they read: the drive's type and ``_contour`` fields, the
     model's five constants, ``rel_tol`` and ``n_output``. Returns (the
-    solver counts of the settled map, ``traversal._Rows``, whether they
-    came from the cache).
+    ``_Loop``, whether it came from the cache).
     """
     def compute():
         tmap, steps, rows = traversal.eigen_rows(params, drive, rel_tol, n_output)
-        _read_only(*(array for array in rows if isinstance(array, np.ndarray)))
         solver = {
             "steps": steps,
             "frame": tmap.frame,
             "floor": tmap.floor,
             "doublings": (tmap.steps // traversal._FIRST_STEPS).bit_length() - 1,
         }
-        return solver, rows
+        signs, labels = _read_only(_gauge(rows.z0, rows.cos[0], rows.sin[0]), np.where(_plus(rows.lam), "+", "-"))
+        _read_only(*(array for array in rows if isinstance(array, np.ndarray)))
+        return _Loop(solver, rows, _trace_factor(params, drive, rows.times), signs, labels)
 
-    (solver, rows), reused = _LOOP_ROWS.get(_key(params, drive, rel_tol, n_output), compute)
-    return solver, rows, reused
+    return _LOOP_ROWS.get(_key(params, drive, rel_tol, n_output), compute)
 
 
 def propagate_adiabatic(
@@ -1093,11 +1133,13 @@ def propagate_adiabatic(
     them (``rows``).
 
     The prefix maps do not depend on the initial state, so
-    the route keeps them for the last two loops it ran (``_loop_rows``,
-    keyed on the exact bits of everything they read): the second state on
-    a loop, or the other direction's next call, only projects, multiplies
-    and finishes its rows, with the bits of a fresh computation. An error
-    is not kept; the next call raises it again.
+    the route keeps them for the last two loops it ran, with the rows' trace
+    factor, the t = 0 gauge and the labels (``_loop_rows``, keyed on the
+    exact bits of everything they read): the second state on a loop, or the
+    other direction's next call, only projects, multiplies and finishes its
+    rows, with the bits of a fresh computation; its ``branch_labels`` is the
+    kept read-only array. An error is not kept; the next call raises it
+    again.
 
     Raises
     ------
@@ -1124,8 +1166,9 @@ def propagate_adiabatic(
         raise ValueError(f"duration_T = {T:.3g}: duration_T is too small, its steps T/n are subnormal")
     started = time.perf_counter()
     try:
-        solver, rows, reused = _loop_rows(params, loop, config.rel_tol, n_output)
+        kept, reused = _loop_rows(params, loop, config.rel_tol, n_output)
         stepped = time.perf_counter()
+        rows = kept.rows
         # c0 on the axes (cos th_0, sin th_0) and (-sin th_0, cos th_0); the
         # coefficients are on those axes signed by the gauge
         axes = ((rows.cos[0], rows.sin[0]), (-rows.sin[0], rows.cos[0]))
@@ -1135,16 +1178,15 @@ def propagate_adiabatic(
         c0, shift = _pow2_scaled(initial.as_array())
         b, shift_b = _pow2_scaled(np.array([c_product(axis, c0) for axis in axes]))
         shift = shift + shift_b
-        signs = _gauge(rows.z0, rows.cos[0], rows.sin[0])
         with np.errstate(all="ignore"):  # overflow is caught below
             y = rows.prefix @ b
-        coeffs = signs * y
+        coeffs = kept.signs * y
         raw = np.stack([rows.cos * y[:, 0] - rows.sin * y[:, 1], rows.sin * y[:, 0] + rows.cos * y[:, 1]], axis=1)
         if not np.isfinite(raw).all():
             raise OverflowError("a row overflowed float64")
-        labels = np.where(_plus(rows.lam), "+", "-")
-        return _record("adiabatic", params, loop, config, n_output, {**solver, "reused": reused}, (started, stepped),
-                       rows.times.copy(), raw, rows.exponent + shift, coeffs, labels)
+        return _record("adiabatic", params, loop, config, n_output, {**kept.solver, "reused": reused},
+                       (started, stepped), rows.times.copy(), raw, rows.exponent + shift, kept.trace, coeffs,
+                       kept.labels)
     except OverflowError as exc:
         raise NonFiniteError("coefficients overflowed float64") from exc
 

@@ -186,12 +186,12 @@ def _values(obj, names: dict) -> dict:
     return {key: _json_value(attrgetter(name)(obj)) for key, name in names.items()}
 
 
-def _trajectory_columns(traj: TrajectoryRecord) -> list:
-    """The trajectory columns as lists of Python floats, in ``TRAJECTORY_COLUMNS`` order."""
+def _trajectory_columns(traj: TrajectoryRecord) -> np.ndarray:
+    """The trajectory columns as the rows of one float array, in ``TRAJECTORY_COLUMNS`` order."""
     w1 = np.abs(traj.states[:, 0]) ** 2 / traj.norms_sq
     c1, c2 = traj.states[:, 0], traj.states[:, 1]
-    columns = (traj.times, c1.real, c1.imag, c2.real, c2.imag, traj.norms_sq, traj.log_scale, w1, 1.0 - w1)
-    return [np.asarray(column, dtype=float).tolist() for column in columns]
+    return np.array([traj.times, c1.real, c1.imag, c2.real, c2.imag, traj.norms_sq, traj.log_scale, w1, 1.0 - w1],
+                    dtype=float)
 
 
 #: one CSV row: "%.17g" is ``fmt``'s format(x, ".17g")
@@ -199,7 +199,7 @@ _CSV_ROW = ",".join(["%.17g"] * len(TRAJECTORY_COLUMNS))
 
 
 def trajectory_to_csv(traj: TrajectoryRecord) -> str:
-    rows = map(_CSV_ROW.__mod__, zip(*_trajectory_columns(traj)))
+    rows = map(_CSV_ROW.__mod__, zip(*_trajectory_columns(traj).tolist()))
     return ",".join(TRAJECTORY_COLUMNS) + "\n" + "\n".join(rows) + "\n"
 
 
@@ -225,9 +225,11 @@ _JSON_ROW = "  [\n" + ",\n".join(["   %r"] * len(TRAJECTORY_COLUMNS)) + "\n  ]"
 def trajectory_to_json(traj: TrajectoryRecord) -> str:
     # json.dumps writes the head; "rows" sorts last, so its list goes in before the closing brace
     head = json.dumps({"meta": _meta_dict(traj), "columns": list(TRAJECTORY_COLUMNS)}, sort_keys=True, indent=1)
-    rows = ",\n".join(map(_JSON_ROW.__mod__, zip(*_trajectory_columns(traj))))
-    # json's tokens for the non-finite floats; no finite repr holds "nan" or "inf"
-    rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+    columns = _trajectory_columns(traj)
+    rows = ",\n".join(map(_JSON_ROW.__mod__, zip(*columns.tolist())))
+    if not np.isfinite(columns).all():
+        # json's tokens for the non-finite floats; no finite repr holds "nan" or "inf"
+        rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
     return head[:-2] + ',\n "rows": [\n' + rows + "\n ]\n}\n"
 
 

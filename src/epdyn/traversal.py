@@ -111,7 +111,9 @@ import numpy as np
 
 from .errors import AmbiguousTrackingError, EPOnContourError, EpdynError, NonFiniteError, StepBudgetError
 from .loops import LoopSpec, _Contour, _contour, _contours, _motion_at, _samples, _traceless_at
-from .model import SystemParams, _angle, _ep_contact, _gauge, _on_ep, _root_plus, _traceless, _traceless_drive, locate_ep
+from .model import (
+    SystemParams, _angle, _complex, _ep_contact, _gauge, _on_ep, _root_plus, _traceless, _traceless_drive, locate_ep,
+)
 
 __all__ = ["TraversalMap", "traversal_maps"]
 
@@ -156,6 +158,8 @@ _BATCH_LOOPS = _BLOCK_STEPS // _FIRST_STEPS
 #: A sample's pairing is ambiguous when the c-product with the other slot's
 #: vector before exceeds this fraction of the one with its own.
 _AMBIGUITY = 0.9
+#: The largest |dth| up to which that cannot happen: there |sin dth| < 0.74 |cos dth|.
+_TURN_UNAMBIGUOUS = 0.5
 # the exponentials' power series in zeta = sigma^2, up to zeta^_SERIES_TERMS
 _SERIES_TERMS = 9
 _INV_FACTORIALS = tuple(1.0 / math.factorial(k) for k in range(2 * _SERIES_TERMS + 2))
@@ -540,8 +544,14 @@ def branch_frames(params: SystemParams, drive, times: np.ndarray) -> tuple:
     (``model._gauge``). Between adjacent samples the c-products of these
     vectors are cos dth (same slot) and sin dth (other slot), so a sample
     pairs with the one before unless |sin dth| > ``_AMBIGUITY`` |cos dth|.
-    The samples are taken in one pass. A sample on the EP or past float64
-    anywhere raises first; then the first sample whose frame fails.
+    Where |dth| <= 1/2 that cannot hold (|sin dth| < 0.74 |cos dth|;
+    ``notes/decisions.md``, "Work that cannot change a bit, done once"), so
+    the test runs only at the other samples. The samples are taken in one
+    pass. A sample on the EP or past float64 anywhere raises first; then
+    the first sample whose frame fails. Where the squares of (a, g)
+    underflow, the scan's samples come scaled by a power of two
+    (``loops._traceless_at``), which the frame does not see; a and lam are
+    scaled back.
 
     Raises
     ------
@@ -552,7 +562,7 @@ def branch_frames(params: SystemParams, drive, times: np.ndarray) -> tuple:
     AmbiguousTrackingError
         If the sample's overlaps with the frame before are too close to call.
     """
-    a, g, w2 = _traceless_at(params, drive, times)
+    a, g, w2, shift = _traceless_at(params, drive, times)
     with np.errstate(all="ignore"):  # a frame that is not finite is reported below
         phase = _Phase(a[:1], g[:1], w2[:1], 1)
         lam = np.concatenate([phase.lam0, phase.follow(w2[None, 1:])[0]])
@@ -562,15 +572,18 @@ def branch_frames(params: SystemParams, drive, times: np.ndarray) -> tuple:
         half_turns = 0.0 + np.cumsum(np.rint((base[:-1] - base[1:]) / np.pi))
         th[1:] += np.pi * half_turns
         turn = np.diff(th)
-        ambiguous = np.abs(np.sin(turn)) > _AMBIGUITY * np.abs(np.cos(turn))
+        wide = np.flatnonzero(~(np.abs(turn) <= _TURN_UNAMBIGUOUS))  # the only turns that can be ambiguous
+        ambiguous = 1 + wide[np.abs(np.sin(turn[wide])) > _AMBIGUITY * np.abs(np.cos(turn[wide]))]
     signs = _gauge(phase.z0[0], np.cos(th[0]), np.sin(th[0]))
-    bad = np.flatnonzero(~np.isfinite(th) | np.concatenate([[False], ambiguous]))
+    bad = np.concatenate([np.flatnonzero(~np.isfinite(th)), ambiguous])
     if bad.size:
-        k = bad[0]
+        k = bad.min()
         if not np.isfinite(th[k]):
             raise NonFiniteError("eigenframe overflows float64")
         overlaps = sorted(abs(f(th[k] - th[k - 1])) for f in (np.cos, np.sin))
         raise AmbiguousTrackingError(f"branch overlaps too close to call: {overlaps[1]:.3f} vs {overlaps[0]:.3f}")
+    if shift.any():
+        a, lam = (_complex(np.ldexp(z.real, shift), np.ldexp(z.imag, shift)) for z in (a, lam))
     return a, lam, th, signs
 
 

@@ -38,6 +38,7 @@ from epdyn.propagation import (
     TrajectoryRecord,
     _budget_message,
     _finalize,
+    _trace_factor,
     Drive,
     SystemParams,
 )
@@ -350,7 +351,8 @@ def propagate_direct(
             raw.append(state)
             log_internal.append(2.0 * math.log(2.0) * (top + shift + row_shift))
         times = np.array(times)
-        states, norms, logs, _ = _finalize(params, drive, times, raw, np.array(log_internal))
+        states, norms, logs, _ = _finalize(params, times, raw, np.array(log_internal),
+                                           _trace_factor(params, drive, times))
     except OverflowError as exc:
         # abs() of a complex whose modulus overflows float64 raises instead of returning inf
         raise NonFiniteError("amplitudes overflowed float64") from exc

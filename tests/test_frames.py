@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epdyn import (
     DEFAULT_PARAMS,
@@ -306,3 +308,50 @@ def test_diode_phase_samples_bit_equal_to_oracle():
         energies, _, _ = oracle_track(REF, loop, 8192)
         gap = energies[:, 0] - energies[:, 1]
         assert np.abs(2.0 * lam - gap).max() <= 4 * EPS * np.abs(gap).max()
+
+
+class TestAmbiguityOnlyWhereItCanDecide:
+    """``branch_frames`` tests a pairing only where the turn |dth| exceeds ``traversal._TURN_UNAMBIGUOUS``."""
+
+    @given(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+    @example(0.5, 0.0)
+    @example(-0.5, 0.0)
+    @example(0.0, 0.5)
+    @example(0.0, -0.5)
+    @example(0.3, 0.4)
+    @example(0.5 * math.cos(1.0), 0.5 * math.sin(1.0))
+    @settings(max_examples=2000, deadline=None)
+    def test_no_turn_within_half_a_radian_is_ambiguous(self, x, y):
+        # sin^2 x - 0.81 cos^2 x + 0.19 sinh^2 y <= -0.35 on the disk, in float64 too
+        turn = np.array([complex(x, y)])
+        if np.abs(turn)[0] <= traversal._TURN_UNAMBIGUOUS:
+            assert np.abs(np.sin(turn))[0] <= traversal._AMBIGUITY * np.abs(np.cos(turn))[0]
+
+    def test_the_outcomes_of_testing_every_sample(self, monkeypatch):
+        # a bound below every |dth| tests every sample, as the scan did before:
+        # the same frames, or the same error and message, on loops near the EP
+        # at 16 to 256 samples
+        rng = np.random.default_rng(41)
+        drives = [near_ep_loop(rng) for _ in range(30)] + [GRAZING]
+
+        def outcomes():
+            out = []
+            for loop in drives:
+                for n_samples in (16, 32, 64, 128, 256):
+                    try:
+                        frames = traversal.branch_frames(REF, loop, np.linspace(0.0, loop.duration_T, n_samples + 1))
+                        out.append([np.ascontiguousarray(x).tobytes() for x in frames])
+                    except (AmbiguousTrackingError, EPOnContourError) as exc:
+                        out.append((type(exc), str(exc)))
+            return out
+
+        got = outcomes()
+        monkeypatch.setattr(traversal, "_TURN_UNAMBIGUOUS", -1.0)
+        assert got == outcomes()
+        errors = collections.Counter(o[0] for o in got if isinstance(o, tuple))
+        assert errors[AmbiguousTrackingError] and len(got) - errors.total() > 0
+
+    @pytest.mark.parametrize("n_samples, message", [(32, "2.529 vs 2.376"), (64, "2.159 vs 1.982")])
+    def test_an_undersampled_loop_keeps_its_message(self, n_samples, message):
+        with pytest.raises(AmbiguousTrackingError, match=f"^branch overlaps too close to call: {message}$"):
+            track_branches(REF, GRAZING, n_samples=n_samples)

@@ -332,6 +332,33 @@ class TestOneEPRule:
             s = 2.0**k
             assert np.array_equal(model._on_ep(s * a, s * g, (s * a) ** 2 + (s * g) ** 2), near)
 
+    def test_an_underflow_is_not_contact(self):
+        # scaled by 2^-600 every square underflows to 0, where 0 <= kappa * 0 read
+        # as contact; the pair scaled back by a power of two is judged as before
+        rng = np.random.default_rng(7)
+        a, g = (rng.normal(size=400) + 1j * rng.normal(size=400) for _ in range(2))
+        g[::2] = 1j * a[::2] * (1.0 + rng.normal(size=200) * 10.0 ** rng.uniform(-14, -9, size=200))
+        near = model._on_ep(a, g, a * a + g * g)
+        s = 2.0**-600
+        w2 = (s * a) * (s * a) + (s * g) * (s * g)
+        assert not w2.any()
+        assert np.array_equal(model._on_ep(s * a, s * g, w2), near)
+        assert [bool(model._on_ep(s * x, s * y, 0j)) for x, y in zip(a[:8], g[:8])] == near[:8].tolist()
+        assert model._on_ep(0j, 0j, 0j)  # (0, 0) stays on the EP at every scale
+
+    @pytest.mark.parametrize("s", [1e-161, 1e-165])
+    def test_a_loop_whose_squares_underflow_winds_and_swaps(self, s):
+        # the diode loop in units where every energy is 1e-165 (or 1e-161): the
+        # scan scales the samples whose squares underflow, so the winding count,
+        # the tracking and the frames are those of the loop in its own units
+        params, loop, _ = in_units(s, REF, diode_loop(Direction.CW), README_CONFIG)
+        want = track_branches(REF, diode_loop(Direction.CW))
+        frame = track_branches(params, loop)
+        assert winding_number(loop, params) == 1 and frame.swapped
+        assert (frame.labels == want.labels).all()
+        np.testing.assert_allclose(frame.energies / s, want.energies, rtol=1e-13)
+        np.testing.assert_allclose(frame.vectors, want.vectors, rtol=0.0, atol=1e-14)
+
     def test_an_overflow_is_not_contact(self):
         # a^2 + g^2 and |a|^2 + |g|^2 both overflow: the sample's error is the overflow
         a, g = np.array([1e200 + 0j]), np.zeros(1, dtype=complex)

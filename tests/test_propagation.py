@@ -477,6 +477,28 @@ def bits(a) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
 
+def decisive_rows(edge: float, count: int = 8) -> list:
+    """(|state|, log_internal) of rows whose log true norm^2 is on either side of ``edge`` by numpy's log and math.log.
+
+    Above |edge| = 345 the sum's ulp is u = 2^-44, so a log |state|^2 of 1 ulp
+    more can round the sum with log_internal = edge - r u one u higher; the
+    search takes |state|^2 = e^L for L near the rounding midpoints (r - 1/2) u.
+    """
+    u = 2.0**-44
+    r = np.round(-0.2 / u) + np.arange(40000) * 1_000_003
+    found = []
+    for step in range(-3, 4):
+        state = np.sqrt(np.exp((r - 0.5) * u)) * (1.0 + step * 2.0**-52)
+        n2 = np.float_power(state, 2.0)
+        by_numpy, by_math = np.log(n2), np.fromiter(map(math.log, n2.tolist()), float)
+        for log_in in (edge - r * u, edge - (r - 1.0) * u):
+            inside = lambda log_n2: (prop._LOG_RECORD_LO < log_n2 + log_in) & (log_n2 + log_in < prop._LOG_RECORD_HI)
+            hit = inside(by_numpy) != inside(by_math)
+            found += list(zip(state[hit].tolist(), log_in[hit].tolist()))
+    assert len(found) >= count
+    return found[:count]
+
+
 #: decays by e^-8 per unit time: the record renormalizes about every 43 time units
 DECAYING = SystemParams(e1=0.0, e2=1.0, gamma1=3.0, gamma2=5.0, d12=1.0)
 
@@ -503,8 +525,9 @@ class TestRowsAgainstReference:
         array_finalize = prop._finalize
         monkeypatch.setattr(prop, "_finalize", lambda *args: calls.append(args) or array_finalize(*args))
         traj = propagate(params, drive, StateVector.basis(state), TIGHT, **kwargs)
-        (args,) = calls
-        states, norms, logs, coeffs = finalize(*args)
+        # the reference takes the drive and computes its own trace phase, so the kept factor is checked too
+        ((args_params, times, raw, log_internal, _, args_coeffs),) = calls
+        states, norms, logs, coeffs = finalize(args_params, drive, times, raw, log_internal, args_coeffs)
         assert bits(traj.states) == bits(states)
         assert bits(traj.norms_sq) == bits(norms)
         assert bits(traj.log_scale) == bits(logs)
@@ -531,10 +554,58 @@ class TestRowsAgainstReference:
         log_internal = np.where(odd, 0.0, sign * rng.uniform(0.0, 300.0, m))
         coeffs = raw[::-1].copy()
         # no decay (gamma1 = gamma2 = 0), so an odd row's log is not rounded into a larger sum
-        got = prop._finalize(HERMITIAN_PARAMS, drive, times, raw, log_internal, coeffs)
+        got = prop._finalize(HERMITIAN_PARAMS, times, raw, log_internal,
+                             prop._trace_factor(HERMITIAN_PARAMS, drive, times), coeffs)
         want = finalize(HERMITIAN_PARAMS, drive, times, raw, log_internal, coeffs)
         assert [bits(a) for a in got] == [bits(a) for a in want]
         assert len(set(got[2].tolist())) == m
+
+    @pytest.mark.parametrize("size", [1.0, 1e-65, 1e65])
+    def test_rows_at_the_window_edges(self, size):
+        # every row's log true norm^2 lies a few ulps from an edge of the window
+        # relative to the scalar loop's offset, so the last bit of the log decides
+        # whether it renormalizes; |state| near size, so that at 1e+-65 the log
+        # |state|^2 (+-300) is in the binade of the edges (+-345) and a 1-ulp
+        # difference between numpy's log and math.log reaches the sum
+        rng = np.random.default_rng(23)
+        m = 4000
+        raw = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+        raw *= size * np.sqrt(rng.uniform(0.5, 1.5, m) / prop._norms_sq(raw))[:, None]
+        log_internal, offset, moved = np.empty(m), 0.0, []
+        for k, (r0, r1) in enumerate(raw.tolist()):
+            log_n2 = math.log(abs(r0) ** 2 + abs(r1) ** 2)
+            edge = prop._LOG_RECORD_HI if rng.random() < 0.5 else prop._LOG_RECORD_LO
+            target = offset + edge + int(rng.integers(-4, 5)) * math.ulp(edge)
+            log_internal[k] = target - log_n2
+            log_true = log_n2 + log_internal[k]
+            moved.append(not prop._LOG_RECORD_LO < log_true - offset < prop._LOG_RECORD_HI)
+            offset = log_true if moved[-1] else offset
+        times = np.linspace(0.0, 1.0, m)
+        drive = StaticDrive(FieldPoint(1.07, 0.31), 1.0)
+        # no decay (gamma1 = gamma2 = 0), so log_total is log_internal
+        got = prop._finalize(HERMITIAN_PARAMS, times, raw, log_internal,
+                             prop._trace_factor(HERMITIAN_PARAMS, drive, times))
+        want = finalize(HERMITIAN_PARAMS, drive, times, raw, log_internal)
+        assert [bits(a) for a in got[:3]] == [bits(a) for a in want[:3]]
+        assert 0.2 * m < sum(moved) < 0.8 * m  # both outcomes, many times each
+
+    def test_rows_where_the_last_bit_of_the_log_decides(self):
+        # rows whose log true norm^2 lands on one side of an edge by math.log and
+        # on the other by numpy's log (1 ulp apart); each comes after two rows that
+        # bring the offset back to exactly 0, so half of them renormalize
+        rows, log_internal = [], []
+        for state, log_in in decisive_rows(prop._LOG_RECORD_HI) + decisive_rows(prop._LOG_RECORD_LO):
+            rows += [(1.0, 0.0), (1.0, 0.0), (state, 0.0)]
+            log_internal += [-400.0, 0.0, log_in]  # offset -400, then 0
+        raw, log_internal = np.array(rows, dtype=complex), np.array(log_internal)
+        times = np.linspace(0.0, 1.0, len(raw))
+        drive = StaticDrive(FieldPoint(1.07, 0.31), 1.0)
+        got = prop._finalize(HERMITIAN_PARAMS, times, raw, log_internal,
+                             prop._trace_factor(HERMITIAN_PARAMS, drive, times))
+        want = finalize(HERMITIAN_PARAMS, drive, times, raw, log_internal)
+        assert [bits(a) for a in got[:3]] == [bits(a) for a in want[:3]]
+        moved = want[2][2::3] != 0.0
+        assert moved.any() and not moved.all()
 
     def test_dense_output_is_scipys_loop(self):
         # the array pass's Horner chains give the bits of scipy's loop, on 60
@@ -1463,9 +1534,12 @@ class TestLoopRows:
         first.states[:] = 0.0
         hit = propagate_adiabatic(REF, self.LOOP, StateVector.basis(2), TIGHT, n_output=16)
         assert hit.meta["solver"]["reused"] and record_bits(hit) == want
-        ((_, rows),) = prop._LOOP_ROWS.entries.values()
-        with pytest.raises(ValueError, match="read-only"):
-            rows.prefix[0] = 0.0
+        # the prefix maps, the trace factor, the t = 0 gauge and the labels, which the record shares
+        (kept,) = prop._LOOP_ROWS.entries.values()
+        assert hit.branch_labels is kept.labels
+        for array in (kept.rows.prefix, *kept.trace, kept.signs, kept.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
 
     def test_a_third_loop_evicts_the_oldest(self):
         a, b, c = (encircling_loop(T, Direction.CW) for T in (50.0, 60.0, 70.0))
@@ -1605,8 +1679,8 @@ class TestDirectRuns:
         first.meta["solver"]["accepted"] = -1
         hit = propagate_direct(REF, self.LOOP, StateVector.basis(2), TIGHT, n_output=16)
         assert hit.meta["solver"]["reused"] and direct_bits(hit) == want
-        (((exponents, rows), solver),) = prop._DIRECT_RUNS.entries.values()
-        for array in (exponents, rows):
+        (((exponents, rows, trace), solver),) = prop._DIRECT_RUNS.entries.values()
+        for array in (exponents, rows, *trace):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
