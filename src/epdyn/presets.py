@@ -8,6 +8,8 @@ dimensionless parameter set. Its exceptional point sits at (omega, eps0) =
 
 from __future__ import annotations
 
+import dataclasses
+
 from .loops import Direction, LoopSpec
 from .model import FieldPoint, SystemParams
 
@@ -82,14 +84,7 @@ def diode_control_loop(
     relax to the same (longer-lived) bare state: the selectivity vanishes
     without the enclosed EP.
     """
-    return LoopSpec(
-        center=FieldPoint(3.52005, 0.64976),
-        semi_axis_omega=2.02446,
-        semi_axis_eps=0.64973,
-        direction=direction,
-        duration_T=duration_T,
-        start_phase=4.35017,
-    )
+    return dataclasses.replace(diode_loop(direction, duration_T), center=FieldPoint(3.52005, 0.64976))
 
 
 def hermitian_loop(duration_T: float, direction: Direction = Direction.CCW) -> LoopSpec:

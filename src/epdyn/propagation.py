@@ -57,10 +57,10 @@ uniform samples (``traversal.branch_frames``).
 
 Both routes bring c0 into their rows scaled by a power of two
 (``_pow2_scaled``), keep the state-independent part of their last two
-loops in one kind of cache (``_Recent``, keyed on the exact bits of every
-input that part reads), the trace factor of their rows included
-(``_trace_factor``), and finish their records in one place (``_record``),
-so ``meta`` has one schema.
+loops as one type (``_Loop``) in one kind of cache (``_Recent``, keyed on
+the exact bits of every input that part reads), the trace factor of their
+rows included (``_trace_factor``), and finish their records in one place
+(``_record``), so a record has one set of fields and ``meta`` one schema.
 
 Recorded amplitudes are kept inside the representable range: if the true
 squared norm leaves [1e-150, 1e+150] the stored state is renormalized and
@@ -97,7 +97,7 @@ from . import traversal
 from .loops import LoopSpec, StaticDrive, _contour, _fields_at, _omega_integral, _samples
 # build_hamiltonian is not called here; perfbench's tracer wraps propagation.build_hamiltonian
 from .model import (
-    SystemParams, _complex, _fmul, _gauge, _mul, _plus, _pow2_scaled, _require_finite, _traceless, build_hamiltonian,
+    SystemParams, _complex, _fmul, _mul, _plus, _pow2_scaled, _require_finite, _traceless, build_hamiltonian,
     c_product,
 )
 
@@ -120,17 +120,17 @@ _LOG_RECORD_HI = math.log(1e150)
 # numpy's log decides a row farther than this times (|log| + |log_total| + |offset|)
 # from both edges as math.log does (64 times the rounding bound; see ``_offsets``)
 _LOG_MARGIN = 2.0**-44
-# the direct run's step budget: past _STEP_BUDGET accepted steps it
-# stops once (T - t) / h predicts more than _STEP_BUDGET_REMAINING to come
+# the direct run's step budget: past _STEP_BUDGET accepted steps it stops once (T - t) / h
+# predicts more than _STEP_BUDGET_REMAINING to come, the step cap of the maps and the adiabatic route
 _STEP_BUDGET = 10_000
-_STEP_BUDGET_REMAINING = 1e7
+_STEP_BUDGET_REMAINING = traversal._STEP_CAP
 
 
 def _budget_message(steps: int, T: float, t: float, h: float) -> str:
     return (
         f"{steps} steps taken and (T - t)/h = {(T - t) / h:.3g} more predicted at t = {t:.6g} "
         f"(step {h:.3g}, T = {T:.6g}): over the budget of {_STEP_BUDGET} steps and "
-        f"{_STEP_BUDGET_REMAINING:.0e} predicted"
+        f"{_STEP_BUDGET_REMAINING} predicted"
     )
 
 
@@ -189,22 +189,20 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Time series of the propagated state.
+    """Time series of the propagated state, the same fields for both routes.
 
     ``states`` holds the stored (possibly renormalized) amplitudes; the
     physical squared norm at row k is ``norms_sq[k] * exp(log_scale[k])``.
-    ``adiabatic_coeffs`` (adiabatic runs only) are the coefficients of the
-    stored state on the tracked instantaneous eigenvectors, and
-    ``branch_labels`` gives the instantaneous label ('+' or '-') of tracked
-    slot 0 at each time.
+    The coefficients on the tracked instantaneous eigenvectors are
+    ``c_product(v, states[k])`` for each ``v`` in ``frame.vectors[k]``, and
+    slot 0's label ``frame.labels[k, 0]``, where ``frame`` is
+    ``track_branches(params, drive, len(times) - 1)``.
     """
 
     times: np.ndarray
     states: np.ndarray
     norms_sq: np.ndarray
     log_scale: np.ndarray
-    adiabatic_coeffs: Optional[np.ndarray]
-    branch_labels: Optional[np.ndarray]
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -320,9 +318,8 @@ def _finalize(
     raw,
     log_internal: np.ndarray,
     trace: tuple,
-    coeffs: Optional[np.ndarray] = None,
 ) -> tuple:
-    """(states, norms_sq, log_scale, coeffs) of working-frame rows, on whole columns.
+    """(states, norms_sq, log_scale) of working-frame rows, on whole columns.
 
     Row k holds the working-frame bare state ``raw[k]`` at ``times[k]``: the
     true state is raw * exp(-i trace phase) * exp((log_internal - 2 gbar t) / 2),
@@ -330,7 +327,6 @@ def _finalize(
     (``_trace_factor``). The stored state takes that factor relative to an
     offset, and the offset moves to the row's log true norm^2 whenever the
     row's would leave [1e-150, 1e+150] relative to it (``_offsets``).
-    ``coeffs`` (adiabatic runs) take the stored state's factor.
 
     Every value is the bits the row-by-row loop in Python floats and complex
     numbers gives (``tests/row_reference.py``; ``notes/decisions.md`` lists
@@ -351,20 +347,14 @@ def _finalize(
     scale = np.fromiter(map(math.exp, (0.5 * (log_total - offsets)).tolist()), float)
     # cmath.exp(1j * phase) * scale; 1j * phase has real part +-0.0, so exp takes cos and sin
     factor = _fmul(scale, *trace)
-
-    def scaled(z):
-        out = np.empty_like(z)
-        for j in (0, 1):
-            out.real[:, j], out.imag[:, j] = _mul(z.real[:, j], z.imag[:, j], *factor)
-        return out
-
-    states = scaled(raw)
-    return states, _norms_sq(states), offsets, None if coeffs is None else scaled(coeffs)
+    states = np.empty_like(raw)
+    for j in (0, 1):
+        states.real[:, j], states.imag[:, j] = _mul(raw.real[:, j], raw.imag[:, j], *factor)
+    return states, _norms_sq(states), offsets
 
 
 def _record(method: str, params: SystemParams, drive: Drive, config: IntegratorConfig, n_output: int, solver: dict,
-            clock: tuple, times: np.ndarray, raw: np.ndarray, exponent, trace: tuple, coeffs=None,
-            labels=None) -> TrajectoryRecord:
+            clock: tuple, times: np.ndarray, raw: np.ndarray, exponent, trace: tuple) -> TrajectoryRecord:
     """A route's record of its working-frame rows ``raw``, each scaled by 2^-exponent: ``_finalize`` and ``meta``.
 
     ``trace`` is the loop's kept ``_trace_factor`` at ``times``. ``clock``
@@ -374,10 +364,10 @@ def _record(method: str, params: SystemParams, drive: Drive, config: IntegratorC
     reports as its own ``NonFiniteError``.
     """
     started, stepped = clock
-    states, norms, logs, coeffs = _finalize(params, times, raw, 2.0 * math.log(2.0) * exponent, trace, coeffs)
+    states, norms, logs = _finalize(params, times, raw, 2.0 * math.log(2.0) * exponent, trace)
     meta = {"method": method, "params": params, "drive": drive, "config": config, "n_output": n_output,
             "solver": solver, "phase_s": {"stepping": stepped - started, "rows": time.perf_counter() - stepped}}
-    return TrajectoryRecord(times, states, norms, logs, coeffs, labels, meta)
+    return TrajectoryRecord(times, states, norms, logs, meta)
 
 
 def _exact(values) -> tuple:
@@ -397,6 +387,14 @@ def _read_only(*arrays) -> tuple:
     for array in arrays:
         array.flags.writeable = False
     return arrays
+
+
+class _Loop(NamedTuple):
+    """What a route keeps of a loop (``_Recent``): none of it reads the initial state, its arrays read-only."""
+
+    solver: dict  # the counts of U's run (direct) or of the settled map (adiabatic)
+    rows: tuple  # U's column exponents and rows (``_direct_run``), or the prefix maps (``traversal._Rows``)
+    trace: tuple  # the rows' ``_trace_factor``
 
 
 class _Recent:
@@ -941,18 +939,17 @@ def _dense_rows(params: SystemParams, drive: Drive, times: np.ndarray, held: lis
     return _complex(ar.T, ai.T)
 
 
-#: U's rows and trace factor of the last direct runs: one loop in both directions (see ``propagate_direct``)
+#: The ``_Loop`` of the last direct runs: one loop in both directions (see ``propagate_direct``)
 _DIRECT_RUNS = _Recent(2)
 
 
-def _direct_run(params: SystemParams, drive: Drive, config: IntegratorConfig, times: np.ndarray) -> tuple:
-    """((exponents, rows, trace), solver counts) of one run of U along the drive, recorded at ``times``, read-only.
+def _direct_run(params: SystemParams, drive: Drive, config: IntegratorConfig, times: np.ndarray) -> _Loop:
+    """One run of U along the drive, recorded at ``times``: its counts, (exponents, rows) and trace factor.
 
     ``rows[k]`` holds U(times[k]) in the traceless working frame as its
     components (U00, U10, U01, U11), each column j scaled by 2^-exponents[k, j]:
     the identity at t = 0, then the dense-output interpolant of the steps
-    that hold a row time (``_dense_rows``). ``trace`` is the rows'
-    ``_trace_factor``.
+    that hold a row time (``_dense_rows``).
     """
     T = drive.duration_T
     h_abs = min(config.initial_step, config.max_step, 0.5 * T)
@@ -963,7 +960,7 @@ def _direct_run(params: SystemParams, drive: Drive, config: IntegratorConfig, ti
     rows[0] = _IDENTITY
     rows[1:] = _dense_rows(params, drive, times[1:], held, values)
     solver["rhs_calls"] += len(_DOP_EXTRA) * len(held)
-    return (*_read_only(np.array(exponents), rows), _trace_factor(params, drive, times)), solver
+    return _Loop(solver, _read_only(np.array(exponents), rows), _trace_factor(params, drive, times))
 
 
 def propagate_direct(
@@ -1028,10 +1025,9 @@ def propagate_direct(
     started = time.perf_counter()
     key = _key(params, drive, config.rel_tol, config.abs_tol, config.max_step, config.initial_step, n_output)
     try:
-        ((exponents, rows, trace), solver), reused = _DIRECT_RUNS.get(
-            key, lambda: _direct_run(params, drive, config, times)
-        )
+        kept, reused = _DIRECT_RUNS.get(key, lambda: _direct_run(params, drive, config, times))
         stepped = time.perf_counter()
+        exponents, rows = kept.rows
         c0, shift = _pow2_scaled(initial.as_array())
         u = rows.reshape(-1, 2, 2)  # [row, column, component]
         # the row is 2^top sum_j c0[j] 2^(exponents[:, j] - top) column j, top the
@@ -1046,8 +1042,8 @@ def propagate_direct(
         zero = np.flatnonzero(~raw.any(axis=1))
         if zero.size:
             raise NonFiniteError(f"amplitudes underflowed float64: the state is 0 at t = {times[zero[0]]:.6g}")
-        return _record("direct", params, drive, config, n_output, {**solver, "reused": reused}, (started, stepped),
-                       times, raw, top + shift + shifts, trace)
+        return _record("direct", params, drive, config, n_output, {**kept.solver, "reused": reused},
+                       (started, stepped), times, raw, top + shift + shifts, kept.trace)
     except OverflowError as exc:
         # abs() of a complex whose modulus overflows float64 (the run's error scale) raises instead of returning inf
         raise NonFiniteError("amplitudes overflowed float64") from exc
@@ -1058,27 +1054,17 @@ def propagate_direct(
 # ---------------------------------------------------------------------------
 
 
-class _Loop(NamedTuple):
-    """What the adiabatic route keeps of a loop (``_loop_rows``): none of it reads the initial state."""
-
-    solver: dict  # the settled map's counts
-    rows: traversal._Rows  # the prefix maps to the rows, read-only
-    trace: tuple  # the rows' ``_trace_factor``
-    signs: np.ndarray  # the gauge of the rows' t = 0 frame R(th_0) (``model._gauge``)
-    labels: np.ndarray  # slot 0's label at each row: '+' where the continued root is the '+' root
-
-
 #: The state-independent part of recent adiabatic runs: one loop in both directions (see ``_loop_rows``)
 _LOOP_ROWS = _Recent(2)
 
 
 def _loop_rows(params: SystemParams, drive: Drive, rel_tol: float, n_output: int) -> tuple:
-    """``traversal.eigen_rows`` of a loop and what its rows' frame fixes, kept for the next state on it.
+    """``traversal.eigen_rows`` of a loop and its rows' trace factor, kept for the next state on it.
 
     Nothing here reads the initial state, so a run on a loop of the cache
-    takes the same arrays, read-only. The key is the exact value of
-    everything they read: the drive's type and ``_contour`` fields, the
-    model's five constants, ``rel_tol`` and ``n_output``. Returns (the
+    takes the same ``_Loop``, its arrays read-only. The key is the exact
+    value of everything they read: the drive's type and ``_contour`` fields,
+    the model's five constants, ``rel_tol`` and ``n_output``. Returns (the
     ``_Loop``, whether it came from the cache).
     """
     def compute():
@@ -1089,9 +1075,8 @@ def _loop_rows(params: SystemParams, drive: Drive, rel_tol: float, n_output: int
             "floor": tmap.floor,
             "doublings": (tmap.steps // traversal._FIRST_STEPS).bit_length() - 1,
         }
-        signs, labels = _read_only(_gauge(rows.z0, rows.cos[0], rows.sin[0]), np.where(_plus(rows.lam), "+", "-"))
-        _read_only(*(array for array in rows if isinstance(array, np.ndarray)))
-        return _Loop(solver, rows, _trace_factor(params, drive, rows.times), signs, labels)
+        _read_only(*rows)
+        return _Loop(solver, rows, _trace_factor(params, drive, rows.times))
 
     return _LOOP_ROWS.get(_key(params, drive, rel_tol, n_output), compute)
 
@@ -1120,25 +1105,21 @@ def propagate_adiabatic(
     and (-sin th, cos th) (see the module docstring); ``_finalize`` restores
     the trace factor. Rows are recorded at ``n_output + 1`` uniform times.
 
-    The coefficients are those on the tracked eigenvectors: slot 0 starts on
-    the '+' branch, and the slot signs are the gauge of the rows' own t = 0
-    frame R(th_0) (``model._gauge``, as in ``track_branches``). The label
-    of slot 0 at a row is '+' where the continued root is the '+' root
-    there. ``meta["solver"]`` holds the row step count (``steps``), the
-    frame ("eigen"), the full-loop map's change at the last doubling
-    (``floor``), the number of doublings from 256 steps to the settled
-    count (``doublings``) and whether the rows came from the cache
-    (``reused``). ``meta["phase_s"]`` holds the wall seconds of the step
+    The record has the direct route's fields (``TrajectoryRecord`` says how
+    the tracked frame projects it). ``meta["solver"]`` holds the row step
+    count (``steps``), the frame ("eigen"), the full-loop map's change at
+    the last doubling (``floor``), the number of doublings from 256 steps to
+    the settled count (``doublings``) and whether the rows came from the
+    cache (``reused``). ``meta["phase_s"]`` holds the wall seconds of the step
     products (``stepping``; a cache lookup on a hit) and of the rows after
     them (``rows``).
 
     The prefix maps do not depend on the initial state, so
     the route keeps them for the last two loops it ran, with the rows' trace
-    factor, the t = 0 gauge and the labels (``_loop_rows``, keyed on the
-    exact bits of everything they read): the second state on a loop, or the
-    other direction's next call, only projects, multiplies and finishes its
-    rows, with the bits of a fresh computation; its ``branch_labels`` is the
-    kept read-only array. An error is not kept; the next call raises it
+    factor (``_loop_rows``, keyed on the exact bits of everything they
+    read): the second state on a loop, or the other direction's next call,
+    only projects, multiplies and finishes its rows, with the bits of a
+    fresh computation. An error is not kept; the next call raises it
     again.
 
     Raises
@@ -1169,8 +1150,7 @@ def propagate_adiabatic(
         kept, reused = _loop_rows(params, loop, config.rel_tol, n_output)
         stepped = time.perf_counter()
         rows = kept.rows
-        # c0 on the axes (cos th_0, sin th_0) and (-sin th_0, cos th_0); the
-        # coefficients are on those axes signed by the gauge
+        # c0 on the axes (cos th_0, sin th_0) and (-sin th_0, cos th_0)
         axes = ((rows.cos[0], rows.sin[0]), (-rows.sin[0], rows.cos[0]))
         # c0 is scaled before the projection, so a subnormal state keeps its
         # digits, and the projection after it: for a normal c0 both scales
@@ -1180,13 +1160,11 @@ def propagate_adiabatic(
         shift = shift + shift_b
         with np.errstate(all="ignore"):  # overflow is caught below
             y = rows.prefix @ b
-        coeffs = kept.signs * y
         raw = np.stack([rows.cos * y[:, 0] - rows.sin * y[:, 1], rows.sin * y[:, 0] + rows.cos * y[:, 1]], axis=1)
         if not np.isfinite(raw).all():
             raise OverflowError("a row overflowed float64")
         return _record("adiabatic", params, loop, config, n_output, {**kept.solver, "reused": reused},
-                       (started, stepped), rows.times.copy(), raw, rows.exponent + shift, kept.trace, coeffs,
-                       kept.labels)
+                       (started, stepped), rows.times.copy(), raw, rows.exponent + shift, kept.trace)
     except OverflowError as exc:
         raise NonFiniteError("coefficients overflowed float64") from exc
 
@@ -1243,23 +1221,29 @@ def _simpson(y: np.ndarray, x: np.ndarray):
     is the same bits: a parabola through each pair of intervals with their own
     spacings and, for an even sample count, Cartwright's correction for the
     last interval (K. V. Cartwright, J. Math. Sci. Math. Educ. 12(2), 1-9).
+    The weights run on x scaled by the power of two 2^-e that puts its
+    largest end in [0.5, 1), and the interval factors take 2^e back: a power
+    of two passes through each operation exactly, so the bits stay scipy's
+    where its products of spacings fit float64, and the sum is right where
+    they overflow (spacings past about 1.3e154; ``notes/decisions.md``).
     """
     n = len(y)
     stop = n - 2 if n % 2 else n - 3
-    h = np.diff(x)
+    e = math.frexp(max(abs(x[0]), abs(x[-1])))[1]
+    h = np.diff(np.ldexp(x, -e))
     h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
     hsum = h0 + h1
     hprod = h0 * h1
     h0divh1 = h0 / h1
     w0, w1, w2 = 2.0 - 1.0 / h0divh1, hsum * (hsum / hprod), 2.0 - h0divh1
     y0, y1, y2 = y[0:stop:2], y[1 : stop + 1 : 2], y[2 : stop + 2 : 2]
-    result = np.sum(hsum / 6.0 * (y0 * w0 + y1 * w1 + y2 * w2))
+    result = np.sum(np.ldexp(hsum, e) / 6.0 * (y0 * w0 + y1 * w1 + y2 * w2))
     if n % 2 == 0:
         # 0-d arrays as in scipy: numpy's array power can differ from its scalar power by an ulp
         h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])
-        alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
-        beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
-        eta = h1**3 / (6 * h0 * (h0 + h1))
+        alpha = np.ldexp((2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0)), e)
+        beta = np.ldexp((h1**2 + 3.0 * h0 * h1) / (6 * h0), e)
+        eta = np.ldexp(h1**3 / (6 * h0 * (h0 + h1)), e)
         result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
     return result
 

@@ -263,8 +263,6 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
         np.concatenate([[0], e[0]]),
         np.concatenate([c0, c[0]]),
         np.concatenate([s0, s[0]]),
-        np.concatenate([run.lam0, run.lam[0]]),
-        complex(run.z0[0]),
     )
 
 
@@ -289,8 +287,7 @@ class _Rows(NamedTuple):
     """The maps to the rows of one loop: row j at ``times[j]`` is R(th_j) P_j R(th_0)^T 2^exponent_j.
 
     ``prefix`` (N + 1, 2, 2) holds P_j (the identity at row 0) and ``cos``,
-    ``sin`` the rotation of th_j; ``lam`` is the continued root at each row,
-    and ``z0`` = e^{2 i th_0}, which fixes the gauge of the t = 0 frame.
+    ``sin`` the rotation of th_j.
     """
 
     times: np.ndarray
@@ -298,8 +295,6 @@ class _Rows(NamedTuple):
     exponent: np.ndarray
     cos: np.ndarray
     sin: np.ndarray
-    lam: np.ndarray
-    z0: complex
 
 
 def _no_step_fits(reach: float, n: int) -> bool:
@@ -517,12 +512,11 @@ class _Phase:
     def rotations(self, a: np.ndarray, g: np.ndarray, w2: np.ndarray) -> tuple:
         """R(th_0) and R(th) at the interval ends, where the drive is (a, g) (m, N), as (cos, sin) pairs.
 
-        w2 is a^2 + g^2 there. Also keeps the continued root at the ends as ``lam``.
+        w2 is a^2 + g^2 there; the root there is the one nearer the sample before.
         """
         before, turned = (np.concatenate(column, axis=1) for column in zip(*self.marks))
         root = np.sqrt(w2)
-        self.lam = np.where(root.real * before.real + root.imag * before.imag < 0.0, -root, root)
-        z = (a + 1j * g) / self.lam
+        z = (a + 1j * g) / np.where(root.real * before.real + root.imag * before.imag < 0.0, -root, root)
         th0 = _angle(self.z0)
         base = 0.5 * np.angle(z)
         k = (th0.real[:, None] + turned - base) / math.pi
@@ -598,9 +592,6 @@ class _Run(NamedTuple):
     clear: np.ndarray  # (m,) no sample on the EP (eigenframe)
     smooth: np.ndarray  # (m,) the frame is resolved (eigenframe)
     rotations: tuple  # ((cos th_0, sin th_0) (m,), (cos th, sin th) (m, N)) (eigenframe)
-    lam0: np.ndarray  # (m,) the '+' root at t = 0 (eigenframe)
-    lam: np.ndarray  # (m, N) the continued root at the interval ends (eigenframe)
-    z0: np.ndarray  # (m,) e^{2 i th_0} (eigenframe)
 
 
 def _intervals(params: SystemParams, drives: Sequence, n: int, every: int, eigen: bool) -> _Run:
@@ -648,12 +639,12 @@ def _intervals(params: SystemParams, drives: Sequence, n: int, every: int, eigen
         shape = (m, n // every, every // per)
         x, e = _tree(np.concatenate(nodes, axis=-1).reshape(2, 2, *shape), np.concatenate(exps, axis=-1).reshape(shape))
         if not eigen:
-            return _Run(x, e, finite, resolved, reach, np.ones(m, dtype=bool), np.ones(m, dtype=bool), (), None, None, None)
+            return _Run(x, e, finite, resolved, reach, np.ones(m, dtype=bool), np.ones(m, dtype=bool), ())
         ends = contours.T if n == every else np.linspace(0.0, contours.T[:, 0], n // every + 1)[1:].T
         a, g, _, _, w2, good = _drive(params, contours, ends)
         clear &= ~_on_ep(a, g, w2).any(axis=1)
         rotations = phase.rotations(a, g, w2)
-    return _Run(x, e, finite & good, resolved, reach, clear, phase.smooth, rotations, phase.lam0, phase.lam, phase.z0)
+    return _Run(x, e, finite & good, resolved, reach, clear, phase.smooth, rotations)
 
 
 def _rotate(run: _Run, u: np.ndarray, e: np.ndarray) -> tuple:

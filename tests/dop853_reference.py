@@ -351,8 +351,7 @@ def propagate_direct(
             raw.append(state)
             log_internal.append(2.0 * math.log(2.0) * (top + shift + row_shift))
         times = np.array(times)
-        states, norms, logs, _ = _finalize(params, times, raw, np.array(log_internal),
-                                           _trace_factor(params, drive, times))
+        states, norms, logs = _finalize(params, times, raw, np.array(log_internal), _trace_factor(params, drive, times))
     except OverflowError as exc:
         # abs() of a complex whose modulus overflows float64 raises instead of returning inf
         raise NonFiniteError("amplitudes overflowed float64") from exc
@@ -365,7 +364,7 @@ def propagate_direct(
         "solver": stepper.counts(),
         "phase_s": {"stepping": stepped - started, "rows": time.perf_counter() - stepped},
     }
-    return TrajectoryRecord(times, states, norms, logs, None, None, meta)
+    return TrajectoryRecord(times, states, norms, logs, meta)
 
 
 def stage_values(stepper: _Dop853) -> list:

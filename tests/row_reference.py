@@ -35,24 +35,20 @@ def omega_integral(drive, t: float) -> float:
     return c.cx * t + c.ax * ((math.sin(c.th0 + rate * t) - math.sin(c.th0)) / rate)
 
 
-def finalize(params, drive, times, raw_states, log_internal, coeffs=None):
-    """(states, norms_sq, log_scale, coeffs) of working-frame rows, one row at a time.
+def finalize(params, drive, times, raw_states, log_internal):
+    """(states, norms_sq, log_scale) of working-frame rows, one row at a time.
 
     Row k holds the working-frame bare state ``raw_states[k]`` (true state =
-    state * exp(-i trace phase) * exp(log scale / 2)) at ``times[k]``;
-    ``coeffs`` (adiabatic runs) are scaled by the same factor.
+    state * exp(-i trace phase) * exp(log scale / 2)) at ``times[k]``.
     """
     gbar = 0.5 * (params.gamma1 + params.gamma2)
     m = len(times)
     states = np.empty((m, 2), dtype=complex)
-    scaled = np.empty((m, 2), dtype=complex)
     norms = np.empty(m)
     logs = np.empty(m)
     offset = 0.0
-    raw_coeffs = [None] * m if coeffs is None else np.asarray(coeffs).tolist()
-    rows = zip(np.asarray(times).tolist(), np.asarray(raw_states).tolist(), raw_coeffs,
-               np.asarray(log_internal).tolist())
-    for k, (t, raw_state, raw_coeff, log_in) in enumerate(rows):
+    rows = zip(np.asarray(times).tolist(), np.asarray(raw_states).tolist(), np.asarray(log_internal).tolist())
+    for k, (t, raw_state, log_in) in enumerate(rows):
         phase = -(0.5 * ((params.e1 + params.e2) * t + omega_integral(drive, t)))
         log_total = -2.0 * gbar * t + log_in
         raw_n2 = abs(raw_state[0]) ** 2 + abs(raw_state[1]) ** 2
@@ -62,11 +58,9 @@ def finalize(params, drive, times, raw_states, log_internal, coeffs=None):
             offset = log_true
         factor = cmath.exp(1j * phase) * math.exp(0.5 * (log_total - offset))
         states[k] = (raw_state[0] * factor, raw_state[1] * factor)
-        if raw_coeff is not None:
-            scaled[k] = (raw_coeff[0] * factor, raw_coeff[1] * factor)
         norms[k] = abs(states[k, 0]) ** 2 + abs(states[k, 1]) ** 2
         logs[k] = offset
-    return states, norms, logs, None if coeffs is None else scaled
+    return states, norms, logs
 
 
 def _trajectory_rows(traj):

@@ -54,8 +54,6 @@ def fake_record(c1, c2):
         states=states,
         norms_sq=norms,
         log_scale=np.zeros(2),
-        adiabatic_coeffs=None,
-        branch_labels=None,
         meta={},
     )
 
@@ -101,8 +99,6 @@ class TestProjections:
             states=np.array([[1.0 + 0j, 0j], [0j, 0j]]),
             norms_sq=np.array([1.0, 0.0]),
             log_scale=np.zeros(2),
-            adiabatic_coeffs=None,
-            branch_labels=None,
             meta={},
         )
         with pytest.raises(ZeroNormError):

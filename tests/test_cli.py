@@ -520,6 +520,22 @@ class TestStepBudget:
         err = capsys.readouterr().err
         assert "error: StepBudgetError: " in err and reason in err
 
+    @pytest.mark.parametrize("method", ["direct", "adiabatic"])
+    def test_a_loop_past_the_step_cap_exits_3_on_both_routes(self, tmp_path, capsys, method):
+        # with e1 = 1800 the diode loop needs about 1e6 steps: the adiabatic
+        # route does not settle at its cap of 2^17 steps, and past 1e4 steps
+        # the direct route predicts more than that cap still to come
+        doc = with_field("system", "e1", 1800.0)
+        doc["output"]["path"] = str(tmp_path / "out.csv")
+        start = time.perf_counter()
+        with time_limit(20):
+            code = main(["--config", write_config(tmp_path, doc), "simulate", "--method", method])
+        assert code == 3
+        assert time.perf_counter() - start < 2.0
+        reason = {"direct": "10001 steps taken", "adiabatic": "has not settled at 131072 steps"}[method]
+        err = capsys.readouterr().err
+        assert "error: StepBudgetError: " in err and reason in err
+
     @pytest.mark.parametrize("argv", [["table1"], ["sweep", "--t-min", "600"]], ids=["table1", "sweep"])
     def test_map_past_the_float64_floor_exits_3(self, tmp_path, capsys, argv):
         # at T = 600 no step count settles the diode map (rounding moves it by

@@ -272,31 +272,35 @@ def test_tracked_t0_frame_is_eigenframe():
 
 
 def test_adiabatic_t0_coefficients_on_tracked_frame():
-    # the route's t = 0 coefficients are the c-products of c0 with the
-    # tracked t = 0 vectors, gauge signs included
+    # the route's t = 0 row projected on the tracked t = 0 vectors gives the
+    # c-products of c0 with them, gauge signs included
     c0 = StateVector(0.6, 0.8j)
     for params, drive in ((REF, encircling_loop(50.0, Direction.CW)), (HERMITIAN_PARAMS, hermitian_loop(20.0))):
         traj = propagate_adiabatic(params, drive, c0, TIGHT, n_output=16)
         vectors = track_branches(params, drive, n_samples=16).vectors[0]
         want = [c_product(v, c0.as_array()) for v in vectors]
-        got = traj.adiabatic_coeffs[0] * math.exp(0.5 * traj.log_scale[0])
+        got = np.array([c_product(v, traj.states[0]) for v in vectors]) * math.exp(0.5 * traj.log_scale[0])
         np.testing.assert_allclose(got, want, rtol=4 * EPS, atol=4 * EPS)
 
 
 def test_adiabatic_rows_on_oracle_frames():
     # the loop settles at 512 steps, so at 512 rows every step end is a row:
-    # tracking the oracle's frames along the rows gives the recorded labels,
-    # and the states are the coefficients on the oracle's vectors
+    # tracking the oracle's frames along the rows gives the labels of
+    # track_branches there, and the states are their coefficients on the
+    # tracked vectors (the c-products) expanded on the oracle's vectors
     loop = encircling_loop(50.0, Direction.CW)
     traj = propagate_adiabatic(REF, loop, StateVector(0.6, 0.8j), TIGHT, n_output=512)
     solver = traj.meta["solver"]
     assert len(traj.times) - 1 == solver["steps"] == traversal._FIRST_STEPS << solver["doublings"]
+    frame = track_branches(REF, loop, len(traj.times) - 1)
+    np.testing.assert_array_equal(frame.times, traj.times)
     for row, (_, vs, labels) in enumerate(_tracked_frames(REF, loop, traj.times, KAPPA)):
-        assert traj.branch_labels[row] == labels[0]
-        expected = traj.adiabatic_coeffs[row] @ np.array(vs)
+        assert frame.labels[row, 0] == labels[0]
+        coeffs = np.array([c_product(v, traj.states[row]) for v in frame.vectors[row]])
+        expected = coeffs @ np.array(vs)
         scale = np.linalg.norm(expected)
         np.testing.assert_allclose(traj.states[row], expected, rtol=0.0, atol=1e-13 * scale)
-    assert set(traj.branch_labels) == {"+", "-"}
+    assert set(frame.labels[:, 0]) == {"+", "-"}
 
 
 def test_diode_phase_samples_bit_equal_to_oracle():

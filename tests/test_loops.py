@@ -8,6 +8,7 @@ import pytest
 
 from epdyn import (
     DEFAULT_PARAMS,
+    DIODE_DURATION,
     Direction,
     EPOnContourError,
     FieldPoint,
@@ -16,6 +17,7 @@ from epdyn import (
     SystemParams,
     UndersampledError,
     contains_ep,
+    diode_control_loop,
     diode_loop,
     field_at,
     field_velocity,
@@ -82,6 +84,15 @@ class TestLoopSpec:
     def test_rejects_non_finite(self, kwargs, name):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             make_loop(**kwargs)
+
+    @pytest.mark.parametrize("direction", [Direction.CW, Direction.CCW])
+    def test_the_diode_control_is_the_diode_loop_moved_in_omega(self, direction):
+        # one copy of the diode geometry: the control loop is its geometry with
+        # the center at omega = 3.52005, the floats of the literal it replaced
+        want = LoopSpec(FieldPoint(3.52005, 0.64976), 2.02446, 0.64973, direction, 200.0, 4.35017)
+        assert diode_control_loop(direction, 200.0) == want
+        assert diode_control_loop(direction) == dataclasses.replace(want, duration_T=DIODE_DURATION)
+        assert diode_control_loop(direction) == dataclasses.replace(diode_loop(direction), center=want.center)
 
 
 class TestFieldAt:

@@ -9,6 +9,7 @@ import pytest
 
 from epdyn import (
     DEFAULT_PARAMS,
+    DIODE_DURATION,
     Direction,
     EPOnContourError,
     FieldPoint,
@@ -21,6 +22,7 @@ from epdyn import (
     StateVector,
     StaticDrive,
     SystemParams,
+    accumulated_phase,
     build_hamiltonian,
     c_product,
     diode_loop,
@@ -358,6 +360,15 @@ class TestOneEPRule:
         assert (frame.labels == want.labels).all()
         np.testing.assert_allclose(frame.energies / s, want.energies, rtol=1e-13)
         np.testing.assert_allclose(frame.vectors, want.vectors, rtol=0.0, atol=1e-14)
+
+    def test_the_phase_is_free_of_units(self):
+        # in units of 1e-156 the samples lie 1.7e155 apart (T = 3.5e158), where a
+        # product of two spacings overflows float64: Simpson's rule weighs the
+        # samples on times scaled by a power of two, so the phase keeps its value
+        params, loop, _ = in_units(1e-156, REF, diode_loop(Direction.CW), README_CONFIG)
+        want = accumulated_phase(REF, diode_loop(Direction.CW), DIODE_DURATION)
+        assert want == pytest.approx(518.88 + 7.16j, abs=0.01)
+        assert accumulated_phase(params, loop, loop.duration_T) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_an_overflow_is_not_contact(self):
         # a^2 + g^2 and |a|^2 + |g|^2 both overflow: the sample's error is the overflow

@@ -268,7 +268,7 @@ class TestDirectPropagation:
 
     def test_huge_rates_end_in_the_step_budget(self):
         # e1 = 1e100 drives the step to about 1e-100; the run stops once
-        # (T - t)/h predicts more than 1e7 steps past the 1e4 taken
+        # (T - t)/h predicts more than 2^17 steps past the 1e4 taken
         params = SystemParams(e1=1e100, e2=1.0, gamma1=0.1, gamma2=0.3, d12=1.0)
         start = time.perf_counter()
         with pytest.raises(StepBudgetError, match="10001 steps"):
@@ -380,8 +380,8 @@ def scipy_direct(params, drive, initial, config, n_output):
                 rows.append(dense(grid[gi]))
                 gi += 1
     raw = [row.reshape(2, 2).T @ initial.as_array() for row in rows]
-    states, norms, logs, _ = finalize(params, drive, times, raw, [0.0] * len(times))
-    return TrajectoryRecord(np.array(times), states, norms, logs, None, None), accepted, len(trials) - accepted
+    states, norms, logs = finalize(params, drive, times, raw, [0.0] * len(times))
+    return TrajectoryRecord(np.array(times), states, norms, logs), accepted, len(trials) - accepted
 
 
 ORACLE_CASES = {
@@ -526,14 +526,11 @@ class TestRowsAgainstReference:
         monkeypatch.setattr(prop, "_finalize", lambda *args: calls.append(args) or array_finalize(*args))
         traj = propagate(params, drive, StateVector.basis(state), TIGHT, **kwargs)
         # the reference takes the drive and computes its own trace phase, so the kept factor is checked too
-        ((args_params, times, raw, log_internal, _, args_coeffs),) = calls
-        states, norms, logs, coeffs = finalize(args_params, drive, times, raw, log_internal, args_coeffs)
+        ((args_params, times, raw, log_internal, _),) = calls
+        states, norms, logs = finalize(args_params, drive, times, raw, log_internal)
         assert bits(traj.states) == bits(states)
         assert bits(traj.norms_sq) == bits(norms)
         assert bits(traj.log_scale) == bits(logs)
-        assert (coeffs is None) == (traj.adiabatic_coeffs is None)
-        if coeffs is not None:
-            assert bits(traj.adiabatic_coeffs) == bits(coeffs)
         if params is DECAYING:
             assert len(set(traj.log_scale.tolist())) > 5  # the record renormalized
 
@@ -552,11 +549,10 @@ class TestRowsAgainstReference:
         magnitude = np.where(odd, rng.uniform(0.3, 3.0, m), 10.0 ** (100.0 * sign))
         raw = (rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))) * magnitude[:, None]
         log_internal = np.where(odd, 0.0, sign * rng.uniform(0.0, 300.0, m))
-        coeffs = raw[::-1].copy()
         # no decay (gamma1 = gamma2 = 0), so an odd row's log is not rounded into a larger sum
         got = prop._finalize(HERMITIAN_PARAMS, times, raw, log_internal,
-                             prop._trace_factor(HERMITIAN_PARAMS, drive, times), coeffs)
-        want = finalize(HERMITIAN_PARAMS, drive, times, raw, log_internal, coeffs)
+                             prop._trace_factor(HERMITIAN_PARAMS, drive, times))
+        want = finalize(HERMITIAN_PARAMS, drive, times, raw, log_internal)
         assert [bits(a) for a in got] == [bits(a) for a in want]
         assert len(set(got[2].tolist())) == m
 
@@ -1307,22 +1303,25 @@ class TestTrackBranches:
 class TestAdiabaticPropagation:
     def test_static_coefficients_frozen(self):
         # zero parameter velocity means zero coupling: the phase-stripped
-        # coefficients stay put and the bare state carries phase/decay only
+        # coefficients stay put and the bare state carries phase/decay only,
+        # on either route's record
         drive = StaticDrive(FieldPoint(1.0, 0.4), 6.0)
         initial = StateVector(0.8, 0.6j)
-        traj = propagate_adiabatic(REF, drive, initial, TIGHT, n_output=16)
         h = build_hamiltonian(REF, drive.field)
-        # the coefficients are on the tracked frame, gauge included
+        expected = expm(-1j * h.as_array() * 6.0) @ initial.as_array()
+        # the coefficients are the c-products with the tracked frame at the row times, gauge included
         frame = track_branches(REF, drive, n_samples=16)
         e_p, e_m = frame.energies[0]
         a0 = np.array([c_product(v, initial.as_array()) for v in frame.vectors[0]])
-        for k, t in enumerate(traj.times):
-            scale = math.exp(0.5 * traj.log_scale[k])
-            coeffs = traj.adiabatic_coeffs[k] * scale
-            stripped = coeffs * np.array([cmath.exp(1j * e_p * t), cmath.exp(1j * e_m * t)])
-            np.testing.assert_allclose(stripped, a0, rtol=1e-8, atol=1e-10)
-        expected = expm(-1j * h.as_array() * 6.0) @ initial.as_array()
-        np.testing.assert_allclose(traj.final_state, expected, rtol=1e-8, atol=1e-12)
+        for propagate in (propagate_direct, propagate_adiabatic):
+            traj = propagate(REF, drive, initial, TIGHT, n_output=16)
+            np.testing.assert_array_equal(traj.times, frame.times)
+            for k, t in enumerate(traj.times):
+                scale = math.exp(0.5 * traj.log_scale[k])
+                coeffs = np.array([c_product(v, traj.states[k]) for v in frame.vectors[k]]) * scale
+                stripped = coeffs * np.array([cmath.exp(1j * e_p * t), cmath.exp(1j * e_m * t)])
+                np.testing.assert_allclose(stripped, a0, rtol=1e-8, atol=1e-10)
+            np.testing.assert_allclose(traj.final_state, expected, rtol=1e-8, atol=1e-12)
 
     def test_agrees_with_direct_off_ep(self):
         loop = LoopSpec(
@@ -1470,25 +1469,10 @@ class TestAdiabaticPropagation:
             propagate_adiabatic(REF, loop, StateVector.basis(2), TIGHT)
         assert time.perf_counter() - start < 2.0
 
-    def test_branch_labels_recorded(self):
-        loop = LoopSpec(
-            center=FieldPoint(1.0, 0.35),
-            semi_axis_omega=0.05,
-            semi_axis_eps=0.05,
-            direction=Direction.CCW,
-            duration_T=20.0,
-        )
-        traj = propagate_adiabatic(REF, loop, StateVector.basis(1), n_output=32)
-        assert traj.branch_labels is not None
-        assert set(traj.branch_labels) <= {"+", "-"}
-        assert traj.adiabatic_coeffs.shape == traj.states.shape
-
 
 def record_bits(traj) -> tuple:
-    """Every array of a record as raw bytes, and its solver counts without ``reused``."""
-    arrays = (traj.times, traj.states, traj.norms_sq, traj.log_scale, traj.adiabatic_coeffs, traj.branch_labels)
-    solver = {k: v for k, v in traj.meta["solver"].items() if k != "reused"}
-    return (*map(bits, arrays), solver)
+    """Every array of a record (either route's) as raw bytes, and its solver counts without ``reused``."""
+    return (*map(bits, (traj.times, traj.states, traj.norms_sq, traj.log_scale)), counts(traj))
 
 
 def fresh(*args, **kwargs):
@@ -1534,10 +1518,10 @@ class TestLoopRows:
         first.states[:] = 0.0
         hit = propagate_adiabatic(REF, self.LOOP, StateVector.basis(2), TIGHT, n_output=16)
         assert hit.meta["solver"]["reused"] and record_bits(hit) == want
-        # the prefix maps, the trace factor, the t = 0 gauge and the labels, which the record shares
+        # every array of the kept entry: the row times, the prefix maps and the rotations, and the trace factor
         (kept,) = prop._LOOP_ROWS.entries.values()
-        assert hit.branch_labels is kept.labels
-        for array in (kept.rows.prefix, *kept.trace, kept.signs, kept.labels):
+        assert isinstance(kept, prop._Loop)
+        for array in (*kept.rows, *kept.trace):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
 
@@ -1603,11 +1587,6 @@ def fresh_direct(*args, **kwargs):
     return propagate_direct(*args, **kwargs)
 
 
-def direct_bits(traj) -> tuple:
-    """Every array of a direct record as raw bytes, and its solver counts without ``reused``."""
-    return (*(bits(getattr(traj, name)) for name in ("times", "states", "norms_sq", "log_scale")), counts(traj))
-
-
 #: the key fields of a direct run, each changed from (REF, DirectRuns.LOOP, TIGHT, n_output 8)
 LOOP50 = encircling_loop(50.0, Direction.CW)
 KEY_CHANGES = {
@@ -1646,7 +1625,7 @@ class TestDirectRuns:
         hit = propagate_direct(REF, self.LOOP, initial, TIGHT, n_output=64)
         want = fresh_direct(REF, self.LOOP, initial, TIGHT, n_output=64)
         assert (hit.meta["solver"]["reused"], want.meta["solver"]["reused"]) == (True, False)
-        assert direct_bits(hit) == direct_bits(want)
+        assert record_bits(hit) == record_bits(want)
 
     def test_the_base_run_has_the_values_the_changes_move(self):
         assert self.LOOP.start_phase == 0.0 and math.copysign(1.0, self.LOOP.start_phase) == 1.0
@@ -1658,7 +1637,7 @@ class TestDirectRuns:
         run = propagate_direct(params, drive, StateVector.basis(2), config, n_output=n_output)
         assert run.meta["solver"]["reused"] is False and len(prop._DIRECT_RUNS.entries) == 2
         want = fresh_direct(params, drive, StateVector.basis(2), config, n_output=n_output)
-        assert direct_bits(run) == direct_bits(want)
+        assert record_bits(run) == record_bits(want)
 
     @pytest.mark.parametrize("name", ["budget", "underflow"])
     def test_an_error_is_raised_on_every_call(self, name):
@@ -1672,15 +1651,16 @@ class TestDirectRuns:
 
     def test_writing_into_a_record_leaves_the_next_call_unchanged(self):
         first = propagate_direct(REF, self.LOOP, StateVector.basis(2), TIGHT, n_output=16)
-        want = direct_bits(first)
+        want = record_bits(first)
         first.times[1:] = 1e9
         first.states[:] = 0.0
         first.log_scale[:] = 5.0
         first.meta["solver"]["accepted"] = -1
         hit = propagate_direct(REF, self.LOOP, StateVector.basis(2), TIGHT, n_output=16)
-        assert hit.meta["solver"]["reused"] and direct_bits(hit) == want
-        (((exponents, rows, trace), solver),) = prop._DIRECT_RUNS.entries.values()
-        for array in (exponents, rows, *trace):
+        assert hit.meta["solver"]["reused"] and record_bits(hit) == want
+        (kept,) = prop._DIRECT_RUNS.entries.values()
+        assert isinstance(kept, prop._Loop)
+        for array in (*kept.rows, *kept.trace):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 

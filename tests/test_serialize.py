@@ -123,7 +123,7 @@ def edge_record() -> TrajectoryRecord:
     t, c1, c2, norms, logs = (np.array(column) for column in zip(*EDGE_ROWS))
     states = np.empty((len(t), 2), dtype=complex)
     states[:, 0], states[:, 1] = c1, c2
-    return TrajectoryRecord(t, states, norms, logs, None, None, {"method": "direct"})
+    return TrajectoryRecord(t, states, norms, logs, {"method": "direct"})
 
 
 class TestWritersAgainstReference:
@@ -151,7 +151,7 @@ class TestWritersAgainstReference:
     def test_integer_columns(self):
         # fmt and the json writer made every value a float: 1 is written 1 and 1.0
         states = np.array([[1, 0], [0, 1j], [1, 1]])
-        traj = TrajectoryRecord(np.arange(3), states, np.array([1, 1, 2]), np.zeros(3, int), None, None, {})
+        traj = TrajectoryRecord(np.arange(3), states, np.array([1, 1, 2]), np.zeros(3, int), {})
         assert trajectory_to_csv(traj) == row_reference.trajectory_to_csv(traj)
         assert trajectory_to_json(traj) == row_reference.trajectory_to_json(traj)
 
