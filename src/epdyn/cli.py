@@ -201,8 +201,9 @@ def cmd_simulate(config: RunConfig, method: str, n_output: int) -> int:
     return EXIT_OK
 
 
-def cmd_table1(config: RunConfig) -> int:
-    with _open_output(config.out_path, required=False) as fh:
+def cmd_table1(config: RunConfig, out_path: Optional[str]) -> int:
+    """Print the table, and write it to ``out_path``, the --output path only: the config's output.path is simulate's."""
+    with _open_output(out_path, required=False) as fh:
         try:
             table = analysis.table1(config.params, config.loop, config.integrator)
         except ValueError as exc:  # a loop the maps cannot step; a loop off the EP is NotEncirclingError
@@ -388,7 +389,7 @@ def _run(argv) -> int:
         if args.command == "simulate":
             return cmd_simulate(config, args.method, args.n_output)
         if args.command == "table1":
-            return cmd_table1(config)
+            return cmd_table1(config, args.output)
         if args.command == "sweep":
             return cmd_sweep(config, args)
         return cmd_winding(config, args.n_samples)

@@ -42,9 +42,10 @@ with a' and g' exact from the loop velocity. Its coefficients carry the
 branch energies on the diagonal and the couplings -th', +th' off it. It
 takes no stepper of its own: ``traversal.eigen_rows`` multiplies uniform
 closed-form 4th-order Magnus steps in that eigenframe, doubling their count
-until the full-loop map settles, and gives the map from t = 0 to every
-row as a prefix product, which the route keeps for the last two loops it
-ran (``_LOOP_ROWS``), since none of it depends on the state. The branch
+until the full-loop map settles, and gives U from t = 0 to every row: a
+prefix product, rotated once into the bare frame. The route keeps those
+maps for the last two loops it ran (``_LOOP_ROWS``), since none of them
+depends on the state, and every row is U(t_k) c0, as on the direct route. The branch
 is continued by the root +/-sqrt(a^2 + g^2) nearer the one before, sample
 by sample, which is where the state exchange around an exceptional point
 shows up. The two routes
@@ -98,7 +99,6 @@ from .loops import LoopSpec, StaticDrive, _contour, _fields_at, _omega_integral,
 # build_hamiltonian is not called here; perfbench's tracer wraps propagation.build_hamiltonian
 from .model import (
     SystemParams, _complex, _fmul, _mul, _plus, _pow2_scaled, _require_finite, _traceless, build_hamiltonian,
-    c_product,
 )
 
 __all__ = [
@@ -393,7 +393,7 @@ class _Loop(NamedTuple):
     """What a route keeps of a loop (``_Recent``): none of it reads the initial state, its arrays read-only."""
 
     solver: dict  # the counts of U's run (direct) or of the settled map (adiabatic)
-    rows: tuple  # U's column exponents and rows (``_direct_run``), or the prefix maps (``traversal._Rows``)
+    rows: tuple  # U at the row times: (column exponents, rows) of ``_direct_run``, or ``traversal._Rows``
     trace: tuple  # the rows' ``_trace_factor``
 
 
@@ -1076,7 +1076,7 @@ def _loop_rows(params: SystemParams, drive: Drive, rel_tol: float, n_output: int
             "doublings": (tmap.steps // traversal._FIRST_STEPS).bit_length() - 1,
         }
         _read_only(*rows)
-        return _Loop(solver, rows, _trace_factor(params, drive, rows.times))
+        return _Loop(solver, rows, _trace_factor(params, drive, _samples(drive.duration_T, n_output)))
 
     return _LOOP_ROWS.get(_key(params, drive, rel_tol, n_output), compute)
 
@@ -1100,10 +1100,12 @@ def propagate_adiabatic(
     (the traversal map's rule; ``abs_tol``, ``max_step`` and
     ``initial_step`` play no part), then the smallest n_output * 2^k steps
     at or above that count, with the map from t = 0 to every row end as a
-    prefix product. Row j is R(th_j) P_j R(th_0)^T c0 in the traceless
-    frame, where R(th) holds the c-normalized eigenvectors (cos th, sin th)
-    and (-sin th, cos th) (see the module docstring); ``_finalize`` restores
-    the trace factor. Rows are recorded at ``n_output + 1`` uniform times.
+    prefix product P_j, rotated into the bare frame: U(t_j) = R(th_j) P_j
+    R(th_0)^T, where R(th) holds the c-normalized eigenvectors (cos th,
+    sin th) and (-sin th, cos th) (see the module docstring). Row j is
+    U(t_j) c0 in the traceless frame, as on the direct route, and
+    ``_finalize`` restores the trace factor. Rows are recorded at the
+    ``n_output + 1`` times of ``loops._samples``.
 
     The record has the direct route's fields (``TrajectoryRecord`` says how
     the tracked frame projects it). ``meta["solver"]`` holds the row step
@@ -1114,12 +1116,12 @@ def propagate_adiabatic(
     products (``stepping``; a cache lookup on a hit) and of the rows after
     them (``rows``).
 
-    The prefix maps do not depend on the initial state, so
+    The row maps do not depend on the initial state, so
     the route keeps them for the last two loops it ran, with the rows' trace
     factor (``_loop_rows``, keyed on the exact bits of everything they
     read): the second state on a loop, or the other direction's next call,
-    only projects, multiplies and finishes its rows, with the bits of a
-    fresh computation. An error is not kept; the next call raises it
+    only multiplies and finishes its rows, with the bits of a fresh
+    computation. An error is not kept; the next call raises it
     again.
 
     Raises
@@ -1149,22 +1151,12 @@ def propagate_adiabatic(
     try:
         kept, reused = _loop_rows(params, loop, config.rel_tol, n_output)
         stepped = time.perf_counter()
-        rows = kept.rows
-        # c0 on the axes (cos th_0, sin th_0) and (-sin th_0, cos th_0)
-        axes = ((rows.cos[0], rows.sin[0]), (-rows.sin[0], rows.cos[0]))
-        # c0 is scaled before the projection, so a subnormal state keeps its
-        # digits, and the projection after it: for a normal c0 both scales
-        # are exact, so b and the total shift are those of one scale of b
+        maps, exponent = kept.rows
+        # c0 and every map are scaled to parts below 1, so a subnormal state
+        # keeps its digits and no row overflows
         c0, shift = _pow2_scaled(initial.as_array())
-        b, shift_b = _pow2_scaled(np.array([c_product(axis, c0) for axis in axes]))
-        shift = shift + shift_b
-        with np.errstate(all="ignore"):  # overflow is caught below
-            y = rows.prefix @ b
-        raw = np.stack([rows.cos * y[:, 0] - rows.sin * y[:, 1], rows.sin * y[:, 0] + rows.cos * y[:, 1]], axis=1)
-        if not np.isfinite(raw).all():
-            raise OverflowError("a row overflowed float64")
         return _record("adiabatic", params, loop, config, n_output, {**kept.solver, "reused": reused},
-                       (started, stepped), rows.times.copy(), raw, rows.exponent + shift, kept.trace)
+                       (started, stepped), _samples(T, n_output), maps @ c0, exponent + shift, kept.trace)
     except OverflowError as exc:
         raise NonFiniteError("coefficients overflowed float64") from exc
 

@@ -7,9 +7,9 @@ in closed form (``propagation``). U belongs to the traceless
 H0 = [[a, g], [g, -a]] (``model._traceless``). It is nearly rank 1 on an
 EP-encircling loop, which is the paper's "any initial state" ends in the
 selected one. ``traversal_maps`` computes U for a batch of loops;
-``eigen_rows`` gives the adiabatic route (``propagation``) the map from
-t = 0 to each of its rows, and ``branch_frames`` gives branch tracking
-and the phase integrals the eigenframe itself at uniform samples.
+``eigen_rows`` gives the adiabatic route (``propagation``) U from t = 0
+to each of its rows, and ``branch_frames`` gives branch tracking and the
+phase integrals the eigenframe itself at uniform samples.
 
 Step. n uniform steps of length h = T/n, each the 4th-order
 commutator-free Magnus step with two exponentials at the Gauss points
@@ -95,7 +95,10 @@ its last element takes, level by level, the very products of the tree: it
 is the tree over all steps, with its bits. ``_settle`` therefore reads the
 map off that last element at every step count, and the rows of
 ``eigen_rows`` take the settled count's scan, so that count runs one
-product pass. A map's one interval is both.
+product pass. A map's one interval is both. One ``_rotate`` takes an
+eigenframe product P_j to the bare frame, R(th_j) P_j R(th_0)^T rescaled,
+for the map at T and, once per loop, for every row, so the last row is the
+map's bits.
 ``_mat`` forms the products of every entry at once by broadcasting: each
 element still gets the same two products and the same sum, in the same
 order, so the same bits.
@@ -213,14 +216,14 @@ def _maps(params: SystemParams, loops: Sequence[LoopSpec], rel_tol: float) -> li
 
 
 def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
-    """The eigenframe maps from t = 0 to each row of the adiabatic route (see the module docstring).
+    """U from t = 0 to each row of the adiabatic route, in the bare frame (see the module docstring).
 
     The full-loop map settles first (``_settle`` over the n_output row
     intervals, with no fallback); the rows are then every (2^k)-th step end
     of the smallest n_output * 2^k steps at or above that count. Where that
     is the settled count, the rows take its prefix scan; a finer count runs
-    again. Returns (the settled ``TraversalMap``, the row step count,
-    ``_Rows``).
+    again. ``_rotate`` takes the scan to the bare frame. Returns (the settled
+    ``TraversalMap``, the row step count, ``_Rows``).
 
     Raises
     ------
@@ -235,7 +238,8 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
         If the frame is unresolved at every step count up to the cap.
     StepBudgetError
         If the map stalls above ``_FLOOR_MAX``, or does not settle (or
-        overflows float64 at every step) up to the cap.
+        overflows float64 at every step) up to the cap, or a row's map
+        overflows float64.
     """
     times = _samples(drive.duration_T, n_output)
     t_ep = _ep_time(params, drive)
@@ -253,17 +257,11 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
             raise error or AmbiguousTrackingError(f"the eigenframe of {drive} is unresolved at {n} steps")
         with np.errstate(all="ignore"):
             x, e = _scan(run.x, run.e)
-    x = np.concatenate([np.eye(2, dtype=complex)[:, :, None, None], x], axis=-1)[:, :, 0].transpose(2, 0, 1)
-    if not np.isfinite(x).all():
+    x, e = _rotate(run, x, e)
+    maps = np.concatenate([np.eye(2, dtype=complex)[:, :, None], x[:, :, 0]], axis=-1).transpose(2, 0, 1)
+    if not np.isfinite(maps).all():
         raise StepBudgetError(f"the eigenframe map of {drive} overflows float64 at {n} steps")
-    (c0, s0), (c, s) = run.rotations
-    return tmap, n, _Rows(
-        times,
-        x,
-        np.concatenate([[0], e[0]]),
-        np.concatenate([c0, c[0]]),
-        np.concatenate([s0, s[0]]),
-    )
+    return tmap, n, _Rows(maps, np.concatenate([[0], e[0]]))
 
 
 def _ep_time(params: SystemParams, drive):
@@ -284,17 +282,13 @@ def _ep_time(params: SystemParams, drive):
 
 
 class _Rows(NamedTuple):
-    """The maps to the rows of one loop: row j at ``times[j]`` is R(th_j) P_j R(th_0)^T 2^exponent_j.
+    """The bare-frame maps U from t = 0 to the rows of one loop: row j is ``maps[j]`` 2^exponent[j].
 
-    ``prefix`` (N + 1, 2, 2) holds P_j (the identity at row 0) and ``cos``,
-    ``sin`` the rotation of th_j.
+    ``maps`` (N + 1, 2, 2) is rescaled as ``_rotate`` leaves it, row 0 the identity.
     """
 
-    times: np.ndarray
-    prefix: np.ndarray
+    maps: np.ndarray
     exponent: np.ndarray
-    cos: np.ndarray
-    sin: np.ndarray
 
 
 def _no_step_fits(reach: float, n: int) -> bool:
@@ -378,7 +372,7 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
         run = _intervals(params, [drives[k] for k in active], n, every, eigen)
         with np.errstate(all="ignore"):  # overflow shows as a map that is not finite
             scan = _scan(run.x, run.e)  # its last element is the tree over the intervals
-        u, e = scan[0][..., -1], scan[1][..., -1]
+        u, e = scan[0][..., -1:], scan[1][..., -1:]
         if eigen:
             u, e = _rotate(run, u, e)
         still = []
@@ -387,7 +381,7 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
             if error is not None:  # with a fallback, a sample on the EP leaves the drive to the other frame
                 out[k] = None if fallback and run.finite[i] else error
                 continue
-            uk, ek = u[:, :, i], int(e[i])
+            uk, ek = u[:, :, i, 0], int(e[i, 0])
             if not (run.smooth[i] and np.isfinite(uk).all()):
                 last.pop(k, None)
                 ending[k] = ((StepBudgetError, f"overflows float64 at every step count up to {_STEP_CAP}: no step fits")
@@ -647,12 +641,13 @@ def _intervals(params: SystemParams, drives: Sequence, n: int, every: int, eigen
     return _Run(x, e, finite & good, resolved, reach, clear, phase.smooth, rotations)
 
 
-def _rotate(run: _Run, u: np.ndarray, e: np.ndarray) -> tuple:
-    """R(th_T) u R(th_0)^T of the maps u (2, 2, m), rescaled, th_T at the last interval end."""
+def _rotate(run: _Run, x: np.ndarray, e: np.ndarray) -> tuple:
+    """R(th_j) x_j R(th_0)^T of the eigenframe maps x (2, 2, m, k) at the last k interval ends, rescaled."""
     (c0, s0), (c1, s1) = run.rotations
-    r0, r1 = (np.array([[c, -s], [s, c]]) for c, s in ((c0, s0), (c1[:, -1], s1[:, -1])))
-    with np.errstate(all="ignore"):
-        return _rescale(_mat(_mat(r1, u), r0.transpose(1, 0, 2)), e)
+    k = x.shape[-1]
+    r0, r1 = (np.array([[c, -s], [s, c]]) for c, s in ((c0[:, None], s0[:, None]), (c1[:, -k:], s1[:, -k:])))
+    with np.errstate(all="ignore"):  # overflow shows as a map that is not finite
+        return _rescale(_mat(_mat(r1, x), r0.transpose(1, 0, 2, 3)), e)
 
 
 def _means(p: np.ndarray, q: np.ndarray, h: np.ndarray) -> tuple:

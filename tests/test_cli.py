@@ -277,7 +277,8 @@ class TestSimulate:
 
 class TestOutputPath:
     # a path that cannot be opened for writing is a config error naming the
-    # field, on every command that writes a file; table1 writes "" too
+    # field, on every command that writes a file; table1 writes "" too, but
+    # only a path given by --output: output.path is simulate's
     COMMANDS = [["simulate", "--n-output", "8"], ["table1"], ["--jobs", "1", "sweep", "--t-min", "10"]]
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=["simulate", "table1", "sweep"])
@@ -290,11 +291,16 @@ class TestOutputPath:
         path = str(tmp_path / path) if path else path
         doc = patched({"integrator": {"rel_tol": 1e-8}, "output": {} if flag else {"path": path}})
         config = write_config(tmp_path, doc)
-        assert main(["--config", config, *(["--output", path] if flag else []), *argv]) == 1
+        before = sorted(os.listdir(tmp_path))
+        code = main(["--config", config, *(["--output", path] if flag else []), *argv])
         err = capsys.readouterr().err
-        assert err.startswith("error: ConfigError: field 'output.path' (or --output) cannot be opened for writing")
-        assert "Traceback" not in err
-        assert not (tmp_path / "missing").exists()
+        if argv == ["table1"] and not flag:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 1
+            assert err.startswith("error: ConfigError: field 'output.path' (or --output) cannot be opened for writing")
+            assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=["simulate", "table1", "sweep"])
     def test_empty_flag_overrides_the_config_path(self, tmp_path, capsys, argv):
@@ -444,6 +450,16 @@ class TestTable1:
         monkeypatch.setattr(epdyn.analysis, "table1", refuse)
         assert main(["--config", write_config(tmp_path), "table1"]) == 1
         assert capsys.readouterr().err == "error: ConfigError: invalid 'loop' section: duration_T is too small\n"
+
+    def test_leaves_the_trajectory_simulate_wrote(self, tmp_path, capsys, monkeypatch):
+        # README's config names output.path "trajectory.csv": simulate's file, which table1 does not write
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, DIODE_CONFIG)
+        assert main(["--config", config, "simulate", "--n-output", "8"]) == 0
+        written = (tmp_path / "trajectory.csv").read_bytes()
+        assert main(["--config", config, "table1"]) == 0
+        assert (tmp_path / "trajectory.csv").read_bytes() == written
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "trajectory.csv"]
 
     def test_renders_four_rows(self, tmp_path, capsys):
         doc = patched({"integrator": {"rel_tol": 1e-8}})
@@ -1153,8 +1169,12 @@ def test_import_builds_no_direct_step():
     assert result.stdout == "0\n1\n"
 
 
-@pytest.mark.parametrize("argv", [["simulate"], ["table1"]], ids=["simulate", "table1"])
-def test_main_runs_with_scipy_blocked(tmp_path, capsys, monkeypatch, argv):
+@pytest.mark.parametrize(
+    "argv, written",
+    [(["simulate"], "trajectory.csv"), (["--output", "table1.txt", "table1"], "table1.txt")],
+    ids=["simulate", "table1"],
+)
+def test_main_runs_with_scipy_blocked(tmp_path, capsys, monkeypatch, argv, written):
     # the same call with scipy unimportable writes the same bytes as in this process
     config = write_config(tmp_path, DIODE_CONFIG)
     blocked, own = tmp_path / "blocked", tmp_path / "own"
@@ -1166,7 +1186,7 @@ def test_main_runs_with_scipy_blocked(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(own)
     assert main(["--config", config, *argv]) == 0
     assert result.stdout == capsys.readouterr().out
-    assert (blocked / "trajectory.csv").read_bytes() == (own / "trajectory.csv").read_bytes()
+    assert (blocked / written).read_bytes() == (own / written).read_bytes()
 
 
 # -- the command line's own errors and a closed pipe ----------------------------

@@ -1122,7 +1122,7 @@ class TestDopri5:
         # product 4th order: the change over a doubling shrinks 16-fold
         loop = encircling_loop(10.0, Direction.CW)
         runs = [traversal._intervals(REF, [loop], n, n, True) for n in (256, 512, 1024)]
-        maps = [traversal._rotate(run, run.x[..., 0], run.e[..., 0]) for run in runs]
+        maps = [traversal._rotate(run, run.x, run.e) for run in runs]
         changes = [traversal._change(*maps[k + 1], *maps[k]) for k in (0, 1)]
         assert 16.0 / 1.2 < changes[0] / changes[1] < 16.0 * 1.2, changes
 
@@ -1323,6 +1323,19 @@ class TestAdiabaticPropagation:
                 np.testing.assert_allclose(stripped, a0, rtol=1e-8, atol=1e-10)
             np.testing.assert_allclose(traj.final_state, expected, rtol=1e-8, atol=1e-12)
 
+    def test_row_0_is_the_direct_routes_bits(self):
+        # both routes start from the identity map, so row 0 is c0 as the direct route records it
+        rng = np.random.default_rng(35)
+        states = [
+            StateVector.basis(1), StateVector.basis(2), StateVector(complex(-0.0, 1.0), complex(-1.0, -0.0)),
+            StateVector(1e-300, 3e-301j), StateVector(1e300, -2e300), *(random_state(rng) for _ in range(20)),
+        ]
+        loop = encircling_loop(50.0, Direction.CCW)
+        for initial in states:
+            adiab, direct = (f(REF, loop, initial, TIGHT, n_output=8) for f in (propagate_adiabatic, propagate_direct))
+            rows = [[bits(a[0]) for a in (t.states, t.norms_sq, t.log_scale)] for t in (adiab, direct)]
+            assert rows[0] == rows[1], initial
+
     def test_agrees_with_direct_off_ep(self):
         loop = LoopSpec(
             center=FieldPoint(1.0, 0.35),
@@ -1428,8 +1441,10 @@ class TestAdiabaticPropagation:
             # the diode map's float64 floor: 1.9e-6 of the long-double map, and
             # the survival within 6e-5 (tests/test_traversal.py)
             (diode_loop(Direction.CW), StateVector.basis(1), 1e-9, 1e-4),
+            (encircling_loop(50.0, Direction.CCW), random_state(np.random.default_rng(5)), 1e-13, 1e-11),
+            (diode_loop(Direction.CCW), StateVector.basis(2), 1e-9, 1e-4),
         ],
-        ids=["encircling", "diode"],
+        ids=["encircling", "diode", "encircling-ccw", "diode-ccw"],
     )
     def test_rows_agree_with_the_long_double_prefix_maps(self, loop, initial, fidelity_tol, norm_tol):
         # every row against the same steps' prefix maps in long double: the
@@ -1518,7 +1533,7 @@ class TestLoopRows:
         first.states[:] = 0.0
         hit = propagate_adiabatic(REF, self.LOOP, StateVector.basis(2), TIGHT, n_output=16)
         assert hit.meta["solver"]["reused"] and record_bits(hit) == want
-        # every array of the kept entry: the row times, the prefix maps and the rotations, and the trace factor
+        # every array of the kept entry: the row maps and their exponents, and the trace factor
         (kept,) = prop._LOOP_ROWS.entries.values()
         assert isinstance(kept, prop._Loop)
         for array in (*kept.rows, *kept.trace):

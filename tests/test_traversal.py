@@ -64,8 +64,8 @@ def grid_cell(n: int, i: int, j: int, direction: Direction) -> LoopSpec:
 def plain_map(loop: LoopSpec, n: int) -> tuple:
     """(U, exponent) of the loop's eigenframe product on n steps, as ``_settle`` forms it at one count."""
     run = traversal._intervals(REF, [loop], n, n, True)
-    u, e = traversal._rotate(run, *traversal._tree(run.x, run.e))
-    return u[:, :, 0], int(e[0])
+    u, e = traversal._rotate(run, run.x, run.e)
+    return u[:, :, 0, 0], int(e[0, 0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -244,15 +244,26 @@ class TestRows:
         assert (tmap.steps, n) == (512, 512)
         assert scans == [1, 512]
         assert 512 not in trees
-        # the last prefix map, rotated as the map is, is the settled map's bits
-        (c0, c1), (s0, s1) = rows.cos[[0, -1]], rows.sin[[0, -1]]
-        r0, r1 = (np.array([[c, -s], [s, c]])[:, :, None] for c, s in ((c0, s0), (c1, s1)))
-        u, e = traversal._rescale(
-            traversal._mat(traversal._mat(r1, rows.prefix[-1][:, :, None]), r0.transpose(1, 0, 2)),
-            rows.exponent[-1:],
-        )
-        assert u[:, :, 0].tobytes() == tmap.U.tobytes()
-        assert e[0] * math.log(2.0) == tmap.log_scale
+        # the last row's map is the settled map's bits
+        assert rows.maps[-1].tobytes() == tmap.U.tobytes()
+        assert rows.exponent[-1] * math.log(2.0) == tmap.log_scale
+
+    @pytest.mark.parametrize("n_output", [8, 512])
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-8])
+    @pytest.mark.parametrize(
+        "loop",
+        [encircling_loop(50.0, Direction.CW), encircling_loop(50.0, Direction.CCW),
+         diode_loop(Direction.CW), diode_loop(Direction.CCW)],
+        ids=["encircling-cw", "encircling-ccw", "diode-cw", "diode-ccw"],
+    )
+    def test_the_last_row_is_the_traversal_map(self, loop, rel_tol, n_output):
+        # the rows are rotated into the bare frame as the map is, so where both
+        # stop at one step count the last row is the map's bits
+        _, n, rows = traversal.eigen_rows(REF, loop, rel_tol, n_output)
+        (tmap,) = traversal_maps(REF, [loop], rel_tol)
+        assert n == tmap.steps
+        assert rows.maps[-1].tobytes() == tmap.U.tobytes()
+        assert rows.exponent[-1] * math.log(2.0) == tmap.log_scale
 
     def test_a_count_that_cannot_settle_takes_the_scan(self, monkeypatch):
         # the README config with e1 = 18 is unresolved up to 1024 steps (no
