@@ -24,6 +24,7 @@ from .propagation import (
     IntegratorConfig,
     StateVector,
     TrajectoryRecord,
+    _abs2,
     propagate_direct,
     track_branches,
 )
@@ -98,13 +99,13 @@ def final_state_report(traj: TrajectoryRecord, direction: Direction) -> Asymmetr
     """Dominance, capped ratio, and survival fraction of the final state.
 
     W1 = |c1|^2 / (|c1|^2 + |c2|^2) of the final record, where the scale
-    factors cancel; the one-element arrays give it the bits of the
-    trajectory's ``W1`` column.
+    factors cancel: the trajectory's ``W1`` column at its last row, bit for
+    bit (``propagation._abs2`` over the stored norm).
     """
-    total = traj.norms_sq[-1:]
-    if total[0] == 0.0:
+    total = traj.norms_sq[-1]
+    if total == 0.0:
         raise ZeroNormError("both amplitudes are exactly zero at the final record")
-    dominant, ratio = _dominance(float((np.abs(traj.states[-1:, 0]) ** 2 / total)[0]))
+    dominant, ratio = _dominance(float(_abs2(traj.states[-1, 0]) / total))
     return AsymmetryReport(
         dominant_state=dominant,
         ratio=ratio,

@@ -69,10 +69,9 @@ the log of the discarded factor accumulates in ``log_scale`` (true norm^2 =
 ``norms_sq * exp(log_scale)``). All normalized projections are unaffected.
 Both routes only collect the working-frame rows as columns (time, state,
 log of the rescalings); ``_finalize`` then restores the trace phase and the
-scale factors, and scans for renormalizations (``_offsets``, with
-``math.log`` only where its last bit can decide one), in array passes
-spelled so that every value is the bits of the old row-by-row loop in
-Python scalars (``tests/row_reference.py`` keeps that loop as the oracle, and
+scale factors and scans for renormalizations (``_offsets``) in plain numpy
+array arithmetic, within a few ulps of the old row-by-row loop in Python
+scalars (``tests/row_reference.py`` keeps that loop as the oracle, and
 ``tests/dop853_reference.py`` the loop-based DOP853 with its scalar dense
 output). Both routes time two phases into ``meta["phase_s"]``: ``stepping``
 (the stepping loop, or the step products; a cache lookup on a hit) and
@@ -117,9 +116,6 @@ Drive = Union[LoopSpec, StaticDrive]
 # stored squared norm is kept inside this window (log bounds)
 _LOG_RECORD_LO = math.log(1e-150)
 _LOG_RECORD_HI = math.log(1e150)
-# numpy's log decides a row farther than this times (|log| + |log_total| + |offset|)
-# from both edges as math.log does (64 times the rounding bound; see ``_offsets``)
-_LOG_MARGIN = 2.0**-44
 # the direct run's step budget: past _STEP_BUDGET accepted steps it stops once (T - t) / h
 # predicts more than _STEP_BUDGET_REMAINING to come, the step cap of the maps and the adiabatic route
 _STEP_BUDGET = 10_000
@@ -193,9 +189,11 @@ class TrajectoryRecord:
 
     ``states`` holds the stored (possibly renormalized) amplitudes; the
     physical squared norm at row k is ``norms_sq[k] * exp(log_scale[k])``.
-    The coefficients on the tracked instantaneous eigenvectors are
-    ``c_product(v, states[k])`` for each ``v`` in ``frame.vectors[k]``, and
-    slot 0's label ``frame.labels[k, 0]``, where ``frame`` is
+    ``norms_sq`` sums the component squares re^2 + im^2 (``_abs2``), of
+    which the files' ``W1`` divides the first by it. The coefficients on
+    the tracked instantaneous eigenvectors are ``c_product(v, states[k])``
+    for each ``v`` in ``frame.vectors[k]``, and slot 0's label
+    ``frame.labels[k, 0]``, where ``frame`` is
     ``track_branches(params, drive, len(times) - 1)``.
     """
 
@@ -226,19 +224,39 @@ class AdiabaticFrame:
 
     Slot 0 starts on the instantaneous '+' branch, slot 1 on '-'; each slot
     then follows its eigenvalue by the nearer root between adjacent samples
-    (``track_branches``). ``labels[k, s]`` records which instantaneous
-    branch slot s occupies at ``times[k]``.
+    (``track_branches``). It holds ``traversal.branch_frames``' root
+    ``lam``, angle ``th`` and t = 0 gauge ``signs`` at ``times``, with
+    tr(H)/2, and builds ``energies``, ``vectors`` and ``labels`` on first
+    read; ``swapped`` reads ``lam`` at the ends only.
     """
 
     times: np.ndarray
-    energies: np.ndarray  # (m, 2) complex, per tracked slot
-    vectors: np.ndarray  # (m, 2, 2) complex, [time, slot, component]
-    labels: np.ndarray  # (m, 2) of '+'/'-'
+    lam: np.ndarray  # (m,) complex
+    th: np.ndarray  # (m,) complex
+    signs: np.ndarray  # (2,) of +/-1.0, slot 0 and slot 1
+    half_trace: np.ndarray  # (m,) complex
+
+    @functools.cached_property
+    def energies(self) -> np.ndarray:
+        """(m, 2) complex, per tracked slot: tr(H)/2 + lam and tr(H)/2 - lam."""
+        return np.stack([self.half_trace + self.lam, self.half_trace - self.lam], axis=1)
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """(m, 2, 2) complex, [time, slot, component]: signs[0] (cos th, sin th) and signs[1] (-sin th, cos th)."""
+        c, s = np.cos(self.th), np.sin(self.th)
+        return np.stack([np.stack([c, s], axis=1) * self.signs[0], np.stack([-s, c], axis=1) * self.signs[1]], axis=1)
+
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        """(m, 2) of '+'/'-': ``labels[k, s]`` is the instantaneous branch slot s occupies at ``times[k]``."""
+        plus = _plus(self.lam)
+        return np.stack([np.where(plus, "+", "-"), np.where(plus, "-", "+")], axis=1)
 
     @property
     def swapped(self) -> bool:
-        """True when one traversal exchanged the branches (EP encircled)."""
-        return bool(self.labels[-1, 0] != self.labels[0, 0])
+        """True when one traversal exchanged the branches (EP encircled): slot 0's label changed."""
+        return bool(_plus(self.lam[-1]) != _plus(self.lam[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -246,67 +264,46 @@ class AdiabaticFrame:
 # ---------------------------------------------------------------------------
 
 
-def _trace_factor(params: SystemParams, drive: Drive, times: np.ndarray) -> tuple:
-    """(cos, sin) of minus the trace phase at ``times``, read-only: the phase ``_finalize`` puts back on each row.
+def _trace_factor(params: SystemParams, drive: Drive, times: np.ndarray) -> np.ndarray:
+    """e^(-i trace phase) at ``times`` as cos + i sin, read-only: the phase ``_finalize`` puts back on each row.
 
     The trace phase, Re int_0^t tr H / 2 dt', is the removed common phase,
     in closed form. It reads the model, the drive and the row times only,
     so each route's kept entry makes it once for every state on the loop.
     """
     phase = -(0.5 * ((params.e1 + params.e2) * times + _omega_integral(drive, times)))
-    return _read_only(np.cos(phase), np.sin(phase))
+    return _read_only(_complex(np.cos(phase), np.sin(phase)))[0]
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of each component as re^2 + im^2: the terms of a record's ``norms_sq`` and of its ``W1``."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def _norms_sq(z: np.ndarray) -> np.ndarray:
-    """abs(z[k, 0]) ** 2 + abs(z[k, 1]) ** 2 per row, as Python scalars compute it.
-
-    ``abs`` is libm ``hypot``, and a float's ``** 2`` is C ``pow``, which is
-    not always x * x.
-    """
-    squares = np.float_power(np.hypot(z.real, z.imag), 2.0)
+    """|z[k, 0]|^2 + |z[k, 1]|^2 per row, the sum of ``_abs2``; a square past float64 is inf."""
+    squares = _abs2(z)
     return squares[:, 0] + squares[:, 1]
 
 
 def _offsets(norms_sq: np.ndarray, log_total: np.ndarray) -> np.ndarray:
     """Each row's log offset: the log true norm^2 of the last row that left the window relative to the one before.
 
-    The scalar loop takes ``math.log(norms_sq) + log_total`` at every row,
-    and numpy's ``log`` can differ from ``math.log`` in the last bit. That
-    bit decides only a row whose shift from the offset lies within
-    ``_LOG_MARGIN`` (|log| + |log_total| + |offset|) of an edge of the
-    window, and the new offset where one moves; every other row's decision
-    is the same with numpy's log (``notes/decisions.md``, "Work that cannot
-    change a bit, done once"). So ``math.log`` is mapped over those rows
-    only, and the offsets are the scalar loop's bits. The scan costs one
-    array pass per renormalization.
+    A row's log true norm^2 is numpy's ``log`` of its squared norm plus
+    ``log_total`` (-inf for a zero row). The scan costs one array pass per
+    renormalization.
     """
-    positive = norms_sq > 0
-    log_n2 = np.log(np.where(positive, norms_sq, 1.0))
-    log_true = np.where(positive, log_n2 + log_total, -math.inf)
-    margin = _LOG_MARGIN * (np.abs(log_n2) + np.abs(log_total))
-    exact = ~positive  # rows whose log_true is the scalar loop's: -inf, or math.log's
-
-    def make_exact(rows):
-        rows = rows[~exact[rows]]
-        log_true[rows] = np.fromiter(map(math.log, norms_sq[rows].tolist()), float, len(rows)) + log_total[rows]
-        exact[rows] = True
-
+    with np.errstate(divide="ignore"):
+        log_true = np.log(norms_sq) + log_total
     offsets = np.empty(len(log_true))
     start, offset = 0, 0.0
     while start < len(log_true):
         shift = log_true[start:] - offset
-        # a NaN distance counts as near
-        near = ~(np.minimum(np.abs(shift - _LOG_RECORD_LO), np.abs(shift - _LOG_RECORD_HI))
-                 > margin[start:] + _LOG_MARGIN * abs(offset))
-        if near.any():
-            make_exact(start + np.flatnonzero(near))
-            shift = log_true[start:] - offset
         leaves = np.flatnonzero(~((_LOG_RECORD_LO < shift) & (shift < _LOG_RECORD_HI)))
         stop = start + leaves[0] if leaves.size else len(log_true)
         offsets[start:stop] = offset
         if stop < len(log_true):
             # renormalize the stored state, push the factor into log_scale
-            make_exact(np.array([stop]))
             offset = offsets[stop] = log_true[stop]
         start = stop + 1
     return offsets
@@ -317,25 +314,25 @@ def _finalize(
     times: np.ndarray,
     raw,
     log_internal: np.ndarray,
-    trace: tuple,
+    trace: np.ndarray,
 ) -> tuple:
     """(states, norms_sq, log_scale) of working-frame rows, on whole columns.
 
     Row k holds the working-frame bare state ``raw[k]`` at ``times[k]``: the
     true state is raw * exp(-i trace phase) * exp((log_internal - 2 gbar t) / 2),
-    and ``trace`` is (cos, sin) of minus the trace phase at ``times``
-    (``_trace_factor``). The stored state takes that factor relative to an
-    offset, and the offset moves to the row's log true norm^2 whenever the
-    row's would leave [1e-150, 1e+150] relative to it (``_offsets``).
+    and ``trace`` is exp(-i trace phase) at ``times`` (``_trace_factor``).
+    The stored state takes that factor relative to an offset, and the
+    offset moves to the row's log true norm^2 whenever the row's would leave
+    [1e-150, 1e+150] relative to it (``_offsets``).
 
-    Every value is the bits the row-by-row loop in Python floats and complex
-    numbers gives (``tests/row_reference.py``; ``notes/decisions.md`` lists
-    the traps): moduli and squares as in ``_norms_sq``, ``math.log`` where
-    it decides (``_offsets``) and ``math.exp`` mapped over the column because
-    numpy's differ in the last bit, numpy's ``cos`` and ``sin`` (libm's), and
-    complex products spelled out as CPython computes them (``model._mul``,
-    ``_fmul``). A squared norm that overflows raises OverflowError, as
-    ``abs()`` and ``**`` do on Python floats, and so does ``math.exp``.
+    Plain numpy arithmetic: squared norms from ``_abs2``, numpy's
+    ``log`` and ``exp``, and one complex product of each row by its scale
+    times the trace factor. The values lie within a few ulps of the
+    row-by-row loop in Python scalars (``tests/row_reference.py``), with the
+    same renormalizations but for rows within rounding of a window edge
+    (``notes/decisions.md``, "A record's bits are the array code's"). A
+    squared norm or a scale that overflows raises OverflowError, which each
+    route reports as its own ``NonFiniteError``.
     """
     raw = np.asarray(raw, dtype=complex)
     log_total = -2.0 * (0.5 * (params.gamma1 + params.gamma2)) * times + log_internal
@@ -344,29 +341,31 @@ def _finalize(
     if np.isinf(raw_n2).any():
         raise OverflowError("squared norm overflowed float64")
     offsets = _offsets(raw_n2, log_total)
-    scale = np.fromiter(map(math.exp, (0.5 * (log_total - offsets)).tolist()), float)
-    # cmath.exp(1j * phase) * scale; 1j * phase has real part +-0.0, so exp takes cos and sin
-    factor = _fmul(scale, *trace)
-    states = np.empty_like(raw)
-    for j in (0, 1):
-        states.real[:, j], states.imag[:, j] = _mul(raw.real[:, j], raw.imag[:, j], *factor)
+    with np.errstate(over="ignore"):
+        scale = np.exp(0.5 * (log_total - offsets))
+    if np.isinf(scale).any():
+        raise OverflowError("scale overflowed float64")
+    states = raw * (scale * trace)[:, None]
     return states, _norms_sq(states), offsets
 
 
-def _record(method: str, params: SystemParams, drive: Drive, config: IntegratorConfig, n_output: int, solver: dict,
-            clock: tuple, times: np.ndarray, raw: np.ndarray, exponent, trace: tuple) -> TrajectoryRecord:
-    """A route's record of its working-frame rows ``raw``, each scaled by 2^-exponent: ``_finalize`` and ``meta``.
+def _record(method: str, params: SystemParams, drive: Drive, config: IntegratorConfig, n_output: int, kept: _Loop,
+            reused: bool, clock: tuple, raw: np.ndarray, exponent) -> TrajectoryRecord:
+    """A route's record of its working-frame rows ``raw`` on the ``_Loop`` ``kept``, each scaled by 2^-exponent.
 
-    ``trace`` is the loop's kept ``_trace_factor`` at ``times``. ``clock``
-    is the (start, end) of the route's ``stepping`` phase; its ``rows``
-    phase ends here. Both routes finish here, so ``meta`` has one schema. A
-    squared norm that overflows raises OverflowError, which each route
-    reports as its own ``NonFiniteError``.
+    The record takes its own copy of the kept row times, and ``_finalize``
+    the kept trace factor. ``clock`` is the (start, end) of the route's
+    ``stepping`` phase; its ``rows`` phase ends here. Both routes finish
+    here, so ``meta`` has one schema. A squared norm or scale that overflows
+    raises OverflowError, which each route reports as its own
+    ``NonFiniteError``.
     """
     started, stepped = clock
-    states, norms, logs = _finalize(params, times, raw, 2.0 * math.log(2.0) * exponent, trace)
+    times = kept.times.copy()
+    states, norms, logs = _finalize(params, times, raw, 2.0 * math.log(2.0) * exponent, kept.trace)
     meta = {"method": method, "params": params, "drive": drive, "config": config, "n_output": n_output,
-            "solver": solver, "phase_s": {"stepping": stepped - started, "rows": time.perf_counter() - stepped}}
+            "solver": {**kept.solver, "reused": reused},
+            "phase_s": {"stepping": stepped - started, "rows": time.perf_counter() - stepped}}
     return TrajectoryRecord(times, states, norms, logs, meta)
 
 
@@ -393,8 +392,9 @@ class _Loop(NamedTuple):
     """What a route keeps of a loop (``_Recent``): none of it reads the initial state, its arrays read-only."""
 
     solver: dict  # the counts of U's run (direct) or of the settled map (adiabatic)
+    times: np.ndarray  # the row times, ``loops._samples``; each record takes a copy
     rows: tuple  # U at the row times: (column exponents, rows) of ``_direct_run``, or ``traversal._Rows``
-    trace: tuple  # the rows' ``_trace_factor``
+    trace: np.ndarray  # the rows' ``_trace_factor``
 
 
 class _Recent:
@@ -943,8 +943,8 @@ def _dense_rows(params: SystemParams, drive: Drive, times: np.ndarray, held: lis
 _DIRECT_RUNS = _Recent(2)
 
 
-def _direct_run(params: SystemParams, drive: Drive, config: IntegratorConfig, times: np.ndarray) -> _Loop:
-    """One run of U along the drive, recorded at ``times``: its counts, (exponents, rows) and trace factor.
+def _direct_run(params: SystemParams, drive: Drive, config: IntegratorConfig, n_output: int) -> _Loop:
+    """One run of U along the drive, recorded at the ``n_output + 1`` row times: a ``_Loop``.
 
     ``rows[k]`` holds U(times[k]) in the traceless working frame as its
     components (U00, U10, U01, U11), each column j scaled by 2^-exponents[k, j]:
@@ -952,6 +952,9 @@ def _direct_run(params: SystemParams, drive: Drive, config: IntegratorConfig, ti
     that hold a row time (``_dense_rows``).
     """
     T = drive.duration_T
+    times = _samples(T, n_output)
+    if not (np.diff(times) > 0.0).all():
+        raise ValueError(f"duration_T = {T:.3g}: duration_T is too small for distinct row times")
     h_abs = min(config.initial_step, config.max_step, 0.5 * T)
     exponents, held, values, solver = _dop853_run()(
         _drive_constants(drive, params), T, times.tolist(), config.rel_tol, config.abs_tol, config.max_step, h_abs,
@@ -960,7 +963,9 @@ def _direct_run(params: SystemParams, drive: Drive, config: IntegratorConfig, ti
     rows[0] = _IDENTITY
     rows[1:] = _dense_rows(params, drive, times[1:], held, values)
     solver["rhs_calls"] += len(_DOP_EXTRA) * len(held)
-    return _Loop(solver, _read_only(np.array(exponents), rows), _trace_factor(params, drive, times))
+    exponents = np.array(exponents)
+    _read_only(times, exponents, rows)
+    return _Loop(solver, times, (exponents, rows), _trace_factor(params, drive, times))
 
 
 def propagate_direct(
@@ -987,12 +992,12 @@ def propagate_direct(
     its way in or out.
 
     U does not depend on the initial state, so the route keeps the rows of
-    the last two loops it ran, with their trace factor (``_DIRECT_RUNS``,
-    keyed on the exact bits of the drive's type and ``_contour`` fields,
-    the model's five constants, the four ``config`` fields and
-    ``n_output``): the next state on a loop only multiplies and finishes
-    its rows, with the bits of a fresh run. An error is not kept; the next
-    call raises it again.
+    the last two loops it ran, with their times and trace factor
+    (``_DIRECT_RUNS``, keyed on the exact bits of the drive's type and
+    ``_contour`` fields, the model's five constants, the four ``config``
+    fields and ``n_output``): the next state on a loop only multiplies and
+    finishes its rows, with the bits of a fresh run. An error is not kept;
+    the next call raises it again.
 
     ``meta["solver"]`` describes the loop's run: it counts accepted and
     rejected steps, RHS calls (3 more for each step that holds a grid time)
@@ -1019,13 +1024,10 @@ def propagate_direct(
     initial = StateVector.coerce(initial)
     if n_output < 2:
         raise ValueError("n_output must be >= 2")
-    times = _samples(drive.duration_T, n_output)
-    if not (np.diff(times) > 0.0).all():
-        raise ValueError(f"duration_T = {drive.duration_T:.3g}: duration_T is too small for distinct row times")
     started = time.perf_counter()
     key = _key(params, drive, config.rel_tol, config.abs_tol, config.max_step, config.initial_step, n_output)
     try:
-        kept, reused = _DIRECT_RUNS.get(key, lambda: _direct_run(params, drive, config, times))
+        kept, reused = _DIRECT_RUNS.get(key, lambda: _direct_run(params, drive, config, n_output))
         stepped = time.perf_counter()
         exponents, rows = kept.rows
         c0, shift = _pow2_scaled(initial.as_array())
@@ -1041,9 +1043,9 @@ def propagate_direct(
         raw, shifts = _pow2_scaled(_complex(ar + br, ai + bi))
         zero = np.flatnonzero(~raw.any(axis=1))
         if zero.size:
-            raise NonFiniteError(f"amplitudes underflowed float64: the state is 0 at t = {times[zero[0]]:.6g}")
-        return _record("direct", params, drive, config, n_output, {**kept.solver, "reused": reused},
-                       (started, stepped), times, raw, top + shift + shifts, kept.trace)
+            raise NonFiniteError(f"amplitudes underflowed float64: the state is 0 at t = {kept.times[zero[0]]:.6g}")
+        return _record("direct", params, drive, config, n_output, kept, reused, (started, stepped), raw,
+                       top + shift + shifts)
     except OverflowError as exc:
         # abs() of a complex whose modulus overflows float64 (the run's error scale) raises instead of returning inf
         raise NonFiniteError("amplitudes overflowed float64") from exc
@@ -1059,7 +1061,7 @@ _LOOP_ROWS = _Recent(2)
 
 
 def _loop_rows(params: SystemParams, drive: Drive, rel_tol: float, n_output: int) -> tuple:
-    """``traversal.eigen_rows`` of a loop and its rows' trace factor, kept for the next state on it.
+    """``traversal.eigen_rows`` of a loop, its row times and their trace factor, kept for the next state on it.
 
     Nothing here reads the initial state, so a run on a loop of the cache
     takes the same ``_Loop``, its arrays read-only. The key is the exact
@@ -1075,8 +1077,9 @@ def _loop_rows(params: SystemParams, drive: Drive, rel_tol: float, n_output: int
             "floor": tmap.floor,
             "doublings": (tmap.steps // traversal._FIRST_STEPS).bit_length() - 1,
         }
-        _read_only(*rows)
-        return _Loop(solver, rows, _trace_factor(params, drive, _samples(drive.duration_T, n_output)))
+        times = _samples(drive.duration_T, n_output)
+        _read_only(times, *rows)
+        return _Loop(solver, times, rows, _trace_factor(params, drive, times))
 
     return _LOOP_ROWS.get(_key(params, drive, rel_tol, n_output), compute)
 
@@ -1117,8 +1120,8 @@ def propagate_adiabatic(
     them (``rows``).
 
     The row maps do not depend on the initial state, so
-    the route keeps them for the last two loops it ran, with the rows' trace
-    factor (``_loop_rows``, keyed on the exact bits of everything they
+    the route keeps them for the last two loops it ran, with the row times
+    and their trace factor (``_loop_rows``, keyed on the exact bits of everything they
     read): the second state on a loop, or the other direction's next call,
     only multiplies and finishes its rows, with the bits of a fresh
     computation. An error is not kept; the next call raises it
@@ -1155,8 +1158,8 @@ def propagate_adiabatic(
         # c0 and every map are scaled to parts below 1, so a subnormal state
         # keeps its digits and no row overflows
         c0, shift = _pow2_scaled(initial.as_array())
-        return _record("adiabatic", params, loop, config, n_output, {**kept.solver, "reused": reused},
-                       (started, stepped), _samples(T, n_output), maps @ c0, exponent + shift, kept.trace)
+        return _record("adiabatic", params, loop, config, n_output, kept, reused, (started, stepped), maps @ c0,
+                       exponent + shift)
     except OverflowError as exc:
         raise NonFiniteError("coefficients overflowed float64") from exc
 
@@ -1177,9 +1180,9 @@ def track_branches(
     +/-sqrt(a^2 + g^2) nearer the one before, in the frames of
     ``traversal.branch_frames``. The t = 0 sample is the eigenframe at the
     start point: slot 0 on the '+' root, each vector signed by the gauge
-    (``model._gauge``). The ``swapped`` property reports whether one
-    traversal exchanged the instantaneous branches (the EP-encircling
-    signature).
+    (``model._gauge``); the frame's arrays are built on first read. The
+    ``swapped`` property reports whether one traversal exchanged the
+    instantaneous branches (the EP-encircling signature).
 
     Raises
     ------
@@ -1194,16 +1197,7 @@ def track_branches(
         raise ValueError("n_samples must be >= 16")
     times = _samples(loop.duration_T, n_samples)
     a, lam, th, signs = traversal.branch_frames(params, loop, times)
-    half_trace = complex(params.e2, -params.gamma2) + a  # tr(H)/2 = h22 + a
-    c, s = np.cos(th), np.sin(th)
-    vectors = np.stack([np.stack([c, s], axis=1) * signs[0], np.stack([-s, c], axis=1) * signs[1]], axis=1)
-    plus = _plus(lam)
-    return AdiabaticFrame(
-        times=times,
-        energies=np.stack([half_trace + lam, half_trace - lam], axis=1),
-        vectors=vectors,
-        labels=np.stack([np.where(plus, "+", "-"), np.where(plus, "-", "+")], axis=1),
-    )
+    return AdiabaticFrame(times, lam, th, signs, complex(params.e2, -params.gamma2) + a)  # tr(H)/2 = h22 + a
 
 
 def _simpson(y: np.ndarray, x: np.ndarray):

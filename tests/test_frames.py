@@ -18,6 +18,7 @@ same outcome on all 1800.
 """
 
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -48,6 +49,7 @@ from epdyn import (
     winding_number,
 )
 from epdyn import loops, traversal
+from epdyn.model import _plus
 from frame_reference import KAPPA, _eigensystem, _tracked_frames
 
 REF = DEFAULT_PARAMS
@@ -118,6 +120,67 @@ def assert_agrees(params, drive, n_samples):
 )
 def test_track_branches_bit_equal_to_oracle(params, drive, n_samples):
     assert_agrees(params, drive, n_samples)
+
+
+def eager_frame(params, drive, n_samples) -> tuple:
+    """(energies, vectors, labels) built at once from ``branch_frames``, by the formulas the frame builds on read."""
+    times = np.linspace(0.0, drive.duration_T, n_samples + 1)
+    a, lam, th, signs = traversal.branch_frames(params, drive, times)
+    half_trace = complex(params.e2, -params.gamma2) + a
+    c, s = np.cos(th), np.sin(th)
+    vectors = np.stack([np.stack([c, s], axis=1) * signs[0], np.stack([-s, c], axis=1) * signs[1]], axis=1)
+    plus = _plus(lam)
+    labels = np.stack([np.where(plus, "+", "-"), np.where(plus, "-", "+")], axis=1)
+    return np.stack([half_trace + lam, half_trace - lam], axis=1), vectors, labels
+
+
+LAZY_CASES = {
+    f"{name}-{d.value}": (drive(d), n)
+    for name, drive, n in [
+        ("encircling", lambda d: encircling_loop(10.0, d), 4096),
+        ("diode", diode_loop, 8192),
+        ("static", lambda d: StaticDrive(FieldPoint(1.0, 0.4), 5.0), 64),
+        ("no-swap", lambda d: dataclasses.replace(NO_SWAP, direction=d), 2048),
+    ]
+    for d in Direction
+}
+
+
+class TestFrameBuiltOnRead:
+    """``AdiabaticFrame`` keeps the root, the angle, the gauge and tr(H)/2 and builds its arrays on first read."""
+
+    @pytest.mark.parametrize("drive, n_samples", LAZY_CASES.values(), ids=LAZY_CASES.keys())
+    def test_arrays_are_the_eager_formulas(self, drive, n_samples):
+        frame = track_branches(REF, drive, n_samples=n_samples)
+        energies, vectors, labels = eager_frame(REF, drive, n_samples)
+        assert frame.energies.tobytes() == energies.tobytes()
+        assert frame.vectors.tobytes() == vectors.tobytes()
+        assert np.array_equal(frame.labels, labels)
+        assert frame.swapped == (labels[-1, 0] != labels[0, 0])
+
+    def test_swapped_on_each_case(self):
+        swaps = {name: track_branches(REF, drive, n_samples=n).swapped for name, (drive, n) in LAZY_CASES.items()}
+        assert {name for name, swapped in swaps.items() if swapped} == {
+            "encircling-cw", "encircling-ccw", "diode-cw", "diode-ccw"
+        }
+
+    def test_swapped_builds_no_array(self):
+        frame = track_branches(REF, encircling_loop(10.0), n_samples=512)
+        assert frame.swapped
+        assert not {"energies", "vectors", "labels"} & set(vars(frame))
+
+    def test_each_array_is_built_once(self):
+        frame = track_branches(REF, encircling_loop(10.0), n_samples=512)
+        for name in ("energies", "vectors", "labels"):
+            first = getattr(frame, name)
+            assert name in vars(frame) and getattr(frame, name) is first
+
+    def test_frame_stays_frozen(self):
+        frame = track_branches(REF, encircling_loop(10.0), n_samples=512)
+        frame.energies
+        for name in ("times", "lam", "th", "signs", "half_trace", "energies", "vectors", "labels"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(frame, name, None)
 
 
 def random_loop(rng) -> LoopSpec:

@@ -516,53 +516,147 @@ ROW_CASES = {
 }
 
 
+#: the finisher's true states and squared norms lie within these many ulps of the scalar loop's (relative),
+#: plus the rounding of each exp argument's log terms where the two offsets differ
+STATE_ULPS, NORM_ULPS = 4, 8
+#: numpy's log and the scalar loop's math.log of a squared norm from re^2 + im^2 and from pow(hypot(), 2)
+#: place a row within this times (1 + |log n^2| + |log_total| + |offset|) of each other: 2^-44 is 512 u
+#: (u = 2^-53) per unit of those sizes, where the squares, the logs and the sums each round by a few u
+DECISION_MARGIN = 2.0**-44
+
+
+def row_failures(got, want, params, times, raw, log_internal) -> list:
+    """The properties the finisher's (states, norms_sq, log_scale) ``got`` breaks against the scalar loop's ``want``.
+
+    - true values: states e^(log_scale/2) and norms_sq e^log_scale within
+      ``STATE_ULPS`` and ``NORM_ULPS`` of the scalar loop's, relative, with
+      the rounding of the exp arguments (|log_total - offset| ulps) added
+      where the offsets differ;
+    - decisions: a row renormalizes where the scalar loop's rule, applied
+      to the log true norm^2 it takes (``math.log``) and the offset the row
+      meets, says it does, except within ``DECISION_MARGIN`` of an edge,
+      and a new offset is that log to within the margin;
+    - window: every stored squared norm lies in [1e-150, 1e150] to within
+      the margin.
+
+    The scalar loop's rows are ``row_reference.finalize``; an empty list
+    means every property holds.
+    """
+    states, norms, logs = got
+    ref_states, ref_norms, ref_logs = want
+    eps = np.finfo(float).eps
+    log_total = -2.0 * (0.5 * (params.gamma1 + params.gamma2)) * np.asarray(times) + np.asarray(log_internal)
+    log_n2 = np.array([math.log(abs(r0) ** 2 + abs(r1) ** 2) for r0, r1 in np.asarray(raw).tolist()])
+    log_true = log_n2 + log_total
+    met = np.concatenate([[0.0], logs[:-1]])  # the offset each row meets
+    margin = DECISION_MARGIN * (1.0 + np.abs(log_n2) + np.abs(log_total) + np.abs(met))
+    failures = []
+    slack = np.where(logs != ref_logs, np.abs(log_total - logs) + np.abs(log_total - ref_logs), 0.0)
+    to_ref = 0.5 * (logs - ref_logs)
+    moved_by = np.exp(to_ref)[:, None]
+    state_err = np.linalg.norm(states * moved_by - ref_states, axis=1) / np.linalg.norm(ref_states, axis=1)
+    if not (state_err <= eps * (STATE_ULPS + slack)).all():
+        failures.append("true states")
+    if not (np.abs(norms * np.exp(2.0 * to_ref) - ref_norms) <= eps * (NORM_ULPS + 2.0 * slack) * ref_norms).all():
+        failures.append("true squared norms")
+    shift = log_true - met
+    leaves = ~((prop._LOG_RECORD_LO < shift) & (shift < prop._LOG_RECORD_HI))
+    near = ~(np.minimum(np.abs(shift - prop._LOG_RECORD_LO), np.abs(shift - prop._LOG_RECORD_HI)) > margin)
+    moved = logs != met
+    if ((moved != leaves) & ~near).any():
+        failures.append("decisions")
+    if not (np.abs(logs - log_true) <= margin)[moved].all():
+        failures.append("new offsets")
+    log_stored = np.log(norms)
+    edge = DECISION_MARGIN * (1.0 + np.abs(log_total) + np.abs(logs))
+    if not ((prop._LOG_RECORD_LO - edge < log_stored) & (log_stored < prop._LOG_RECORD_HI + edge)).all():
+        failures.append("window")
+    return failures
+
+
+def synthetic_rows(drive):
+    """(times, raw, log_internal) where every row renormalizes.
+
+    Odd rows have |state| near 1 and no rescaling, so log_scale holds their
+    log |state|^2; even rows reach 10^+-100 and e^+-300, so the exp, the
+    moduli and the squares cover the range.
+    """
+    rng = np.random.default_rng(11)
+    m = 16384
+    times = np.sort(rng.uniform(0.0, drive.duration_T, m))
+    times[0] = 0.0
+    odd = np.arange(m) % 2 == 1
+    sign = rng.choice([-1.0, 1.0], m)
+    magnitude = np.where(odd, rng.uniform(0.3, 3.0, m), 10.0 ** (100.0 * sign))
+    raw = (rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))) * magnitude[:, None]
+    return times, raw, np.where(odd, 0.0, sign * rng.uniform(0.0, 300.0, m))
+
+
 class TestRowsAgainstReference:
-    """``_finalize`` on whole columns against the recorder's scalar loop in ``row_reference``."""
+    """``_finalize`` on whole columns against the recorder's scalar loop in ``row_reference`` (``row_failures``)."""
 
     @pytest.mark.parametrize("propagate, params, drive, state, kwargs", ROW_CASES.values(), ids=ROW_CASES.keys())
     def test_bits_equal_the_scalar_loop(self, monkeypatch, propagate, params, drive, state, kwargs):
+        # the routes' records: within a few ulps of the scalar loop, the same renormalizations
         calls = []
         array_finalize = prop._finalize
         monkeypatch.setattr(prop, "_finalize", lambda *args: calls.append(args) or array_finalize(*args))
         traj = propagate(params, drive, StateVector.basis(state), TIGHT, **kwargs)
         # the reference takes the drive and computes its own trace phase, so the kept factor is checked too
         ((args_params, times, raw, log_internal, _),) = calls
-        states, norms, logs = finalize(args_params, drive, times, raw, log_internal)
-        assert bits(traj.states) == bits(states)
-        assert bits(traj.norms_sq) == bits(norms)
-        assert bits(traj.log_scale) == bits(logs)
+        want = finalize(args_params, drive, times, raw, log_internal)
+        got = (traj.states, traj.norms_sq, traj.log_scale)
+        assert row_failures(got, want, args_params, times, raw, log_internal) == []
         if params is DECAYING:
             assert len(set(traj.log_scale.tolist())) > 5  # the record renormalized
 
     @pytest.mark.parametrize("drive", [encircling_loop(1.0), StaticDrive(FieldPoint(1.07, 0.31), 1.0)],
                              ids=["loop", "static"])
     def test_synthetic_rows(self, drive):
-        # every row renormalizes: odd rows have |state| near 1 and no rescaling, so
-        # log_scale holds the bits of their log |state|^2; even rows reach 10^+-100
-        # and e^+-300, so the exp, the moduli and the squares cover the range
-        rng = np.random.default_rng(11)
-        m = 16384
-        times = np.sort(rng.uniform(0.0, drive.duration_T, m))
-        times[0] = 0.0
-        odd = np.arange(m) % 2 == 1
-        sign = rng.choice([-1.0, 1.0], m)
-        magnitude = np.where(odd, rng.uniform(0.3, 3.0, m), 10.0 ** (100.0 * sign))
-        raw = (rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))) * magnitude[:, None]
-        log_internal = np.where(odd, 0.0, sign * rng.uniform(0.0, 300.0, m))
+        times, raw, log_internal = synthetic_rows(drive)
         # no decay (gamma1 = gamma2 = 0), so an odd row's log is not rounded into a larger sum
         got = prop._finalize(HERMITIAN_PARAMS, times, raw, log_internal,
                              prop._trace_factor(HERMITIAN_PARAMS, drive, times))
         want = finalize(HERMITIAN_PARAMS, drive, times, raw, log_internal)
-        assert [bits(a) for a in got] == [bits(a) for a in want]
-        assert len(set(got[2].tolist())) == m
+        assert row_failures(got, want, HERMITIAN_PARAMS, times, raw, log_internal) == []
+        assert len(set(got[2].tolist())) == len(times)
+
+    def test_wrong_finishers_fail(self, monkeypatch):
+        # each property of row_failures is seen to fail: a finisher that drops the trace
+        # factor, one whose offsets move a row late, and one that flips the scale's sign
+        drive = encircling_loop(1.0)
+        times, raw, log_internal = synthetic_rows(drive)
+        trace = prop._trace_factor(HERMITIAN_PARAMS, drive, times)
+        want = finalize(HERMITIAN_PARAMS, drive, times, raw, log_internal)
+        offsets, exp = prop._offsets, np.exp
+        patches = {
+            "no trace": lambda patch: patch.setattr(prop, "_trace_factor", lambda *args: np.ones_like(trace)),
+            "late offset": lambda patch: patch.setattr(
+                prop, "_offsets", lambda *args: np.concatenate([[0.0], offsets(*args)[:-1]])),
+            "scale sign": lambda patch: patch.setattr(np, "exp", lambda x: exp(-x)),
+        }
+        failures = {}
+        for name, wrong in patches.items():
+            # a flipped scale takes stored rows past float64
+            with monkeypatch.context() as patch, np.errstate(all="ignore"):
+                wrong(patch)
+                got = prop._finalize(HERMITIAN_PARAMS, times, raw, log_internal,
+                                     prop._trace_factor(HERMITIAN_PARAMS, drive, times))
+            with np.errstate(all="ignore"):
+                failures[name] = row_failures(got, want, HERMITIAN_PARAMS, times, raw, log_internal)
+        assert failures == {
+            "no trace": ["true states"],
+            # the rows kept past the window under- and overflow their squared norms
+            "late offset": ["true squared norms", "decisions", "new offsets", "window"],
+            "scale sign": ["true states", "true squared norms", "window"],
+        }
 
     @pytest.mark.parametrize("size", [1.0, 1e-65, 1e65])
     def test_rows_at_the_window_edges(self, size):
         # every row's log true norm^2 lies a few ulps from an edge of the window
-        # relative to the scalar loop's offset, so the last bit of the log decides
-        # whether it renormalizes; |state| near size, so that at 1e+-65 the log
-        # |state|^2 (+-300) is in the binade of the edges (+-345) and a 1-ulp
-        # difference between numpy's log and math.log reaches the sum
+        # relative to the scalar loop's offset, so the last bits of the log and
+        # the squares decide whether it renormalizes; |state| near size, so that
+        # at 1e+-65 the log |state|^2 (+-300) is in the binade of the edges (+-345)
         rng = np.random.default_rng(23)
         m = 4000
         raw = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
@@ -582,7 +676,7 @@ class TestRowsAgainstReference:
         got = prop._finalize(HERMITIAN_PARAMS, times, raw, log_internal,
                              prop._trace_factor(HERMITIAN_PARAMS, drive, times))
         want = finalize(HERMITIAN_PARAMS, drive, times, raw, log_internal)
-        assert [bits(a) for a in got[:3]] == [bits(a) for a in want[:3]]
+        assert row_failures(got, want, HERMITIAN_PARAMS, times, raw, log_internal) == []
         assert 0.2 * m < sum(moved) < 0.8 * m  # both outcomes, many times each
 
     def test_rows_where_the_last_bit_of_the_log_decides(self):
@@ -599,7 +693,7 @@ class TestRowsAgainstReference:
         got = prop._finalize(HERMITIAN_PARAMS, times, raw, log_internal,
                              prop._trace_factor(HERMITIAN_PARAMS, drive, times))
         want = finalize(HERMITIAN_PARAMS, drive, times, raw, log_internal)
-        assert [bits(a) for a in got[:3]] == [bits(a) for a in want[:3]]
+        assert row_failures(got, want, HERMITIAN_PARAMS, times, raw, log_internal) == []
         moved = want[2][2::3] != 0.0
         assert moved.any() and not moved.all()
 
@@ -1533,10 +1627,10 @@ class TestLoopRows:
         first.states[:] = 0.0
         hit = propagate_adiabatic(REF, self.LOOP, StateVector.basis(2), TIGHT, n_output=16)
         assert hit.meta["solver"]["reused"] and record_bits(hit) == want
-        # every array of the kept entry: the row maps and their exponents, and the trace factor
+        # every array of the kept entry: the row times, the row maps and their exponents, and the trace factor
         (kept,) = prop._LOOP_ROWS.entries.values()
         assert isinstance(kept, prop._Loop)
-        for array in (*kept.rows, *kept.trace):
+        for array in (kept.times, *kept.rows, kept.trace):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
 
@@ -1675,7 +1769,7 @@ class TestDirectRuns:
         assert hit.meta["solver"]["reused"] and record_bits(hit) == want
         (kept,) = prop._DIRECT_RUNS.entries.values()
         assert isinstance(kept, prop._Loop)
-        for array in (*kept.rows, *kept.trace):
+        for array in (kept.times, *kept.rows, kept.trace):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 

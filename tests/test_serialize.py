@@ -22,10 +22,12 @@ from epdyn import (
     propagate_adiabatic,
     propagate_direct,
 )
-from epdyn.analysis import SweepCell, SweepResult, SweepSpec, sweep, table1
+from epdyn import propagation as prop
+from epdyn.analysis import SweepCell, SweepResult, SweepSpec, _dominance, final_state_report, sweep, table1
 from epdyn.propagation import TrajectoryRecord
 from epdyn.serialize import (
     SECTIONS,
+    _trajectory_columns,
     SWEEP_COLUMNS,
     TRAJECTORY_COLUMNS,
     read_section,
@@ -45,6 +47,38 @@ FAST = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-12)
 
 def sample_trajectory():
     return propagate_direct(DEFAULT_PARAMS, hermitian_loop(5.0), StateVector.basis(1), FAST, n_output=16)
+
+
+class TestPopulations:
+    """W1 = |c1|^2 / norm_sq and W2 = 1 - W1 on the rows ``_finalize`` makes: |c1|^2 is a term of norm_sq."""
+
+    def finished(self, scale: float, zero: int = None) -> TrajectoryRecord:
+        # random rows at |c| near scale, each rescaled by up to e^+-300, so the stored rows span the window
+        rng = np.random.default_rng(int(abs(math.log10(scale))) + (zero or 0))
+        m = 4096
+        raw = (rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))) * scale
+        if zero is not None:
+            raw[:, zero] = 0.0
+        times = np.linspace(0.0, 1.0, m)
+        drive = StaticDrive(FieldPoint(1.07, 0.31), 1.0)
+        states, norms, logs = prop._finalize(DEFAULT_PARAMS, times, raw, rng.uniform(-300.0, 300.0, m),
+                                             prop._trace_factor(DEFAULT_PARAMS, drive, times))
+        return TrajectoryRecord(times, states, norms, logs, {})
+
+    @pytest.mark.parametrize("zero", [0, 1], ids=["c1", "c2"])
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_a_zero_component_gives_exact_populations(self, scale, zero):
+        w1, w2 = _trajectory_columns(self.finished(scale, zero))[-2:]
+        assert (w1 == (1.0 if zero == 1 else 0.0)).all() and (w2 == 1.0 - w1).all()
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_populations_lie_in_0_1(self, scale):
+        traj = self.finished(scale)
+        w1, w2 = _trajectory_columns(traj)[-2:]
+        assert ((0.0 <= w1) & (w1 <= 1.0) & (w2 >= 0.0)).all()
+        # the report reads the last row's W1 bit for bit
+        report = final_state_report(traj, Direction.CW)
+        assert (report.dominant_state, report.ratio) == _dominance(float(w1[-1]))
 
 
 class TestTrajectoryFormats:
