@@ -24,7 +24,6 @@ from .propagation import (
     IntegratorConfig,
     StateVector,
     TrajectoryRecord,
-    _abs2,
     propagate_direct,
     track_branches,
 )
@@ -99,13 +98,12 @@ def final_state_report(traj: TrajectoryRecord, direction: Direction) -> Asymmetr
     """Dominance, capped ratio, and survival fraction of the final state.
 
     W1 = |c1|^2 / (|c1|^2 + |c2|^2) of the final record, where the scale
-    factors cancel: the trajectory's ``W1`` column at its last row, bit for
-    bit (``propagation._abs2`` over the stored norm).
+    factors cancel: the record's ``w1`` at its last row, the trajectory's
+    ``W1`` column there.
     """
-    total = traj.norms_sq[-1]
-    if total == 0.0:
+    if traj.norms_sq[-1] == 0.0:
         raise ZeroNormError("both amplitudes are exactly zero at the final record")
-    dominant, ratio = _dominance(float(_abs2(traj.states[-1, 0]) / total))
+    dominant, ratio = _dominance(float(traj.w1[-1]))
     return AsymmetryReport(
         dominant_state=dominant,
         ratio=ratio,

@@ -189,8 +189,8 @@ class TrajectoryRecord:
 
     ``states`` holds the stored (possibly renormalized) amplitudes; the
     physical squared norm at row k is ``norms_sq[k] * exp(log_scale[k])``.
-    ``norms_sq`` sums the component squares re^2 + im^2 (``_abs2``), of
-    which the files' ``W1`` divides the first by it. The coefficients on
+    ``norms_sq`` sums the component squares re^2 + im^2 (``_abs2``), and
+    ``w1`` divides the first of them by it. The coefficients on
     the tracked instantaneous eigenvectors are ``c_product(v, states[k])``
     for each ``v`` in ``frame.vectors[k]``, and slot 0's label
     ``frame.labels[k, 0]``, where ``frame`` is
@@ -216,6 +216,11 @@ class TrajectoryRecord:
 
     def true_norm_sq(self, k: int = -1) -> float:
         return float(self.norms_sq[k] * math.exp(self.log_scale[k]))
+
+    @property
+    def w1(self) -> np.ndarray:
+        """W1 = |c1|^2 / norms_sq per row (W2 = 1 - W1), in [0, 1] on a route's rows: ``norms_sq`` sums |c1|^2."""
+        return _abs2(self.states[:, 0]) / self.norms_sq
 
 
 @dataclass(frozen=True)
@@ -276,7 +281,7 @@ def _trace_factor(params: SystemParams, drive: Drive, times: np.ndarray) -> np.n
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 of each component as re^2 + im^2: the terms of a record's ``norms_sq`` and of its ``W1``."""
+    """|z|^2 of each component as re^2 + im^2: the terms of a record's ``norms_sq`` and of its ``w1``."""
     return z.real * z.real + z.imag * z.imag
 
 

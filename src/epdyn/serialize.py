@@ -32,7 +32,7 @@ from .analysis import SweepResult, Table1Result, state_name
 from .errors import ConfigError
 from .loops import Direction, LoopSpec, StaticDrive
 from .model import FieldPoint, SystemParams
-from .propagation import IntegratorConfig, StateVector, TrajectoryRecord, _abs2
+from .propagation import IntegratorConfig, StateVector, TrajectoryRecord
 
 __all__ = [
     "TRAJECTORY_COLUMNS",
@@ -188,8 +188,7 @@ def _values(obj, names: dict) -> dict:
 
 def _trajectory_columns(traj: TrajectoryRecord) -> np.ndarray:
     """The trajectory columns as the rows of one float array, in ``TRAJECTORY_COLUMNS`` order."""
-    # |c1|^2 is one of the two terms a route's norms_sq sums, so W1 is in [0, 1] and W2 = 1 - W1 >= 0
-    w1 = _abs2(traj.states[:, 0]) / traj.norms_sq
+    w1 = traj.w1
     c1, c2 = traj.states[:, 0], traj.states[:, 1]
     return np.array([traj.times, c1.real, c1.imag, c2.real, c2.imag, traj.norms_sq, traj.log_scale, w1, 1.0 - w1],
                     dtype=float)

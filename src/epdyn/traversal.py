@@ -482,11 +482,11 @@ class _Phase:
         self.marks = []  # (lam at the sample before, turned) at the interval ends of each block
 
     def follow(self, w2: np.ndarray) -> np.ndarray:
-        """lam at the next block of samples (m, s), where a^2 + g^2 is w2; no flip in the block keeps each parity."""
+        """lam at the next block of samples (m, s), where a^2 + g^2 is w2."""
         root = np.sqrt(w2)
         before = np.concatenate([self.root[:, None], root[:, :-1]], axis=1)
         flips = root.real * before.real + root.imag * before.imag < 0.0
-        parity = (self.parity[:, None] + np.cumsum(flips, axis=1)) & 1 if flips.any() else self.parity[:, None]
+        parity = (self.parity[:, None] + np.cumsum(flips, axis=1)) & 1
         self.root, self.parity = root[:, -1], parity[:, -1]
         return root * (1.0 - 2.0 * parity)
 
