@@ -1,11 +1,12 @@
-"""Observables of propagated trajectories and traversal maps: projections, dominance, sweeps.
+"""Observables of propagated trajectories and traversal maps: dominance reports, the exchange table, sweeps.
 
-Projections of a trajectory record are computed on the normalized state so
-the rescaling factors cancel; survival fractions use the true
-(un-renormalized) squared norms. The table and the sweep read their final
-states off one traversal map per loop (``traversal``): U c0 from any initial
-state c0, so a loop serves every initial state, and the sweep evaluates its
-cells in batches of up to ``traversal._BATCH_LOOPS`` loops, in grid order.
+A report compares a record's two final populations, where the rescaling
+factors cancel, and takes the survival from the true (un-renormalized)
+squared norms. The table and the sweep read their final states off one
+traversal map per loop (``traversal``), each as the record of U c0 on it
+(``propagation._map_record``), so a loop serves every initial state; the
+sweep evaluates its cells in batches of up to ``traversal._BATCH_LOOPS``
+loops, in grid order.
 """
 
 from __future__ import annotations
@@ -14,20 +15,20 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-import numpy as np
-
 from .errors import EpdynError, NotEncirclingError, ZeroNormError
 from .loops import Direction, LoopSpec, contains_ep, rho
-from .model import FieldPoint, SystemParams, _pow2_scaled, locate_ep
+from .model import FieldPoint, SystemParams, locate_ep
 # propagate_direct is not called here; perfbench's tracer wraps analysis.propagate_direct
 from .propagation import (
     IntegratorConfig,
     StateVector,
     TrajectoryRecord,
+    _map_loop,
+    _map_record,
     propagate_direct,
     track_branches,
 )
-from .traversal import _BATCH_LOOPS, TraversalMap, _maps, traversal_maps
+from .traversal import _BATCH_LOOPS, _maps, traversal_maps
 
 __all__ = [
     "AsymmetryReport",
@@ -55,7 +56,7 @@ class AsymmetryReport:
     """Final-state dominance summary for one propagation."""
 
     dominant_state: Optional[int]  # 1, 2, or None on an exact tie
-    ratio: float  # max(W1,W2)/min(W1,W2), capped at RATIO_CAP
+    ratio: float  # max(|c1|^2, |c2|^2) / min(|c1|^2, |c2|^2) at the end, capped at RATIO_CAP
     survival: float  # true norm^2(T) / norm^2(0)
     direction: Direction
 
@@ -85,25 +86,25 @@ def state_name(index: Optional[int]) -> str:
     return "-" if index is None else f"state{index}"
 
 
-def _dominance(w1: float) -> tuple[Optional[int], float]:
-    w2 = 1.0 - w1
-    if w1 == w2:
+def _dominance(p1: float, p2: float) -> tuple[Optional[int], float]:
+    """The dominant state of the populations |c1|^2 and |c2|^2 (None on a tie) and their capped ratio max/min."""
+    if p1 == p2:
         return None, 1.0
-    hi, lo = (w1, w2) if w1 > w2 else (w2, w1)
+    hi, lo = (p1, p2) if p1 > p2 else (p2, p1)
     ratio = RATIO_CAP if lo <= 0.0 or hi / lo > RATIO_CAP else hi / lo
-    return (1 if w1 > w2 else 2), ratio
+    return (1 if p1 > p2 else 2), ratio
 
 
 def final_state_report(traj: TrajectoryRecord, direction: Direction) -> AsymmetryReport:
     """Dominance, capped ratio, and survival fraction of the final state.
 
-    W1 = |c1|^2 / (|c1|^2 + |c2|^2) of the final record, where the scale
-    factors cancel: the record's ``w1`` at its last row, the trajectory's
-    ``W1`` column there.
+    Dominance and ratio compare the record's two ``populations`` at its
+    last row, where the scale factors cancel; the quotient keeps their
+    digits however large it is, where one taken through W2 = 1 - W1 would not.
     """
     if traj.norms_sq[-1] == 0.0:
         raise ZeroNormError("both amplitudes are exactly zero at the final record")
-    dominant, ratio = _dominance(float(traj.w1[-1]))
+    dominant, ratio = _dominance(*traj.populations[-1].tolist())
     return AsymmetryReport(
         dominant_state=dominant,
         ratio=ratio,
@@ -113,39 +114,8 @@ def final_state_report(traj: TrajectoryRecord, direction: Direction) -> Asymmetr
 
 
 def survival_fraction(traj: TrajectoryRecord) -> float:
-    """True squared-norm ratio between the final and initial records.
-
-    When the initial record carries a scale factor (its true squared norm
-    lies outside [1e-150, 1e+150], and may under- or overflow float64), the
-    ratio is taken on the stored norms and the difference of the logs.
-    """
-    if traj.log_scale[0] == 0.0:
-        return traj.true_norm_sq(-1) / traj.true_norm_sq(0)
+    """True squared-norm ratio between the final and initial records, from the stored norms and the logs' difference."""
     return float(traj.norms_sq[-1] / traj.norms_sq[0] * math.exp(traj.log_scale[-1] - traj.log_scale[0]))
-
-
-def _map_report(params: SystemParams, loop: LoopSpec, tmap: TraversalMap, initial) -> AsymmetryReport:
-    """Dominance, capped ratio and survival of the state U c0 that a traversal map gives.
-
-    The survival restores the trace factor the map leaves out:
-    |U c0|^2 e^(2 log_scale) e^(-(gamma1 + gamma2) T) / |c0|^2.
-    """
-    # c0 enters as on both routes, by a power of two, so |U c0|^2 of a tiny state cannot underflow
-    c0, _ = _pow2_scaled(StateVector.coerce(initial).as_array())
-    final = tmap.U[:, 0] * c0[0] + tmap.U[:, 1] * c0[1]
-    pops = np.abs(final) ** 2
-    dominant, ratio = _dominance(float(pops[0] / (pops[0] + pops[1])))
-    gamma = params.gamma1 + params.gamma2
-    log_survival = (
-        math.log(float(pops.sum())) + 2.0 * tmap.log_scale - gamma * loop.duration_T
-        - math.log(float(np.sum(np.abs(c0) ** 2)))
-    )
-    return AsymmetryReport(
-        dominant_state=dominant,
-        ratio=ratio,
-        survival=math.exp(log_survival),
-        direction=loop.direction,
-    )
 
 
 def table1(
@@ -164,9 +134,10 @@ def table1(
     branch to T reads. The exact column reads the final states off the
     traversal map of each direction, each computed from its own loop
     (``traversal_maps`` with ``config.rel_tol``; no other field of
-    ``config`` is read): the map's two columns are the two basis rows. The
-    loop must encircle the EP for the table to carry its meaning; one that
-    does not raises ``NotEncirclingError``.
+    ``config`` is read): each basis state's report is that of its record
+    on the map (``propagation._map_record``). The loop must encircle the EP
+    for the table to carry its meaning; one that does not raises
+    ``NotEncirclingError``.
     """
     if not contains_ep(loop, params):
         raise NotEncirclingError("table requires an EP-encircling loop (rho > 0)")
@@ -174,8 +145,10 @@ def table1(
     oriented = [replace(loop, direction=d) for d in (Direction.CW, Direction.CCW)]
     rows = []
     for direction_loop, tmap in zip(oriented, traversal_maps(params, oriented, config.rel_tol)):
+        kept = _map_loop(params, direction_loop, tmap)
         for initial_state in (1, 2):
-            report = _map_report(params, direction_loop, tmap, StateVector.basis(initial_state))
+            record = _map_record(params, direction_loop, config, kept, StateVector.basis(initial_state))
+            report = final_state_report(record, direction_loop.direction)
             rows.append(
                 Table1Row(
                     direction=direction_loop.direction,
@@ -277,20 +250,21 @@ class SweepResult:
 
 
 def _run_batch(
-    spec: SweepSpec, params: SystemParams, rel_tol: float, grid: list, ep, initial: StateVector
+    spec: SweepSpec, params: SystemParams, config: IntegratorConfig, grid: list, ep, initial: StateVector
 ) -> list:
     """The cells at the grid positions (i, j) of ``grid``, from one batch of traversal maps.
 
-    A cell whose map fails records the error.
+    A cell whose map or record fails records the error.
     """
     loops = [spec.cell_loop(i, j) for i, j in grid]
     cells = []
-    for (i, j), loop, tmap in zip(grid, loops, _maps(params, loops, rel_tol)):
+    for (i, j), loop, tmap in zip(grid, loops, _maps(params, loops, config.rel_tol)):
         common = dict(i=i, j=j, duration_T=spec.durations[i], amp_scale=spec.amp_scales[j], rho=rho(loop, ep))
         try:
             if isinstance(tmap, Exception):
                 raise tmap
-            report = _map_report(params, loop, tmap, initial)
+            report = final_state_report(_map_record(params, loop, config, _map_loop(params, loop, tmap), initial),
+                                        loop.direction)
         except (EpdynError, ValueError) as exc:
             cells.append(SweepCell(
                 **common, ratio=None, dominant_state=None, survival=None,
@@ -331,7 +305,7 @@ def sweep(
     grid = [(i, j) for i in range(len(spec.durations)) for j in range(len(spec.amp_scales))]
     cells = []
     for start in range(0, len(grid), _BATCH_LOOPS):
-        for cell in _run_batch(spec, params, config.rel_tol, grid[start:start + _BATCH_LOOPS], ep, initial):
+        for cell in _run_batch(spec, params, config, grid[start:start + _BATCH_LOOPS], ep, initial):
             cells.append(cell)
             if progress is not None:
                 progress(cell)

@@ -230,7 +230,8 @@ def cmd_winding(config: RunConfig, n_samples: int) -> int:
 def cmd_sweep(config: RunConfig, args) -> int:
     durations = _parse_grid(args.t_min, args.t_max, args.nt, args.t_spacing, "duration")
     amp_scales = _parse_grid(args.amp_min, args.amp_max, args.namp, "linear", "amplitude")
-    target = None if args.dominant_target == "any" else int(args.dominant_target)
+    direction = Direction(args.direction) if args.direction else config.loop.direction
+    target = {"any": None, "1": 1, "2": 2, None: 1 if direction is Direction.CW else 2}[args.dominant_target]
     try:
         levels = tuple(float(x) for x in args.survival_levels.split(","))
     except ValueError as exc:
@@ -240,7 +241,7 @@ def cmd_sweep(config: RunConfig, args) -> int:
             template=config.loop,
             durations=durations,
             amp_scales=amp_scales,
-            direction=Direction(args.direction) if args.direction else config.loop.direction,
+            direction=direction,
             initial_phase=args.initial_phase,
             ratio_min=args.ratio_min,
             survival_levels=levels,
@@ -286,9 +287,9 @@ def _parse_grid(lo: float, hi: float, n: int, spacing: str, what: str):
         return (float(lo),)
     if not lo < hi < math.inf:
         raise ConfigError(f"{what} grid bounds must satisfy 0 < min < max < inf")
-    if spacing == "geometric":
+    if spacing == "geometric":  # the last point is hi itself, not lo ratio^(n - 1)
         ratio = (hi / lo) ** (1.0 / (n - 1))
-        grid = tuple(lo * ratio**k for k in range(n))
+        grid = tuple(lo * ratio**k for k in range(n - 1)) + (float(hi),)
     else:
         step = (hi - lo) / (n - 1)
         grid = tuple(lo + step * k for k in range(n))
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--namp", type=int, default=1)
     sw.add_argument("--ratio-min", type=float, default=1000.0)
     sw.add_argument("--survival-levels", default="0.1,0.01,0.001")
-    sw.add_argument("--dominant-target", choices=("1", "2", "any"), default="2")
+    sw.add_argument("--dominant-target", choices=("1", "2", "any"), help="default: 1 for cw, 2 for ccw")
     sw.add_argument("--initial-phase", type=float, default=0.0)
     sw.add_argument("--direction", choices=("cw", "ccw"))
 

@@ -275,8 +275,8 @@ def _pow2_scaled(z: np.ndarray) -> tuple:
     z = scaled * 2**shift exactly: ``np.ldexp`` on the parts keeps every
     signed zero and brings subnormal parts up, where a product with
     2**-shift would overflow for a subnormal largest part. A vector that is
-    exactly zero keeps shift 0. A state enters either route's rows and a
-    traversal map's report (``analysis._map_report``) this way, and leaves
+    exactly zero keeps shift 0. A state enters either route's rows (a
+    traversal map's report among them) this way, and leaves
     the direct route's, so no finite state overflows or underflows on its
     way in or out; a drive sample (a, g) whose squares underflow is judged
     (``_contact``) and scanned (``loops._traceless_at``) this way.

@@ -189,8 +189,8 @@ class TrajectoryRecord:
 
     ``states`` holds the stored (possibly renormalized) amplitudes; the
     physical squared norm at row k is ``norms_sq[k] * exp(log_scale[k])``.
-    ``norms_sq`` sums the component squares re^2 + im^2 (``_abs2``), and
-    ``w1`` divides the first of them by it. The coefficients on
+    ``norms_sq`` sums the two ``populations`` |c1|^2 and |c2|^2, each
+    re^2 + im^2 (``_abs2``), and ``w1`` divides the first by it. The coefficients on
     the tracked instantaneous eigenvectors are ``c_product(v, states[k])``
     for each ``v`` in ``frame.vectors[k]``, and slot 0's label
     ``frame.labels[k, 0]``, where ``frame`` is
@@ -218,9 +218,14 @@ class TrajectoryRecord:
         return float(self.norms_sq[k] * math.exp(self.log_scale[k]))
 
     @property
+    def populations(self) -> np.ndarray:
+        """(|c1|^2, |c2|^2) per row (m, 2), each re^2 + im^2: the two terms ``norms_sq`` sums."""
+        return _abs2(self.states)
+
+    @property
     def w1(self) -> np.ndarray:
         """W1 = |c1|^2 / norms_sq per row (W2 = 1 - W1), in [0, 1] on a route's rows: ``norms_sq`` sums |c1|^2."""
-        return _abs2(self.states[:, 0]) / self.norms_sq
+        return self.populations[:, 0] / self.norms_sq
 
 
 @dataclass(frozen=True)
@@ -281,7 +286,7 @@ def _trace_factor(params: SystemParams, drive: Drive, times: np.ndarray) -> np.n
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 of each component as re^2 + im^2: the terms of a record's ``norms_sq`` and of its ``w1``."""
+    """|z|^2 of each component as re^2 + im^2: a record's ``populations``, the terms of its ``norms_sq``."""
     return z.real * z.real + z.imag * z.imag
 
 
@@ -394,11 +399,15 @@ def _read_only(*arrays) -> tuple:
 
 
 class _Loop(NamedTuple):
-    """What a route keeps of a loop (``_Recent``): none of it reads the initial state, its arrays read-only."""
+    """What a route keeps of a loop (``_Recent``), or a map's one interval: none of it reads the initial state.
 
-    solver: dict  # the counts of U's run (direct) or of the settled map (adiabatic)
+    Row k's U, from t = 0 to ``times[k]``, has the column ``maps[k, :, j]`` 2^exponents[k, j].
+    """
+
+    solver: dict  # the counts of U's run (direct) or of the settled map (adiabatic, a map's report)
     times: np.ndarray  # the row times, ``loops._samples``; each record takes a copy
-    rows: tuple  # U at the row times: (column exponents, rows) of ``_direct_run``, or ``traversal._Rows``
+    maps: np.ndarray  # (N + 1, 2, 2) U in the working frame at the row times; read-only where kept
+    exponents: np.ndarray  # (N + 1, 2) integer exponents of U's columns
     trace: np.ndarray  # the rows' ``_trace_factor``
 
 
@@ -951,10 +960,9 @@ _DIRECT_RUNS = _Recent(2)
 def _direct_run(params: SystemParams, drive: Drive, config: IntegratorConfig, n_output: int) -> _Loop:
     """One run of U along the drive, recorded at the ``n_output + 1`` row times: a ``_Loop``.
 
-    ``rows[k]`` holds U(times[k]) in the traceless working frame as its
-    components (U00, U10, U01, U11), each column j scaled by 2^-exponents[k, j]:
-    the identity at t = 0, then the dense-output interpolant of the steps
-    that hold a row time (``_dense_rows``).
+    Its maps are the identity at t = 0, then the dense-output interpolant
+    of the steps that hold a row time (``_dense_rows``), each column j
+    scaled by 2^-exponents[k, j].
     """
     T = drive.duration_T
     times = _samples(T, n_output)
@@ -964,13 +972,11 @@ def _direct_run(params: SystemParams, drive: Drive, config: IntegratorConfig, n_
     exponents, held, values, solver = _dop853_run()(
         _drive_constants(drive, params), T, times.tolist(), config.rel_tol, config.abs_tol, config.max_step, h_abs,
     )
-    rows = np.empty((len(times), len(_IDENTITY)), dtype=complex)
-    rows[0] = _IDENTITY
-    rows[1:] = _dense_rows(params, drive, times[1:], held, values)
+    # a dense row's components (U00, U10, U01, U11) are U's columns in turn
+    rows = _dense_rows(params, drive, times[1:], held, values).reshape(-1, 2, 2).transpose(0, 2, 1)
+    maps = np.concatenate([np.eye(2, dtype=complex)[None], rows])
     solver["rhs_calls"] += len(_DOP_EXTRA) * len(held)
-    exponents = np.array(exponents)
-    _read_only(times, exponents, rows)
-    return _Loop(solver, times, (exponents, rows), _trace_factor(params, drive, times))
+    return _Loop(solver, *_read_only(times, maps, np.array(exponents)), _trace_factor(params, drive, times))
 
 
 def propagate_direct(
@@ -1034,15 +1040,14 @@ def propagate_direct(
     try:
         kept, reused = _DIRECT_RUNS.get(key, lambda: _direct_run(params, drive, config, n_output))
         stepped = time.perf_counter()
-        exponents, rows = kept.rows
+        u, exponents = kept.maps, kept.exponents
         c0, shift = _pow2_scaled(initial.as_array())
-        u = rows.reshape(-1, 2, 2)  # [row, column, component]
         # the row is 2^top sum_j c0[j] 2^(exponents[:, j] - top) column j, top the
         # larger exponent of the columns c0 takes; each product as CPython's
         top = exponents[:, c0 != 0].max(axis=1)
         gap = (exponents - top[:, None])[..., None]
         (ar, ai), (br, bi) = (
-            _mul(u.real[:, j], u.imag[:, j], np.ldexp(c0.real[j], gap[:, j]), np.ldexp(c0.imag[j], gap[:, j]))
+            _mul(u.real[:, :, j], u.imag[:, :, j], np.ldexp(c0.real[j], gap[:, j]), np.ldexp(c0.imag[j], gap[:, j]))
             for j in (0, 1)
         )
         raw, shifts = _pow2_scaled(_complex(ar + br, ai + bi))
@@ -1075,16 +1080,10 @@ def _loop_rows(params: SystemParams, drive: Drive, rel_tol: float, n_output: int
     ``_Loop``, whether it came from the cache).
     """
     def compute():
-        tmap, steps, rows = traversal.eigen_rows(params, drive, rel_tol, n_output)
-        solver = {
-            "steps": steps,
-            "frame": tmap.frame,
-            "floor": tmap.floor,
-            "doublings": (tmap.steps // traversal._FIRST_STEPS).bit_length() - 1,
-        }
-        times = _samples(drive.duration_T, n_output)
-        _read_only(times, *rows)
-        return _Loop(solver, times, rows, _trace_factor(params, drive, times))
+        tmap, steps, times, maps, exponents = traversal.eigen_rows(params, drive, rel_tol, n_output)
+        solver = {"steps": steps, "frame": tmap.frame, "floor": tmap.floor,
+                  "doublings": (tmap.steps // traversal._FIRST_STEPS).bit_length() - 1}
+        return _Loop(solver, *_read_only(times, maps, exponents), _trace_factor(params, drive, times))
 
     return _LOOP_ROWS.get(_key(params, drive, rel_tol, n_output), compute)
 
@@ -1156,17 +1155,42 @@ def propagate_adiabatic(
     if not T / traversal._STEP_CAP >= np.finfo(float).tiny:
         raise ValueError(f"duration_T = {T:.3g}: duration_T is too small, its steps T/n are subnormal")
     started = time.perf_counter()
+    kept, reused = _loop_rows(params, loop, config.rel_tol, n_output)
+    return _product_record("adiabatic", params, loop, config, n_output, kept, reused, (started, time.perf_counter()),
+                           initial)
+
+
+def _product_record(method: str, params: SystemParams, drive: Drive, config: IntegratorConfig, n_output: int,
+                    kept: _Loop, reused: bool, clock: tuple, initial: StateVector) -> TrajectoryRecord:
+    """``_record`` of the adiabatic route's rows maps[k] c0 on ``kept``, whose columns share each row's exponent.
+
+    c0 and every map have parts below 1, so a subnormal state keeps its
+    digits and no row overflows; an overflow in ``_finalize`` (a zero row) is ``NonFiniteError``.
+    """
+    c0, shift = _pow2_scaled(initial.as_array())
     try:
-        kept, reused = _loop_rows(params, loop, config.rel_tol, n_output)
-        stepped = time.perf_counter()
-        maps, exponent = kept.rows
-        # c0 and every map are scaled to parts below 1, so a subnormal state
-        # keeps its digits and no row overflows
-        c0, shift = _pow2_scaled(initial.as_array())
-        return _record("adiabatic", params, loop, config, n_output, kept, reused, (started, stepped), maps @ c0,
-                       exponent + shift)
+        return _record(method, params, drive, config, n_output, kept, reused, clock, kept.maps @ c0,
+                       kept.exponents[:, 0] + shift)
     except OverflowError as exc:
         raise NonFiniteError("coefficients overflowed float64") from exc
+
+
+def _map_loop(params: SystemParams, loop: LoopSpec, tmap: traversal.TraversalMap) -> _Loop:
+    """A traversal map as a ``_Loop`` of one interval: times (0, T), maps (I, U), exponents (0, exponent)."""
+    times = _samples(loop.duration_T, 1)
+    return _Loop({"steps": tmap.steps, "frame": tmap.frame, "floor": tmap.floor}, times,
+                 np.stack([np.eye(2, dtype=complex), tmap.U]), np.array([[0, 0], [tmap.exponent] * 2]),
+                 _trace_factor(params, loop, times))
+
+
+def _map_record(params: SystemParams, loop: LoopSpec, config: IntegratorConfig, kept: _Loop,
+                initial) -> TrajectoryRecord:
+    """The two-row record of ``initial`` on a ``_map_loop`` (method "map"), finished as the adiabatic route's rows.
+
+    Where that route's last kept map is U, bit for bit, its last row and report are the same bits.
+    """
+    now = time.perf_counter()
+    return _product_record("map", params, loop, config, 1, kept, False, (now, now), StateVector.coerce(initial))
 
 
 # ---------------------------------------------------------------------------

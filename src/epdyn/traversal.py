@@ -84,7 +84,7 @@ Bits. Every operation is elementwise over (loops, steps) arrays or runs
 along one loop's steps, so a loop's U is the same bits alone and in any
 batch. The steps are multiplied in a fixed pairwise tree (step 2k+1 times
 step 2k, level by level), each node rescaled by a power of two to a largest
-component in [0.5, 1); the exponents add up exactly into ``log_scale``.
+component in [0.5, 1); the exponents add up exactly into the map's ``exponent``.
 Steps are evaluated in blocks of a power-of-two length, so memory stays
 bounded, and a block is a subtree of the same tree, so the block length
 changes no bit. The rows' prefix maps take the tree over each row interval
@@ -169,20 +169,26 @@ _INV_FACTORIALS = tuple(1.0 / math.factorial(k) for k in range(2 * _SERIES_TERMS
 
 
 class TraversalMap(NamedTuple):
-    """The map of one traversal: the traceless dynamics take c0 to U c0 e^log_scale.
+    """The map of one traversal: the traceless dynamics take c0 to U c0 2^exponent = U c0 e^log_scale.
 
-    ``U`` is scaled to a largest component in [0.5, 1). ``steps`` is the
-    step count of the reported U, ``frame`` is "eigen" or "bare", and
+    ``U`` is scaled to a largest component in [0.5, 1) and ``exponent`` is
+    the integer power of two the products' rescales add up to. ``steps`` is
+    the step count of the reported U, ``frame`` is "eigen" or "bare", and
     ``floor`` the normalized change at the last doubling of what is
     reported: U_n's, or for a map that stopped on the extrapolated pair
     R_n's, undivided (see the module docstring).
     """
 
     U: np.ndarray
-    log_scale: float
+    exponent: int
     steps: int
     frame: str
     floor: float
+
+    @property
+    def log_scale(self) -> float:
+        """exponent ln 2, the natural log of U's scale."""
+        return self.exponent * math.log(2.0)
 
 
 def traversal_maps(
@@ -223,7 +229,10 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     of the smallest n_output * 2^k steps at or above that count. Where that
     is the settled count, the rows take its prefix scan; a finer count runs
     again. ``_rotate`` takes the scan to the bare frame. Returns (the settled
-    ``TraversalMap``, the row step count, ``_Rows``).
+    ``TraversalMap``, the row step count, the row times, the maps U(t_j)
+    (N + 1, 2, 2) rescaled as ``_rotate`` leaves them, row 0 the identity,
+    and their exponents (N + 1, 2), U(t_j) = maps[j] 2^exponents[j], one
+    exponent for both columns).
 
     Raises
     ------
@@ -261,7 +270,7 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     maps = np.concatenate([np.eye(2, dtype=complex)[:, :, None], x[:, :, 0]], axis=-1).transpose(2, 0, 1)
     if not np.isfinite(maps).all():
         raise StepBudgetError(f"the eigenframe map of {drive} overflows float64 at {n} steps")
-    return tmap, n, _Rows(maps, np.concatenate([[0], e[0]]))
+    return tmap, n, times, maps, np.repeat(np.concatenate([[0], e[0]])[:, None], 2, axis=1)
 
 
 def _ep_time(params: SystemParams, drive):
@@ -279,16 +288,6 @@ def _ep_time(params: SystemParams, drive):
     c = _contour(drive)
     th = math.atan2((ep.eps0 - c.cy) / c.ay, (ep.omega - c.cx) / c.ax)
     return c.T * ((th - c.th0) / (c.sign * 2.0 * math.pi) % 1.0)
-
-
-class _Rows(NamedTuple):
-    """The bare-frame maps U from t = 0 to the rows of one loop: row j is ``maps[j]`` 2^exponent[j].
-
-    ``maps`` (N + 1, 2, 2) is rescaled as ``_rotate`` leaves it, row 0 the identity.
-    """
-
-    maps: np.ndarray
-    exponent: np.ndarray
 
 
 def _no_step_fits(reach: float, n: int) -> bool:
@@ -406,11 +405,11 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
                         r_change = _change(r, ek, before.r, before.e)
                 verdict = _verdict(change, before.change, resolved, rel_tol, r_change, before.r_change)
                 if verdict == "settled":
-                    out[k] = TraversalMap(uk, ek * math.log(2.0), n, frame, change)
+                    out[k] = TraversalMap(uk, ek, n, frame, change)
                     continue
                 if verdict == "extrapolated":
                     r, er = _rescale(r, ek)
-                    out[k] = TraversalMap(r, int(er) * math.log(2.0), n, frame, r_change)
+                    out[k] = TraversalMap(r, int(er), n, frame, r_change)
                     continue
                 if verdict == "stalled":
                     end(k, StepBudgetError, f"does not settle in float64: its change stalled at {change:.1e} at {n} steps")

@@ -36,6 +36,7 @@ from epdyn.analysis import (
     table1,
 )
 from epdyn.cli import _parse_grid, main
+from epdyn.propagation import _map_loop, _map_record
 from epdyn.serialize import sweep_header_csv, sweep_row_csv, table_to_json, trajectory_to_csv
 from epdyn.traversal import traversal_maps
 
@@ -120,6 +121,15 @@ class TestFinalStateReport:
     def test_ratio_capped(self):
         report = final_state_report(fake_record(1.0, 0.0), Direction.CW)
         assert report.ratio == RATIO_CAP
+
+    def test_ratio_is_the_quotient_of_the_populations(self):
+        # populations 1 and 2^-36 have the quotient 2^36 exactly; through
+        # W2 = 1 - W1 the ratio read 2^36 - 1, and its relative error grows
+        # with the ratio
+        report = final_state_report(fake_record(1.0, 2.0**-18), Direction.CW)
+        assert (report.dominant_state, report.ratio) == (1, 2.0**36)
+        report = final_state_report(fake_record(2.0**-18, 1.0), Direction.CW)
+        assert (report.dominant_state, report.ratio) == (2, 2.0**36)
 
 
 class TestSurvival:
@@ -461,7 +471,8 @@ class TestMapBits:
             oriented = dataclasses.replace(loop, direction=row.direction)
             (tmap,) = traversal_maps(REF, [oriented], self.ACCEPT.rel_tol)
             init = StateVector.basis(row.initial_state)
-            alone = analysis._map_report(REF, oriented, tmap, init)
+            record = _map_record(REF, oriented, self.ACCEPT, _map_loop(REF, oriented, tmap), init)
+            alone = final_state_report(record, oriented.direction)
             assert repr(alone) == repr(row.report)  # repr tells every float apart
         assert main(["--config", self.config(tmp_path), "--format", "json", "table1"]) == 0
         assert capsys.readouterr().out == table_to_json(table)
@@ -502,7 +513,8 @@ class TestMapBits:
         for cell in result.cells:  # the nine cells share a batch; each cell alone gives the same bits
             loop = spec.cell_loop(cell.i, cell.j)
             (tmap,) = traversal_maps(REF, [loop], self.ACCEPT.rel_tol)
-            alone = analysis._map_report(REF, loop, tmap, spec.initial_state())
+            record = _map_record(REF, loop, self.ACCEPT, _map_loop(REF, loop, tmap), spec.initial_state())
+            alone = final_state_report(record, loop.direction)
             assert (repr(alone.ratio), repr(alone.survival)) == (repr(cell.ratio), repr(cell.survival))
         out = tmp_path / "sweep.csv"
         with contextlib.redirect_stderr(io.StringIO()):

@@ -1,6 +1,7 @@
 """Command-line interface: config validation, subcommands, exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import logging
@@ -15,6 +16,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ import epdyn
 from epdyn import loops, propagation, traversal
 from epdyn import DEFAULT_PARAMS, FieldPoint, IntegratorConfig, StateVector, StaticDrive, propagate_direct
 from epdyn.analysis import state_name
-from epdyn.cli import load_config, main
+from epdyn.cli import _parse_grid, load_config, main
 from epdyn.errors import ConfigError
 from epdyn.serialize import trajectory_to_json
 
@@ -450,6 +452,17 @@ class TestTable1:
         monkeypatch.setattr(epdyn.analysis, "table1", refuse)
         assert main(["--config", write_config(tmp_path), "table1"]) == 1
         assert capsys.readouterr().err == "error: ConfigError: invalid 'loop' section: duration_T is too small\n"
+
+    def test_a_state_the_map_sends_to_zero_exits_3(self, tmp_path, capsys, monkeypatch):
+        # U's second column is zero, so state 2 ends exactly at 0: its record's
+        # scale overflows, which is NonFiniteError (exit 3), not a traceback
+        def singular(params, loops, rel_tol):
+            u = np.array([[0.5, 0.0], [0.25, 0.0]], dtype=complex)
+            return [traversal.TraversalMap(u, 0, 256, "eigen", 0.0) for _ in loops]
+
+        monkeypatch.setattr(epdyn.analysis, "traversal_maps", singular)
+        assert main(["--config", write_config(tmp_path), "table1"]) == 3
+        assert capsys.readouterr().err == "error: NonFiniteError: coefficients overflowed float64\n"
 
     def test_leaves_the_trajectory_simulate_wrote(self, tmp_path, capsys, monkeypatch):
         # README's config names output.path "trajectory.csv": simulate's file, which table1 does not write
@@ -891,6 +904,53 @@ class TestSweep:
         assert len(lines) == 5
         assert lines[1].split(",")[:2] == ["0", "0"]
         assert lines[4].split(",")[:2] == ["1", "1"]
+
+    def test_a_state_the_map_sends_to_zero_is_a_cell_error(self, tmp_path, capsys, monkeypatch):
+        # U c0 = 0 for the equal superposition: each cell records NonFiniteError
+        # and the sweep goes on to the next (every cell failed: exit 5)
+        def singular(params, loops, rel_tol):
+            u = np.array([[0.5, -0.5], [0.5, -0.5]], dtype=complex)
+            return [traversal.TraversalMap(u, 0, 256, "eigen", 0.0) for _ in loops]
+
+        monkeypatch.setattr(epdyn.analysis, "_maps", singular)
+        out = tmp_path / "sweep.csv"
+        argv = ["--config", write_config(tmp_path), "--output", str(out), "sweep", "--t-min", "5", "--t-max", "10",
+                "--nt", "2"]
+        assert main(argv) == 5
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [row["error"] for row in rows] == ["NonFiniteError: coefficients overflowed float64"] * 2
+
+    README_SWEEP = ["sweep", "--t-min", "300", "--t-max", "375", "--nt", "8", "--amp-min", "0.05", "--amp-max", "1.3",
+                    "--namp", "8"]
+
+    @pytest.mark.parametrize("direction, state", [(None, "1"), ("cw", "1"), ("ccw", "2")])
+    def test_the_default_target_is_the_state_the_direction_selects(self, tmp_path, capsys, direction, state):
+        # README's sweep example on README's config (direction cw, or the flag's):
+        # with no --dominant-target its cells pass as with the direction's own state
+        config = write_config(tmp_path, DIODE_CONFIG)
+        flags = [] if direction is None else ["--direction", direction]
+        written = []
+        for target in ([], ["--dominant-target", state]):
+            out = tmp_path / f"sweep-{len(target)}.csv"
+            assert main(["--config", config, "--output", str(out), *self.README_SWEEP, *flags, *target]) == 0
+            written.append(out.read_text())
+        assert written[0] == written[1]
+        rows = list(csv.DictReader(io.StringIO(written[0])))
+        passing = [row for row in rows if row["pass_ratio"] == "true"]
+        assert passing == [row for row in rows if row["dominant"] == state and float(row["ratio"]) >= 1e3]
+        assert len(passing) == {"1": 56, "2": 9}[state]
+        # the default geometric spacing ends on --t-max itself
+        assert rows[-1]["T"] == "375"
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_a_geometric_grid_ends_on_its_maximum(self, n):
+        for lo, hi in ((300.0, 375.0), (0.05, 1.3), (1.0, 7.3), (2.5, 1e4), (1e-3, 0.1)):
+            grid = _parse_grid(lo, hi, n, "geometric", "duration")
+            assert (len(grid), grid[0], grid[-1]) == (n, lo, hi)
+            assert all(a < b for a, b in zip(grid, grid[1:]))
+            # a linear grid keeps its points lo + k (hi - lo) / (n - 1)
+            step = (hi - lo) / (n - 1)
+            assert _parse_grid(lo, hi, n, "linear", "duration") == tuple(lo + step * k for k in range(n))
 
     def test_progress_is_logged_once_per_call(self, tmp_path, capsys, caplog):
         # the lines go through the "epdyn.cli" logger; main's own handler

@@ -1630,7 +1630,7 @@ class TestLoopRows:
         # every array of the kept entry: the row times, the row maps and their exponents, and the trace factor
         (kept,) = prop._LOOP_ROWS.entries.values()
         assert isinstance(kept, prop._Loop)
-        for array in (kept.times, *kept.rows, kept.trace):
+        for array in (kept.times, kept.maps, kept.exponents, kept.trace):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
 
@@ -1769,7 +1769,7 @@ class TestDirectRuns:
         assert hit.meta["solver"]["reused"] and record_bits(hit) == want
         (kept,) = prop._DIRECT_RUNS.entries.values()
         assert isinstance(kept, prop._Loop)
-        for array in (kept.times, *kept.rows, kept.trace):
+        for array in (kept.times, kept.maps, kept.exponents, kept.trace):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 

@@ -76,9 +76,9 @@ class TestPopulations:
         traj = self.finished(scale)
         w1, w2 = _trajectory_columns(traj)[-2:]
         assert ((0.0 <= w1) & (w1 <= 1.0) & (w2 >= 0.0)).all()
-        # the report reads the last row's W1 bit for bit
+        # the report reads the last row's populations bit for bit
         report = final_state_report(traj, Direction.CW)
-        assert (report.dominant_state, report.ratio) == _dominance(float(w1[-1]))
+        assert (report.dominant_state, report.ratio) == _dominance(*traj.populations[-1])
 
 
 class TestTrajectoryFormats:

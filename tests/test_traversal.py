@@ -1,5 +1,6 @@
 """Traversal maps: the long-double oracle, the extrapolated stop, symmetry, batch independence, frames, bounded work."""
 
+import dataclasses
 import functools
 import math
 import time
@@ -27,7 +28,8 @@ from epdyn import (
     propagate_direct,
 )
 from epdyn import traversal
-from epdyn.analysis import SweepSpec, _map_report, final_state_report, sweep, table1
+from epdyn.analysis import SweepSpec, final_state_report, sweep, table1
+from epdyn.propagation import _map_loop, _map_record
 from epdyn.traversal import traversal_maps
 
 REF = DEFAULT_PARAMS
@@ -240,13 +242,13 @@ class TestRows:
         # map is the last element of their scan, so no tree runs over them.
         # 256 steps cannot hold 512 intervals: that count scans its one interval
         trees, scans = self.passes(monkeypatch)
-        tmap, n, rows = traversal.eigen_rows(REF, encircling_loop(50.0), 1e-10, 512)
+        tmap, n, _, maps, exponents = traversal.eigen_rows(REF, encircling_loop(50.0), 1e-10, 512)
         assert (tmap.steps, n) == (512, 512)
         assert scans == [1, 512]
         assert 512 not in trees
         # the last row's map is the settled map's bits
-        assert rows.maps[-1].tobytes() == tmap.U.tobytes()
-        assert rows.exponent[-1] * math.log(2.0) == tmap.log_scale
+        assert maps[-1].tobytes() == tmap.U.tobytes()
+        assert exponents[-1, 0] * math.log(2.0) == tmap.log_scale
 
     @pytest.mark.parametrize("n_output", [8, 512])
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-8])
@@ -259,11 +261,11 @@ class TestRows:
     def test_the_last_row_is_the_traversal_map(self, loop, rel_tol, n_output):
         # the rows are rotated into the bare frame as the map is, so where both
         # stop at one step count the last row is the map's bits
-        _, n, rows = traversal.eigen_rows(REF, loop, rel_tol, n_output)
+        _, n, _, maps, exponents = traversal.eigen_rows(REF, loop, rel_tol, n_output)
         (tmap,) = traversal_maps(REF, [loop], rel_tol)
         assert n == tmap.steps
-        assert rows.maps[-1].tobytes() == tmap.U.tobytes()
-        assert rows.exponent[-1] * math.log(2.0) == tmap.log_scale
+        assert maps[-1].tobytes() == tmap.U.tobytes()
+        assert exponents[-1, 0] * math.log(2.0) == tmap.log_scale
 
     def test_a_count_that_cannot_settle_takes_the_scan(self, monkeypatch):
         # the README config with e1 = 18 is unresolved up to 1024 steps (no
@@ -272,7 +274,7 @@ class TestRows:
         params = SystemParams(e1=18.0, e2=1.0, gamma1=0.1, gamma2=0.3, d12=1.0 + 0.0j)
         loop = LoopSpec(FieldPoint(0.92005, 0.64976), 2.02446, 0.64973, Direction.CW, 348.75, 4.35017)
         trees, scans = self.passes(monkeypatch)
-        tmap, n, _ = traversal.eigen_rows(params, loop, 1e-10, 512)
+        tmap, n, *_ = traversal.eigen_rows(params, loop, 1e-10, 512)
         assert (tmap.steps, n) == (4096, 4096)
         assert scans == [1, 512, 512, 512, 512]
         assert 512 not in trees
@@ -297,7 +299,7 @@ class TestExtrapolatedPair:
         assert (tmap.steps, tmap.frame) == (2048, "eigen")
         assert oracle_error(tmap.U, tmap.log_scale, loop) <= tmap.floor <= 63 * 1e-10
         # the rows keep U's rule: their prefix maps are 4th order at the settled count
-        rows_map, n, _ = traversal.eigen_rows(REF, loop, 1e-10, 512)
+        rows_map, n, *_ = traversal.eigen_rows(REF, loop, 1e-10, 512)
         assert (rows_map.steps, n) == (8192, 8192)
 
     def test_a_rounding_limited_cell_reports_the_undivided_change(self):
@@ -507,13 +509,60 @@ def test_sweep_decisions_hold_as_the_tolerance_changes():
     assert max(corner) / min(corner) - 1.0 < 1e-3, corner
 
 
+class TestOneReportPath:
+    """A map's report is its two-row record's, finished as the adiabatic route finishes its rows.
+
+    So wherever the route's last kept map is the map's U, bit for bit,
+    ``simulate --method adiabatic`` prints the floats of the table's row or
+    the sweep's cell.
+    """
+
+    @staticmethod
+    def last_kept_map_is(loop: LoopSpec, tmap) -> bool:
+        _, _, _, maps, exponents = traversal.eigen_rows(REF, loop, ACCEPT.rel_tol, 512)
+        return maps[-1].tobytes() == tmap.U.tobytes() and exponents[-1, 0] == tmap.exponent
+
+    @pytest.mark.parametrize("loop", [diode_loop(Direction.CW), encircling_loop(50.0)], ids=["diode", "encircling-50"])
+    def test_the_route_reports_the_table_rows(self, loop):
+        table = table1(REF, loop, ACCEPT)
+        oriented = {d: dataclasses.replace(loop, direction=d) for d in (Direction.CW, Direction.CCW)}
+        maps = dict(zip(oriented, traversal_maps(REF, list(oriented.values()), ACCEPT.rel_tol)))
+        for row in table.rows:
+            assert self.last_kept_map_is(oriented[row.direction], maps[row.direction])
+            traj = propagate_adiabatic(REF, oriented[row.direction], StateVector.basis(row.initial_state), ACCEPT)
+            report = final_state_report(traj, row.direction)
+            assert repr(report) == repr(row.report)  # repr tells every float apart
+
+    def test_the_route_reports_the_sweep_cells(self):
+        # perfbench's 4x4 CCW grid: 12 cells' maps are the route's last kept
+        # map; the other 4 stop on the extrapolated pair at 2048 steps, where
+        # the route's rows take U at 8192
+        spec = SweepSpec(
+            template=diode_loop(Direction.CW),
+            durations=tuple(300.0 + 25.0 * k for k in range(4)),
+            amp_scales=tuple(0.05 + (1.25 / 3) * k for k in range(4)),
+            direction=Direction.CCW,
+            initial_phase=1.234,
+        )
+        compared = 0
+        for cell in sweep(spec, REF, ACCEPT).cells:
+            loop = spec.cell_loop(cell.i, cell.j)
+            (tmap,) = traversal_maps(REF, [loop], ACCEPT.rel_tol)
+            if self.last_kept_map_is(loop, tmap):
+                report = final_state_report(propagate_adiabatic(REF, loop, spec.initial_state(), ACCEPT), loop.direction)
+                assert (repr(report.ratio), repr(report.survival)) == (repr(cell.ratio), repr(cell.survival))
+                compared += 1
+        assert compared == 12
+
+
 def test_a_tiny_state_reports_like_its_multiple():
     # the reports scale the initial state by a power of two first, so
     # |U c0|^2 of a subnormal state does not underflow
     loop = encircling_loop(15.0)
     (tmap,) = traversal_maps(REF, [loop], ACCEPT.rel_tol)
-    big = _map_report(REF, loop, tmap, StateVector.equal_superposition(0.0))
-    tiny = _map_report(REF, loop, tmap, StateVector(5e-324, 5e-324))
+    kept = _map_loop(REF, loop, tmap)
+    big, tiny = (final_state_report(_map_record(REF, loop, ACCEPT, kept, initial), loop.direction)
+                 for initial in (StateVector.equal_superposition(0.0), StateVector(5e-324, 5e-324)))
     assert tiny.ratio == pytest.approx(big.ratio, rel=1e-14)
     assert tiny.survival == pytest.approx(big.survival, rel=1e-12)
 
