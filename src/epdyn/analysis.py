@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import EpdynError, NotEncirclingError, ZeroNormError
 from .loops import Direction, LoopSpec, contains_ep, rho
@@ -173,7 +173,9 @@ class SweepSpec:
     Each cell scales the template's eps0 profile (center and semi-axis) by
     the cell's amplitude factor and sets the cell's duration. ``dominant_target``
     selects which bare state's dominance counts as a ratio pass (the
-    state-selective region maps); None accepts either dominant state.
+    state-selective region maps); None accepts either dominant state. Its
+    default, "direction", is the state the direction selects, CW -> 1 and
+    CCW -> 2, and the field holds that number once the spec is built.
     """
 
     template: LoopSpec
@@ -183,9 +185,11 @@ class SweepSpec:
     initial_phase: float = 0.0  # relative phase of the equal superposition
     ratio_min: float = 1000.0
     survival_levels: tuple[float, ...] = (0.1, 0.01, 0.001)
-    dominant_target: Optional[int] = 2
+    dominant_target: Union[int, str, None] = "direction"
 
     def __post_init__(self) -> None:
+        if self.dominant_target == "direction":
+            object.__setattr__(self, "dominant_target", 1 if self.direction is Direction.CW else 2)
         if len(self.durations) < 1 or len(self.amp_scales) < 1:
             raise ValueError("grid must have at least one duration and one amplitude")
         if not 0 < self.ratio_min < math.inf:

@@ -231,7 +231,8 @@ def cmd_sweep(config: RunConfig, args) -> int:
     durations = _parse_grid(args.t_min, args.t_max, args.nt, args.t_spacing, "duration")
     amp_scales = _parse_grid(args.amp_min, args.amp_max, args.namp, "linear", "amplitude")
     direction = Direction(args.direction) if args.direction else config.loop.direction
-    target = {"any": None, "1": 1, "2": 2, None: 1 if direction is Direction.CW else 2}[args.dominant_target]
+    # without the flag the spec's own default, the state the direction selects
+    target = {"any": None, "1": 1, "2": 2, None: "direction"}[args.dominant_target]
     try:
         levels = tuple(float(x) for x in args.survival_levels.split(","))
     except ValueError as exc:

@@ -270,20 +270,23 @@ def _complex(re, im) -> np.ndarray:
 
 
 def _pow2_scaled(z: np.ndarray) -> tuple:
-    """z scaled by a power of two along its last axis to a largest part in [0.5, 1), and the exponents.
+    """z (..., 2) scaled by a power of two along its last axis to a largest part in [0.5, 1), and the exponents.
 
-    z = scaled * 2**shift exactly: ``np.ldexp`` on the parts keeps every
-    signed zero and brings subnormal parts up, where a product with
-    2**-shift would overflow for a subnormal largest part. A vector that is
-    exactly zero keeps shift 0. A state enters either route's rows (a
-    traversal map's report among them) this way, and leaves
-    the direct route's, so no finite state overflows or underflows on its
-    way in or out; a drive sample (a, g) whose squares underflow is judged
+    z is a complex pair, a state or a drive sample (a, g), contiguous along
+    its last axis, so its float view holds the four parts in place. z = scaled * 2**shift exactly: ``np.ldexp``
+    on the parts keeps every signed zero and brings subnormal parts up,
+    where a product with 2**-shift would overflow for a subnormal largest
+    part. A vector that is exactly zero keeps shift 0. A state enters
+    either route's rows (a traversal map's report among them) this way, and
+    leaves the direct route's, so no finite state overflows or underflows
+    on its way in or out; a drive sample (a, g) whose squares underflow is judged
     (``_contact``) and scanned (``loops._traceless_at``) this way.
     """
-    _, shift = np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)).max(axis=-1))
-    down = -shift[..., None]
-    return _complex(np.ldexp(z.real, down), np.ldexp(z.imag, down)), shift
+    parts = z.view(float)  # each complex as (re, im) along the last axis: the same values and bits
+    top = np.abs(parts)
+    # the largest of the four parts, as elementwise maxima: a reduction over so short an axis costs per row
+    _, shift = np.frexp(np.maximum(np.maximum(top[..., 0], top[..., 1]), np.maximum(top[..., 2], top[..., 3])))
+    return np.ldexp(parts, -shift[..., None]).view(complex), shift
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,9 @@ uniform samples (``traversal.branch_frames``).
 Both routes bring c0 into their rows scaled by a power of two
 (``_pow2_scaled``), keep the state-independent part of their last two
 loops as one type (``_Loop``) in one kind of cache (``_Recent``, keyed on
-the exact bits of every input that part reads), the trace factor of their
-rows included (``_trace_factor``), and finish their records in one place
+the exact bits of every input that part reads), the trace factor and the
+decay of their rows included (``_trace_factor``, ``_decay``), and finish
+their records in one place
 (``_record``), so a record has one set of fields and ``meta`` one schema.
 
 Recorded amplitudes are kept inside the representable range: if the true
@@ -207,7 +208,8 @@ class TrajectoryRecord:
         t = np.asarray(self.times)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("times must be a 1-D array with at least two entries")
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0):
+        # np.diff's subtraction without its wrapper: a NaN step, inf - inf included, is not refused
+        if t[0] != 0.0 or (t[1:] - t[:-1] <= 0).any():
             raise ValueError("times must increase strictly from 0")
 
     @property
@@ -285,55 +287,63 @@ def _trace_factor(params: SystemParams, drive: Drive, times: np.ndarray) -> np.n
     return _read_only(_complex(np.cos(phase), np.sin(phase)))[0]
 
 
+def _decay(params: SystemParams, times: np.ndarray) -> np.ndarray:
+    """-2 gbar t at ``times``, read-only: the decay part of a row's log true norm^2, which ``_finalize`` adds.
+
+    Like the trace factor it reads the model and the row times only, so
+    each kept entry makes it once for every state on the loop.
+    """
+    return _read_only(-2.0 * (0.5 * (params.gamma1 + params.gamma2)) * times)[0]
+
+
 def _abs2(z: np.ndarray) -> np.ndarray:
     """|z|^2 of each component as re^2 + im^2: a record's ``populations``, the terms of its ``norms_sq``."""
     return z.real * z.real + z.imag * z.imag
 
 
 def _norms_sq(z: np.ndarray) -> np.ndarray:
-    """|z[k, 0]|^2 + |z[k, 1]|^2 per row, the sum of ``_abs2``; a square past float64 is inf."""
-    squares = _abs2(z)
-    return squares[:, 0] + squares[:, 1]
+    """|z[k, 0]|^2 + |z[k, 1]|^2 per row, the sum of ``_abs2``; a square past float64 is inf.
+
+    z is contiguous, so its float view squares every part in one pass: row k
+    is (re0 re0 + im0 im0) + (re1 re1 + im1 im1), the terms ``_abs2`` gives.
+    """
+    squares = z.view(float) * z.view(float)
+    return (squares[:, 0] + squares[:, 1]) + (squares[:, 2] + squares[:, 3])
 
 
-def _offsets(norms_sq: np.ndarray, log_total: np.ndarray) -> np.ndarray:
+def _offsets(log_true: np.ndarray) -> np.ndarray:
     """Each row's log offset: the log true norm^2 of the last row that left the window relative to the one before.
 
-    A row's log true norm^2 is numpy's ``log`` of its squared norm plus
-    ``log_total`` (-inf for a zero row). The scan costs one array pass per
-    renormalization.
+    ``log_true`` is each row's log true norm^2. The scan costs one array
+    pass per renormalization; the first compares ``log_true`` itself with
+    the window, as offset 0 leaves it.
     """
-    with np.errstate(divide="ignore"):
-        log_true = np.log(norms_sq) + log_total
-    offsets = np.empty(len(log_true))
-    start, offset = 0, 0.0
-    while start < len(log_true):
-        shift = log_true[start:] - offset
-        leaves = np.flatnonzero(~((_LOG_RECORD_LO < shift) & (shift < _LOG_RECORD_HI)))
-        stop = start + leaves[0] if leaves.size else len(log_true)
+    n = len(log_true)
+    offsets = np.zeros(n)
+    start, offset, shift = 0, 0.0, log_true
+    while True:
+        inside = (_LOG_RECORD_LO < shift) & (shift < _LOG_RECORD_HI)
+        stop = n if inside.all() else start + int(inside.argmin())  # the first row that leaves
         offsets[start:stop] = offset
-        if stop < len(log_true):
-            # renormalize the stored state, push the factor into log_scale
-            offset = offsets[stop] = log_true[stop]
+        if stop == n:
+            return offsets
+        # renormalize the stored state, push the factor into log_scale
+        offset = offsets[stop] = log_true[stop]
         start = stop + 1
-    return offsets
+        shift = log_true[start:] - offset
 
 
-def _finalize(
-    params: SystemParams,
-    times: np.ndarray,
-    raw,
-    log_internal: np.ndarray,
-    trace: np.ndarray,
-) -> tuple:
+def _finalize(raw: np.ndarray, log_internal: np.ndarray, trace: np.ndarray, decay: np.ndarray) -> tuple:
     """(states, norms_sq, log_scale) of working-frame rows, on whole columns.
 
-    Row k holds the working-frame bare state ``raw[k]`` at ``times[k]``: the
-    true state is raw * exp(-i trace phase) * exp((log_internal - 2 gbar t) / 2),
-    and ``trace`` is exp(-i trace phase) at ``times`` (``_trace_factor``).
-    The stored state takes that factor relative to an offset, and the
-    offset moves to the row's log true norm^2 whenever the row's would leave
-    [1e-150, 1e+150] relative to it (``_offsets``).
+    Row k holds the working-frame bare state ``raw[k]``: the true state is
+    raw * exp(-i trace phase) * exp((log_internal + decay) / 2), where
+    ``trace`` is exp(-i trace phase) at the row times (``_trace_factor``)
+    and ``decay`` is -2 gbar t there (``_decay``). The stored state takes
+    that factor relative to an offset, and the offset moves to the row's
+    log true norm^2 (numpy's ``log`` of its squared norm plus log_internal +
+    decay; -inf for a zero row) whenever the row's would leave [1e-150,
+    1e+150] relative to it (``_offsets``).
 
     Plain numpy arithmetic: squared norms from ``_abs2``, numpy's
     ``log`` and ``exp``, and one complex product of each row by its scale
@@ -344,14 +354,12 @@ def _finalize(
     squared norm or a scale that overflows raises OverflowError, which each
     route reports as its own ``NonFiniteError``.
     """
-    raw = np.asarray(raw, dtype=complex)
-    log_total = -2.0 * (0.5 * (params.gamma1 + params.gamma2)) * times + log_internal
-    with np.errstate(over="ignore"):
+    log_total = decay + log_internal
+    with np.errstate(over="ignore", divide="ignore"):
         raw_n2 = _norms_sq(raw)
-    if np.isinf(raw_n2).any():
-        raise OverflowError("squared norm overflowed float64")
-    offsets = _offsets(raw_n2, log_total)
-    with np.errstate(over="ignore"):
+        if np.isinf(raw_n2).any():
+            raise OverflowError("squared norm overflowed float64")
+        offsets = _offsets(np.log(raw_n2) + log_total)
         scale = np.exp(0.5 * (log_total - offsets))
     if np.isinf(scale).any():
         raise OverflowError("scale overflowed float64")
@@ -364,31 +372,30 @@ def _record(method: str, params: SystemParams, drive: Drive, config: IntegratorC
     """A route's record of its working-frame rows ``raw`` on the ``_Loop`` ``kept``, each scaled by 2^-exponent.
 
     The record takes its own copy of the kept row times, and ``_finalize``
-    the kept trace factor. ``clock`` is the (start, end) of the route's
-    ``stepping`` phase; its ``rows`` phase ends here. Both routes finish
-    here, so ``meta`` has one schema. A squared norm or scale that overflows
-    raises OverflowError, which each route reports as its own
+    the kept trace factor and decay. ``clock`` is the (start, end) of the
+    route's ``stepping`` phase; its ``rows`` phase ends here. Both routes
+    finish here, so ``meta`` has one schema. A squared norm or scale that
+    overflows raises OverflowError, which each route reports as its own
     ``NonFiniteError``.
     """
     started, stepped = clock
-    times = kept.times.copy()
-    states, norms, logs = _finalize(params, times, raw, 2.0 * math.log(2.0) * exponent, kept.trace)
+    states, norms, logs = _finalize(raw, 2.0 * math.log(2.0) * exponent, kept.trace, kept.decay)
     meta = {"method": method, "params": params, "drive": drive, "config": config, "n_output": n_output,
             "solver": {**kept.solver, "reused": reused},
             "phase_s": {"stepping": stepped - started, "rows": time.perf_counter() - stepped}}
-    return TrajectoryRecord(times, states, norms, logs, meta)
-
-
-def _exact(values) -> tuple:
-    """Each value's type and exact value, a float by its bits: -0.0 and 0.0, equal under ==, differ."""
-    return tuple((type(v), v.hex() if isinstance(v, float) else v) for v in values)
+    return TrajectoryRecord(kept.times.copy(), states, norms, logs, meta)
 
 
 def _key(params: SystemParams, drive: Drive, *settings) -> tuple:
-    """A cache key: the exact drive type and ``_contour`` fields, model constants and ``settings`` of a loop's rows."""
+    """A cache key: the exact drive type and ``_contour`` fields, model constants and ``settings`` of a loop's rows.
+
+    Exact as type plus bits: the values compare ints exactly (past 2^53
+    too), the types tell 1 from 1.0, and the signs of the zeros -0.0 from
+    0.0, the one pair of floats that == leaves equal.
+    """
     d12 = complex(params.d12)
-    return (type(drive), *_exact(_contour(drive)),
-            *_exact((params.e1, params.e2, params.gamma1, params.gamma2, d12.real, d12.imag, *settings)))
+    values = (*_contour(drive), params.e1, params.e2, params.gamma1, params.gamma2, d12.real, d12.imag, *settings)
+    return type(drive), values, tuple(map(type, values)), tuple(math.copysign(1.0, v) for v in values if v == 0)
 
 
 def _read_only(*arrays) -> tuple:
@@ -409,6 +416,7 @@ class _Loop(NamedTuple):
     maps: np.ndarray  # (N + 1, 2, 2) U in the working frame at the row times; read-only where kept
     exponents: np.ndarray  # (N + 1, 2) integer exponents of U's columns
     trace: np.ndarray  # the rows' ``_trace_factor``
+    decay: np.ndarray  # the rows' ``_decay``
 
 
 class _Recent:
@@ -666,6 +674,8 @@ def _drive_constants(drive: Drive, params: SystemParams) -> tuple:
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 #: U(0), the direct run's start: the fundamental matrix as its columns (U00, U10) and (U01, U11)
 _IDENTITY = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+#: U(0) as the first of a loop's maps (1, 2, 2)
+_EYE = _read_only(np.eye(2, dtype=complex)[None])[0]
 _COMPONENTS = range(len(_IDENTITY))
 
 
@@ -974,9 +984,10 @@ def _direct_run(params: SystemParams, drive: Drive, config: IntegratorConfig, n_
     )
     # a dense row's components (U00, U10, U01, U11) are U's columns in turn
     rows = _dense_rows(params, drive, times[1:], held, values).reshape(-1, 2, 2).transpose(0, 2, 1)
-    maps = np.concatenate([np.eye(2, dtype=complex)[None], rows])
+    maps = np.concatenate([_EYE, rows])
     solver["rhs_calls"] += len(_DOP_EXTRA) * len(held)
-    return _Loop(solver, *_read_only(times, maps, np.array(exponents)), _trace_factor(params, drive, times))
+    return _Loop(solver, *_read_only(times, maps, np.array(exponents)), _trace_factor(params, drive, times),
+                 _decay(params, times))
 
 
 def propagate_direct(
@@ -1044,16 +1055,17 @@ def propagate_direct(
         c0, shift = _pow2_scaled(initial.as_array())
         # the row is 2^top sum_j c0[j] 2^(exponents[:, j] - top) column j, top the
         # larger exponent of the columns c0 takes; each product as CPython's
-        top = exponents[:, c0 != 0].max(axis=1)
+        top = functools.reduce(np.maximum, (exponents[:, j] for j in (0, 1) if c0[j] != 0))
         gap = (exponents - top[:, None])[..., None]
         (ar, ai), (br, bi) = (
             _mul(u.real[:, :, j], u.imag[:, :, j], np.ldexp(c0.real[j], gap[:, j]), np.ldexp(c0.imag[j], gap[:, j]))
             for j in (0, 1)
         )
         raw, shifts = _pow2_scaled(_complex(ar + br, ai + bi))
-        zero = np.flatnonzero(~raw.any(axis=1))
-        if zero.size:
-            raise NonFiniteError(f"amplitudes underflowed float64: the state is 0 at t = {kept.times[zero[0]]:.6g}")
+        nonzero = np.logical_or(raw[:, 0], raw[:, 1])
+        if not nonzero.all():
+            raise NonFiniteError(
+                f"amplitudes underflowed float64: the state is 0 at t = {kept.times[nonzero.argmin()]:.6g}")
         return _record("direct", params, drive, config, n_output, kept, reused, (started, stepped), raw,
                        top + shift + shifts)
     except OverflowError as exc:
@@ -1083,7 +1095,8 @@ def _loop_rows(params: SystemParams, drive: Drive, rel_tol: float, n_output: int
         tmap, steps, times, maps, exponents = traversal.eigen_rows(params, drive, rel_tol, n_output)
         solver = {"steps": steps, "frame": tmap.frame, "floor": tmap.floor,
                   "doublings": (tmap.steps // traversal._FIRST_STEPS).bit_length() - 1}
-        return _Loop(solver, *_read_only(times, maps, exponents), _trace_factor(params, drive, times))
+        return _Loop(solver, *_read_only(times, maps, exponents), _trace_factor(params, drive, times),
+                     _decay(params, times))
 
     return _LOOP_ROWS.get(_key(params, drive, rel_tol, n_output), compute)
 
@@ -1176,11 +1189,14 @@ def _product_record(method: str, params: SystemParams, drive: Drive, config: Int
 
 
 def _map_loop(params: SystemParams, loop: LoopSpec, tmap: traversal.TraversalMap) -> _Loop:
-    """A traversal map as a ``_Loop`` of one interval: times (0, T), maps (I, U), exponents (0, exponent)."""
-    times = _samples(loop.duration_T, 1)
+    """A traversal map as a ``_Loop`` of one interval: times (0, T), maps (I, U), exponents (0, exponent).
+
+    The times are the array ``loops._samples(T, 1)`` gives, [0.0, T].
+    """
+    times = np.array([0.0, loop.duration_T])
     return _Loop({"steps": tmap.steps, "frame": tmap.frame, "floor": tmap.floor}, times,
-                 np.stack([np.eye(2, dtype=complex), tmap.U]), np.array([[0, 0], [tmap.exponent] * 2]),
-                 _trace_factor(params, loop, times))
+                 np.concatenate([_EYE, tmap.U[None]]), np.array([[0, 0], [tmap.exponent] * 2]),
+                 _trace_factor(params, loop, times), _decay(params, times))
 
 
 def _map_record(params: SystemParams, loop: LoopSpec, config: IntegratorConfig, kept: _Loop,

@@ -82,7 +82,9 @@ what ends them, with one message per condition.
 
 Bits. Every operation is elementwise over (loops, steps) arrays or runs
 along one loop's steps, so a loop's U is the same bits alone and in any
-batch. The steps are multiplied in a fixed pairwise tree (step 2k+1 times
+batch; so is what ``_settle`` takes once for all its step counts
+(``_batch``: the drive at t = 0 and at T, the frame's start, R(th_0)).
+The steps are multiplied in a fixed pairwise tree (step 2k+1 times
 step 2k, level by level), each node rescaled by a power of two to a largest
 component in [0.5, 1); the exponents add up exactly into the map's ``exponent``.
 Steps are evaluated in blocks of a power-of-two length, so memory stays
@@ -260,7 +262,7 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     while n < tmap.steps:
         n *= 2
     if n != tmap.steps:  # the rows take a finer step count
-        run = _intervals(params, [drive], n, n // n_output, True)
+        run = _intervals(params, _batch(params, [drive], True), n, n // n_output)
         error = _ruled_out(run, 0, drive, n)
         if error or not run.smooth[0]:
             raise error or AmbiguousTrackingError(f"the eigenframe of {drive} is unresolved at {n} steps")
@@ -351,9 +353,11 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
     drive whose frame is ruled out, stalls or meets the cap ends with None,
     for another frame to take; without it the frame doubles on past an
     unresolved frame or a map that is not finite, and each stop but a
-    settled map is the drive's error. Returns each drive's map, error or
-    None, and the ``_Run`` and scan of the last step count: for one drive,
-    the count that settles it.
+    settled map is the drive's error. What no step count changes (the
+    drive at t = 0 and at T, the frame's start, R(th_0)) is taken once, as
+    a ``_Batch``, and each count reads the rows of the drives still
+    doubling. Returns each drive's map, error or None, and the ``_Run`` and
+    scan of the last step count: for one drive, the count that settles it.
     """
     what = "eigenframe" if eigen else "traversal"
     frame = "eigen" if eigen else "bare"
@@ -366,9 +370,10 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
         out[k] = None if fallback else kind(f"the {what} map of {drives[k]} {reason}")
 
     active, n, run, scan = list(range(len(drives))), _FIRST_STEPS, None, None
+    batch = _batch(params, drives, eigen) if drives else None
     while active and n <= _STEP_CAP:
         every = n // intervals if n % intervals == 0 and intervals & (intervals - 1) == 0 else n
-        run = _intervals(params, [drives[k] for k in active], n, every, eigen)
+        run = _intervals(params, batch if len(active) == len(drives) else _take(batch, active), n, every)
         with np.errstate(all="ignore"):  # overflow shows as a map that is not finite
             scan = _scan(run.x, run.e)  # its last element is the tree over the intervals
         u, e = scan[0][..., -1:], scan[1][..., -1:]
@@ -455,6 +460,27 @@ def _drive(params: SystemParams, contours: _Contour, times: np.ndarray):
     return a, g, a_dot, g_dot, w2, np.isfinite(w2).all(axis=1)
 
 
+class _Origin(NamedTuple):
+    """The eigenframe of each drive (m,) at t = 0, where ``_Phase`` starts (``_origin``)."""
+
+    lam0: np.ndarray  # the '+' root of a^2 + g^2
+    root: np.ndarray  # numpy's root; ``_Phase.follow`` counts its flips from lam0, its negative at a tie
+    parity: np.ndarray  # lam0 != root
+    z0: np.ndarray  # e^{2 i th_0} = (a + i g) / lam0
+    th0: np.ndarray  # th_0, with R(th_0) as its cosine and sine
+    cos0: np.ndarray
+    sin0: np.ndarray
+
+
+def _origin(a: np.ndarray, g: np.ndarray, w2: np.ndarray) -> _Origin:
+    """The ``_Origin`` of drives whose t = 0 sample is (a, g), w2 = a^2 + g^2."""
+    lam0 = _root_plus(w2)
+    root = np.sqrt(w2)
+    z0 = (a + 1j * g) / lam0
+    th0 = _angle(z0)
+    return _Origin(lam0, root, lam0 != root, z0, th0, np.cos(th0), np.sin(th0))
+
+
 class _Phase:
     """The eigenframe's continuation along a loop's samples, block after block.
 
@@ -469,15 +495,11 @@ class _Phase:
     ``_MAX_MISMATCH`` turns.
     """
 
-    def __init__(self, a: np.ndarray, g: np.ndarray, w2: np.ndarray, every: int) -> None:
+    def __init__(self, origin: _Origin, every: int) -> None:
         self.every = every
-        self.smooth = np.ones(len(a), dtype=bool)
-        self.lam0 = _root_plus(w2)
-        # ``follow`` counts the flips of numpy's root from lam0, its negative at a tie
-        self.root = np.sqrt(w2)
-        self.parity = self.lam0 != self.root
-        self.z0 = (a + 1j * g) / self.lam0
-        self.turned = np.zeros(len(a))  # Re of the integral of th' so far
+        self.lam0, self.root, self.parity, self.z0, self.th0, self.cos0, self.sin0 = origin
+        self.smooth = np.ones(len(self.lam0), dtype=bool)
+        self.turned = np.zeros(len(self.lam0))  # Re of the integral of th' so far
         self.marks = []  # (lam at the sample before, turned) at the interval ends of each block
 
     def follow(self, w2: np.ndarray) -> np.ndarray:
@@ -509,13 +531,12 @@ class _Phase:
         before, turned = (np.concatenate(column, axis=1) for column in zip(*self.marks))
         root = np.sqrt(w2)
         z = (a + 1j * g) / np.where(root.real * before.real + root.imag * before.imag < 0.0, -root, root)
-        th0 = _angle(self.z0)
         base = 0.5 * np.angle(z)
-        k = (th0.real[:, None] + turned - base) / math.pi
+        k = (self.th0.real[:, None] + turned - base) / math.pi
         turns = np.rint(k)
         self.smooth &= (np.abs(k - turns) <= _MAX_MISMATCH).all(axis=1)
         th = base + math.pi * turns - 0.5j * np.log(np.abs(z))
-        return (np.cos(th0), np.sin(th0)), (np.cos(th), np.sin(th))
+        return (self.cos0, self.sin0), (np.cos(th), np.sin(th))
 
 
 def branch_frames(params: SystemParams, drive, times: np.ndarray) -> tuple:
@@ -550,7 +571,7 @@ def branch_frames(params: SystemParams, drive, times: np.ndarray) -> tuple:
     """
     a, g, w2, shift = _traceless_at(params, drive, times)
     with np.errstate(all="ignore"):  # a frame that is not finite is reported below
-        phase = _Phase(a[:1], g[:1], w2[:1], 1)
+        phase = _Phase(_origin(a[:1], g[:1], w2[:1]), 1)
         lam = np.concatenate([phase.lam0, phase.follow(w2[None, 1:])[0]])
         th = _angle((a + 1j * g) / lam)
         base = th.real
@@ -586,14 +607,67 @@ class _Run(NamedTuple):
     rotations: tuple  # ((cos th_0, sin th_0) (m,), (cos th, sin th) (m, N)) (eigenframe)
 
 
-def _intervals(params: SystemParams, drives: Sequence, n: int, every: int, eigen: bool) -> _Run:
-    """The products of each run of ``every`` steps of n steps on each drive, in one frame.
+class _End(NamedTuple):
+    """The drive at t = T, where a run of one interval ends: (a, g, w2) (m, 1), finite and clear of the EP (m,)."""
+
+    a: np.ndarray
+    g: np.ndarray
+    w2: np.ndarray
+    finite: np.ndarray
+    clear: np.ndarray
+
+
+class _Batch(NamedTuple):
+    """Drives in one frame with what ``_intervals`` reads of them at every step count alike (``_batch``).
+
+    Each array holds one row per drive; ``_take`` keeps the rows of the
+    drives still doubling. The eigenframe's fields are None in the bare frame.
+    """
+
+    contours: _Contour  # ``loops._contours`` (m, 1)
+    finite: np.ndarray  # (m,) the drive is finite at t = 0
+    clear: np.ndarray | None = None  # (m,) t = 0 is not on the EP
+    origin: _Origin | None = None  # where ``_Phase`` starts
+    end: _End | None = None
+
+
+def _batch(params: SystemParams, drives: Sequence, eigen: bool) -> _Batch:
+    """The ``_Batch`` of the drives, in the eigenframe or the bare frame: the drive at t = 0 (and at T), once.
+
+    Each value is elementwise per drive, so a drive's row is the same bits
+    in any batch, and ``_settle`` takes it once for all its step counts.
+    """
+    contours = _contours(drives)
+    with np.errstate(all="ignore"):  # overflow and the EP are reported in the runs
+        a, g, _, _, w2, finite = _drive(params, contours, np.zeros((len(drives), 1)))
+        if not eigen:
+            return _Batch(contours, finite)
+        origin = _origin(a[:, 0], g[:, 0], w2[:, 0])
+        clear = ~_on_ep(a, g, w2)[:, 0]
+        a, g, _, _, w2, good = _drive(params, contours, contours.T)
+        end = _End(a, g, w2, good, ~_on_ep(a, g, w2).any(axis=1))
+        return _Batch(contours, finite, clear, origin, end)
+
+
+def _take(x, rows: list):
+    """``x`` at the drive rows ``rows``: an array's rows, a ``NamedTuple``'s fields each so, and None as None."""
+    if x is None:
+        return None
+    if isinstance(x, np.ndarray):
+        return x[rows]
+    return type(x)(*(_take(field, rows) for field in x))
+
+
+def _intervals(params: SystemParams, batch: _Batch, n: int, every: int) -> _Run:
+    """The products of each run of ``every`` steps of n steps on each drive of the batch, in its frame.
 
     ``every`` is a power of two that divides n. The eigenframe's rotations
-    are taken at the interval ends, ``np.linspace(0, T, n / every + 1)[1:]``.
+    are taken at the interval ends, ``np.linspace(0, T, n / every + 1)[1:]``
+    (the batch's ``end`` for one interval).
     """
-    m = len(drives)
-    contours = _contours(drives)
+    contours, finite, clear = batch.contours, batch.finite, batch.clear
+    eigen = batch.origin is not None
+    m = len(finite)
     h = contours.T / n
     block = min(n, max(1, _BLOCK_STEPS // m))
     block = 1 << (block.bit_length() - 1)  # a power of two, so a block is a subtree
@@ -601,18 +675,16 @@ def _intervals(params: SystemParams, drives: Sequence, n: int, every: int, eigen
     resolved = np.ones(m, dtype=bool)
     reach = np.zeros(m)
     with np.errstate(all="ignore"):  # overflow and the EP are reported in the result
-        a, g, _, _, w2, finite = _drive(params, contours, np.zeros((m, 1)))
         if eigen:
-            phase = _Phase(a[:, 0], g[:, 0], w2[:, 0], every)
-            clear = ~_on_ep(a, g, w2)[:, 0]
+            phase = _Phase(batch.origin, every)
         nodes, exps = [], []
         for start in range(0, n, block):
             size = min(block, n - start)
             steps = np.arange(start, start + size)[:, None] + np.array(_GAUSS)
             a, g, a_dot, g_dot, w2, good = _drive(params, contours, steps.ravel() * h)
-            finite &= good
+            finite = finite & good
             if eigen:  # K = [[-i lam, th'], [-th', i lam]]
-                clear &= ~_on_ep(a, g, w2).any(axis=1)
+                clear = clear & ~_on_ep(a, g, w2).any(axis=1)
                 lam = phase.follow(w2)
                 th_dot = 0.5 * (a * g_dot - g * a_dot) / w2
                 phase.turn(th_dot, h, lam, start)
@@ -632,11 +704,14 @@ def _intervals(params: SystemParams, drives: Sequence, n: int, every: int, eigen
         x, e = _tree(np.concatenate(nodes, axis=-1).reshape(2, 2, *shape), np.concatenate(exps, axis=-1).reshape(shape))
         if not eigen:
             return _Run(x, e, finite, resolved, reach, np.ones(m, dtype=bool), np.ones(m, dtype=bool), ())
-        ends = contours.T if n == every else np.linspace(0.0, contours.T[:, 0], n // every + 1)[1:].T
-        a, g, _, _, w2, good = _drive(params, contours, ends)
-        clear &= ~_on_ep(a, g, w2).any(axis=1)
+        if n == every:
+            a, g, w2, good, clear_end = batch.end
+        else:
+            ends = np.linspace(0.0, contours.T[:, 0], n // every + 1)[1:].T
+            a, g, _, _, w2, good = _drive(params, contours, ends)
+            clear_end = ~_on_ep(a, g, w2).any(axis=1)
         rotations = phase.rotations(a, g, w2)
-    return _Run(x, e, finite & good, resolved, reach, clear, phase.smooth, rotations)
+    return _Run(x, e, finite & good, resolved, reach, clear & clear_end, phase.smooth, rotations)
 
 
 def _rotate(run: _Run, x: np.ndarray, e: np.ndarray) -> tuple:

@@ -37,6 +37,7 @@ from epdyn.propagation import (
     StateVector,
     TrajectoryRecord,
     _budget_message,
+    _decay,
     _finalize,
     _trace_factor,
     Drive,
@@ -351,7 +352,8 @@ def propagate_direct(
             raw.append(state)
             log_internal.append(2.0 * math.log(2.0) * (top + shift + row_shift))
         times = np.array(times)
-        states, norms, logs = _finalize(params, times, raw, np.array(log_internal), _trace_factor(params, drive, times))
+        states, norms, logs = _finalize(np.array(raw), np.array(log_internal), _trace_factor(params, drive, times),
+                                        _decay(params, times))
     except OverflowError as exc:
         # abs() of a complex whose modulus overflows float64 raises instead of returning inf
         raise NonFiniteError("amplitudes overflowed float64") from exc

@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 import config_reference
 import epdyn
 from epdyn import loops, propagation, traversal
-from epdyn import DEFAULT_PARAMS, FieldPoint, IntegratorConfig, StateVector, StaticDrive, propagate_direct
-from epdyn.analysis import state_name
+from epdyn import DEFAULT_PARAMS, Direction, FieldPoint, IntegratorConfig, StateVector, StaticDrive, propagate_direct
+from epdyn.analysis import SweepSpec, state_name, sweep
 from epdyn.cli import _parse_grid, load_config, main
 from epdyn.errors import ConfigError
 from epdyn.serialize import trajectory_to_json
@@ -941,6 +941,22 @@ class TestSweep:
         assert len(passing) == {"1": 56, "2": 9}[state]
         # the default geometric spacing ends on --t-max itself
         assert rows[-1]["T"] == "375"
+
+    @pytest.mark.parametrize("direction", ["cw", "ccw"])
+    def test_a_spec_without_a_target_marks_cells_as_the_cli_does(self, tmp_path, direction):
+        # the library's SweepSpec holds the CLI's one default target, the state the
+        # direction selects, so README's sweep example passes the same cells both ways
+        config = write_config(tmp_path, DIODE_CONFIG)
+        out = tmp_path / "sweep.csv"
+        assert main(["--config", config, "--output", str(out), *self.README_SWEEP, "--direction", direction]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        run = load_config(config)
+        spec = SweepSpec(template=run.loop, durations=_parse_grid(300.0, 375.0, 8, "geometric", "duration"),
+                         amp_scales=_parse_grid(0.05, 1.3, 8, "linear", "amplitude"), direction=Direction(direction))
+        assert spec.dominant_target == {"cw": 1, "ccw": 2}[direction]
+        passing = [cell.pass_ratio for cell in sweep(spec, run.params, run.integrator).cells]
+        assert passing == [row["pass_ratio"] == "true" for row in rows]
+        assert sum(passing) == {"cw": 56, "ccw": 9}[direction]
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_a_geometric_grid_ends_on_its_maximum(self, n):

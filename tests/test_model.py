@@ -150,13 +150,13 @@ class TestEigenvalues:
     def test_plus_root_at_a_signed_zero_tie(self):
         # a^2 + g^2 = -4 - 0i, where numpy's root -2i is the '-' side of the tie:
         # the '+' root is -0.0 + 2i, for one value and as the array element
-        # that the first sample of a traversal gives ``traversal._Phase``
+        # that the first sample of a traversal gives ``traversal._Phase`` (``traversal._origin``)
         h = HamiltonianMatrix(-2j, complex(0.0, -0.0), 2j)
         a, g = np.complex128(0.5 * (h.h11 - h.h22)), np.complex128(h.h12)
         w2 = a * a + g * g
         assert (w2.real, math.copysign(1.0, w2.imag)) == (-4.0, -1.0)
-        phase = traversal._Phase(np.array([a]), np.array([g]), np.array([w2]), 1)
-        for lam in (complex(model._root_plus(complex(w2))), complex(phase.lam0[0])):
+        origin = traversal._origin(np.array([a]), np.array([g]), np.array([w2]))
+        for lam in (complex(model._root_plus(complex(w2))), complex(origin.lam0[0])):
             assert lam == 2j and math.copysign(1.0, lam.real) == -1.0
 
     def test_trace_conservation_random(self):

@@ -592,6 +592,11 @@ def synthetic_rows(drive):
     return times, raw, np.where(odd, 0.0, sign * rng.uniform(0.0, 300.0, m))
 
 
+def finished(params, drive, times, raw, log_internal) -> tuple:
+    """``_finalize`` of the rows at ``times`` on the drive, with the trace factor and decay a kept entry holds."""
+    return prop._finalize(raw, log_internal, prop._trace_factor(params, drive, times), prop._decay(params, times))
+
+
 class TestRowsAgainstReference:
     """``_finalize`` on whole columns against the recorder's scalar loop in ``row_reference`` (``row_failures``)."""
 
@@ -602,11 +607,11 @@ class TestRowsAgainstReference:
         array_finalize = prop._finalize
         monkeypatch.setattr(prop, "_finalize", lambda *args: calls.append(args) or array_finalize(*args))
         traj = propagate(params, drive, StateVector.basis(state), TIGHT, **kwargs)
-        # the reference takes the drive and computes its own trace phase, so the kept factor is checked too
-        ((args_params, times, raw, log_internal, _),) = calls
-        want = finalize(args_params, drive, times, raw, log_internal)
+        # the reference takes the drive and computes its own trace phase and decay, so the kept factors are checked too
+        ((raw, log_internal, _, _),) = calls
+        want = finalize(params, drive, traj.times, raw, log_internal)
         got = (traj.states, traj.norms_sq, traj.log_scale)
-        assert row_failures(got, want, args_params, times, raw, log_internal) == []
+        assert row_failures(got, want, params, traj.times, raw, log_internal) == []
         if params is DECAYING:
             assert len(set(traj.log_scale.tolist())) > 5  # the record renormalized
 
@@ -615,8 +620,7 @@ class TestRowsAgainstReference:
     def test_synthetic_rows(self, drive):
         times, raw, log_internal = synthetic_rows(drive)
         # no decay (gamma1 = gamma2 = 0), so an odd row's log is not rounded into a larger sum
-        got = prop._finalize(HERMITIAN_PARAMS, times, raw, log_internal,
-                             prop._trace_factor(HERMITIAN_PARAMS, drive, times))
+        got = finished(HERMITIAN_PARAMS, drive, times, raw, log_internal)
         want = finalize(HERMITIAN_PARAMS, drive, times, raw, log_internal)
         assert row_failures(got, want, HERMITIAN_PARAMS, times, raw, log_internal) == []
         assert len(set(got[2].tolist())) == len(times)
@@ -640,8 +644,7 @@ class TestRowsAgainstReference:
             # a flipped scale takes stored rows past float64
             with monkeypatch.context() as patch, np.errstate(all="ignore"):
                 wrong(patch)
-                got = prop._finalize(HERMITIAN_PARAMS, times, raw, log_internal,
-                                     prop._trace_factor(HERMITIAN_PARAMS, drive, times))
+                got = finished(HERMITIAN_PARAMS, drive, times, raw, log_internal)
             with np.errstate(all="ignore"):
                 failures[name] = row_failures(got, want, HERMITIAN_PARAMS, times, raw, log_internal)
         assert failures == {
@@ -673,8 +676,7 @@ class TestRowsAgainstReference:
         times = np.linspace(0.0, 1.0, m)
         drive = StaticDrive(FieldPoint(1.07, 0.31), 1.0)
         # no decay (gamma1 = gamma2 = 0), so log_total is log_internal
-        got = prop._finalize(HERMITIAN_PARAMS, times, raw, log_internal,
-                             prop._trace_factor(HERMITIAN_PARAMS, drive, times))
+        got = finished(HERMITIAN_PARAMS, drive, times, raw, log_internal)
         want = finalize(HERMITIAN_PARAMS, drive, times, raw, log_internal)
         assert row_failures(got, want, HERMITIAN_PARAMS, times, raw, log_internal) == []
         assert 0.2 * m < sum(moved) < 0.8 * m  # both outcomes, many times each
@@ -690,8 +692,7 @@ class TestRowsAgainstReference:
         raw, log_internal = np.array(rows, dtype=complex), np.array(log_internal)
         times = np.linspace(0.0, 1.0, len(raw))
         drive = StaticDrive(FieldPoint(1.07, 0.31), 1.0)
-        got = prop._finalize(HERMITIAN_PARAMS, times, raw, log_internal,
-                             prop._trace_factor(HERMITIAN_PARAMS, drive, times))
+        got = finished(HERMITIAN_PARAMS, drive, times, raw, log_internal)
         want = finalize(HERMITIAN_PARAMS, drive, times, raw, log_internal)
         assert row_failures(got, want, HERMITIAN_PARAMS, times, raw, log_internal) == []
         moved = want[2][2::3] != 0.0
@@ -1215,7 +1216,7 @@ class TestDopri5:
         # the Gauss points and the weights of the two exponentials make the
         # product 4th order: the change over a doubling shrinks 16-fold
         loop = encircling_loop(10.0, Direction.CW)
-        runs = [traversal._intervals(REF, [loop], n, n, True) for n in (256, 512, 1024)]
+        runs = [traversal._intervals(REF, traversal._batch(REF, [loop], True), n, n) for n in (256, 512, 1024)]
         maps = [traversal._rotate(run, run.x, run.e) for run in runs]
         changes = [traversal._change(*maps[k + 1], *maps[k]) for k in (0, 1)]
         assert 16.0 / 1.2 < changes[0] / changes[1] < 16.0 * 1.2, changes
@@ -1508,7 +1509,9 @@ class TestAdiabaticPropagation:
         assert calls["solve"] == 0
         # each step count tried; the rows reuse the settled one's 512 intervals
         products = traj.meta["solver"]["doublings"] + 1
-        assert calls["drive"] == 3 * products  # t = 0, one block of Gauss points, the interval ends
+        # t = 0 and T once, one block of Gauss points per count, and the interval ends of each count
+        # from 512 on (256 steps run one interval, which ends at T)
+        assert calls["drive"] == 2 + products + (products - 1)
         assert calls["samples"] > 2 * traj.meta["solver"]["steps"] > 1000
 
     def test_commit_rejects_energy_on_the_other_branch(self, monkeypatch):
@@ -1590,10 +1593,30 @@ def fresh(*args, **kwargs):
     return propagate_adiabatic(*args, **kwargs)
 
 
+#: model constants past 2^53 whose float images collide: e1 - e2 is 1 for the ints and 0 for the floats
+BIG_INTS = dataclasses.replace(REF, e1=2**53 + 1, e2=2**53)
+BIG_FLOATS = dataclasses.replace(REF, e1=float(2**53 + 1), e2=float(2**53))
+#: e1 as the int 2^53 whose float image BIG_INTS' e1 shares
+BIG_INT = dataclasses.replace(REF, e1=2**53, e2=2**53)
+
+
 class TestLoopRows:
     """The adiabatic route keeps the state-independent rows of its last two loops."""
 
     LOOP = encircling_loop(50.0, Direction.CW)
+
+    @pytest.mark.parametrize("base, change", [
+        (REF, dataclasses.replace(REF, e2=1)),
+        (BIG_FLOATS, BIG_INTS),
+        (BIG_INT, BIG_INTS),
+    ], ids=["e2-int", "ints-past-2^53", "int-past-2^53"])
+    def test_a_key_field_equal_under_float_images_misses(self, base, change):
+        # 1 == 1.0, and 2^53 + 1 has 2^53's float image: the key takes the type and the exact value
+        assert change.e2 == base.e2 and float(change.e1) == float(base.e1)
+        propagate_adiabatic(base, self.LOOP, StateVector.basis(2), TIGHT, n_output=16)
+        run = propagate_adiabatic(change, self.LOOP, StateVector.basis(2), TIGHT, n_output=16)
+        assert run.meta["solver"]["reused"] is False and len(prop._LOOP_ROWS.entries) == 2
+        assert record_bits(run) == record_bits(fresh(change, self.LOOP, StateVector.basis(2), TIGHT, n_output=16))
 
     def test_a_hit_is_the_bits_of_a_fresh_run(self):
         first = propagate_adiabatic(REF, self.LOOP, StateVector(0.6, 0.8j), TIGHT, n_output=64)
@@ -1718,7 +1741,13 @@ KEY_CHANGES = {
     "max-step": (REF, LOOP50, dataclasses.replace(TIGHT, max_step=3.0), 8),
     "initial-step": (REF, LOOP50, dataclasses.replace(TIGHT, initial_step=0.02), 8),
     "n-output": (REF, LOOP50, TIGHT, 9),
+    # equal under == and under float images: only the type or the exact int tells them apart
+    "max-step-int": (REF, LOOP50, dataclasses.replace(TIGHT, max_step=10), 8),
+    "ints-past-2^53": (BIG_INTS, LOOP50, TIGHT, 8),
+    "int-past-2^53": (BIG_INTS, LOOP50, TIGHT, 8),
 }
+#: the run each change is made from where it is not (REF, LOOP50, TIGHT, 8)
+KEY_BASES = {"ints-past-2^53": (BIG_FLOATS, LOOP50, TIGHT, 8), "int-past-2^53": (BIG_INT, LOOP50, TIGHT, 8)}
 
 
 class TestDirectRuns:
@@ -1740,9 +1769,11 @@ class TestDirectRuns:
         assert self.LOOP.start_phase == 0.0 and math.copysign(1.0, self.LOOP.start_phase) == 1.0
         assert REF.e1 == 0.0 and REF.e2 == 1.0 and REF.d12 == 1.0 and TIGHT.max_step == 10.0
 
-    @pytest.mark.parametrize("params, drive, config, n_output", KEY_CHANGES.values(), ids=KEY_CHANGES.keys())
-    def test_a_change_to_any_key_field_misses(self, params, drive, config, n_output):
-        propagate_direct(REF, self.LOOP, StateVector.basis(2), TIGHT, n_output=8)
+    @pytest.mark.parametrize("name", KEY_CHANGES)
+    def test_a_change_to_any_key_field_misses(self, name):
+        params, drive, config, n_output = KEY_CHANGES[name]
+        base_params, base_drive, base_config, base_n = KEY_BASES.get(name, (REF, self.LOOP, TIGHT, 8))
+        propagate_direct(base_params, base_drive, StateVector.basis(2), base_config, n_output=base_n)
         run = propagate_direct(params, drive, StateVector.basis(2), config, n_output=n_output)
         assert run.meta["solver"]["reused"] is False and len(prop._DIRECT_RUNS.entries) == 2
         want = fresh_direct(params, drive, StateVector.basis(2), config, n_output=n_output)

@@ -61,8 +61,9 @@ class TestPopulations:
             raw[:, zero] = 0.0
         times = np.linspace(0.0, 1.0, m)
         drive = StaticDrive(FieldPoint(1.07, 0.31), 1.0)
-        states, norms, logs = prop._finalize(DEFAULT_PARAMS, times, raw, rng.uniform(-300.0, 300.0, m),
-                                             prop._trace_factor(DEFAULT_PARAMS, drive, times))
+        states, norms, logs = prop._finalize(raw, rng.uniform(-300.0, 300.0, m),
+                                             prop._trace_factor(DEFAULT_PARAMS, drive, times),
+                                             prop._decay(DEFAULT_PARAMS, times))
         return TrajectoryRecord(times, states, norms, logs, {})
 
     @pytest.mark.parametrize("zero", [0, 1], ids=["c1", "c2"])

@@ -65,7 +65,7 @@ def grid_cell(n: int, i: int, j: int, direction: Direction) -> LoopSpec:
 
 def plain_map(loop: LoopSpec, n: int) -> tuple:
     """(U, exponent) of the loop's eigenframe product on n steps, as ``_settle`` forms it at one count."""
-    run = traversal._intervals(REF, [loop], n, n, True)
+    run = traversal._intervals(REF, traversal._batch(REF, [loop], True), n, n)
     u, e = traversal._rotate(run, run.x, run.e)
     return u[:, :, 0, 0], int(e[0, 0])
 
@@ -161,6 +161,28 @@ class TestBits:
         got = traversal_maps(REF, self.LOOPS, 1e-10)
         assert [m.U.tobytes() for m in got] == [m.U.tobytes() for m in want]
         assert [m[1:] for m in got] == [m[1:] for m in want]
+
+    def test_a_step_count_reads_the_drive_once(self, monkeypatch):
+        # what no step count changes (the drive at t = 0 and at T, the frame's start, R(th_0))
+        # is taken once per _settle call: each single-block count of the diode pair reads the
+        # drive once, at its Gauss points, where it read it three times (t = 0, the block, T)
+        reads, counts = [], []
+        real_drive, real_intervals = traversal._drive, traversal._intervals
+
+        def drive(*args):
+            reads.append(args[2].shape)
+            return real_drive(*args)
+
+        def intervals(params, batch, n, every):
+            counts.append(n)
+            return real_intervals(params, batch, n, every)
+
+        monkeypatch.setattr(traversal, "_drive", drive)
+        monkeypatch.setattr(traversal, "_intervals", intervals)
+        maps = traversal_maps(REF, [diode_loop(Direction.CW), diode_loop(Direction.CCW)], 1e-10)
+        assert [m.frame for m in maps] == ["eigen", "eigen"]  # one _settle call, in the eigenframe
+        assert len(counts) > 1 and 2 * max(counts) <= traversal._BLOCK_STEPS  # every count runs one block
+        assert len(reads) == len(counts) + 2
 
 
 def entries(rng, shape) -> np.ndarray:
@@ -280,7 +302,7 @@ class TestRows:
         assert 512 not in trees
         # at the unresolved counts too, the scan's last element is the tree's bits
         for steps in (512, 1024):
-            run = traversal._intervals(params, [loop], steps, steps // 512, True)
+            run = traversal._intervals(params, traversal._batch(params, [loop], True), steps, steps // 512)
             assert not run.resolved[0]
             with np.errstate(all="ignore"):
                 (x, e), (u, f) = traversal._scan(run.x, run.e), traversal._tree(run.x, run.e)
@@ -444,7 +466,8 @@ class TestBoundedWork:
     )
     def test_a_map_that_fits_a_finer_step_count_keeps_doubling(self, params, loop, finer, monkeypatch):
         for n, fits in ((256, False), (finer, True)):  # the bare frame's map, one interval of n steps
-            assert bool(np.isfinite(traversal._intervals(params, [loop], n, n, False).x).all()) is fits
+            run = traversal._intervals(params, traversal._batch(params, [loop], False), n, n)
+            assert bool(np.isfinite(run.x).all()) is fits
         counts = self.counted(monkeypatch)
         with pytest.raises(StepBudgetError, match="has not settled at 131072 steps$"):
             traversal_maps(params, [loop], 1e-10)
@@ -473,9 +496,9 @@ class TestBoundedWork:
         """The step counts ``traversal._intervals`` runs, from now on."""
         counts, real = [], traversal._intervals
 
-        def intervals(params, drives, n, *args):
+        def intervals(params, batch, n, *args):
             counts.append(n)
-            return real(params, drives, n, *args)
+            return real(params, batch, n, *args)
 
         monkeypatch.setattr(traversal, "_intervals", intervals)
         return counts
