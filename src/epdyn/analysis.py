@@ -190,6 +190,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.dominant_target == "direction":
             object.__setattr__(self, "dominant_target", 1 if self.direction is Direction.CW else 2)
+        if not (self.dominant_target is None or type(self.dominant_target) is int and self.dominant_target in (1, 2)):
+            raise ValueError(f"dominant_target must be 1, 2, None or 'direction', got {self.dominant_target!r}")
         if len(self.durations) < 1 or len(self.amp_scales) < 1:
             raise ValueError("grid must have at least one duration and one amplitude")
         if not 0 < self.ratio_min < math.inf:

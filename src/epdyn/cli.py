@@ -75,7 +75,7 @@ def load_config(path: str, require_loop: bool = True) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8 (ValueErrors), an int past Python's digit limit
         raise ConfigError(f"malformed JSON in config '{path}': {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")

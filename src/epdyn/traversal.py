@@ -38,10 +38,11 @@ contour that the steps do not resolve; through an EP the eigenframe
 product converges to a wrong map), or where the quadrature of th' lands
 more than a quarter turn (pi/4) from a multiple of pi at an interval end,
 so that lam and the frame disagree on the branch. A sample on the EP
-(``model._on_ep``: t = 0, a Gauss point or an interval end) rules the
-eigenframe out at that step count. ``traversal_maps`` then
-takes the bare frame, K = -i H0, with the same closed form, as it does when
-the eigenframe does not settle (below); that depends on the loop alone.
+(``model._on_ep``: t = 0 or a Gauss point; the interval ends are read
+before any step, ``_batch``) rules the eigenframe out at that step count.
+``traversal_maps`` then takes the bare frame, K = -i H0, with the same
+closed form, as it does when the eigenframe does not settle (below); that
+depends on the loop alone.
 
 Steps and floor. One loop, ``_settle``, doubles n from 256 in one frame
 and compares U with the one before: the change is max |U_n - U_{n/2}| /
@@ -83,7 +84,7 @@ what ends them, with one message per condition.
 Bits. Every operation is elementwise over (loops, steps) arrays or runs
 along one loop's steps, so a loop's U is the same bits alone and in any
 batch; so is what ``_settle`` takes once for all its step counts
-(``_batch``: the drive at t = 0 and at T, the frame's start, R(th_0)).
+(``_batch``: the drive at t = 0, the frame's start, R(th_0), the interval ends).
 The steps are multiplied in a fixed pairwise tree (step 2k+1 times
 step 2k, level by level), each node rescaled by a power of two to a largest
 component in [0.5, 1); the exponents add up exactly into the map's ``exponent``.
@@ -215,11 +216,13 @@ def traversal_maps(
 
 def _maps(params: SystemParams, loops: Sequence[LoopSpec], rel_tol: float) -> list:
     """``traversal_maps`` with each loop's error in its place; the bare frame takes what the eigenframe leaves."""
-    out, _, _ = _settle(params, loops, rel_tol, True, 1, fallback=True)
-    bare = [k for k, m in enumerate(out) if m is None]
-    maps, _, _ = _settle(params, [loops[k] for k in bare], rel_tol, False, 1, fallback=False)
-    for k, m in zip(bare, maps):
-        out[k] = m
+    out: list = [None] * len(loops)
+    for eigen in (True, False):
+        left = [k for k, m in enumerate(out) if m is None]
+        drives = [loops[k] for k in left]
+        maps = _settle(params, drives, _batch(params, drives, eigen), rel_tol, 1, eigen)[0] if left else []
+        for k, m in zip(left, maps):
+            out[k] = m
     return out
 
 
@@ -227,10 +230,11 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     """U from t = 0 to each row of the adiabatic route, in the bare frame (see the module docstring).
 
     The full-loop map settles first (``_settle`` over the n_output row
-    intervals, with no fallback); the rows are then every (2^k)-th step end
-    of the smallest n_output * 2^k steps at or above that count. Where that
-    is the settled count, the rows take its prefix scan; a finer count runs
-    again. ``_rotate`` takes the scan to the bare frame. Returns (the settled
+    intervals, with no fallback, on a ``_Batch`` whose interval ends are the
+    row scan's); the rows are then every (2^k)-th step end of the smallest
+    n_output * 2^k steps at or above that count. Where that is the settled
+    count, the rows take its prefix scan; a finer count runs again on the
+    batch. ``_rotate`` takes the scan to the bare frame. Returns (the settled
     ``TraversalMap``, the row step count, the row times, the maps U(t_j)
     (N + 1, 2, 2) rescaled as ``_rotate`` leaves them, row 0 the identity,
     and their exponents (N + 1, 2), U(t_j) = maps[j] 2^exponents[j], one
@@ -254,15 +258,16 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     """
     times = _samples(drive.duration_T, n_output)
     t_ep = _ep_time(params, drive)
-    _traceless_at(params, drive, times if t_ep is None else np.append(times, t_ep))  # raises before any step
-    (tmap,), run, (x, e) = _settle(params, [drive], rel_tol, True, n_output, False)
+    scan = _traceless_at(params, drive, times if t_ep is None else np.append(times, t_ep))  # raises before any step
+    batch = _batch(params, [drive], True, np.stack(scan[:3])[None, :, 1:n_output + 1])
+    (tmap,), run, (x, e) = _settle(params, [drive], batch, rel_tol, n_output, False)
     if isinstance(tmap, EpdynError):
         raise tmap
     n = n_output
     while n < tmap.steps:
         n *= 2
     if n != tmap.steps:  # the rows take a finer step count
-        run = _intervals(params, _batch(params, [drive], True), n, n // n_output)
+        run = _intervals(params, batch, n, n // n_output)
         error = _ruled_out(run, 0, drive, n)
         if error or not run.smooth[0]:
             raise error or AmbiguousTrackingError(f"the eigenframe of {drive} is unresolved at {n} steps")
@@ -342,7 +347,7 @@ class _Count(NamedTuple):
     r_change: float = math.inf
 
 
-def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool, intervals: int,
+def _settle(params: SystemParams, drives: Sequence, batch: "_Batch", rel_tol: float, intervals: int,
             fallback: bool) -> tuple:
     """Double each drive's steps in one frame until its map settles (see the module docstring).
 
@@ -353,12 +358,12 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
     drive whose frame is ruled out, stalls or meets the cap ends with None,
     for another frame to take; without it the frame doubles on past an
     unresolved frame or a map that is not finite, and each stop but a
-    settled map is the drive's error. What no step count changes (the
-    drive at t = 0 and at T, the frame's start, R(th_0)) is taken once, as
-    a ``_Batch``, and each count reads the rows of the drives still
-    doubling. Returns each drive's map, error or None, and the ``_Run`` and
-    scan of the last step count: for one drive, the count that settles it.
+    settled map is the drive's error. ``batch`` holds, in its frame, what no
+    step count changes (``_batch``); each count reads the rows of the drives
+    still doubling. Returns each drive's map, error or None, and the ``_Run``
+    and scan of the last step count: for one drive, the count that settles it.
     """
+    eigen = batch.origin is not None
     what = "eigenframe" if eigen else "traversal"
     frame = "eigen" if eigen else "bare"
     extrapolate = intervals == 1  # the rows' prefix maps are 4th order at the settled count
@@ -370,7 +375,6 @@ def _settle(params: SystemParams, drives: Sequence, rel_tol: float, eigen: bool,
         out[k] = None if fallback else kind(f"the {what} map of {drives[k]} {reason}")
 
     active, n, run, scan = list(range(len(drives))), _FIRST_STEPS, None, None
-    batch = _batch(params, drives, eigen) if drives else None
     while active and n <= _STEP_CAP:
         every = n // intervals if n % intervals == 0 and intervals & (intervals - 1) == 0 else n
         run = _intervals(params, batch if len(active) == len(drives) else _take(batch, active), n, every)
@@ -599,22 +603,12 @@ class _Run(NamedTuple):
 
     x: np.ndarray  # (2, 2, m, N) product of each interval's steps
     e: np.ndarray  # (m, N) its power-of-two exponent
-    finite: np.ndarray  # (m,) the drive stays finite
+    finite: np.ndarray  # (m,) the drive is finite at t = 0 and the Gauss points
     resolved: np.ndarray  # (m,) |sigma^2| <= 1 in every exponential
     reach: np.ndarray  # (m,) the largest |Re sigma| over the blocks with a step map that is not finite (else 0)
-    clear: np.ndarray  # (m,) no sample on the EP (eigenframe)
+    clear: np.ndarray  # (m,) neither t = 0 nor a Gauss point is on the EP (eigenframe)
     smooth: np.ndarray  # (m,) the frame is resolved (eigenframe)
     rotations: tuple  # ((cos th_0, sin th_0) (m,), (cos th, sin th) (m, N)) (eigenframe)
-
-
-class _End(NamedTuple):
-    """The drive at t = T, where a run of one interval ends: (a, g, w2) (m, 1), finite and clear of the EP (m,)."""
-
-    a: np.ndarray
-    g: np.ndarray
-    w2: np.ndarray
-    finite: np.ndarray
-    clear: np.ndarray
 
 
 class _Batch(NamedTuple):
@@ -628,25 +622,26 @@ class _Batch(NamedTuple):
     finite: np.ndarray  # (m,) the drive is finite at t = 0
     clear: np.ndarray | None = None  # (m,) t = 0 is not on the EP
     origin: _Origin | None = None  # where ``_Phase`` starts
-    end: _End | None = None
+    ends: np.ndarray | None = None  # (m, 3, N) (a, g, a^2 + g^2) at the N interval ends
 
 
-def _batch(params: SystemParams, drives: Sequence, eigen: bool) -> _Batch:
-    """The ``_Batch`` of the drives, in the eigenframe or the bare frame: the drive at t = 0 (and at T), once.
+def _batch(params: SystemParams, drives: Sequence, eigen: bool, ends: np.ndarray | None = None) -> _Batch:
+    """The ``_Batch`` of the drives, in the eigenframe or the bare frame: the drive at t = 0, once.
 
-    Each value is elementwise per drive, so a drive's row is the same bits
-    in any batch, and ``_settle`` takes it once for all its step counts.
+    ``ends`` are the eigenframe's interval-end samples: the adiabatic rows'
+    ``loops._traceless_at`` scan of row times 1..N (``eigen_rows``), which
+    raises at a row on the EP or past float64; by default a map's one end,
+    T, whose sample is the t = 0 one to the bit (``loops._angle`` reduces t/T
+    mod 1). Each value is elementwise per drive, so a drive's row is the
+    same bits in any batch, and ``_settle`` takes it once for all its counts.
     """
     contours = _contours(drives)
     with np.errstate(all="ignore"):  # overflow and the EP are reported in the runs
         a, g, _, _, w2, finite = _drive(params, contours, np.zeros((len(drives), 1)))
         if not eigen:
             return _Batch(contours, finite)
-        origin = _origin(a[:, 0], g[:, 0], w2[:, 0])
-        clear = ~_on_ep(a, g, w2)[:, 0]
-        a, g, _, _, w2, good = _drive(params, contours, contours.T)
-        end = _End(a, g, w2, good, ~_on_ep(a, g, w2).any(axis=1))
-        return _Batch(contours, finite, clear, origin, end)
+        ends = np.stack([a, g, w2], axis=1) if ends is None else ends
+        return _Batch(contours, finite, ~_on_ep(a, g, w2)[:, 0], _origin(a[:, 0], g[:, 0], w2[:, 0]), ends)
 
 
 def _take(x, rows: list):
@@ -661,9 +656,9 @@ def _take(x, rows: list):
 def _intervals(params: SystemParams, batch: _Batch, n: int, every: int) -> _Run:
     """The products of each run of ``every`` steps of n steps on each drive of the batch, in its frame.
 
-    ``every`` is a power of two that divides n. The eigenframe's rotations
-    are taken at the interval ends, ``np.linspace(0, T, n / every + 1)[1:]``
-    (the batch's ``end`` for one interval).
+    ``every`` is a power of two that divides n, and n / every divides the
+    number N of the batch's ``ends``; the eigenframe's rotations take every
+    (N every / n)-th of them, so the drive is read only at the Gauss points.
     """
     contours, finite, clear = batch.contours, batch.finite, batch.clear
     eigen = batch.origin is not None
@@ -704,14 +699,9 @@ def _intervals(params: SystemParams, batch: _Batch, n: int, every: int) -> _Run:
         x, e = _tree(np.concatenate(nodes, axis=-1).reshape(2, 2, *shape), np.concatenate(exps, axis=-1).reshape(shape))
         if not eigen:
             return _Run(x, e, finite, resolved, reach, np.ones(m, dtype=bool), np.ones(m, dtype=bool), ())
-        if n == every:
-            a, g, w2, good, clear_end = batch.end
-        else:
-            ends = np.linspace(0.0, contours.T[:, 0], n // every + 1)[1:].T
-            a, g, _, _, w2, good = _drive(params, contours, ends)
-            clear_end = ~_on_ep(a, g, w2).any(axis=1)
-        rotations = phase.rotations(a, g, w2)
-    return _Run(x, e, finite & good, resolved, reach, clear & clear_end, phase.smooth, rotations)
+        stride = batch.ends.shape[-1] * every // n
+        rotations = phase.rotations(*batch.ends[..., stride - 1::stride].transpose(1, 0, 2))
+    return _Run(x, e, finite, resolved, reach, clear, phase.smooth, rotations)
 
 
 def _rotate(run: _Run, x: np.ndarray, e: np.ndarray) -> tuple:

@@ -313,6 +313,17 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             SweepSpec(template=self.THIN, durations=(5.0,), amp_scales=(1.0,), **{field: value})
 
+    @pytest.mark.parametrize("target", [3, 0, "cw", True, 1.0])
+    def test_spec_refuses_a_target_that_is_no_state(self, target):
+        # such a target failed every cell's pass_ratio without a word; True acted as state 1
+        with pytest.raises(ValueError, match="dominant_target must be 1, 2, None or 'direction'"):
+            SweepSpec(template=self.THIN, durations=(5.0,), amp_scales=(1.0,), dominant_target=target)
+
+    @pytest.mark.parametrize("target, held", [(1, 1), (2, 2), (None, None), ("direction", 1)])
+    def test_spec_keeps_a_target_that_is_a_state(self, target, held):
+        spec = SweepSpec(template=self.THIN, durations=(5.0,), amp_scales=(1.0,), dominant_target=target)
+        assert spec.dominant_target is held
+
     def test_cells_in_batches_of_32_in_grid_order(self, monkeypatch):
         # 35 cells: one batch of 32 and one of 3, each taking its loops in
         # row-major order, so a batch spans rows and splits the last one

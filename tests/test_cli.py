@@ -70,6 +70,19 @@ class TestConfigValidation:
         assert main(["--config", str(path), "locate-ep"]) == 1
         assert "config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"[" * 200000 + b"]" * 200000, b'{"system": {"e1": ' + b"1" * 5000 + b"}}"],
+        ids=["not-utf-8", "nested-200000-deep", "int-of-5000-digits"],
+    )
+    def test_malformed_json_past_the_decoder_is_a_config_error(self, tmp_path, capsys, content):
+        # a bad UTF-8 byte, a nesting past the recursion limit and an int past
+        # Python's 4300-digit limit each end the JSON read, not in a traceback
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["--config", str(path), "locate-ep"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: ConfigError: malformed JSON in config '{path}': ")
+
     def test_unknown_key_named(self, tmp_path, capsys):
         doc = patched({"system": {"gamma3": 1.0}})
         assert main(["--config", write_config(tmp_path, doc), "locate-ep"]) == 1

@@ -256,6 +256,26 @@ class TestContour:
             alone = (*loops._fields_at(drive, times[row]), *velocity)
             assert [m[row].tobytes() for m in motion] == [a.tobytes() for a in alone], drive
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_end_of_a_loop_is_its_start(self, seed):
+        # t/T mod 1 is +0.0 at t = 0 and at t = T for every finite T > 0, so the
+        # drive at T is the t = 0 sample bit for bit: a map's one interval
+        # ends there, and the traversal reads that sample once
+        rng = np.random.default_rng(seed)
+        drives = []
+        for _ in range(64):
+            T = 10.0 ** rng.uniform(-300.0, 300.0)
+            sp = rng.choice([0.0, -0.0, 1e6, -1e6, rng.uniform(-10.0, 10.0)])
+            loop = dataclasses.replace(random_loop(rng), duration_T=T, start_phase=sp)
+            drives += [loop, StaticDrive(loop.center, T)]
+        drives += [dataclasses.replace(drives[0], duration_T=T) for T in (1e-300, 1e300)]
+        contours = loops._contours(drives)
+        start, end = (loops._motion_at(contours, t) for t in (np.zeros((len(drives), 1)), contours.T))
+        assert [m.tobytes() for m in end] == [m.tobytes() for m in start]
+        for drive in drives:
+            c = loops._contour(drive)
+            assert bits(loops._motion_at(c, drive.duration_T)) == bits(loops._motion_at(c, 0.0)), drive
+
     @pytest.mark.parametrize("drive", DRIVES[4:], ids=["+0", "-0", "+1e300", "-1e300"])
     def test_static_drive_is_its_field(self, drive):
         # both axes -0.0 at the angle 0: each axis term is -0.0, which keeps every bit of the field

@@ -1509,9 +1509,9 @@ class TestAdiabaticPropagation:
         assert calls["solve"] == 0
         # each step count tried; the rows reuse the settled one's 512 intervals
         products = traj.meta["solver"]["doublings"] + 1
-        # t = 0 and T once, one block of Gauss points per count, and the interval ends of each count
-        # from 512 on (256 steps run one interval, which ends at T)
-        assert calls["drive"] == 2 + products + (products - 1)
+        # t = 0 once, and one block of Gauss points per count: the interval ends are the rows' own
+        # scan (256 steps run one interval, which ends at T, the scan's last row)
+        assert calls["drive"] == 1 + products
         assert calls["samples"] > 2 * traj.meta["solver"]["steps"] > 1000
 
     def test_commit_rejects_energy_on_the_other_branch(self, monkeypatch):

@@ -27,7 +27,7 @@ from epdyn import (
     propagate_adiabatic,
     propagate_direct,
 )
-from epdyn import traversal
+from epdyn import loops, traversal
 from epdyn.analysis import SweepSpec, final_state_report, sweep, table1
 from epdyn.propagation import _map_loop, _map_record
 from epdyn.traversal import traversal_maps
@@ -163,9 +163,9 @@ class TestBits:
         assert [m[1:] for m in got] == [m[1:] for m in want]
 
     def test_a_step_count_reads_the_drive_once(self, monkeypatch):
-        # what no step count changes (the drive at t = 0 and at T, the frame's start, R(th_0))
-        # is taken once per _settle call: each single-block count of the diode pair reads the
-        # drive once, at its Gauss points, where it read it three times (t = 0, the block, T)
+        # what no step count changes (the drive at t = 0, the frame's start, R(th_0)) is taken
+        # once per _settle call, and a map's one interval ends at T, whose sample is t = 0's:
+        # each single-block count of the diode pair reads the drive once, at its Gauss points
         reads, counts = [], []
         real_drive, real_intervals = traversal._drive, traversal._intervals
 
@@ -182,7 +182,7 @@ class TestBits:
         maps = traversal_maps(REF, [diode_loop(Direction.CW), diode_loop(Direction.CCW)], 1e-10)
         assert [m.frame for m in maps] == ["eigen", "eigen"]  # one _settle call, in the eigenframe
         assert len(counts) > 1 and 2 * max(counts) <= traversal._BLOCK_STEPS  # every count runs one block
-        assert len(reads) == len(counts) + 2
+        assert len(reads) == len(counts) + 1
 
 
 def entries(rng, shape) -> np.ndarray:
@@ -300,9 +300,12 @@ class TestRows:
         assert (tmap.steps, n) == (4096, 4096)
         assert scans == [1, 512, 512, 512, 512]
         assert 512 not in trees
-        # at the unresolved counts too, the scan's last element is the tree's bits
+        # at the unresolved counts too, the scan's last element is the tree's bits; the batch's
+        # interval ends are the rows' scan, as eigen_rows takes them
+        a, g, w2, _ = loops._traceless_at(params, loop, loops._samples(loop.duration_T, 512))
+        batch = traversal._batch(params, [loop], True, np.stack([a, g, w2])[None, :, 1:])
         for steps in (512, 1024):
-            run = traversal._intervals(params, traversal._batch(params, [loop], True), steps, steps // 512)
+            run = traversal._intervals(params, batch, steps, steps // 512)
             assert not run.resolved[0]
             with np.errstate(all="ignore"):
                 (x, e), (u, f) = traversal._scan(run.x, run.e), traversal._tree(run.x, run.e)
