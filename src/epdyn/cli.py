@@ -22,6 +22,7 @@ import shutil
 import stat
 import sys
 import tempfile
+import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -46,7 +47,8 @@ from .propagation import (
     propagate_direct,
 )
 
-# progress lines; ``main`` prints them to stderr for the duration of a call
+# progress lines, which ``main`` prints to stderr for the duration of a call, and the
+# writer's time at DEBUG
 log = logging.getLogger("epdyn.cli")
 
 EXIT_OK = 0
@@ -196,7 +198,13 @@ def cmd_simulate(config: RunConfig, method: str, n_output: int) -> int:
         except MemoryError as exc:  # numpy refused the count's arrays, or could not allocate them
             raise ConfigError(f"--n-output {n_output} is too large: {exc}") from exc
         report = analysis.final_state_report(traj, config.loop.direction)
-        fh.write(write(traj))
+        started = time.perf_counter()
+        text = write(traj)
+        seconds = time.perf_counter() - started
+        values = traj.times.size * len(serialize.TRAJECTORY_COLUMNS)
+        log.debug("%s: %d values in %.3f ms, %.3f us a value", write.__name__, values, seconds * 1e3,
+                  seconds / values * 1e6)
+        fh.write(text)
     print(_report_line(report, method))
     return EXIT_OK
 
@@ -350,12 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # progress goes through logging; a handler of this call's own prints it,
-    # so a second call in the same process prints each line once
+    # so a second call in the same process prints each line once. The
+    # DEBUG lines (the writer's time) reach only a caller's own handlers
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(message)s"))
+    handler.setLevel(logging.INFO)
     level = log.level
     log.addHandler(handler)
-    log.setLevel(logging.INFO)
+    log.setLevel(min(log.getEffectiveLevel(), logging.INFO))
     code = EXIT_OK
     try:
         code = _run(argv)

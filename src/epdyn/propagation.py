@@ -1147,7 +1147,8 @@ def propagate_adiabatic(
     Raises
     ------
     ValueError
-        If ``duration_T`` is so small that the steps T/n are subnormal.
+        If ``duration_T`` is so small that the steps T/n are subnormal
+        (``traversal.eigen_rows``, which ``table1`` and the sweep's maps share).
     EPOnContourError
         If a row time, a loop's contour point at the EP's own angle or a
         sample of the steps is on the EP (``model._on_ep``).
@@ -1164,9 +1165,6 @@ def propagate_adiabatic(
     initial = StateVector.coerce(initial)
     if n_output < 2:
         raise ValueError("n_output must be >= 2")
-    T = loop.duration_T
-    if not T / traversal._STEP_CAP >= np.finfo(float).tiny:
-        raise ValueError(f"duration_T = {T:.3g}: duration_T is too small, its steps T/n are subnormal")
     started = time.perf_counter()
     kept, reused = _loop_rows(params, loop, config.rel_tol, n_output)
     return _product_record("adiabatic", params, loop, config, n_output, kept, reused, (started, time.perf_counter()),

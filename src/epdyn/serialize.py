@@ -10,16 +10,22 @@ CSV uses comma separators, '.' decimals, a header row, LF line endings, and
 byte-identical files. JSON output is emitted with sorted keys for the same
 reason.
 
-The trajectory writers format whole rows: each column becomes a list of
-Python floats once, and one template per row formats its nine values
-(``"%.17g"`` for CSV, ``"%r"`` in the ``indent=1`` layout for JSON, whose
-head ``json.dumps`` still writes). The bytes are those of formatting one
-value at a time with ``fmt`` and ``json.dumps``; ``tests/row_reference.py``
-keeps those writers as the oracle.
+The trajectory writers format whole columns in numpy (``_rows_text``):
+each value's 17 correctly rounded digits for CSV (``"%.17g"``, ``fmt``'s
+format) or its shortest round-trip digits for JSON (``repr``) come from a
+double-double product with an exact power of ten, and a table of layouts
+places sign, digits, point and exponent for chunks of rows at once. A value
+whose digits numpy cannot decide with certainty, and every value that is not
+finite or is below 2^-1021, goes through CPython's own formatting
+(``_python_text``). The bytes are those of formatting one value at a time
+with ``fmt`` and ``json.dumps``; ``tests/row_reference.py`` keeps those
+writers as the oracle, and ``notes/decisions.md`` ("The rows' digits in
+numpy") gives the method and its error bound.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import astuple, fields
@@ -194,13 +200,12 @@ def _trajectory_columns(traj: TrajectoryRecord) -> np.ndarray:
                     dtype=float)
 
 
-#: one CSV row: "%.17g" is ``fmt``'s format(x, ".17g")
-_CSV_ROW = ",".join(["%.17g"] * len(TRAJECTORY_COLUMNS))
+#: the CSV separator after each column's value
+_CSV_SEPS = (",",) * (len(TRAJECTORY_COLUMNS) - 1) + ("\n",)
 
 
 def trajectory_to_csv(traj: TrajectoryRecord) -> str:
-    rows = map(_CSV_ROW.__mod__, zip(*_trajectory_columns(traj).tolist()))
-    return ",".join(TRAJECTORY_COLUMNS) + "\n" + "\n".join(rows) + "\n"
+    return _rows_text(",".join(TRAJECTORY_COLUMNS) + "\n", _trajectory_columns(traj), False, _CSV_SEPS, "\n")
 
 
 def _meta_dict(traj: TrajectoryRecord) -> dict:
@@ -217,20 +222,16 @@ def _meta_dict(traj: TrajectoryRecord) -> dict:
     return out
 
 
-#: one row of the "rows" list as json.dumps(..., indent=1) lays it out; "%r" is
-#: float.__repr__, which json uses for finite floats
-_JSON_ROW = "  [\n" + ",\n".join(["   %r"] * len(TRAJECTORY_COLUMNS)) + "\n  ]"
+#: the separator after each column's value in the "rows" list as json.dumps(..., indent=1) lays it out: a
+#: row's last value closes its list and opens the next
+_JSON_SEPS = (",\n   ",) * (len(TRAJECTORY_COLUMNS) - 1) + ("\n  ],\n  [\n   ",)
 
 
 def trajectory_to_json(traj: TrajectoryRecord) -> str:
     # json.dumps writes the head; "rows" sorts last, so its list goes in before the closing brace
     head = json.dumps({"meta": _meta_dict(traj), "columns": list(TRAJECTORY_COLUMNS)}, sort_keys=True, indent=1)
-    columns = _trajectory_columns(traj)
-    rows = ",\n".join(map(_JSON_ROW.__mod__, zip(*columns.tolist())))
-    if not np.isfinite(columns).all():
-        # json's tokens for the non-finite floats; no finite repr holds "nan" or "inf"
-        rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
-    return head[:-2] + ',\n "rows": [\n' + rows + "\n ]\n}\n"
+    return _rows_text(head[:-2] + ',\n "rows": [\n  [\n   ', _trajectory_columns(traj), True, _JSON_SEPS,
+                      "\n  ]\n ]\n}\n")
 
 
 def _csv_value(x) -> str:
@@ -283,3 +284,191 @@ def table_to_text(table: Table1Result) -> str:
 def table_to_json(table: Table1Result) -> str:
     doc = {"swapped": table.swapped, "rows": [_values(row, _TABLE1_FIELDS) for row in table.rows]}
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the trajectory rows' text (notes/decisions.md, "The rows' digits in numpy")
+# ---------------------------------------------------------------------------
+
+_CHUNK_ROWS = 512  # rows formatted at once: a chunk's gather index stays below 1 MB
+_WIDTH = 24  # the longest value text, "-1.2345678901234567e-308"
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's split of a double into two 26-bit halves
+_MARGIN = 2.0 ** -40  # a rounding or interval test this near its boundary is CPython's to decide
+_LEAST = 2.0 ** -1021  # below it (subnormals, and the binade whose lower neighbour is no nearer) CPython formats
+_ASCII = 0x3030303030303030  # '0' in each byte of a word
+#: bytes 0-7 of a value's source: sign, '.', '0', 'e', the exponent's sign and its hundreds and tens, the
+#: first digit; bytes 8-23 the other 16 digits, 24 the exponent's units, 25-31 NUL
+_SOURCE = 32
+_SIGN, _POINT, _ZERO, _E, _E_SIGN, _E_HUNDREDS, _E_TENS, _DIGITS, _E_UNITS, _NUL = 0, 1, 2, 3, 4, 5, 6, 7, 24, 25
+_LITERALS = ord(".") << 8 * _POINT | ord("0") << 8 * _ZERO | ord("e") << 8 * _E
+_FIXED = 21  # layouts of fixed notation, point positions -3..17; then the exponent's two and three digits
+
+
+@functools.cache
+def _power_of_ten(p: int) -> tuple:
+    """10^p = (hi + lo) 2^b, 1 <= hi <= 2, to 2^-106 relative, from exact integers: (hi's halves, lo, b).
+
+    10^p 2^-b is num/den in integers, and an integer quotient rounds correctly.
+    """
+    if p >= 0:
+        num = 10**p
+        b = num.bit_length() - 1
+        den = 1 << b
+    else:
+        den = 10**-p
+        b = -den.bit_length()
+        num = 1 << -b
+    hi = num / den
+    lo = ((num << 52) - int(hi * 2.0**52) * den) / (den << 52)
+    c = _SPLIT * hi
+    upper = c - (c - hi)
+    return upper, hi - upper, lo, b
+
+
+def _scaled(m: np.ndarray, e: np.ndarray, p: np.ndarray) -> tuple:
+    """(y, z), y + z = m 2^e 10^p to about 2^-104 relative: Dekker's two-product of m and 10^p's hi, plus m lo."""
+    low = int(p.min())
+    table = [np.array(column) for column in zip(*map(_power_of_ten, range(low, int(p.max()) + 1)))]
+    upper, lower, lo, b = (column.take(p - low) for column in table)
+    c = _SPLIT * m
+    m_upper = c - (c - m)
+    m_lower = m - m_upper
+    y = m * (upper + lower)
+    z = ((m_upper * upper - y) + m_upper * lower + m_lower * upper) + m_lower * lower + m * lo
+    k = (e + b).astype(np.int32)
+    return np.ldexp(y, k), np.ldexp(z, k)
+
+
+def _decimal(ax: np.ndarray, shortest: bool) -> tuple:
+    """(r, E, doubt) of finite |x| >= 2^-1021: r 10^(E - 16) is x's 17 digits (repr's digits, zero-padded, if
+    ``shortest``), 10^16 <= r < 10^17, and ``doubt`` marks the values where a test is within 2^-40 of its boundary."""
+    m, e = np.frexp(ax)
+    E = np.floor(np.log10(ax)).astype(np.int32)
+    y, z = _scaled(m, e, 16 - E)
+    off = ((y - 1e17) + z >= 0).astype(np.int32) - ((y - 1e16) + z < 0)
+    if off.any():  # log10 rounded across a power of ten
+        moved = off != 0
+        E += off
+        y[moved], z[moved] = _scaled(m[moved], e[moved], 16 - E[moved])
+    units = np.floor(y)
+    g = (y - units) + z
+    nearest = np.rint(g)
+    r = units.astype(np.int64) + nearest.astype(np.int64)
+    d = g - nearest  # y - r, within [-1/2, 1/2]
+    doubt = np.abs(np.abs(d) - 0.5) < _MARGIN
+    if shortest:
+        half = y / m * 2.0 ** -54  # half an ulp of x, in units of y
+        half_below = np.where(m == 0.5, 0.5 * half, half)  # below a power of two the neighbour is half as far
+        left = np.ones(len(ax), dtype=bool)  # no shorter candidate fits yet
+        digits = r
+        for s in (100, 10):  # 15 digits, then 16
+            q = r // s
+            f = ((r - q * s) + d) / s  # y/s - q
+            under = np.floor(f)
+            below = f - under  # the distance to the integer under y/s, and to the one over it
+            above = 1.0 - below
+            reach_below, reach_above = half_below / s, half / s  # the rounding interval's two sides
+            fit_below, fit_above = below < reach_below, above < reach_above
+            up = fit_above & ~(fit_below & (below < above))
+            doubt |= left & ((np.abs(below - reach_below) < _MARGIN) | (np.abs(above - reach_above) < _MARGIN)
+                             | (fit_below & fit_above & (np.abs(below - 0.5) < _MARGIN)))
+            fits = left & (fit_below | fit_above)
+            digits = np.where(fits, (q + under.astype(np.int64) + up) * s, digits)
+            left &= ~fits
+        r = digits
+    carry = r == 10 ** 17  # y rounded up to the next power of ten
+    return np.where(carry, 10 ** 16, r), E + carry, doubt
+
+
+def _ascii8(v: np.ndarray) -> np.ndarray:
+    """Eight decimal digits of v < 10^8 as bytes 0-9 of a word, the first digit in the lowest byte."""
+    hi = v // 10000
+    v = hi | (v - hi * 10000) << 32
+    hi = (v * 5243) >> 19 & 0x0000007F0000007F  # /100 in each 32-bit lane below 10^4
+    v = hi | (v - hi * 100) << 16
+    hi = (v * 103) >> 10 & 0x000F000F000F000F  # /10 in each 16-bit lane below 100
+    return hi | (v - hi * 10) << 8
+
+
+def _layout(form: int, n: int, shortest: bool) -> list:
+    """The source byte of each output byte of a value with ``n`` digits in layout ``form``."""
+    digits = [_DIGITS + i for i in range(n)]
+    if form < _FIXED:
+        point = form - 3  # digits before the point
+        if point <= 0:
+            out = [_ZERO, _POINT] + [_ZERO] * -point + digits
+        elif n > point:
+            out = digits[:point] + [_POINT] + digits[point:]
+        else:  # an integer: the padding zeros up to the point
+            out = [_DIGITS + i for i in range(point)] + ([_POINT, _ZERO] if shortest else [])
+    else:
+        out = digits[:1] + ([_POINT] + digits[1:] if n > 1 else []) + [_E, _E_SIGN]
+        out += ([_E_HUNDREDS] if form == _FIXED + 1 else []) + [_E_TENS, _E_UNITS]
+    out = [_SIGN] + out
+    return out + [_NUL] * (_WIDTH - len(out))
+
+
+@functools.cache
+def _layouts(shortest: bool) -> np.ndarray:
+    """Every layout (form * 17 + n - 1) of ``_layout``, built on first use."""
+    return np.array([_layout(form, n, shortest) for form in range(_FIXED + 2) for n in range(1, 18)], dtype=np.uint8)
+
+
+def _python_text(x: float, shortest: bool) -> str:
+    """``x`` as CPython formats it: JSON's (repr, NaN, Infinity) if ``shortest``, else ``fmt``'s."""
+    return json.dumps(x) if shortest else fmt(x)
+
+
+def _texts(x: np.ndarray, shortest: bool) -> np.ndarray:
+    """(m, _WIDTH) bytes: each value of x written as ``_python_text`` writes it, NUL-padded."""
+    ax = np.abs(x)
+    kernel = (ax >= _LEAST) & (ax < math.inf)
+    zero = x == 0.0
+    r, E, doubt = _decimal(np.where(kernel, ax, 1.0), shortest)
+    r = np.where(kernel, r, 0)  # a zero is the digit 0 at E = 0
+    E = np.where(kernel, E, 0)
+    first = r // 10 ** 16
+    rest = (r - first * 10 ** 16).astype(np.uint64)
+    eight = rest // 10 ** 8
+    upper, lower = _ascii8(eight), _ascii8(rest - eight * 10 ** 8)
+    e = np.abs(E).astype(np.uint64)
+    hundreds, tens = e // 100, e // 10
+    words = np.empty((len(x), _SOURCE // 8), dtype=np.uint64)
+    words[:, 0] = (_LITERALS | np.signbit(x) * np.uint64(ord("-")) << 8 * _SIGN
+                   | np.where(E < 0, ord("-"), ord("+")).astype(np.uint64) << 8 * _E_SIGN
+                   | (hundreds + 48) << 8 * _E_HUNDREDS | (tens - hundreds * 10 + 48) << 8 * _E_TENS
+                   | (first.astype(np.uint64) + 48) << 8 * _DIGITS)
+    words[:, 1] = upper | _ASCII
+    words[:, 2] = lower | _ASCII
+    words[:, 3] = e - tens * 10 + 48
+    # the digit count: the bytes up to the last nonzero digit (the float's exponent is the word's bit length)
+    n = np.where(lower != 0, 9 + (np.frexp(lower.astype(float))[1] + 7) // 8,
+                 1 + (np.frexp(upper.astype(float))[1] + 7) // 8)
+    point = E + 1
+    fixed = (point >= -3) & (point <= (16 if shortest else 17))
+    form = np.where(fixed, point + 3, np.where(e >= 100, _FIXED + 1, _FIXED))
+    index = _layouts(shortest)[form * 17 + n - 1] + np.arange(0, _SOURCE * len(x), _SOURCE)[:, None]
+    out = words.view(np.uint8).ravel().take(index)
+    for i in np.flatnonzero(~(kernel | zero) | kernel & doubt):
+        text = _python_text(float(x[i]), shortest).encode()
+        out[i] = np.frombuffer(text.ljust(_WIDTH, b"\0"), dtype=np.uint8)
+    return out
+
+
+def _rows_text(head: str, columns: np.ndarray, shortest: bool, seps: tuple, end: str) -> str:
+    """``head``, the rows of ``columns`` (one column per array row) and ``end``: each value but the last followed by
+    its column's separator in ``seps``; digits as ``fmt`` writes them, or as JSON does if ``shortest``."""
+    width = max(map(len, seps))
+    pad = np.array([list(sep.encode().ljust(width, b"\0")) for sep in seps], dtype=np.uint8)
+    rows = columns.shape[1]
+    pieces = [head]
+    for start in range(0, rows, _CHUNK_ROWS):
+        values = columns[:, start:start + _CHUNK_ROWS].T.ravel()
+        out = np.empty((len(values), _WIDTH + width), dtype=np.uint8)
+        out[:, :_WIDTH] = _texts(values, shortest)
+        out.reshape(-1, len(seps), _WIDTH + width)[:, :, _WIDTH:] = pad
+        if start + _CHUNK_ROWS >= rows:
+            out[-1, _WIDTH:] = 0  # ``end`` follows the last value
+        pieces.append(out.tobytes().translate(None, b"\0").decode("ascii"))
+    pieces.append(end)
+    return "".join(pieces)

@@ -201,6 +201,8 @@ def traversal_maps(
 
     Raises
     ------
+    ValueError
+        If a loop's duration is so small that its steps T/n are subnormal.
     NonFiniteError
         If the drive overflows float64 along a loop.
     StepBudgetError
@@ -209,14 +211,26 @@ def traversal_maps(
     """
     maps = _maps(params, loops, rel_tol)
     for m in maps:
-        if isinstance(m, EpdynError):
+        if isinstance(m, Exception):
             raise m
     return maps
 
 
+def _too_short(drive):
+    """The ``ValueError`` of a drive whose steps T/n are subnormal at the cap, else None.
+
+    The one duration limit of the uniform steps, which the maps (``table1``,
+    the sweep) and the adiabatic route's rows share.
+    """
+    T = drive.duration_T
+    if T / _STEP_CAP >= sys.float_info.min:
+        return None
+    return ValueError(f"duration_T = {T:.3g}: duration_T is too small, its steps T/n are subnormal")
+
+
 def _maps(params: SystemParams, loops: Sequence[LoopSpec], rel_tol: float) -> list:
     """``traversal_maps`` with each loop's error in its place; the bare frame takes what the eigenframe leaves."""
-    out: list = [None] * len(loops)
+    out: list = [_too_short(loop) for loop in loops]
     for eigen in (True, False):
         left = [k for k, m in enumerate(out) if m is None]
         drives = [loops[k] for k in left]
@@ -242,6 +256,9 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
 
     Raises
     ------
+    ValueError
+        If the drive's duration is so small that its steps T/n are subnormal
+        (before any step).
     MemoryError
         If the n_output + 1 row times do not fit in an array (before any step).
     EPOnContourError, NonFiniteError
@@ -256,6 +273,9 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
         overflows float64 at every step) up to the cap, or a row's map
         overflows float64.
     """
+    error = _too_short(drive)
+    if error is not None:
+        raise error
     times = _samples(drive.duration_T, n_output)
     t_ep = _ep_time(params, drive)
     scan = _traceless_at(params, drive, times if t_ep is None else np.append(times, t_ep))  # raises before any step

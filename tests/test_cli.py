@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -288,6 +289,18 @@ class TestSimulate:
         assert main(argv) == 1
         assert "--n-output" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_logs_the_writer_time(self, tmp_path, capsys, caplog, fmt):
+        # at DEBUG, for a caller's own handlers only: main's stderr handler prints INFO and above
+        argv = ["--config", write_config(tmp_path), "--output", str(tmp_path / f"out.{fmt}"), "--format", fmt,
+                "simulate", "--n-output", "64"]
+        with caplog.at_level(logging.DEBUG, logger="epdyn.cli"):
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        (record,) = [r for r in caplog.records if r.name == "epdyn.cli"]
+        assert record.levelno == logging.DEBUG
+        assert re.fullmatch(rf"trajectory_to_{fmt}: 585 values in [0-9.]+ ms, [0-9.]+ us a value", record.getMessage())
 
 
 class TestOutputPath:
@@ -683,6 +696,26 @@ def test_subnormal_duration_names_field(tmp_path, capsys, duration, argv, name):
     err = capsys.readouterr().err
     assert f"{name} is too small" in err
     assert name == "duration_T" or "duration_T" not in err
+
+
+def test_uniform_steps_share_one_duration_limit(tmp_path, capsys):
+    # table1, a sweep cell and the adiabatic route step the same uniform products, so they refuse the same
+    # loops with the same message; the direct route's adaptive steps keep answering them
+    doc = with_field("loop", "duration_T", 1e-305)
+    doc["output"]["path"] = str(tmp_path / "out.csv")
+    config = write_config(tmp_path, doc)
+    message = "duration_T = 1e-305: duration_T is too small, its steps T/n are subnormal"
+    for argv in (["table1"], ["simulate", "--method", "adiabatic"]):
+        assert main(["--config", config, *argv]) == 1
+        assert capsys.readouterr().err == f"error: ConfigError: invalid 'loop' section: {message}\n"
+    assert main(["--config", config, "simulate", "--method", "direct"]) == 0
+    assert "dominant=state2" in capsys.readouterr().out
+    sweep_csv = tmp_path / "sweep.csv"
+    argv = ["--config", config, "--output", str(sweep_csv), "--jobs", "1", "sweep", "--t-min", "1e-305",
+            "--t-max", "348.75", "--nt", "2", "--t-spacing", "linear", "--amp-min", "1", "--namp", "1"]
+    assert main(argv) == 0
+    cells = sweep_csv.read_text().splitlines()[1:]
+    assert cells[0].endswith(f",ValueError: {message}") and cells[1].endswith(",")
 
 
 #: a count numpy refuses to size before it allocates anything

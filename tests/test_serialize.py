@@ -2,6 +2,7 @@
 
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from epdyn import (
     propagate_direct,
 )
 from epdyn import propagation as prop
+from epdyn import serialize
 from epdyn.analysis import SweepCell, SweepResult, SweepSpec, _dominance, final_state_report, sweep, table1
 from epdyn.propagation import TrajectoryRecord
 from epdyn.serialize import (
     SECTIONS,
+    _rows_text,
     _trajectory_columns,
     SWEEP_COLUMNS,
     TRAJECTORY_COLUMNS,
@@ -189,6 +192,110 @@ class TestWritersAgainstReference:
         traj = TrajectoryRecord(np.arange(3), states, np.array([1, 1, 2]), np.zeros(3, int), {})
         assert trajectory_to_csv(traj) == row_reference.trajectory_to_csv(traj)
         assert trajectory_to_json(traj) == row_reference.trajectory_to_json(traj)
+
+
+def cpython_lines(values: np.ndarray, shortest: bool) -> str:
+    """One value a line as CPython formats it: ``repr`` (JSON's NaN and Infinity) if ``shortest``, else ``%.17g``."""
+    if shortest:
+        return "".join((repr(x) if math.isfinite(x) else json.dumps(x)) + "\n" for x in values.tolist())
+    return "".join(format(x, ".17g") + "\n" for x in values.tolist())
+
+
+def array_lines(values: np.ndarray, shortest: bool, columns: int = 1) -> str:
+    """One value a line from the writers' array formatter, in rows of ``columns`` values."""
+    return _rows_text("", values.reshape(-1, columns).T, shortest, ("\n",) * columns, "\n")
+
+
+def python_path(monkeypatch) -> list:
+    """The values the writers hand to CPython's formatting, recorded at the one fallback as they go."""
+    seen = []
+    python_text = serialize._python_text
+
+    def counted(x, shortest):
+        seen.append(x)
+        return python_text(x, shortest)
+
+    monkeypatch.setattr(serialize, "_python_text", counted)
+    return seen
+
+
+def signed(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+def with_neighbours(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([np.nextafter(values, -math.inf), values, np.nextafter(values, math.inf)])
+
+
+STRUCTURED = {
+    "zeros-extremes": signed([0.0, TINY, BIG, 2.0 ** -1022, 2.0 ** -1021]),
+    "powers-of-two": signed([math.ldexp(1.0, k) for k in range(-1074, 1024)]),
+    "powers-of-ten": signed(with_neighbours([float(f"1e{k}") for k in range(-300, 301)])),
+    # where %.17g and repr switch between fixed and exponent notation
+    "layout-switches": signed(with_neighbours([1e-5, 1e-4, 9.999999999999999e15, 1e16, 1e17])),
+}
+
+
+class TestRowDigits:
+    """The array formatter writes CPython's digits (notes/decisions.md, "The rows' digits in numpy")."""
+
+    @pytest.mark.parametrize("shortest", [False, True], ids=["csv", "json"])
+    def test_random_bit_patterns(self, shortest):
+        # every exponent and both signs, subnormals, NaN and the infinities among them
+        values = np.random.default_rng(40).integers(0, 2**64, size=2**20, dtype=np.uint64).view(float)
+        assert array_lines(values, shortest, 16) == cpython_lines(values, shortest)
+
+    @pytest.mark.parametrize("shortest", [False, True], ids=["csv", "json"])
+    @pytest.mark.parametrize("values", STRUCTURED.values(), ids=STRUCTURED.keys())
+    def test_structured_values(self, values, shortest):
+        assert array_lines(values, shortest) == cpython_lines(values, shortest)
+
+    @pytest.mark.parametrize("shortest", [False, True], ids=["csv", "json"])
+    @pytest.mark.parametrize("n", [512, 4096])
+    def test_time_grids(self, n, shortest, monkeypatch):
+        # k T/n for README's T = 348.75 = 1395/4, on past 1000: at n = 4096 an odd k there is an exact
+        # decimal of 18 significant digits ending in 5, a tie for %.17g that CPython's path rounds
+        times = np.arange(3 * n + 1) * (348.75 / n)
+        seen = python_path(monkeypatch)
+        assert array_lines(times, shortest) == cpython_lines(times, shortest)
+        ties = [t for t in times.tolist() if len(Decimal(t).as_tuple().digits) == 18]
+        assert bool(ties) == (n == 4096) and all(t > 1000.0 for t in ties)
+        if not shortest:
+            assert seen == ties
+
+
+class TestRowChunks:
+    """A record is formatted in chunks of rows; the seams and the fallback keep the per-value writers' bytes
+    (``edge_record`` alone is ``TestWritersAgainstReference.test_edge_values``)."""
+
+    def test_chunk_seams(self, monkeypatch):
+        # three full chunks and a partial one, of amplitudes from 1e-30 to 1e30 with the edge rows at the seams
+        rows = 3 * serialize._CHUNK_ROWS + 77
+        rng = np.random.default_rng(41)
+        states = (rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))) * 10.0 ** rng.integers(-30, 30, (rows, 2))
+        norms = (np.abs(states) ** 2).sum(axis=1)
+        logs = rng.uniform(-300.0, 300.0, rows)
+        seams = [k * serialize._CHUNK_ROWS + j for k in range(1, 4) for j in (-1, 0)]
+        for k, (_, c1, c2, norm, log) in zip(seams + [rows - 1], EDGE_ROWS):
+            states[k], norms[k], logs[k] = (c1, c2), norm, log
+        traj = TrajectoryRecord(np.linspace(0.0, 348.75, rows), states, norms, logs, {"method": "direct"})
+        seen = python_path(monkeypatch)
+        with np.errstate(all="ignore"):  # W1 = |c1|^2 / norm_sq overflows and divides 0 by 0
+            assert trajectory_to_csv(traj) == row_reference.trajectory_to_csv(traj)
+            assert trajectory_to_json(traj) == row_reference.trajectory_to_json(traj)
+        assert len(seen) > 0  # NaN, the infinities and the subnormals of the edge rows
+
+    def test_readme_records_need_no_fallback(self, monkeypatch):
+        # README's diode config (DEFAULT_PARAMS, the diode loop, ACCEPT, bare state 2) at 4096 rows, both
+        # directions, both formats: every value is the kernel's
+        seen = python_path(monkeypatch)
+        for direction in Direction:
+            traj = propagate_direct(DEFAULT_PARAMS, diode_loop(direction), StateVector.basis(2), ACCEPT, n_output=4096)
+            assert trajectory_to_csv(traj) == row_reference.trajectory_to_csv(traj)
+            assert trajectory_to_json(traj) == row_reference.trajectory_to_json(traj)
+        assert seen == []
 
 
 class TestSweepFormats:
