@@ -273,7 +273,10 @@ def cmd_sweep(config: RunConfig, args) -> int:
     csv = config.out_format == "csv"
     with _open_output(config.out_path, keep_interrupted=csv) as fh:
         def report(cell: analysis.SweepCell) -> None:
-            log.info("cell (%d,%d) done steps=%s frame=%s", cell.i, cell.j, cell.steps, cell.frame)
+            if cell.error is None:
+                log.info("cell (%d,%d) done steps=%s frame=%s", cell.i, cell.j, cell.steps, cell.frame)
+            else:
+                log.info("cell (%d,%d) failed: %s", cell.i, cell.j, cell.error.partition(":")[0])
             if csv:
                 fh.write(serialize.sweep_row_csv(cell) + "\n")
                 fh.flush()

@@ -235,12 +235,13 @@ def trajectory_to_json(traj: TrajectoryRecord) -> str:
 
 
 def _csv_value(x) -> str:
+    """A sweep row's field: a string with a comma, a double quote or a line break quoted as RFC 4180 has it."""
     if x is None:
         return ""
     if isinstance(x, bool):
         return str(x).lower()
     if isinstance(x, str):
-        return x
+        return '"' + x.replace('"', '""') + '"' if any(c in x for c in ',"\r\n') else x
     return fmt(x)
 
 

@@ -90,7 +90,8 @@ step 2k, level by level), each node rescaled by a power of two to a largest
 component in [0.5, 1); the exponents add up exactly into the map's ``exponent``.
 Steps are evaluated in blocks of a power-of-two length, so memory stays
 bounded, and a block is a subtree of the same tree, so the block length
-changes no bit. The rows' prefix maps take the tree over each row interval
+changes no bit. A block's arrays are written into one workspace per
+``_settle`` call (``_Work``) by the same operations, so they keep their bits. The rows' prefix maps take the tree over each row interval
 and an inclusive Hillis-Steele scan (Commun. ACM 29, 1170 (1986)) over the
 intervals, rescaled the same way. Level d of the scan multiplies each
 element by the one d before it, so for a power-of-two number of intervals
@@ -153,11 +154,13 @@ _MAX_TURN = 0.5
 _MAX_MISMATCH = 0.25
 #: The largest x with a finite exp(x) in float64.
 _EXP_LIMIT = math.log(sys.float_info.max)
-#: The largest entry array whose second products ``_mat`` forms in one broadcast
-#: product; past it that full-size temporary can cost more than the calls it saves.
-_BROADCAST_ENTRIES = 1024
 #: Steps evaluated at once over all loops of a batch (bounds the memory).
 _BLOCK_STEPS = 2**13
+#: The complex values per step and loop of a block that a ``_Work`` holds: the
+#: most a block's arrays take at once (23), with room to spare.
+_WORK_VALUES = 28
+#: A ``_Work`` hands out whole lines of this many bytes.
+_LINE = 64
 #: The most loops a sweep passes to one ``_maps`` call: the most whose first
 #: step count still runs as one block, which also bounds a batch's tree nodes.
 _BATCH_LOOPS = _BLOCK_STEPS // _FIRST_STEPS
@@ -287,7 +290,7 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     while n < tmap.steps:
         n *= 2
     if n != tmap.steps:  # the rows take a finer step count
-        run = _intervals(params, batch, n, n // n_output)
+        run = _intervals(params, batch, n, n // n_output, _Work(1))
         error = _ruled_out(run, 0, drive, n)
         if error or not run.smooth[0]:
             raise error or AmbiguousTrackingError(f"the eigenframe of {drive} is unresolved at {n} steps")
@@ -395,9 +398,10 @@ def _settle(params: SystemParams, drives: Sequence, batch: "_Batch", rel_tol: fl
         out[k] = None if fallback else kind(f"the {what} map of {drives[k]} {reason}")
 
     active, n, run, scan = list(range(len(drives))), _FIRST_STEPS, None, None
+    work = _Work(len(drives))
     while active and n <= _STEP_CAP:
         every = n // intervals if n % intervals == 0 and intervals & (intervals - 1) == 0 else n
-        run = _intervals(params, batch if len(active) == len(drives) else _take(batch, active), n, every)
+        run = _intervals(params, batch if len(active) == len(drives) else _take(batch, active), n, every, work)
         with np.errstate(all="ignore"):  # overflow shows as a map that is not finite
             scan = _scan(run.x, run.e)  # its last element is the tree over the intervals
         u, e = scan[0][..., -1:], scan[1][..., -1:]
@@ -437,7 +441,7 @@ def _settle(params: SystemParams, drives: Sequence, batch: "_Batch", rel_tol: fl
                     out[k] = TraversalMap(uk, ek, n, frame, change)
                     continue
                 if verdict == "extrapolated":
-                    r, er = _rescale(r, ek)
+                    r, er = _rescale(r, ek, _Work())
                     out[k] = TraversalMap(r, int(er), n, frame, r_change)
                     continue
                 if verdict == "stalled":
@@ -618,6 +622,51 @@ def branch_frames(params: SystemParams, drive, times: np.ndarray) -> tuple:
     return a, lam, th, signs
 
 
+class _Work:
+    """Scratch memory for the blocks of one ``_settle`` call: one flat buffer, taken as a stack.
+
+    A block's arrays are 128 KiB to 1 MiB at the largest blocks, where glibc
+    maps each one fresh and unmaps or trims it again once it is freed, so
+    every block faulted its pages in anew (``notes/decisions.md``, "A
+    block's arrays stay mapped"). ``take`` gives the next free values as a
+    contiguous array, and leaving a ``with work.scope()`` block gives back
+    what was taken in it, so a block's arrays reuse the buffer's pages. The
+    same operations write the same bits there as into a fresh array. What
+    does not fit is a fresh array, and so is everything taken from
+    ``_Work()``, the workspace for no loops, which the products whose
+    results are kept take (the tree over the blocks' nodes, the scan, the
+    rotations).
+    """
+
+    def __init__(self, loops: int = 0) -> None:
+        # a block holds at most max(_BLOCK_STEPS, loops) steps over all its loops
+        values = np.empty(_WORK_VALUES * max(_BLOCK_STEPS, loops) if loops else 0, dtype=complex)
+        self.flat = {complex: values, float: values.view(float)}
+        self.top = 0  # the bytes taken
+        self.marks: list = []
+
+    def take(self, shape: tuple, dtype=complex) -> np.ndarray:
+        """An array of ``shape`` on the next free whole lines of the buffer, or a fresh one past its end."""
+        flat = self.flat[dtype]
+        start = self.top // flat.itemsize
+        end = start + math.prod(shape)
+        if end > flat.size:
+            return np.empty(shape, dtype)
+        self.top = -(-end * flat.itemsize // _LINE) * _LINE
+        return flat[start:end].reshape(shape)
+
+    def scope(self) -> "_Work":
+        """The workspace as a context manager that gives back, on exit, what was taken since this call."""
+        self.marks.append(self.top)
+        return self
+
+    def __enter__(self) -> "_Work":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.top = self.marks.pop()
+
+
 class _Run(NamedTuple):
     """What ``_intervals`` gives: interval products, checks and the eigenframe's rotations."""
 
@@ -673,12 +722,13 @@ def _take(x, rows: list):
     return type(x)(*(_take(field, rows) for field in x))
 
 
-def _intervals(params: SystemParams, batch: _Batch, n: int, every: int) -> _Run:
+def _intervals(params: SystemParams, batch: _Batch, n: int, every: int, work: _Work) -> _Run:
     """The products of each run of ``every`` steps of n steps on each drive of the batch, in its frame.
 
     ``every`` is a power of two that divides n, and n / every divides the
     number N of the batch's ``ends``; the eigenframe's rotations take every
     (N every / n)-th of them, so the drive is read only at the Gauss points.
+    Each block's arrays are taken from ``work``.
     """
     contours, finite, clear = batch.contours, batch.finite, batch.clear
     eigen = batch.origin is not None
@@ -689,34 +739,30 @@ def _intervals(params: SystemParams, batch: _Batch, n: int, every: int) -> _Run:
     per = min(every, block)  # divides the block, n and every block start
     resolved = np.ones(m, dtype=bool)
     reach = np.zeros(m)
+    phase = _Phase(batch.origin, every) if eigen else None
     with np.errstate(all="ignore"):  # overflow and the EP are reported in the result
-        if eigen:
-            phase = _Phase(batch.origin, every)
         nodes, exps = [], []
         for start in range(0, n, block):
             size = min(block, n - start)
-            steps = np.arange(start, start + size)[:, None] + np.array(_GAUSS)
-            a, g, a_dot, g_dot, w2, good = _drive(params, contours, steps.ravel() * h)
-            finite = finite & good
-            if eigen:  # K = [[-i lam, th'], [-th', i lam]]
-                clear = clear & ~_on_ep(a, g, w2).any(axis=1)
-                lam = phase.follow(w2)
-                th_dot = 0.5 * (a * g_dot - g * a_dot) / w2
-                phase.turn(th_dot, h, lam, start)
-                hp, hq, sign = *_means(-1j * lam, th_dot, h), -1.0
-            else:  # K = -i H0
-                hp, hq, sign = *_means(-1j * a, -1j * g, h), 1.0
-            maps, zeta = _steps(hp, hq, sign)
-            resolved &= (np.abs(zeta) <= 1.0).all(axis=(0, 2))
-            if not (resolved.all() or np.isfinite(maps).all()):  # a finite step has |Re sigma| < 711: it fits the cap
-                reach = np.maximum(reach, _reach(hp, hq, sign))
-            shape = (m, size // per, per)
-            node, e = _tree(maps.reshape(2, 2, *shape), np.zeros(shape, dtype=np.int64))
-            del maps, zeta  # freed before the next block's steps, so one block's arrays bound the peak
-            nodes.append(node)
-            exps.append(e)
+            with work.scope():
+                means = work.take((2, 2, m, size))  # (h p, h q) of both exponentials of every step
+                steps = np.arange(start, start + size)[:, None] + np.array(_GAUSS)
+                times = np.multiply(steps.ravel(), h, out=work.take((m, 2 * size), float))
+                good, on_ep, sign = _block_means(params, contours, times, h, phase, start, means, work)
+                finite = finite & good
+                if eigen:
+                    clear = clear & ~on_ep
+                maps, zeta = _steps(*means, sign, work)
+                resolved &= (np.abs(zeta) <= 1.0).all(axis=(0, 2))
+                if not (resolved.all() or np.isfinite(maps).all()):  # a finite step has |Re sigma| < 711: it fits the cap
+                    reach = np.maximum(reach, _reach(*means, sign))
+                shape = (m, size // per, per)
+                node, e = _tree(maps.reshape(2, 2, *shape), np.zeros(shape, dtype=np.int64), work)
+                nodes.append(node.copy())  # the next block takes its workspace again
+                exps.append(e)
         shape = (m, n // every, every // per)
-        x, e = _tree(np.concatenate(nodes, axis=-1).reshape(2, 2, *shape), np.concatenate(exps, axis=-1).reshape(shape))
+        x, e = _tree(np.concatenate(nodes, axis=-1).reshape(2, 2, *shape), np.concatenate(exps, axis=-1).reshape(shape),
+                     _Work())
         if not eigen:
             return _Run(x, e, finite, resolved, reach, np.ones(m, dtype=bool), np.ones(m, dtype=bool), ())
         stride = batch.ends.shape[-1] * every // n
@@ -724,23 +770,49 @@ def _intervals(params: SystemParams, batch: _Batch, n: int, every: int) -> _Run:
     return _Run(x, e, finite, resolved, reach, clear, phase.smooth, rotations)
 
 
+def _block_means(params: SystemParams, contours: _Contour, times: np.ndarray, h: np.ndarray,
+                 phase: "_Phase | None", start: int, means: np.ndarray, work: _Work) -> tuple:
+    """A block's (h p, h q) (2, 2, m, b) into ``means``, from the drive at its Gauss points ``times`` (m, 2 b).
+
+    The generator is the eigenframe's K = [[-i lam, th'], [-th', i lam]],
+    which ``phase`` follows from step ``start`` on, or without a phase the
+    bare frame's K = -i H0. Returns whether each drive is finite there,
+    whether a sample is on the EP (eigenframe; else None) and the sign of
+    K's lower left entry against its upper right.
+    """
+    a, g, a_dot, g_dot, w2, finite = _drive(params, contours, times)
+    if phase is None:
+        _means(-1j * a, -1j * g, h, means, work)
+        return finite, None, 1.0
+    lam = phase.follow(w2)
+    th_dot = 0.5 * (a * g_dot - g * a_dot) / w2
+    phase.turn(th_dot, h, lam, start)
+    _means(-1j * lam, th_dot, h, means, work)
+    return finite, _on_ep(a, g, w2).any(axis=1), -1.0
+
+
 def _rotate(run: _Run, x: np.ndarray, e: np.ndarray) -> tuple:
     """R(th_j) x_j R(th_0)^T of the eigenframe maps x (2, 2, m, k) at the last k interval ends, rescaled."""
     (c0, s0), (c1, s1) = run.rotations
     k = x.shape[-1]
     r0, r1 = (np.array([[c, -s], [s, c]]) for c, s in ((c0[:, None], s0[:, None]), (c1[:, -k:], s1[:, -k:])))
+    work = _Work()
     with np.errstate(all="ignore"):  # overflow shows as a map that is not finite
-        return _rescale(_mat(_mat(r1, x), r0.transpose(1, 0, 2, 3)), e)
+        return _rescale(_mat(_mat(r1, x, work), r0.transpose(1, 0, 2, 3), work), e, work)
 
 
-def _means(p: np.ndarray, q: np.ndarray, h: np.ndarray) -> tuple:
-    """(h p, h q) of both exponentials of every step (2, m, b), from p and q at the Gauss points (m, 2 b).
+def _means(p: np.ndarray, q: np.ndarray, h: np.ndarray, out: np.ndarray, work: _Work) -> None:
+    """(h p, h q) of both exponentials of every step into ``out`` (2, 2, m, b), from p and q at the Gauss points (m, 2 b).
 
-    The exponentials lie along the axis of length 2: the weights of the
-    first applied, then of the second.
+    ``out`` holds h p, then h q, each with the exponentials along its first
+    axis: the weights of the first applied, then of the second.
     """
     w = np.array([_W, _W[::-1]])[:, :, None, None]
-    return h * (w[:, 0] * p[:, 0::2] + w[:, 1] * p[:, 1::2]), h * (w[:, 0] * q[:, 0::2] + w[:, 1] * q[:, 1::2])
+    for x, mean in zip((p, q), out):
+        np.multiply(w[:, 0], x[:, 0::2], out=mean)
+        with work.scope():
+            np.add(mean, np.multiply(w[:, 1], x[:, 1::2], out=work.take(mean.shape)), out=mean)
+        np.multiply(h, mean, out=mean)
 
 
 def _reach(hp: np.ndarray, hq: np.ndarray, sign: float) -> np.ndarray:
@@ -756,80 +828,90 @@ def _reach(hp: np.ndarray, hq: np.ndarray, sign: float) -> np.ndarray:
     return (scale * np.abs(np.sqrt(p * p + sign * (q * q)).real)).max(axis=(0, 2))
 
 
-def _steps(hp: np.ndarray, hq: np.ndarray, sign: float) -> tuple:
+def _steps(hp: np.ndarray, hq: np.ndarray, sign: float, work: _Work) -> tuple:
     """The step maps (2, 2, m, b) of the exponentials of [[hp, hq], [sign hq, -hp]] (2, m, b).
 
     Both exponentials of every step are evaluated together, and the second
     is applied after the first. Also returns their sigma^2 (2, m, b).
     """
-    zeta = hp * hp + sign * (hq * hq)
-    c, s = _cosh_sinhc(zeta)
-    sp = s * hp
-    factors = np.empty((2, 2) + zeta.shape, dtype=complex)  # [i, j, exponential, m, b]
-    np.add(c, sp, out=factors[0, 0])
-    np.multiply(s, hq, out=factors[0, 1])
-    np.multiply(sign, factors[0, 1], out=factors[1, 0])
-    np.subtract(c, sp, out=factors[1, 1])
-    return _mat(factors[:, :, 1], factors[:, :, 0]), zeta
+    zeta = np.multiply(hp, hp, out=work.take(hp.shape))
+    with work.scope():
+        square = np.multiply(hq, hq, out=work.take(hq.shape))
+        np.add(zeta, np.multiply(sign, square, out=square), out=zeta)
+    factors = work.take((2, 2) + zeta.shape)  # [i, j, exponential, m, b]
+    with work.scope():
+        c, s = _cosh_sinhc(zeta, work)
+        sp = np.multiply(s, hp, out=work.take(zeta.shape))
+        np.add(c, sp, out=factors[0, 0])
+        np.multiply(s, hq, out=factors[0, 1])
+        np.multiply(sign, factors[0, 1], out=factors[1, 0])
+        np.subtract(c, sp, out=factors[1, 1])
+    return _mat(factors[:, :, 1], factors[:, :, 0], work), zeta
 
 
-def _cosh_sinhc(zeta: np.ndarray) -> tuple:
+def _cosh_sinhc(zeta: np.ndarray, work: _Work) -> tuple:
     """(cosh sigma, sinh sigma / sigma) for sigma^2 = zeta; both are entire in zeta, 1 at 0.
 
     Where |zeta| <= 1 they are their power series in zeta, summed by Horner
     to the zeta^9 term (the next term is below 5e-19); elsewhere numpy's
     cosh and sinh of sigma.
     """
-    c = np.full_like(zeta, _INV_FACTORIALS[2 * _SERIES_TERMS])
-    s = np.full_like(zeta, _INV_FACTORIALS[2 * _SERIES_TERMS + 1])
+    c, s = work.take(zeta.shape), work.take(zeta.shape)
+    c.fill(_INV_FACTORIALS[2 * _SERIES_TERMS])
+    s.fill(_INV_FACTORIALS[2 * _SERIES_TERMS + 1])
     for k in range(_SERIES_TERMS - 1, -1, -1):
         c *= zeta
         c += _INV_FACTORIALS[2 * k]
         s *= zeta
         s += _INV_FACTORIALS[2 * k + 1]
-    big = ~(np.abs(zeta) <= 1.0)
+    with work.scope():
+        big = ~(np.abs(zeta, out=work.take(zeta.shape, float)) <= 1.0)
     if big.any():
         sigma = np.sqrt(zeta[big])
         c[big], s[big] = np.cosh(sigma), np.sinh(sigma) / sigma
     return c, s
 
 
-def _mat(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The 2x2 products x y of matrices stored entries first: x[i, j] is an array of entries (i, j).
+def _mat(x: np.ndarray, y: np.ndarray, work: _Work) -> np.ndarray:
+    """The 2x2 products x y of matrices stored entries first, taken from ``work``: x[i, j] is an array of entries (i, j).
 
-    Entry (i, k) is x[i, 0] y[0, k] + x[i, 1] y[1, k]. The first products are
-    broadcast over (i, k) at once, and so are the second up to
-    ``_BROADCAST_ENTRIES`` elements an entry; past that, one entry at a time.
+    Entry (i, k) is x[i, 0] y[0, k] + x[i, 1] y[1, k]. The first products
+    are broadcast over (i, k) at once, and so are the second, so each
+    element gets the same two products and the same sum, in the same order,
+    as one entry at a time. x and y have as many axes, each of one length
+    or 1, so the product's shape is their larger lengths.
     """
-    out = x[:, :1] * y[:1]
-    if out[0, 0].size <= _BROADCAST_ENTRIES:
-        out += x[:, 1:] * y[1:]
-    else:
-        for i in (0, 1):
-            for k in (0, 1):
-                out[i, k] += x[i, 1] * y[1, k]
-    return out
+    out = np.multiply(x[:, :1], y[:1], out=work.take(tuple(map(max, x.shape, y.shape))))
+    with work.scope():
+        return np.add(out, np.multiply(x[:, 1:], y[1:], out=work.take(out.shape)), out=out)
 
 
-def _rescale(x: np.ndarray, e: np.ndarray) -> tuple:
+def _rescale(x: np.ndarray, e: np.ndarray, work: _Work) -> tuple:
     """x scaled by a power of two to a largest component in [0.5, 1), the power added to e."""
-    _, shift = np.frexp(np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=(0, 1)))
+    with work.scope():
+        parts = work.take((2, *x.shape), float)
+        np.maximum(np.abs(x.real, out=parts[0]), np.abs(x.imag, out=parts[1]), out=parts[0])
+        _, shift = np.frexp(parts[0].max(axis=(0, 1)))
     x *= np.ldexp(1.0, -shift)
     return x, e + shift
 
 
-def _tree(x: np.ndarray, e: np.ndarray) -> tuple:
-    """The time-ordered product over the last axis (a power of two long) in the fixed pairwise tree."""
+def _tree(x: np.ndarray, e: np.ndarray, work: _Work) -> tuple:
+    """The time-ordered product over the last axis (a power of two long) in the fixed pairwise tree.
+
+    Its levels are taken from ``work``.
+    """
     while x.shape[-1] > 1:
-        x, e = _rescale(_mat(x[..., 1::2], x[..., 0::2]), e[..., 1::2] + e[..., 0::2])
+        x, e = _rescale(_mat(x[..., 1::2], x[..., 0::2], work), e[..., 1::2] + e[..., 0::2], work)
     return x[..., 0], e[..., 0]
 
 
 def _scan(x: np.ndarray, e: np.ndarray) -> tuple:
     """The inclusive time-ordered prefix products over the last axis (Hillis-Steele), each rescaled."""
+    work = _Work()
     d = 1
     while d < x.shape[-1]:
-        y, f = _rescale(_mat(x[..., d:], x[..., :-d]), e[..., d:] + e[..., :-d])
+        y, f = _rescale(_mat(x[..., d:], x[..., :-d], work), e[..., d:] + e[..., :-d], work)
         x = np.concatenate([x[..., :d], y], axis=-1)
         e = np.concatenate([e[..., :d], f], axis=-1)
         d *= 2

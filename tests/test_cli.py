@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import config_reference
 import epdyn
-from epdyn import loops, propagation, traversal
+from epdyn import loops, propagation, serialize, traversal
 from epdyn import DEFAULT_PARAMS, Direction, FieldPoint, IntegratorConfig, StateVector, StaticDrive, propagate_direct
 from epdyn.analysis import SweepSpec, state_name, sweep
 from epdyn.cli import _parse_grid, load_config, main
@@ -714,8 +714,13 @@ def test_uniform_steps_share_one_duration_limit(tmp_path, capsys):
     argv = ["--config", config, "--output", str(sweep_csv), "--jobs", "1", "sweep", "--t-min", "1e-305",
             "--t-max", "348.75", "--nt", "2", "--t-spacing", "linear", "--amp-min", "1", "--namp", "1"]
     assert main(argv) == 0
-    cells = sweep_csv.read_text().splitlines()[1:]
-    assert cells[0].endswith(f",ValueError: {message}") and cells[1].endswith(",")
+    assert capsys.readouterr().err.splitlines()[0] == "cell (0,0) failed: ValueError"
+    # the message holds a comma, so the CSV quotes it (RFC 4180) and every row keeps the header's 11 fields
+    with open(sweep_csv, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [11, 11, 11]
+    assert rows[1][-1] == f"ValueError: {message}" and rows[2][-1] == ""
+    assert sweep_csv.read_text().splitlines()[1].endswith(f',"ValueError: {message}"')
 
 
 #: a count numpy refuses to size before it allocates anything
@@ -1136,23 +1141,37 @@ def test_propagating_commands_exit_cleanly_on_mutated_config(doc, argv):
 
 
 SWEEP_GRID = ["sweep", "--t-min", "300", "--t-max", "375", "--nt", "2", "--amp-min", "1", "--namp", "1"]
+#: a cell too short for the uniform steps beside README's own T: its error message holds a comma
+TINY_GRID = ["sweep", "--t-min", "1e-305", "--t-max", "348.75", "--nt", "2", "--t-spacing", "linear",
+             "--amp-min", "1", "--namp", "1"]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(doc=mutated_configs(), fmt=st.sampled_from(["csv", "json"]))
-@example(doc=with_field("loop", "duration_T", 1e300), fmt="csv")  # the grid sets T
-@example(doc=with_field("loop", "center_omega", 5.0), fmt="json")  # EP outside: every cell fails
-@example(doc=with_field("integrator", "max_step", 5e-324), fmt="csv")
-def test_sweep_exits_cleanly_on_mutated_config(doc, fmt):
+@given(doc=mutated_configs(), fmt=st.sampled_from(["csv", "json"]), grid=st.just(SWEEP_GRID))
+@example(doc=with_field("loop", "duration_T", 1e300), fmt="csv", grid=SWEEP_GRID)  # the grid sets T
+@example(doc=with_field("loop", "center_omega", 5.0), fmt="json", grid=SWEEP_GRID)  # EP outside: every cell fails
+@example(doc=with_field("integrator", "max_step", 5e-324), fmt="csv", grid=SWEEP_GRID)
+@example(doc=DIODE_CONFIG, fmt="csv", grid=TINY_GRID)
+@example(doc=DIODE_CONFIG, fmt="json", grid=TINY_GRID)
+def test_sweep_exits_cleanly_on_mutated_config(doc, fmt, grid):
     # a 2x1 sweep in one process: every config ends in an exit code of the
-    # CLI contract, and failing cells end in their error column, not a traceback
+    # CLI contract, and failing cells end in their error column, not a traceback;
+    # a file it writes parses: every CSV row has the header's width, and the JSON loads
     with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/config.json"
+        path, out = f"{tmp}/config.json", f"{tmp}/out"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         stderr = io.StringIO()
         with time_limit(20), contextlib.redirect_stderr(stderr):
-            code = main(["--config", path, "--output", f"{tmp}/out", "--format", fmt, "--jobs", "1", *SWEEP_GRID])
+            code = main(["--config", path, "--output", out, "--format", fmt, "--jobs", "1", *grid])
+        if os.path.exists(out):
+            with open(out, encoding="utf-8", newline="") as fh:
+                if fmt == "csv":
+                    rows = list(csv.reader(fh))
+                    assert rows[0] == list(serialize.SWEEP_COLUMNS)
+                    assert [len(row) for row in rows] == [len(rows[0])] * len(rows)
+                else:
+                    assert len(json.load(fh)["cells"]) == 2
     assert code in range(6)
     assert "Traceback" not in stderr.getvalue()
 

@@ -1,5 +1,8 @@
 """File format round trips and determinism; the trajectory writers against ``row_reference``."""
 
+import csv
+import dataclasses
+import io
 import json
 import math
 from decimal import Decimal
@@ -318,13 +321,19 @@ class TestSweepFormats:
         assert first[8] in ("true", "false")
 
     def test_csv_row_of_each_value_kind(self):
-        # empty for None, lower-case booleans, text as is, fmt for numbers (integers without a point)
+        # empty for None, lower-case booleans, fmt for numbers (integers without a point), text as is
+        # unless it holds a comma, a double quote or a line break: then quoted, its quotes doubled (RFC 4180)
         common = dict(i=3, j=10, duration_T=348.75, amp_scale=1.0, rho=0.1)
         done = SweepCell(**common, ratio=1e3 / 3, dominant_state=2, survival=5e-324, pass_ratio=True, pass_survival=False)
         failed = SweepCell(**common, ratio=None, dominant_state=None, survival=None, pass_ratio=None,
                            pass_survival=None, error="StepBudgetError: no map")
         assert sweep_row_csv(done) == "3,10,348.75,1,0.10000000000000001,333.33333333333331,2,4.9406564584124654e-324,true,false,"
         assert sweep_row_csv(failed) == "3,10,348.75,1,0.10000000000000001,,,,,,StepBudgetError: no map"
+        for error, field in [("ValueError: T, n", '"ValueError: T, n"'), ('a "b"', '"a ""b"""'),
+                             ("a\rb", '"a\rb"'), ("a\nb", '"a\nb"')]:
+            row = sweep_row_csv(dataclasses.replace(failed, error=error))
+            assert row == "3,10,348.75,1,0.10000000000000001,,,,,," + field
+            assert next(csv.reader(io.StringIO(row, newline=""))) == [*row.split(",")[:10], error]
 
     def test_json_cells(self):
         doc = json.loads(sweep_to_json(self.make_result()))

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def grid_cell(n: int, i: int, j: int, direction: Direction) -> LoopSpec:
 
 def plain_map(loop: LoopSpec, n: int) -> tuple:
     """(U, exponent) of the loop's eigenframe product on n steps, as ``_settle`` forms it at one count."""
-    run = traversal._intervals(REF, traversal._batch(REF, [loop], True), n, n)
+    run = traversal._intervals(REF, traversal._batch(REF, [loop], True), n, n, traversal._Work(1))
     u, e = traversal._rotate(run, run.x, run.e)
     return u[:, :, 0, 0], int(e[0, 0])
 
@@ -134,7 +135,7 @@ def test_step_exponentials_match_cosh_and_sinh():
     # cosh(sigma) and sinh(sigma)/sigma; at sigma = 0 both are 1
     rng = np.random.default_rng(7)
     zeta = (rng.normal(size=400) + 1j * rng.normal(size=400)) * np.repeat([0.01, 0.3, 1.0, 3.0], 100)
-    c, s = traversal._cosh_sinhc(np.concatenate([zeta, [0j]]))
+    c, s = traversal._cosh_sinhc(np.concatenate([zeta, [0j]]), traversal._Work(1))
     sigma = np.sqrt(zeta)
     assert np.abs(c[:-1] - np.cosh(sigma)).max() < 1e-15 * np.abs(np.cosh(sigma)).max()
     assert np.abs(s[:-1] - np.sinh(sigma) / sigma).max() < 1e-15 * np.abs(np.sinh(sigma) / sigma).max()
@@ -173,9 +174,9 @@ class TestBits:
             reads.append(args[2].shape)
             return real_drive(*args)
 
-        def intervals(params, batch, n, every):
+        def intervals(params, batch, n, every, work):
             counts.append(n)
-            return real_intervals(params, batch, n, every)
+            return real_intervals(params, batch, n, every, work)
 
         monkeypatch.setattr(traversal, "_drive", drive)
         monkeypatch.setattr(traversal, "_intervals", intervals)
@@ -183,6 +184,69 @@ class TestBits:
         assert [m.frame for m in maps] == ["eigen", "eigen"]  # one _settle call, in the eigenframe
         assert len(counts) > 1 and 2 * max(counts) <= traversal._BLOCK_STEPS  # every count runs one block
         assert len(reads) == len(counts) + 1
+
+
+class TestWorkspace:
+    """One ``traversal._Work`` per ``_settle`` call: each block's arrays reuse its pages, and none outlives the call."""
+
+    CELLS = [grid_cell(4, i, j, Direction.CCW) for i in range(4) for j in range(4)]
+    #: the map of test_a_gauss_sample_in_the_guard_leaves_the_map_to_the_bare_frame: the bare frame at 512 steps
+    BARE = LoopSpec(FieldPoint(1.0, 0.25), 0.05, 0.05, Direction.CCW, 50.0,
+                    1.5 * math.pi - 2.0 * math.pi * (192 + 0.5 - math.sqrt(3.0) / 6.0) / 256)
+
+    @staticmethod
+    def bits(result) -> list:
+        """Every array of a result as bytes and every other field as it is."""
+        if isinstance(result, list):  # traversal_maps
+            return [(m.U.tobytes(), m.exponent, m.steps, m.frame, m.floor) for m in result]
+        tmap, n, times, maps, exponents = result  # eigen_rows
+        return [(tmap.U.tobytes(), tmap.exponent, tmap.steps, tmap.frame, tmap.floor), n,
+                times.tobytes(), maps.tobytes(), exponents.tobytes()]
+
+    def test_a_call_after_others_keeps_its_bits(self):
+        # a buffer that outlived its call, or a view that a later block overwrote, would change
+        # one of these results against its own call at the start
+        calls = {
+            "cells": lambda: traversal_maps(REF, self.CELLS, 1e-10),
+            "diode": lambda: traversal_maps(REF, [diode_loop(Direction.CW), diode_loop(Direction.CCW)], 1e-10),
+            "bare": lambda: traversal_maps(REF, [self.BARE], 1e-10),
+            "rows": lambda: traversal.eigen_rows(REF, diode_loop(Direction.CW), 1e-10, 300),
+        }
+        want = {name: self.bits(call()) for name, call in calls.items()}
+        assert want["bare"][0][3] == "bare"
+        for name in ("cells", "diode", "bare", "rows", "cells"):
+            assert self.bits(calls[name]()) == want[name], name
+
+    def test_no_buffer_outlives_the_call(self):
+        # no warm-up call: a buffer made on the first call and kept would show too
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            maps = traversal_maps(REF, self.CELLS, 1e-10)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(maps) == 16
+        # the call made its own workspace, so none lives at module level
+        assert peak - before >= traversal._WORK_VALUES * traversal._BLOCK_STEPS * np.dtype(complex).itemsize
+        assert after - before <= 64 * 1024
+
+    def test_every_block_fits_its_workspace(self, monkeypatch):
+        # a take past the buffer gives a fresh array, whose pages fault in again; 32 loops
+        # are the sweep's batch, and with 16 and 2 of them a block holds _BLOCK_STEPS steps too
+        fresh, real = [], traversal._Work.take
+
+        def take(work, shape, dtype=complex):
+            taken = real(work, shape, dtype)
+            buffer = work.flat[complex]
+            if buffer.size and not np.may_share_memory(taken, buffer):
+                fresh.append(shape)
+            return taken
+
+        monkeypatch.setattr(traversal._Work, "take", take)
+        for loops in (self.CELLS * 2, self.CELLS):
+            traversal_maps(REF, loops, 1e-10)
+        assert fresh == []
 
 
 def entries(rng, shape) -> np.ndarray:
@@ -221,12 +285,13 @@ class TestArrayForms:
             "two exponentials": (x[:, :, 1], x[:, :, 0]),  # factors[:, :, 1] times factors[:, :, 0]
             "rotations": (r, u.transpose(1, 0, 2)),
         }
-        z = entries(rng, (2, 2, 2, 4, 1024))  # past _BROADCAST_ENTRIES, one entry at a time
+        z = entries(rng, (2, 2, 2, 4, 1024))
         pairs["two exponentials, full block"] = (z[:, :, 1], z[:, :, 0])
         pairs["tree halves, full block"] = (z[..., 1::2], z[..., 0::2])
         with np.errstate(all="ignore"):
             for name, (a, b) in pairs.items():
-                assert same_bits(traversal._mat(a, b), reference.entrywise_mat(a, b)), name
+                for work in (traversal._Work(1), traversal._Work()):  # into a workspace, and fresh
+                    assert same_bits(traversal._mat(a, b, work), reference.entrywise_mat(a, b)), name
 
     @pytest.mark.parametrize("n", [1, 2, 8, 512])
     def test_the_scans_last_element_is_the_tree(self, n):
@@ -235,7 +300,7 @@ class TestArrayForms:
         rng = np.random.default_rng(n)
         x = rng.normal(size=(2, 2, 3, n)) + 1j * rng.normal(size=(2, 2, 3, n))
         e = rng.integers(-50, 50, size=(3, n))
-        tree, tree_e = traversal._tree(x, e)
+        tree, tree_e = traversal._tree(x, e, traversal._Work(1))
         scan, scan_e = traversal._scan(x, e)
         assert same_bits(scan[..., -1], tree) and np.array_equal(scan_e[..., -1], tree_e)
 
@@ -247,9 +312,9 @@ class TestRows:
         trees, scans = [], []
         real_tree, real_scan = traversal._tree, traversal._scan
 
-        def tree(x, e):
+        def tree(x, e, work):
             trees.append(x.shape[-1])
-            return real_tree(x, e)
+            return real_tree(x, e, work)
 
         def scan(x, e):
             scans.append(x.shape[-1])
@@ -305,10 +370,10 @@ class TestRows:
         a, g, w2, _ = loops._traceless_at(params, loop, loops._samples(loop.duration_T, 512))
         batch = traversal._batch(params, [loop], True, np.stack([a, g, w2])[None, :, 1:])
         for steps in (512, 1024):
-            run = traversal._intervals(params, batch, steps, steps // 512)
+            run = traversal._intervals(params, batch, steps, steps // 512, traversal._Work(1))
             assert not run.resolved[0]
             with np.errstate(all="ignore"):
-                (x, e), (u, f) = traversal._scan(run.x, run.e), traversal._tree(run.x, run.e)
+                (x, e), (u, f) = traversal._scan(run.x, run.e), traversal._tree(run.x, run.e, traversal._Work(1))
             assert (x[..., -1].tobytes(), e[..., -1].tobytes()) == (u.tobytes(), f.tobytes())
 
 
@@ -469,7 +534,7 @@ class TestBoundedWork:
     )
     def test_a_map_that_fits_a_finer_step_count_keeps_doubling(self, params, loop, finer, monkeypatch):
         for n, fits in ((256, False), (finer, True)):  # the bare frame's map, one interval of n steps
-            run = traversal._intervals(params, traversal._batch(params, [loop], False), n, n)
+            run = traversal._intervals(params, traversal._batch(params, [loop], False), n, n, traversal._Work(1))
             assert bool(np.isfinite(run.x).all()) is fits
         counts = self.counted(monkeypatch)
         with pytest.raises(StepBudgetError, match="has not settled at 131072 steps$"):
