@@ -47,8 +47,13 @@ from .propagation import (
     propagate_direct,
 )
 
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
+
 # progress lines, which ``main`` prints to stderr for the duration of a call, and the
-# writer's time at DEBUG
+# writer's time and page faults at DEBUG
 log = logging.getLogger("epdyn.cli")
 
 EXIT_OK = 0
@@ -185,6 +190,11 @@ def cmd_locate_ep(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _minor_faults() -> Optional[int]:
+    """The process's minor page faults so far, or None where ``resource`` is missing."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def cmd_simulate(config: RunConfig, method: str, n_output: int) -> int:
     if n_output < 2:
         raise ConfigError(f"--n-output must be >= 2, got {n_output}")
@@ -198,12 +208,14 @@ def cmd_simulate(config: RunConfig, method: str, n_output: int) -> int:
         except MemoryError as exc:  # numpy refused the count's arrays, or could not allocate them
             raise ConfigError(f"--n-output {n_output} is too large: {exc}") from exc
         report = analysis.final_state_report(traj, config.loop.direction)
+        faults = _minor_faults()
         started = time.perf_counter()
         text = write(traj)
         seconds = time.perf_counter() - started
         values = traj.times.size * len(serialize.TRAJECTORY_COLUMNS)
-        log.debug("%s: %d values in %.3f ms, %.3f us a value", write.__name__, values, seconds * 1e3,
-                  seconds / values * 1e6)
+        faults = "" if faults is None else f", {_minor_faults() - faults} minor page faults"
+        log.debug("%s: %d values in %.3f ms, %.3f us a value%s", write.__name__, values, seconds * 1e3,
+                  seconds / values * 1e6, faults)
         fh.write(text)
     print(_report_line(report, method))
     return EXIT_OK

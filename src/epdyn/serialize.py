@@ -20,7 +20,10 @@ finite or is below 2^-1021, goes through CPython's own formatting
 (``_python_text``). The bytes are those of formatting one value at a time
 with ``fmt`` and ``json.dumps``; ``tests/row_reference.py`` keeps those
 writers as the oracle, and ``notes/decisions.md`` ("The rows' digits in
-numpy") gives the method and its error bound.
+numpy") gives the method and its error bound. A file's text and its chunks'
+large arrays come from one workspace (``traversal._Work``), so after a
+process's first file the writers fault no pages ("A file's text arrays stay
+mapped").
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .errors import ConfigError
 from .loops import Direction, LoopSpec, StaticDrive
 from .model import FieldPoint, SystemParams
 from .propagation import IntegratorConfig, StateVector, TrajectoryRecord
+from .traversal import _LINE, _Work
 
 __all__ = [
     "TRAJECTORY_COLUMNS",
@@ -192,12 +196,11 @@ def _values(obj, names: dict) -> dict:
     return {key: _json_value(attrgetter(name)(obj)) for key, name in names.items()}
 
 
-def _trajectory_columns(traj: TrajectoryRecord) -> np.ndarray:
-    """The trajectory columns as the rows of one float array, in ``TRAJECTORY_COLUMNS`` order."""
+def _trajectory_columns(traj: TrajectoryRecord) -> tuple:
+    """The trajectory columns, in ``TRAJECTORY_COLUMNS`` order."""
     w1 = traj.w1
     c1, c2 = traj.states[:, 0], traj.states[:, 1]
-    return np.array([traj.times, c1.real, c1.imag, c2.real, c2.imag, traj.norms_sq, traj.log_scale, w1, 1.0 - w1],
-                    dtype=float)
+    return traj.times, c1.real, c1.imag, c2.real, c2.imag, traj.norms_sq, traj.log_scale, w1, 1.0 - w1
 
 
 #: the CSV separator after each column's value
@@ -291,7 +294,8 @@ def table_to_json(table: Table1Result) -> str:
 # the trajectory rows' text (notes/decisions.md, "The rows' digits in numpy")
 # ---------------------------------------------------------------------------
 
-_CHUNK_ROWS = 512  # rows formatted at once: a chunk's gather index stays below 1 MB
+_CHUNK_ROWS = 1025  # rows formatted at once: 1024 output intervals and the row at t = 0
+_GATHER_ROWS = 256  # rows gathered at once: nine columns' byte index, 192 B a value, is 432 KiB
 _WIDTH = 24  # the longest value text, "-1.2345678901234567e-308"
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's split of a double into two 26-bit halves
 _MARGIN = 2.0 ** -40  # a rounding or interval test this near its boundary is CPython's to decide
@@ -303,6 +307,7 @@ _SOURCE = 32
 _SIGN, _POINT, _ZERO, _E, _E_SIGN, _E_HUNDREDS, _E_TENS, _DIGITS, _E_UNITS, _NUL = 0, 1, 2, 3, 4, 5, 6, 7, 24, 25
 _LITERALS = ord(".") << 8 * _POINT | ord("0") << 8 * _ZERO | ord("e") << 8 * _E
 _FIXED = 21  # layouts of fixed notation, point positions -3..17; then the exponent's two and three digits
+_VERBATIM = (_FIXED + 2) * 17  # the layout after them: a source's first _WIDTH bytes as they are
 
 
 @functools.cache
@@ -357,6 +362,7 @@ def _decimal(ax: np.ndarray, shortest: bool) -> tuple:
     r = units.astype(np.int64) + nearest.astype(np.int64)
     d = g - nearest  # y - r, within [-1/2, 1/2]
     doubt = np.abs(np.abs(d) - 0.5) < _MARGIN
+    del e, z, off, units, g, nearest  # the 15- and 16-digit search, a chunk's peak, reads none of them
     if shortest:
         half = y / m * 2.0 ** -54  # half an ulp of x, in units of y
         half_below = np.where(m == 0.5, 0.5 * half, half)  # below a power of two the neighbour is half as far
@@ -411,8 +417,9 @@ def _layout(form: int, n: int, shortest: bool) -> list:
 
 @functools.cache
 def _layouts(shortest: bool) -> np.ndarray:
-    """Every layout (form * 17 + n - 1) of ``_layout``, built on first use."""
-    return np.array([_layout(form, n, shortest) for form in range(_FIXED + 2) for n in range(1, 18)], dtype=np.uint8)
+    """Every layout (form * 17 + n - 1) of ``_layout``, then ``_VERBATIM``'s, built on first use."""
+    return np.array([_layout(form, n, shortest) for form in range(_FIXED + 2) for n in range(1, 18)]
+                    + [list(range(_WIDTH))], dtype=np.uint8)
 
 
 def _python_text(x: float, shortest: bool) -> str:
@@ -420,8 +427,12 @@ def _python_text(x: float, shortest: bool) -> str:
     return json.dumps(x) if shortest else fmt(x)
 
 
-def _texts(x: np.ndarray, shortest: bool) -> np.ndarray:
-    """(m, _WIDTH) bytes: each value of x written as ``_python_text`` writes it, NUL-padded."""
+def _sources(x: np.ndarray, shortest: bool, work: _Work) -> tuple:
+    """(source, layout): each value's ``_SOURCE`` bytes (m, _SOURCE), taken from ``work``, and its row of ``_layouts``.
+
+    A value that ``_python_text`` writes has that text, NUL-padded, as its
+    source and the verbatim layout.
+    """
     ax = np.abs(x)
     kernel = (ax >= _LEAST) & (ax < math.inf)
     zero = x == 0.0
@@ -434,7 +445,7 @@ def _texts(x: np.ndarray, shortest: bool) -> np.ndarray:
     upper, lower = _ascii8(eight), _ascii8(rest - eight * 10 ** 8)
     e = np.abs(E).astype(np.uint64)
     hundreds, tens = e // 100, e // 10
-    words = np.empty((len(x), _SOURCE // 8), dtype=np.uint64)
+    words = work.take((len(x), _SOURCE // 8), np.uint64)
     words[:, 0] = (_LITERALS | np.signbit(x) * np.uint64(ord("-")) << 8 * _SIGN
                    | np.where(E < 0, ord("-"), ord("+")).astype(np.uint64) << 8 * _E_SIGN
                    | (hundreds + 48) << 8 * _E_HUNDREDS | (tens - hundreds * 10 + 48) << 8 * _E_TENS
@@ -448,28 +459,57 @@ def _texts(x: np.ndarray, shortest: bool) -> np.ndarray:
     point = E + 1
     fixed = (point >= -3) & (point <= (16 if shortest else 17))
     form = np.where(fixed, point + 3, np.where(e >= 100, _FIXED + 1, _FIXED))
-    index = _layouts(shortest)[form * 17 + n - 1] + np.arange(0, _SOURCE * len(x), _SOURCE)[:, None]
-    out = words.view(np.uint8).ravel().take(index)
+    layout = form * 17 + n - 1
+    source = words.view(np.uint8)
     for i in np.flatnonzero(~(kernel | zero) | kernel & doubt):
         text = _python_text(float(x[i]), shortest).encode()
-        out[i] = np.frombuffer(text.ljust(_WIDTH, b"\0"), dtype=np.uint8)
-    return out
+        source[i, :_WIDTH] = np.frombuffer(text.ljust(_WIDTH, b"\0"), dtype=np.uint8)
+        layout[i] = _VERBATIM
+    return source, layout
 
 
-def _rows_text(head: str, columns: np.ndarray, shortest: bool, seps: tuple, end: str) -> str:
-    """``head``, the rows of ``columns`` (one column per array row) and ``end``: each value but the last followed by
-    its column's separator in ``seps``; digits as ``fmt`` writes them, or as JSON does if ``shortest``."""
+def _rows_text(head: str, columns, shortest: bool, seps: tuple, end: str) -> str:
+    """``head``, the rows of ``columns`` (equally long columns of numbers) and ``end``: each value but the last
+    followed by its column's separator in ``seps``; digits as ``fmt`` writes them, or as JSON does if ``shortest``.
+
+    The text and every chunk's large arrays are taken from one ``_Work`` (notes/decisions.md, "A file's text arrays
+    stay mapped"). A chunk's values are formatted at once and their bytes gathered ``_GATHER_ROWS`` rows at a time
+    into slots that hold each value's text and its separator, NUL-padded; ``bytes.translate`` drops the NULs.
+    """
     width = max(map(len, seps))
-    pad = np.array([list(sep.encode().ljust(width, b"\0")) for sep in seps], dtype=np.uint8)
-    rows = columns.shape[1]
-    pieces = [head]
+    slot = _WIDTH + width
+    rows = len(columns[0])
+    step = min(rows, _GATHER_ROWS) * len(seps)  # the values of a gather
+    head, end = head.encode(), end.encode()
+    size = len(head) + rows * len(seps) * slot + len(end)  # the text's bound: every slot full
+    # the text; a chunk's values (8 B each) and sources; a gather's slots, texts, their bytes' offsets and index
+    work = _Work(size + min(rows, _CHUNK_ROWS) * len(seps) * (8 + _SOURCE) + step * (slot + 10 * _WIDTH) + 8 * _LINE)
+    text = work.take((size,), np.uint8)
+    slots = work.take((step, slot), np.uint8)
+    slots.reshape(-1, len(seps), slot)[:, :, _WIDTH:] = [list(sep.encode().ljust(width, b"\0")) for sep in seps]
+    texts = work.take((step, _WIDTH), np.uint8)
+    offsets = work.take((step, _WIDTH), np.uint8)  # each text byte's source byte within its value's source
+    index = work.take((step, _WIDTH), np.int64)  # and within the gather's sources
+    starts = np.arange(0, _SOURCE * step, _SOURCE)[:, None]
+    text[:len(head)] = np.frombuffer(head, np.uint8)
+    filled = len(head)
     for start in range(0, rows, _CHUNK_ROWS):
-        values = columns[:, start:start + _CHUNK_ROWS].T.ravel()
-        out = np.empty((len(values), _WIDTH + width), dtype=np.uint8)
-        out[:, :_WIDTH] = _texts(values, shortest)
-        out.reshape(-1, len(seps), _WIDTH + width)[:, :, _WIDTH:] = pad
-        if start + _CHUNK_ROWS >= rows:
-            out[-1, _WIDTH:] = 0  # ``end`` follows the last value
-        pieces.append(out.tobytes().translate(None, b"\0").decode("ascii"))
-    pieces.append(end)
-    return "".join(pieces)
+        with work.scope():
+            x = work.take((min(_CHUNK_ROWS, rows - start), len(seps)), float)
+            np.stack([column[start:start + _CHUNK_ROWS] for column in columns], axis=1, out=x)
+            source, layout = _sources(x.ravel(), shortest, work)
+            source = source.ravel()
+            for first in range(0, layout.size, step):
+                k = min(step, layout.size - first)
+                np.take(_layouts(shortest), layout[first:first + k], axis=0, out=offsets[:k], mode="clip")
+                np.add(offsets[:k], starts[:k], out=index[:k])
+                # "clip" takes into ``out`` as it is ("raise" would buffer it); every index is in range
+                np.take(source[_SOURCE * first:], index[:k], out=texts[:k], mode="clip")
+                slots[:k, :_WIDTH] = texts[:k]
+                piece = slots[:k].tobytes().translate(None, b"\0")
+                text[filled:filled + len(piece)] = np.frombuffer(piece, np.uint8)
+                filled += len(piece)
+    if rows:
+        filled -= len(seps[-1])  # ``end`` follows the last value
+    text[filled:filled + len(end)] = np.frombuffer(end, np.uint8)
+    return str(text[:filled + len(end)].data, "utf-8")

@@ -290,7 +290,7 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     while n < tmap.steps:
         n *= 2
     if n != tmap.steps:  # the rows take a finer step count
-        run = _intervals(params, batch, n, n // n_output, _Work(1))
+        run = _intervals(params, batch, n, n // n_output, _block_work(1))
         error = _ruled_out(run, 0, drive, n)
         if error or not run.smooth[0]:
             raise error or AmbiguousTrackingError(f"the eigenframe of {drive} is unresolved at {n} steps")
@@ -398,7 +398,7 @@ def _settle(params: SystemParams, drives: Sequence, batch: "_Batch", rel_tol: fl
         out[k] = None if fallback else kind(f"the {what} map of {drives[k]} {reason}")
 
     active, n, run, scan = list(range(len(drives))), _FIRST_STEPS, None, None
-    work = _Work(len(drives))
+    work = _block_work(len(drives))
     while active and n <= _STEP_CAP:
         every = n // intervals if n % intervals == 0 and intervals & (intervals - 1) == 0 else n
         run = _intervals(params, batch if len(active) == len(drives) else _take(batch, active), n, every, work)
@@ -623,31 +623,33 @@ def branch_frames(params: SystemParams, drive, times: np.ndarray) -> tuple:
 
 
 class _Work:
-    """Scratch memory for the blocks of one ``_settle`` call: one flat buffer, taken as a stack.
+    """Scratch memory for the repeated arrays of one call: one flat byte buffer of ``size`` bytes, taken as a stack.
 
     A block's arrays are 128 KiB to 1 MiB at the largest blocks, where glibc
     maps each one fresh and unmaps or trims it again once it is freed, so
     every block faulted its pages in anew (``notes/decisions.md``, "A
-    block's arrays stay mapped"). ``take`` gives the next free values as a
-    contiguous array, and leaving a ``with work.scope()`` block gives back
-    what was taken in it, so a block's arrays reuse the buffer's pages. The
-    same operations write the same bits there as into a fresh array. What
-    does not fit is a fresh array, and so is everything taken from
-    ``_Work()``, the workspace for no loops, which the products whose
-    results are kept take (the tree over the blocks' nodes, the scan, the
-    rotations).
+    block's arrays stay mapped"); the trajectory writers' chunks did the
+    same ("A file's text arrays stay mapped"). ``take`` gives the next free
+    bytes as a contiguous array of any dtype, and leaving a
+    ``with work.scope()`` block gives back what was taken in it, so a
+    block's arrays reuse the buffer's pages. The same operations write the
+    same bits there as into a fresh array. What does not fit is a fresh
+    array, and so is everything taken from ``_Work()``, the workspace of no
+    bytes, which the products whose results are kept take (the tree over
+    the blocks' nodes, the scan, the rotations).
     """
 
-    def __init__(self, loops: int = 0) -> None:
-        # a block holds at most max(_BLOCK_STEPS, loops) steps over all its loops
-        values = np.empty(_WORK_VALUES * max(_BLOCK_STEPS, loops) if loops else 0, dtype=complex)
-        self.flat = {complex: values, float: values.view(float)}
+    def __init__(self, size: int = 0) -> None:
+        self.buffer = np.empty(-(-size // _LINE) * _LINE, dtype=np.uint8)
+        self.flat: dict = {}  # the buffer viewed as each dtype taken
         self.top = 0  # the bytes taken
         self.marks: list = []
 
     def take(self, shape: tuple, dtype=complex) -> np.ndarray:
         """An array of ``shape`` on the next free whole lines of the buffer, or a fresh one past its end."""
-        flat = self.flat[dtype]
+        flat = self.flat.get(dtype)
+        if flat is None:
+            flat = self.flat[dtype] = self.buffer.view(dtype)
         start = self.top // flat.itemsize
         end = start + math.prod(shape)
         if end > flat.size:
@@ -665,6 +667,11 @@ class _Work:
 
     def __exit__(self, *exc) -> None:
         self.top = self.marks.pop()
+
+
+def _block_work(loops: int) -> _Work:
+    """The workspace of a ``_settle`` call over ``loops`` loops: a block holds at most max(_BLOCK_STEPS, loops) steps."""
+    return _Work(_WORK_VALUES * max(_BLOCK_STEPS, loops) * np.dtype(complex).itemsize)
 
 
 class _Run(NamedTuple):
@@ -752,8 +759,8 @@ def _intervals(params: SystemParams, batch: _Batch, n: int, every: int, work: _W
                 finite = finite & good
                 if eigen:
                     clear = clear & ~on_ep
-                maps, zeta = _steps(*means, sign, work)
-                resolved &= (np.abs(zeta) <= 1.0).all(axis=(0, 2))
+                maps, small = _steps(*means, sign, work)
+                resolved &= small.all(axis=(0, 2))
                 if not (resolved.all() or np.isfinite(maps).all()):  # a finite step has |Re sigma| < 711: it fits the cap
                     reach = np.maximum(reach, _reach(*means, sign))
                 shape = (m, size // per, per)
@@ -832,7 +839,7 @@ def _steps(hp: np.ndarray, hq: np.ndarray, sign: float, work: _Work) -> tuple:
     """The step maps (2, 2, m, b) of the exponentials of [[hp, hq], [sign hq, -hp]] (2, m, b).
 
     Both exponentials of every step are evaluated together, and the second
-    is applied after the first. Also returns their sigma^2 (2, m, b).
+    is applied after the first. Also returns where their |sigma^2| <= 1 (2, m, b).
     """
     zeta = np.multiply(hp, hp, out=work.take(hp.shape))
     with work.scope():
@@ -840,21 +847,21 @@ def _steps(hp: np.ndarray, hq: np.ndarray, sign: float, work: _Work) -> tuple:
         np.add(zeta, np.multiply(sign, square, out=square), out=zeta)
     factors = work.take((2, 2) + zeta.shape)  # [i, j, exponential, m, b]
     with work.scope():
-        c, s = _cosh_sinhc(zeta, work)
+        c, s, small = _cosh_sinhc(zeta, work)
         sp = np.multiply(s, hp, out=work.take(zeta.shape))
         np.add(c, sp, out=factors[0, 0])
         np.multiply(s, hq, out=factors[0, 1])
         np.multiply(sign, factors[0, 1], out=factors[1, 0])
         np.subtract(c, sp, out=factors[1, 1])
-    return _mat(factors[:, :, 1], factors[:, :, 0], work), zeta
+    return _mat(factors[:, :, 1], factors[:, :, 0], work), small
 
 
 def _cosh_sinhc(zeta: np.ndarray, work: _Work) -> tuple:
-    """(cosh sigma, sinh sigma / sigma) for sigma^2 = zeta; both are entire in zeta, 1 at 0.
+    """(cosh sigma, sinh sigma / sigma, |zeta| <= 1) for sigma^2 = zeta; the first two are entire in zeta, 1 at 0.
 
     Where |zeta| <= 1 they are their power series in zeta, summed by Horner
     to the zeta^9 term (the next term is below 5e-19); elsewhere numpy's
-    cosh and sinh of sigma.
+    cosh and sinh of sigma. The mask is fresh, so it outlives ``work``'s scope.
     """
     c, s = work.take(zeta.shape), work.take(zeta.shape)
     c.fill(_INV_FACTORIALS[2 * _SERIES_TERMS])
@@ -865,11 +872,12 @@ def _cosh_sinhc(zeta: np.ndarray, work: _Work) -> tuple:
         s *= zeta
         s += _INV_FACTORIALS[2 * k + 1]
     with work.scope():
-        big = ~(np.abs(zeta, out=work.take(zeta.shape, float)) <= 1.0)
-    if big.any():
+        small = np.abs(zeta, out=work.take(zeta.shape, float)) <= 1.0
+    if not small.all():
+        big = ~small
         sigma = np.sqrt(zeta[big])
         c[big], s[big] = np.cosh(sigma), np.sinh(sigma) / sigma
-    return c, s
+    return c, s, small
 
 
 def _mat(x: np.ndarray, y: np.ndarray, work: _Work) -> np.ndarray:

@@ -1216,7 +1216,7 @@ class TestDopri5:
         # the Gauss points and the weights of the two exponentials make the
         # product 4th order: the change over a doubling shrinks 16-fold
         loop = encircling_loop(10.0, Direction.CW)
-        runs = [traversal._intervals(REF, traversal._batch(REF, [loop], True), n, n, traversal._Work(1))
+        runs = [traversal._intervals(REF, traversal._batch(REF, [loop], True), n, n, traversal._block_work(1))
                 for n in (256, 512, 1024)]
         maps = [traversal._rotate(run, run.x, run.e) for run in runs]
         changes = [traversal._change(*maps[k + 1], *maps[k]) for k in (0, 1)]

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 from decimal import Decimal
@@ -270,25 +271,62 @@ class TestRowDigits:
 
 
 class TestRowChunks:
-    """A record is formatted in chunks of rows; the seams and the fallback keep the per-value writers' bytes
-    (``edge_record`` alone is ``TestWritersAgainstReference.test_edge_values``)."""
+    """A record is formatted in chunks of rows and gathered in sub-blocks of them; the seams, the fallback and the
+    reused workspace keep the per-value writers' bytes (``edge_record`` alone is
+    ``TestWritersAgainstReference.test_edge_values``)."""
 
-    def test_chunk_seams(self, monkeypatch):
-        # three full chunks and a partial one, of amplitudes from 1e-30 to 1e30 with the edge rows at the seams
-        rows = 3 * serialize._CHUNK_ROWS + 77
-        rng = np.random.default_rng(41)
-        states = (rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))) * 10.0 ** rng.integers(-30, 30, (rows, 2))
-        norms = (np.abs(states) ** 2).sum(axis=1)
-        logs = rng.uniform(-300.0, 300.0, rows)
-        seams = [k * serialize._CHUNK_ROWS + j for k in range(1, 4) for j in (-1, 0)]
-        for k, (_, c1, c2, norm, log) in zip(seams + [rows - 1], EDGE_ROWS):
-            states[k], norms[k], logs[k] = (c1, c2), norm, log
-        traj = TrajectoryRecord(np.linspace(0.0, 348.75, rows), states, norms, logs, {"method": "direct"})
-        seen = python_path(monkeypatch)
+    @staticmethod
+    def same_as_reference(traj: TrajectoryRecord) -> None:
         with np.errstate(all="ignore"):  # W1 = |c1|^2 / norm_sq overflows and divides 0 by 0
             assert trajectory_to_csv(traj) == row_reference.trajectory_to_csv(traj)
             assert trajectory_to_json(traj) == row_reference.trajectory_to_json(traj)
+
+    @staticmethod
+    def random_record(rows: int, seed: int, edges: list = ()) -> TrajectoryRecord:
+        """Amplitudes from 1e-30 to 1e30, log scales within +-300, and ``EDGE_ROWS`` in turn at the rows ``edges``."""
+        rng = np.random.default_rng(seed)
+        states = (rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))) * 10.0 ** rng.integers(-30, 30, (rows, 2))
+        norms = (np.abs(states) ** 2).sum(axis=1)
+        logs = rng.uniform(-300.0, 300.0, rows)
+        for k, (_, c1, c2, norm, log) in zip(edges, itertools.cycle(EDGE_ROWS)):
+            states[k], norms[k], logs[k] = (c1, c2), norm, log
+        return TrajectoryRecord(np.linspace(0.0, 348.75, rows), states, norms, logs, {"method": "direct"})
+
+    def test_chunk_seams(self, monkeypatch):
+        # three full chunks and a partial one, with the edge rows on both sides of every chunk seam and every
+        # sub-block seam within a chunk, and in the last row
+        chunk, gather = serialize._CHUNK_ROWS, serialize._GATHER_ROWS
+        rows = 3 * chunk + 77
+        starts = [c + g for c in range(0, rows, chunk) for g in range(0, min(chunk, rows - c), gather)]
+        seams = sorted({k + j for k in starts[1:] for j in (-1, 0)} | {rows - 1})
+        assert len(seams) > 2 * 3 + 1  # the sub-block seams too
+        seen = python_path(monkeypatch)
+        self.same_as_reference(self.random_record(rows, 41, seams))
         assert len(seen) > 0  # NaN, the infinities and the subnormals of the edge rows
+
+    @pytest.mark.parametrize("gather", [1, 3, serialize._GATHER_ROWS])
+    @pytest.mark.parametrize("chunk", [1, 7, serialize._CHUNK_ROWS, 51])
+    def test_chunk_sizes(self, monkeypatch, chunk, gather):
+        # chunking only splits the rows: one chunk a row, seven, the default and more than the record's 50
+        # rows, each gathered a row, three rows or the default at a time, give the same bytes
+        monkeypatch.setattr(serialize, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(serialize, "_GATHER_ROWS", gather)
+        self.same_as_reference(self.random_record(50, 43, range(0, 50, 6)))
+
+    @pytest.mark.parametrize("stale", [False, True], ids=["reused", "stale-filled"])
+    def test_a_file_after_others_keeps_its_bytes(self, monkeypatch, stale):
+        # a long record, a short one, then the edge rows in one process: each file's workspace is carved from
+        # memory the one before used, and a byte of an earlier file must not reach a later one. The stale-filled
+        # workspace starts as digits and separators, whatever the allocator gives back
+        if stale:
+            class Stale(serialize._Work):
+                def __init__(self, size: int = 0) -> None:
+                    super().__init__(size)
+                    self.buffer[:] = np.resize(np.frombuffer(b"9.87654321e+123,\n  ],[-", np.uint8), self.buffer.size)
+
+            monkeypatch.setattr(serialize, "_Work", Stale)
+        for traj in (self.random_record(4097, 44), self.random_record(3, 45), edge_record()):
+            self.same_as_reference(traj)
 
     def test_readme_records_need_no_fallback(self, monkeypatch):
         # README's diode config (DEFAULT_PARAMS, the diode loop, ACCEPT, bare state 2) at 4096 rows, both

@@ -66,7 +66,7 @@ def grid_cell(n: int, i: int, j: int, direction: Direction) -> LoopSpec:
 
 def plain_map(loop: LoopSpec, n: int) -> tuple:
     """(U, exponent) of the loop's eigenframe product on n steps, as ``_settle`` forms it at one count."""
-    run = traversal._intervals(REF, traversal._batch(REF, [loop], True), n, n, traversal._Work(1))
+    run = traversal._intervals(REF, traversal._batch(REF, [loop], True), n, n, traversal._block_work(1))
     u, e = traversal._rotate(run, run.x, run.e)
     return u[:, :, 0, 0], int(e[0, 0])
 
@@ -135,7 +135,8 @@ def test_step_exponentials_match_cosh_and_sinh():
     # cosh(sigma) and sinh(sigma)/sigma; at sigma = 0 both are 1
     rng = np.random.default_rng(7)
     zeta = (rng.normal(size=400) + 1j * rng.normal(size=400)) * np.repeat([0.01, 0.3, 1.0, 3.0], 100)
-    c, s = traversal._cosh_sinhc(np.concatenate([zeta, [0j]]), traversal._Work(1))
+    c, s, small = traversal._cosh_sinhc(np.concatenate([zeta, [0j]]), traversal._block_work(1))
+    assert small.tolist() == (np.abs(zeta) <= 1.0).tolist() + [True]  # the series' domain, read once
     sigma = np.sqrt(zeta)
     assert np.abs(c[:-1] - np.cosh(sigma)).max() < 1e-15 * np.abs(np.cosh(sigma)).max()
     assert np.abs(s[:-1] - np.sinh(sigma) / sigma).max() < 1e-15 * np.abs(np.sinh(sigma) / sigma).max()
@@ -238,7 +239,7 @@ class TestWorkspace:
 
         def take(work, shape, dtype=complex):
             taken = real(work, shape, dtype)
-            buffer = work.flat[complex]
+            buffer = work.buffer
             if buffer.size and not np.may_share_memory(taken, buffer):
                 fresh.append(shape)
             return taken
@@ -290,7 +291,7 @@ class TestArrayForms:
         pairs["tree halves, full block"] = (z[..., 1::2], z[..., 0::2])
         with np.errstate(all="ignore"):
             for name, (a, b) in pairs.items():
-                for work in (traversal._Work(1), traversal._Work()):  # into a workspace, and fresh
+                for work in (traversal._block_work(1), traversal._Work()):  # into a workspace, and fresh
                     assert same_bits(traversal._mat(a, b, work), reference.entrywise_mat(a, b)), name
 
     @pytest.mark.parametrize("n", [1, 2, 8, 512])
@@ -300,7 +301,7 @@ class TestArrayForms:
         rng = np.random.default_rng(n)
         x = rng.normal(size=(2, 2, 3, n)) + 1j * rng.normal(size=(2, 2, 3, n))
         e = rng.integers(-50, 50, size=(3, n))
-        tree, tree_e = traversal._tree(x, e, traversal._Work(1))
+        tree, tree_e = traversal._tree(x, e, traversal._block_work(1))
         scan, scan_e = traversal._scan(x, e)
         assert same_bits(scan[..., -1], tree) and np.array_equal(scan_e[..., -1], tree_e)
 
@@ -370,10 +371,10 @@ class TestRows:
         a, g, w2, _ = loops._traceless_at(params, loop, loops._samples(loop.duration_T, 512))
         batch = traversal._batch(params, [loop], True, np.stack([a, g, w2])[None, :, 1:])
         for steps in (512, 1024):
-            run = traversal._intervals(params, batch, steps, steps // 512, traversal._Work(1))
+            run = traversal._intervals(params, batch, steps, steps // 512, traversal._block_work(1))
             assert not run.resolved[0]
             with np.errstate(all="ignore"):
-                (x, e), (u, f) = traversal._scan(run.x, run.e), traversal._tree(run.x, run.e, traversal._Work(1))
+                (x, e), (u, f) = traversal._scan(run.x, run.e), traversal._tree(run.x, run.e, traversal._block_work(1))
             assert (x[..., -1].tobytes(), e[..., -1].tobytes()) == (u.tobytes(), f.tobytes())
 
 
@@ -534,7 +535,7 @@ class TestBoundedWork:
     )
     def test_a_map_that_fits_a_finer_step_count_keeps_doubling(self, params, loop, finer, monkeypatch):
         for n, fits in ((256, False), (finer, True)):  # the bare frame's map, one interval of n steps
-            run = traversal._intervals(params, traversal._batch(params, [loop], False), n, n, traversal._Work(1))
+            run = traversal._intervals(params, traversal._batch(params, [loop], False), n, n, traversal._block_work(1))
             assert bool(np.isfinite(run.x).all()) is fits
         counts = self.counted(monkeypatch)
         with pytest.raises(StepBudgetError, match="has not settled at 131072 steps$"):
