@@ -72,14 +72,12 @@ step is resolved (|sigma^2| <= 1 for both exponentials; R asks it of both
 its counts): an unresolved step's change can be small by
 chance (the README diode config with e1 = 18 changes by 1.3e-9 from 256 to
 512 steps and by 4.1e-7 from 512 to 1024). Past ``_STEP_CAP`` steps the
-frame has not settled either. A step count whose map overflows ends the
-doubling at once, as the cap would, when its largest |Re sigma| scaled to
-the cap's step still exceeds twice float64's exp limit (``_no_step_fits``):
-no count up to the cap fits a step. The loop's one policy argument is the
-fallback: the maps' eigenframe leaves a loop to the bare frame where it is
-ruled out, stalls or meets the cap; the bare frame and the adiabatic route
-double on past an unresolved frame or a map that is not finite, and raise
-what ends them, with one message per condition.
+frame has not settled either; the cap alone bounds the doubling, a step
+count whose map overflows included. A map's eigenframe falls back: it
+leaves a loop to the bare frame where it is ruled out, stalls or meets the
+cap. The bare frame and the adiabatic route have no fallback: they double on
+past an unresolved frame or a map that is not finite, and raise what ends
+them, with one message per condition.
 
 Bits. Every operation is elementwise over (loops, steps) arrays or runs
 along one loop's steps, so a loop's U is the same bits alone and in any
@@ -152,8 +150,6 @@ _MAX_TURN = 0.5
 #: The largest distance, in turns of pi, of th_0 plus the quadrature of th'
 #: from the multiple of pi that the closed form at an interval end allows.
 _MAX_MISMATCH = 0.25
-#: The largest x with a finite exp(x) in float64.
-_EXP_LIMIT = math.log(sys.float_info.max)
 #: Steps evaluated at once over all loops of a batch (bounds the memory).
 _BLOCK_STEPS = 2**13
 #: The complex values per step and loop of a block that a ``_Work`` holds: the
@@ -237,7 +233,7 @@ def _maps(params: SystemParams, loops: Sequence[LoopSpec], rel_tol: float) -> li
     for eigen in (True, False):
         left = [k for k, m in enumerate(out) if m is None]
         drives = [loops[k] for k in left]
-        maps = _settle(params, drives, _batch(params, drives, eigen), rel_tol, 1, eigen)[0] if left else []
+        maps = _settle(params, drives, _batch(params, drives, eigen), rel_tol, 1)[0] if left else []
         for k, m in zip(left, maps):
             out[k] = m
     return out
@@ -247,9 +243,9 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     """U from t = 0 to each row of the adiabatic route, in the bare frame (see the module docstring).
 
     The full-loop map settles first (``_settle`` over the n_output row
-    intervals, with no fallback, on a ``_Batch`` whose interval ends are the
-    row scan's); the rows are then every (2^k)-th step end of the smallest
-    n_output * 2^k steps at or above that count. Where that is the settled
+    intervals on a ``_Batch`` whose interval ends are the row scan's); the
+    rows are then every (2^k)-th step end of the smallest n_output * 2^k
+    steps at or above that count. Where that is the settled
     count, the rows take its prefix scan; a finer count runs again on the
     batch. ``_rotate`` takes the scan to the bare frame. Returns (the settled
     ``TraversalMap``, the row step count, the row times, the maps U(t_j)
@@ -273,8 +269,8 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
         If the frame is unresolved at every step count up to the cap.
     StepBudgetError
         If the map stalls above ``_FLOOR_MAX``, or does not settle (or
-        overflows float64 at every step) up to the cap, or a row's map
-        overflows float64.
+        overflows float64 at the last step count) up to the cap, or a row's
+        map overflows float64.
     """
     error = _too_short(drive)
     if error is not None:
@@ -283,7 +279,7 @@ def eigen_rows(params: SystemParams, drive, rel_tol: float, n_output: int):
     t_ep = _ep_time(params, drive)
     scan = _traceless_at(params, drive, times if t_ep is None else np.append(times, t_ep))  # raises before any step
     batch = _batch(params, [drive], True, np.stack(scan[:3])[None, :, 1:n_output + 1])
-    (tmap,), run, (x, e) = _settle(params, [drive], batch, rel_tol, n_output, False)
+    (tmap,), run, (x, e) = _settle(params, [drive], batch, rel_tol, n_output)
     if isinstance(tmap, EpdynError):
         raise tmap
     n = n_output
@@ -318,17 +314,6 @@ def _ep_time(params: SystemParams, drive):
     c = _contour(drive)
     th = math.atan2((ep.eps0 - c.cy) / c.ay, (ep.omega - c.cx) / c.ax)
     return c.T * ((th - c.th0) / (c.sign * 2.0 * math.pi) % 1.0)
-
-
-def _no_step_fits(reach: float, n: int) -> bool:
-    """Whether no step count up to the cap fits a step, from the largest |Re sigma| at n steps.
-
-    sigma grows with the step h = T/n, so at ``_STEP_CAP`` steps the largest
-    |Re sigma| is about reach n / _STEP_CAP; past twice float64's exp limit
-    there, cosh(sigma) overflows at every step count up to the cap. A NaN
-    reach (h p or h q not finite) counts as past it.
-    """
-    return not reach * n / _STEP_CAP <= 2.0 * _EXP_LIMIT
 
 
 def _verdict(change: float, before: float, resolved: bool, rel_tol: float,
@@ -370,26 +355,27 @@ class _Count(NamedTuple):
     r_change: float = math.inf
 
 
-def _settle(params: SystemParams, drives: Sequence, batch: "_Batch", rel_tol: float, intervals: int,
-            fallback: bool) -> tuple:
+def _settle(params: SystemParams, drives: Sequence, batch: "_Batch", rel_tol: float, intervals: int) -> tuple:
     """Double each drive's steps in one frame until its map settles (see the module docstring).
 
     Each step count runs ``intervals`` intervals (1 for a map, the rows' for
     the adiabatic route) where they are a power of two that divides it, else
     one, and takes the map off their prefix scan. Only a map, of one
-    interval, may also stop on the extrapolated pair. With ``fallback`` a
-    drive whose frame is ruled out, stalls or meets the cap ends with None,
-    for another frame to take; without it the frame doubles on past an
-    unresolved frame or a map that is not finite, and each stop but a
-    settled map is the drive's error. ``batch`` holds, in its frame, what no
-    step count changes (``_batch``); each count reads the rows of the drives
-    still doubling. Returns each drive's map, error or None, and the ``_Run``
-    and scan of the last step count: for one drive, the count that settles it.
+    interval, may also stop on the extrapolated pair. A map in the
+    eigenframe falls back: a drive whose frame is ruled out, stalls or meets
+    the cap ends with None, for the bare frame to take. The bare frame and
+    the rows double on past an unresolved frame or a map that is not finite,
+    up to the cap, and each stop but a settled map is the drive's error.
+    ``batch`` holds, in its frame, what no step count changes (``_batch``);
+    each count reads the rows of the drives still doubling. Returns each
+    drive's map, error or None, and the ``_Run`` and scan of the last step
+    count: for one drive, the count that settles it.
     """
     eigen = batch.origin is not None
     what = "eigenframe" if eigen else "traversal"
     frame = "eigen" if eigen else "bare"
     extrapolate = intervals == 1  # the rows' prefix maps are 4th order at the settled count
+    fallback = eigen and extrapolate  # the bare frame stands behind a map's eigenframe
     out: list = [None] * len(drives)
     last = {}  # drive index -> _Count at the step count before
     ending = {}  # drive index -> (error type, reason) if the cap ends it
@@ -419,9 +405,7 @@ def _settle(params: SystemParams, drives: Sequence, batch: "_Batch", rel_tol: fl
                 ending[k] = ((StepBudgetError, f"overflows float64 at every step count up to {_STEP_CAP}: no step fits")
                              if run.smooth[i] else
                              (AmbiguousTrackingError, f"is unresolved at every step count up to {_STEP_CAP}"))
-                if fallback or (run.smooth[i] and _no_step_fits(run.reach[i], n)):
-                    end(k, *ending[k])
-                else:
+                if not fallback:
                     still.append(k)
                 continue
             before = last.get(k)
@@ -681,7 +665,6 @@ class _Run(NamedTuple):
     e: np.ndarray  # (m, N) its power-of-two exponent
     finite: np.ndarray  # (m,) the drive is finite at t = 0 and the Gauss points
     resolved: np.ndarray  # (m,) |sigma^2| <= 1 in every exponential
-    reach: np.ndarray  # (m,) the largest |Re sigma| over the blocks with a step map that is not finite (else 0)
     clear: np.ndarray  # (m,) neither t = 0 nor a Gauss point is on the EP (eigenframe)
     smooth: np.ndarray  # (m,) the frame is resolved (eigenframe)
     rotations: tuple  # ((cos th_0, sin th_0) (m,), (cos th, sin th) (m, N)) (eigenframe)
@@ -745,7 +728,6 @@ def _intervals(params: SystemParams, batch: _Batch, n: int, every: int, work: _W
     block = 1 << (block.bit_length() - 1)  # a power of two, so a block is a subtree
     per = min(every, block)  # divides the block, n and every block start
     resolved = np.ones(m, dtype=bool)
-    reach = np.zeros(m)
     phase = _Phase(batch.origin, every) if eigen else None
     with np.errstate(all="ignore"):  # overflow and the EP are reported in the result
         nodes, exps = [], []
@@ -761,8 +743,6 @@ def _intervals(params: SystemParams, batch: _Batch, n: int, every: int, work: _W
                     clear = clear & ~on_ep
                 maps, small = _steps(*means, sign, work)
                 resolved &= small.all(axis=(0, 2))
-                if not (resolved.all() or np.isfinite(maps).all()):  # a finite step has |Re sigma| < 711: it fits the cap
-                    reach = np.maximum(reach, _reach(*means, sign))
                 shape = (m, size // per, per)
                 node, e = _tree(maps.reshape(2, 2, *shape), np.zeros(shape, dtype=np.int64), work)
                 nodes.append(node.copy())  # the next block takes its workspace again
@@ -771,10 +751,10 @@ def _intervals(params: SystemParams, batch: _Batch, n: int, every: int, work: _W
         x, e = _tree(np.concatenate(nodes, axis=-1).reshape(2, 2, *shape), np.concatenate(exps, axis=-1).reshape(shape),
                      _Work())
         if not eigen:
-            return _Run(x, e, finite, resolved, reach, np.ones(m, dtype=bool), np.ones(m, dtype=bool), ())
+            return _Run(x, e, finite, resolved, np.ones(m, dtype=bool), np.ones(m, dtype=bool), ())
         stride = batch.ends.shape[-1] * every // n
         rotations = phase.rotations(*batch.ends[..., stride - 1::stride].transpose(1, 0, 2))
-    return _Run(x, e, finite, resolved, reach, clear, phase.smooth, rotations)
+    return _Run(x, e, finite, resolved, clear, phase.smooth, rotations)
 
 
 def _block_means(params: SystemParams, contours: _Contour, times: np.ndarray, h: np.ndarray,
@@ -820,19 +800,6 @@ def _means(p: np.ndarray, q: np.ndarray, h: np.ndarray, out: np.ndarray, work: _
         with work.scope():
             np.add(mean, np.multiply(w[:, 1], x[:, 1::2], out=work.take(mean.shape)), out=mean)
         np.multiply(h, mean, out=mean)
-
-
-def _reach(hp: np.ndarray, hq: np.ndarray, sign: float) -> np.ndarray:
-    """The largest |Re sigma| of each loop's exponentials (m,), where sigma^2 = hp^2 + sign hq^2.
-
-    hp and hq are scaled by the larger modulus before squaring, so a sigma^2
-    that overflows float64 still gives the real part of its sigma (0 for an
-    imaginary sigma); it is NaN only where hp or hq is not finite.
-    """
-    scale = np.maximum(np.abs(hp), np.abs(hq))
-    scale[scale == 0.0] = 1.0
-    p, q = hp / scale, hq / scale
-    return (scale * np.abs(np.sqrt(p * p + sign * (q * q)).real)).max(axis=(0, 2))
 
 
 def _steps(hp: np.ndarray, hq: np.ndarray, sign: float, work: _Work) -> tuple:

@@ -313,6 +313,11 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             SweepSpec(template=self.THIN, durations=(5.0,), amp_scales=(1.0,), **{field: value})
 
+    @pytest.mark.parametrize("durations, amp_scales", [((), (1.0,)), ((5.0,), ()), ((), ())])
+    def test_spec_refuses_an_empty_grid(self, durations, amp_scales):
+        with pytest.raises(ValueError, match="^grid must have at least one duration and one amplitude$"):
+            SweepSpec(template=self.THIN, durations=durations, amp_scales=amp_scales)
+
     @pytest.mark.parametrize("target", [3, 0, "cw", True, 1.0])
     def test_spec_refuses_a_target_that_is_no_state(self, target):
         # such a target failed every cell's pass_ratio without a word; True acted as state 1

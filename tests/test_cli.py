@@ -141,6 +141,18 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "'system'" in err and "JSON object" in err
 
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_an_unreadable_config_is_a_config_error(self, tmp_path, name):
+        with pytest.raises(ConfigError, match="^cannot read config: "):
+            load_config(str(tmp_path / name))
+
+    @pytest.mark.parametrize("document", ["[]", "1.5", '"system"', "null"])
+    def test_a_document_that_is_no_object_is_a_config_error(self, tmp_path, document):
+        path = tmp_path / "config.json"
+        path.write_text(document, encoding="utf-8")
+        with pytest.raises(ConfigError, match="^config document must be a JSON object$"):
+            load_config(str(path))
+
 
 class TestLocateEP:
     def test_prints_closed_form(self, tmp_path, capsys):
@@ -359,6 +371,18 @@ class TestOutputPath:
         path = str(tmp_path / "missing" / "out")
         assert main(["--config", write_config(tmp_path), "--output", path, *argv]) == 1
         assert "cannot be opened for writing" in capsys.readouterr().err
+
+    def test_an_existing_file_that_cannot_be_written_exits_1(self, tmp_path, capsys, monkeypatch):
+        # root passes any file's mode bits, so os.access refuses writing to this one path here
+        out = tmp_path / "kept.csv"
+        out.write_text("kept\n", encoding="utf-8")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: access(path, mode)
+                            and not (mode == os.W_OK and os.fspath(path) == str(out)))
+        assert main(["--config", write_config(tmp_path), "--output", str(out), "simulate", "--n-output", "8"]) == 1
+        assert capsys.readouterr().err == ("error: ConfigError: field 'output.path' (or --output) cannot be opened for "
+                                           f"writing: {str(out)!r} is not writable\n")
+        assert out.read_text(encoding="utf-8") == "kept\n"
 
 
 class TestFailedRunKeepsTheFile:
@@ -788,6 +812,23 @@ class TestSweep:
         assert main(argv + ["--t-min", "1e-300", "--t-max", "1e300", "--nt", "3"]) == 1
         err = capsys.readouterr().err
         assert "error: ConfigError: duration grid overflows float64 between 1e-300 and 1e+300" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lo, hi, n, message",
+        [
+            (300.0, 375.0, 0, "duration grid size must be >= 1"),
+            (300.0, 375.0, -2, "duration grid size must be >= 1"),
+            (300.0, 300.0, 3, "duration grid bounds must satisfy 0 < min < max < inf"),
+            (375.0, 300.0, 3, "duration grid bounds must satisfy 0 < min < max < inf"),
+        ],
+        ids=["no-points", "negative-count", "max-at-min", "max-below-min"],
+    )
+    def test_a_grid_of_no_points_or_no_width_exits_1(self, tmp_path, capsys, lo, hi, n, message):
+        out = tmp_path / "sweep.csv"
+        argv = ["--config", write_config(tmp_path), "--output", str(out), "sweep"]
+        assert main(argv + ["--t-min", repr(lo), "--t-max", repr(hi), "--nt", str(n)]) == 1
+        assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
         assert not out.exists()
 
     def test_a_too_short_grid_names_the_flag_once(self, tmp_path, capsys):

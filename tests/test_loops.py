@@ -185,6 +185,11 @@ class TestStaticDrive:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             StaticDrive(field, duration)
 
+    @pytest.mark.parametrize("duration", [0.0, -0.0, -5.0, -5e-324])
+    def test_rejects_a_duration_that_is_not_positive(self, duration):
+        with pytest.raises(ValueError, match="^duration_T must be > 0$"):
+            StaticDrive(FieldPoint(1.0, 0.3), duration)
+
 
 def bits(values):
     """Types and IEEE bits of a tuple of floats and complex numbers (-0.0 differs from 0.0)."""

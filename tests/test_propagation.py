@@ -96,6 +96,41 @@ class TestStateVector:
         assert abs(sv.c1) == pytest.approx(abs(sv.c2))
         assert sv.c2 / sv.c1 == pytest.approx(1j)
 
+    def test_coerce_takes_a_pair_and_keeps_a_state(self):
+        sv = StateVector.coerce((1, 2j))
+        assert (sv.c1, sv.c2) == (1.0, 2j) and type(sv.c1) is complex
+        assert StateVector.coerce(sv) is sv
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_basis_has_two_states(self, index):
+        with pytest.raises(ValueError, match="^basis index must be 1 or 2$"):
+            StateVector.basis(index)
+
+
+class TestTrajectoryRecord:
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([0.0], "times must be a 1-D array with at least two entries"),
+            ([[0.0, 1.0], [2.0, 3.0]], "times must be a 1-D array with at least two entries"),
+            ([0.5, 1.0], "times must increase strictly from 0"),
+            ([0.0, 1.0, 1.0], "times must increase strictly from 0"),
+            ([0.0, 2.0, 1.0], "times must increase strictly from 0"),
+        ],
+        ids=["one-row", "2-D", "late-start", "repeated", "decreasing"],
+    )
+    def test_refuses_bad_times(self, times, message):
+        n = len(times)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrajectoryRecord(np.array(times), np.ones((n, 2), dtype=complex), np.full(n, 2.0), np.zeros(n))
+
+
+@pytest.mark.parametrize("propagate", [propagate_direct, propagate_adiabatic], ids=["direct", "adiabatic"])
+@pytest.mark.parametrize("n_output", [-1, 0, 1])
+def test_both_routes_refuse_fewer_than_two_output_intervals(propagate, n_output):
+    with pytest.raises(ValueError, match="^n_output must be >= 2$"):
+        propagate(REF, encircling_loop(50.0), StateVector.basis(1), n_output=n_output)
+
 
 class TestIntegratorConfig:
     def test_rejects_nonpositive(self):
@@ -1283,6 +1318,14 @@ class TestAccumulatedPhase:
         with pytest.raises(MemoryError, match=f"^{10**20 + 1} samples do not fit"):
             accumulated_phase(REF, encircling_loop(50.0), 25.0, n_samples=10**20)
 
+    @pytest.mark.parametrize("t", [-1e-9, 50.0 + 1e-9, math.nan], ids=["before", "after", "nan"])
+    def test_rejects_a_time_outside_the_loop(self, t):
+        with pytest.raises(ValueError, match=r"^t = .* outside \[0, 50\.0\]$"):
+            accumulated_phase(REF, encircling_loop(50.0), t)
+
+    def test_nothing_accumulates_at_the_start(self):
+        assert accumulated_phase(REF, encircling_loop(50.0), 0.0) == 0j
+
     def test_diode_phase_integrals_unchanged(self):
         # the values scipy.integrate.simpson gives on the tracked gap 2 lam, to the bit
         times = np.linspace(0.0, DIODE_DURATION, 8193)
@@ -1394,6 +1437,11 @@ class TestTrackBranches:
         # numpy refuses 10^20 + 1 samples before it allocates anything
         with pytest.raises(MemoryError, match=f"^{10**20 + 1} samples do not fit"):
             track_branches(REF, encircling_loop(10.0), n_samples=10**20)
+
+    @pytest.mark.parametrize("n_samples", [-1, 0, 15])
+    def test_rejects_too_few_samples(self, n_samples):
+        with pytest.raises(ValueError, match="^n_samples must be >= 16$"):
+            track_branches(REF, encircling_loop(10.0), n_samples=n_samples)
 
 
 class TestAdiabaticPropagation:

@@ -186,6 +186,25 @@ class TestBits:
         assert len(counts) > 1 and 2 * max(counts) <= traversal._BLOCK_STEPS  # every count runs one block
         assert len(reads) == len(counts) + 1
 
+    def test_the_bare_frame_narrows_its_batch(self, monkeypatch):
+        # both loops leave the eigenframe; in the bare frame T = 5 settles at 512 steps and T = 200 at
+        # 2048, so T = 200's later counts run on the row _take keeps, whose eigenframe fields are None
+        loops = [THIN, dataclasses.replace(THIN, duration_T=200.0)]
+        taken, real_take = [], traversal._take
+
+        def take(x, rows):
+            if isinstance(x, traversal._Batch):
+                taken.append((rows, x.clear, x.origin, x.ends))
+            return real_take(x, rows)
+
+        monkeypatch.setattr(traversal, "_take", take)
+        maps = traversal._maps(REF, loops, 1e-10)
+        assert [(m.frame, m.steps) for m in maps] == [("bare", 512), ("bare", 2048)]
+        assert taken == [([1], None, None, None)] * 2  # 1024 and 2048 steps
+        for loop, tmap in zip(loops, maps):
+            want = traversal._maps(REF, [loop], 1e-10)[0]
+            assert tmap.U.tobytes() == want.U.tobytes() and tmap[1:] == want[1:]
+
 
 class TestWorkspace:
     """One ``traversal._Work`` per ``_settle`` call: each block's arrays reuse its pages, and none outlives the call."""
@@ -509,18 +528,18 @@ class TestBoundedWork:
         assert traversal._verdict(change, before, resolved, 1e-10) == verdict
 
     @pytest.mark.parametrize("T", [2e16, 1e300])
-    def test_a_map_that_overflows_at_every_step_count_stops_at_the_first(self, T, monkeypatch):
-        # the largest |Re sigma| at 256 steps, scaled to the cap's step, is past
-        # twice float64's exp limit; the errors are those of the cap
+    def test_a_map_that_overflows_at_every_step_count_doubles_to_the_cap(self, T, monkeypatch):
+        # the map overflows float64 at every step count: the cap alone ends the
+        # doubling, with the message of the cap's count
         loop = LoopSpec(FieldPoint(1.0, 0.2), 0.05, 0.05, Direction.CW, T)
         counts = self.counted(monkeypatch)
         with pytest.raises(StepBudgetError, match="overflows float64 at every step count up to 131072: no step fits$"):
             traversal_maps(REF, [loop], 1e-10)
-        assert len(counts) <= 2, counts  # the eigenframe once, the bare frame once
+        assert counts[-1] == traversal._STEP_CAP
         counts.clear()
         with pytest.raises(StepBudgetError, match="overflows float64 at every step count up to 131072: no step fits$"):
             propagate_adiabatic(REF, loop, StateVector.basis(1), ACCEPT)
-        assert len(counts) <= 2, counts
+        assert counts[-1] == traversal._STEP_CAP
 
     @pytest.mark.parametrize(
         "params, loop, finer",
